@@ -28,8 +28,6 @@ from .errors import SuperluminalMomentum, ZeroEnergy
 
 # default absolute tolerance for algebraic identities and kinematic checks
 ATOL_ALGEBRA = 1e-12
-# default relative tolerance for quadrature-derived quantities
-RTOL_QUADRATURE = 1e-9
 
 # CODATA-style constants, MeV and dimensionless
 ELECTRON_MASS = 0.51099895
@@ -65,7 +63,9 @@ GAMMA3 = np.block([[_Z2, SIGMA[2]], [-SIGMA[2], _Z2]])
 GAMMA5 = 1j * GAMMA0 @ GAMMA1 @ GAMMA2 @ GAMMA3
 
 _GAMMAS = (GAMMA0, GAMMA1, GAMMA2, GAMMA3)
-for _g in (*_GAMMAS, GAMMA5, I2, I4, SIGMA):
+# gamma^mu stacked along a leading index, shape (4, 4, 4)
+GAMMA_STACK = np.stack(_GAMMAS)
+for _g in (*_GAMMAS, GAMMA_STACK, GAMMA5, I2, I4, SIGMA):
     _g.setflags(write=False)
 
 
@@ -129,11 +129,13 @@ def gamma(index):
 def slash(p):
     """Contraction gamma^mu p_mu (index lowered with the metric).
 
-    Accepts complex components, e.g. Fourier transforms of potentials.
+    Accepts complex components, e.g. Fourier transforms of potentials, and
+    leading batch axes: p of shape (..., 4) gives matrices (..., 4, 4).
     For real momenta slash(p) @ slash(p) = -(p.p) I4.
     """
-    p = np.asarray(p)
-    return -p[0] * GAMMA0 + p[1] * GAMMA1 + p[2] * GAMMA2 + p[3] * GAMMA3
+    p = np.asarray(p)[..., None, None]
+    return (-p[..., 0, :, :] * GAMMA0 + p[..., 1, :, :] * GAMMA1
+            + p[..., 2, :, :] * GAMMA2 + p[..., 3, :, :] * GAMMA3)
 
 
 def dirac_adjoint(m):

@@ -20,7 +20,7 @@ from .algebra import ELECTRON_MASS, FINE_STRUCTURE
 from .propagate import free_evolve, influence_conjugation_check
 from .radiative import anomaly_record, f2_record, shift_record
 from .sampling import random_state
-from .scattering import mott_dcs, mott_ratio
+from .scattering import mott_dcs, rutherford_dcs
 from .verify import SUITE_NAMES, all_passed, format_report, run_suites
 
 _STATE_LABELS = {"1s": (1, 0), "2s": (2, 0), "2p": (2, 1)}
@@ -136,7 +136,7 @@ def cmd_mott(args) -> int:
     for kappa_deg in args.angles:
         kappa = float(np.radians(kappa_deg))
         dcs = mott_dcs(args.p_mag, kappa, args.Z)
-        ratio = mott_ratio(args.p_mag, kappa, args.Z)
+        ratio = dcs / rutherford_dcs(args.p_mag, kappa, args.Z)
         writer.writerow([f"{kappa_deg:.6f}", f"{dcs:.12e}", f"{ratio:.12e}"])
     _emit(buffer.getvalue(), args.out)
     return 0

@@ -32,7 +32,6 @@ from .algebra import (
     MEV_TO_MHZ,
     METRIC,
     TWO_PI,
-    bar,
     minkowski_dot,
     slash,
 )
@@ -44,7 +43,7 @@ from .errors import (
     QuadratureNonconvergence,
     UnsupportedState,
 )
-from .states import SpectralState, concatenated_pairs
+from .states import SpectralState, bilinear_concatenated
 
 # ---------------------------------------------------------------------------
 # field configurations and the antisymmetric symbol
@@ -346,18 +345,6 @@ def f2_anomalous_moment(alpha: float = FINE_STRUCTURE, epsrel: float = 1e-10) ->
 # ---------------------------------------------------------------------------
 # spectral current identities
 
-def _pair_samples(state: SpectralState, points, insert_fn, freq_atol=None):
-    """sum over surviving pairs of wbar_k insert(dp) w_l exp(i dp.x)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.zeros(points.shape[0], dtype=complex)
-    for weight, dp, wk, wl in concatenated_pairs(state, freq_atol):
-        sandwich = bar(wk) @ insert_fn(dp) @ wl
-        lowered = dp.copy()
-        lowered[0] = -lowered[0]
-        out += weight * sandwich * np.exp(1j * (points @ lowered))
-    return out
-
-
 def vector_divergence_check(state: SpectralState, points) -> float:
     """Max |d_mu J^mu| of the concatenated vector current, evaluated spectrally.
 
@@ -365,7 +352,7 @@ def vector_divergence_check(state: SpectralState, points) -> float:
     identically because slash(p) w = -nu w on both branches and the pair
     frequencies match; the return value is the roundoff residual.
     """
-    samples = _pair_samples(state, points, lambda dp: 1j * slash(dp))
+    samples = bilinear_concatenated(state, lambda dp: 1j * slash(dp), points)
     return float(np.abs(samples).max()) if samples.size else 0.0
 
 
@@ -381,8 +368,8 @@ def axial_divergence_tree(state: SpectralState, mass: float, points, mass_atol: 
     for _, mode in state.terms:
         if abs(mode.mass - mass) > mass_atol * max(1.0, mass):
             raise MassMismatch("state carries a mass different from the sharp value")
-    lhs = _pair_samples(state, points, lambda dp: 1j * slash(dp) @ GAMMA5)
-    rhs = -2j * mass * _pair_samples(state, points, lambda dp: GAMMA5)
+    lhs = bilinear_concatenated(state, lambda dp: 1j * slash(dp) @ GAMMA5, points)
+    rhs = -2j * mass * bilinear_concatenated(state, GAMMA5, points)
     return lhs, rhs
 
 

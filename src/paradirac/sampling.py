@@ -26,22 +26,6 @@ def random_unit_vector(rng):
     return v / n
 
 
-def random_spin_direction(rng, p):
-    """Spacelike unit axis orthogonal to p: rest-frame direction boosted along p.
-
-    Returns s with s.s = +1 and p.s = 0 for timelike p.
-    """
-    p = four_vector(p)
-    m = np.sqrt(p[0] ** 2 - p[1:] @ p[1:])
-    n = random_unit_vector(rng)
-    # boost of (0, n) from the rest frame of p
-    pn = p[1:] @ n
-    s0 = pn / m
-    s_vec = n + p[1:] * pn / (m * (m + abs(p[0])))
-    s0 = np.sign(p[0]) * s0 if p[0] != 0 else s0
-    return four_vector(s0, *s_vec)
-
-
 def random_timelike_momentum(rng, mass=DEFAULT_MASS, phi=None, p_scale=1.0):
     """On-shell four-momentum with rest mass ``mass`` and energy sign ``phi``.
 

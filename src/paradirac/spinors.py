@@ -24,7 +24,6 @@ import math
 
 import numpy as np
 
-from . import algebra
 from .algebra import (
     ATOL_ALGEBRA,
     GAMMA5,
@@ -159,7 +158,3 @@ def decompose_in_block(p, branch, spinor, rtol=1e-10):
     if residual > rtol * scale:
         raise ValueError("spinor does not lie in the requested branch subspace")
     return a
-
-
-# re-export the adjoint helpers most users want next to the blocks
-dirac_adjoint = algebra.dirac_adjoint

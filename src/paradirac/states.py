@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -34,8 +35,8 @@ from .algebra import (
     GAMMA2,
     GAMMA3,
     GAMMA5,
+    GAMMA_STACK,
     TWO_PI,
-    bar,
     energy_sign,
     gamma,
     lower_index,
@@ -55,7 +56,11 @@ class Subspace(enum.Enum):
 
 @dataclass(frozen=True)
 class Mode:
-    """One box-normalized plane-wave mode (p, branch, spin coefficients)."""
+    """One box-normalized plane-wave mode (p, branch, spin coefficients).
+
+    overlap_key = (branch, p bytes) and label_key = (branch, p bytes, a bytes)
+    use the bytes of p + 0.0 and a + 0.0, so -0.0 equals 0.0 as in array_equal.
+    """
 
     p: np.ndarray
     branch: int
@@ -83,6 +88,9 @@ class Mode:
         object.__setattr__(self, "branch", branch)
         object.__setattr__(self, "mass", m)
         object.__setattr__(self, "phi", energy_sign(p))
+        p_bytes = (p + 0.0).tobytes()
+        object.__setattr__(self, "overlap_key", (branch, p_bytes))
+        object.__setattr__(self, "label_key", (branch, p_bytes, (a + 0.0).tobytes()))
 
     @property
     def frequency(self):
@@ -103,11 +111,15 @@ class Mode:
 
 def same_mode(m1: Mode, m2: Mode) -> bool:
     """Exact equality of the labels (p, branch, a)."""
-    return (
-        m1.branch == m2.branch
-        and np.array_equal(m1.p, m2.p)
-        and np.array_equal(m1.a, m2.a)
-    )
+    return m1.label_key == m2.label_key
+
+
+def key_index(keys) -> dict:
+    """Map each key to the ascending list of positions at which it occurs."""
+    index: dict = {}
+    for position, key in enumerate(keys):
+        index.setdefault(key, []).append(position)
+    return index
 
 
 def classify_subspace(mode: Mode) -> Subspace:
@@ -154,38 +166,51 @@ def free_equation_residual(mode: Mode, x, tau, step=1e-4, box_edge=TWO_PI):
     return float(np.abs(total).max())
 
 
-@dataclass(frozen=True)
-class SpectralState:
-    """Finite superposition sum_k c_k * mode_k over one quantization box.
+class TermContainer:
+    """Terms (coeff, Mode, ...) with `width` modes each, for frozen dataclasses.
 
-    Terms with exactly equal mode labels are merged on construction and
-    vanishing coefficients dropped, so the term list is a canonical sparse
-    spectral representation.
+    Terms whose modes have equal label keys merge in one dict pass: their
+    coefficients add in input order at the first occurrence; zero sums drop.
     """
 
-    terms: tuple
-    box_edge: float = TWO_PI
+    width = 1
 
     def __post_init__(self):
         if self.box_edge <= 0.0:
             raise ValueError("box edge must be positive")
-        merged: list[list] = []
-        for coeff, mode in self.terms:
-            if not isinstance(mode, Mode):
-                raise TypeError("state terms must be (coefficient, Mode) pairs")
-            for entry in merged:
-                if same_mode(entry[1], mode):
-                    entry[0] += complex(coeff)
-                    break
+        merged: dict = {}
+        for coeff, *modes in self.terms:
+            if len(modes) != self.width or not all(isinstance(m, Mode) for m in modes):
+                raise TypeError("terms must be (coefficient" + ", Mode" * self.width + ") tuples")
+            key = tuple([m.label_key for m in modes])
+            if key in merged:
+                merged[key][0] += complex(coeff)
             else:
-                merged.append([complex(coeff), mode])
-        kept = tuple((c, m) for c, m in merged if c != 0.0)
-        object.__setattr__(self, "terms", kept)
+                merged[key] = [complex(coeff), *modes]
+        object.__setattr__(self, "terms", tuple(tuple(e) for e in merged.values() if e[0] != 0.0))
         object.__setattr__(self, "box_edge", float(self.box_edge))
 
     @property
     def is_empty(self):
         return not self.terms
+
+    def map_terms(self, fn):
+        """New state of the same kind with term -> fn(*term), or None to drop."""
+        mapped = (fn(*term) for term in self.terms)
+        return replace(self, terms=tuple(item for item in mapped if item is not None))
+
+
+@dataclass(frozen=True)
+class SpectralState(TermContainer):
+    """Finite superposition sum_k c_k * mode_k over one quantization box.
+
+    Terms with equal Mode.label_key (-0.0 equal to 0.0) merge on construction
+    in one dict pass and vanishing coefficients drop (TermContainer), so the
+    term list is a canonical sparse spectral representation.
+    """
+
+    terms: tuple
+    box_edge: float = TWO_PI
 
     def value(self, x, tau):
         """Wavefunction value sum_k c_k f_k(x, tau)."""
@@ -193,15 +218,6 @@ class SpectralState:
         for coeff, mode in self.terms:
             out += coeff * plane_wave_value(mode, x, tau, self.box_edge)
         return out
-
-    def map_terms(self, fn):
-        """New state with (coeff, mode) -> fn(coeff, mode) or None to drop."""
-        new = []
-        for coeff, mode in self.terms:
-            item = fn(coeff, mode)
-            if item is not None:
-                new.append(item)
-        return SpectralState(tuple(new), self.box_edge)
 
 
 def single_mode_state(mode: Mode, coeff=1.0, box_edge=TWO_PI) -> SpectralState:
@@ -277,23 +293,50 @@ def inner_product(state_a: SpectralState, state_b: SpectralState, atol=None):
     Distinct lattice momenta are orthogonal; equal momenta contract through
     the spinor metric, +a*.b on the u branch and -a*.b on the v branch, and
     mixed branches vanish.  The result does not depend on tau.
+
+    The sum is a join on Mode.overlap_key: each term of state_a meets only
+    its matches in state_b, in the order of the all-pairs loop.
     """
     if state_a.box_edge != state_b.box_edge:
         raise BoxMismatch("states quantized in different boxes")
+    terms_b = state_b.terms
+    index = key_index(mb.overlap_key for _, mb in terms_b)
     total = 0.0j
     for ca, ma in state_a.terms:
-        for cb, mb in state_b.terms:
-            if ma.branch != mb.branch or not np.array_equal(ma.p, mb.p):
-                continue
-            total += np.conj(ca) * cb * ma.branch * np.vdot(ma.a, mb.a)
+        for j in index.get(ma.overlap_key, ()):
+            cb, mb = terms_b[j]
+            total += np.conj(ca) * cb * mode_overlap(ma, mb)
     return total
 
 
 def mode_overlap(ma: Mode, mb: Mode):
     """Single-mode box inner product, the (k, l) kernel of inner_product."""
-    if ma.branch != mb.branch or not np.array_equal(ma.p, mb.p):
+    if ma.overlap_key != mb.overlap_key:
         return 0.0j
     return complex(ma.branch * np.vdot(ma.a, mb.a))
+
+
+class Pairs(NamedTuple):
+    """Surviving pairs (k[i], l[i]) of a bilinear with their weights; the
+    indices point into modes."""
+
+    k: np.ndarray
+    l: np.ndarray
+    weight: np.ndarray
+    modes: tuple
+
+
+def _concatenated_pair_arrays(state: SpectralState, freq_atol=None) -> Pairs:
+    """The pairs of concatenated_pairs, in the same order, by one test
+    |nu_k - nu_l| <= tol max(1, |nu_k|, |nu_l|) over the n x n frequency
+    grid; the test is not transitive, so it cannot bucket by frequency."""
+    tol = ATOL_ALGEBRA if freq_atol is None else freq_atol
+    coeffs = np.array([c for c, _ in state.terms], dtype=complex)
+    nu = np.array([mode.frequency for _, mode in state.terms], dtype=float)
+    scale = np.maximum(1.0, np.maximum(np.abs(nu)[:, None], np.abs(nu)[None, :]))
+    k, l = np.nonzero(np.abs(nu[:, None] - nu[None, :]) <= tol * scale)
+    weight = np.conj(coeffs[k]) * coeffs[l] / state.box_edge**4
+    return Pairs(k, l, weight, tuple(mode for _, mode in state.terms))
 
 
 def concatenated_pairs(state: SpectralState, freq_atol=None):
@@ -304,17 +347,41 @@ def concatenated_pairs(state: SpectralState, freq_atol=None):
     overall scale T_tau of the concatenation integral is carried symbolically
     by the caller.
     """
-    tol = ATOL_ALGEBRA if freq_atol is None else freq_atol
     terms = state.terms
-    spinors = [mode.amplitude_spinor() for _, mode in terms]
     box4 = state.box_edge**4
-    for k, (ck, mk) in enumerate(terms):
-        for l, (cl, ml) in enumerate(terms):
-            scale = max(1.0, abs(mk.frequency), abs(ml.frequency))
-            if abs(mk.frequency - ml.frequency) > tol * scale:
-                continue
-            weight = np.conj(ck) * cl / box4
-            yield weight, ml.p - mk.p, spinors[k], spinors[l]
+    spinors = [mode.amplitude_spinor() for _, mode in terms]
+    pairs = _concatenated_pair_arrays(state, freq_atol)
+    for k, l in zip(pairs.k, pairs.l):
+        (ck, mk), (cl, ml) = terms[k], terms[l]
+        yield np.conj(ck) * cl / box4, ml.p - mk.p, spinors[k], spinors[l]
+
+
+# entries of the phase matrix per block of pairs in pair_sum
+_PHASE_BLOCK = 1 << 16
+
+
+def pair_sum(pairs: Pairs, insert, points):
+    """sum over pairs of weight bar(w_k) insert w_l exp(i dp.x), dp = p_l - p_k,
+    with insert as for bilinear_concatenated.  Per block of pairs, one einsum
+    gives the sandwiches and one matrix exp(i points @ dp_lowered^T) the phases.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if not callable(insert):
+        stack = np.asarray(insert, dtype=complex)
+        insert = lambda dp: np.broadcast_to(stack, (len(dp), *stack.shape))  # noqa: E731
+    spinors = np.array([m.amplitude_spinor() for m in pairs.modes], dtype=complex).reshape(-1, 4)
+    momenta = np.array([m.p for m in pairs.modes], dtype=float).reshape(-1, 4)
+    bars = spinors.conj() @ GAMMA0
+    step = max(1, _PHASE_BLOCK // points.shape[0])
+    out = 0.0
+    for start in range(0, max(len(pairs.k), 1), step):
+        k, l = pairs.k[start:start + step], pairs.l[start:start + step]
+        dp = momenta[l] - momenta[k]
+        sandwich = np.einsum("pi,p...ij,pj->p...", bars[k], insert(dp), spinors[l])
+        shape = sandwich.shape[1:]
+        weighted = pairs.weight[start:start + step, None] * sandwich.reshape(len(k), math.prod(shape))
+        out = out + np.exp(1j * (points @ lower_index(dp).T)) @ weighted
+    return out.reshape(points.shape[0], *shape)
 
 
 class CurrentField(NamedTuple):
@@ -327,22 +394,13 @@ class CurrentField(NamedTuple):
 def bilinear_concatenated(state: SpectralState, insert, points, freq_atol=None):
     """sum over surviving pairs of w_bar_k @ insert @ w_l exp(i dp.x).
 
-    insert may be a (4, 4) matrix or a stack of them with shape (..., 4, 4);
-    returns complex samples of shape (npoints, ...).  Values are in units of
-    T_tau (the symbolic tau-concatenation scale).
+    insert may be a (4, 4) matrix, a stack of them with shape (..., 4, 4),
+    or a function of the pair transfers dp, shape (P, 4), that returns
+    per-pair matrices (P, ..., 4, 4); returns complex samples of shape
+    (npoints, ...).  Values are in units of T_tau (the symbolic
+    tau-concatenation scale).  The batched kernel pair_sum does the sum.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    insert = np.asarray(insert, dtype=complex)
-    stack_shape = insert.shape[:-2]
-    out = np.zeros((points.shape[0], *stack_shape), dtype=complex)
-    for weight, dp, wk, wl in concatenated_pairs(state, freq_atol):
-        sandwich = np.einsum("i,...ij,j->...", bar(wk), insert, wl)
-        phases = np.exp(1j * (points @ lower_index(dp)))
-        out += weight * np.multiply.outer(phases, sandwich)
-    return out
-
-
-_GAMMA_STACK = np.stack([gamma(mu) for mu in range(4)])
+    return pair_sum(_concatenated_pair_arrays(state, freq_atol), insert, points)
 
 
 def concatenated_current(state: SpectralState, points, freq_atol=None) -> CurrentField:
@@ -351,18 +409,15 @@ def concatenated_current(state: SpectralState, points, freq_atol=None) -> Curren
     Only equal-frequency mode pairs survive the tau integral; the values are
     reported in units of the symbolic concatenation scale T_tau.
     """
-    raw = bilinear_concatenated(state, _GAMMA_STACK, points, freq_atol)
+    raw = bilinear_concatenated(state, GAMMA_STACK, points, freq_atol)
     if raw.size and np.abs(raw.imag).max() > 1e-10 * max(1.0, np.abs(raw).max()):
         raise AssertionError("vector current acquired an imaginary part")
     return CurrentField(values=raw.real, scale="T_tau")
 
 
-def current_divergence_fd(state: SpectralState, points, step=1e-3, freq_atol=None):
-    """Finite-difference divergence d_mu J^mu at each point (4th order central).
-
-    Returns the samples; the identity value is zero for equal-frequency
-    superpositions, so the magnitude measures the discretization residual.
-    """
+def _divergence_fd(current, points, step):
+    """4th-order central-difference d_mu J^mu at each point, where current
+    maps an (N, 4) array of points to (N, 4) real samples."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     npts = points.shape[0]
     shifted = []
@@ -371,16 +426,21 @@ def current_divergence_fd(state: SpectralState, points, step=1e-3, freq_atol=Non
             block = points.copy()
             block[:, mu] += k * step
             shifted.append(block)
-    values = concatenated_current(state, np.vstack(shifted), freq_atol).values
+    values = current(np.vstack(shifted)).reshape(4, 4, npts, 4)
     div = np.zeros(npts)
-    idx = 0
     for mu in range(4):
-        f_m2 = values[idx * npts:(idx + 1) * npts, mu]; idx += 1
-        f_m1 = values[idx * npts:(idx + 1) * npts, mu]; idx += 1
-        f_p1 = values[idx * npts:(idx + 1) * npts, mu]; idx += 1
-        f_p2 = values[idx * npts:(idx + 1) * npts, mu]; idx += 1
+        f_m2, f_m1, f_p1, f_p2 = values[mu, :, :, mu]
         div += (f_m2 - 8.0 * f_m1 + 8.0 * f_p1 - f_p2) / (12.0 * step)
     return div
+
+
+def current_divergence_fd(state: SpectralState, points, step=1e-3, freq_atol=None):
+    """Finite-difference divergence d_mu J^mu at each point (4th order central).
+
+    Returns the samples; the identity value is zero for equal-frequency
+    superpositions, so the magnitude measures the discretization residual.
+    """
+    return _divergence_fd(lambda x: concatenated_current(state, x, freq_atol).values, points, step)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,9 @@ from .algebra import (
     ATOL_ALGEBRA,
     ELEMENTARY_CHARGE,
     GAMMA0,
+    GAMMA_STACK,
     TWO_PI,
     bar,
-    gamma,
     minkowski_dot,
     slash,
 )
@@ -42,9 +42,14 @@ from .scattering import ExternalPotential, ReducedAmplitude
 from .states import (
     CurrentField,
     Mode,
+    Pairs,
     Subspace,
+    TermContainer,
+    _divergence_fd,
     classify_subspace,
+    key_index,
     mode_overlap,
+    pair_sum,
     plane_wave_value,
 )
 
@@ -52,35 +57,19 @@ _EXCHANGE_TAGS = ("none", "fermionic", "bosonic")
 
 
 @dataclass(frozen=True)
-class TwoParticleState:
-    """Finite superposition sum_k c_k mode_xk (x) mode_yk over one box."""
+class TwoParticleState(TermContainer):
+    """Finite superposition sum_k c_k mode_xk (x) mode_yk over one box; terms
+    merge as in SpectralState (TermContainer), keyed on both label keys."""
 
     terms: tuple
     exchange: str = "none"
     box_edge: float = TWO_PI
+    width = 2
 
     def __post_init__(self):
         if self.exchange not in _EXCHANGE_TAGS:
             raise ValueError(f"exchange must be one of {_EXCHANGE_TAGS}")
-        if self.box_edge <= 0.0:
-            raise ValueError("box edge must be positive")
-        merged: list[list] = []
-        for coeff, mx, my in self.terms:
-            if not (isinstance(mx, Mode) and isinstance(my, Mode)):
-                raise TypeError("terms must be (coefficient, Mode, Mode) triples")
-            for entry in merged:
-                if _same_pair(entry[1], entry[2], mx, my):
-                    entry[0] += complex(coeff)
-                    break
-            else:
-                merged.append([complex(coeff), mx, my])
-        kept = tuple((c, mx, my) for c, mx, my in merged if c != 0.0)
-        object.__setattr__(self, "terms", kept)
-        object.__setattr__(self, "box_edge", float(self.box_edge))
-
-    @property
-    def is_empty(self):
-        return not self.terms
+        super().__post_init__()
 
     def value(self, x, y, tau):
         """4x4 outer-product wavefunction, first index particle 1."""
@@ -90,20 +79,6 @@ class TwoParticleState:
             f2 = plane_wave_value(my, y, tau, self.box_edge)
             out += coeff * np.outer(f1, f2)
         return out
-
-    def map_terms(self, fn):
-        new = []
-        for term in self.terms:
-            item = fn(*term)
-            if item is not None:
-                new.append(item)
-        return TwoParticleState(tuple(new), self.exchange, self.box_edge)
-
-
-def _same_pair(ax, ay, bx, by):
-    from .states import same_mode
-
-    return same_mode(ax, bx) and same_mode(ay, by)
 
 
 def antisymmetrize(psi: Mode, chi: Mode, box_edge: float = TWO_PI) -> TwoParticleState:
@@ -149,12 +124,18 @@ def exchange_residual(state: TwoParticleState, samples=4, seed=0) -> float:
 
 
 def two_inner_product(state_a: TwoParticleState, state_b: TwoParticleState) -> complex:
-    """Tensor inner product: partner overlaps multiply per term pair."""
+    """Tensor inner product: partner overlaps multiply per term pair.
+
+    A join on the (x, y) overlap keys, in the order of the all-pairs loop.
+    """
     if state_a.box_edge != state_b.box_edge:
         raise BoxMismatch("states quantized in different boxes")
+    terms_b = state_b.terms
+    index = key_index((bx.overlap_key, by.overlap_key) for _, bx, by in terms_b)
     total = 0.0j
     for ca, ax, ay in state_a.terms:
-        for cb, bx, by in state_b.terms:
+        for j in index.get((ax.overlap_key, ay.overlap_key), ()):
+            cb, bx, by = terms_b[j]
             ov = mode_overlap(ax, bx) * mode_overlap(ay, by)
             if ov != 0.0:
                 total += np.conj(ca) * cb * ov
@@ -183,38 +164,31 @@ def two_evolve(state: TwoParticleState, tau: float, tau_prime: float, which: int
 # ---------------------------------------------------------------------------
 # marginalized currents
 
-_GAMMA_STACK = np.stack([gamma(mu) for mu in range(4)])
-
-
-def _marginal_pairs(state: TwoParticleState, particle: int, freq_atol):
-    """Surviving (weight, dp, w_bra, w_ket) after tau concatenation and
-    marginalization of the partner factor."""
+def _marginal_pairs(state: TwoParticleState, particle: int, freq_atol) -> Pairs:
+    """Pairs (k, l) surviving tau concatenation and marginalization of the
+    partner factor, found by a join on the partner's overlap key."""
     tol = ATOL_ALGEBRA if freq_atol is None else freq_atol
     box4 = state.box_edge**4
-    for ck, xk, yk in state.terms:
-        ak, bk = (xk, yk) if particle == 1 else (yk, xk)
-        for cl, xl, yl in state.terms:
-            al, bl = (xl, yl) if particle == 1 else (yl, xl)
-            partner = mode_overlap(bk, bl)
-            if partner == 0.0:
+    coeffs = [c for c, _, _ in state.terms]
+    own = tuple(term[particle] for term in state.terms)
+    partners = [term[3 - particle] for term in state.terms]
+    nu = [a.frequency + b.frequency for a, b in zip(own, partners)]
+    index = key_index(b.overlap_key for b in partners)
+    ks, ls, weights = [], [], []
+    for k, bk in enumerate(partners):
+        for l in index[bk.overlap_key]:
+            partner = mode_overlap(bk, partners[l])
+            if partner == 0.0 or abs(nu[k] - nu[l]) > tol * max(1.0, abs(nu[k]), abs(nu[l])):
                 continue
-            nu_k = ak.frequency + bk.frequency
-            nu_l = al.frequency + bl.frequency
-            if abs(nu_k - nu_l) > tol * max(1.0, abs(nu_k), abs(nu_l)):
-                continue
-            weight = np.conj(ck) * cl * partner / box4
-            yield weight, al.p - ak.p, ak.amplitude_spinor(), al.amplitude_spinor()
+            ks.append(k)
+            ls.append(l)
+            weights.append(np.conj(coeffs[k]) * coeffs[l] * partner / box4)
+    return Pairs(np.array(ks, dtype=int), np.array(ls, dtype=int),
+                 np.array(weights, dtype=complex), own)
 
 
-def _current_from_pairs(pairs, points) -> CurrentField:
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.zeros((points.shape[0], 4), dtype=complex)
-    for weight, dp, wk, wl in pairs:
-        sandwich = np.einsum("i,mij,j->m", bar(wk), _GAMMA_STACK, wl)
-        lowered = dp.copy()
-        lowered[0] = -lowered[0]
-        phases = np.exp(1j * (points @ lowered))
-        out += weight * np.multiply.outer(phases, sandwich)
+def _current_from_pairs(pairs: Pairs, points) -> CurrentField:
+    out = pair_sum(pairs, GAMMA_STACK, points)
     if out.size and np.abs(out.imag).max() > 1e-10 * max(1.0, np.abs(out).max()):
         raise AssertionError("marginal current acquired an imaginary part")
     return CurrentField(values=out.real, scale="T_tau")
@@ -235,25 +209,8 @@ def two_currents(state: TwoParticleState, points, freq_atol=None):
 def two_current_divergence_fd(state: TwoParticleState, points, particle: int = 1,
                               step: float = 1e-3, freq_atol=None):
     """4th-order central-difference divergence of one marginal current."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    npts = points.shape[0]
-    shifted = []
-    for mu in range(4):
-        for k in (-2, -1, 1, 2):
-            block = points.copy()
-            block[:, mu] += k * step
-            shifted.append(block)
-    pairs = list(_marginal_pairs(state, particle, freq_atol))
-    values = _current_from_pairs(pairs, np.vstack(shifted)).values
-    div = np.zeros(npts)
-    idx = 0
-    for mu in range(4):
-        f_m2 = values[idx * npts:(idx + 1) * npts, mu]; idx += 1
-        f_m1 = values[idx * npts:(idx + 1) * npts, mu]; idx += 1
-        f_p1 = values[idx * npts:(idx + 1) * npts, mu]; idx += 1
-        f_p2 = values[idx * npts:(idx + 1) * npts, mu]; idx += 1
-        div += (f_m2 - 8.0 * f_m1 + 8.0 * f_p1 - f_p2) / (12.0 * step)
-    return div
+    pairs = _marginal_pairs(state, particle, freq_atol)
+    return _divergence_fd(lambda x: _current_from_pairs(pairs, x).values, points, step)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +257,8 @@ def s2_first_order(
     with B the reduced sandwich of _born_sandwich.  The delta factors
     (total frequency, and energy for static potentials) are resolved inside
     B; their squared scales are recorded symbolically.  Both states must lie
-    in the forward subspace tensor square.
+    in the forward subspace tensor square.  The term pairs are joined on
+    the x and y overlap keys and met in the order of the all-pairs loop.
     """
     if state_i.box_edge != state_f.box_edge:
         raise BoxMismatch("states quantized in different boxes")
@@ -311,8 +269,13 @@ def s2_first_order(
     box3 = state_i.box_edge**3
 
     value = two_inner_product(state_f, state_i)
+    terms_i = state_i.terms
+    by_x = key_index(ix.overlap_key for _, ix, _ in terms_i)
+    by_y = key_index(iy.overlap_key for _, _, iy in terms_i)
     for cf, fx, fy in state_f.terms:
-        for ci, ix, iy in state_i.terms:
+        matched = {*by_x.get(fx.overlap_key, ()), *by_y.get(fy.overlap_key, ())}
+        for j in sorted(matched):
+            ci, ix, iy = terms_i[j]
             weight = np.conj(cf) * ci
             ov_y = mode_overlap(fy, iy)
             if ov_y != 0.0:
@@ -417,7 +380,7 @@ def potential_from_transition(mode_in: Mode, mode_out: Mode, charge: float,
     if abs(kk) < atol:
         raise OnLightCone("transition momentum transfer is lightlike")
     jmu = np.einsum(
-        "i,mij,j->m", bar(mode_out.amplitude_spinor()), _GAMMA_STACK, mode_in.amplitude_spinor()
+        "i,mij,j->m", bar(mode_out.amplitude_spinor()), GAMMA_STACK, mode_in.amplitude_spinor()
     )
     node = charge * jmu / kk
 

@@ -1,0 +1,138 @@
+"""Brute-force O(n^2) references for the label-keyed states code.
+
+Every loop here visits all term pairs and compares labels with
+np.array_equal, as the all-pairs implementation did; none of them calls the
+keyed merge, the key index or the batched pair kernel it is compared with.
+The label pools hold momenta and spins with zero components, so that their
+sign-flipped variants (-0.0) test the key folding.
+"""
+
+import numpy as np
+from hypothesis import strategies as st
+
+from paradirac.algebra import GAMMA0, TWO_PI, four_vector, gamma
+from paradirac.states import Mode
+
+# on-shell momenta with zero components (masses 1 and 2, both energy signs),
+# so that sign flips of zeros occur; the last two share an energy shell
+LABEL_MOMENTA = (
+    four_vector(np.sqrt(2.0), 1.0, 0.0, 0.0),
+    four_vector(-np.sqrt(1.25), 0.0, 0.5, 0.0),
+    four_vector(1.0, 0.0, 0.0, 0.0),
+    four_vector(np.sqrt(5.0), 0.0, 0.0, -1.0),
+    four_vector(np.sqrt(5.0), 0.0, 1.0, 0.0),
+)
+LABEL_SPINS = (
+    np.array([1.0, 0.0], dtype=complex),
+    np.array([0.0, 1.0j]),
+    np.array([0.6, 0.8j]),
+    np.array([1.0 + 1.0j, -0.5]),
+)
+COEFFS = st.sampled_from((1.0, -1.0, 0.5, -0.5, 1.0j, -1.0j, 0.25 - 2.0j, 0.0))
+LABELS = st.tuples(
+    st.integers(0, len(LABEL_MOMENTA) - 1),
+    st.sampled_from((1, -1)),
+    st.integers(0, len(LABEL_SPINS) - 1),
+    st.booleans(),
+)
+
+
+def signed_zeros(v, negative):
+    """Copy of v whose zero components carry the sign bit when negative."""
+    v = np.array(v)
+    if negative:
+        v.real[v.real == 0.0] = -0.0
+        if np.iscomplexobj(v):
+            v.imag[v.imag == 0.0] = -0.0
+    return v
+
+
+def label_mode(label, momenta=LABEL_MOMENTA, spins=LABEL_SPINS):
+    ip, branch, ia, negative = label
+    return Mode(signed_zeros(momenta[ip], negative), branch, signed_zeros(spins[ia], negative))
+
+
+def build_terms(raw):
+    return tuple((coeff, label_mode(label)) for coeff, label in raw)
+
+
+def equal_labels(m1, m2):
+    return m1.branch == m2.branch and np.array_equal(m1.p, m2.p) and np.array_equal(m1.a, m2.a)
+
+
+def scan_merge(terms):
+    """Linear-scan merge of (coeff, Mode, ...) terms."""
+    merged = []
+    for coeff, *modes in terms:
+        for entry in merged:
+            if all(equal_labels(a, b) for a, b in zip(entry[1:], modes)):
+                entry[0] += complex(coeff)
+                break
+        else:
+            merged.append([complex(coeff), *modes])
+    return [entry for entry in merged if entry[0] != 0.0]
+
+
+def assert_same_terms(got, want):
+    assert len(got) == len(want)
+    for term, ref in zip(got, want):
+        assert term[0] == ref[0]
+        assert all(m is r for m, r in zip(term[1:], ref[1:]))
+
+
+def all_pairs_inner(terms_a, terms_b):
+    total = 0.0j
+    for ca, ma in terms_a:
+        for cb, mb in terms_b:
+            if ma.branch == mb.branch and np.array_equal(ma.p, mb.p):
+                total += np.conj(ca) * cb * ma.branch * np.vdot(ma.a, mb.a)
+    return total
+
+
+def pair_loop_current(weighted_pairs, points, box_edge=TWO_PI):
+    """sum over (weight, mode_k, mode_l) of weight bar(w_k) gamma^mu w_l
+    exp(i (p_l - p_k).x) / L^4, one pair at a time."""
+    out = np.zeros((len(points), 4), dtype=complex)
+    for weight, mk, ml in weighted_pairs:
+        wk, wl = mk.amplitude_spinor(), ml.amplitude_spinor()
+        sandwich = np.array([wk.conj() @ GAMMA0 @ gamma(mu) @ wl for mu in range(4)])
+        dp = ml.p - mk.p
+        phase = np.exp(1j * (points @ np.array([-dp[0], dp[1], dp[2], dp[3]])))
+        out += weight / box_edge**4 * np.outer(phase, sandwich)
+    return out
+
+
+def frequencies_match(nu_k, nu_l, tol=1e-12):
+    return abs(nu_k - nu_l) <= tol * max(1.0, abs(nu_k), abs(nu_l))
+
+
+def overlap(m1, m2):
+    """Box overlap of two modes: branch a1*.a2 on equal (p, branch), else 0."""
+    if m1.branch != m2.branch or not np.array_equal(m1.p, m2.p):
+        return 0.0j
+    return complex(m1.branch * np.vdot(m1.a, m2.a))
+
+
+def all_pairs_two_inner(terms_a, terms_b):
+    total = 0.0j
+    for ca, ax, ay in terms_a:
+        for cb, bx, by in terms_b:
+            ov = overlap(ax, bx) * overlap(ay, by)
+            if ov != 0.0:
+                total += np.conj(ca) * cb * ov
+    return total
+
+
+def marginal_pair_loop(state, particle):
+    """(weight, own mode k, own mode l) over all term pairs whose partners
+    overlap and whose total tau frequencies match."""
+    out = []
+    for ck, *mk in state.terms:
+        for cl, *ml in state.terms:
+            ak, bk = mk[particle - 1], mk[2 - particle]
+            al, bl = ml[particle - 1], ml[2 - particle]
+            partner = overlap(bk, bl)
+            if partner != 0.0 and frequencies_match(ak.frequency + bk.frequency,
+                                                    al.frequency + bl.frequency):
+                out.append((np.conj(ck) * cl * partner, ak, al))
+    return out

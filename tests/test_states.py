@@ -2,7 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from brute_force import (
+    COEFFS,
+    LABELS,
+    all_pairs_inner,
+    assert_same_terms,
+    build_terms,
+    frequencies_match,
+    pair_loop_current,
+    scan_merge,
+    signed_zeros,
+)
+from paradirac import states
 from paradirac.algebra import GAMMA0, GAMMA2, GAMMA5, TWO_PI, four_vector, gamma
 from paradirac.errors import BoxMismatch, MasslessState, SuperluminalMomentum
 from paradirac.sampling import (
@@ -19,6 +33,7 @@ from paradirac.states import (
     charge_conjugate,
     classify_subspace,
     concatenated_current,
+    concatenated_pairs,
     coordinate_velocity,
     current_divergence_fd,
     free_equation_residual,
@@ -249,3 +264,85 @@ class TestSerialization:
     def test_roundtrip_term_count(self, rng):
         state = random_state(rng, 5)
         assert len(state_from_json(state_to_json(state)).terms) == len(state.terms)
+
+
+# ---------------------------------------------------------------------------
+# label keys: merges and overlaps against the brute-force loops of
+# brute_force.py
+
+class TestLabelKeys:
+    def test_parity_negative_zero_merges_and_overlaps(self, rng):
+        mode = Mode(four_vector(np.sqrt(2.0), 0.0, 0.0, 1.0), 1, random_spin_coefficients(rng))
+        image = parity(single_mode_state(mode)).terms[0][1]
+        assert np.signbit(image.p[1:3]).all()
+        clone = Mode(np.where(image.p == 0.0, 0.0, image.p), image.branch, image.a)
+        assert not np.signbit(clone.p[1:3]).any()
+        assert image.label_key == clone.label_key
+        merged = SpectralState(((0.5, image), (0.25, clone)))
+        assert len(merged.terms) == 1 and merged.terms[0][0] == 0.75
+        assert merged.terms[0][1] is image
+        overlap = inner_product(single_mode_state(image), single_mode_state(clone))
+        assert overlap == np.vdot(image.a, image.a) != 0.0
+
+    def test_negative_zero_spin_merges(self):
+        p = four_vector(1.0, 0.0, 0.0, 0.0)
+        plus = Mode(p, -1, np.array([1.0, 0.0]))
+        minus = Mode(p, -1, np.array([complex(1.0, -0.0), complex(-0.0, 0.0)]))
+        assert np.signbit(minus.a.imag[0]) and np.signbit(minus.a.real[1])
+        state = SpectralState(((1.0, plus), (2.0, minus)))
+        assert len(state.terms) == 1 and state.terms[0][0] == 3.0
+
+    def test_first_occurrence_order(self, rng):
+        m1, m2, m3 = (random_mode(rng) for _ in range(3))
+        again = Mode(m1.p.copy(), m1.branch, m1.a.copy())
+        state = SpectralState(((1.0, m2), (2.0, m1), (3.0, m3), (4.0, again)))
+        assert [id(m) for _, m in state.terms] == [id(m2), id(m1), id(m3)]
+        assert [c for c, _ in state.terms] == [1.0, 6.0, 3.0]
+
+    def test_opposite_coefficients_drop_out(self):
+        p = four_vector(np.sqrt(2.0), 1.0, 0.0, 0.0)
+        a = np.array([1.0, 0.0])
+        negative = Mode(signed_zeros(p, True), 1, signed_zeros(a, True))
+        state = SpectralState(((0.5, Mode(p, 1, a)), (-0.5, negative)))
+        assert state.is_empty
+
+    @given(st.lists(st.tuples(COEFFS, LABELS), max_size=12))
+    def test_merge_matches_linear_scan(self, raw):
+        terms = build_terms(raw)
+        assert_same_terms(SpectralState(terms).terms, scan_merge(terms))
+
+    @given(st.lists(st.tuples(COEFFS, LABELS), max_size=10),
+           st.lists(st.tuples(COEFFS, LABELS), max_size=10))
+    def test_inner_product_matches_all_pairs(self, raw_a, raw_b):
+        sa, sb = SpectralState(build_terms(raw_a)), SpectralState(build_terms(raw_b))
+        assert inner_product(sa, sb) == all_pairs_inner(sa.terms, sb.terms)
+
+    @given(st.lists(st.tuples(COEFFS, LABELS), max_size=8))
+    def test_current_matches_pair_loop(self, raw):
+        state = SpectralState(build_terms(raw))
+        points = np.random.default_rng(len(raw)).normal(size=(5, 4))
+        want = pair_loop_current(
+            [(np.conj(ck) * cl, mk, ml) for ck, mk in state.terms for cl, ml in state.terms
+             if frequencies_match(mk.frequency, ml.frequency)],
+            points,
+        )
+        got = concatenated_current(state, points).values
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        assert sum(1 for _ in concatenated_pairs(state)) == sum(
+            frequencies_match(mk.frequency, ml.frequency) for _, mk in state.terms for _, ml in state.terms
+        )
+
+
+class TestScalingGuard:
+    def test_inner_product_contracts_only_matched_pairs(self, rng, monkeypatch):
+        n, shared = 400, 10
+        modes_a = [random_mode(rng) for _ in range(n)]
+        modes_b = [random_mode(rng) for _ in range(n - shared)]
+        modes_b += [Mode(m.p, m.branch, random_spin_coefficients(rng)) for m in modes_a[:shared]]
+        sa = SpectralState(tuple((1.0, m) for m in modes_a))
+        sb = SpectralState(tuple((1.0, m) for m in modes_b))
+        calls = []
+        overlap = states.mode_overlap
+        monkeypatch.setattr(states, "mode_overlap", lambda ma, mb: calls.append(1) or overlap(ma, mb))
+        inner_product(sa, sb)
+        assert len(calls) == shared

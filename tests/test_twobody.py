@@ -4,7 +4,23 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from brute_force import (
+    COEFFS,
+    LABEL_SPINS,
+    LABELS,
+    all_pairs_two_inner,
+    assert_same_terms,
+    label_mode,
+    marginal_pair_loop,
+    overlap,
+    pair_loop_current,
+    scan_merge,
+    signed_zeros,
+)
+from paradirac import twobody
 from paradirac.algebra import ELEMENTARY_CHARGE, TWO_PI, four_vector
 from paradirac.errors import (
     BoxMismatch,
@@ -16,9 +32,10 @@ from paradirac.errors import (
 from paradirac.propagate import elastic_shell, free_evolve
 from paradirac.sampling import random_mode, random_spin_coefficients
 from paradirac.scattering import coulomb_potential, s1_amplitude, zero_potential
-from paradirac.states import Mode, single_mode_state
+from paradirac.states import Mode, parity, single_mode_state
 from paradirac.twobody import (
     TwoParticleState,
+    _born_sandwich,
     antisymmetrize,
     bs_born_step,
     bs_power_iteration,
@@ -291,3 +308,139 @@ class TestSerialization:
         record = json.loads(two_state_to_json(state))
         assert record["exchange"] == "bosonic"
         assert len(record["pairs"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# label keys: merges, joins and marginal currents against the brute-force
+# loops of brute_force.py
+
+# positive-energy momenta on one mass-1 energy shell, so that forward u
+# modes built from them conserve energy in every Born transition
+SHELL_MOMENTA = tuple(
+    four_vector(np.sqrt(2.0), *direction)
+    for direction in ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -1.0))
+)
+FORWARD_LABELS = st.tuples(
+    st.integers(0, len(SHELL_MOMENTA) - 1),
+    st.just(1),
+    st.integers(0, len(LABEL_SPINS) - 1),
+    st.booleans(),
+)
+TWO_TERMS = st.lists(st.tuples(COEFFS, LABELS, LABELS), max_size=10)
+FORWARD_TERMS = st.lists(st.tuples(COEFFS, FORWARD_LABELS, FORWARD_LABELS), max_size=8)
+
+
+def two_terms(raw, momenta=None):
+    kw = {} if momenta is None else {"momenta": momenta}
+    return tuple((c, label_mode(x, **kw), label_mode(y, **kw)) for c, x, y in raw)
+
+
+def all_pairs_s2(state_i, state_f, pots, atol=1e-9):
+    """s2_first_order as the loop over every (final, initial) term pair."""
+    e1 = e2 = ELEMENTARY_CHARGE
+    box3 = TWO_PI**3
+    value = all_pairs_two_inner(state_f.terms, state_i.terms)
+    for cf, fx, fy in state_f.terms:
+        for ci, ix, iy in state_i.terms:
+            weight = np.conj(cf) * ci
+            ov_y = overlap(fy, iy)
+            if ov_y != 0.0:
+                value += weight * (1j * e1 / box3) * _born_sandwich(ix, fx, pots[0], atol) * ov_y
+            ov_x = overlap(fx, ix)
+            if ov_x != 0.0:
+                value += weight * ov_x * (1j * e2 / box3) * _born_sandwich(iy, fy, pots[1], atol)
+    return complex(value)
+
+
+class TestLabelKeys:
+    def test_parity_negative_zero_partners_merge(self, rng):
+        mode = Mode(four_vector(np.sqrt(2.0), 0.0, 1.0, 0.0), 1, random_spin_coefficients(rng))
+        image = parity(single_mode_state(mode)).terms[0][1]
+        assert np.signbit(image.p[[1, 3]]).all()
+        clone = Mode(np.where(image.p == 0.0, 0.0, image.p), 1, image.a)
+        other = _mode(rng)
+        state = TwoParticleState(((0.5, image, other), (0.25, clone, other), (1.0, other, clone)))
+        assert len(state.terms) == 2
+        assert state.terms[0][0] == 0.75 and state.terms[0][1] is image
+        assert state.terms[1][1] is other
+        single = TwoParticleState(((1.0, other, image),))
+        assert two_inner_product(single, state) == np.vdot(other.a, other.a) * np.vdot(image.a, image.a)
+
+    def test_opposite_coefficients_drop_out(self, rng):
+        mx, my = _mode(rng), _mode(rng)
+        flipped = Mode(signed_zeros(mx.p, True), mx.branch, signed_zeros(mx.a, True))
+        state = TwoParticleState(((0.5, mx, my), (1.0, my, mx), (-0.5, flipped, my)))
+        assert len(state.terms) == 1 and state.terms[0][1] is my
+
+    @given(TWO_TERMS)
+    def test_merge_matches_linear_scan(self, raw):
+        terms = two_terms(raw)
+        assert_same_terms(TwoParticleState(terms).terms, scan_merge(terms))
+
+    @given(TWO_TERMS, TWO_TERMS)
+    def test_two_inner_product_matches_all_pairs(self, raw_a, raw_b):
+        sa, sb = TwoParticleState(two_terms(raw_a)), TwoParticleState(two_terms(raw_b))
+        assert two_inner_product(sa, sb) == all_pairs_two_inner(sa.terms, sb.terms)
+
+    @given(FORWARD_TERMS, FORWARD_TERMS)
+    # the final term meets incident terms 1 and 2 through x and term 2 also
+    # through y, so the visiting order shows in the rounding of the sum
+    @example(raw_i=[(2.0, (0, 1, 0, False), (0, 1, 0, False)),
+                    (1.0, (1, 1, 0, False), (0, 1, 0, False)),
+                    (1.0, (1, 1, 0, False), (2, 1, 1, False))],
+             raw_f=[(1.0, (1, 1, 0, False), (2, 1, 2, False))])
+    def test_s2_matches_all_pairs(self, raw_i, raw_f):
+        state_i = TwoParticleState(two_terms(raw_i, SHELL_MOMENTA))
+        state_f = TwoParticleState(two_terms(raw_f, SHELL_MOMENTA))
+        pots = (coulomb_potential(1.0, mu=0.5), coulomb_potential(2.0, mu=0.7))
+        assert s2_first_order(state_i, state_f, pots).value == all_pairs_s2(state_i, state_f, pots)
+
+    @given(st.lists(st.tuples(COEFFS, LABELS, LABELS), max_size=8))
+    def test_two_currents_match_pair_loop(self, raw):
+        state = TwoParticleState(two_terms(raw))
+        points = np.random.default_rng(len(raw)).normal(size=(5, 4))
+        for particle, field in zip((1, 2), two_currents(state, points)):
+            want = pair_loop_current(marginal_pair_loop(state, particle), points)
+            assert np.abs(field.values - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+class TestScalingGuard:
+    """mode_overlap runs only for label-matched pairs of 400-term states."""
+
+    N_TERMS = 400
+
+    @pytest.fixture
+    def overlap_calls(self, monkeypatch):
+        calls = []
+        overlap_fn = twobody.mode_overlap
+        monkeypatch.setattr(twobody, "mode_overlap", lambda ma, mb: calls.append(1) or overlap_fn(ma, mb))
+        return calls
+
+    @staticmethod
+    def relabel(rng, mode):
+        """New spin coefficients on the (p, branch) of mode."""
+        return Mode(mode.p, mode.branch, random_spin_coefficients(rng))
+
+    def test_two_inner_product(self, rng, overlap_calls):
+        terms_a = [(1.0, _mode(rng), _mode(rng)) for _ in range(self.N_TERMS)]
+        shared = [(1.0, self.relabel(rng, x), self.relabel(rng, y)) for _, x, y in terms_a[:10]]
+        terms_b = [(1.0, _mode(rng), _mode(rng)) for _ in range(self.N_TERMS - 10)] + shared
+        two_inner_product(TwoParticleState(tuple(terms_a)), TwoParticleState(tuple(terms_b)))
+        assert len(overlap_calls) == 2 * 10
+
+    def test_s2_first_order(self, rng, overlap_calls):
+        initial = [(1.0, _mode(rng), _mode(rng)) for _ in range(self.N_TERMS)]
+        final = [(1.0, _mode(rng), self.relabel(rng, y)) for _, _, y in initial[:10]]
+        final += [(1.0, self.relabel(rng, x), _mode(rng)) for _, x, _ in initial[10:15]]
+        final += [(1.0, _mode(rng), _mode(rng)) for _ in range(self.N_TERMS - 15)]
+        pots = (coulomb_potential(1.0), coulomb_potential(2.0))
+        s2_first_order(TwoParticleState(tuple(initial)), TwoParticleState(tuple(final)), pots)
+        # each of the 15 joined term pairs takes an x and a y overlap
+        assert len(overlap_calls) == 2 * 15
+
+    def test_two_currents(self, rng, overlap_calls):
+        terms = [(1.0, _mode(rng), _mode(rng)) for _ in range(self.N_TERMS - 10)]
+        terms += [(1.0, _mode(rng), y) for _, _, y in terms[:10]]
+        two_currents(TwoParticleState(tuple(terms)), rng.normal(size=(2, 4)))
+        # partners of particle 1 are the y modes: 380 singles and 10 pairs
+        assert len(overlap_calls) == (380 + 10 * 4) + self.N_TERMS
