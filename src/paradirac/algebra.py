@@ -26,8 +26,13 @@ import numpy as np
 
 from .errors import SuperluminalMomentum, ZeroEnergy
 
-# default absolute tolerance for algebraic identities and kinematic checks
+# absolute tolerance for algebraic identities and kinematic checks
 ATOL_ALGEBRA = 1e-12
+
+# tolerance at which the conservation deltas of Born terms resolve: mass
+# shell delta(Dm) (relative) and energy delta(Dp0) (absolute, MeV); also the
+# light-cone and node matches of a transition-sourced potential
+ATOL_SHELL = 1e-9
 
 # CODATA-style constants, MeV and dimensionless
 ELECTRON_MASS = 0.51099895
@@ -89,7 +94,7 @@ def lower_index(p):
     return out
 
 
-def mass_of(p, atol=None):
+def mass_of(p):
     """Rest mass sqrt(-p.p) of a subluminal four-momentum.
 
     Raises ZeroEnergy for p0 = 0 and SuperluminalMomentum when p.p > 0 beyond
@@ -100,8 +105,7 @@ def mass_of(p, atol=None):
         raise ZeroEnergy("four-momentum has p0 = 0; no rest frame branch")
     pp = float(minkowski_dot(p, p))
     scale = max(1.0, float(np.dot(p, p)))
-    tol = (ATOL_ALGEBRA if atol is None else atol) * scale
-    if pp > tol:
+    if pp > ATOL_ALGEBRA * scale:
         raise SuperluminalMomentum(f"p.p = {pp:g} > 0; momentum is spacelike")
     return math.sqrt(max(-pp, 0.0))
 

@@ -204,8 +204,6 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if isinstance(args.__dict__.get("angles"), str):
-        args.angles = _parse_angles(args.angles)
     try:
         return _DISPATCH[args.command](args)
     except ValueError as exc:

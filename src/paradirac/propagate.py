@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    ATOL_SHELL,
     ELEMENTARY_CHARGE,
     GAMMA0,
     TWO_PI,
@@ -35,7 +36,7 @@ from .algebra import (
 )
 from .errors import DegenerateInterval, UnresolvedDelta
 from .spinors import branch_block, lambda_u, lambda_v
-from .states import Mode, SpectralState, Subspace, classify_subspace
+from .states import Mode, SpectralState, Subspace, TermContainer, classify_subspace
 
 
 @dataclass(frozen=True)
@@ -75,21 +76,26 @@ class InfluenceKernel:
         return state.map_terms(fn)
 
 
-def free_evolve(state: SpectralState, tau: float, tau_prime: float, which: int) -> SpectralState:
+def free_evolve(state: TermContainer, tau: float, tau_prime: float, which: int) -> TermContainer:
     """Apply (1/i) integral d^4x Gamma0_which from tau to tau_prime.
 
     For which=+1 and tau' > tau only modes with branch*phi = +1 (the subspace
     S+) survive, phases advancing by nu*(tau'-tau); for tau' < tau only the
     complementary set survives.  which=-1 mirrors the pattern.  Annihilated
-    modes are dropped from the term list.
+    modes are dropped from the term list.  Terms of any width evolve factor
+    by factor, so a term dies when any of its modes is annihilated.
     """
     if tau_prime == tau:
         raise DegenerateInterval("evolution interval is degenerate")
     kernel = InfluenceKernel(which, tau_prime - tau)
 
-    def fn(coeff, mode):
-        f = kernel.mode_factor(mode)
-        return None if f == 0.0 else (coeff * (-1j) * f, mode)
+    def fn(coeff, *modes):
+        for mode in modes:
+            f = kernel.mode_factor(mode)
+            if f == 0.0:
+                return None
+            coeff = coeff * (-1j) * f
+        return (coeff, *modes)
 
     return state.map_terms(fn)
 
@@ -188,7 +194,6 @@ def moller_first_order(
     out_momenta,
     charge: float = ELEMENTARY_CHARGE,
     box_edge: float = TWO_PI,
-    mass_atol: float = 1e-9,
 ) -> SpectralState:
     """Incident mode plus the first Born term of the forward wave operator.
 
@@ -215,11 +220,11 @@ def moller_first_order(
     found_shell = False
     for q in np.atleast_2d(np.asarray(out_momenta, dtype=float)):
         m_out = mass_of(q)
-        if abs(m_out - m_in) > mass_atol * max(1.0, m_in):
+        if abs(m_out - m_in) > ATOL_SHELL * max(1.0, m_in):
             continue
         found_shell = True
         dp = q - incident.p
-        if getattr(potential, "static", False) and abs(dp[0]) > mass_atol:
+        if getattr(potential, "static", False) and abs(dp[0]) > ATOL_SHELL:
             continue
         a_tilde = potential.fourier(dp)
         if not np.any(a_tilde):

@@ -24,6 +24,7 @@ from scipy import integrate
 
 from .algebra import (
     ATOL_ALGEBRA,
+    ATOL_SHELL,
     ELECTRON_MASS,
     ELEMENTARY_CHARGE,
     FINE_STRUCTURE,
@@ -124,12 +125,11 @@ def anomaly_rhs(field: FieldConfiguration, charge: float = ELEMENTARY_CHARGE):
 # ---------------------------------------------------------------------------
 # propagators and sourced potentials
 
-def photon_propagator(k, atol: float = None) -> float:
+def photon_propagator(k) -> float:
     """Momentum-space photon kernel 1/k.k; poles are excluded, not smeared."""
     k = np.asarray(k, dtype=float)
-    tol = ATOL_ALGEBRA if atol is None else atol
     kk = float(minkowski_dot(k, k))
-    if abs(kk) < tol * max(1.0, float(k @ k)):
+    if abs(kk) < ATOL_ALGEBRA * max(1.0, float(k @ k)):
         raise OnLightCone("photon kernel evaluated on the light cone")
     return 1.0 / kk
 
@@ -147,7 +147,7 @@ def self_potential(j_fourier, charge: float = ELEMENTARY_CHARGE):
     return a_fourier
 
 
-def substitution_propagator(r, mbar: float, atol: float = None):
+def substitution_propagator(r, mbar: float):
     """Mass-shifted fermion kernel (mbar I - slash(r)) / (mbar^2 + r.r).
 
     Satisfies (mbar I - slash(r)) (mbar I + slash(r)) = (mbar^2 + r.r) I
@@ -156,9 +156,8 @@ def substitution_propagator(r, mbar: float, atol: float = None):
     if mbar <= 0.0:
         raise ValueError("substitution mass must be positive")
     r = np.asarray(r, dtype=float)
-    tol = ATOL_ALGEBRA if atol is None else atol
     denom = mbar**2 + float(minkowski_dot(r, r))
-    if abs(denom) < tol * max(1.0, mbar**2, float(r @ r)):
+    if abs(denom) < ATOL_ALGEBRA * max(1.0, mbar**2, float(r @ r)):
         raise OnMassShell("substitution kernel evaluated on its mass shell")
     return (mbar * I4 - slash(r)) / denom
 
@@ -288,17 +287,16 @@ def uehling_shift(n: int, l: int, Z: float, m_e: float = ELECTRON_MASS,
 
 
 def uehling_shift_fixed_grid(n: int, l: int, Z: float, segments: int = 24,
-                             nodes_per_segment: int = 12,
                              m_e: float = ELECTRON_MASS,
                              alpha: float = FINE_STRUCTURE) -> float:
-    """Composite Gauss-Legendre oracle for the shift, in MeV.
+    """Composite 12-node Gauss-Legendre oracle for the shift, in MeV.
 
     Deliberately independent of uehling_shift: fixed panels instead of
     adaptive subdivision, and the hyperbolic-form potential instead of the
     semi-infinite-t form.  Doubling `segments` probes convergence.
     """
     radial = hydrogen_radial(n, l, Z, m_e, alpha)
-    x, w = np.polynomial.legendre.leggauss(nodes_per_segment)
+    x, w = np.polynomial.legendre.leggauss(12)
     r_max = 20.0 / m_e
     edges = np.linspace(0.0, r_max, segments + 1)
     total = 0.0
@@ -313,11 +311,13 @@ def uehling_shift_fixed_grid(n: int, l: int, Z: float, segments: int = 24,
 # ---------------------------------------------------------------------------
 # anomalous moment
 
-def _f2_quadrature(alpha: float, epsrel: float):
+def _f2_quadrature(alpha: float):
     """Nested adaptive quadrature of the Feynman-parameter vertex integrand.
 
     At zero momentum transfer the fermion mass cancels and the integrand
-    reduces to 2z/(1-z) on the triangle 0 < y < 1-z, 0 < z < 1.
+    reduces to 2z/(1-z) on the triangle 0 < y < 1-z, 0 < z < 1.  Returns
+    (value, error estimate, panels); raises QuadratureNonconvergence when
+    the error estimate exceeds 1e-6 of the value.
     """
     inner_panels = 0
 
@@ -328,18 +328,18 @@ def _f2_quadrature(alpha: float, epsrel: float):
         inner_panels = max(inner_panels, info["last"])
         return val
 
-    val, err, info = integrate.quad(outer, 0.0, 1.0, epsabs=1e-14, epsrel=epsrel,
+    val, err, info = integrate.quad(outer, 0.0, 1.0, epsabs=1e-14, epsrel=1e-10,
                                     full_output=True)[:3]
     scale = alpha / (2.0 * np.pi)
-    return scale * val, scale * err, info["last"] * inner_panels
-
-
-def f2_anomalous_moment(alpha: float = FINE_STRUCTURE, epsrel: float = 1e-10) -> float:
-    """One-loop anomalous moment F2(0) by 2D quadrature; analytically alpha/2pi."""
-    value, err, _panels = _f2_quadrature(alpha, epsrel)
+    value, err = scale * val, scale * err
     if err > 1e-6 * max(abs(value), 1e-30):
         raise QuadratureNonconvergence("vertex quadrature failed to converge")
-    return value
+    return value, err, info["last"] * inner_panels
+
+
+def f2_anomalous_moment(alpha: float = FINE_STRUCTURE) -> float:
+    """One-loop anomalous moment F2(0) by 2D quadrature; analytically alpha/2pi."""
+    return _f2_quadrature(alpha)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -356,17 +356,18 @@ def vector_divergence_check(state: SpectralState, points) -> float:
     return float(np.abs(samples).max()) if samples.size else 0.0
 
 
-def axial_divergence_tree(state: SpectralState, mass: float, points, mass_atol: float = 1e-9):
+def axial_divergence_tree(state: SpectralState, mass: float, points):
     """Spectral (lhs, rhs) sample arrays of the tree-level axial identity.
 
     lhs = d_mu J5^mu with J5 the concatenated axial current; rhs is the
     concatenated pseudoscalar density times -2i mass.  For a state of sharp
     tau frequency nu the exact relation is lhs = (2 i nu) * density, so lhs
     equals rhs on the backward subspace (nu = -mass) and equals -rhs on the
-    forward one; callers compare on the subspace they prepared.
+    forward one; callers compare on the subspace they prepared.  Every mode
+    must carry the mass to ATOL_SHELL (relative), else MassMismatch.
     """
     for _, mode in state.terms:
-        if abs(mode.mass - mass) > mass_atol * max(1.0, mass):
+        if abs(mode.mass - mass) > ATOL_SHELL * max(1.0, mass):
             raise MassMismatch("state carries a mass different from the sharp value")
     lhs = bilinear_concatenated(state, lambda dp: 1j * slash(dp) @ GAMMA5, points)
     rhs = -2j * mass * bilinear_concatenated(state, GAMMA5, points)
@@ -388,7 +389,7 @@ def shift_record(n: int, l: int, Z: float) -> dict:
 
 
 def f2_record(alpha: float = FINE_STRUCTURE) -> dict:
-    value, err, panels = _f2_quadrature(alpha, 1e-10)
+    value, err, panels = _f2_quadrature(alpha)
     return {
         "quantity": "a_e",
         "value": value,

@@ -26,6 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .algebra import (
+    ATOL_SHELL,
     ELECTRON_MASS,
     ELEMENTARY_CHARGE,
     FINE_STRUCTURE,
@@ -106,13 +107,13 @@ _BASE_FACTORS = (("i*e/L^3", "prefactor"), ("delta(Dm)", "T_tau"))
 _STATIC_FACTOR = (("2pi*delta(Dp0)", "T_0"),)
 
 
-def s1_amplitude(p_i, a_i, p_f, a_f, pot: ExternalPotential, mass_atol: float = 1e-9) -> ReducedAmplitude:
+def s1_amplitude(p_i, a_i, p_f, a_f, pot: ExternalPotential) -> ReducedAmplitude:
     """Reduced first-order amplitude ubar_f slash(A~(Dp)) u_i.
 
     Both momenta must have positive energy (u-type S+ modes).  A mass
     mismatch or, for static potentials, an energy mismatch does not raise:
     the corresponding delta annihilates the element, so the value is exactly
-    zero and the cause is flagged.
+    zero and the cause is flagged.  Both deltas resolve at ATOL_SHELL.
     """
     p_i = np.asarray(p_i, dtype=float)
     p_f = np.asarray(p_f, dtype=float)
@@ -121,10 +122,10 @@ def s1_amplitude(p_i, a_i, p_f, a_f, pot: ExternalPotential, mass_atol: float = 
     factors = _BASE_FACTORS + (_STATIC_FACTOR if pot.static else ())
     flags = []
     m_i, m_f = mass_of(p_i), mass_of(p_f)
-    if abs(m_f - m_i) > mass_atol * max(1.0, m_i):
+    if abs(m_f - m_i) > ATOL_SHELL * max(1.0, m_i):
         flags.append("mass_shell_mismatch")
     dp = p_f - p_i
-    if pot.static and abs(dp[0]) > mass_atol:
+    if pot.static and abs(dp[0]) > ATOL_SHELL:
         flags.append("off_energy_shell")
     if flags:
         return ReducedAmplitude(0.0j, factors, tuple(flags))
@@ -142,7 +143,7 @@ class SpinSum(NamedTuple):
     by_trace: float
 
 
-def spin_averaged_amp2(p_i, p_f, pot: ExternalPotential, mass_atol: float = 1e-9) -> SpinSum:
+def spin_averaged_amp2(p_i, p_f, pot: ExternalPotential) -> SpinSum:
     """(1/2) sum over incident and final spins of |ubar_f slash(A~) u_i|^2.
 
     Computed by explicit enumeration over the 2x2 spin bases and
@@ -156,9 +157,9 @@ def spin_averaged_amp2(p_i, p_f, pot: ExternalPotential, mass_atol: float = 1e-9
         raise SubspaceViolation("spin sums defined for positive-energy u modes")
     m_i, m_f = mass_of(p_i), mass_of(p_f)
     dp = p_f - p_i
-    if abs(m_f - m_i) > mass_atol * max(1.0, m_i):
+    if abs(m_f - m_i) > ATOL_SHELL * max(1.0, m_i):
         return SpinSum(0.0, 0.0)
-    if pot.static and abs(dp[0]) > mass_atol:
+    if pot.static and abs(dp[0]) > ATOL_SHELL:
         return SpinSum(0.0, 0.0)
     x = slash(pot.fourier(dp))
 

@@ -77,18 +77,17 @@ def lambda_v(p):
     return (m * I4 + phi * slash(p)) / (2.0 * m)
 
 
-def spin_projector(s, atol=None):
+def spin_projector(s):
     """P(s) = (I4 - gamma^5 slash(s)) / 2 for a unit spacelike s.
 
     P(-s) is obtained by negating the argument.  Commutes with Lambda_u(p)
     and Lambda_v(p) whenever p.s = 0.
     """
     s = np.asarray(s, dtype=float)
-    tol = ATOL_ALGEBRA if atol is None else atol
     ss = float(minkowski_dot(s, s))
     # cancellation scale: s.s is a difference of terms of order |s|^2
     scale = max(1.0, float(np.dot(s, s)))
-    if abs(ss - 1.0) > tol * scale:
+    if abs(ss - 1.0) > ATOL_ALGEBRA * scale:
         raise NonUnitSpin(f"s.s = {ss:g}, expected +1")
     return 0.5 * (I4 - GAMMA5 @ slash(s))
 
@@ -144,7 +143,7 @@ def branch_projector(p, branch):
     return lambda_u(p) if branch == 1 else lambda_v(p)
 
 
-def decompose_in_block(p, branch, spinor, rtol=1e-10):
+def decompose_in_block(p, branch, spinor):
     """Spin coefficients a with block(p, branch) @ a = spinor.
 
     The right inverse of the block is +bar(u) for the u branch and -bar(v)
@@ -155,6 +154,6 @@ def decompose_in_block(p, branch, spinor, rtol=1e-10):
     a = float(branch) * (bar(block) @ spinor)
     residual = np.linalg.norm(block @ a - spinor)
     scale = max(np.linalg.norm(spinor), 1e-300)
-    if residual > rtol * scale:
+    if residual > 1e-10 * scale:
         raise ValueError("spinor does not lie in the requested branch subspace")
     return a

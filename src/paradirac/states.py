@@ -142,14 +142,15 @@ def coordinate_velocity(mode: Mode):
     return mode.branch * mode.mass / mode.energy
 
 
-def free_equation_residual(mode: Mode, x, tau, step=1e-4, box_edge=TWO_PI):
+def free_equation_residual(mode: Mode, x, tau, box_edge=TWO_PI):
     """Finite-difference residual of the free parameter-time wave equation.
 
     Every mode satisfies (1/i) d_tau psi + gamma^mu (1/i) d_mu psi = 0
     identically, so the returned max-norm measures only the central
-    difference truncation (quadratic in step).
+    difference truncation (quadratic in the step 1e-4).
     """
     x = np.asarray(x, dtype=float)
+    step = 1e-4
     d_tau = (
         plane_wave_value(mode, x, tau + step, box_edge)
         - plane_wave_value(mode, x, tau - step, box_edge)
@@ -287,7 +288,7 @@ def tpc(state: SpectralState) -> SpectralState:
 # ---------------------------------------------------------------------------
 # inner products and concatenated currents
 
-def inner_product(state_a: SpectralState, state_b: SpectralState, atol=None):
+def inner_product(state_a: SpectralState, state_b: SpectralState):
     """Box inner product integral d^4x of bar(psi_a) psi_b at fixed tau.
 
     Distinct lattice momenta are orthogonal; equal momenta contract through
@@ -326,20 +327,20 @@ class Pairs(NamedTuple):
     modes: tuple
 
 
-def _concatenated_pair_arrays(state: SpectralState, freq_atol=None) -> Pairs:
+def _concatenated_pair_arrays(state: SpectralState) -> Pairs:
     """The pairs of concatenated_pairs, in the same order, by one test
-    |nu_k - nu_l| <= tol max(1, |nu_k|, |nu_l|) over the n x n frequency
-    grid; the test is not transitive, so it cannot bucket by frequency."""
-    tol = ATOL_ALGEBRA if freq_atol is None else freq_atol
+    |nu_k - nu_l| <= ATOL_ALGEBRA max(1, |nu_k|, |nu_l|) over the n x n
+    frequency grid; the test is not transitive, so it cannot bucket by
+    frequency."""
     coeffs = np.array([c for c, _ in state.terms], dtype=complex)
     nu = np.array([mode.frequency for _, mode in state.terms], dtype=float)
     scale = np.maximum(1.0, np.maximum(np.abs(nu)[:, None], np.abs(nu)[None, :]))
-    k, l = np.nonzero(np.abs(nu[:, None] - nu[None, :]) <= tol * scale)
+    k, l = np.nonzero(np.abs(nu[:, None] - nu[None, :]) <= ATOL_ALGEBRA * scale)
     weight = np.conj(coeffs[k]) * coeffs[l] / state.box_edge**4
     return Pairs(k, l, weight, tuple(mode for _, mode in state.terms))
 
 
-def concatenated_pairs(state: SpectralState, freq_atol=None):
+def concatenated_pairs(state: SpectralState):
     """Mode pairs surviving the tau-concatenation integral of a bilinear.
 
     Yields (weight, dp, w_bra, w_ket) for each ordered pair (k, l) whose tau
@@ -350,7 +351,7 @@ def concatenated_pairs(state: SpectralState, freq_atol=None):
     terms = state.terms
     box4 = state.box_edge**4
     spinors = [mode.amplitude_spinor() for _, mode in terms]
-    pairs = _concatenated_pair_arrays(state, freq_atol)
+    pairs = _concatenated_pair_arrays(state)
     for k, l in zip(pairs.k, pairs.l):
         (ck, mk), (cl, ml) = terms[k], terms[l]
         yield np.conj(ck) * cl / box4, ml.p - mk.p, spinors[k], spinors[l]
@@ -391,7 +392,7 @@ class CurrentField(NamedTuple):
     scale: str
 
 
-def bilinear_concatenated(state: SpectralState, insert, points, freq_atol=None):
+def bilinear_concatenated(state: SpectralState, insert, points):
     """sum over surviving pairs of w_bar_k @ insert @ w_l exp(i dp.x).
 
     insert may be a (4, 4) matrix, a stack of them with shape (..., 4, 4),
@@ -400,19 +401,25 @@ def bilinear_concatenated(state: SpectralState, insert, points, freq_atol=None):
     (npoints, ...).  Values are in units of T_tau (the symbolic
     tau-concatenation scale).  The batched kernel pair_sum does the sum.
     """
-    return pair_sum(_concatenated_pair_arrays(state, freq_atol), insert, points)
+    return pair_sum(_concatenated_pair_arrays(state), insert, points)
 
 
-def concatenated_current(state: SpectralState, points, freq_atol=None) -> CurrentField:
+def pair_current(pairs: Pairs, points) -> CurrentField:
+    """Real vector current of a hermitian pair set: pair_sum with gamma^mu
+    inserted; an imaginary part beyond roundoff raises AssertionError."""
+    raw = pair_sum(pairs, GAMMA_STACK, points)
+    if raw.size and np.abs(raw.imag).max() > 1e-10 * max(1.0, np.abs(raw).max()):
+        raise AssertionError("vector current acquired an imaginary part")
+    return CurrentField(values=raw.real, scale="T_tau")
+
+
+def concatenated_current(state: SpectralState, points) -> CurrentField:
     """Vector current J^mu(x) = integral d tau bar(psi) gamma^mu psi.
 
     Only equal-frequency mode pairs survive the tau integral; the values are
     reported in units of the symbolic concatenation scale T_tau.
     """
-    raw = bilinear_concatenated(state, GAMMA_STACK, points, freq_atol)
-    if raw.size and np.abs(raw.imag).max() > 1e-10 * max(1.0, np.abs(raw).max()):
-        raise AssertionError("vector current acquired an imaginary part")
-    return CurrentField(values=raw.real, scale="T_tau")
+    return pair_current(_concatenated_pair_arrays(state), points)
 
 
 def _divergence_fd(current, points, step):
@@ -434,13 +441,13 @@ def _divergence_fd(current, points, step):
     return div
 
 
-def current_divergence_fd(state: SpectralState, points, step=1e-3, freq_atol=None):
+def current_divergence_fd(state: SpectralState, points, step=1e-3):
     """Finite-difference divergence d_mu J^mu at each point (4th order central).
 
     Returns the samples; the identity value is zero for equal-frequency
     superpositions, so the magnitude measures the discretization residual.
     """
-    return _divergence_fd(lambda x: concatenated_current(state, x, freq_atol).values, points, step)
+    return _divergence_fd(lambda x: concatenated_current(state, x).values, points, step)
 
 
 # ---------------------------------------------------------------------------

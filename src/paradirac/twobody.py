@@ -22,6 +22,7 @@ import numpy as np
 
 from .algebra import (
     ATOL_ALGEBRA,
+    ATOL_SHELL,
     ELEMENTARY_CHARGE,
     GAMMA0,
     GAMMA_STACK,
@@ -37,10 +38,9 @@ from .errors import (
     OnMassShell,
     SubspaceViolation,
 )
-from .propagate import InfluenceKernel, kernel_matrix
+from .propagate import free_evolve, kernel_matrix
 from .scattering import ExternalPotential, ReducedAmplitude
 from .states import (
-    CurrentField,
     Mode,
     Pairs,
     Subspace,
@@ -49,7 +49,7 @@ from .states import (
     classify_subspace,
     key_index,
     mode_overlap,
-    pair_sum,
+    pair_current,
     plane_wave_value,
 )
 
@@ -104,8 +104,8 @@ def permute_labels(state: TwoParticleState) -> TwoParticleState:
     )
 
 
-def exchange_residual(state: TwoParticleState, samples=4, seed=0) -> float:
-    """Max deviation of value(y,x)^T from -+ value(x,y) at random events.
+def exchange_residual(state: TwoParticleState) -> float:
+    """Max deviation of value(y,x)^T from -+ value(x,y) at 4 seeded random events.
 
     Zero for correctly tagged fermionic/bosonic states; meaningless for
     exchange='none' (returns 0.0 without sampling).
@@ -113,9 +113,9 @@ def exchange_residual(state: TwoParticleState, samples=4, seed=0) -> float:
     if state.exchange == "none":
         return 0.0
     sign = -1.0 if state.exchange == "fermionic" else 1.0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(4):
         x, y = rng.normal(size=4), rng.normal(size=4)
         tau = rng.normal()
         resid = np.abs(state.value(y, x, tau).T - sign * state.value(x, y, tau)).max()
@@ -150,24 +150,15 @@ def two_evolve(state: TwoParticleState, tau: float, tau_prime: float, which: int
     Exchange symmetry is preserved because the operator is symmetric under
     the factor swap.
     """
-    kernel = InfluenceKernel(which, tau_prime - tau)
-
-    def fn(coeff, mx, my):
-        f1 = -1j * kernel.mode_factor(mx)
-        f2 = -1j * kernel.mode_factor(my)
-        f = f1 * f2
-        return None if f == 0.0 else (coeff * f, mx, my)
-
-    return state.map_terms(fn)
+    return free_evolve(state, tau, tau_prime, which)
 
 
 # ---------------------------------------------------------------------------
 # marginalized currents
 
-def _marginal_pairs(state: TwoParticleState, particle: int, freq_atol) -> Pairs:
+def _marginal_pairs(state: TwoParticleState, particle: int) -> Pairs:
     """Pairs (k, l) surviving tau concatenation and marginalization of the
     partner factor, found by a join on the partner's overlap key."""
-    tol = ATOL_ALGEBRA if freq_atol is None else freq_atol
     box4 = state.box_edge**4
     coeffs = [c for c, _, _ in state.terms]
     own = tuple(term[particle] for term in state.terms)
@@ -178,7 +169,7 @@ def _marginal_pairs(state: TwoParticleState, particle: int, freq_atol) -> Pairs:
     for k, bk in enumerate(partners):
         for l in index[bk.overlap_key]:
             partner = mode_overlap(bk, partners[l])
-            if partner == 0.0 or abs(nu[k] - nu[l]) > tol * max(1.0, abs(nu[k]), abs(nu[l])):
+            if partner == 0.0 or abs(nu[k] - nu[l]) > ATOL_ALGEBRA * max(1.0, abs(nu[k]), abs(nu[l])):
                 continue
             ks.append(k)
             ls.append(l)
@@ -187,30 +178,23 @@ def _marginal_pairs(state: TwoParticleState, particle: int, freq_atol) -> Pairs:
                  np.array(weights, dtype=complex), own)
 
 
-def _current_from_pairs(pairs: Pairs, points) -> CurrentField:
-    out = pair_sum(pairs, GAMMA_STACK, points)
-    if out.size and np.abs(out.imag).max() > 1e-10 * max(1.0, np.abs(out).max()):
-        raise AssertionError("marginal current acquired an imaginary part")
-    return CurrentField(values=out.real, scale="T_tau")
-
-
-def two_currents(state: TwoParticleState, points, freq_atol=None):
+def two_currents(state: TwoParticleState, points):
     """Marginal currents (J1, J2): tau concatenated, partner integrated out.
 
     For a simple product each reduces to the single-particle concatenated
     current of its own factor times the partner's norm; for exchange-
     symmetric states both are invariant under permuting the state labels.
     """
-    j1 = _current_from_pairs(_marginal_pairs(state, 1, freq_atol), points)
-    j2 = _current_from_pairs(_marginal_pairs(state, 2, freq_atol), points)
+    j1 = pair_current(_marginal_pairs(state, 1), points)
+    j2 = pair_current(_marginal_pairs(state, 2), points)
     return j1, j2
 
 
 def two_current_divergence_fd(state: TwoParticleState, points, particle: int = 1,
-                              step: float = 1e-3, freq_atol=None):
+                              step: float = 1e-3):
     """4th-order central-difference divergence of one marginal current."""
-    pairs = _marginal_pairs(state, particle, freq_atol)
-    return _divergence_fd(lambda x: _current_from_pairs(pairs, x).values, points, step)
+    pairs = _marginal_pairs(state, particle)
+    return _divergence_fd(lambda x: pair_current(pairs, x).values, points, step)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +230,6 @@ def s2_first_order(
     state_f: TwoParticleState,
     pot_pair,
     charges=(ELEMENTARY_CHARGE, ELEMENTARY_CHARGE),
-    mass_atol: float = 1e-9,
 ) -> ReducedAmplitude:
     """S_fi through first order: free overlap plus one-potential Born terms.
 
@@ -256,9 +239,10 @@ def s2_first_order(
 
     with B the reduced sandwich of _born_sandwich.  The delta factors
     (total frequency, and energy for static potentials) are resolved inside
-    B; their squared scales are recorded symbolically.  Both states must lie
-    in the forward subspace tensor square.  The term pairs are joined on
-    the x and y overlap keys and met in the order of the all-pairs loop.
+    B at ATOL_SHELL; their squared scales are recorded symbolically.  Both
+    states must lie in the forward subspace tensor square.  The term pairs
+    are joined on the x and y overlap keys and met in the order of the
+    all-pairs loop.
     """
     if state_i.box_edge != state_f.box_edge:
         raise BoxMismatch("states quantized in different boxes")
@@ -279,10 +263,10 @@ def s2_first_order(
             weight = np.conj(cf) * ci
             ov_y = mode_overlap(fy, iy)
             if ov_y != 0.0:
-                value += weight * (1j * e1 / box3) * _born_sandwich(ix, fx, pot1, mass_atol) * ov_y
+                value += weight * (1j * e1 / box3) * _born_sandwich(ix, fx, pot1, ATOL_SHELL) * ov_y
             ov_x = mode_overlap(fx, ix)
             if ov_x != 0.0:
-                value += weight * ov_x * (1j * e2 / box3) * _born_sandwich(iy, fy, pot2, mass_atol)
+                value += weight * ov_x * (1j * e2 / box3) * _born_sandwich(iy, fy, pot2, ATOL_SHELL)
     factors = (("delta(Dnu_total)", "T_tau"),)
     if pot1.static or pot2.static:
         factors += (("2pi*delta(Dp0)", "T_0"),)
@@ -321,7 +305,7 @@ def two_conjugation_check(dx_pair, dtau: float, momenta_pairs, box_edge: float =
 # ---------------------------------------------------------------------------
 # Bethe-Salpeter Born step
 
-def bs_born_step(coeffs, pair_basis, v_matrix, mass: float, atol: float = 1e-12):
+def bs_born_step(coeffs, pair_basis, v_matrix, mass: float):
     """One iteration of the integral term: combined kernel times V times Psi.
 
     In the joint mode basis the mass-transformed combined free kernel is
@@ -340,20 +324,21 @@ def bs_born_step(coeffs, pair_basis, v_matrix, mass: float, atol: float = 1e-12)
         if classify_subspace(mx) is not Subspace.S_PLUS or classify_subspace(my) is not Subspace.S_PLUS:
             continue
         nu = mx.frequency + my.frequency
-        if abs(nu - mass) < atol * max(1.0, abs(mass)):
+        if abs(nu - mass) < ATOL_ALGEBRA * max(1.0, abs(mass)):
             raise OnMassShell("combined kernel pole at the requested mass")
         out[k] = -2.0 / (nu - mass) * driven[k]
     return out
 
 
-def bs_power_iteration(pair_basis, v_matrix, mass: float, iterations: int = 20, seed: int = 0):
-    """Dominant eigenvalue/vector of the Born-step operator by power iteration."""
-    rng = np.random.default_rng(seed)
+def bs_power_iteration(pair_basis, v_matrix, mass: float):
+    """Dominant eigenvalue/vector of the Born-step operator by 20 steps of
+    power iteration from a seeded random start."""
+    rng = np.random.default_rng(0)
     n = len(pair_basis)
     vec = rng.normal(size=n) + 1j * rng.normal(size=n)
     vec /= np.linalg.norm(vec)
     eig = 0.0j
-    for _ in range(iterations):
+    for _ in range(20):
         nxt = bs_born_step(vec, pair_basis, v_matrix, mass)
         norm = np.linalg.norm(nxt)
         if norm == 0.0:
@@ -366,8 +351,7 @@ def bs_power_iteration(pair_basis, v_matrix, mass: float, iterations: int = 20, 
 # ---------------------------------------------------------------------------
 # mutual scattering through a once-iterated sourced potential
 
-def potential_from_transition(mode_in: Mode, mode_out: Mode, charge: float,
-                              atol: float = 1e-9) -> ExternalPotential:
+def potential_from_transition(mode_in: Mode, mode_out: Mode, charge: float) -> ExternalPotential:
     """Potential sourced by the transition current of one particle.
 
     The current component able to drive a partner transition with opposite
@@ -377,7 +361,7 @@ def potential_from_transition(mode_in: Mode, mode_out: Mode, charge: float,
     """
     k0 = mode_in.p - mode_out.p
     kk = float(minkowski_dot(k0, k0))
-    if abs(kk) < atol:
+    if abs(kk) < ATOL_SHELL:
         raise OnLightCone("transition momentum transfer is lightlike")
     jmu = np.einsum(
         "i,mij,j->m", bar(mode_out.amplitude_spinor()), GAMMA_STACK, mode_in.amplitude_spinor()
@@ -386,9 +370,9 @@ def potential_from_transition(mode_in: Mode, mode_out: Mode, charge: float,
 
     def fourier(dp):
         dp = np.asarray(dp, dtype=float)
-        if np.allclose(dp, k0, atol=atol):
+        if np.allclose(dp, k0, atol=ATOL_SHELL):
             return node.copy()
-        if np.allclose(dp, -k0, atol=atol):
+        if np.allclose(dp, -k0, atol=ATOL_SHELL):
             return np.conj(node)
         return np.zeros(4, dtype=complex)
 

@@ -256,7 +256,7 @@ def suite_propagate(rng, tol: float) -> list[Check]:
     worst = 0.0
     e3 = ELEMENTARY_CHARGE / TWO_PI**3
     for c, mode in scattered.terms:
-        if same_vec(mode.p, p_in):
+        if np.allclose(mode.p, p_in, atol=1e-12):
             continue
         for k, a_f in enumerate(np.eye(2)):
             s1 = s1_amplitude(p_in, incident.a, mode.p, a_f, pot)
@@ -267,10 +267,6 @@ def suite_propagate(rng, tol: float) -> list[Check]:
     silent = moller_first_order(backward, pot, outs)
     checks.append(Check("backward incident mode yields no nodes", float(len(silent.terms)), tol))
     return checks
-
-
-def same_vec(p, q, atol=1e-12):
-    return bool(np.allclose(p, q, atol=atol))
 
 
 # ---------------------------------------------------------------------------
