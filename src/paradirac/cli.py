@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -31,10 +32,10 @@ def _parse_angles(text: str):
     try:
         if ":" in text:
             start, stop, count = text.split(":")
-            grid = np.linspace(float(start), float(stop), int(count))
+            grid = np.linspace(_finite(start), _finite(stop), int(count))
         else:
-            grid = np.array([float(v) for v in text.split(",")])
-    except (TypeError, ValueError) as exc:
+            grid = np.array([_finite(v) for v in text.split(",")])
+    except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(f"bad angle grid {text!r}: {exc}") from None
     if grid.size == 0:
         raise argparse.ArgumentTypeError("empty angle grid")
@@ -47,17 +48,22 @@ def _parse_triple(text: str):
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected three comma-separated values, got {text!r}")
-    try:
-        return [float(v) for v in parts]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return [_finite(v) for v in parts]
 
 
-def _positive(text: str) -> float:
+def _finite(text: str) -> float:
+    """A float argument; NaN and infinities are rejected."""
     try:
         value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _finite(text)
     if not value > 0.0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
@@ -72,7 +78,9 @@ def _emit(text: str, out_path):
 
 
 def _emit_json(record: dict, out_path) -> int:
-    _emit(json.dumps(record, sort_keys=True, indent=2) + "\n", out_path)
+    # allow_nan=False: a non-finite value raises ValueError (exit 2) instead
+    # of printing NaN or Infinity, which strict JSON readers reject.
+    _emit(json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n", out_path)
     return 0
 
 
@@ -114,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo = sub.add_parser("propagate-demo",
                             help="free evolution of a seeded random state (JSON)")
     p_demo.add_argument("--seed", type=int, default=0)
-    p_demo.add_argument("--dtau", type=float, default=1.0)
+    p_demo.add_argument("--dtau", type=_finite, default=1.0)
     p_demo.add_argument("--which", type=int, choices=(1, -1), default=1)
     p_demo.add_argument("--modes", type=int, default=4)
     p_demo.add_argument("--out", default=None)

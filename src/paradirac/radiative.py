@@ -8,6 +8,10 @@ transfer (the electron mass cancels), and the axial/vector identities are
 checked spectrally on finite mode superpositions.  Units are natural with
 energies in MeV; distances are MeV^-1.
 
+scipy is imported inside the four functions that call ``integrate.quad``, so
+importing the package, or running a command without a quadrature, does not
+load it.
+
 Sign conventions: metric (-,+,+,+); field tensor F^{0j} = E^j,
 F^{jk} = eps^{jkl} B^l; totally antisymmetric eps^{0123} = +1.  With these,
 the contraction eps^{mnrs} F_mn F_rs evaluates to -8 E.B (computed, never
@@ -20,7 +24,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 from .algebra import (
     ATOL_ALGEBRA,
@@ -177,6 +180,8 @@ def uehling_ratio(r: float, m_e: float = ELECTRON_MASS, alpha: float = FINE_STRU
     """
     if r <= 0.0:
         raise NonpositiveRadius("the potential is defined for r > 0")
+    from scipy import integrate
+
     # epsabs=0: the value decays like e^{-2mr}, so only relative control works
     val, err = integrate.quad(_uehling_ratio_integrand, 1.0, np.inf,
                               args=(2.0 * m_e * r,), epsabs=0.0, epsrel=1e-11)
@@ -216,6 +221,8 @@ def uehling_potential_hyperbolic(r: float, Z: float, m_e: float = ELECTRON_MASS,
 
     # cut where the exponential has fully underflowed; cosh would overflow first
     theta_max = float(np.arccosh(max(745.0 / two_mr, 2.0)))
+    from scipy import integrate
+
     val, err = integrate.quad(integrand, 0.0, theta_max, epsabs=0.0, epsrel=1e-11)
     if err > max(1e-13, 1e-8 * abs(val)):
         raise QuadratureNonconvergence("hyperbolic-form quadrature failed to converge")
@@ -267,6 +274,8 @@ def uehling_shift(n: int, l: int, Z: float, m_e: float = ELECTRON_MASS,
     The radial scale of U is the Compton length, far inside the Bohr radius,
     so the range is split there for the adaptive quadrature.
     """
+    from scipy import integrate
+
     radial = hydrogen_radial(n, l, Z, m_e, alpha)
 
     def integrand(r):
@@ -319,6 +328,8 @@ def _f2_quadrature(alpha: float):
     (value, error estimate, panels); raises QuadratureNonconvergence when
     the error estimate exceeds 1e-6 of the value.
     """
+    from scipy import integrate
+
     inner_panels = 0
 
     def outer(z):

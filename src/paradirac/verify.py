@@ -61,12 +61,10 @@ from .spinors import (
 )
 from .states import (
     Mode,
-    SpectralState,
     Subspace,
     bilinear_concatenated,
     concatenated_current,
     current_divergence_fd,
-    inner_product,
     single_mode_state,
 )
 from .twobody import (

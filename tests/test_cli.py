@@ -202,3 +202,61 @@ class TestConsoleScript:
             proc = subprocess.run(argv, capture_output=True, text=True, env=env)
             assert proc.returncode == 0, f"{argv}: {proc.stderr}"
             assert proc.stdout == inproc, argv
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("argv", [
+        ["g2", "--alpha", "inf"],
+        ["mott", "--p-mag", "inf"],
+        ["mott", "--Z", "inf"],
+        ["mott", "--angles", "nan"],
+        ["propagate-demo", "--dtau", "nan"],
+        ["propagate-demo", "--dtau", "inf"],
+        ["verify", "--tol", "inf"],
+        ["anomaly", "--E", "inf,0,0", "--B", "1,1,1"],
+        # finite arguments whose record overflows: strict JSON refuses Infinity
+        ["anomaly", "--E", "1e300,0,0", "--B", "1e300,0,0"],
+    ], ids=" ".join)
+    def test_rejected_with_exit_2(self, argv, capsys):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err
+
+
+class TestStartupImports:
+    def test_scipy_loaded_only_by_quadrature_commands(self):
+        # A fresh process: scipy must stay out of sys.modules until a command
+        # that runs a quadrature (uehling, g2) is dispatched.
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import paradirac, paradirac.cli\n"
+            "steps = [['import', 0, 'scipy' in sys.modules]]\n"
+            "for argv in (['verify', '--suite', 'all'], ['mott'],\n"
+            "             ['anomaly', '--E', '1,2,3', '--B', '0.5,-1,2'],\n"
+            "             ['propagate-demo'], ['uehling'], ['g2']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = paradirac.cli.main(argv)\n"
+            "    steps.append([argv[0], code, 'scipy' in sys.modules])\n"
+            "print(json.dumps(steps))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [
+            ["import", 0, False],
+            ["verify", 0, False],
+            ["mott", 0, False],
+            ["anomaly", 0, False],
+            ["propagate-demo", 0, False],
+            ["uehling", 0, True],
+            ["g2", 0, True],
+        ]
