@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from .algebra import ELECTRON_MASS, FINE_STRUCTURE
+from .errors import NonfiniteResult
 from .propagate import free_evolve, influence_conjugation_check
 from .radiative import anomaly_record, f2_record, shift_record
 from .sampling import random_state
@@ -59,6 +60,16 @@ def _finite(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
     return value
 
 
@@ -124,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--seed", type=int, default=0)
     p_demo.add_argument("--dtau", type=_finite, default=1.0)
     p_demo.add_argument("--which", type=int, choices=(1, -1), default=1)
-    p_demo.add_argument("--modes", type=int, default=4)
+    p_demo.add_argument("--modes", type=_positive_int, default=4)
     p_demo.add_argument("--out", default=None)
 
     return parser
@@ -143,8 +154,13 @@ def cmd_mott(args) -> int:
     writer.writerow(["kappa_deg", "dcs", "ratio_to_rutherford"])
     for kappa_deg in args.angles:
         kappa = float(np.radians(kappa_deg))
-        dcs = mott_dcs(args.p_mag, kappa, args.Z)
-        ratio = dcs / rutherford_dcs(args.p_mag, kappa, args.Z)
+        # floating-point warnings off: a row that overflows or underflows to
+        # 0/0 raises NonfiniteResult below instead
+        with np.errstate(all="ignore"):
+            dcs = mott_dcs(args.p_mag, kappa, args.Z)
+            ratio = np.divide(dcs, rutherford_dcs(args.p_mag, kappa, args.Z))
+        if not (math.isfinite(dcs) and math.isfinite(ratio)):
+            raise NonfiniteResult(f"non-finite cross-section at {kappa_deg:g} deg")
         writer.writerow([f"{kappa_deg:.6f}", f"{dcs:.12e}", f"{ratio:.12e}"])
     _emit(buffer.getvalue(), args.out)
     return 0

@@ -67,7 +67,13 @@ class UnsupportedState(ValueError):
 
 
 class QuadratureNonconvergence(ValueError):
-    """Adaptive quadrature reported an error estimate above the requested one."""
+    """A fixed quadrature rule differs from the same rule with doubled nodes by
+    more than the relative bound it must meet."""
+
+
+class NonfiniteResult(ValueError):
+    """Finite arguments whose result overflows, or is otherwise not finite, in
+    double precision."""
 
 
 class MassMismatch(ValueError):

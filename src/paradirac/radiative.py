@@ -8,9 +8,9 @@ transfer (the electron mass cancels), and the axial/vector identities are
 checked spectrally on finite mode superpositions.  Units are natural with
 energies in MeV; distances are MeV^-1.
 
-scipy is imported inside the four functions that call ``integrate.quad``, so
-importing the package, or running a command without a quadrature, does not
-load it.
+Every quadrature is a fixed composite Gauss-Legendre rule whose error
+estimate is its difference from the same rule with doubled nodes; the module
+needs numpy alone.
 
 Sign conventions: metric (-,+,+,+); field tensor F^{0j} = E^j,
 F^{jk} = eps^{jkl} B^l; totally antisymmetric eps^{0123} = +1.  With these,
@@ -20,6 +20,8 @@ assumed).
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -41,6 +43,7 @@ from .algebra import (
 )
 from .errors import (
     MassMismatch,
+    NonfiniteResult,
     NonpositiveRadius,
     OnLightCone,
     OnMassShell,
@@ -166,28 +169,71 @@ def substitution_propagator(r, mbar: float):
 
 
 # ---------------------------------------------------------------------------
+# fixed quadrature rules
+
+# Gauss-Legendre points per panel of the 1-D rules; each is checked against
+# the same panels with twice the points, and the finer value is the result.
+_NODES = 12
+
+# Bound on |rule - same rule with doubled nodes| relative to the value; every
+# rule below converges to roundoff far inside it.
+_RULE_RTOL = 1e-10
+
+# The U(r) spectral integrals are cut where e^{-2 m r (t - 1)} has fallen to
+# e^{-40} (about 4e-18) of its value at the threshold t = 1.
+_DECAY = 40.0
+
+
+@functools.cache
+def _legendre(nodes: int):
+    return np.polynomial.legendre.leggauss(nodes)
+
+
+def _doubled_rule(integrand, edges, what: str):
+    """Composite Gauss-Legendre integral over the panels `edges`, with _NODES
+    and with 2 * _NODES points per panel: (finer value, their difference).
+
+    Raises QuadratureNonconvergence when the difference exceeds _RULE_RTOL
+    of the finer value.
+    """
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (hi - lo)
+    coarse, fine = (
+        float((half * w).ravel() @ integrand((lo + half * (x + 1.0)).ravel()))
+        for x, w in (_legendre(_NODES), _legendre(2 * _NODES))
+    )
+    err = abs(fine - coarse)
+    if not err <= _RULE_RTOL * abs(fine):
+        raise QuadratureNonconvergence(f"{what} quadrature failed to converge")
+    return fine, err
+
+
+# ---------------------------------------------------------------------------
 # Uehling potential and hydrogenic shifts
-
-def _uehling_ratio_integrand(t: float, two_mr: float) -> float:
-    return np.exp(-two_mr * t) * (1.0 + 0.5 / t**2) * np.sqrt(t * t - 1.0) / t**2
-
 
 def uehling_ratio(r: float, m_e: float = ELECTRON_MASS, alpha: float = FINE_STRUCTURE) -> float:
     """U(r) divided by the bare Coulomb -Z alpha / r: the screening profile.
 
     (2 alpha / 3 pi) * integral_1^inf dt e^{-2 m r t} (1 + 1/(2t^2))
-    sqrt(t^2 - 1)/t^2, by adaptive quadrature on the semi-infinite range.
+    sqrt(t^2 - 1)/t^2.  With t = 1 + v^2 the sqrt(t - 1) endpoint becomes a
+    smooth factor v, and e^{-2 m r} leaves the integral.  The v panels halve
+    in width towards v = 0, so that both the v ~ 1 structure and the
+    1/sqrt(2 m r) decay are resolved at every radius.
     """
     if r <= 0.0:
         raise NonpositiveRadius("the potential is defined for r > 0")
-    from scipy import integrate
+    two_mr = 2.0 * m_e * r
+    v_max = math.sqrt(_DECAY / two_mr)
+    halvings = max(3, math.ceil(math.log2(4.0 * v_max)))
+    edges = v_max * np.concatenate(([0.0], 0.5 ** np.arange(halvings, -1, -1)))
 
-    # epsabs=0: the value decays like e^{-2mr}, so only relative control works
-    val, err = integrate.quad(_uehling_ratio_integrand, 1.0, np.inf,
-                              args=(2.0 * m_e * r,), epsabs=0.0, epsrel=1e-11)
-    if err > max(1e-13, 1e-8 * abs(val)):
-        raise QuadratureNonconvergence("screening-profile quadrature failed to converge")
-    return 2.0 * alpha / (3.0 * np.pi) * val
+    def integrand(v):
+        v2 = v * v
+        s = 1.0 / (1.0 + v2)  # 1/t
+        return 2.0 * (v2 * s) * (np.sqrt(2.0 + v2) * s) * (1.0 + 0.5 * s * s) * np.exp(-two_mr * v2)
+
+    fine = _doubled_rule(integrand, edges, "screening-profile")[0]
+    return 2.0 * alpha / (3.0 * np.pi) * math.exp(-two_mr) * fine
 
 
 def uehling_potential(r: float, Z: float, m_e: float = ELECTRON_MASS,
@@ -207,26 +253,23 @@ def uehling_potential_hyperbolic(r: float, Z: float, m_e: float = ELECTRON_MASS,
     """Independent realization through t = cosh(theta).
 
     Same potential, different integrand and integration variable:
-    integral_0^inf dtheta e^{-2 m r cosh theta} sinh^2(theta)
-    (1 + 1/(2 cosh^2 theta)) / cosh^2(theta).
+    e^{-2 m r} integral_0^inf dtheta e^{-2 m r (cosh theta - 1)} tanh^2(theta)
+    (1 + 1/(2 cosh^2 theta)), on uniform panels of width at most one and at
+    least eight of them, which resolves the 1/sqrt(2 m r) width at theta = 0.
     """
     if r <= 0.0:
         raise NonpositiveRadius("the potential is defined for r > 0")
     two_mr = 2.0 * m_e * r
+    theta_max = math.acosh(1.0 + _DECAY / two_mr)
+    edges = np.linspace(0.0, theta_max, max(8, math.ceil(theta_max)) + 1)
 
     def integrand(theta):
         ch = np.cosh(theta)
-        sh = np.sinh(theta)
-        return np.exp(-two_mr * ch) * (1.0 + 0.5 / ch**2) * sh * sh / ch**2
+        sech = 1.0 / ch
+        return np.exp(-two_mr * (ch - 1.0)) * (1.0 + 0.5 * sech * sech) * np.tanh(theta) ** 2
 
-    # cut where the exponential has fully underflowed; cosh would overflow first
-    theta_max = float(np.arccosh(max(745.0 / two_mr, 2.0)))
-    from scipy import integrate
-
-    val, err = integrate.quad(integrand, 0.0, theta_max, epsabs=0.0, epsrel=1e-11)
-    if err > max(1e-13, 1e-8 * abs(val)):
-        raise QuadratureNonconvergence("hyperbolic-form quadrature failed to converge")
-    return -(Z * alpha / r) * (2.0 * alpha / (3.0 * np.pi)) * val
+    fine = _doubled_rule(integrand, edges, "hyperbolic-form")[0]
+    return -(Z * alpha / r) * (2.0 * alpha / (3.0 * np.pi)) * math.exp(-two_mr) * fine
 
 
 def bohr_radius(Z: float, m_e: float = ELECTRON_MASS, alpha: float = FINE_STRUCTURE) -> float:
@@ -240,7 +283,10 @@ def hydrogen_radial(n: int, l: int, Z: float, m_e: float = ELECTRON_MASS,
     Normalized so integral_0^inf R^2 r^2 dr = 1; r in MeV^-1.
     """
     a = bohr_radius(Z, m_e, alpha)
-    scale = a**-1.5
+    try:
+        scale = a**-1.5
+    except OverflowError:
+        raise NonfiniteResult(f"the radial scale at Z = {Z:g} overflows") from None
     if (n, l) == (1, 0):
         return lambda r: 2.0 * scale * np.exp(-np.asarray(r, dtype=float) / a)
     if (n, l) == (2, 0):
@@ -258,6 +304,16 @@ def hydrogen_radial(n: int, l: int, Z: float, m_e: float = ELECTRON_MASS,
     raise UnsupportedState(f"radial function for (n, l) = ({n}, {l}) not provided")
 
 
+# R_nl^2 = a^-3 sum_k c_k (r/a)^k e^{-beta r/a}, written out for each level in
+# scope: (n, l) -> (beta, (c_0, c_1, ...)).  Kept apart from hydrogen_radial,
+# which the fixed-grid oracle evaluates pointwise.
+_RADIAL_DENSITY = {
+    (1, 0): (2.0, (4.0,)),
+    (2, 0): (1.0, (0.5, -0.5, 0.125)),
+    (2, 1): (1.0, (0.0, 0.0, 1.0 / 24.0)),
+}
+
+
 class UehlingShift(NamedTuple):
     """Level shift with its unit conversion and quadrature metadata."""
 
@@ -271,28 +327,47 @@ def uehling_shift(n: int, l: int, Z: float, m_e: float = ELECTRON_MASS,
                   alpha: float = FINE_STRUCTURE) -> UehlingShift:
     """First-order shift integral_0^inf R_nl^2 U(r) r^2 dr, in MeV and MHz.
 
-    The radial scale of U is the Compton length, far inside the Bohr radius,
-    so the range is split there for the adaptive quadrature.
+    The r integral is taken first and in closed form: with t = cosh(theta),
+    integral_0^inf dr r R_nl^2 e^{-2 m r t} = (1/a) sum_k c_k (k+1)!/s^{k+2}
+    with s = beta + 2 m a t.  That leaves one spectral integral,
+
+        shift = -(2 alpha / 3 pi) (Z alpha)^2 m integral_0^inf dtheta
+                tanh^2(theta) (1 + 1/(2 cosh^2 theta)) sum_k c_k (k+1)!/s^{k+2},
+
+    taken on unit-width theta panels out to where s has grown 1e9-fold, so
+    that the cut-off tail is below 1e-18 of the value.  `panels` is the node
+    count of the reported rule; `est_error_mev` its difference from the rule
+    with half the nodes.
     """
-    from scipy import integrate
+    try:
+        beta, coeffs = _RADIAL_DENSITY[(n, l)]
+    except KeyError:
+        raise UnsupportedState(f"radial density for (n, l) = ({n}, {l}) not provided") from None
+    zeta = Z * alpha
+    scale = -2.0 * alpha / (3.0 * np.pi) * zeta * zeta * m_e
+    overflow = NonfiniteResult(f"the shift at Z = {Z:g} overflows")
+    # checked before the rule too: where the scale overflows, theta_max can
+    if not math.isfinite(scale * MEV_TO_MHZ):
+        raise overflow
+    # 1/s = q / (beta q + cosh theta) with q = 1/(2 m a): finite for any finite Z
+    q = 0.5 * zeta
+    weights = [math.factorial(k + 1) * c for k, c in enumerate(coeffs)]
 
-    radial = hydrogen_radial(n, l, Z, m_e, alpha)
+    def integrand(theta):
+        ch = np.cosh(theta)
+        sech = 1.0 / ch
+        inv_s = q / (beta * q + ch)
+        density = sum(c * inv_s ** (k + 2) for k, c in enumerate(weights))
+        return np.tanh(theta) ** 2 * (1.0 + 0.5 * sech * sech) * density
 
-    def integrand(r):
-        return radial(r) ** 2 * uehling_potential(r, Z, m_e, alpha) * r * r
-
-    cut = 20.0 / m_e
-    v1, e1, info = integrate.quad(integrand, 0.0, cut, epsabs=1e-22, epsrel=1e-10,
-
-                                  full_output=True)[:3]
-    v2, e2 = integrate.quad(integrand, cut, np.inf, epsabs=1e-22, epsrel=1e-10)
-    mev = v1 + v2
-    err = e1 + e2
-    # absolute floor: the smallest shifts in scope are ~1e-17 MeV
-    if err > max(1e-20, 1e-6 * abs(mev)):
-        raise QuadratureNonconvergence("radial shift quadrature failed to converge")
-    return UehlingShift(mev=mev, mhz=mev * MEV_TO_MHZ,
-                        est_error_mev=err, panels=int(info["last"]))
+    theta_max = math.acosh(1e9 * (1.0 + beta * q))
+    edges = np.linspace(0.0, theta_max, math.ceil(theta_max) + 1)
+    fine, err = _doubled_rule(integrand, edges, "shift")
+    mev = scale * fine
+    if not math.isfinite(mev * MEV_TO_MHZ):
+        raise overflow
+    return UehlingShift(mev=mev, mhz=mev * MEV_TO_MHZ, est_error_mev=abs(scale) * err,
+                        panels=2 * _NODES * (len(edges) - 1))
 
 
 def uehling_shift_fixed_grid(n: int, l: int, Z: float, segments: int = 24,
@@ -300,9 +375,10 @@ def uehling_shift_fixed_grid(n: int, l: int, Z: float, segments: int = 24,
                              alpha: float = FINE_STRUCTURE) -> float:
     """Composite 12-node Gauss-Legendre oracle for the shift, in MeV.
 
-    Deliberately independent of uehling_shift: fixed panels instead of
-    adaptive subdivision, and the hyperbolic-form potential instead of the
-    semi-infinite-t form.  Doubling `segments` probes convergence.
+    Deliberately independent of uehling_shift: the r integral is outermost,
+    on fixed panels, with R_nl from hydrogen_radial and U(r) evaluated
+    pointwise in the t-form (uehling_potential) instead of the closed-form
+    radial integral under a theta rule.  Doubling `segments` probes convergence.
     """
     radial = hydrogen_radial(n, l, Z, m_e, alpha)
     x, w = np.polynomial.legendre.leggauss(12)
@@ -313,7 +389,7 @@ def uehling_shift_fixed_grid(n: int, l: int, Z: float, segments: int = 24,
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         for xi, wi in zip(x, w):
             r = mid + half * xi
-            total += wi * half * radial(r) ** 2 * uehling_potential_hyperbolic(r, Z, m_e, alpha) * r * r
+            total += wi * half * radial(r) ** 2 * uehling_potential(r, Z, m_e, alpha) * r * r
     return total
 
 
@@ -321,31 +397,23 @@ def uehling_shift_fixed_grid(n: int, l: int, Z: float, segments: int = 24,
 # anomalous moment
 
 def _f2_quadrature(alpha: float):
-    """Nested adaptive quadrature of the Feynman-parameter vertex integrand.
+    """Nested fixed Gauss-Legendre rule for the Feynman-parameter vertex integral.
 
     At zero momentum transfer the fermion mass cancels and the integrand
-    reduces to 2z/(1-z) on the triangle 0 < y < 1-z, 0 < z < 1.  Returns
-    (value, error estimate, panels); raises QuadratureNonconvergence when
-    the error estimate exceeds 1e-6 of the value.
+    reduces to 2z/(1-z) on the triangle 0 < y < 1-z, 0 < z < 1.  Each z node
+    carries a _NODES-point y rule on (0, 1 - z); the inner integral is then
+    the polynomial 2z, so the rule is exact up to roundoff.  Returns (value,
+    error estimate, node count) as _doubled_rule does for the z rule.
     """
-    from scipy import integrate
 
-    inner_panels = 0
+    def inner(z):
+        x, w = _legendre(_NODES)
+        half = 0.5 * (1.0 - z)[:, None]  # y nodes half * (x + 1) on (0, 1 - z)
+        return (half * w * (2.0 * z / (1.0 - z))[:, None]).sum(axis=1)
 
-    def outer(z):
-        nonlocal inner_panels
-        val, _err, info = integrate.quad(lambda y: 2.0 * z / (1.0 - z), 0.0, 1.0 - z,
-                                         full_output=True)[:3]
-        inner_panels = max(inner_panels, info["last"])
-        return val
-
-    val, err, info = integrate.quad(outer, 0.0, 1.0, epsabs=1e-14, epsrel=1e-10,
-                                    full_output=True)[:3]
+    val, err = _doubled_rule(inner, np.array([0.0, 1.0]), "vertex")
     scale = alpha / (2.0 * np.pi)
-    value, err = scale * val, scale * err
-    if err > 1e-6 * max(abs(value), 1e-30):
-        raise QuadratureNonconvergence("vertex quadrature failed to converge")
-    return value, err, info["last"] * inner_panels
+    return scale * val, scale * err, 2 * _NODES * _NODES
 
 
 def f2_anomalous_moment(alpha: float = FINE_STRUCTURE) -> float:

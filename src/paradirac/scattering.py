@@ -36,7 +36,7 @@ from .algebra import (
     mass_of,
     slash,
 )
-from .errors import ForwardSingular, SubspaceViolation
+from .errors import ForwardSingular, NonfiniteResult, SubspaceViolation
 from .spinors import lambda_u, u_block
 
 
@@ -211,7 +211,10 @@ def rutherford_dcs(p_mag: float, kappa: float, Z: float, mass: float = ELECTRON_
         raise ForwardSingular("scattering angle must lie in (0, pi]")
     energy = float(np.hypot(mass, p_mag))
     s4 = np.sin(kappa / 2.0) ** 4
-    return (Z * FINE_STRUCTURE * energy) ** 2 / (4.0 * p_mag**4 * s4)
+    try:
+        return (Z * FINE_STRUCTURE * energy) ** 2 / (4.0 * p_mag**4 * s4)
+    except OverflowError:
+        raise NonfiniteResult("Rutherford cross-section overflows") from None
 
 
 def mott_ratio(p_mag: float, kappa: float, Z: float = 1.0, mass: float = ELECTRON_MASS) -> float:

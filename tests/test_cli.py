@@ -216,6 +216,13 @@ class TestNonFiniteInputs:
         ["anomaly", "--E", "inf,0,0", "--B", "1,1,1"],
         # finite arguments whose record overflows: strict JSON refuses Infinity
         ["anomaly", "--E", "1e300,0,0", "--B", "1e300,0,0"],
+        # finite arguments whose result overflows, or underflows to 0/0
+        ["mott", "--p-mag", "1e300", "--angles", "90"],
+        ["mott", "--Z", "1e300", "--angles", "90"],
+        ["mott", "--Z", "1e-300", "--angles", "90"],
+        ["uehling", "--Z", "1e300"],
+        ["propagate-demo", "--modes", "0"],
+        ["propagate-demo", "--modes", "-3"],
     ], ids=" ".join)
     def test_rejected_with_exit_2(self, argv, capsys):
         try:
@@ -230,8 +237,8 @@ class TestNonFiniteInputs:
 
 class TestStartupImports:
     def test_scipy_loaded_only_by_quadrature_commands(self):
-        # A fresh process: scipy must stay out of sys.modules until a command
-        # that runs a quadrature (uehling, g2) is dispatched.
+        # A fresh process: scipy must stay out of sys.modules through every
+        # command, the quadrature commands (uehling, g2) included.
         script = (
             "import contextlib, io, json, sys\n"
             "import paradirac, paradirac.cli\n"
@@ -257,6 +264,40 @@ class TestStartupImports:
             ["mott", 0, False],
             ["anomaly", 0, False],
             ["propagate-demo", 0, False],
-            ["uehling", 0, True],
-            ["g2", 0, True],
+            ["uehling", 0, False],
+            ["g2", 0, False],
+        ]
+
+    def test_runs_with_scipy_blocked(self):
+        # A None entry in sys.modules makes every `import scipy` raise, so a
+        # stray scipy import anywhere on these paths fails the run.
+        script = (
+            "import contextlib, io, json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import paradirac.cli\n"
+            "from paradirac import radiative\n"
+            "steps = []\n"
+            "for argv in (['verify', '--suite', 'all'], ['mott'], ['uehling'], ['g2'],\n"
+            "             ['anomaly', '--E', '1,2,3', '--B', '0.5,-1,2'],\n"
+            "             ['propagate-demo']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        steps.append([argv[0], paradirac.cli.main(argv)])\n"
+            "r = 1.0 / radiative.ELECTRON_MASS\n"
+            "signs = [radiative.uehling_ratio(r) > 0.0,\n"
+            "         radiative.uehling_potential_hyperbolic(r, 1.0) < 0.0,\n"
+            "         radiative.uehling_shift_fixed_grid(2, 0, 1.0) < 0.0,\n"
+            "         radiative.f2_anomalous_moment() > 0.0]\n"
+            "print(json.dumps([steps, [bool(s) for s in signs]]))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+        )
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [
+            [["verify", 0], ["mott", 0], ["uehling", 0], ["g2", 0], ["anomaly", 0],
+             ["propagate-demo", 0]],
+            [True, True, True, True],
         ]

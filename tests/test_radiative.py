@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from paradirac import radiative
 from paradirac.algebra import (
     ELECTRON_MASS,
     ELEMENTARY_CHARGE,
@@ -17,6 +18,7 @@ from paradirac.algebra import (
 )
 from paradirac.errors import (
     MassMismatch,
+    NonfiniteResult,
     NonpositiveRadius,
     OnLightCone,
     OnMassShell,
@@ -177,6 +179,20 @@ class TestUehling:
             u2 = uehling_potential_hyperbolic(r, Z=1.0)
             assert abs(u1 - u2) <= 1e-6 * abs(u1)
 
+    @pytest.mark.parametrize("form", [uehling_potential, uehling_potential_hyperbolic])
+    def test_fixed_rules_match_adaptive_quadrature(self, form):
+        # scipy's adaptive quad on the semi-infinite t integral is a third route,
+        # outside the package; both fixed rules agree with it to roundoff
+        # (worst seen ~2e-15), so 1e-13 leaves room for platform differences.
+        for mr in np.geomspace(1e-4, 40.0, 25):
+            r = mr / ELECTRON_MASS
+            val, _ = integrate.quad(
+                lambda t: np.exp(-2.0 * mr * t) * (1.0 + 0.5 / t**2) * np.sqrt(t * t - 1.0) / t**2,
+                1.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200,
+            )
+            expect = -(FINE_STRUCTURE / r) * 2.0 * FINE_STRUCTURE / (3.0 * np.pi) * val
+            assert abs(form(r, Z=1.0) - expect) <= 1e-13 * abs(expect)
+
     def test_potential_is_attractive_correction(self):
         r = 1.0 / ELECTRON_MASS
         assert uehling_potential(r, Z=1.0) < 0.0
@@ -205,6 +221,12 @@ class TestUehling:
         with pytest.raises(UnsupportedState):
             hydrogen_radial(3, 2, Z=1.0)
 
+    def test_overflow_is_nonfinite_result(self):
+        with pytest.raises(NonfiniteResult):
+            hydrogen_radial(1, 0, Z=1e300)
+        with pytest.raises(NonfiniteResult):
+            uehling_shift(1, 0, Z=1e300)
+
 
 @pytest.fixture(scope="module")
 def shift_2s():
@@ -227,6 +249,27 @@ class TestUehlingShift:
     def test_1s_larger_than_2s(self, shift_2s):
         shift_1s = uehling_shift(1, 0, Z=1.0)
         assert shift_1s.mhz < shift_2s.mhz < 0.0
+
+    @pytest.mark.parametrize("Z", [1.0, 10.0, 80.0])
+    @pytest.mark.parametrize("n,l", [(1, 0), (2, 0), (2, 1)])
+    def test_against_fixed_grid_oracle(self, n, l, Z):
+        # The oracle converges like segments^-2 (U(r) is logarithmic at r -> 0),
+        # so its 24 -> 48 change bounds its own error at 48 segments.
+        shift = uehling_shift(n, l, Z).mev
+        coarse = uehling_shift_fixed_grid(n, l, Z, segments=24)
+        oracle = uehling_shift_fixed_grid(n, l, Z, segments=48)
+        assert abs(shift - oracle) <= abs(oracle - coarse)
+        assert abs(shift - oracle) <= 1e-4 * abs(oracle)
+
+    def test_2p_unchanged_when_nodes_double(self, monkeypatch):
+        # 2P at Z = 1 is the smallest shift in scope (~3e-19 MeV); its value
+        # must not rest on an absolute error floor.
+        shift = uehling_shift(2, 1, Z=1.0)
+        monkeypatch.setattr(radiative, "_NODES", 2 * radiative._NODES)
+        doubled = uehling_shift(2, 1, Z=1.0)
+        assert doubled.panels == 2 * shift.panels
+        assert abs(doubled.mev - shift.mev) <= 1e-13 * abs(shift.mev)
+        assert shift.est_error_mev <= 1e-13 * abs(shift.mev)
 
     def test_z_scaling_faster_than_z4(self):
         # finite-wavefunction effects push the growth slightly above Z^4
