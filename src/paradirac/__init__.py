@@ -60,6 +60,7 @@ from .scattering import (
     rutherford_dcs,
     s1_amplitude,
     spin_averaged_amp2,
+    spin_trace,
 )
 from .spinors import (
     chirality_projector,

@@ -14,8 +14,9 @@ Conventions used throughout the package:
 
 Four-vectors are plain numpy arrays of shape (4,) holding contravariant
 components.  Spinor matrices are complex (4, 4) arrays, bispinors complex (4,)
-columns.  The module also carries the numeric constants shared by the rest of
-the package.
+columns.  The kinematic functions also take a leading batch axis, momenta of
+shape (..., 4), and a single four-vector is the case without one.  The module
+also carries the numeric constants shared by the rest of the package.
 """
 
 from __future__ import annotations
@@ -59,6 +60,9 @@ SIGMA = np.array(
     dtype=complex,
 )
 
+# sigma_j flattened to rows, so that v @ _SIGMA_ROWS is v . sigma
+_SIGMA_ROWS = SIGMA.reshape(3, 4)
+
 _Z2 = np.zeros((2, 2), dtype=complex)
 
 GAMMA0 = np.block([[I2, _Z2], [_Z2, -I2]])
@@ -70,7 +74,7 @@ GAMMA5 = 1j * GAMMA0 @ GAMMA1 @ GAMMA2 @ GAMMA3
 _GAMMAS = (GAMMA0, GAMMA1, GAMMA2, GAMMA3)
 # gamma^mu stacked along a leading index, shape (4, 4, 4)
 GAMMA_STACK = np.stack(_GAMMAS)
-for _g in (*_GAMMAS, GAMMA_STACK, GAMMA5, I2, I4, SIGMA):
+for _g in (*_GAMMAS, GAMMA_STACK, GAMMA5, I2, I4, SIGMA, _SIGMA_ROWS):
     _g.setflags(write=False)
 
 
@@ -94,28 +98,66 @@ def lower_index(p):
     return out
 
 
-def mass_of(p):
-    """Rest mass sqrt(-p.p) of a subluminal four-momentum.
+def _unbatched(x):
+    """A 0-d result as a Python float, as for a single four-vector."""
+    return x if x.ndim else float(x)
 
-    Raises ZeroEnergy for p0 = 0 and SuperluminalMomentum when p.p > 0 beyond
-    tolerance.  An exactly lightlike p with p0 != 0 returns 0.0.
+
+def _any(mask):
+    """Whether `mask` holds in any row; a plain bool for a single row."""
+    return bool(mask.any()) if getattr(mask, "ndim", 0) else bool(mask)
+
+
+def _first(values, mask):
+    """The first entry of `values` where `mask` holds, in row order."""
+    return np.ravel(values)[np.argmax(np.ravel(mask))]
+
+
+# Row-wise products over leading batch axes, written as stacked matmuls: they
+# round each row exactly as np.dot, `matrix @ vector` and np.linalg.norm round
+# a single one, so batched and one-at-a-time results agree bit for bit.
+
+def _dot(a, b):
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _matvec(matrix, v):
+    return (matrix @ v[..., None])[..., 0]
+
+
+def _norm(v):
+    return np.sqrt(_dot(v.real, v.real) + _dot(v.imag, v.imag))
+
+
+def mass_of(p):
+    """Rest mass sqrt(-p.p) of subluminal four-momenta p of shape (..., 4).
+
+    Raises ZeroEnergy if any row has p0 = 0 and SuperluminalMomentum if any
+    row has p.p > 0 beyond tolerance.  An exactly lightlike p with p0 != 0
+    has mass 0.0.  A single four-vector gives a float.
     """
     p = np.asarray(p, dtype=float)
-    if p[0] == 0.0:
+    p0 = p[..., 0][()]  # a numpy scalar for a single four-vector
+    if _any(p0 == 0.0):
         raise ZeroEnergy("four-momentum has p0 = 0; no rest frame branch")
-    pp = float(minkowski_dot(p, p))
-    scale = max(1.0, float(np.dot(p, p)))
-    if pp > ATOL_ALGEBRA * scale:
-        raise SuperluminalMomentum(f"p.p = {pp:g} > 0; momentum is spacelike")
-    return math.sqrt(max(-pp, 0.0))
+    sq = p * p
+    pp = sq[..., 1:].sum(axis=-1) - p0 * p0  # minkowski_dot(p, p)
+    spacelike = pp > ATOL_ALGEBRA * np.maximum(1.0, sq.sum(axis=-1))
+    if _any(spacelike):
+        raise SuperluminalMomentum(
+            f"p.p = {_first(pp, spacelike):g} > 0; momentum is spacelike")
+    return _unbatched(np.sqrt(np.maximum(-pp, 0.0)))
 
 
 def energy_sign(p):
-    """sign(p0), written phi_p below; the branch label of the energy."""
-    p = np.asarray(p, dtype=float)
-    if p[0] == 0.0:
+    """sign(p0), written phi_p below; the branch label of the energy.
+
+    Takes momenta of shape (..., 4); a single four-vector gives a float.
+    """
+    p0 = np.asarray(p, dtype=float)[..., 0][()]
+    if _any(p0 == 0.0):
         raise ZeroEnergy("four-momentum has p0 = 0; energy sign undefined")
-    return 1.0 if p[0] > 0.0 else -1.0
+    return _unbatched(np.sign(p0))
 
 
 def gamma(index):
@@ -143,18 +185,24 @@ def slash(p):
 
 
 def dirac_adjoint(m):
-    """Adjoint with respect to the spinor metric: gamma^0 M^dagger gamma^0."""
+    """Adjoint with respect to the spinor metric: gamma^0 M^dagger gamma^0.
+
+    Leading batch axes are kept: m of shape (..., 4, 4).
+    """
     m = np.asarray(m)
-    return GAMMA0 @ m.conj().T @ GAMMA0
+    return GAMMA0 @ m.conj().swapaxes(-1, -2) @ GAMMA0
 
 
 def bar(psi):
-    """Row adjoint psi^dagger gamma^0 of a bispinor column or a (4, k) block."""
-    psi = np.asarray(psi)
-    return psi.conj().T @ GAMMA0
+    """Row adjoint psi^dagger gamma^0 of a bispinor column, a (4, k) block
+    or a stack (..., 4, k) of blocks."""
+    psi = np.asarray(psi).conj()
+    if psi.ndim > 1:
+        psi = psi.swapaxes(-1, -2)
+    return psi @ GAMMA0
 
 
 def pauli_dot(v3):
-    """2x2 matrix v . sigma for a spatial 3-vector."""
+    """2x2 matrix v . sigma for spatial 3-vectors of shape (..., 3)."""
     v3 = np.asarray(v3)
-    return v3[0] * SIGMA[0] + v3[1] * SIGMA[1] + v3[2] * SIGMA[2]
+    return (v3 @ _SIGMA_ROWS).reshape(v3.shape[:-1] + (2, 2))

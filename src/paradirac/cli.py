@@ -95,8 +95,16 @@ def _emit_json(record: dict, out_path) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An invalid argument exits 2 with one line on stderr, like any other
+    invalid input; the usage text stays with --help."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="paradirac",
         description="Spinor algebra, scattering, and radiative endpoint calculator.",
     )
@@ -149,19 +157,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mott(args) -> int:
+    kappa = np.radians(args.angles)
+    # floating-point warnings off: a row that overflows or underflows to
+    # 0/0 raises NonfiniteResult below instead
+    with np.errstate(all="ignore"):
+        dcs = mott_dcs(args.p_mag, kappa, args.Z)
+        ratio = np.divide(dcs, rutherford_dcs(args.p_mag, kappa, args.Z))
+    bad = ~(np.isfinite(dcs) & np.isfinite(ratio))
+    if bad.any():
+        raise NonfiniteResult(f"non-finite cross-section at {args.angles[bad.argmax()]:g} deg")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["kappa_deg", "dcs", "ratio_to_rutherford"])
-    for kappa_deg in args.angles:
-        kappa = float(np.radians(kappa_deg))
-        # floating-point warnings off: a row that overflows or underflows to
-        # 0/0 raises NonfiniteResult below instead
-        with np.errstate(all="ignore"):
-            dcs = mott_dcs(args.p_mag, kappa, args.Z)
-            ratio = np.divide(dcs, rutherford_dcs(args.p_mag, kappa, args.Z))
-        if not (math.isfinite(dcs) and math.isfinite(ratio)):
-            raise NonfiniteResult(f"non-finite cross-section at {kappa_deg:g} deg")
-        writer.writerow([f"{kappa_deg:.6f}", f"{dcs:.12e}", f"{ratio:.12e}"])
+    writer.writerows([f"{deg:.6f}", f"{d:.12e}", f"{r:.12e}"]
+                     for deg, d, r in zip(args.angles, dcs, ratio))
     _emit(buffer.getvalue(), args.out)
     return 0
 

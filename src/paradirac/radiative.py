@@ -184,9 +184,34 @@ _RULE_RTOL = 1e-10
 _DECAY = 40.0
 
 
+def _legendre_recurrence(n: int, x):
+    """P_n(x) and P_n'(x) from the three-term recurrence."""
+    previous, value = np.ones_like(x), x
+    for k in range(1, n):
+        previous, value = value, ((2 * k + 1) * x * value - k * previous) / (k + 1)
+    return value, n * (x * value - previous) / (x * x - 1.0)
+
+
 @functools.cache
 def _legendre(nodes: int):
-    return np.polynomial.legendre.leggauss(nodes)
+    """Gauss-Legendre nodes and weights on [-1, 1], by Golub-Welsch.
+
+    The nodes are the eigenvalues of the Jacobi matrix of the Legendre
+    recurrence, refined by one Newton step on P_n; the weights are
+    2 / ((1 - x^2) P_n'(x)^2), normalized to sum to 2.  numpy.linalg is
+    loaded by `import numpy`, where numpy.polynomial would cost an import of
+    several ms on every cold run.
+    """
+    k = np.arange(1.0, nodes)
+    off_diagonal = k / np.sqrt(4.0 * k * k - 1.0)
+    x = np.linalg.eigvalsh(np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1))
+    value, slope = _legendre_recurrence(nodes, x)
+    x = x - value / slope
+    _, slope = _legendre_recurrence(nodes, x)
+    w = 2.0 / ((1.0 - x * x) * slope * slope)
+    # the rule is symmetric about 0; impose it on the rounded values
+    x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+    return x, w * (2.0 / w.sum())
 
 
 def _doubled_rule(integrand, edges, what: str):
@@ -224,6 +249,8 @@ def uehling_ratio(r: float, m_e: float = ELECTRON_MASS, alpha: float = FINE_STRU
         raise NonpositiveRadius("the potential is defined for r > 0")
     two_mr = 2.0 * m_e * r
     v_max = math.sqrt(_DECAY / two_mr)
+    if not math.isfinite(v_max):
+        raise NonfiniteResult(f"the screening-profile rule overflows at r = {r:g}")
     halvings = max(3, math.ceil(math.log2(4.0 * v_max)))
     edges = v_max * np.concatenate(([0.0], 0.5 ** np.arange(halvings, -1, -1)))
 
@@ -261,6 +288,8 @@ def uehling_potential_hyperbolic(r: float, Z: float, m_e: float = ELECTRON_MASS,
         raise NonpositiveRadius("the potential is defined for r > 0")
     two_mr = 2.0 * m_e * r
     theta_max = math.acosh(1.0 + _DECAY / two_mr)
+    if not math.isfinite(theta_max):
+        raise NonfiniteResult(f"the hyperbolic-form rule overflows at r = {r:g}")
     edges = np.linspace(0.0, theta_max, max(8, math.ceil(theta_max)) + 1)
 
     def integrand(theta):

@@ -31,6 +31,8 @@ from .algebra import (
     ELEMENTARY_CHARGE,
     FINE_STRUCTURE,
     TWO_PI,
+    _any,
+    _dot,
     bar,
     dirac_adjoint,
     mass_of,
@@ -65,15 +67,16 @@ def coulomb_ft(dp, Z: float, e: float = ELEMENTARY_CHARGE, mu: float = 0.0):
     A~^0 = -Z e / (|Dp_vec|^2 + mu^2), spatial components zero; mu is an
     optional screening mass regulating the forward direction.  The static
     2 pi delta(Dp0) is carried by the ExternalPotential flag, not returned.
+    Transfers of shape (..., 4) give transforms of shape (..., 4).
     """
     if mu < 0.0:
         raise ValueError("screening mass must be nonnegative")
     dp = np.asarray(dp, dtype=float)
-    denom = float(np.dot(dp[1:], dp[1:])) + mu * mu
-    if denom == 0.0:
+    denom = _dot(dp[..., 1:], dp[..., 1:]) + mu * mu
+    if _any(denom == 0.0):
         raise ForwardSingular("Coulomb transform diverges at zero momentum transfer")
-    out = np.zeros(4, dtype=complex)
-    out[0] = -Z * e / denom
+    out = np.zeros(dp.shape, dtype=complex)
+    out[..., 0] = -Z * e / denom
     return out
 
 
@@ -86,7 +89,7 @@ def coulomb_potential(Z: float, e: float = ELEMENTARY_CHARGE, mu: float = 0.0) -
 
 
 def zero_potential() -> ExternalPotential:
-    return ExternalPotential(fourier=lambda dp: np.zeros(4, dtype=complex), static=False)
+    return ExternalPotential(fourier=lambda dp: np.zeros(np.shape(dp), dtype=complex), static=False)
 
 
 @dataclass(frozen=True)
@@ -143,19 +146,31 @@ class SpinSum(NamedTuple):
     by_trace: float
 
 
-def spin_averaged_amp2(p_i, p_f, pot: ExternalPotential) -> SpinSum:
+def spin_trace(p_i, p_f, pot: ExternalPotential, mass=None):
+    """(1/2) Tr[X Lambda_u(p_i) Xbar Lambda_u(p_f)] with X = slash(A~(p_f - p_i)).
+
+    The spin-averaged |ubar_f X u_i|^2 as one trace, over leading batch axes
+    of p_i and p_f.  `mass` is the common on-shell mass, mass_of(p) for each
+    momentum by default.  No shell test: the caller supplies elastic pairs.
+    """
+    x = slash(pot.fourier(np.asarray(p_f, dtype=float) - np.asarray(p_i, dtype=float)))
+    product = x @ lambda_u(p_i, mass) @ dirac_adjoint(x) @ lambda_u(p_f, mass)
+    return 0.5 * np.trace(product, axis1=-2, axis2=-1).real
+
+
+def spin_averaged_amp2(p_i, p_f, pot: ExternalPotential, mass=None) -> SpinSum:
     """(1/2) sum over incident and final spins of |ubar_f slash(A~) u_i|^2.
 
     Computed by explicit enumeration over the 2x2 spin bases and
-    independently as the trace (1/2) Tr[X Lambda_u(p_i) Xbar Lambda_u(p_f)]
-    with X = slash(A~); the pair is returned for cross-validation.  Inelastic
-    kinematics give exact zeros, mirroring s1_amplitude.
+    independently as spin_trace; the pair is returned for cross-validation.
+    `mass` carries the common on-shell mass; by default each momentum's
+    mass_of.  Inelastic kinematics give exact zeros, mirroring s1_amplitude.
     """
     p_i = np.asarray(p_i, dtype=float)
     p_f = np.asarray(p_f, dtype=float)
     if p_i[0] <= 0.0 or p_f[0] <= 0.0:
         raise SubspaceViolation("spin sums defined for positive-energy u modes")
-    m_i, m_f = mass_of(p_i), mass_of(p_f)
+    m_i, m_f = (mass_of(p_i), mass_of(p_f)) if mass is None else (mass, mass)
     dp = p_f - p_i
     if abs(m_f - m_i) > ATOL_SHELL * max(1.0, m_i):
         return SpinSum(0.0, 0.0)
@@ -163,30 +178,37 @@ def spin_averaged_amp2(p_i, p_f, pot: ExternalPotential) -> SpinSum:
         return SpinSum(0.0, 0.0)
     x = slash(pot.fourier(dp))
 
-    ui = u_block(p_i)
-    uf = u_block(p_f)
+    ui = u_block(p_i, mass)
+    uf = u_block(p_f, mass)
     total = 0.0
     for r in range(2):
         for s in range(2):
             amp = bar(uf[:, s]) @ x @ ui[:, r]
             total += abs(amp) ** 2
     by_enum = 0.5 * total
-
-    by_trace = 0.5 * np.trace(x @ lambda_u(p_i) @ dirac_adjoint(x) @ lambda_u(p_f))
-    return SpinSum(float(by_enum), float(by_trace.real))
+    return SpinSum(float(by_enum), float(spin_trace(p_i, p_f, pot, mass)))
 
 
-def _elastic_pair(p_mag: float, kappa: float, mass: float):
+def _check_angles(kappa):
+    if not np.all((0.0 < kappa) & (kappa <= np.pi)):
+        raise ForwardSingular("scattering angle must lie in (0, pi]")
+
+
+def _elastic_pair(p_mag: float, kappa, mass: float):
+    """Incident momentum along z and final momenta at angles kappa (...,) in
+    the xz plane, on the shell of `mass`."""
     if p_mag <= 0.0:
         raise ValueError("momentum magnitude must be positive")
     energy = float(np.hypot(mass, p_mag))
+    kappa = np.asarray(kappa, dtype=float)
     p_i = np.array([energy, 0.0, 0.0, p_mag])
-    p_f = np.array([energy, p_mag * np.sin(kappa), 0.0, p_mag * np.cos(kappa)])
+    p_f = np.stack([np.full_like(kappa, energy), p_mag * np.sin(kappa),
+                    np.zeros_like(kappa), p_mag * np.cos(kappa)], axis=-1)
     return p_i, p_f
 
 
-def mott_dcs(p_mag: float, kappa: float, Z: float, mass: float = ELECTRON_MASS,
-             e: float = ELEMENTARY_CHARGE) -> float:
+def mott_dcs(p_mag: float, kappa, Z: float, mass: float = ELECTRON_MASS,
+             e: float = ELEMENTARY_CHARGE):
     """Differential cross-section for elastic Coulomb scattering, MeV^-2 per sr.
 
     Assembled from the computed spin sum: after cancelling the squared delta
@@ -196,29 +218,35 @@ def mott_dcs(p_mag: float, kappa: float, Z: float, mass: float = ELECTRON_MASS,
         dcs = (m^2 / 4 pi^2) e^2 * <|amplitude|^2>_spin.
 
     The nonrelativistic limit of this expression reproduces Rutherford,
-    which fixes the normalization without external input.
+    which fixes the normalization without external input.  An array of
+    angles kappa gives an array of cross-sections from one batched trace;
+    the projectors take the mass as given, not from the rounded momenta.
     """
-    if not 0.0 < kappa <= np.pi:
-        raise ForwardSingular("scattering angle must lie in (0, pi]")
+    _check_angles(kappa)
     p_i, p_f = _elastic_pair(p_mag, kappa, mass)
-    amp2 = spin_averaged_amp2(p_i, p_f, coulomb_potential(Z, e)).by_trace
+    amp2 = spin_trace(p_i, p_f, coulomb_potential(Z, e), mass)
     return mass**2 / TWO_PI**2 * e**2 * amp2
 
 
-def rutherford_dcs(p_mag: float, kappa: float, Z: float, mass: float = ELECTRON_MASS) -> float:
-    """Spinless baseline Z^2 alpha^2 E^2 / (4 p^4 sin^4(kappa/2)), MeV^-2 per sr."""
-    if not 0.0 < kappa <= np.pi:
-        raise ForwardSingular("scattering angle must lie in (0, pi]")
+def rutherford_dcs(p_mag: float, kappa, Z: float, mass: float = ELECTRON_MASS):
+    """Spinless baseline Z^2 alpha^2 E^2 / (4 p^4 sin^4(kappa/2)), MeV^-2 per sr.
+
+    Takes a single angle or an array of them.
+    """
+    _check_angles(kappa)
     energy = float(np.hypot(mass, p_mag))
-    s4 = np.sin(kappa / 2.0) ** 4
+    s4 = np.sin(np.asarray(kappa) / 2.0) ** 4
     try:
         return (Z * FINE_STRUCTURE * energy) ** 2 / (4.0 * p_mag**4 * s4)
     except OverflowError:
         raise NonfiniteResult("Rutherford cross-section overflows") from None
 
 
-def mott_ratio(p_mag: float, kappa: float, Z: float = 1.0, mass: float = ELECTRON_MASS) -> float:
-    """Computed ratio dcs/rutherford; analytically 1 - beta^2 sin^2(kappa/2)."""
+def mott_ratio(p_mag: float, kappa, Z: float = 1.0, mass: float = ELECTRON_MASS):
+    """Computed ratio dcs/rutherford; analytically 1 - beta^2 sin^2(kappa/2).
+
+    Takes a single angle or an array of them.
+    """
     return mott_dcs(p_mag, kappa, Z, mass) / rutherford_dcs(p_mag, kappa, Z, mass)
 
 

@@ -16,11 +16,15 @@ covariant projectors
 
 Spin is labelled by a unit spacelike four-vector s with p.s = 0 through
 P(s) = (I4 - gamma^5 slash(s)) / 2; the opposite projection is P(-s).
+
+The blocks, projectors, spin vectors and decompose_in_block take momenta of
+shape (..., 4) and return one result per row; an error class is raised if
+any row fails its check.  The blocks and projectors take the on-shell mass
+as data where the caller knows it: m_p = sqrt(-p.p) from a rounded p carries a relative error of about
+(|p|/m_p)^2 eps, which at |p|/m_p = 1e8 leaves nothing of it.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -35,60 +39,85 @@ from .algebra import (
     minkowski_dot,
     pauli_dot,
     slash,
+    _any,
+    _dot,
+    _first,
+    _matvec,
+    _norm,
 )
 from .errors import MasslessState, NonUnitSpin, ZeroMomentum
 
 
-def _kinematics(p):
+def _col(x):
+    """Per-row scalars, shape (...,), as (..., 1, 1) to scale stacked matrices;
+    a single scalar broadcasts as it is."""
+    return x[..., None, None] if getattr(x, "ndim", 0) else x
+
+
+def _kinematics(p, mass=None):
+    """(p, m, E, phi) for momenta p of shape (..., 4).
+
+    `mass` carries the on-shell mass from where it is known; by default it is
+    mass_of(p), which loses about (|p|/m)^2 eps to rounding in p.
+    """
     p = np.asarray(p, dtype=float)
-    m = mass_of(p)
-    if m == 0.0:
+    m = mass_of(p) if mass is None else mass
+    if _any(m == 0.0):
         raise MasslessState("lightlike momentum: spinor blocks need m_p > 0")
-    return p, m, abs(p[0]), energy_sign(p)
+    return p, m, abs(p[..., 0][()]), energy_sign(p)
 
 
-def u_block(p):
-    """4x2 positive-branch block u(p); columns are the two spin states."""
-    p, m, energy, phi = _kinematics(p)
-    k = 1.0 / math.sqrt(2.0 * m * (m + energy))
-    top = (m + energy) * I2
-    bottom = phi * pauli_dot(p[1:])
-    return k * np.vstack([top, bottom])
+def _block(p, mass, diagonal_on_top):
+    p, m, energy, phi = _kinematics(p, mass)
+    k = 1.0 / np.sqrt(2.0 * m * (m + energy))
+    diagonal = _col(m + energy) * I2
+    cross = _col(phi) * pauli_dot(p[..., 1:])
+    halves = (diagonal, cross) if diagonal_on_top else (cross, diagonal)
+    return _col(k) * np.concatenate(halves, axis=-2)
 
 
-def v_block(p):
-    """4x2 negative-branch block v(p); columns are the two spin states."""
-    p, m, energy, phi = _kinematics(p)
-    k = 1.0 / math.sqrt(2.0 * m * (m + energy))
-    top = phi * pauli_dot(p[1:])
-    bottom = (m + energy) * I2
-    return k * np.vstack([top, bottom])
+def u_block(p, mass=None):
+    """4x2 positive-branch block u(p); columns are the two spin states.
+
+    Momenta of shape (..., 4) give blocks of shape (..., 4, 2).
+    """
+    return _block(p, mass, diagonal_on_top=True)
 
 
-def lambda_u(p):
+def v_block(p, mass=None):
+    """4x2 negative-branch block v(p); columns are the two spin states.
+
+    Momenta of shape (..., 4) give blocks of shape (..., 4, 2).
+    """
+    return _block(p, mass, diagonal_on_top=False)
+
+
+def lambda_u(p, mass=None):
     """Covariant projector onto the u branch, (m I4 - phi_p slash(p)) / 2m."""
-    p, m, _, phi = _kinematics(p)
-    return (m * I4 - phi * slash(p)) / (2.0 * m)
+    p, m, _, phi = _kinematics(p, mass)
+    m = _col(m)
+    return (m * I4 - _col(phi) * slash(p)) / (2.0 * m)
 
 
-def lambda_v(p):
+def lambda_v(p, mass=None):
     """Covariant projector onto the v branch, (m I4 + phi_p slash(p)) / 2m."""
-    p, m, _, phi = _kinematics(p)
-    return (m * I4 + phi * slash(p)) / (2.0 * m)
+    p, m, _, phi = _kinematics(p, mass)
+    m = _col(m)
+    return (m * I4 + _col(phi) * slash(p)) / (2.0 * m)
 
 
 def spin_projector(s):
-    """P(s) = (I4 - gamma^5 slash(s)) / 2 for a unit spacelike s.
+    """P(s) = (I4 - gamma^5 slash(s)) / 2 for unit spacelike s of shape (..., 4).
 
     P(-s) is obtained by negating the argument.  Commutes with Lambda_u(p)
     and Lambda_v(p) whenever p.s = 0.
     """
     s = np.asarray(s, dtype=float)
-    ss = float(minkowski_dot(s, s))
+    ss = minkowski_dot(s, s)
     # cancellation scale: s.s is a difference of terms of order |s|^2
-    scale = max(1.0, float(np.dot(s, s)))
-    if abs(ss - 1.0) > ATOL_ALGEBRA * scale:
-        raise NonUnitSpin(f"s.s = {ss:g}, expected +1")
+    off = np.abs(ss - 1.0) > ATOL_ALGEBRA * np.maximum(1.0, np.sum(s * s, axis=-1))
+    if _any(off):
+        raise NonUnitSpin(f"s.s = {_first(ss, off):g}, expected +1")
     return 0.5 * (I4 - GAMMA5 @ slash(s))
 
 
@@ -117,43 +146,46 @@ def boost_spin(s_hat, p):
 
     Returns the unit spacelike four-vector with s.s = +1 and p.s = 0,
     reducing to (0, s_hat) in the rest frame.  The time component carries a
-    factor phi_p so the orthogonality holds on both energy branches.
+    factor phi_p so the orthogonality holds on both energy branches.  Takes
+    s_hat of shape (..., 3) with p of shape (..., 4).
     """
     p, m, energy, phi = _kinematics(p)
     s_hat = np.asarray(s_hat, dtype=float)
-    s_hat = s_hat / np.linalg.norm(s_hat)
-    sp = float(np.dot(s_hat, p[1:]))
-    out = np.empty(4)
-    out[0] = phi * sp / m
-    out[1:] = s_hat + p[1:] * (sp / (m * (m + energy)))
+    s_hat = s_hat / _norm(s_hat)[..., None]
+    sp = _dot(s_hat, p[..., 1:])
+    out = np.empty(np.broadcast_shapes(s_hat.shape, p[..., 1:].shape)[:-1] + (4,))
+    out[..., 0] = phi * sp / m
+    out[..., 1:] = s_hat + p[..., 1:] * (sp / (m * (m + energy)))[..., None]
     return out
 
 
-def branch_block(p, branch):
+def branch_block(p, branch, mass=None):
     """u_block for branch +1, v_block for branch -1."""
     if branch == 1:
-        return u_block(p)
+        return u_block(p, mass)
     if branch == -1:
-        return v_block(p)
+        return v_block(p, mass)
     raise ValueError("branch must be +1 or -1")
 
 
-def branch_projector(p, branch):
+def branch_projector(p, branch, mass=None):
     """lambda_u for branch +1, lambda_v for branch -1."""
-    return lambda_u(p) if branch == 1 else lambda_v(p)
+    return lambda_u(p, mass) if branch == 1 else lambda_v(p, mass)
 
 
-def decompose_in_block(p, branch, spinor):
+def decompose_in_block(p, branch, spinor, mass=None):
     """Spin coefficients a with block(p, branch) @ a = spinor.
 
     The right inverse of the block is +bar(u) for the u branch and -bar(v)
     for the v branch.  Raises if the spinor has a component outside the
     branch subspace (it never does for images of the discrete symmetries).
+    Momenta (..., 4) and spinors (..., 4) give coefficients (..., 2).
     """
-    block = branch_block(p, branch)
-    a = float(branch) * (bar(block) @ spinor)
-    residual = np.linalg.norm(block @ a - spinor)
-    scale = max(np.linalg.norm(spinor), 1e-300)
-    if residual > 1e-10 * scale:
+    block = branch_block(p, branch, mass)
+    spinor = np.asarray(spinor)
+    a = float(branch) * _matvec(bar(block), spinor)
+    residual = _norm(_matvec(block, a) - spinor)
+    scale = np.maximum(_norm(spinor), 1e-300)
+    if _any(residual > 1e-10 * scale):
         raise ValueError("spinor does not lie in the requested branch subspace")
     return a

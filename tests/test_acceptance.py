@@ -177,6 +177,24 @@ def test_criterion_4_mott_ratio_against_enumeration(announce):
     assert worst_nr <= 1e-6
 
 
+def test_criterion_4_mott_ratio_precision_range(announce):
+    # The mass is carried into the projectors, not recovered from the rounded
+    # four-momenta, so the ratio keeps full precision up to |p|/m = 1e8.
+    # Oracle: the closed form 1 - beta^2 sin^2(kappa/2) = (m^2 + p^2 cos^2(kappa/2)) / E^2.
+    m = ELECTRON_MASS
+    angles = np.radians([30.0, 90.0, 150.0])
+    worst = 0.0
+    for ratio_pm in np.geomspace(1e-6, 1e8, 15):
+        p_mag = ratio_pm * m
+        analytic = (m * m + (p_mag * np.cos(angles / 2.0)) ** 2) / (m * m + p_mag * p_mag)
+        rel = np.abs(mott_ratio(p_mag, angles) - analytic) / analytic
+        worst = max(worst, float(rel.max()))
+    ok = worst <= 1e-12
+    announce(4, f"ratio vs closed form max rel dev {worst:.1e} at 30/90/150 deg "
+                f"over |p|/m in [1e-6, 1e8]", ok)
+    assert worst <= 1e-12
+
+
 def test_criterion_5_anomalous_moment(announce):
     start = time.perf_counter()
     value = f2_anomalous_moment()

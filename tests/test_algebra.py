@@ -160,7 +160,63 @@ class TestKinematicHelpers:
         with pytest.raises(ZeroEnergy):
             energy_sign(four_vector(0.0, 1.0, 0, 0))
 
+    def test_pauli_dot_batch_equals_rows(self, rng):
+        v = rng.normal(size=(50, 3))
+        assert np.array_equal(pauli_dot(v), [pauli_dot(row) for row in v])
+
     def test_sigma_algebra(self):
         for i in range(3):
             assert np.abs(SIGMA[i] @ SIGMA[i] - np.eye(2)).max() == 0.0
             assert np.abs(SIGMA[i] - SIGMA[i].conj().T).max() == 0.0
+
+
+def _timelike_batch(rng, n=50):
+    """n on-shell momenta with mixed masses, energy signs and |p|/m."""
+    pvec = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-2.0, 3.0, size=(n, 1))
+    mass = 10.0 ** rng.uniform(-1.0, 1.0, size=n)
+    phi = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    energy = phi * np.sqrt(mass**2 + np.sum(pvec * pvec, axis=1))
+    return np.column_stack([energy, pvec])
+
+
+class TestBatchedKinematics:
+    """A leading batch axis gives the row-by-row results and errors."""
+
+    def test_batch_equals_rows(self, rng):
+        p = _timelike_batch(rng)
+        assert np.array_equal(mass_of(p), [mass_of(row) for row in p])
+        assert np.array_equal(energy_sign(p), [energy_sign(row) for row in p])
+        assert isinstance(mass_of(p[0]), float)
+        assert isinstance(energy_sign(p[0]), float)
+        assert mass_of(p.reshape(5, 10, 4)).shape == (5, 10)
+
+    def test_stacked_adjoints_equal_rows(self, rng):
+        m = rng.normal(size=(50, 4, 4)) + 1j * rng.normal(size=(50, 4, 4))
+        assert np.array_equal(dirac_adjoint(m), [dirac_adjoint(row) for row in m])
+        blocks = m[:, :, :2]
+        assert np.array_equal(bar(blocks), [bar(row) for row in blocks])
+
+    @pytest.mark.parametrize("bad,error", [
+        (four_vector(1.0, 0.0, 0.0, 3.0), SuperluminalMomentum),
+        (four_vector(0.0, 1.0, 0.0, 0.0), ZeroEnergy),
+    ])
+    def test_one_bad_row_raises_its_scalar_error(self, rng, bad, error):
+        p = _timelike_batch(rng)
+        p[17] = bad
+        with pytest.raises(error) as scalar:
+            mass_of(bad)
+        with pytest.raises(error) as batched:
+            mass_of(p)
+        assert str(batched.value) == str(scalar.value)
+
+    def test_zero_energy_row_has_no_sign(self, rng):
+        p = _timelike_batch(rng)
+        p[3, 0] = 0.0
+        with pytest.raises(ZeroEnergy):
+            energy_sign(p)
+
+    def test_lightlike_row_is_massless(self, rng):
+        p = _timelike_batch(rng)
+        p[9] = four_vector(2.0, 0.0, 0.0, 2.0)
+        masses = mass_of(p)
+        assert masses[9] == 0.0 and np.all(np.delete(masses, 9) > 0.0)

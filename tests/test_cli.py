@@ -1,6 +1,10 @@
 """End-to-end checks of the command-line surface: formats, exit codes, determinism."""
 
+import contextlib
+import csv
+import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -15,6 +19,8 @@ except ModuleNotFoundError:  # Python 3.10
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paradirac import cli
 from paradirac.algebra import ELECTRON_MASS, ELEMENTARY_CHARGE, FINE_STRUCTURE
@@ -235,6 +241,41 @@ class TestNonFiniteInputs:
         assert captured.err
 
 
+# +-10^U(-300, 300): signs that argparse must refuse, magnitudes whose
+# results overflow or underflow, and everything between
+_magnitude = st.builds(lambda sign, exponent: sign * 10.0**exponent,
+                       st.sampled_from([1.0, -1.0]), st.floats(-300.0, 300.0))
+# finite degrees, some outside (0, 180], with the grazing and backward ends
+_angle = st.one_of(st.floats(-90.0, 270.0), st.floats(1e-12, 1e-3),
+                   st.sampled_from([0.0, 1e-9, 179.999999, 180.0]))
+
+
+class TestMottArgvContract:
+    @settings(max_examples=300)
+    @given(_magnitude, _magnitude, st.lists(_angle, min_size=1, max_size=5))
+    def test_finite_csv_or_one_line_exit_2(self, p_mag, z, angles):
+        argv = ["mott", f"--p-mag={p_mag!r}", f"--Z={z!r}",
+                "--angles=" + ",".join(map(repr, angles))]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2), argv
+        if code == 2:
+            assert out == ""
+            assert err.endswith("\n") and err.count("\n") == 1, err
+            return
+        assert err == ""
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["kappa_deg", "dcs", "ratio_to_rutherford"]
+        assert len(rows) == 1 + len(angles)
+        for row in rows[1:]:
+            assert len(row) == 3 and all(math.isfinite(float(v)) for v in row), row
+
+
 class TestStartupImports:
     def test_scipy_loaded_only_by_quadrature_commands(self):
         # A fresh process: scipy must stay out of sys.modules through every
@@ -266,6 +307,30 @@ class TestStartupImports:
             ["propagate-demo", 0, False],
             ["uehling", 0, False],
             ["g2", 0, False],
+        ]
+
+    def test_numpy_polynomial_not_loaded(self):
+        # numpy 2 loads numpy.polynomial on first use, at several ms a cold
+        # run; the Gauss-Legendre rules of uehling and g2 are built without it.
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import paradirac.cli\n"
+            "steps = []\n"
+            "for argv in (['uehling'], ['g2'], ['verify', '--suite', 'all'], ['mott']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = paradirac.cli.main(argv)\n"
+            "    steps.append([argv[0], code, 'numpy.polynomial' in sys.modules])\n"
+            "print(json.dumps(steps))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [
+            ["uehling", 0, False], ["g2", 0, False], ["verify", 0, False], ["mott", 0, False],
         ]
 
     def test_runs_with_scipy_blocked(self):

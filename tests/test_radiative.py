@@ -227,6 +227,32 @@ class TestUehling:
         with pytest.raises(NonfiniteResult):
             uehling_shift(1, 0, Z=1e300)
 
+    @pytest.mark.parametrize("form", [uehling_ratio, uehling_potential_hyperbolic])
+    def test_subnormal_radius_is_nonfinite_result(self, form):
+        # 40 / (2 m r) overflows at a subnormal r, and the panel count with it
+        args = () if form is uehling_ratio else (1.0,)
+        assert np.isfinite(form(1e-300, *args))
+        with pytest.raises(NonfiniteResult):
+            form(1e-310, *args)
+
+
+class TestLegendreRule:
+    @pytest.mark.parametrize("nodes", [12, 24])
+    def test_matches_numpy_leggauss(self, nodes):
+        # the package builds the rule from the Jacobi matrix; numpy's
+        # leggauss, from the companion matrix, is the outside check
+        x, w = radiative._legendre(nodes)
+        x_ref, w_ref = np.polynomial.legendre.leggauss(nodes)
+        assert np.abs(x - x_ref).max() <= 1e-15
+        assert np.abs(w / w_ref - 1.0).max() <= 1e-12
+        assert abs(w.sum() - 2.0) <= 1e-15  # a few ulps of 2
+
+    def test_integrates_polynomials_exactly(self):
+        x, w = radiative._legendre(12)
+        for degree in range(0, 24, 2):
+            assert abs(w @ x**degree - 2.0 / (degree + 1)) <= 1e-15
+        assert abs(w @ x**23) <= 1e-15
+
 
 @pytest.fixture(scope="module")
 def shift_2s():

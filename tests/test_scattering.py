@@ -16,6 +16,7 @@ from paradirac.scattering import (
     rutherford_dcs,
     s1_amplitude,
     spin_averaged_amp2,
+    spin_trace,
     zero_potential,
 )
 
@@ -155,3 +156,60 @@ class TestMott:
 
     def test_dcs_backward_angle_allowed(self):
         assert mott_dcs(0.5, np.pi, Z=1.0) > 0.0
+
+
+class TestBatchedAngles:
+    """One batched trace per table equals the angle-by-angle calls."""
+
+    angles = np.radians(np.linspace(0.7, 180.0, 50))
+
+    def test_table_equals_single_angles(self):
+        # The trace rounds each row as the single call does.  Rutherford's
+        # sin^4 does not: numpy's array power can differ from the scalar pow
+        # in the last bit, so it and the ratio get a few ulps.
+        for p_mag, z in ((0.3, 1.0), (ELECTRON_MASS, 2.0), (40.0, 79.0)):
+            for fn, rtol in ((mott_dcs, 0.0), (rutherford_dcs, 4e-16), (mott_ratio, 4e-16)):
+                batch = fn(p_mag, self.angles, z)
+                rows = np.array([fn(p_mag, float(kappa), z) for kappa in self.angles])
+                assert batch.shape == self.angles.shape
+                assert np.all(np.abs(batch - rows) <= rtol * np.abs(rows)), fn.__name__
+
+    def test_trace_batch_equals_rows(self):
+        mass = 0.7
+        p_i, _ = _elastic(1.3, 0.0, mass=mass)
+        p_f = np.array([_elastic(1.3, kappa, mass=mass)[1] for kappa in self.angles])
+        pot = coulomb_potential(2.0)
+        batch = spin_trace(p_i, p_f, pot, mass)
+        rows = [spin_averaged_amp2(p_i, q, pot, mass).by_trace for q in p_f]
+        assert np.array_equal(batch, rows)
+
+    def test_any_bad_angle_rejected(self):
+        for bad in (0.0, -0.2, np.pi + 1e-9, np.nan):
+            kappa = np.array([0.5, bad, 1.5])
+            with pytest.raises(ForwardSingular):
+                mott_dcs(0.5, kappa, Z=1.0)
+            with pytest.raises(ForwardSingular):
+                rutherford_dcs(0.5, kappa, Z=1.0)
+
+    def test_carried_mass_keeps_ultrarelativistic_tables(self):
+        # At |p|/m = 1e4 the mass recovered from the rounded p_i and p_f
+        # differs beyond the shell tolerance, which zeroed most rows; the
+        # carried mass keeps every dcs positive and the ratio on its closed
+        # form.  The trace cancels to an absolute, not relative, eps-level
+        # error, which shows as the ratio falls to 1e-8 at 180 degrees.
+        m = ELECTRON_MASS
+        p_mag = 1e4 * m
+        kappa = np.radians(np.linspace(0.5, 180.0, 200))
+        dcs = mott_dcs(p_mag, kappa, 1.0)
+        assert np.all(dcs > 0.0)
+        analytic = (m * m + (p_mag * np.cos(kappa / 2.0)) ** 2) / (m * m + p_mag * p_mag)
+        assert np.abs(mott_ratio(p_mag, kappa) - analytic).max() <= 1e-12
+
+    def test_carried_mass_in_spin_sum(self):
+        # spin_averaged_amp2 with the mass given skips mass_of, whose
+        # cancellation calls p lightlike at |p|/m = 1e8
+        m = 1.0
+        p_i, p_f = _elastic(1e8, 1.2, mass=m)
+        result = spin_averaged_amp2(p_i, p_f, coulomb_potential(1.0), mass=m)
+        assert result.by_trace > 0.0
+        assert abs(result.by_enumeration - result.by_trace) <= 1e-6 * result.by_trace

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from paradirac.algebra import I2, I4, GAMMA5, bar, four_vector, minkowski_dot, slash
-from paradirac.errors import NonUnitSpin
+from paradirac.errors import MasslessState, NonUnitSpin, SuperluminalMomentum, ZeroEnergy
 from paradirac.sampling import (
     random_spin_coefficients,
     random_timelike_momentum,
@@ -23,6 +23,7 @@ from paradirac.spinors import (
     u_block,
     v_block,
 )
+from paradirac.verify import DEFAULT_TOLS, SUITE_NAMES, suite_spinors
 
 
 def _draws(rng, count=60):
@@ -159,3 +160,115 @@ class TestSpinMachinery:
             assert np.abs(h @ h - I4).max() <= 1e-12
             assert np.abs(h @ lambda_u(p) - lambda_u(p) @ h).max() <= 1e-12
             assert np.abs(h @ GAMMA5 - GAMMA5 @ h).max() <= 1e-12
+
+
+def _batch(rng, n=50):
+    return np.array([random_timelike_momentum(rng, mass=10.0 ** rng.uniform(-1.0, 1.0),
+                                              p_scale=10.0 ** rng.uniform(-2.0, 3.0))
+                     for _ in range(n)])
+
+
+class TestBatched:
+    """Momenta of shape (n, 4) give the row-by-row blocks bit for bit."""
+
+    def test_blocks_and_projectors_equal_rows(self, rng):
+        p = _batch(rng)
+        for fn in (u_block, v_block, lambda_u, lambda_v):
+            assert np.array_equal(fn(p), [fn(row) for row in p]), fn.__name__
+        for branch in (1, -1):
+            assert np.array_equal(branch_block(p, branch), [branch_block(row, branch) for row in p])
+            assert np.array_equal(branch_projector(p, branch),
+                                  [branch_projector(row, branch) for row in p])
+
+    def test_decomposition_equals_rows(self, rng):
+        p = _batch(rng)
+        a = rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2))
+        for branch in (1, -1):
+            w = np.einsum("nij,nj->ni", branch_block(p, branch), a)
+            batch = decompose_in_block(p, branch, w)
+            assert np.array_equal(batch, [decompose_in_block(q, branch, x) for q, x in zip(p, w)])
+            assert np.abs(batch - a).max() <= 1e-10 * np.abs(a).max()
+
+    def test_spin_machinery_equals_rows(self, rng):
+        p = _batch(rng)
+        s_hat = rng.normal(size=(50, 3))
+        s = boost_spin(s_hat, p)
+        assert np.array_equal(s, [boost_spin(h, q) for h, q in zip(s_hat, p)])
+        assert np.array_equal(spin_projector(s), [spin_projector(row) for row in s])
+
+    def test_carried_mass_matches_default(self, rng):
+        p = _batch(rng)
+        m = np.sqrt(-minkowski_dot(p, p))
+        for fn in (u_block, v_block, lambda_u, lambda_v):
+            assert np.abs(fn(p, m) - fn(p)).max() <= 1e-12 * np.abs(fn(p)).max()
+
+    def test_carried_mass_survives_rounding(self):
+        # at |p|/m = 1e8 the rounded p0 makes p lightlike to mass_of
+        p = four_vector(np.hypot(1.0, 1e8), 0.0, 0.0, 1e8)
+        with pytest.raises(MasslessState):
+            lambda_u(p)
+        lu = lambda_u(p, 1.0)
+        assert np.abs(lu @ lu - lu).max() <= 1e-8 * np.abs(lu).max() ** 2
+
+    @pytest.mark.parametrize("bad,error", [
+        (four_vector(1.0, 0.0, 3.0, 0.0), SuperluminalMomentum),
+        (four_vector(2.0, 0.0, 0.0, 2.0), MasslessState),
+        (four_vector(0.0, 0.5, 0.0, 0.0), ZeroEnergy),
+    ])
+    def test_one_bad_row_raises_its_scalar_error(self, rng, bad, error):
+        p = _batch(rng)
+        p[31] = bad
+        for fn in (u_block, v_block, lambda_u, lambda_v):
+            with pytest.raises(error):
+                fn(bad)
+            with pytest.raises(error):
+                fn(p)
+        with pytest.raises(error):
+            decompose_in_block(p, 1, np.ones((50, 4), dtype=complex))
+
+    def test_one_row_off_the_branch_raises(self, rng):
+        p = _batch(rng)
+        w = np.einsum("nij,nj->ni", u_block(p), np.ones((50, 2)))
+        w[5] += v_block(p[5]) @ np.array([1.0, 0.0])
+        with pytest.raises(ValueError, match="branch subspace"):
+            decompose_in_block(p, 1, w)
+
+
+def _suite_spinors_loop(rng, count):
+    """The spinors suite one draw at a time, as it ran before it was batched:
+    the reference for the draws and the arithmetic of verify.suite_spinors."""
+    worst = [0.0] * 13
+    for k in range(count):
+        phi = 1 if k % 2 == 0 else -1
+        p = random_timelike_momentum(rng, phi=phi)
+        m = np.sqrt(-minkowski_dot(p, p))
+        ub, vb = u_block(p), v_block(p)
+        found = [
+            bar(ub) @ ub - I2, bar(vb) @ vb + I2, bar(ub) @ vb, bar(vb) @ ub,
+            ub @ bar(ub) - lambda_u(p), vb @ bar(vb) + lambda_v(p),
+            lambda_u(p) + lambda_v(p) - I4,
+            slash(p) @ ub + phi * m * ub, slash(p) @ vb - phi * m * vb,
+        ]
+        a_u = random_spin_coefficients(rng)
+        a_v = random_spin_coefficients(rng)
+        w = ub @ a_u + 0.6 * vb @ a_v
+        rebuilt = ub @ (bar(ub) @ w) + vb @ (-(bar(vb) @ w))
+        pure = branch_block(p, +1) @ decompose_in_block(p, +1, ub @ a_u)
+        found.append(max(np.abs(rebuilt - w).max(), np.abs(pure - ub @ a_u).max()))
+        if k % 10 == 0:
+            sig = spin_projector(boost_spin(random_unit_vector(rng), p))
+            found += [sig @ sig - sig, sig @ lambda_u(p) - lambda_u(p) @ sig,
+                      np.trace(sig @ lambda_u(p)) - 1.0]
+        for i, value in enumerate(found):
+            worst[i] = max(worst[i], float(np.abs(value).max()))
+    return worst
+
+
+class TestBatchedSuite:
+    @pytest.mark.parametrize("seed,count", [(0, 1000), (1, 95), (7, 30)])
+    def test_residuals_equal_the_draw_by_draw_loop(self, seed, count):
+        # same seeded stream, same rounding: the residuals agree bit for bit
+        stream = [seed, SUITE_NAMES.index("spinors")]
+        batched = suite_spinors(np.random.default_rng(stream), DEFAULT_TOLS["spinors"], count)
+        loop = _suite_spinors_loop(np.random.default_rng(stream), count)
+        assert [check.residual for check in batched] == loop
