@@ -156,21 +156,29 @@ def cmd_verify(args) -> int:
     return 0 if all_passed(results) else 1
 
 
+# Angles per batched Mott trace.  Each row keeps several 4x4 complex
+# temporaries (256 B each) live, so a long grid is taken in slices; the
+# benchmark's tables (at most 200 angles) are one slice.
+_MOTT_BATCH = 200
+
+
 def cmd_mott(args) -> int:
-    kappa = np.radians(args.angles)
-    # floating-point warnings off: a row that overflows or underflows to
-    # 0/0 raises NonfiniteResult below instead
-    with np.errstate(all="ignore"):
-        dcs = mott_dcs(args.p_mag, kappa, args.Z)
-        ratio = np.divide(dcs, rutherford_dcs(args.p_mag, kappa, args.Z))
-    bad = ~(np.isfinite(dcs) & np.isfinite(ratio))
-    if bad.any():
-        raise NonfiniteResult(f"non-finite cross-section at {args.angles[bad.argmax()]:g} deg")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["kappa_deg", "dcs", "ratio_to_rutherford"])
-    writer.writerows([f"{deg:.6f}", f"{d:.12e}", f"{r:.12e}"]
-                     for deg, d, r in zip(args.angles, dcs, ratio))
+    for lo in range(0, args.angles.size, _MOTT_BATCH):
+        degrees = args.angles[lo:lo + _MOTT_BATCH]
+        kappa = np.radians(degrees)
+        # floating-point warnings off: a row that overflows or underflows to
+        # 0/0 raises NonfiniteResult below instead
+        with np.errstate(all="ignore"):
+            dcs = mott_dcs(args.p_mag, kappa, args.Z)
+            ratio = np.divide(dcs, rutherford_dcs(args.p_mag, kappa, args.Z))
+        bad = ~(np.isfinite(dcs) & np.isfinite(ratio))
+        if bad.any():
+            raise NonfiniteResult(f"non-finite cross-section at {degrees[bad.argmax()]:g} deg")
+        writer.writerows([f"{deg:.6f}", f"{d:.12e}", f"{r:.12e}"]
+                         for deg, d, r in zip(degrees, dcs, ratio))
     _emit(buffer.getvalue(), args.out)
     return 0
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import TWO_PI, four_vector
+from .algebra import TWO_PI, _dot, _norm, four_vector
 from .states import Mode, SpectralState, Subspace
 
 # default mass for generated modes, in the natural MeV units used throughout
@@ -43,6 +43,33 @@ def random_spin_coefficients(rng):
     """Normalized complex doublet of spin coefficients."""
     a = rng.normal(size=2) + 1j * rng.normal(size=2)
     return a / np.linalg.norm(a)
+
+
+def random_spinor_draws(rng, count: int):
+    """The inputs of the spinors suite as arrays: the stream of a loop that
+    calls, per draw k, random_timelike_momentum with phi = (-1)^k, two
+    random_spin_coefficients, and random_unit_vector on every tenth draw.
+
+    Returns p (count, 4), phi (count,), a_u and a_v (count, 2) and the spin
+    directions (count // 10 rounded up, 3).  One block of normals, sliced
+    per draw, is the same stream as those calls make one at a time, and the
+    arithmetic is rounded as theirs is; a change to any of them must be
+    made here too.
+    """
+    draw = np.arange(count)
+    tenth = draw % 10 == 0
+    sizes = np.where(tenth, 14, 11)
+    starts = np.cumsum(sizes) - sizes
+    normals = rng.normal(size=int(sizes.sum()))
+    rows = normals[starts[:, None] + np.arange(11)]
+    spin_dirs = normals[starts[tenth, None] + np.arange(11, 14)]
+    phi = np.where(draw % 2 == 0, 1.0, -1.0)
+    pvec = rows[:, :3]
+    energy = phi * np.sqrt(DEFAULT_MASS**2 + _dot(pvec, pvec))
+    p = np.concatenate([energy[:, None], pvec], axis=1)
+    a_u, a_v = (rows[:, j:j + 2] + 1j * rows[:, j + 2:j + 4] for j in (3, 7))
+    a_u, a_v = (a / _norm(a)[:, None] for a in (a_u, a_v))
+    return p, phi, a_u, a_v, spin_dirs / _norm(spin_dirs)[:, None]
 
 
 def random_mode(rng, mass=DEFAULT_MASS, branch=None, phi=None, p_scale=1.0):

@@ -19,9 +19,10 @@ P(s) = (I4 - gamma^5 slash(s)) / 2; the opposite projection is P(-s).
 
 The blocks, projectors, spin vectors and decompose_in_block take momenta of
 shape (..., 4) and return one result per row; an error class is raised if
-any row fails its check.  The blocks and projectors take the on-shell mass
-as data where the caller knows it: m_p = sqrt(-p.p) from a rounded p carries a relative error of about
-(|p|/m_p)^2 eps, which at |p|/m_p = 1e8 leaves nothing of it.
+any row fails its check.  u_block, v_block, lambda_u and lambda_v take the
+on-shell mass as data where the caller knows it: m_p = sqrt(-p.p) from a
+rounded p carries a relative error of about (|p|/m_p)^2 eps, which at
+|p|/m_p = 1e8 leaves nothing of it.
 """
 
 from __future__ import annotations
@@ -159,21 +160,21 @@ def boost_spin(s_hat, p):
     return out
 
 
-def branch_block(p, branch, mass=None):
+def branch_block(p, branch):
     """u_block for branch +1, v_block for branch -1."""
     if branch == 1:
-        return u_block(p, mass)
+        return u_block(p)
     if branch == -1:
-        return v_block(p, mass)
+        return v_block(p)
     raise ValueError("branch must be +1 or -1")
 
 
-def branch_projector(p, branch, mass=None):
+def branch_projector(p, branch):
     """lambda_u for branch +1, lambda_v for branch -1."""
-    return lambda_u(p, mass) if branch == 1 else lambda_v(p, mass)
+    return lambda_u(p) if branch == 1 else lambda_v(p)
 
 
-def decompose_in_block(p, branch, spinor, mass=None):
+def decompose_in_block(p, branch, spinor):
     """Spin coefficients a with block(p, branch) @ a = spinor.
 
     The right inverse of the block is +bar(u) for the u branch and -bar(v)
@@ -181,7 +182,7 @@ def decompose_in_block(p, branch, spinor, mass=None):
     branch subspace (it never does for images of the discrete symmetries).
     Momenta (..., 4) and spinors (..., 4) give coefficients (..., 2).
     """
-    block = branch_block(p, branch, mass)
+    block = branch_block(p, branch)
     spinor = np.asarray(spinor)
     a = float(branch) * _matvec(bar(block), spinor)
     residual = _norm(_matvec(block, a) - spinor)

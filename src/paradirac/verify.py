@@ -21,9 +21,7 @@ from .algebra import (
     I4,
     METRIC,
     TWO_PI,
-    _dot,
     _matvec,
-    _norm,
     bar,
     dirac_adjoint,
     four_vector,
@@ -45,9 +43,9 @@ from .radiative import (
     vector_divergence_check,
 )
 from .sampling import (
-    DEFAULT_MASS,
     random_mode,
     random_spin_coefficients,
+    random_spinor_draws,
     random_state,
     random_timelike_momentum,
 )
@@ -151,32 +149,6 @@ def suite_algebra(rng, tol: float) -> list[Check]:
 # spinors
 
 
-def _spinor_draws(rng, count: int):
-    """The inputs of suite_spinors as arrays, drawn in the order of a loop
-    that calls, per draw k, random_timelike_momentum with phi = (-1)^k, two
-    random_spin_coefficients, and random_unit_vector on every tenth draw.
-
-    Returns p (count, 4), phi (count,), a_u and a_v (count, 2) and the spin
-    directions (count // 10 rounded up, 3).  One block of normals, sliced
-    per draw, is the same stream as those calls make one at a time; the
-    arithmetic is rounded as theirs is.
-    """
-    draw = np.arange(count)
-    tenth = draw % 10 == 0
-    sizes = np.where(tenth, 14, 11)
-    starts = np.cumsum(sizes) - sizes
-    normals = rng.normal(size=int(sizes.sum()))
-    rows = normals[starts[:, None] + np.arange(11)]
-    spin_dirs = normals[starts[tenth, None] + np.arange(11, 14)]
-    phi = np.where(draw % 2 == 0, 1.0, -1.0)
-    pvec = rows[:, :3]
-    energy = phi * np.sqrt(DEFAULT_MASS**2 + _dot(pvec, pvec))
-    p = np.concatenate([energy[:, None], pvec], axis=1)
-    a_u, a_v = (rows[:, j:j + 2] + 1j * rows[:, j + 2:j + 4] for j in (3, 7))
-    a_u, a_v = (a / _norm(a)[:, None] for a in (a_u, a_v))
-    return p, phi, a_u, a_v, spin_dirs / _norm(spin_dirs)[:, None]
-
-
 # Draws per batch of suite_spinors, a multiple of 10 so that every batch
 # starts on a draw with a spin direction.  It bounds each (n, 4, 4) complex
 # temporary at 25 kB: one batch of all 1000 draws raised peak RSS by 2 MB.
@@ -213,7 +185,7 @@ def _spinor_residuals(p, phi, a_u, a_v, spin_dirs) -> dict:
 
 
 def suite_spinors(rng, tol: float, count: int = 1000) -> list[Check]:
-    p, phi, a_u, a_v, spin_dirs = _spinor_draws(rng, count)
+    p, phi, a_u, a_v, spin_dirs = random_spinor_draws(rng, count)
     worst = {}
     for lo in range(0, count, _SPINOR_BATCH):
         rows = slice(lo, lo + _SPINOR_BATCH)

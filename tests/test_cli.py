@@ -105,6 +105,26 @@ class TestMottCommand:
         assert target.read_bytes() == out.encode()
         assert b"\r" not in target.read_bytes()
 
+    def test_long_grid_runs_in_slices(self, monkeypatch, capsys):
+        # a long grid is traced a slice at a time and prints the rows of
+        # a single trace over the whole grid
+        count = 2 * cli._MOTT_BATCH + 7
+        sizes = []
+
+        def recording(p_mag, kappa, z):
+            sizes.append(np.size(kappa))
+            return mott_dcs(p_mag, kappa, z)
+
+        monkeypatch.setattr(cli, "mott_dcs", recording)
+        code, out, _ = run_cli(["mott", "--angles", f"1:179:{count}"], capsys)
+        assert code == 0
+        assert sizes == [cli._MOTT_BATCH, cli._MOTT_BATCH, 7]
+        grid = np.linspace(1.0, 179.0, count)
+        dcs, ratio = mott_dcs(ELECTRON_MASS, np.radians(grid), 1.0), mott_ratio(
+            ELECTRON_MASS, np.radians(grid), 1.0)
+        assert out.split("\n")[1:-1] == [f"{deg:.6f},{d:.12e},{r:.12e}"
+                                         for deg, d, r in zip(grid, dcs, ratio)]
+
     @pytest.mark.parametrize("bad", ["0:10:4", "190", "abc", "10,,20", ""])
     def test_bad_angle_grids_rejected(self, bad):
         with pytest.raises(SystemExit) as excinfo:

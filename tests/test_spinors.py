@@ -7,6 +7,7 @@ from paradirac.algebra import I2, I4, GAMMA5, bar, four_vector, minkowski_dot, s
 from paradirac.errors import MasslessState, NonUnitSpin, SuperluminalMomentum, ZeroEnergy
 from paradirac.sampling import (
     random_spin_coefficients,
+    random_spinor_draws,
     random_timelike_momentum,
     random_unit_vector,
 )
@@ -262,6 +263,21 @@ def _suite_spinors_loop(rng, count):
         for i, value in enumerate(found):
             worst[i] = max(worst[i], float(np.abs(value).max()))
     return worst
+
+
+class TestSpinorDraws:
+    @pytest.mark.parametrize("seed,count", [(0, 1000), (3, 95)])
+    def test_equal_the_per_draw_calls(self, seed, count):
+        p, phi, a_u, a_v, dirs = random_spinor_draws(np.random.default_rng(seed), count)
+        rng = np.random.default_rng(seed)
+        for k in range(count):
+            assert phi[k] == (1 if k % 2 == 0 else -1)
+            assert np.array_equal(p[k], random_timelike_momentum(rng, phi=phi[k]))
+            assert np.array_equal(a_u[k], random_spin_coefficients(rng))
+            assert np.array_equal(a_v[k], random_spin_coefficients(rng))
+            if k % 10 == 0:
+                assert np.array_equal(dirs[k // 10], random_unit_vector(rng))
+        assert len(dirs) == -(-count // 10)
 
 
 class TestBatchedSuite:
