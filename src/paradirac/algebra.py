@@ -113,9 +113,10 @@ def _first(values, mask):
     return np.ravel(values)[np.argmax(np.ravel(mask))]
 
 
-# Row-wise products over leading batch axes, written as stacked matmuls: they
-# round each row exactly as np.dot, `matrix @ vector` and np.linalg.norm round
-# a single one, so batched and one-at-a-time results agree bit for bit.
+# Row-wise products over leading batch axes (the first three as stacked
+# matmuls).  They round each row exactly as np.dot, `matrix @ vector`,
+# np.linalg.norm and a scalar complex product round a single one, so batched
+# and one-at-a-time results agree bit for bit.
 
 def _dot(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
@@ -127,6 +128,16 @@ def _matvec(matrix, v):
 
 def _norm(v):
     return np.sqrt(_dot(v.real, v.real) + _dot(v.imag, v.imag))
+
+
+def _cmul(x, y):
+    """x * y rounded as a scalar complex product: numpy's array loop may fuse
+    its multiply-adds, which moves the last bit."""
+    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
+    parts = out.view(float).reshape(out.shape + (2,))
+    np.subtract(x.real * y.real, x.imag * y.imag, out=parts[..., 0])
+    np.add(x.real * y.imag, x.imag * y.real, out=parts[..., 1])
+    return out
 
 
 def mass_of(p):

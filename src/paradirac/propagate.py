@@ -33,6 +33,8 @@ from .algebra import (
     mass_of,
     minkowski_dot,
     slash,
+    _cmul,
+    _matvec,
 )
 from .errors import DegenerateInterval, UnresolvedDelta
 from .spinors import branch_block, lambda_u, lambda_v
@@ -61,19 +63,21 @@ class InfluenceKernel:
     def step_sign(self):
         return 1 if self.dtau > 0 else -1
 
-    def mode_factor(self, mode: Mode) -> complex:
-        """Multiplier i*sgn*exp(i nu dtau) on survivors, 0 on annihilated modes."""
+    def _survivors(self, state: TermContainer):
+        """Rows of `state` whose every mode survives, and the multipliers
+        i*sgn*exp(i nu dtau) of their modes, one column per mode."""
         sgn = self.step_sign
-        if mode.branch * mode.phi != self.which * sgn:
-            return 0.0j
-        return 1j * sgn * np.exp(1j * mode.frequency * self.dtau)
+        sign = state.branch * state.phi
+        rows = np.flatnonzero((sign == self.which * sgn).all(axis=1))
+        nu = sign[rows] * state.mass[rows]  # the rows of state.frequency
+        return rows, _cmul(1j * sgn, np.exp(1j * nu * self.dtau))
 
-    def apply(self, state: SpectralState) -> SpectralState:
-        def fn(coeff, mode):
-            f = self.mode_factor(mode)
-            return None if f == 0.0 else (coeff * f, mode)
-
-        return state.map_terms(fn)
+    def apply(self, state: TermContainer) -> TermContainer:
+        rows, factors = self._survivors(state)
+        coeff = state.coeff[rows]
+        for factor in factors.T:
+            coeff = _cmul(coeff, factor)
+        return state._subset(rows, coeff)
 
 
 def free_evolve(state: TermContainer, tau: float, tau_prime: float, which: int) -> TermContainer:
@@ -87,17 +91,11 @@ def free_evolve(state: TermContainer, tau: float, tau_prime: float, which: int) 
     """
     if tau_prime == tau:
         raise DegenerateInterval("evolution interval is degenerate")
-    kernel = InfluenceKernel(which, tau_prime - tau)
-
-    def fn(coeff, *modes):
-        for mode in modes:
-            f = kernel.mode_factor(mode)
-            if f == 0.0:
-                return None
-            coeff = coeff * (-1j) * f
-        return (coeff, *modes)
-
-    return state.map_terms(fn)
+    rows, factors = InfluenceKernel(which, tau_prime - tau)._survivors(state)
+    coeff = state.coeff[rows]
+    for factor in factors.T:
+        coeff = _cmul(_cmul(coeff, -1j), factor)
+    return state._subset(rows, coeff)
 
 
 def semigroup_compose(state: SpectralState, tau0: float, tau1: float, tau2: float, which: int) -> SpectralState:
@@ -173,19 +171,13 @@ def elastic_shell(p_in, kappas, n_azimuth: int = 8):
     e1 = seed - axis * np.dot(seed, axis)
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(axis, e1)
-    out = []
-    for kappa in np.atleast_1d(kappas):
-        for j in range(n_azimuth):
-            psi = TWO_PI * j / n_azimuth
-            direction = (
-                np.cos(kappa) * axis
-                + np.sin(kappa) * (np.cos(psi) * e1 + np.sin(psi) * e2)
-            )
-            q = np.empty(4)
-            q[0] = p_in[0]
-            q[1:] = pmag * direction
-            out.append(q)
-    return np.array(out)
+    kappa = np.atleast_1d(kappas)[:, None, None]
+    psi = (TWO_PI * np.arange(n_azimuth) / n_azimuth)[:, None]
+    direction = np.cos(kappa) * axis + np.sin(kappa) * (np.cos(psi) * e1 + np.sin(psi) * e2)
+    out = np.empty(direction.shape[:-1] + (4,))
+    out[..., 0] = p_in[0]
+    out[..., 1:] = pmag * direction
+    return out.reshape(-1, 4)
 
 
 def moller_first_order(
@@ -206,35 +198,33 @@ def moller_first_order(
         u-type node:  +i (charge/L^3) ubar(q) slash(A~) w_i
         v-type node:  -i (charge/L^3) vbar(q) slash(A~) w_i
 
-    the relative sign carried by Lambda_v = -v vbar.  An incident mode in S-
-    is annihilated by the forward operator: the empty state is returned (the
-    subspace violation is the documented zero, not an exception).
+    the relative sign carried by Lambda_v = -v vbar.  The nodes of all
+    outgoing momenta are one batched pass, with one potential.fourier call.
+    An incident mode in S- is annihilated by the forward operator: the empty
+    state is returned (the subspace violation is the documented zero, not an
+    exception).
     """
     if classify_subspace(incident) is Subspace.S_MINUS:
         return SpectralState((), box_edge)
-    w_in = incident.amplitude_spinor()
-    m_in = incident.mass
-    prefactor = 1j * charge / box_edge**3
-
-    terms = [(1.0 + 0.0j, incident)]
-    found_shell = False
-    for q in np.atleast_2d(np.asarray(out_momenta, dtype=float)):
-        m_out = mass_of(q)
-        if abs(m_out - m_in) > ATOL_SHELL * max(1.0, m_in):
-            continue
-        found_shell = True
-        dp = q - incident.p
-        if getattr(potential, "static", False) and abs(dp[0]) > ATOL_SHELL:
-            continue
-        a_tilde = potential.fourier(dp)
-        if not np.any(a_tilde):
-            continue
-        branch_out = 1 if energy_sign(q) > 0 else -1
-        block = branch_block(q, branch_out)
-        a_out = bar(block) @ (slash(a_tilde) @ w_in)
-        if not np.any(a_out):
-            continue
-        terms.append((branch_out * prefactor, Mode(q, branch_out, a_out)))
-    if not found_shell:
+    q = np.atleast_2d(np.asarray(out_momenta, dtype=float))
+    m_out = mass_of(q)
+    shell = np.abs(m_out - incident.mass) <= ATOL_SHELL * max(1.0, incident.mass)
+    if not shell.any():
         raise UnresolvedDelta("no outgoing momentum conserves the mass")
-    return SpectralState(tuple(terms), box_edge)
+    dp = q - incident.p
+    if getattr(potential, "static", False):
+        shell &= np.abs(dp[:, 0]) <= ATOL_SHELL
+    q, dp, m_out = q[shell], dp[shell], m_out[shell]
+    a_tilde = potential.fourier(dp)
+    live = a_tilde.any(axis=-1)
+    q, a_tilde, m_out = q[live], a_tilde[live], m_out[live]
+    branch = np.where(energy_sign(q) > 0, 1, -1)
+    kick = _matvec(slash(a_tilde), incident.amplitude_spinor())
+    a_out = _matvec(bar(branch_block(q, branch, m_out)), kick)
+    live = a_out.any(axis=-1)
+    q, branch, a_out = q[live], branch[live], a_out[live]
+    return SpectralState((), box_edge)._derive(
+        np.concatenate(([1.0 + 0.0j], branch * (1j * charge / box_edge**3))),
+        np.concatenate((incident.p[None], q))[:, None], np.concatenate(([1], branch))[:, None],
+        np.concatenate((incident.a[None], a_out))[:, None],
+        np.array([incident] + [None] * len(q), dtype=object)[:, None])

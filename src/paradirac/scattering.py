@@ -47,9 +47,10 @@ class ExternalPotential:
     """Momentum-space external potential A~^mu(Dp).
 
     static=True declares an overall 2 pi delta(Dp0) carried symbolically; the
-    fourier callable then returns the coefficient of that delta.  Position
-    space hermiticity requires A~(-Dp) = conj(A~(Dp)); hermiticity_residual
-    probes it pointwise.
+    fourier callable then returns the coefficient of that delta.  fourier
+    maps transfers of shape (..., 4) to transforms of that shape, row by
+    row.  Position space hermiticity requires A~(-Dp) = conj(A~(Dp));
+    hermiticity_residual probes it pointwise.
     """
 
     fourier: Callable[[np.ndarray], np.ndarray]
@@ -231,13 +232,15 @@ def mott_dcs(p_mag: float, kappa, Z: float, mass: float = ELECTRON_MASS,
 def rutherford_dcs(p_mag: float, kappa, Z: float, mass: float = ELECTRON_MASS):
     """Spinless baseline Z^2 alpha^2 E^2 / (4 p^4 sin^4(kappa/2)), MeV^-2 per sr.
 
-    Takes a single angle or an array of them.
+    Taken as (Z alpha E / (2 p^2 sin^2(kappa/2)))^2, whose intermediates stay
+    finite where p^4 would overflow (|p| above about 1e77 MeV).  Takes a
+    single angle or an array of them.
     """
     _check_angles(kappa)
     energy = float(np.hypot(mass, p_mag))
-    s4 = np.sin(np.asarray(kappa) / 2.0) ** 4
+    s2 = np.sin(np.asarray(kappa) / 2.0) ** 2
     try:
-        return (Z * FINE_STRUCTURE * energy) ** 2 / (4.0 * p_mag**4 * s4)
+        return (Z * FINE_STRUCTURE * energy / (2.0 * p_mag**2 * s2)) ** 2
     except OverflowError:
         raise NonfiniteResult("Rutherford cross-section overflows") from None
 

@@ -68,12 +68,18 @@ def _kinematics(p, mass=None):
     return p, m, abs(p[..., 0][()]), energy_sign(p)
 
 
-def _block(p, mass, diagonal_on_top):
+def _block(p, mass, upper):
+    """u(p) where `upper` holds and v(p) where it does not; `upper` is one
+    bool or one per row of p."""
     p, m, energy, phi = _kinematics(p, mass)
     k = 1.0 / np.sqrt(2.0 * m * (m + energy))
     diagonal = _col(m + energy) * I2
     cross = _col(phi) * pauli_dot(p[..., 1:])
-    halves = (diagonal, cross) if diagonal_on_top else (cross, diagonal)
+    if np.ndim(upper):
+        upper = _col(upper)
+        halves = (np.where(upper, diagonal, cross), np.where(upper, cross, diagonal))
+    else:
+        halves = (diagonal, cross) if upper else (cross, diagonal)
     return _col(k) * np.concatenate(halves, axis=-2)
 
 
@@ -82,7 +88,7 @@ def u_block(p, mass=None):
 
     Momenta of shape (..., 4) give blocks of shape (..., 4, 2).
     """
-    return _block(p, mass, diagonal_on_top=True)
+    return _block(p, mass, upper=True)
 
 
 def v_block(p, mass=None):
@@ -90,7 +96,7 @@ def v_block(p, mass=None):
 
     Momenta of shape (..., 4) give blocks of shape (..., 4, 2).
     """
-    return _block(p, mass, diagonal_on_top=False)
+    return _block(p, mass, upper=False)
 
 
 def lambda_u(p, mass=None):
@@ -160,13 +166,12 @@ def boost_spin(s_hat, p):
     return out
 
 
-def branch_block(p, branch):
-    """u_block for branch +1, v_block for branch -1."""
-    if branch == 1:
-        return u_block(p)
-    if branch == -1:
-        return v_block(p)
-    raise ValueError("branch must be +1 or -1")
+def branch_block(p, branch, mass=None):
+    """u_block for branch +1, v_block for branch -1; `branch` is one sign or
+    one per row of p, and `mass` is carried as for u_block."""
+    if not (np.all(np.abs(branch) == 1) if np.ndim(branch) else branch in (1, -1)):
+        raise ValueError("branch must be +1 or -1")
+    return _block(p, mass, branch == 1)
 
 
 def branch_projector(p, branch):
@@ -174,17 +179,18 @@ def branch_projector(p, branch):
     return lambda_u(p) if branch == 1 else lambda_v(p)
 
 
-def decompose_in_block(p, branch, spinor):
+def decompose_in_block(p, branch, spinor, mass=None):
     """Spin coefficients a with block(p, branch) @ a = spinor.
 
     The right inverse of the block is +bar(u) for the u branch and -bar(v)
     for the v branch.  Raises if the spinor has a component outside the
     branch subspace (it never does for images of the discrete symmetries).
-    Momenta (..., 4) and spinors (..., 4) give coefficients (..., 2).
+    Momenta (..., 4) and spinors (..., 4) give coefficients (..., 2); the
+    branch and mass are as for branch_block.
     """
-    block = branch_block(p, branch)
+    block = branch_block(p, branch, mass)
     spinor = np.asarray(spinor)
-    a = float(branch) * _matvec(bar(block), spinor)
+    a = np.asarray(branch, dtype=float)[..., None] * _matvec(bar(block), spinor)
     residual = _norm(_matvec(block, a) - spinor)
     scale = np.maximum(_norm(spinor), 1e-300)
     if _any(residual > 1e-10 * scale):

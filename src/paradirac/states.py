@@ -20,10 +20,11 @@ permute the branches accordingly.
 
 from __future__ import annotations
 
+import copy
 import enum
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -42,6 +43,7 @@ from .algebra import (
     lower_index,
     mass_of,
     minkowski_dot,
+    _matvec,
 )
 from .errors import BoxMismatch, MasslessState
 from .spinors import branch_block, decompose_in_block
@@ -67,13 +69,13 @@ class Mode:
     a: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float).copy()
-        a = np.asarray(self.a, dtype=complex).copy()
+        p = np.array(self.p, dtype=float)
+        a = np.array(self.a, dtype=complex)
         if p.shape != (4,):
             raise ValueError("momentum must be a four-vector")
         if a.shape != (2,):
             raise ValueError("spin coefficients must be a complex pair")
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(a))):
+        if not (np.isfinite(p).all() and np.isfinite(a).all()):
             raise ValueError("mode fields must be finite")
         branch = int(self.branch)
         if branch not in (1, -1):
@@ -167,51 +169,164 @@ def free_equation_residual(mode: Mode, x, tau, box_edge=TWO_PI):
     return float(np.abs(total).max())
 
 
-class TermContainer:
-    """Terms (coeff, Mode, ...) with `width` modes each, for frozen dataclasses.
+def _row_bytes(rows):
+    """One bytes key per row of a real (n, k) array; the + 0.0 makes -0.0
+    equal 0.0, as in Mode's keys."""
+    rows = np.ascontiguousarray(rows, dtype=float) + 0.0
+    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel().tolist()
 
-    Terms whose modes have equal label keys merge in one dict pass: their
-    coefficients add in input order at the first occurrence; zero sums drop.
+
+class Label(NamedTuple):
+    """What mode_overlap reads of one stored mode, taken from the arrays."""
+
+    branch: int
+    a: np.ndarray
+    overlap_key: tuple
+
+
+class TermContainer:
+    """Terms c_k (mode_k1 (x) ... (x) mode_kw) of width w, as a struct of arrays.
+
+    The arrays are coeff (n,), p (n, w, 4), branch (n, w) and a (n, w, 2),
+    with the mass (n, w) of every mode; all are read-only.  Rows with equal
+    labels merge on construction, keyed on the row bytes of (p + 0.0,
+    a + 0.0, branch), so -0.0 equals 0.0 as in array_equal: coefficients add
+    in input order at the first occurrence and zero sums drop.  The state
+    maps work on the arrays in one batched pass.
+
+    `terms` is the tuple of (coeff, Mode, ...) in row order, built on first
+    read and then cached.  Rows that arrived as Modes, or survived free
+    evolution, keep their objects; other rows build a Mode there.
     """
 
     width = 1
 
-    def __post_init__(self):
+    def _load(self, terms):
+        """Construct from (coeff, Mode, ...) tuples."""
         if self.box_edge <= 0.0:
             raise ValueError("box edge must be positive")
-        merged: dict = {}
-        for coeff, *modes in self.terms:
-            if len(modes) != self.width or not all(isinstance(m, Mode) for m in modes):
+        self.box_edge = float(self.box_edge)
+        coeffs, modes, keys = [], [], []
+        for coeff, *row in terms:
+            if len(row) != self.width or not all(isinstance(m, Mode) for m in row):
                 raise TypeError("terms must be (coefficient" + ", Mode" * self.width + ") tuples")
-            key = tuple([m.label_key for m in modes])
-            if key in merged:
-                merged[key][0] += complex(coeff)
-            else:
-                merged[key] = [complex(coeff), *modes]
-        object.__setattr__(self, "terms", tuple(tuple(e) for e in merged.values() if e[0] != 0.0))
-        object.__setattr__(self, "box_edge", float(self.box_edge))
+            coeffs.append(complex(coeff))
+            modes += row
+            keys.append(tuple([m.label_key for m in row]))
+        shape = (len(coeffs), self.width)
+        branch, mass = np.array([(m.branch, m.mass) for m in modes]).reshape(shape + (2,)).T
+        self._merge(keys, np.array(coeffs, dtype=complex), (
+            np.array([m.p for m in modes]).reshape(shape + (4,)), branch.T.astype(int),
+            np.array([m.a for m in modes]).reshape(shape + (2,)), mass.T,
+            np.fromiter(modes, dtype=object, count=len(modes)).reshape(shape)))
+        self._overlap_keys = {col: [m.overlap_key for m in self._modes[:, col]]
+                              for col in range(self.width)}
+
+    def _derive(self, coeff, p, branch, a, modes=None):
+        """A state of the same kind and box on new label arrays.  Checks in
+        batch what Mode.__post_init__ checks, with the same error classes."""
+        if not (np.isfinite(p).all() and np.isfinite(a).all()):
+            raise ValueError("mode fields must be finite")
+        if not (np.abs(branch) == 1).all():
+            raise ValueError("branch must be +1 or -1")
+        mass = mass_of(p)
+        if (mass == 0.0).any():
+            raise MasslessState("modes require strictly timelike momenta")
+        rows = np.concatenate((p, a.view(float), branch[..., None]), axis=-1, dtype=float)
+        out = copy.copy(self)
+        out._merge(_row_bytes(rows.reshape(len(rows), 9 * self.width)), coeff, (
+            p, branch, a, mass, np.empty(branch.shape, dtype=object) if modes is None else modes))
+        return out
+
+    def _subset(self, index, coeff):
+        """The labels at [index] (rows, or rows and columns), Mode objects
+        included, with new coefficients."""
+        out = copy.copy(self)
+        out._store(coeff, [x[index] for x in (self.p, self.branch, self.a, self.mass, self._modes)])
+        return out
+
+    def _merge(self, keys, coeff, labels):
+        """Store the rows merged on their keys; labels are the arrays
+        (p, branch, a, mass, Mode objects)."""
+        first = dict.fromkeys(keys)
+        if len(first) < len(keys):
+            ids = {key: i for i, key in enumerate(first)}
+            group = np.fromiter(map(ids.__getitem__, keys), dtype=np.intp, count=len(keys))
+            # ids count up in order of first occurrence
+            rows = np.searchsorted(np.maximum.accumulate(group), np.arange(len(first)))
+            later = np.ones(len(group), dtype=bool)
+            later[rows] = False
+            summed = coeff[rows]
+            np.add.at(summed, group[later], coeff[later])
+            coeff, labels = summed, [x[rows] for x in labels]
+        self._store(coeff, labels)
+
+    def _store(self, coeff, labels):
+        if not coeff.all():
+            keep = coeff != 0.0
+            coeff, labels = coeff[keep], [x[keep] for x in labels]
+        self.coeff, self.p, self.branch, self.a, self.mass, modes = coeff, *labels
+        for value in (self.coeff, self.p, self.branch, self.a, self.mass):
+            value.setflags(write=False)
+        self._modes = modes.copy()
+        self._terms = None
+        self._overlap_keys = {}
+
+    @property
+    def terms(self):
+        """(coeff, Mode, ...) tuples in row order, built on first read."""
+        if self._terms is None:
+            flat = self._modes.reshape(-1)
+            for k, mode in enumerate(flat):
+                if mode is None:
+                    row, col = divmod(k, self.width)
+                    flat[k] = Mode(self.p[row, col], int(self.branch[row, col]), self.a[row, col])
+            self._terms = tuple(zip(self.coeff.tolist(), *self._modes.T))
+        return self._terms
 
     @property
     def is_empty(self):
-        return not self.terms
+        return not len(self.coeff)
 
-    def map_terms(self, fn):
-        """New state of the same kind with term -> fn(*term), or None to drop."""
-        mapped = (fn(*term) for term in self.terms)
-        return replace(self, terms=tuple(item for item in mapped if item is not None))
+    @property
+    def phi(self):
+        """Energy signs, shape (n, w); no p0 is zero in a container."""
+        return np.sign(self.p[..., 0])
+
+    @property
+    def frequency(self):
+        """Tau frequencies nu = branch phi m, shape (n, w)."""
+        return self.branch * self.phi * self.mass
+
+    def spinors(self):
+        """Amplitude spinors block(p) @ a, shape (n, w, 4)."""
+        return _matvec(branch_block(self.p, self.branch, self.mass), self.a)
+
+    def overlap_keys(self, col=0):
+        """Mode.overlap_key of the modes in column `col`, in row order."""
+        if col not in self._overlap_keys:
+            self._overlap_keys[col] = list(zip(self.branch[:, col].tolist(),
+                                               _row_bytes(self.p[:, col])))
+        return self._overlap_keys[col]
+
+    def label(self, row, col=0):
+        key = self.overlap_keys(col)[row]
+        return Label(key[0], self.a[row, col], key)
 
 
-@dataclass(frozen=True)
 class SpectralState(TermContainer):
     """Finite superposition sum_k c_k * mode_k over one quantization box.
 
-    Terms with equal Mode.label_key (-0.0 equal to 0.0) merge on construction
-    in one dict pass and vanishing coefficients drop (TermContainer), so the
-    term list is a canonical sparse spectral representation.
+    The terms are held in the arrays of a TermContainer of width 1: equal
+    labels (-0.0 equal to 0.0) merge on construction and vanishing
+    coefficients drop, so the rows are a canonical sparse spectral
+    representation.  `terms` gives them as (coeff, Mode) tuples, built
+    lazily; the maps below never build a Mode.
     """
 
-    terms: tuple
-    box_edge: float = TWO_PI
+    def __init__(self, terms, box_edge=TWO_PI):
+        self.box_edge = box_edge
+        self._load(terms)
 
     def value(self, x, tau):
         """Wavefunction value sum_k c_k f_k(x, tau)."""
@@ -230,48 +345,34 @@ def single_mode_state(mode: Mode, coeff=1.0, box_edge=TWO_PI) -> SpectralState:
 #
 # Each map sends a plane-wave mode to another plane-wave mode; the transformed
 # spinor is re-expressed in the block basis of the image momentum, which is
-# exact because the maps commute with the free equation.
+# exact because the maps commute with the free equation.  Spatial momenta
+# always flip; `flip` also flips the energy and the branch.
 
-def _transform_mode(mode: Mode, matrix, conjugate, flip_space, flip_energy, flip_branch):
-    w = mode.amplitude_spinor()
+def _transform(state: SpectralState, matrix, conjugate, flip) -> SpectralState:
+    spinor = state.spinors()
     if conjugate:
-        w = w.conj()
-    w = matrix @ w
-    q = mode.p.copy()
-    if flip_space:
-        q[1:] = -q[1:]
-    if flip_energy:
-        q[0] = -q[0]
-    branch = -mode.branch if flip_branch else mode.branch
-    a = decompose_in_block(q, branch, w)
-    return Mode(q, branch, a)
+        spinor = spinor.conj()
+    spinor = _matvec(matrix, spinor)
+    q = state.p * np.array([-1.0 if flip else 1.0, -1.0, -1.0, -1.0])
+    branch = -state.branch if flip else state.branch
+    # q has the squares of p, hence its mass
+    a = decompose_in_block(q, branch, spinor, state.mass)
+    return state._derive(state.coeff.conj() if conjugate else state.coeff, q, branch, a)
 
 
 def charge_conjugate(state: SpectralState) -> SpectralState:
     """Antilinear map psi -> i gamma^2 psi*(x, -tau); momentum and branch flip."""
-    return state.map_terms(
-        lambda c, m: (
-            np.conj(c),
-            _transform_mode(m, 1j * GAMMA2, True, True, True, True),
-        )
-    )
+    return _transform(state, 1j * GAMMA2, True, True)
 
 
 def parity(state: SpectralState) -> SpectralState:
     """Linear map psi -> gamma^0 psi(t, -x, tau); spatial momentum flips."""
-    return state.map_terms(
-        lambda c, m: (c, _transform_mode(m, GAMMA0, False, True, False, False))
-    )
+    return _transform(state, GAMMA0, False, False)
 
 
 def time_reverse(state: SpectralState) -> SpectralState:
     """Antilinear map psi -> i gamma^1 gamma^3 psi*(-t, x, -tau)."""
-    return state.map_terms(
-        lambda c, m: (
-            np.conj(c),
-            _transform_mode(m, 1j * GAMMA1 @ GAMMA3, True, True, False, False),
-        )
-    )
+    return _transform(state, 1j * GAMMA1 @ GAMMA3, True, False)
 
 
 def tpc(state: SpectralState) -> SpectralState:
@@ -280,9 +381,7 @@ def tpc(state: SpectralState) -> SpectralState:
     Sends u modes at p to v modes at -p and conversely, exchanging the two
     tau-frequency subspaces' particle/antiparticle labels.
     """
-    return state.map_terms(
-        lambda c, m: (c, _transform_mode(m, -1j * GAMMA5, False, True, True, True))
-    )
+    return _transform(state, -1j * GAMMA5, False, True)
 
 
 # ---------------------------------------------------------------------------
@@ -295,23 +394,23 @@ def inner_product(state_a: SpectralState, state_b: SpectralState):
     the spinor metric, +a*.b on the u branch and -a*.b on the v branch, and
     mixed branches vanish.  The result does not depend on tau.
 
-    The sum is a join on Mode.overlap_key: each term of state_a meets only
+    The sum is a join on the overlap keys: each term of state_a meets only
     its matches in state_b, in the order of the all-pairs loop.
     """
     if state_a.box_edge != state_b.box_edge:
         raise BoxMismatch("states quantized in different boxes")
-    terms_b = state_b.terms
-    index = key_index(mb.overlap_key for _, mb in terms_b)
+    index = key_index(state_b.overlap_keys())
+    coeffs_a, coeffs_b = state_a.coeff.tolist(), state_b.coeff.tolist()
     total = 0.0j
-    for ca, ma in state_a.terms:
-        for j in index.get(ma.overlap_key, ()):
-            cb, mb = terms_b[j]
-            total += np.conj(ca) * cb * mode_overlap(ma, mb)
+    for i, key in enumerate(state_a.overlap_keys()):
+        for j in index.get(key, ()):
+            total += np.conj(coeffs_a[i]) * coeffs_b[j] * mode_overlap(state_a.label(i), state_b.label(j))
     return total
 
 
-def mode_overlap(ma: Mode, mb: Mode):
-    """Single-mode box inner product, the (k, l) kernel of inner_product."""
+def mode_overlap(ma, mb):
+    """Single-mode box inner product, the (k, l) kernel of inner_product;
+    takes Modes or Labels."""
     if ma.overlap_key != mb.overlap_key:
         return 0.0j
     return complex(ma.branch * np.vdot(ma.a, mb.a))
@@ -319,12 +418,14 @@ def mode_overlap(ma: Mode, mb: Mode):
 
 class Pairs(NamedTuple):
     """Surviving pairs (k[i], l[i]) of a bilinear with their weights; the
-    indices point into modes."""
+    indices point into the rows of the amplitude spinors and momenta, both
+    of shape (n, 4)."""
 
     k: np.ndarray
     l: np.ndarray
     weight: np.ndarray
-    modes: tuple
+    spinors: np.ndarray
+    momenta: np.ndarray
 
 
 def _concatenated_pair_arrays(state: SpectralState) -> Pairs:
@@ -332,12 +433,11 @@ def _concatenated_pair_arrays(state: SpectralState) -> Pairs:
     |nu_k - nu_l| <= ATOL_ALGEBRA max(1, |nu_k|, |nu_l|) over the n x n
     frequency grid; the test is not transitive, so it cannot bucket by
     frequency."""
-    coeffs = np.array([c for c, _ in state.terms], dtype=complex)
-    nu = np.array([mode.frequency for _, mode in state.terms], dtype=float)
+    nu = state.frequency[:, 0]
     scale = np.maximum(1.0, np.maximum(np.abs(nu)[:, None], np.abs(nu)[None, :]))
     k, l = np.nonzero(np.abs(nu[:, None] - nu[None, :]) <= ATOL_ALGEBRA * scale)
-    weight = np.conj(coeffs[k]) * coeffs[l] / state.box_edge**4
-    return Pairs(k, l, weight, tuple(mode for _, mode in state.terms))
+    weight = np.conj(state.coeff[k]) * state.coeff[l] / state.box_edge**4
+    return Pairs(k, l, weight, state.spinors()[:, 0], state.p[:, 0])
 
 
 def concatenated_pairs(state: SpectralState):
@@ -348,13 +448,8 @@ def concatenated_pairs(state: SpectralState):
     overall scale T_tau of the concatenation integral is carried symbolically
     by the caller.
     """
-    terms = state.terms
-    box4 = state.box_edge**4
-    spinors = [mode.amplitude_spinor() for _, mode in terms]
-    pairs = _concatenated_pair_arrays(state)
-    for k, l in zip(pairs.k, pairs.l):
-        (ck, mk), (cl, ml) = terms[k], terms[l]
-        yield np.conj(ck) * cl / box4, ml.p - mk.p, spinors[k], spinors[l]
+    k, l, weight, spinors, momenta = _concatenated_pair_arrays(state)
+    yield from zip(weight, momenta[l] - momenta[k], spinors[k], spinors[l])
 
 
 # entries of the phase matrix per block of pairs in pair_sum
@@ -370,8 +465,7 @@ def pair_sum(pairs: Pairs, insert, points):
     if not callable(insert):
         stack = np.asarray(insert, dtype=complex)
         insert = lambda dp: np.broadcast_to(stack, (len(dp), *stack.shape))  # noqa: E731
-    spinors = np.array([m.amplitude_spinor() for m in pairs.modes], dtype=complex).reshape(-1, 4)
-    momenta = np.array([m.p for m in pairs.modes], dtype=float).reshape(-1, 4)
+    spinors, momenta = pairs.spinors, pairs.momenta
     bars = spinors.conj() @ GAMMA0
     step = max(1, _PHASE_BLOCK // points.shape[0])
     out = 0.0

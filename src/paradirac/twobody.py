@@ -16,7 +16,6 @@ sign is +.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,20 +55,19 @@ from .states import (
 _EXCHANGE_TAGS = ("none", "fermionic", "bosonic")
 
 
-@dataclass(frozen=True)
 class TwoParticleState(TermContainer):
-    """Finite superposition sum_k c_k mode_xk (x) mode_yk over one box; terms
-    merge as in SpectralState (TermContainer), keyed on both label keys."""
+    """Finite superposition sum_k c_k mode_xk (x) mode_yk over one box; the
+    terms are a TermContainer of width 2 and merge as in SpectralState,
+    keyed on both labels."""
 
-    terms: tuple
-    exchange: str = "none"
-    box_edge: float = TWO_PI
     width = 2
 
-    def __post_init__(self):
-        if self.exchange not in _EXCHANGE_TAGS:
+    def __init__(self, terms, exchange="none", box_edge=TWO_PI):
+        if exchange not in _EXCHANGE_TAGS:
             raise ValueError(f"exchange must be one of {_EXCHANGE_TAGS}")
-        super().__post_init__()
+        self.exchange = exchange
+        self.box_edge = box_edge
+        self._load(terms)
 
     def value(self, x, y, tau):
         """4x4 outer-product wavefunction, first index particle 1."""
@@ -99,9 +97,7 @@ def symmetrize(phi: Mode, xi: Mode, box_edge: float = TWO_PI) -> TwoParticleStat
 
 def permute_labels(state: TwoParticleState) -> TwoParticleState:
     """Swap the tensor factors of every term."""
-    return TwoParticleState(
-        tuple((c, my, mx) for c, mx, my in state.terms), state.exchange, state.box_edge
-    )
+    return state._subset((slice(None), slice(None, None, -1)), state.coeff)
 
 
 def exchange_residual(state: TwoParticleState) -> float:
@@ -123,6 +119,11 @@ def exchange_residual(state: TwoParticleState) -> float:
     return worst
 
 
+def _pair_keys(state: TwoParticleState):
+    """(x, y) overlap keys of the terms, in row order."""
+    return list(zip(state.overlap_keys(0), state.overlap_keys(1)))
+
+
 def two_inner_product(state_a: TwoParticleState, state_b: TwoParticleState) -> complex:
     """Tensor inner product: partner overlaps multiply per term pair.
 
@@ -130,15 +131,15 @@ def two_inner_product(state_a: TwoParticleState, state_b: TwoParticleState) -> c
     """
     if state_a.box_edge != state_b.box_edge:
         raise BoxMismatch("states quantized in different boxes")
-    terms_b = state_b.terms
-    index = key_index((bx.overlap_key, by.overlap_key) for _, bx, by in terms_b)
+    index = key_index(_pair_keys(state_b))
+    coeffs_a, coeffs_b = state_a.coeff.tolist(), state_b.coeff.tolist()
     total = 0.0j
-    for ca, ax, ay in state_a.terms:
-        for j in index.get((ax.overlap_key, ay.overlap_key), ()):
-            cb, bx, by = terms_b[j]
-            ov = mode_overlap(ax, bx) * mode_overlap(ay, by)
+    for i, key in enumerate(_pair_keys(state_a)):
+        for j in index.get(key, ()):
+            ov = (mode_overlap(state_a.label(i, 0), state_b.label(j, 0))
+                  * mode_overlap(state_a.label(i, 1), state_b.label(j, 1)))
             if ov != 0.0:
-                total += np.conj(ca) * cb * ov
+                total += np.conj(coeffs_a[i]) * coeffs_b[j] * ov
     return total
 
 
@@ -160,22 +161,23 @@ def _marginal_pairs(state: TwoParticleState, particle: int) -> Pairs:
     """Pairs (k, l) surviving tau concatenation and marginalization of the
     partner factor, found by a join on the partner's overlap key."""
     box4 = state.box_edge**4
-    coeffs = [c for c, _, _ in state.terms]
-    own = tuple(term[particle] for term in state.terms)
-    partners = [term[3 - particle] for term in state.terms]
-    nu = [a.frequency + b.frequency for a, b in zip(own, partners)]
-    index = key_index(b.overlap_key for b in partners)
+    own, other = particle - 1, 2 - particle
+    coeffs = state.coeff.tolist()
+    nu = state.frequency.sum(axis=1).tolist()
+    keys = state.overlap_keys(other)
+    partners = [state.label(k, other) for k in range(len(keys))]
+    index = key_index(keys)
     ks, ls, weights = [], [], []
-    for k, bk in enumerate(partners):
-        for l in index[bk.overlap_key]:
-            partner = mode_overlap(bk, partners[l])
+    for k, key in enumerate(keys):
+        for l in index[key]:
+            partner = mode_overlap(partners[k], partners[l])
             if partner == 0.0 or abs(nu[k] - nu[l]) > ATOL_ALGEBRA * max(1.0, abs(nu[k]), abs(nu[l])):
                 continue
             ks.append(k)
             ls.append(l)
             weights.append(np.conj(coeffs[k]) * coeffs[l] * partner / box4)
     return Pairs(np.array(ks, dtype=int), np.array(ls, dtype=int),
-                 np.array(weights, dtype=complex), own)
+                 np.array(weights, dtype=complex), state.spinors()[:, own], state.p[:, own])
 
 
 def two_currents(state: TwoParticleState, points):
@@ -201,10 +203,8 @@ def two_current_divergence_fd(state: TwoParticleState, points, particle: int = 1
 # first-order two-particle S-matrix
 
 def _require_s_plus(state: TwoParticleState, label: str):
-    for _, mx, my in state.terms:
-        for mode in (mx, my):
-            if classify_subspace(mode) is not Subspace.S_PLUS:
-                raise SubspaceViolation(f"{label} state leaves the forward subspace")
+    if not (state.branch * state.phi > 0).all():
+        raise SubspaceViolation(f"{label} state leaves the forward subspace")
 
 
 def _born_sandwich(mode_in: Mode, mode_out: Mode, pot: ExternalPotential, atol: float) -> complex:
@@ -254,10 +254,10 @@ def s2_first_order(
 
     value = two_inner_product(state_f, state_i)
     terms_i = state_i.terms
-    by_x = key_index(ix.overlap_key for _, ix, _ in terms_i)
-    by_y = key_index(iy.overlap_key for _, _, iy in terms_i)
-    for cf, fx, fy in state_f.terms:
-        matched = {*by_x.get(fx.overlap_key, ()), *by_y.get(fy.overlap_key, ())}
+    by_x = key_index(state_i.overlap_keys(0))
+    by_y = key_index(state_i.overlap_keys(1))
+    for (cf, fx, fy), (key_x, key_y) in zip(state_f.terms, _pair_keys(state_f)):
+        matched = {*by_x.get(key_x, ()), *by_y.get(key_y, ())}
         for j in sorted(matched):
             ci, ix, iy = terms_i[j]
             weight = np.conj(cf) * ci
@@ -369,12 +369,12 @@ def potential_from_transition(mode_in: Mode, mode_out: Mode, charge: float) -> E
     node = charge * jmu / kk
 
     def fourier(dp):
+        """Per row of the transfers dp, shape (..., 4)."""
         dp = np.asarray(dp, dtype=float)
-        if np.allclose(dp, k0, atol=ATOL_SHELL):
-            return node.copy()
-        if np.allclose(dp, -k0, atol=ATOL_SHELL):
-            return np.conj(node)
-        return np.zeros(4, dtype=complex)
+        out = np.zeros(dp.shape, dtype=complex)
+        out[np.isclose(dp, -k0, atol=ATOL_SHELL).all(axis=-1)] = np.conj(node)
+        out[np.isclose(dp, k0, atol=ATOL_SHELL).all(axis=-1)] = node
+        return out
 
     return ExternalPotential(fourier=fourier, static=False,
                              params={"charge": charge, "node": k0})

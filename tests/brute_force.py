@@ -1,8 +1,11 @@
-"""Brute-force O(n^2) references for the label-keyed states code.
+"""Brute-force references for the array-backed states code.
 
 Every loop here visits all term pairs and compares labels with
 np.array_equal, as the all-pairs implementation did; none of them calls the
 keyed merge, the key index or the batched pair kernel it is compared with.
+The per-Mode loops for the discrete symmetries, free evolution and the
+Moller nodes work one Mode at a time, as the code did before the term
+container held arrays; none of them reads a container's arrays.
 The label pools hold momenta and spins with zero components, so that their
 sign-flipped variants (-0.0) test the key folding.
 """
@@ -10,7 +13,22 @@ sign-flipped variants (-0.0) test the key folding.
 import numpy as np
 from hypothesis import strategies as st
 
-from paradirac.algebra import GAMMA0, TWO_PI, four_vector, gamma
+from paradirac.algebra import (
+    ATOL_SHELL,
+    GAMMA0,
+    GAMMA1,
+    GAMMA2,
+    GAMMA3,
+    GAMMA5,
+    TWO_PI,
+    bar,
+    energy_sign,
+    four_vector,
+    gamma,
+    mass_of,
+    slash,
+)
+from paradirac.spinors import branch_block, decompose_in_block
 from paradirac.states import Mode
 
 # on-shell momenta with zero components (masses 1 and 2, both energy signs),
@@ -136,3 +154,91 @@ def marginal_pair_loop(state, particle):
                                                     al.frequency + bl.frequency):
                 out.append((np.conj(ck) * cl * partner, ak, al))
     return out
+
+
+def bits(z):
+    """The exact bits of a complex number, signs of zeros included."""
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+def assert_same_bits(got, want):
+    """Terms equal bit for bit: coefficients, p, branch, a and order."""
+    assert len(got) == len(want)
+    for term, ref in zip(got, want):
+        assert bits(term[0]) == bits(ref[0])
+        for m, r in zip(term[1:], ref[1:]):
+            assert m.branch == r.branch
+            assert m.p.tobytes() == r.p.tobytes() and m.a.tobytes() == r.a.tobytes()
+            assert m.mass.hex() == r.mass.hex()
+
+
+# name: (matrix, conjugate, flip energy and branch); spatial momenta always flip
+SYMMETRIES = {
+    "parity": (GAMMA0, False, False),
+    "time_reverse": (1j * GAMMA1 @ GAMMA3, True, False),
+    "charge_conjugate": (1j * GAMMA2, True, True),
+    "tpc": (-1j * GAMMA5, False, True),
+}
+
+
+def transform_mode(mode, matrix, conjugate, flip):
+    """Image of one mode: the matrix on its amplitude spinor, re-expressed in
+    the block basis of the image momentum."""
+    w = mode.amplitude_spinor()
+    if conjugate:
+        w = w.conj()
+    w = matrix @ w
+    q = mode.p.copy()
+    q[1:] = -q[1:]
+    if flip:
+        q[0] = -q[0]
+    branch = -mode.branch if flip else mode.branch
+    return Mode(q, branch, decompose_in_block(q, branch, w))
+
+
+def symmetry_loop(terms, name):
+    matrix, conjugate, flip = SYMMETRIES[name]
+    return scan_merge([(np.conj(c) if conjugate else c, transform_mode(m, matrix, conjugate, flip))
+                       for c, m in terms])
+
+
+def evolve_loop(terms, tau, tau_prime, which):
+    """Free evolution term by term and factor by factor: a factor survives
+    iff branch * phi = which * sign(dtau) and multiplies the coefficient by
+    (-i) * i sign(dtau) exp(i nu dtau)."""
+    dtau = tau_prime - tau
+    sgn = 1 if dtau > 0 else -1
+    out = []
+    for coeff, *modes in terms:
+        for mode in modes:
+            if mode.branch * mode.phi != which * sgn:
+                break
+            coeff = coeff * (-1j) * (1j * sgn * np.exp(1j * mode.frequency * dtau))
+        else:
+            out.append((coeff, *modes))
+    return scan_merge(out)
+
+
+def moller_loop(incident, potential, out_momenta, charge, box_edge=TWO_PI):
+    """The incident term and one Born node per outgoing momentum, one q at a
+    time; an incident mode in S- gives no terms."""
+    if incident.branch * incident.phi < 0:
+        return []
+    w_in = incident.amplitude_spinor()
+    terms = [(1.0 + 0.0j, incident)]
+    for q in np.atleast_2d(np.asarray(out_momenta, dtype=float)):
+        m_out = mass_of(q)
+        if abs(m_out - incident.mass) > ATOL_SHELL * max(1.0, incident.mass):
+            continue
+        dp = q - incident.p
+        if potential.static and abs(dp[0]) > ATOL_SHELL:
+            continue
+        a_tilde = potential.fourier(dp)
+        if not np.any(a_tilde):
+            continue
+        branch = 1 if energy_sign(q) > 0 else -1
+        a_out = bar(branch_block(q, branch)) @ (slash(a_tilde) @ w_in)
+        if np.any(a_out):
+            terms.append((branch * (1j * charge / box_edge**3), Mode(q, branch, a_out)))
+    return scan_merge(terms)

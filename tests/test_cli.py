@@ -386,3 +386,70 @@ class TestStartupImports:
              ["propagate-demo", 0]],
             [True, True, True, True],
         ]
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def _main_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParserBuiltOnce:
+    def test_repeated_main_calls(self, monkeypatch):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            stream = [["mott"], ["propagate-demo", "--modes", "8", "--which", "-1", "--dtau", "-0.7"],
+                      ["anomaly", "--E", "1,2,3", "--B", "0.5,-1,2"], ["mott", "--angles", "0"]]
+            first = [_main_captured(argv) for argv in stream]
+            again = [_main_captured(argv) for argv in stream]
+        finally:
+            cli._parser.cache_clear()
+        assert builds == [1]
+        assert again == first
+        assert [code for code, _, _ in first] == [0, 0, 0, 2]
+        # the argument error leaves one line and no output
+        _, out, err = first[-1]
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+
+
+class TestRutherfordRange:
+    def test_mott_beyond_p4_overflow(self):
+        # 4 p^4 overflows above |p| of about 1e77 MeV; the squared ratio does not
+        code, out, err = _main_captured(["mott", "--p-mag=1e77", "--angles=90"])
+        assert (code, err) == (0, "")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["kappa_deg", "dcs", "ratio_to_rutherford"]
+        assert abs(float(rows[1][2]) - 0.5) <= 1e-9
+        assert 0.0 < float(rows[1][1]) < math.inf
+
+
+class TestPropagateDemoArgvContract:
+    @settings(max_examples=200)
+    @given(st.integers(-3, 2**64), st.one_of(_magnitude, st.just(0.0)),
+           st.sampled_from([1, -1, 0, 2]), st.integers(-2, 64))
+    def test_strict_json_or_one_line_exit_2(self, seed, dtau, which, modes):
+        argv = ["propagate-demo", f"--seed={seed}", f"--dtau={dtau!r}", f"--which={which}",
+                f"--modes={modes}"]
+        code, out, err = _main_captured(argv)
+        assert code in (0, 2), argv
+        if code == 2:
+            assert out == ""
+            assert err.endswith("\n") and err.count("\n") == 1, err
+            return
+        assert err == ""
+        record = _strict_json(out)
+        assert record["modes_in"] == modes
+        assert record["modes_out"] == len(record["survivors"]) <= modes
