@@ -69,8 +69,7 @@ class InfluenceKernel:
         sgn = self.step_sign
         sign = state.branch * state.phi
         rows = np.flatnonzero((sign == self.which * sgn).all(axis=1))
-        nu = sign[rows] * state.mass[rows]  # the rows of state.frequency
-        return rows, _cmul(1j * sgn, np.exp(1j * nu * self.dtau))
+        return rows, _cmul(1j * sgn, np.exp(1j * state.frequency[rows] * self.dtau))
 
     def apply(self, state: TermContainer) -> TermContainer:
         rows, factors = self._survivors(state)
@@ -214,13 +213,13 @@ def moller_first_order(
     dp = q - incident.p
     if getattr(potential, "static", False):
         shell &= np.abs(dp[:, 0]) <= ATOL_SHELL
-    q, dp, m_out = q[shell], dp[shell], m_out[shell]
+    q, dp = q[shell], dp[shell]
     a_tilde = potential.fourier(dp)
     live = a_tilde.any(axis=-1)
-    q, a_tilde, m_out = q[live], a_tilde[live], m_out[live]
+    q, a_tilde = q[live], a_tilde[live]
     branch = np.where(energy_sign(q) > 0, 1, -1)
     kick = _matvec(slash(a_tilde), incident.amplitude_spinor())
-    a_out = _matvec(bar(branch_block(q, branch, m_out)), kick)
+    a_out = _matvec(bar(branch_block(q, branch)), kick)
     live = a_out.any(axis=-1)
     q, branch, a_out = q[live], branch[live], a_out[live]
     return SpectralState((), box_edge)._derive(

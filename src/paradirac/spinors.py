@@ -166,12 +166,12 @@ def boost_spin(s_hat, p):
     return out
 
 
-def branch_block(p, branch, mass=None):
+def branch_block(p, branch):
     """u_block for branch +1, v_block for branch -1; `branch` is one sign or
-    one per row of p, and `mass` is carried as for u_block."""
+    one per row of p."""
     if not (np.all(np.abs(branch) == 1) if np.ndim(branch) else branch in (1, -1)):
         raise ValueError("branch must be +1 or -1")
-    return _block(p, mass, branch == 1)
+    return _block(p, None, branch == 1)
 
 
 def branch_projector(p, branch):
@@ -179,16 +179,16 @@ def branch_projector(p, branch):
     return lambda_u(p) if branch == 1 else lambda_v(p)
 
 
-def decompose_in_block(p, branch, spinor, mass=None):
+def decompose_in_block(p, branch, spinor):
     """Spin coefficients a with block(p, branch) @ a = spinor.
 
     The right inverse of the block is +bar(u) for the u branch and -bar(v)
     for the v branch.  Raises if the spinor has a component outside the
     branch subspace (it never does for images of the discrete symmetries).
     Momenta (..., 4) and spinors (..., 4) give coefficients (..., 2); the
-    branch and mass are as for branch_block.
+    branch is as for branch_block.
     """
-    block = branch_block(p, branch, mass)
+    block = branch_block(p, branch)
     spinor = np.asarray(spinor)
     a = np.asarray(branch, dtype=float)[..., None] * _matvec(bar(block), spinor)
     residual = _norm(_matvec(block, a) - spinor)

@@ -24,7 +24,7 @@ import copy
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -188,8 +188,9 @@ class TermContainer:
     """Terms c_k (mode_k1 (x) ... (x) mode_kw) of width w, as a struct of arrays.
 
     The arrays are coeff (n,), p (n, w, 4), branch (n, w) and a (n, w, 2),
-    with the mass (n, w) of every mode; all are read-only.  Rows with equal
-    labels merge on construction, keyed on the row bytes of (p + 0.0,
+    with the mass (n, w) of every mode.  The arrays are read-only and no
+    attribute can be reassigned, so the cached views stay valid.  Rows with
+    equal labels merge on construction, keyed on the row bytes of (p + 0.0,
     a + 0.0, branch), so -0.0 equals 0.0 as in array_equal: coefficients add
     in input order at the first occurrence and zero sums drop.  The state
     maps work on the arrays in one batched pass.
@@ -201,11 +202,18 @@ class TermContainer:
 
     width = 1
 
-    def _load(self, terms):
-        """Construct from (coeff, Mode, ...) tuples."""
-        if self.box_edge <= 0.0:
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _load(self, terms, box_edge, **fields):
+        """Construct from (coeff, Mode, ...) tuples in a box of edge
+        box_edge; fields are the further attributes of the subclass."""
+        if box_edge <= 0.0:
             raise ValueError("box edge must be positive")
-        self.box_edge = float(self.box_edge)
+        vars(self).update(fields, box_edge=float(box_edge))
         coeffs, modes, keys = [], [], []
         for coeff, *row in terms:
             if len(row) != self.width or not all(isinstance(m, Mode) for m in row):
@@ -219,8 +227,6 @@ class TermContainer:
             np.array([m.p for m in modes]).reshape(shape + (4,)), branch.T.astype(int),
             np.array([m.a for m in modes]).reshape(shape + (2,)), mass.T,
             np.fromiter(modes, dtype=object, count=len(modes)).reshape(shape)))
-        self._overlap_keys = {col: [m.overlap_key for m in self._modes[:, col]]
-                              for col in range(self.width)}
 
     def _derive(self, coeff, p, branch, a, modes=None):
         """A state of the same kind and box on new label arrays.  Checks in
@@ -265,12 +271,11 @@ class TermContainer:
         if not coeff.all():
             keep = coeff != 0.0
             coeff, labels = coeff[keep], [x[keep] for x in labels]
-        self.coeff, self.p, self.branch, self.a, self.mass, modes = coeff, *labels
-        for value in (self.coeff, self.p, self.branch, self.a, self.mass):
+        p, branch, a, mass, modes = labels
+        for value in (coeff, p, branch, a, mass):
             value.setflags(write=False)
-        self._modes = modes.copy()
-        self._terms = None
-        self._overlap_keys = {}
+        vars(self).update(coeff=coeff, p=p, branch=branch, a=a, mass=mass,
+                          _modes=modes.copy(), _terms=None, _overlap_keys={})
 
     @property
     def terms(self):
@@ -281,7 +286,7 @@ class TermContainer:
                 if mode is None:
                     row, col = divmod(k, self.width)
                     flat[k] = Mode(self.p[row, col], int(self.branch[row, col]), self.a[row, col])
-            self._terms = tuple(zip(self.coeff.tolist(), *self._modes.T))
+            vars(self)["_terms"] = tuple(zip(self.coeff.tolist(), *self._modes.T))
         return self._terms
 
     @property
@@ -300,7 +305,7 @@ class TermContainer:
 
     def spinors(self):
         """Amplitude spinors block(p) @ a, shape (n, w, 4)."""
-        return _matvec(branch_block(self.p, self.branch, self.mass), self.a)
+        return _matvec(branch_block(self.p, self.branch), self.a)
 
     def overlap_keys(self, col=0):
         """Mode.overlap_key of the modes in column `col`, in row order."""
@@ -325,8 +330,7 @@ class SpectralState(TermContainer):
     """
 
     def __init__(self, terms, box_edge=TWO_PI):
-        self.box_edge = box_edge
-        self._load(terms)
+        self._load(terms, box_edge)
 
     def value(self, x, tau):
         """Wavefunction value sum_k c_k f_k(x, tau)."""
@@ -355,8 +359,7 @@ def _transform(state: SpectralState, matrix, conjugate, flip) -> SpectralState:
     spinor = _matvec(matrix, spinor)
     q = state.p * np.array([-1.0 if flip else 1.0, -1.0, -1.0, -1.0])
     branch = -state.branch if flip else state.branch
-    # q has the squares of p, hence its mass
-    a = decompose_in_block(q, branch, spinor, state.mass)
+    a = decompose_in_block(q, branch, spinor)
     return state._derive(state.coeff.conj() if conjugate else state.coeff, q, branch, a)
 
 

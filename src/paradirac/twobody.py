@@ -65,9 +65,7 @@ class TwoParticleState(TermContainer):
     def __init__(self, terms, exchange="none", box_edge=TWO_PI):
         if exchange not in _EXCHANGE_TAGS:
             raise ValueError(f"exchange must be one of {_EXCHANGE_TAGS}")
-        self.exchange = exchange
-        self.box_edge = box_edge
-        self._load(terms)
+        self._load(terms, box_edge, exchange=exchange)
 
     def value(self, x, y, tau):
         """4x4 outer-product wavefunction, first index particle 1."""

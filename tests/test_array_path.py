@@ -6,6 +6,8 @@ bit, the one-Mode-at-a-time loops of brute_force.py; and none of them may
 build a Mode until a caller reads `terms`.
 """
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -157,3 +159,20 @@ class TestArrayPathBuildsNoModes:
         built.clear()
         assert len(free_evolve(state, 0.0, -0.4, -1).terms) > 0
         assert built == []
+
+
+class TestContainersAreReadOnly:
+    """The cached terms view and join keys rest on labels that never change."""
+
+    def test_attributes_cannot_be_reassigned(self, rng):
+        state = random_state(rng, 3)
+        pair = TwoParticleState(((1.0, *state.terms[0][1:], state.terms[1][1]),), "none")
+        for container, field in ((state, "box_edge"), (state, "coeff"), (state, "p"),
+                                 (pair, "exchange"), (pair, "a")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(container, field, getattr(container, field))
+            with pytest.raises(FrozenInstanceError):
+                delattr(container, field)
+        with pytest.raises(ValueError):
+            state.coeff[0] = 0.0
+        assert state.box_edge == states.TWO_PI and pair.exchange == "none"
