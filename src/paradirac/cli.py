@@ -210,7 +210,6 @@ def cmd_propagate_demo(args) -> int:
         }
         for coeff, mode in evolved.terms
     ]
-    momenta = [mode.p for _, mode in state.terms]
     record = {
         "command": "propagate-demo",
         "which": args.which,
@@ -219,9 +218,8 @@ def cmd_propagate_demo(args) -> int:
         "modes_in": len(state.terms),
         "modes_out": len(evolved.terms),
         "survivors": survivors,
-        "kernel_conjugation_residual": float(
-            influence_conjugation_check(np.zeros(4), args.dtau or 1.0, momenta)
-        ),
+        "kernel_conjugation_residual": influence_conjugation_check(np.zeros(4), args.dtau,
+                                                                   state.p[:, 0]),
         "units": {
             "p": "MeV",
             "frequency": "MeV",

@@ -507,10 +507,12 @@ def f2_record(alpha: float = FINE_STRUCTURE) -> dict:
 
 
 def anomaly_record(electric, magnetic, charge: float = ELEMENTARY_CHARGE) -> dict:
-    field = FieldConfiguration.from_fields(electric, magnetic)
+    value = float(anomaly_rhs(FieldConfiguration.from_fields(electric, magnetic), charge)) + 0.0
+    if not math.isfinite(value):
+        raise NonfiniteResult("the contraction eps^{mnrs} F_mn F_rs overflows")
     return {
         "quantity": "axial_anomaly_rhs",
-        "value": float(anomaly_rhs(field, charge)) + 0.0,
+        "value": value,
         "units": "MeV^4",
         "est_error": 0.0,
         "quadrature_panels": 0,

@@ -550,22 +550,25 @@ def current_divergence_fd(state: SpectralState, points, step=1e-3):
 # ---------------------------------------------------------------------------
 # serialization
 #
-# The wire shape is a JSON list of {p, branch, a, L}; term coefficients are
-# folded into the spin coefficients, which is lossless for the wavefunction.
+# Both wire formats write a mode as the record {p, branch, a}, a as [re, im]
+# pairs.  A spectral state is a JSON list of mode records with L appended; term
+# coefficients are folded into the spin coefficients, lossless for the wavefunction.
+
+def mode_to_record(mode: Mode, a) -> dict:
+    """The wire record of `mode` carrying the spin coefficients `a`."""
+    return {"p": [float(c) for c in mode.p], "branch": mode.branch,
+            "a": [[float(z.real), float(z.imag)] for z in a]}
+
+
+def mode_from_record(record) -> Mode:
+    """The Mode of one wire record."""
+    a = np.array([complex(re, im) for re, im in record["a"]])
+    return Mode(np.array(record["p"], dtype=float), int(record["branch"]), a)
+
 
 def state_to_json(state: SpectralState) -> str:
-    items = []
-    for coeff, mode in state.terms:
-        a_eff = coeff * mode.a
-        items.append(
-            {
-                "p": [float(c) for c in mode.p],
-                "branch": mode.branch,
-                "a": [[float(z.real), float(z.imag)] for z in a_eff],
-                "L": state.box_edge,
-            }
-        )
-    return json.dumps(items)
+    return json.dumps([{**mode_to_record(mode, coeff * mode.a), "L": state.box_edge}
+                       for coeff, mode in state.terms])
 
 
 def state_from_json(text: str) -> SpectralState:
@@ -580,6 +583,5 @@ def state_from_json(text: str) -> SpectralState:
             box = edge
         elif edge != box:
             raise BoxMismatch("mode records disagree on the box edge")
-        a = np.array([complex(re, im) for re, im in item["a"]])
-        terms.append((1.0 + 0.0j, Mode(np.array(item["p"], dtype=float), int(item["branch"]), a)))
+        terms.append((1.0 + 0.0j, mode_from_record(item)))
     return SpectralState(tuple(terms), TWO_PI if box is None else box)

@@ -37,7 +37,7 @@ from .errors import (
     OnMassShell,
     SubspaceViolation,
 )
-from .propagate import free_evolve, kernel_matrix
+from .propagate import _kernels, _max_residual, free_evolve
 from .scattering import ExternalPotential, ReducedAmplitude
 from .states import (
     Mode,
@@ -47,7 +47,9 @@ from .states import (
     _divergence_fd,
     classify_subspace,
     key_index,
+    mode_from_record,
     mode_overlap,
+    mode_to_record,
     pair_current,
     plane_wave_value,
 )
@@ -205,17 +207,18 @@ def _require_s_plus(state: TwoParticleState, label: str):
         raise SubspaceViolation(f"{label} state leaves the forward subspace")
 
 
-def _born_sandwich(mode_in: Mode, mode_out: Mode, pot: ExternalPotential, atol: float) -> complex:
+def _born_sandwich(mode_in: Mode, mode_out: Mode, pot: ExternalPotential) -> complex:
     """bar(w_out) slash(A~(Dp)) w_in with the conservation deltas resolved.
 
     Frequency (hence mass) conservation and, for static potentials, energy
-    conservation are enforced as exact zeros.  Projection onto a definite
-    final mode cancels the branch signs, so one formula covers u and v type.
+    conservation are enforced as exact zeros at ATOL_SHELL.  Projection onto
+    a definite final mode cancels the branch signs, so one formula covers u
+    and v type.
     """
-    if abs(mode_out.frequency - mode_in.frequency) > atol * max(1.0, abs(mode_in.frequency)):
+    if abs(mode_out.frequency - mode_in.frequency) > ATOL_SHELL * max(1.0, abs(mode_in.frequency)):
         return 0.0j
     dp = mode_out.p - mode_in.p
-    if pot.static and abs(dp[0]) > atol:
+    if pot.static and abs(dp[0]) > ATOL_SHELL:
         return 0.0j
     a_tilde = pot.fourier(dp)
     if not np.any(a_tilde):
@@ -261,10 +264,10 @@ def s2_first_order(
             weight = np.conj(cf) * ci
             ov_y = mode_overlap(fy, iy)
             if ov_y != 0.0:
-                value += weight * (1j * e1 / box3) * _born_sandwich(ix, fx, pot1, ATOL_SHELL) * ov_y
+                value += weight * (1j * e1 / box3) * _born_sandwich(ix, fx, pot1) * ov_y
             ov_x = mode_overlap(fx, ix)
             if ov_x != 0.0:
-                value += weight * ov_x * (1j * e2 / box3) * _born_sandwich(iy, fy, pot2, ATOL_SHELL)
+                value += weight * ov_x * (1j * e2 / box3) * _born_sandwich(iy, fy, pot2)
     factors = (("delta(Dnu_total)", "T_tau"),)
     if pot1.static or pot2.static:
         factors += (("2pi*delta(Dp0)", "T_0"),)
@@ -275,12 +278,15 @@ def s2_first_order(
 # two-particle kernel conjugation
 
 def two_kernel_matrix(which: int, momenta_pair, dx_pair, dtau: float, box_edge: float = TWO_PI):
-    """16x16 tensor kernel for one (p_x, p_y) support pair, bare product form."""
-    px, py = momenta_pair
+    """16x16 tensor kernel, bare product form, per (p_x, p_y) support pair:
+    pairs of shape (..., 2, 4) give kernels of shape (..., 16, 16)."""
+    momenta = np.asarray(momenta_pair, dtype=float)
     dx, dy = dx_pair
-    kx = kernel_matrix(which, [px], dx, dtau, box_edge)
-    ky = kernel_matrix(which, [py], dy, dtau, box_edge)
-    return np.kron(kx, ky)
+    kx = _kernels(which, momenta[..., 0, :], dx, dtau, box_edge)
+    ky = _kernels(which, momenta[..., 1, :], dy, dtau, box_edge)
+    # the broadcast product np.kron forms, with the pair axes in front
+    product = kx[..., :, None, :, None] * ky[..., None, :, None, :]
+    return product.reshape(product.shape[:-4] + (16, 16))
 
 
 def two_conjugation_check(dx_pair, dtau: float, momenta_pairs, box_edge: float = TWO_PI) -> float:
@@ -290,14 +296,11 @@ def two_conjugation_check(dx_pair, dtau: float, momenta_pairs, box_edge: float =
     kernels, support-pair-wise; the max residual over pairs is returned.
     """
     dx, dy = (np.asarray(v, dtype=float) for v in dx_pair)
+    pairs = np.asarray(momenta_pairs, dtype=float).reshape(-1, 2, 4)
     g00 = np.kron(GAMMA0, GAMMA0)
-    worst = 0.0
-    for px, py in momenta_pairs:
-        plus = two_kernel_matrix(+1, (px, py), (dx, dy), dtau, box_edge)
-        minus = two_kernel_matrix(-1, (px, py), (-dx, -dy), -dtau, box_edge)
-        resid = np.abs(g00 @ plus.conj().T @ g00 - minus).max()
-        worst = max(worst, float(resid))
-    return worst
+    plus = two_kernel_matrix(+1, pairs, (dx, dy), dtau, box_edge)
+    minus = two_kernel_matrix(-1, pairs, (-dx, -dy), -dtau, box_edge)
+    return _max_residual(g00 @ plus.conj().swapaxes(-1, -2) @ g00 - minus)
 
 
 # ---------------------------------------------------------------------------
@@ -401,33 +404,15 @@ def mutual_scattering_amplitude(in1: Mode, out1: Mode, in2: Mode, out2: Mode,
 # serialization
 
 def two_state_to_json(state: TwoParticleState) -> str:
-    def mode_record(mode: Mode):
-        return {
-            "p": [float(c) for c in mode.p],
-            "branch": mode.branch,
-            "a": [[float(z.real), float(z.imag)] for z in mode.a],
-        }
-
-    payload = {
-        "exchange": state.exchange,
-        "L": state.box_edge,
-        "pairs": [
-            {"c": [float(c.real), float(c.imag)], "x": mode_record(mx), "y": mode_record(my)}
-            for c, mx, my in state.terms
-        ],
-    }
-    return json.dumps(payload)
+    pairs = [{"c": [float(c.real), float(c.imag)], "x": mode_to_record(mx, mx.a),
+              "y": mode_to_record(my, my.a)} for c, mx, my in state.terms]
+    return json.dumps({"exchange": state.exchange, "L": state.box_edge, "pairs": pairs})
 
 
 def two_state_from_json(text: str) -> TwoParticleState:
     payload = json.loads(text)
-
-    def mode_from(rec):
-        a = np.array([complex(re, im) for re, im in rec["a"]])
-        return Mode(np.array(rec["p"], dtype=float), int(rec["branch"]), a)
-
     terms = tuple(
-        (complex(pair["c"][0], pair["c"][1]), mode_from(pair["x"]), mode_from(pair["y"]))
+        (complex(pair["c"][0], pair["c"][1]), mode_from_record(pair["x"]), mode_from_record(pair["y"]))
         for pair in payload["pairs"]
     )
     return TwoParticleState(terms, payload["exchange"], float(payload["L"]))

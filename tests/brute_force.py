@@ -5,7 +5,8 @@ np.array_equal, as the all-pairs implementation did; none of them calls the
 keyed merge, the key index or the batched pair kernel it is compared with.
 The per-Mode loops for the discrete symmetries, free evolution and the
 Moller nodes work one Mode at a time, as the code did before the term
-container held arrays; none of them reads a container's arrays.
+container held arrays; none of them reads a container's arrays.  The free
+influence kernel is the loop over its support, one momentum at a time.
 The label pools hold momenta and spins with zero components, so that their
 sign-flipped variants (-0.0) test the key folding.
 """
@@ -26,9 +27,10 @@ from paradirac.algebra import (
     four_vector,
     gamma,
     mass_of,
+    minkowski_dot,
     slash,
 )
-from paradirac.spinors import branch_block, decompose_in_block
+from paradirac.spinors import branch_block, decompose_in_block, lambda_u, lambda_v
 from paradirac.states import Mode
 
 # on-shell momenta with zero components (masses 1 and 2, both energy signs),
@@ -242,3 +244,24 @@ def moller_loop(incident, potential, out_momenta, charge, box_edge=TWO_PI):
         if np.any(a_out):
             terms.append((branch * (1j * charge / box_edge**3), Mode(q, branch, a_out)))
     return scan_merge(terms)
+
+
+def kernel_term(which, p, dx, dtau):
+    """One support momentum's unscaled kernel term: its u-type projector and
+    the + mass phase where phi_p = which*sign(dtau), else the v-type pair."""
+    p = np.asarray(p, dtype=float)
+    phi = energy_sign(p)
+    m = mass_of(p)
+    space_phase = minkowski_dot(p, dx)
+    if phi == which * (1 if dtau > 0 else -1):
+        return lambda_u(p) * np.exp(1j * (space_phase + phi * m * dtau))
+    return lambda_v(p) * np.exp(1j * (space_phase - phi * m * dtau))
+
+
+def kernel_loop(which, momenta, dx, dtau, box_edge=TWO_PI):
+    """kernel_matrix as the sum over its support, one momentum at a time."""
+    dx = np.asarray(dx, dtype=float)
+    out = np.zeros((4, 4), dtype=complex)
+    for p in momenta:
+        out += kernel_term(which, p, dx, dtau)
+    return (1 if dtau > 0 else -1) * 1j / box_edge**4 * out

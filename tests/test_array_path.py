@@ -3,7 +3,8 @@
 The discrete symmetries, free evolution and the Moller nodes each run as one
 batched pass over the container's arrays.  Their results must equal, bit for
 bit, the one-Mode-at-a-time loops of brute_force.py; and none of them may
-build a Mode until a caller reads `terms`.
+build a Mode until a caller reads `terms`.  The free influence kernel is one
+pass over its momentum support, bit for bit the loop over the support.
 """
 
 from dataclasses import FrozenInstanceError
@@ -15,24 +16,39 @@ from hypothesis import strategies as st
 
 from brute_force import (
     COEFFS,
+    LABEL_MOMENTA,
     LABELS,
     SYMMETRIES,
     assert_same_bits,
     build_terms,
     evolve_loop,
+    kernel_loop,
+    kernel_term,
     label_mode,
     moller_loop,
     scan_merge,
+    signed_zeros,
     symmetry_loop,
 )
-from paradirac import states
+from paradirac import propagate, states
 from paradirac.algebra import ELEMENTARY_CHARGE, four_vector
-from paradirac.errors import UnresolvedDelta
-from paradirac.propagate import elastic_shell, free_evolve, moller_first_order
-from paradirac.sampling import random_mode, random_spin_coefficients, random_state
+from paradirac.errors import MasslessState, SuperluminalMomentum, UnresolvedDelta, ZeroEnergy
+from paradirac.propagate import (
+    elastic_shell,
+    free_evolve,
+    influence_conjugation_check,
+    kernel_matrix,
+    moller_first_order,
+)
+from paradirac.sampling import (
+    random_mode,
+    random_spin_coefficients,
+    random_state,
+    random_timelike_momentum,
+)
 from paradirac.scattering import ExternalPotential, coulomb_ft, coulomb_potential
 from paradirac.states import Mode, SpectralState, concatenated_current, inner_product
-from paradirac.twobody import TwoParticleState, potential_from_transition
+from paradirac.twobody import TwoParticleState, potential_from_transition, two_kernel_matrix
 
 SEEDS = st.integers(0, 2**32 - 1)
 LABEL_STATES = st.lists(st.tuples(COEFFS, LABELS), max_size=12)
@@ -129,6 +145,74 @@ class TestMollerMatchesOracle:
         momenta = elastic_shell(m_in.p, [0.5, 1.0, 2.0], n_azimuth=3)
         assert_same_bits(moller_first_order(m_in, pot, momenta).terms,
                          moller_loop(m_in, pot, momenta, ELEMENTARY_CHARGE))
+
+
+DTAUS = st.floats(-5.0, 5.0).filter(lambda dtau: dtau != 0.0)
+
+
+def seeded_support(seed, n):
+    """n momenta of random masses, alternating energy signs, and a random dx;
+    label momenta with signed zeros ride along where n allows."""
+    rng = np.random.default_rng(seed)
+    momenta = [random_timelike_momentum(rng, mass=rng.uniform(0.5, 2.0), phi=(-1) ** k,
+                                        p_scale=rng.uniform(0.1, 3.0)) for k in range(n)]
+    for k, p in enumerate(LABEL_MOMENTA[:n // 3]):
+        momenta[3 * k] = signed_zeros(p, k % 2 == 0)
+    return np.array(momenta).reshape(-1, 4), rng.normal(size=4)
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestKernelPassMatchesOracle:
+    """kernel_matrix, the conjugation checks and the two-body kernel take one
+    pass over the support; the oracle is the loop over it."""
+
+    @given(seed=SEEDS, n=st.integers(0, 24), which=st.sampled_from((1, -1)), dtau=DTAUS)
+    @example(seed=1, n=0, which=1, dtau=0.7)
+    @example(seed=1, n=300, which=-1, dtau=-0.7)
+    def test_stack_rows_and_sum(self, seed, n, which, dtau):
+        momenta, dx = seeded_support(seed, n)
+        sgn, terms = propagate._support_terms(which, momenta, dx, dtau)
+        assert sgn == (1 if dtau > 0 else -1)
+        assert terms.shape == (n, 4, 4)
+        # each row as the loop's zero-started sum adds it, -0.0 folded
+        for row, p in zip(terms, momenta):
+            assert same_bits(row, np.zeros((4, 4), dtype=complex) + kernel_term(which, p, dx, dtau))
+        assert same_bits(kernel_matrix(which, list(momenta), dx, dtau, 1.7),
+                         kernel_loop(which, momenta, dx, dtau, 1.7))
+
+    @given(seed=SEEDS, n=st.integers(0, 8), which=st.sampled_from((1, -1)), dtau=DTAUS)
+    def test_two_kernel_is_kron_per_pair(self, seed, n, which, dtau):
+        momenta, dx = seeded_support(seed, 2 * n)
+        dy = np.random.default_rng(seed).normal(size=4)
+        pairs = momenta.reshape(n, 2, 4)
+        stack = two_kernel_matrix(which, pairs, (dx, dy), dtau)
+        assert stack.shape == (n, 16, 16)
+        for kernel, (px, py) in zip(stack, pairs):
+            want = np.kron(kernel_loop(which, [px], dx, dtau), kernel_loop(which, [py], dy, dtau))
+            assert same_bits(kernel, want)
+            assert same_bits(two_kernel_matrix(which, (px, py), (dx, dy), dtau), want)
+
+    def test_empty_supports(self):
+        assert same_bits(kernel_matrix(1, [], np.zeros(4), 0.5), np.zeros((4, 4), dtype=complex))
+        assert influence_conjugation_check(np.zeros(4), 0.5, []) == 0.0
+
+    @pytest.mark.parametrize("bad, error", [
+        (four_vector(1.0, 2.0, 0.0, 0.0), SuperluminalMomentum),
+        (four_vector(0.0, 0.5, 0.0, 0.0), ZeroEnergy),
+        (four_vector(1.0, 1.0, 0.0, 0.0), MasslessState),
+    ])
+    def test_one_bad_momentum(self, rng, bad, error):
+        momenta = [random_timelike_momentum(rng), bad, random_timelike_momentum(rng)]
+        dx = rng.normal(size=4)
+        with pytest.raises(error):
+            kernel_loop(1, momenta, dx, 0.5)
+        with pytest.raises(error):
+            kernel_matrix(1, momenta, dx, 0.5)
+        with pytest.raises(error):
+            influence_conjugation_check(dx, 0.5, momenta)
 
 
 class TestArrayPathBuildsNoModes:

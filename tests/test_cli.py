@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -19,10 +20,11 @@ except ModuleNotFoundError:  # Python 3.10
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paradirac import cli
+from paradirac.verify import SUITE_NAMES
 from paradirac.algebra import ELECTRON_MASS, ELEMENTARY_CHARGE, FINE_STRUCTURE
 from paradirac.scattering import mott_dcs, mott_ratio
 
@@ -240,7 +242,7 @@ class TestNonFiniteInputs:
         ["propagate-demo", "--dtau", "inf"],
         ["verify", "--tol", "inf"],
         ["anomaly", "--E", "inf,0,0", "--B", "1,1,1"],
-        # finite arguments whose record overflows: strict JSON refuses Infinity
+        # finite arguments whose contraction overflows
         ["anomaly", "--E", "1e300,0,0", "--B", "1e300,0,0"],
         # finite arguments whose result overflows, or underflows to 0/0
         ["mott", "--p-mag", "1e300", "--angles", "90"],
@@ -259,6 +261,15 @@ class TestNonFiniteInputs:
         assert code == 2
         assert captured.out == ""
         assert captured.err
+
+    @pytest.mark.parametrize("electric, magnetic", [
+        ("1e200,0,0", "1e200,0,0"),  # E.B overflows to inf
+        ("1e200,1e200,0", "1e200,-1e200,0"),  # inf - inf in the index sums
+    ])
+    def test_anomaly_overflow_names_the_contraction(self, electric, magnetic):
+        code, out, err = _main_captured(["anomaly", "--E", electric, "--B", magnetic])
+        assert (code, out) == (2, "")
+        assert err == "paradirac anomaly: the contraction eps^{mnrs} F_mn F_rs overflows\n"
 
 
 # +-10^U(-300, 300): signs that argparse must refuse, magnitudes whose
@@ -453,3 +464,70 @@ class TestPropagateDemoArgvContract:
         record = _strict_json(out)
         assert record["modes_in"] == modes
         assert record["modes_out"] == len(record["survivors"]) <= modes
+
+
+# float arguments: +-10^U(-300, 300), signed zeros and the non-finite spellings
+_float_arg = st.one_of(_magnitude, st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+_triple = st.lists(_float_arg, min_size=3, max_size=3).map(lambda v: ",".join(map(repr, v)))
+
+
+def _rejected(code, out, err):
+    """Whether the run exited 2, which it must do with no output and one line."""
+    if code != 2:
+        return False
+    assert out == ""
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    return True
+
+
+class TestArgvContract:
+    """verify, uehling, g2 and anomaly on argv drawn from the parser's grammar:
+    exit 0 with strict JSON or a full report, exit 2 with no output and one
+    line on stderr, or, for verify only, exit 1 with a full report ending in
+    `verify: FAIL`.  Never a traceback."""
+
+    @settings(max_examples=40)
+    @given(st.sampled_from(("all",) + SUITE_NAMES), st.integers(-(2**70), 2**70),
+           st.one_of(st.none(), _float_arg))
+    @example("all", -1, None)
+    @example("spinors", 2**64 + 1, 1e-30)
+    def test_verify(self, suite, seed, tol):
+        argv = ["verify", f"--suite={suite}", f"--seed={seed}"]
+        argv += [] if tol is None else [f"--tol={tol!r}"]
+        code, out, err = _main_captured(argv)
+        assert code in (0, 1, 2), argv
+        if _rejected(code, out, err):
+            return
+        assert err == ""
+        lines = out.splitlines()
+        assert lines[-1] == ("verify: PASS" if code == 0 else "verify: FAIL")
+        summaries = [re.fullmatch(r"\[(\w+)\] (\d+)/(\d+) checks passed", line) for line in lines]
+        summaries = [match.groups() for match in summaries if match]
+        assert [name for name, _, _ in summaries] == list(SUITE_NAMES if suite == "all" else (suite,))
+        assert len(lines) == 1 + sum(1 + int(total) for _, _, total in summaries)
+        assert all(passed == total for _, passed, total in summaries) == (code == 0)
+
+    @settings(max_examples=100)
+    @given(_float_arg, st.sampled_from(sorted(cli._STATE_LABELS)))
+    def test_uehling(self, z, state):
+        self.assert_json_record(["uehling", f"--Z={z!r}", f"--state={state}"])
+
+    @settings(max_examples=100)
+    @given(_float_arg)
+    def test_g2(self, alpha):
+        self.assert_json_record(["g2", f"--alpha={alpha!r}"])
+
+    @settings(max_examples=100)
+    @given(_triple, _triple)
+    def test_anomaly(self, electric, magnetic):
+        self.assert_json_record(["anomaly", f"--E={electric}", f"--B={magnetic}"])
+
+    @staticmethod
+    def assert_json_record(argv):
+        code, out, err = _main_captured(argv)
+        assert code in (0, 2), argv
+        if _rejected(code, out, err):
+            return
+        assert err == ""
+        record = _strict_json(out)
+        assert math.isfinite(record["value"]) and math.isfinite(record["est_error"])

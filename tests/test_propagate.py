@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from paradirac import propagate
 from paradirac.algebra import ELEMENTARY_CHARGE, TWO_PI, four_vector, minkowski_dot
 from paradirac.errors import DegenerateInterval, UnresolvedDelta
 from paradirac.propagate import (
@@ -25,6 +26,7 @@ from paradirac.sampling import (
 from paradirac.scattering import coulomb_potential, s1_amplitude
 from paradirac.spinors import u_block, v_block
 from paradirac.states import Mode, single_mode_state
+from paradirac.twobody import two_conjugation_check
 
 
 class TestFiltering:
@@ -109,6 +111,36 @@ class TestKernelMatrix:
         momenta = [random_timelike_momentum(rng) for _ in range(6)]
         resid = influence_conjugation_check(rng.normal(size=4), 1.3, momenta)
         assert resid == 0.0
+
+
+class TestKernelScalingGuard:
+    """The projectors are built once per kernel stack, not once per support
+    momentum: a call count, not a timing."""
+
+    @pytest.fixture
+    def projector_calls(self, monkeypatch):
+        calls = []
+        for name in ("lambda_u", "lambda_v"):
+            fn = getattr(propagate, name)
+            monkeypatch.setattr(propagate, name,
+                                lambda *args, fn=fn, **kw: calls.append(1) or fn(*args, **kw))
+        return calls
+
+    def test_influence_conjugation_check(self, rng, projector_calls):
+        counts = []
+        for n in (1, 400):
+            projector_calls.clear()
+            momenta = [random_timelike_momentum(rng) for _ in range(n)]
+            assert influence_conjugation_check(rng.normal(size=4), 0.9, momenta) == 0.0
+            counts.append(len(projector_calls))
+        # one lambda_u and one lambda_v call for each of the two kernel stacks
+        assert counts == [4, 4]
+
+    def test_two_conjugation_check(self, rng, projector_calls):
+        pairs = [(random_timelike_momentum(rng), random_timelike_momentum(rng)) for _ in range(200)]
+        assert two_conjugation_check((rng.normal(size=4), rng.normal(size=4)), 0.6, pairs) == 0.0
+        # two signs, two tensor factors, one lambda_u and one lambda_v each
+        assert len(projector_calls) == 8
 
 
 class TestElasticShell:

@@ -12,6 +12,7 @@ from brute_force import (
     assert_same_terms,
     build_terms,
     frequencies_match,
+    label_mode,
     pair_loop_current,
     scan_merge,
     signed_zeros,
@@ -264,6 +265,16 @@ class TestSerialization:
     def test_roundtrip_term_count(self, rng):
         state = random_state(rng, 5)
         assert len(state_from_json(state_to_json(state)).terms) == len(state.terms)
+
+    def test_wire_text(self):
+        # recorded before the mode-record codec was shared with twobody
+        state = SpectralState(((0.5 - 1.0j, label_mode((0, 1, 2, False))),
+                               (1.0j, label_mode((1, -1, 3, True)))), box_edge=2.0)
+        assert state_to_json(state) == (
+            '[{"p": [1.4142135623730951, 1.0, 0.0, 0.0], "branch": 1, '
+            '"a": [[0.3, -0.6], [0.8, 0.4]], "L": 2.0}, '
+            '{"p": [-1.118033988749895, -0.0, 0.5, -0.0], "branch": -1, '
+            '"a": [[-1.0, 1.0], [0.0, -0.5]], "L": 2.0}]')
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,16 @@ from paradirac.algebra import ELEMENTARY_CHARGE, TWO_PI, four_vector
 from paradirac.errors import (
     BoxMismatch,
     GridIncompatible,
+    MasslessState,
     OnLightCone,
     OnMassShell,
     SubspaceViolation,
+    SuperluminalMomentum,
 )
 from paradirac.propagate import elastic_shell, free_evolve
 from paradirac.sampling import random_mode, random_spin_coefficients
 from paradirac.scattering import coulomb_potential, s1_amplitude, zero_potential
-from paradirac.states import Mode, parity, single_mode_state
+from paradirac.states import Mode, parity, single_mode_state, state_from_json
 from paradirac.twobody import (
     TwoParticleState,
     _born_sandwich,
@@ -309,6 +311,37 @@ class TestSerialization:
         assert record["exchange"] == "bosonic"
         assert len(record["pairs"]) == 2
 
+    def test_wire_text(self):
+        # recorded before the mode-record codec was shared with states
+        state = TwoParticleState(((0.25 - 2.0j, label_mode((0, 1, 1, True)),
+                                   label_mode((2, -1, 2, False))),), "fermionic", 3.0)
+        assert two_state_to_json(state) == (
+            '{"exchange": "fermionic", "L": 3.0, "pairs": [{"c": [0.25, -2.0], '
+            '"x": {"p": [1.4142135623730951, 1.0, -0.0, -0.0], "branch": 1, '
+            '"a": [[-0.0, -0.0], [-0.0, 1.0]]}, '
+            '"y": {"p": [1.0, 0.0, 0.0, 0.0], "branch": -1, "a": [[0.6, 0.0], [0.0, 0.8]]}}]}')
+
+    @pytest.mark.parametrize("change, error", [
+        ({"p": None}, ValueError),
+        ({"branch": None}, TypeError),
+        ({"a": None}, TypeError),
+        ({"branch": 0}, ValueError),
+        ({"p": [1.0, 2.0, 0.0, 0.0]}, SuperluminalMomentum),
+        ({"p": [1.0, 1.0, 0.0, 0.0]}, MasslessState),
+        ({"a": [[1.0, 2.0, 3.0]]}, ValueError),
+    ])
+    def test_malformed_mode_records(self, change, error):
+        # both readers share one record decoder and raise what each did alone
+        record = {"p": [np.sqrt(2.0), 1.0, 0.0, 0.0], "branch": 1, "a": [[0.3, -0.6], [0.8, 0.4]]}
+        record = {**record, **change}
+        one = json.dumps([{**record, "L": 2.0}])
+        two = json.dumps({"exchange": "none", "L": 2.0,
+                          "pairs": [{"c": [1.0, 0.0], "x": record, "y": record}]})
+        with pytest.raises(error):
+            state_from_json(one)
+        with pytest.raises(error):
+            two_state_from_json(two)
+
 
 # ---------------------------------------------------------------------------
 # label keys: merges, joins and marginal currents against the brute-force
@@ -335,7 +368,7 @@ def two_terms(raw, momenta=None):
     return tuple((c, label_mode(x, **kw), label_mode(y, **kw)) for c, x, y in raw)
 
 
-def all_pairs_s2(state_i, state_f, pots, atol=1e-9):
+def all_pairs_s2(state_i, state_f, pots):
     """s2_first_order as the loop over every (final, initial) term pair."""
     e1 = e2 = ELEMENTARY_CHARGE
     box3 = TWO_PI**3
@@ -345,10 +378,10 @@ def all_pairs_s2(state_i, state_f, pots, atol=1e-9):
             weight = np.conj(cf) * ci
             ov_y = overlap(fy, iy)
             if ov_y != 0.0:
-                value += weight * (1j * e1 / box3) * _born_sandwich(ix, fx, pots[0], atol) * ov_y
+                value += weight * (1j * e1 / box3) * _born_sandwich(ix, fx, pots[0]) * ov_y
             ov_x = overlap(fx, ix)
             if ov_x != 0.0:
-                value += weight * ov_x * (1j * e2 / box3) * _born_sandwich(iy, fy, pots[1], atol)
+                value += weight * ov_x * (1j * e2 / box3) * _born_sandwich(iy, fy, pots[1])
     return complex(value)
 
 
