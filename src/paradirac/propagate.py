@@ -156,9 +156,9 @@ def influence_conjugation_check(dx, dtau: float, momenta, box_edge: float = TWO_
 
 
 def _max_residual(diff):
-    """Max |entry| over a stack of residual matrices, folded from 0.0 as
-    max(worst, r) per matrix: a NaN residual is passed over."""
-    return float(np.fmax.reduce(np.abs(diff).max(axis=(-2, -1)), initial=0.0))
+    """Max |entry| over a stack of residual matrices, 0.0 for an empty
+    stack; a NaN entry makes the residual NaN, so the check cannot pass."""
+    return float(np.abs(diff).max(initial=0.0))
 
 
 def elastic_shell(p_in, kappas, n_azimuth: int = 8):

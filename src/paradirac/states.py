@@ -43,6 +43,7 @@ from .algebra import (
     lower_index,
     mass_of,
     minkowski_dot,
+    _dot,
     _matvec,
 )
 from .errors import BoxMismatch, MasslessState
@@ -111,17 +112,14 @@ class Mode:
         return self.block() @ self.a
 
 
-def same_mode(m1: Mode, m2: Mode) -> bool:
-    """Exact equality of the labels (p, branch, a)."""
-    return m1.label_key == m2.label_key
-
-
-def key_index(keys) -> dict:
-    """Map each key to the ascending list of positions at which it occurs."""
+def overlap_join(keys_a, keys_b):
+    """Index arrays (i, j), the rows of one (2, m) array, of the pairs with
+    keys_a[i] == keys_b[j] in all-pairs order: i ascending, then j ascending."""
     index: dict = {}
-    for position, key in enumerate(keys):
-        index.setdefault(key, []).append(position)
-    return index
+    for j, key in enumerate(keys_b):
+        index.setdefault(key, []).append(j)
+    pairs = [(i, j) for i, key in enumerate(keys_a) for j in index.get(key, ())]
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2).T
 
 
 def classify_subspace(mode: Mode) -> Subspace:
@@ -174,14 +172,6 @@ def _row_bytes(rows):
     equal 0.0, as in Mode's keys."""
     rows = np.ascontiguousarray(rows, dtype=float) + 0.0
     return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel().tolist()
-
-
-class Label(NamedTuple):
-    """What mode_overlap reads of one stored mode, taken from the arrays."""
-
-    branch: int
-    a: np.ndarray
-    overlap_key: tuple
 
 
 class TermContainer:
@@ -314,9 +304,10 @@ class TermContainer:
                                                _row_bytes(self.p[:, col])))
         return self._overlap_keys[col]
 
-    def label(self, row, col=0):
-        key = self.overlap_keys(col)[row]
-        return Label(key[0], self.a[row, col], key)
+    def overlaps(self, i, other, j, col=0):
+        """branch a* . a' of column `col` for rows i here and rows j of `other`:
+        the box overlap of the two modes where their overlap keys are equal."""
+        return self.branch[i, col] * _dot(self.a[i, col].conj(), other.a[j, col])
 
 
 class SpectralState(TermContainer):
@@ -402,21 +393,12 @@ def inner_product(state_a: SpectralState, state_b: SpectralState):
     """
     if state_a.box_edge != state_b.box_edge:
         raise BoxMismatch("states quantized in different boxes")
-    index = key_index(state_b.overlap_keys())
-    coeffs_a, coeffs_b = state_a.coeff.tolist(), state_b.coeff.tolist()
+    i, j = overlap_join(state_a.overlap_keys(), state_b.overlap_keys())
     total = 0.0j
-    for i, key in enumerate(state_a.overlap_keys()):
-        for j in index.get(key, ()):
-            total += np.conj(coeffs_a[i]) * coeffs_b[j] * mode_overlap(state_a.label(i), state_b.label(j))
+    for ca, cb, overlap in zip(state_a.coeff[i].tolist(), state_b.coeff[j].tolist(),
+                               state_a.overlaps(i, state_b, j).tolist()):
+        total += np.conj(ca) * cb * overlap
     return total
-
-
-def mode_overlap(ma, mb):
-    """Single-mode box inner product, the (k, l) kernel of inner_product;
-    takes Modes or Labels."""
-    if ma.overlap_key != mb.overlap_key:
-        return 0.0j
-    return complex(ma.branch * np.vdot(ma.a, mb.a))
 
 
 class Pairs(NamedTuple):

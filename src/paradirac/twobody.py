@@ -26,6 +26,9 @@ from .algebra import (
     GAMMA0,
     GAMMA_STACK,
     TWO_PI,
+    _cmul,
+    _dot,
+    _matvec,
     bar,
     minkowski_dot,
     slash,
@@ -46,13 +49,13 @@ from .states import (
     TermContainer,
     _divergence_fd,
     classify_subspace,
-    key_index,
     mode_from_record,
-    mode_overlap,
     mode_to_record,
+    overlap_join,
     pair_current,
     plane_wave_value,
 )
+from .spinors import branch_block
 
 _EXCHANGE_TAGS = ("none", "fermionic", "bosonic")
 
@@ -119,28 +122,37 @@ def exchange_residual(state: TwoParticleState) -> float:
     return worst
 
 
-def _pair_keys(state: TwoParticleState):
-    """(x, y) overlap keys of the terms, in row order."""
-    return list(zip(state.overlap_keys(0), state.overlap_keys(1)))
+def _term_join(state_a: TwoParticleState, state_b: TwoParticleState):
+    """Term pairs (i, j) whose x or y overlap keys match, in all-pairs order,
+    as a list and as index arrays, with their x and y overlaps (0 if unmatched)."""
+    joins = [set(zip(*(index.tolist() for index in
+                       overlap_join(state_a.overlap_keys(col), state_b.overlap_keys(col)))))
+             for col in (0, 1)]
+    pairs = sorted(joins[0] | joins[1])
+    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    overlaps = [[ov if pair in join else 0.0 for pair, ov in
+                 zip(pairs, state_a.overlaps(i, state_b, j, col).tolist())]
+                for col, join in enumerate(joins)] if pairs else [[], []]
+    return pairs, i, j, overlaps
+
+
+def _overlap_sum(state_a, state_b, i, j, overlaps):
+    """sum of conj(c_a) c_b <x_a|x_b> <y_a|y_b> over the term pairs (i, j), in order."""
+    total = 0.0j
+    for ca, cb, ox, oy in zip(state_a.coeff[i].tolist(), state_b.coeff[j].tolist(), *overlaps):
+        ov = ox * oy
+        if ov != 0.0:
+            total += np.conj(ca) * cb * ov
+    return total
 
 
 def two_inner_product(state_a: TwoParticleState, state_b: TwoParticleState) -> complex:
-    """Tensor inner product: partner overlaps multiply per term pair.
-
-    A join on the (x, y) overlap keys, in the order of the all-pairs loop.
-    """
+    """Tensor inner product: partner overlaps multiply per term pair, in all-pairs order."""
     if state_a.box_edge != state_b.box_edge:
         raise BoxMismatch("states quantized in different boxes")
-    index = key_index(_pair_keys(state_b))
-    coeffs_a, coeffs_b = state_a.coeff.tolist(), state_b.coeff.tolist()
-    total = 0.0j
-    for i, key in enumerate(_pair_keys(state_a)):
-        for j in index.get(key, ()):
-            ov = (mode_overlap(state_a.label(i, 0), state_b.label(j, 0))
-                  * mode_overlap(state_a.label(i, 1), state_b.label(j, 1)))
-            if ov != 0.0:
-                total += np.conj(coeffs_a[i]) * coeffs_b[j] * ov
-    return total
+    i, j = overlap_join(*(list(zip(s.overlap_keys(0), s.overlap_keys(1))) for s in (state_a, state_b)))
+    return _overlap_sum(state_a, state_b, i, j,
+                        [state_a.overlaps(i, state_b, j, col).tolist() for col in (0, 1)])
 
 
 def two_evolve(state: TwoParticleState, tau: float, tau_prime: float, which: int) -> TwoParticleState:
@@ -160,24 +172,16 @@ def two_evolve(state: TwoParticleState, tau: float, tau_prime: float, which: int
 def _marginal_pairs(state: TwoParticleState, particle: int) -> Pairs:
     """Pairs (k, l) surviving tau concatenation and marginalization of the
     partner factor, found by a join on the partner's overlap key."""
-    box4 = state.box_edge**4
     own, other = particle - 1, 2 - particle
-    coeffs = state.coeff.tolist()
-    nu = state.frequency.sum(axis=1).tolist()
-    keys = state.overlap_keys(other)
-    partners = [state.label(k, other) for k in range(len(keys))]
-    index = key_index(keys)
-    ks, ls, weights = [], [], []
-    for k, key in enumerate(keys):
-        for l in index[key]:
-            partner = mode_overlap(partners[k], partners[l])
-            if partner == 0.0 or abs(nu[k] - nu[l]) > ATOL_ALGEBRA * max(1.0, abs(nu[k]), abs(nu[l])):
-                continue
-            ks.append(k)
-            ls.append(l)
-            weights.append(np.conj(coeffs[k]) * coeffs[l] * partner / box4)
-    return Pairs(np.array(ks, dtype=int), np.array(ls, dtype=int),
-                 np.array(weights, dtype=complex), state.spinors()[:, own], state.p[:, own])
+    k, l = overlap_join(state.overlap_keys(other), state.overlap_keys(other))
+    partner = state.overlaps(k, state, l, other)
+    nu = state.frequency.sum(axis=1)
+    nu_k, nu_l = nu[k], nu[l]
+    scale = np.maximum(1.0, np.maximum(np.abs(nu_k), np.abs(nu_l)))
+    keep = (partner != 0.0) & (np.abs(nu_k - nu_l) <= ATOL_ALGEBRA * scale)
+    k, l, partner = k[keep], l[keep], partner[keep]
+    weight = _cmul(_cmul(state.coeff[k].conj(), state.coeff[l]), partner) / state.box_edge**4
+    return Pairs(k, l, weight, state.spinors()[:, own], state.p[:, own])
 
 
 def two_currents(state: TwoParticleState, points):
@@ -207,23 +211,39 @@ def _require_s_plus(state: TwoParticleState, label: str):
         raise SubspaceViolation(f"{label} state leaves the forward subspace")
 
 
-def _born_sandwich(mode_in: Mode, mode_out: Mode, pot: ExternalPotential) -> complex:
-    """bar(w_out) slash(A~(Dp)) w_in with the conservation deltas resolved.
-
-    Frequency (hence mass) conservation and, for static potentials, energy
-    conservation are enforced as exact zeros at ATOL_SHELL.  Projection onto
-    a definite final mode cancels the branch signs, so one formula covers u
-    and v type.
-    """
-    if abs(mode_out.frequency - mode_in.frequency) > ATOL_SHELL * max(1.0, abs(mode_in.frequency)):
-        return 0.0j
-    dp = mode_out.p - mode_in.p
-    if pot.static and abs(dp[0]) > ATOL_SHELL:
-        return 0.0j
-    a_tilde = pot.fourier(dp)
-    if not np.any(a_tilde):
-        return 0.0j
-    return complex(bar(mode_out.amplitude_spinor()) @ slash(a_tilde) @ mode_in.amplitude_spinor())
+def _born_sandwich(state_f: TwoParticleState, state_i: TwoParticleState, pairs, partners, pots):
+    """B(in -> out; A) = bar(w_out) slash(A~(p_out - p_in)) w_in of particle
+    1 and of particle 2 for each joined pair (f, i), row by row.  It is only
+    evaluated where the partner overlap is nonzero and the deltas hold (equal
+    tau frequencies and, for static potentials, energies, at ATOL_SHELL);
+    elsewhere, and where A~ vanishes, B is exactly zero.  Projection onto a
+    definite final mode cancels the branch signs, so one formula covers u
+    and v type."""
+    nu_f, nu_i = state_f.frequency.tolist(), state_i.frequency.tolist()
+    p0_f, p0_i = state_f.p[..., 0].tolist(), state_i.p[..., 0].tolist()
+    live = [(k, col, f, i) for col, (pot, partner) in enumerate(zip(pots, partners))
+            for k, ((f, i), ov) in enumerate(zip(pairs, partner))
+            if ov != 0.0
+            and abs(nu_f[f][col] - nu_i[i][col]) <= ATOL_SHELL * max(1.0, abs(nu_i[i][col]))
+            and not (pot.static and abs(p0_f[f][col] - p0_i[i][col]) > ATOL_SHELL)]
+    born = [[0.0j] * len(pairs), [0.0j] * len(pairs)]
+    if not live:
+        return born
+    _, cols, rows_f, rows_i = np.array(live, dtype=np.intp).T
+    # spinors of the final, then of the incident rows, in one branch_block pass
+    p, branch, a = (np.concatenate((out[rows_f, cols], inc[rows_i, cols]))
+                    for out, inc in ((state_f.p, state_i.p), (state_f.branch, state_i.branch),
+                                     (state_f.a, state_i.a)))
+    spinors = _matvec(branch_block(p, branch), a)
+    n = len(live)
+    n_x, dp = n - int(cols.sum()), p[:n] - p[n:]
+    # the rows of particle 1 come first; a shared potential takes one transform
+    a_tilde = (pots[0].fourier(dp) if pots[0] is pots[1] else
+               np.concatenate((pots[0].fourier(dp[:n_x]), pots[1].fourier(dp[n_x:]))))
+    sandwich = _dot((spinors[:n].conj()[:, None, :] @ GAMMA0 @ slash(a_tilde))[:, 0], spinors[n:])
+    for (k, col, _, _), value in zip(live, np.where(a_tilde.any(axis=-1), sandwich, 0.0).tolist()):
+        born[col][k] = value
+    return born
 
 
 def s2_first_order(
@@ -253,21 +273,17 @@ def s2_first_order(
     e1, e2 = charges
     box3 = state_i.box_edge**3
 
-    value = two_inner_product(state_f, state_i)
-    terms_i = state_i.terms
-    by_x = key_index(state_i.overlap_keys(0))
-    by_y = key_index(state_i.overlap_keys(1))
-    for (cf, fx, fy), (key_x, key_y) in zip(state_f.terms, _pair_keys(state_f)):
-        matched = {*by_x.get(key_x, ()), *by_y.get(key_y, ())}
-        for j in sorted(matched):
-            ci, ix, iy = terms_i[j]
-            weight = np.conj(cf) * ci
-            ov_y = mode_overlap(fy, iy)
-            if ov_y != 0.0:
-                value += weight * (1j * e1 / box3) * _born_sandwich(ix, fx, pot1) * ov_y
-            ov_x = mode_overlap(fx, ix)
-            if ov_x != 0.0:
-                value += weight * ov_x * (1j * e2 / box3) * _born_sandwich(iy, fy, pot2)
+    pairs, f, i, (ov_x, ov_y) = _term_join(state_f, state_i)
+    # <f|i>: the pairs that share only one key add nothing
+    value = _overlap_sum(state_f, state_i, f, i, (ov_x, ov_y))
+    born_x, born_y = _born_sandwich(state_f, state_i, pairs, (ov_y, ov_x), (pot1, pot2))
+    for cf, ci, ox, oy, bx, by in zip(state_f.coeff[f].tolist(), state_i.coeff[i].tolist(),
+                                      ov_x, ov_y, born_x, born_y):
+        weight = np.conj(cf) * ci
+        if oy != 0.0:
+            value += weight * (1j * e1 / box3) * bx * oy
+        if ox != 0.0:
+            value += weight * ox * (1j * e2 / box3) * by
     factors = (("delta(Dnu_total)", "T_tau"),)
     if pot1.static or pot2.static:
         factors += (("2pi*delta(Dp0)", "T_0"),)

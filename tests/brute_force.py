@@ -2,11 +2,12 @@
 
 Every loop here visits all term pairs and compares labels with
 np.array_equal, as the all-pairs implementation did; none of them calls the
-keyed merge, the key index or the batched pair kernel it is compared with.
-The per-Mode loops for the discrete symmetries, free evolution and the
-Moller nodes work one Mode at a time, as the code did before the term
-container held arrays; none of them reads a container's arrays.  The free
-influence kernel is the loop over its support, one momentum at a time.
+keyed merge, the overlap join or the batched kernels it is compared with.
+The per-Mode loops for the discrete symmetries, free evolution, the Born
+sandwiches and the Moller nodes work one Mode at a time, as the code did
+before the term container held arrays; none of them reads a container's
+arrays.  The free influence kernel is the loop over its support, one
+momentum at a time.
 The label pools hold momenta and spins with zero components, so that their
 sign-flipped variants (-0.0) test the key folding.
 """
@@ -131,6 +132,21 @@ def overlap(m1, m2):
     if m1.branch != m2.branch or not np.array_equal(m1.p, m2.p):
         return 0.0j
     return complex(m1.branch * np.vdot(m1.a, m2.a))
+
+
+def born_sandwich(mode_in, mode_out, pot):
+    """bar(w_out) slash(A~(Dp)) w_in for one pair of Modes, zero unless the
+    frequency and, for static potentials, the energy are conserved at
+    ATOL_SHELL."""
+    if abs(mode_out.frequency - mode_in.frequency) > ATOL_SHELL * max(1.0, abs(mode_in.frequency)):
+        return 0.0j
+    dp = mode_out.p - mode_in.p
+    if pot.static and abs(dp[0]) > ATOL_SHELL:
+        return 0.0j
+    a_tilde = pot.fourier(dp)
+    if not np.any(a_tilde):
+        return 0.0j
+    return complex(bar(mode_out.amplitude_spinor()) @ slash(a_tilde) @ mode_in.amplitude_spinor())
 
 
 def all_pairs_two_inner(terms_a, terms_b):

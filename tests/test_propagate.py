@@ -27,6 +27,7 @@ from paradirac.scattering import coulomb_potential, s1_amplitude
 from paradirac.spinors import u_block, v_block
 from paradirac.states import Mode, single_mode_state
 from paradirac.twobody import two_conjugation_check
+from paradirac.verify import Check
 
 
 class TestFiltering:
@@ -111,6 +112,16 @@ class TestKernelMatrix:
         momenta = [random_timelike_momentum(rng) for _ in range(6)]
         resid = influence_conjugation_check(rng.normal(size=4), 1.3, momenta)
         assert resid == 0.0
+
+    def test_nan_kernels_fail_the_checks(self):
+        # m dtau overflows, so every kernel entry is NaN
+        momenta = [four_vector(2.0), four_vector(3.0, 1.0, 0.0, 0.0)]
+        with np.errstate(all="ignore"):
+            one = influence_conjugation_check(np.zeros(4), 1e308, momenta)
+            two = two_conjugation_check((np.zeros(4), np.zeros(4)), 1e308, [momenta])
+        assert np.isnan(one) and np.isnan(two)
+        assert not Check("conjugation", one, 1e-12).passed
+        assert not Check("two-body conjugation", two, 1e-12).passed
 
 
 class TestKernelScalingGuard:

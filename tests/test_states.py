@@ -39,10 +39,8 @@ from paradirac.states import (
     current_divergence_fd,
     free_equation_residual,
     inner_product,
-    mode_overlap,
     parity,
     plane_wave_value,
-    same_mode,
     single_mode_state,
     state_from_json,
     state_to_json,
@@ -94,12 +92,6 @@ class TestMode:
     def test_coordinate_velocity(self, rng):
         mode = random_mode(rng, mass=0.8, branch=-1, phi=1)
         assert abs(coordinate_velocity(mode) + 0.8 / mode.energy) <= 1e-12
-
-    def test_same_mode(self, rng):
-        mode = random_mode(rng)
-        clone = Mode(p=mode.p.copy(), branch=mode.branch, a=mode.a.copy())
-        assert same_mode(mode, clone)
-        assert not same_mode(mode, Mode(p=mode.p, branch=-mode.branch, a=mode.a))
 
 
 class TestPlaneWave:
@@ -164,12 +156,6 @@ class TestInnerProduct:
         sb = random_state(rng, 2, box_edge=3.0)
         with pytest.raises(BoxMismatch):
             inner_product(sa, sb)
-
-    def test_mode_overlap_kernel(self, rng):
-        mode = random_mode(rng, branch=-1)
-        assert abs(mode_overlap(mode, mode) + np.vdot(mode.a, mode.a)) <= 1e-12
-        other = random_mode(rng, branch=-1)
-        assert mode_overlap(mode, other) == 0.0j
 
 
 class TestDiscreteSymmetries:
@@ -352,8 +338,9 @@ class TestScalingGuard:
         modes_b += [Mode(m.p, m.branch, random_spin_coefficients(rng)) for m in modes_a[:shared]]
         sa = SpectralState(tuple((1.0, m) for m in modes_a))
         sb = SpectralState(tuple((1.0, m) for m in modes_b))
-        calls = []
-        overlap = states.mode_overlap
-        monkeypatch.setattr(states, "mode_overlap", lambda ma, mb: calls.append(1) or overlap(ma, mb))
+        rows = []
+        overlaps = states.TermContainer.overlaps
+        monkeypatch.setattr(states.TermContainer, "overlaps",
+                            lambda self, i, *args: rows.append(len(i)) or overlaps(self, i, *args))
         inner_product(sa, sb)
-        assert len(calls) == shared
+        assert sum(rows) == shared

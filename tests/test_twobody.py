@@ -13,6 +13,7 @@ from brute_force import (
     LABELS,
     all_pairs_two_inner,
     assert_same_terms,
+    born_sandwich,
     label_mode,
     marginal_pair_loop,
     overlap,
@@ -20,7 +21,6 @@ from brute_force import (
     scan_merge,
     signed_zeros,
 )
-from paradirac import twobody
 from paradirac.algebra import ELEMENTARY_CHARGE, TWO_PI, four_vector
 from paradirac.errors import (
     BoxMismatch,
@@ -34,10 +34,9 @@ from paradirac.errors import (
 from paradirac.propagate import elastic_shell, free_evolve
 from paradirac.sampling import random_mode, random_spin_coefficients
 from paradirac.scattering import coulomb_potential, s1_amplitude, zero_potential
-from paradirac.states import Mode, parity, single_mode_state, state_from_json
+from paradirac.states import Mode, TermContainer, parity, single_mode_state, state_from_json
 from paradirac.twobody import (
     TwoParticleState,
-    _born_sandwich,
     antisymmetrize,
     bs_born_step,
     bs_power_iteration,
@@ -169,6 +168,20 @@ class TestFirstOrderAmplitude:
             pots,
         ).value
         assert abs(plain - shifted) <= 1e-13 * max(1.0, abs(plain))
+
+    def test_born_sandwich_needs_a_partner_overlap(self, rng):
+        # x joins with zero transfer, which the unscreened Coulomb transform
+        # cannot take, but the y partners do not overlap, so that x
+        # transition carries no weight and its sandwich is never evaluated
+        ix, iy = _mode(rng), _mode(rng)
+        fx = Mode(ix.p, 1, random_spin_coefficients(rng))
+        fy = Mode(elastic_shell(iy.p, [0.9], n_azimuth=1)[0], 1, random_spin_coefficients(rng))
+        state_i = TwoParticleState(((1.0, ix, iy),))
+        state_f = TwoParticleState(((1.0, fx, fy),))
+        pots = (coulomb_potential(1.0), coulomb_potential(2.0))
+        value = s2_first_order(state_i, state_f, pots).value
+        assert np.isfinite(value)
+        assert value == all_pairs_s2(state_i, state_f, pots)
 
     def test_backward_subspace_rejected(self, rng):
         minus = random_mode(rng, branch=-1, phi=1)
@@ -378,10 +391,10 @@ def all_pairs_s2(state_i, state_f, pots):
             weight = np.conj(cf) * ci
             ov_y = overlap(fy, iy)
             if ov_y != 0.0:
-                value += weight * (1j * e1 / box3) * _born_sandwich(ix, fx, pots[0]) * ov_y
+                value += weight * (1j * e1 / box3) * born_sandwich(ix, fx, pots[0]) * ov_y
             ov_x = overlap(fx, ix)
             if ov_x != 0.0:
-                value += weight * ov_x * (1j * e2 / box3) * _born_sandwich(iy, fy, pots[1])
+                value += weight * ov_x * (1j * e2 / box3) * born_sandwich(iy, fy, pots[1])
     return complex(value)
 
 
@@ -438,30 +451,32 @@ class TestLabelKeys:
 
 
 class TestScalingGuard:
-    """mode_overlap runs only for label-matched pairs of 400-term states."""
+    """TermContainer.overlaps receives only the key-matched term pairs of
+    400-term states."""
 
     N_TERMS = 400
 
     @pytest.fixture
-    def overlap_calls(self, monkeypatch):
-        calls = []
-        overlap_fn = twobody.mode_overlap
-        monkeypatch.setattr(twobody, "mode_overlap", lambda ma, mb: calls.append(1) or overlap_fn(ma, mb))
-        return calls
+    def overlap_rows(self, monkeypatch):
+        rows = []
+        overlaps = TermContainer.overlaps
+        monkeypatch.setattr(TermContainer, "overlaps",
+                            lambda self, i, *args: rows.append(len(i)) or overlaps(self, i, *args))
+        return rows
 
     @staticmethod
     def relabel(rng, mode):
         """New spin coefficients on the (p, branch) of mode."""
         return Mode(mode.p, mode.branch, random_spin_coefficients(rng))
 
-    def test_two_inner_product(self, rng, overlap_calls):
+    def test_two_inner_product(self, rng, overlap_rows):
         terms_a = [(1.0, _mode(rng), _mode(rng)) for _ in range(self.N_TERMS)]
         shared = [(1.0, self.relabel(rng, x), self.relabel(rng, y)) for _, x, y in terms_a[:10]]
         terms_b = [(1.0, _mode(rng), _mode(rng)) for _ in range(self.N_TERMS - 10)] + shared
         two_inner_product(TwoParticleState(tuple(terms_a)), TwoParticleState(tuple(terms_b)))
-        assert len(overlap_calls) == 2 * 10
+        assert sum(overlap_rows) == 2 * 10
 
-    def test_s2_first_order(self, rng, overlap_calls):
+    def test_s2_first_order(self, rng, overlap_rows):
         initial = [(1.0, _mode(rng), _mode(rng)) for _ in range(self.N_TERMS)]
         final = [(1.0, _mode(rng), self.relabel(rng, y)) for _, _, y in initial[:10]]
         final += [(1.0, self.relabel(rng, x), _mode(rng)) for _, x, _ in initial[10:15]]
@@ -469,11 +484,11 @@ class TestScalingGuard:
         pots = (coulomb_potential(1.0), coulomb_potential(2.0))
         s2_first_order(TwoParticleState(tuple(initial)), TwoParticleState(tuple(final)), pots)
         # each of the 15 joined term pairs takes an x and a y overlap
-        assert len(overlap_calls) == 2 * 15
+        assert sum(overlap_rows) == 2 * 15
 
-    def test_two_currents(self, rng, overlap_calls):
+    def test_two_currents(self, rng, overlap_rows):
         terms = [(1.0, _mode(rng), _mode(rng)) for _ in range(self.N_TERMS - 10)]
         terms += [(1.0, _mode(rng), y) for _, _, y in terms[:10]]
         two_currents(TwoParticleState(tuple(terms)), rng.normal(size=(2, 4)))
         # partners of particle 1 are the y modes: 380 singles and 10 pairs
-        assert len(overlap_calls) == (380 + 10 * 4) + self.N_TERMS
+        assert sum(overlap_rows) == (380 + 10 * 4) + self.N_TERMS
