@@ -201,22 +201,16 @@ def cmd_propagate_demo(args) -> int:
     rng = np.random.default_rng(args.seed)
     state = random_state(rng, n_modes=args.modes)
     evolved = free_evolve(state, 0.0, args.dtau, args.which)
-    survivors = [
-        {
-            "p": [float(v) for v in mode.p],
-            "branch": mode.branch,
-            "frequency": float(mode.frequency),
-            "coefficient": [float(coeff.real), float(coeff.imag)],
-        }
-        for coeff, mode in evolved.terms
-    ]
+    rows = (evolved.coeff, evolved.p[:, 0], evolved.branch[:, 0], evolved.frequency[:, 0])
+    survivors = [{"p": p, "branch": branch, "frequency": nu, "coefficient": [c.real, c.imag]}
+                 for c, p, branch, nu in zip(*(x.tolist() for x in rows))]
     record = {
         "command": "propagate-demo",
         "which": args.which,
         "dtau": args.dtau,
         "seed": args.seed,
-        "modes_in": len(state.terms),
-        "modes_out": len(evolved.terms),
+        "modes_in": len(state.coeff),
+        "modes_out": len(evolved.coeff),
         "survivors": survivors,
         "kernel_conjugation_residual": influence_conjugation_check(np.zeros(4), args.dtau,
                                                                    state.p[:, 0]),

@@ -36,7 +36,7 @@ from .algebra import (
     _cmul,
     _matvec,
 )
-from .errors import DegenerateInterval, UnresolvedDelta
+from .errors import DegenerateInterval, NonfiniteResult, UnresolvedDelta
 from .spinors import branch_block, lambda_u, lambda_v
 from .states import Mode, SpectralState, Subspace, TermContainer, classify_subspace
 
@@ -69,7 +69,7 @@ class InfluenceKernel:
         sgn = self.step_sign
         sign = state.branch * state.phi
         rows = np.flatnonzero((sign == self.which * sgn).all(axis=1))
-        return rows, _cmul(1j * sgn, np.exp(1j * state.frequency[rows] * self.dtau))
+        return rows, _cmul(1j * sgn, np.exp(1j * _tau_angle(state.frequency[rows], self.dtau)))
 
     def apply(self, state: TermContainer) -> TermContainer:
         rows, factors = self._survivors(state)
@@ -77,6 +77,15 @@ class InfluenceKernel:
         for factor in factors.T:
             coeff = _cmul(coeff, factor)
         return state._subset(rows, coeff)
+
+
+def _tau_angle(nu, dtau: float):
+    """The tau phases nu * dtau; NonfiniteResult where one overflows."""
+    with np.errstate(over="ignore"):
+        angle = nu * dtau
+    if not np.isfinite(angle).all():
+        raise NonfiniteResult(f"the tau phase nu*dtau overflows at dtau = {dtau:g}")
+    return angle
 
 
 def free_evolve(state: TermContainer, tau: float, tau_prime: float, which: int) -> TermContainer:
@@ -117,7 +126,8 @@ def _support_terms(which: int, momenta, dx, dtau: float):
     phi = energy_sign(p)
     m = mass_of(p)
     upper = phi == which * sgn
-    phase = np.exp(1j * (minkowski_dot(p, dx) + np.where(upper, 1.0, -1.0) * (phi * m * dtau)))
+    angle = np.where(upper, 1.0, -1.0) * _tau_angle(phi * m, dtau)
+    phase = np.exp(1j * (minkowski_dot(p, dx) + angle))
     projector = np.where(np.asarray(upper)[..., None, None], lambda_u(p, m), lambda_v(p, m))
     return sgn, projector * phase[..., None, None] + 0.0
 
@@ -233,6 +243,6 @@ def moller_first_order(
     q, branch, a_out = q[live], branch[live], a_out[live]
     return SpectralState((), box_edge)._derive(
         np.concatenate(([1.0 + 0.0j], branch * (1j * charge / box_edge**3))),
-        np.concatenate((incident.p[None], q))[:, None], np.concatenate(([1], branch))[:, None],
-        np.concatenate((incident.a[None], a_out))[:, None],
-        np.array([incident] + [None] * len(q), dtype=object)[:, None])
+        np.concatenate((incident.p[None], q))[:, None],
+        np.concatenate(([incident.branch], branch))[:, None],
+        np.concatenate((incident.a[None], a_out))[:, None])

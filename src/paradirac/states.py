@@ -24,6 +24,7 @@ import copy
 import enum
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, dataclass
 from typing import NamedTuple
 
@@ -61,8 +62,8 @@ class Subspace(enum.Enum):
 class Mode:
     """One box-normalized plane-wave mode (p, branch, spin coefficients).
 
-    overlap_key = (branch, p bytes) and label_key = (branch, p bytes, a bytes)
-    use the bytes of p + 0.0 and a + 0.0, so -0.0 equals 0.0 as in array_equal.
+    label_key = (branch, p bytes, a bytes) uses the bytes of p + 0.0 and
+    a + 0.0, so -0.0 equals 0.0 as in array_equal.
     """
 
     p: np.ndarray
@@ -91,9 +92,7 @@ class Mode:
         object.__setattr__(self, "branch", branch)
         object.__setattr__(self, "mass", m)
         object.__setattr__(self, "phi", energy_sign(p))
-        p_bytes = (p + 0.0).tobytes()
-        object.__setattr__(self, "overlap_key", (branch, p_bytes))
-        object.__setattr__(self, "label_key", (branch, p_bytes, (a + 0.0).tobytes()))
+        object.__setattr__(self, "label_key", (branch, (p + 0.0).tobytes(), (a + 0.0).tobytes()))
 
     @property
     def frequency(self):
@@ -104,12 +103,9 @@ class Mode:
     def energy(self):
         return abs(self.p[0])
 
-    def block(self):
-        return branch_block(self.p, self.branch)
-
     def amplitude_spinor(self):
         """The bispinor factor block(p) @ a (box factor 1/L^2 not included)."""
-        return self.block() @ self.a
+        return branch_block(self.p, self.branch) @ self.a
 
 
 def overlap_join(keys_a, keys_b):
@@ -128,10 +124,14 @@ def classify_subspace(mode: Mode) -> Subspace:
 
 
 def plane_wave_value(mode: Mode, x, tau, box_edge=TWO_PI):
-    """Value of the mode wavefunction at event x and parameter time tau."""
-    x = np.asarray(x, dtype=float)
-    phase = np.exp(1j * (minkowski_dot(mode.p, x) + mode.frequency * tau))
-    return mode.amplitude_spinor() * (phase / box_edge**2)
+    """Value of the mode wavefunction at events x (..., 4) and parameter times tau (...)."""
+    return _plane_waves(mode.p, mode.frequency, mode.amplitude_spinor(), x, tau, box_edge)
+
+
+def _plane_waves(p, nu, spinors, x, tau, box_edge):
+    """spinors * exp[i (p.x + nu tau)] / L^2, broadcast over the leading axes."""
+    phase = np.exp(1j * (minkowski_dot(p, np.asarray(x, dtype=float)) + nu * tau))
+    return spinors * (phase / box_edge**2)[..., None]
 
 
 def coordinate_velocity(mode: Mode):
@@ -146,24 +146,12 @@ def free_equation_residual(mode: Mode, x, tau, box_edge=TWO_PI):
     """Finite-difference residual of the free parameter-time wave equation.
 
     Every mode satisfies (1/i) d_tau psi + gamma^mu (1/i) d_mu psi = 0
-    identically, so the returned max-norm measures only the central
-    difference truncation (quadratic in the step 1e-4).
+    identically, so the returned max-norm measures only the truncation and
+    roundoff of the central differences at the step 1e-3.
     """
-    x = np.asarray(x, dtype=float)
-    step = 1e-4
-    d_tau = (
-        plane_wave_value(mode, x, tau + step, box_edge)
-        - plane_wave_value(mode, x, tau - step, box_edge)
-    ) / (2.0 * step)
-    total = d_tau / 1j
-    for mu in range(4):
-        shift = np.zeros(4)
-        shift[mu] = step
-        d_mu = (
-            plane_wave_value(mode, x + shift, tau, box_edge)
-            - plane_wave_value(mode, x - shift, tau, box_edge)
-        ) / (2.0 * step)
-        total = total + gamma(mu) @ (d_mu / 1j)
+    event = np.append(np.asarray(x, dtype=float), tau)
+    d = _central_differences(lambda e: plane_wave_value(mode, e[:, :4], e[:, 4], box_edge), event, 1e-3)
+    total = d[4, 0] / 1j + sum(gamma(mu) @ (d[mu, 0] / 1j) for mu in range(4))
     return float(np.abs(total).max())
 
 
@@ -178,16 +166,15 @@ class TermContainer:
     """Terms c_k (mode_k1 (x) ... (x) mode_kw) of width w, as a struct of arrays.
 
     The arrays are coeff (n,), p (n, w, 4), branch (n, w) and a (n, w, 2),
-    with the mass (n, w) of every mode.  The arrays are read-only and no
-    attribute can be reassigned, so the cached views stay valid.  Rows with
-    equal labels merge on construction, keyed on the row bytes of (p + 0.0,
-    a + 0.0, branch), so -0.0 equals 0.0 as in array_equal: coefficients add
-    in input order at the first occurrence and zero sums drop.  The state
-    maps work on the arrays in one batched pass.
+    with the mass (n, w) of every mode; they are the only copy of the
+    labels.  The arrays are read-only and no attribute can be reassigned,
+    so the cached join keys stay valid.  Rows with equal labels merge on
+    construction, keyed on the row bytes of (p + 0.0, a + 0.0, branch), so
+    -0.0 equals 0.0 as in array_equal: coefficients add in input order at
+    the first occurrence and zero sums drop.  The state maps work on the
+    arrays in one batched pass.
 
-    `terms` is the tuple of (coeff, Mode, ...) in row order, built on first
-    read and then cached.  Rows that arrived as Modes, or survived free
-    evolution, keep their objects; other rows build a Mode there.
+    `terms` views the rows as (coeff, Mode, ...) tuples, building Modes per read.
     """
 
     width = 1
@@ -215,10 +202,9 @@ class TermContainer:
         branch, mass = np.array([(m.branch, m.mass) for m in modes]).reshape(shape + (2,)).T
         self._merge(keys, np.array(coeffs, dtype=complex), (
             np.array([m.p for m in modes]).reshape(shape + (4,)), branch.T.astype(int),
-            np.array([m.a for m in modes]).reshape(shape + (2,)), mass.T,
-            np.fromiter(modes, dtype=object, count=len(modes)).reshape(shape)))
+            np.array([m.a for m in modes]).reshape(shape + (2,)), mass.T))
 
-    def _derive(self, coeff, p, branch, a, modes=None):
+    def _derive(self, coeff, p, branch, a):
         """A state of the same kind and box on new label arrays.  Checks in
         batch what Mode.__post_init__ checks, with the same error classes."""
         if not (np.isfinite(p).all() and np.isfinite(a).all()):
@@ -230,20 +216,18 @@ class TermContainer:
             raise MasslessState("modes require strictly timelike momenta")
         rows = np.concatenate((p, a.view(float), branch[..., None]), axis=-1, dtype=float)
         out = copy.copy(self)
-        out._merge(_row_bytes(rows.reshape(len(rows), 9 * self.width)), coeff, (
-            p, branch, a, mass, np.empty(branch.shape, dtype=object) if modes is None else modes))
+        out._merge(_row_bytes(rows.reshape(len(rows), 9 * self.width)), coeff, (p, branch, a, mass))
         return out
 
     def _subset(self, index, coeff):
-        """The labels at [index] (rows, or rows and columns), Mode objects
-        included, with new coefficients."""
+        """The labels at [index] (rows, or rows and columns) with new coefficients."""
         out = copy.copy(self)
-        out._store(coeff, [x[index] for x in (self.p, self.branch, self.a, self.mass, self._modes)])
+        out._store(coeff, [x[index] for x in (self.p, self.branch, self.a, self.mass)])
         return out
 
     def _merge(self, keys, coeff, labels):
         """Store the rows merged on their keys; labels are the arrays
-        (p, branch, a, mass, Mode objects)."""
+        (p, branch, a, mass)."""
         first = dict.fromkeys(keys)
         if len(first) < len(keys):
             ids = {key: i for i, key in enumerate(first)}
@@ -261,23 +245,15 @@ class TermContainer:
         if not coeff.all():
             keep = coeff != 0.0
             coeff, labels = coeff[keep], [x[keep] for x in labels]
-        p, branch, a, mass, modes = labels
+        p, branch, a, mass = labels
         for value in (coeff, p, branch, a, mass):
             value.setflags(write=False)
-        vars(self).update(coeff=coeff, p=p, branch=branch, a=a, mass=mass,
-                          _modes=modes.copy(), _terms=None, _overlap_keys={})
+        vars(self).update(coeff=coeff, p=p, branch=branch, a=a, mass=mass, _overlap_keys={})
 
     @property
     def terms(self):
-        """(coeff, Mode, ...) tuples in row order, built on first read."""
-        if self._terms is None:
-            flat = self._modes.reshape(-1)
-            for k, mode in enumerate(flat):
-                if mode is None:
-                    row, col = divmod(k, self.width)
-                    flat[k] = Mode(self.p[row, col], int(self.branch[row, col]), self.a[row, col])
-            vars(self)["_terms"] = tuple(zip(self.coeff.tolist(), *self._modes.T))
-        return self._terms
+        """The rows as (coeff, Mode, ...) tuples, a view over the arrays."""
+        return _TermsView(self)
 
     @property
     def is_empty(self):
@@ -298,7 +274,7 @@ class TermContainer:
         return _matvec(branch_block(self.p, self.branch), self.a)
 
     def overlap_keys(self, col=0):
-        """Mode.overlap_key of the modes in column `col`, in row order."""
+        """(branch, bytes of p + 0.0) of the modes in column `col`, in row order."""
         if col not in self._overlap_keys:
             self._overlap_keys[col] = list(zip(self.branch[:, col].tolist(),
                                                _row_bytes(self.p[:, col])))
@@ -310,14 +286,31 @@ class TermContainer:
         return self.branch[i, col] * _dot(self.a[i, col].conj(), other.a[j, col])
 
 
+class _TermsView(Sequence):
+    """Read-only (coeff, Mode, ...) rows of a TermContainer: len() reads the row
+    count, and an index, a slice (a tuple) or iteration builds the rows it reads."""
+
+    def __init__(self, state):
+        self._state = state
+
+    def __len__(self):
+        return len(self._state.coeff)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        s, k = self._state, range(len(self))[index]
+        return (complex(s.coeff[k]), *map(Mode, s.p[k], s.branch[k].tolist(), s.a[k]))
+
+
 class SpectralState(TermContainer):
     """Finite superposition sum_k c_k * mode_k over one quantization box.
 
     The terms are held in the arrays of a TermContainer of width 1: equal
     labels (-0.0 equal to 0.0) merge on construction and vanishing
     coefficients drop, so the rows are a canonical sparse spectral
-    representation.  `terms` gives them as (coeff, Mode) tuples, built
-    lazily; the maps below never build a Mode.
+    representation.  `terms` views them as (coeff, Mode) tuples, built on
+    each read; the maps below never build a Mode.
     """
 
     def __init__(self, terms, box_edge=TWO_PI):
@@ -325,10 +318,8 @@ class SpectralState(TermContainer):
 
     def value(self, x, tau):
         """Wavefunction value sum_k c_k f_k(x, tau)."""
-        out = np.zeros(4, dtype=complex)
-        for coeff, mode in self.terms:
-            out += coeff * plane_wave_value(mode, x, tau, self.box_edge)
-        return out
+        waves = _plane_waves(self.p, self.frequency, self.spinors(), x, tau, self.box_edge)[:, 0]
+        return sum((c * f for c, f in zip(self.coeff.tolist(), waves)), np.zeros(4, dtype=complex))
 
 
 def single_mode_state(mode: Mode, coeff=1.0, box_edge=TWO_PI) -> SpectralState:
@@ -501,23 +492,27 @@ def concatenated_current(state: SpectralState, points) -> CurrentField:
     return pair_current(_concatenated_pair_arrays(state), points)
 
 
-def _divergence_fd(current, points, step):
-    """4th-order central-difference d_mu J^mu at each point, where current
-    maps an (N, 4) array of points to (N, 4) real samples."""
+def _central_differences(f, points, step):
+    """4th-order central differences of f along each coordinate axis: f maps
+    an (N, D) array of points to N samples, and the result d has
+    d[mu, n] = d_mu f at points[n]."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    npts = points.shape[0]
     shifted = []
-    for mu in range(4):
+    for mu in range(points.shape[1]):
         for k in (-2, -1, 1, 2):
             block = points.copy()
             block[:, mu] += k * step
             shifted.append(block)
-    values = current(np.vstack(shifted)).reshape(4, 4, npts, 4)
-    div = np.zeros(npts)
-    for mu in range(4):
-        f_m2, f_m1, f_p1, f_p2 = values[mu, :, :, mu]
-        div += (f_m2 - 8.0 * f_m1 + 8.0 * f_p1 - f_p2) / (12.0 * step)
-    return div
+    values = f(np.vstack(shifted))
+    f_m2, f_m1, f_p1, f_p2 = values.reshape(-1, 4, len(points), *values.shape[1:]).swapaxes(0, 1)
+    return (f_m2 - 8.0 * f_m1 + 8.0 * f_p1 - f_p2) / (12.0 * step)
+
+
+def _divergence_fd(current, points, step):
+    """4th-order central-difference d_mu J^mu at each point, where current
+    maps an (N, 4) array of points to (N, 4) real samples."""
+    d = _central_differences(current, points, step)
+    return sum(d[mu, :, mu] for mu in range(4))
 
 
 def current_divergence_fd(state: SpectralState, points, step=1e-3):
@@ -536,9 +531,9 @@ def current_divergence_fd(state: SpectralState, points, step=1e-3):
 # pairs.  A spectral state is a JSON list of mode records with L appended; term
 # coefficients are folded into the spin coefficients, lossless for the wavefunction.
 
-def mode_to_record(mode: Mode, a) -> dict:
-    """The wire record of `mode` carrying the spin coefficients `a`."""
-    return {"p": [float(c) for c in mode.p], "branch": mode.branch,
+def mode_to_record(p, branch, a) -> dict:
+    """The wire record of the mode label (p, branch, a)."""
+    return {"p": [float(c) for c in p], "branch": int(branch),
             "a": [[float(z.real), float(z.imag)] for z in a]}
 
 
@@ -549,8 +544,8 @@ def mode_from_record(record) -> Mode:
 
 
 def state_to_json(state: SpectralState) -> str:
-    return json.dumps([{**mode_to_record(mode, coeff * mode.a), "L": state.box_edge}
-                       for coeff, mode in state.terms])
+    return json.dumps([{**mode_to_record(p, branch, coeff * a), "L": state.box_edge} for coeff, p, branch, a
+                       in zip(state.coeff.tolist(), state.p[:, 0], state.branch[:, 0], state.a[:, 0])])
 
 
 def state_from_json(text: str) -> SpectralState:

@@ -48,12 +48,12 @@ from .states import (
     Subspace,
     TermContainer,
     _divergence_fd,
+    _plane_waves,
     classify_subspace,
     mode_from_record,
     mode_to_record,
     overlap_join,
     pair_current,
-    plane_wave_value,
 )
 from .spinors import branch_block
 
@@ -74,12 +74,10 @@ class TwoParticleState(TermContainer):
 
     def value(self, x, y, tau):
         """4x4 outer-product wavefunction, first index particle 1."""
-        out = np.zeros((4, 4), dtype=complex)
-        for coeff, mx, my in self.terms:
-            f1 = plane_wave_value(mx, x, tau, self.box_edge)
-            f2 = plane_wave_value(my, y, tau, self.box_edge)
-            out += coeff * np.outer(f1, f2)
-        return out
+        # column 0 at x, column 1 at y
+        waves = _plane_waves(self.p, self.frequency, self.spinors(), np.array([x, y]), tau, self.box_edge)
+        return sum((c * np.outer(f1, f2) for c, (f1, f2) in zip(self.coeff.tolist(), waves)),
+                   np.zeros((4, 4), dtype=complex))
 
 
 def antisymmetrize(psi: Mode, chi: Mode, box_edge: float = TWO_PI) -> TwoParticleState:
@@ -420,8 +418,9 @@ def mutual_scattering_amplitude(in1: Mode, out1: Mode, in2: Mode, out2: Mode,
 # serialization
 
 def two_state_to_json(state: TwoParticleState) -> str:
-    pairs = [{"c": [float(c.real), float(c.imag)], "x": mode_to_record(mx, mx.a),
-              "y": mode_to_record(my, my.a)} for c, mx, my in state.terms]
+    pairs = [{"c": [float(c.real), float(c.imag)], "x": mode_to_record(p[0], branch[0], a[0]),
+              "y": mode_to_record(p[1], branch[1], a[1])}
+             for c, p, branch, a in zip(state.coeff.tolist(), state.p, state.branch, state.a)]
     return json.dumps({"exchange": state.exchange, "L": state.box_edge, "pairs": pairs})
 
 

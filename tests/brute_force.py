@@ -94,11 +94,17 @@ def scan_merge(terms):
     return [entry for entry in merged if entry[0] != 0.0]
 
 
+def label_bits(mode):
+    """The exact bits of a Mode's labels: branch, p, a and mass."""
+    return mode.branch, mode.p.tobytes(), mode.a.tobytes(), mode.mass.hex()
+
+
 def assert_same_terms(got, want):
+    """Equal coefficients, and labels equal bit for bit, in order."""
     assert len(got) == len(want)
     for term, ref in zip(got, want):
         assert term[0] == ref[0]
-        assert all(m is r for m, r in zip(term[1:], ref[1:]))
+        assert [label_bits(m) for m in term[1:]] == [label_bits(r) for r in ref[1:]]
 
 
 def all_pairs_inner(terms_a, terms_b):
@@ -185,10 +191,7 @@ def assert_same_bits(got, want):
     assert len(got) == len(want)
     for term, ref in zip(got, want):
         assert bits(term[0]) == bits(ref[0])
-        for m, r in zip(term[1:], ref[1:]):
-            assert m.branch == r.branch
-            assert m.p.tobytes() == r.p.tobytes() and m.a.tobytes() == r.a.tobytes()
-            assert m.mass.hex() == r.mass.hex()
+        assert [label_bits(m) for m in term[1:]] == [label_bits(r) for r in ref[1:]]
 
 
 # name: (matrix, conjugate, flip energy and branch); spatial momenta always flip

@@ -3,7 +3,7 @@
 The discrete symmetries, free evolution and the Moller nodes each run as one
 batched pass over the container's arrays.  Their results must equal, bit for
 bit, the one-Mode-at-a-time loops of brute_force.py; and none of them may
-build a Mode until a caller reads `terms`.  The free influence kernel is one
+build a Mode until a caller reads the rows of `terms`.  The free influence kernel is one
 pass over its momentum support, bit for bit the loop over the support.
 """
 
@@ -24,6 +24,7 @@ from brute_force import (
     evolve_loop,
     kernel_loop,
     kernel_term,
+    label_bits,
     label_mode,
     moller_loop,
     scan_merge,
@@ -70,8 +71,8 @@ class TestSymmetriesMatchOracle:
         want = symmetry_loop(state.terms, name)
         assert_same_bits(image.terms, want)
         # images merge with equal labels built elsewhere, -0.0 folded
-        assert_same_bits(SpectralState(image.terms + tuple(want)).terms,
-                         scan_merge(image.terms + tuple(want)))
+        assert_same_bits(SpectralState(tuple(image.terms) + tuple(want)).terms,
+                         scan_merge(tuple(image.terms) + tuple(want)))
 
     @pytest.mark.parametrize("name", sorted(SYMMETRIES))
     @given(seed=SEEDS, n=st.integers(0, 16))
@@ -102,9 +103,9 @@ class TestFreeEvolutionMatchesOracle:
         state = TwoParticleState(tuple((c, label_mode(x), label_mode(y)) for c, x, y in raw))
         evolved = free_evolve(state, *evolution)
         assert_same_bits(evolved.terms, evolve_loop(state.terms, *evolution))
-        # surviving rows keep their Mode objects
-        inputs = {id(m) for _, *modes in state.terms for m in modes}
-        assert all(id(m) in inputs for _, *modes in evolved.terms for m in modes)
+        # surviving rows keep the bits of their input labels
+        inputs = {label_bits(m) for _, *modes in state.terms for m in modes}
+        assert all(label_bits(m) in inputs for _, *modes in evolved.terms for m in modes)
 
 
 class TestMollerMatchesOracle:
@@ -130,7 +131,7 @@ class TestMollerMatchesOracle:
         got = moller_first_order(incident, potential, momenta)
         assert_same_bits(got.terms, want)
         if want:
-            assert got.terms[0][1] is incident
+            assert label_bits(got.terms[0][1]) == label_bits(incident)
 
     def test_transition_potential_nodes_per_row(self, rng):
         m_in = random_mode(rng, branch=1, phi=1)
@@ -220,33 +221,56 @@ class TestArrayPathBuildsNoModes:
 
     N = 400
 
-    def test_maps_evolution_joins_currents_and_moller(self, rng, monkeypatch):
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """One entry per Mode constructed while the test runs."""
+        built = []
+        post_init = Mode.__post_init__
+        monkeypatch.setattr(Mode, "__post_init__", lambda mode: built.append(1) or post_init(mode))
+        return built
+
+    def test_maps_evolution_joins_currents_and_moller(self, rng, built):
         state = random_state(rng, self.N)
         incident = random_mode(rng, branch=1, phi=1)
         momenta = elastic_shell(incident.p, np.linspace(0.1, 3.0, self.N // 8), n_azimuth=8)
         points = rng.normal(size=(3, 4))
-        built = []
-        post_init = Mode.__post_init__
-        monkeypatch.setattr(Mode, "__post_init__", lambda mode: built.append(1) or post_init(mode))
+        built.clear()
 
         images = [getattr(states, name)(state) for name in sorted(SYMMETRIES)]
         evolved = free_evolve(images[0], 0.0, 0.7, 1)
         inner_product(images[0], images[0])
         inner_product(images[1], evolved)
         concatenated_current(images[2], points)
-        moller = moller_first_order(incident, coulomb_potential(1.0), momenta)
+        moller_first_order(incident, coulomb_potential(1.0), momenta)
         assert built == []
 
-        assert len(moller.terms) == self.N + 1
-        assert len(built) == self.N  # the incident term keeps its Mode
-        # rows built from Modes keep them through free evolution
+    def test_lengths_read_the_arrays(self, rng, built):
+        state = random_state(rng, self.N)
+        incident = random_mode(rng, branch=1, phi=1)
+        momenta = elastic_shell(incident.p, np.linspace(0.1, 3.0, self.N // 8), n_azimuth=8)
         built.clear()
-        assert len(free_evolve(state, 0.0, -0.4, -1).terms) > 0
+
+        image = states.parity(state)
+        evolved = free_evolve(state, 0.0, -0.4, -1)
+        moller = moller_first_order(incident, coulomb_potential(1.0), momenta)
+        assert len(image.terms) == self.N and not image.is_empty
+        assert 0 < len(evolved.terms) < self.N and not evolved.is_empty
+        assert len(moller.terms) == self.N + 1 and not moller.is_empty
         assert built == []
+
+    def test_rows_are_built_per_read(self, rng, built):
+        image = states.parity(random_state(rng, self.N))
+        built.clear()
+        view = image.terms
+        assert view[-1][0] == image.coeff[-1] and len(built) == 1
+        assert len(view[2:5]) == 3 and len(built) == 4
+        # each read builds its Modes anew; nothing is cached
+        assert label_bits(view[0][1]) == label_bits(view[0][1]) and len(built) == 6
+        assert len(list(view)) == self.N and len(built) == self.N + 6
 
 
 class TestContainersAreReadOnly:
-    """The cached terms view and join keys rest on labels that never change."""
+    """The terms view and the cached join keys rest on labels that never change."""
 
     def test_attributes_cannot_be_reassigned(self, rng):
         state = random_state(rng, 3)
@@ -259,4 +283,6 @@ class TestContainersAreReadOnly:
                 delattr(container, field)
         with pytest.raises(ValueError):
             state.coeff[0] = 0.0
+        with pytest.raises(TypeError):
+            state.terms[0] = state.terms[1]
         assert state.box_edge == states.TWO_PI and pair.exchange == "none"

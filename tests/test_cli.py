@@ -251,6 +251,8 @@ class TestNonFiniteInputs:
         ["uehling", "--Z", "1e300"],
         ["propagate-demo", "--modes", "0"],
         ["propagate-demo", "--modes", "-3"],
+        # finite, but nu*dtau overflows in the tau phase
+        ["propagate-demo", "--dtau", "1.7976931348623157e308"],
     ], ids=" ".join)
     def test_rejected_with_exit_2(self, argv, capsys):
         try:

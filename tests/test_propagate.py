@@ -7,7 +7,7 @@ import pytest
 
 from paradirac import propagate
 from paradirac.algebra import ELEMENTARY_CHARGE, TWO_PI, four_vector, minkowski_dot
-from paradirac.errors import DegenerateInterval, UnresolvedDelta
+from paradirac.errors import DegenerateInterval, NonfiniteResult, UnresolvedDelta
 from paradirac.propagate import (
     InfluenceKernel,
     elastic_shell,
@@ -25,7 +25,7 @@ from paradirac.sampling import (
 )
 from paradirac.scattering import coulomb_potential, s1_amplitude
 from paradirac.spinors import u_block, v_block
-from paradirac.states import Mode, single_mode_state
+from paradirac.states import Mode, Subspace, inner_product, single_mode_state
 from paradirac.twobody import two_conjugation_check
 from paradirac.verify import Check
 
@@ -114,14 +114,38 @@ class TestKernelMatrix:
         assert resid == 0.0
 
     def test_nan_kernels_fail_the_checks(self):
-        # m dtau overflows, so every kernel entry is NaN
+        # p.dx overflows, so every kernel entry is NaN
         momenta = [four_vector(2.0), four_vector(3.0, 1.0, 0.0, 0.0)]
+        dx = np.full(4, 1e308)
         with np.errstate(all="ignore"):
-            one = influence_conjugation_check(np.zeros(4), 1e308, momenta)
-            two = two_conjugation_check((np.zeros(4), np.zeros(4)), 1e308, [momenta])
+            one = influence_conjugation_check(dx, 0.5, momenta)
+            two = two_conjugation_check((dx, dx), 0.5, [momenta])
         assert np.isnan(one) and np.isnan(two)
         assert not Check("conjugation", one, 1e-12).passed
         assert not Check("two-body conjugation", two, 1e-12).passed
+
+
+class TestNonfinitePhase:
+    """An overflowing tau phase nu*dtau raises NonfiniteResult, with no numpy
+    warning on the way (pytest turns warnings into errors)."""
+
+    DTAU = 1.7976931348623157e308
+
+    def test_free_evolve_raises(self, rng):
+        state = random_state(rng, 6, mass=2.0, subspace=Subspace.S_PLUS)
+        with pytest.raises(NonfiniteResult):
+            free_evolve(state, 0.0, self.DTAU, 1)
+        with pytest.raises(NonfiniteResult):
+            InfluenceKernel(1, self.DTAU).apply(state)
+        # no survivor, no phase
+        assert free_evolve(state, 0.0, self.DTAU, -1).is_empty
+
+    def test_kernels_raise(self, rng):
+        momenta = [random_timelike_momentum(rng, mass=2.0) for _ in range(3)]
+        with pytest.raises(NonfiniteResult):
+            kernel_matrix(1, momenta, np.zeros(4), self.DTAU)
+        with pytest.raises(NonfiniteResult):
+            influence_conjugation_check(np.zeros(4), -self.DTAU, momenta)
 
 
 class TestKernelScalingGuard:
@@ -194,6 +218,16 @@ class TestMollerFirstOrder:
         incident = Mode(p=p_in, branch=-1, a=random_spin_coefficients(rng))
         out = moller_first_order(incident, coulomb_potential(Z=1.0), [p_in])
         assert out.is_empty
+
+    def test_negative_energy_incident_keeps_its_branch(self, rng):
+        # S+ through branch -1 and phi = -1: the passthrough row is the incident mode
+        incident = random_mode(rng, branch=-1, phi=-1)
+        outs = elastic_shell(incident.p, [0.6, 1.5, 2.4], n_azimuth=2)
+        out = moller_first_order(incident, coulomb_potential(Z=2.0), outs)
+        assert len(out.terms) == 7 and out.branch[0, 0] == incident.branch
+        overlap = inner_product(single_mode_state(incident), out)
+        assert overlap == incident.branch * np.vdot(incident.a, incident.a)
+        assert len(free_evolve(out, 0.0, 0.5, 1).terms) == 7
 
     def test_unresolved_delta_raises(self, rng):
         # no supplied momentum conserves the mass: the tau delta never fires

@@ -12,6 +12,7 @@ from brute_force import (
     assert_same_terms,
     build_terms,
     frequencies_match,
+    label_bits,
     label_mode,
     pair_loop_current,
     scan_merge,
@@ -277,7 +278,7 @@ class TestLabelKeys:
         assert image.label_key == clone.label_key
         merged = SpectralState(((0.5, image), (0.25, clone)))
         assert len(merged.terms) == 1 and merged.terms[0][0] == 0.75
-        assert merged.terms[0][1] is image
+        assert label_bits(merged.terms[0][1]) == label_bits(image)
         overlap = inner_product(single_mode_state(image), single_mode_state(clone))
         assert overlap == np.vdot(image.a, image.a) != 0.0
 
@@ -293,7 +294,7 @@ class TestLabelKeys:
         m1, m2, m3 = (random_mode(rng) for _ in range(3))
         again = Mode(m1.p.copy(), m1.branch, m1.a.copy())
         state = SpectralState(((1.0, m2), (2.0, m1), (3.0, m3), (4.0, again)))
-        assert [id(m) for _, m in state.terms] == [id(m2), id(m1), id(m3)]
+        assert [label_bits(m) for _, m in state.terms] == [label_bits(m) for m in (m2, m1, m3)]
         assert [c for c, _ in state.terms] == [1.0, 6.0, 3.0]
 
     def test_opposite_coefficients_drop_out(self):

@@ -14,6 +14,7 @@ from brute_force import (
     all_pairs_two_inner,
     assert_same_terms,
     born_sandwich,
+    label_bits,
     label_mode,
     marginal_pair_loop,
     overlap,
@@ -299,7 +300,7 @@ class TestKernelAndCurrents:
         m3 = random_mode(rng, branch=1, phi=1, p_scale=0.5)
         state = antisymmetrize(m1, m2)
         state = TwoParticleState(
-            terms=state.terms + ((0.3, m3, m1),), exchange="none"
+            terms=tuple(state.terms) + ((0.3, m3, m1),), exchange="none"
         )
         points = rng.normal(size=(3, 4))
         for particle in (1, 2):
@@ -407,8 +408,8 @@ class TestLabelKeys:
         other = _mode(rng)
         state = TwoParticleState(((0.5, image, other), (0.25, clone, other), (1.0, other, clone)))
         assert len(state.terms) == 2
-        assert state.terms[0][0] == 0.75 and state.terms[0][1] is image
-        assert state.terms[1][1] is other
+        assert state.terms[0][0] == 0.75 and label_bits(state.terms[0][1]) == label_bits(image)
+        assert label_bits(state.terms[1][1]) == label_bits(other)
         single = TwoParticleState(((1.0, other, image),))
         assert two_inner_product(single, state) == np.vdot(other.a, other.a) * np.vdot(image.a, image.a)
 
@@ -416,7 +417,7 @@ class TestLabelKeys:
         mx, my = _mode(rng), _mode(rng)
         flipped = Mode(signed_zeros(mx.p, True), mx.branch, signed_zeros(mx.a, True))
         state = TwoParticleState(((0.5, mx, my), (1.0, my, mx), (-0.5, flipped, my)))
-        assert len(state.terms) == 1 and state.terms[0][1] is my
+        assert len(state.terms) == 1 and label_bits(state.terms[0][1]) == label_bits(my)
 
     @given(TWO_TERMS)
     def test_merge_matches_linear_scan(self, raw):
