@@ -37,7 +37,7 @@ from .algebra import (
     _matvec,
 )
 from .errors import DegenerateInterval, NonfiniteResult, UnresolvedDelta
-from .spinors import branch_block, lambda_u, lambda_v
+from .spinors import _block, lambda_u, lambda_v
 from .states import Mode, SpectralState, Subspace, TermContainer, classify_subspace
 
 
@@ -120,14 +120,19 @@ def semigroup_compose(state: SpectralState, tau0: float, tau1: float, tau2: floa
 
 def _support_terms(which: int, momenta, dx, dtau: float):
     """sign(dtau) and, per momentum of shape (..., 4), the unscaled 4x4 term of
-    kernel_matrix's sum, as a zero-started sum holds it: -0.0 folded to +0.0."""
+    kernel_matrix's sum, as a zero-started sum holds it: -0.0 folded to +0.0.
+    NonfiniteResult where a phase p.dx +/- phi m dtau overflows."""
     sgn = InfluenceKernel(which, dtau).step_sign
     p = np.asarray(momenta, dtype=float)
     phi = energy_sign(p)
     m = mass_of(p)
     upper = phi == which * sgn
     angle = np.where(upper, 1.0, -1.0) * _tau_angle(phi * m, dtau)
-    phase = np.exp(1j * (minkowski_dot(p, dx) + angle))
+    with np.errstate(over="ignore", invalid="ignore"):
+        angle = minkowski_dot(p, dx) + angle
+    if not np.isfinite(angle).all():
+        raise NonfiniteResult("the kernel phase p.dx overflows")
+    phase = np.exp(1j * angle)
     projector = np.where(np.asarray(upper)[..., None, None], lambda_u(p, m), lambda_v(p, m))
     return sgn, projector * phase[..., None, None] + 0.0
 
@@ -232,17 +237,18 @@ def moller_first_order(
     dp = q - incident.p
     if getattr(potential, "static", False):
         shell &= np.abs(dp[:, 0]) <= ATOL_SHELL
-    q, dp = q[shell], dp[shell]
+    q, dp, m_out = q[shell], dp[shell], m_out[shell]
     a_tilde = potential.fourier(dp)
     live = a_tilde.any(axis=-1)
-    q, a_tilde = q[live], a_tilde[live]
+    q, a_tilde, m_out = q[live], a_tilde[live], m_out[live]
     branch = np.where(energy_sign(q) > 0, 1, -1)
     kick = _matvec(slash(a_tilde), incident.amplitude_spinor())
-    a_out = _matvec(bar(branch_block(q, branch)), kick)
+    a_out = _matvec(bar(_block(q, m_out, branch == 1)), kick)
     live = a_out.any(axis=-1)
-    q, branch, a_out = q[live], branch[live], a_out[live]
+    q, branch, a_out, m_out = q[live], branch[live], a_out[live], m_out[live]
     return SpectralState((), box_edge)._derive(
         np.concatenate(([1.0 + 0.0j], branch * (1j * charge / box_edge**3))),
         np.concatenate((incident.p[None], q))[:, None],
         np.concatenate(([incident.branch], branch))[:, None],
-        np.concatenate((incident.a[None], a_out))[:, None])
+        np.concatenate((incident.a[None], a_out))[:, None],
+        np.concatenate(([incident.mass], m_out))[:, None])

@@ -166,16 +166,22 @@ def boost_spin(s_hat, p):
     return out
 
 
+def _check_branch(branch):
+    """Raise ValueError unless `branch` (one sign or one per row) is +1 or -1."""
+    if not (np.all(np.abs(branch) == 1) if np.ndim(branch) else branch in (1, -1)):
+        raise ValueError("branch must be +1 or -1")
+
+
 def branch_block(p, branch):
     """u_block for branch +1, v_block for branch -1; `branch` is one sign or
     one per row of p."""
-    if not (np.all(np.abs(branch) == 1) if np.ndim(branch) else branch in (1, -1)):
-        raise ValueError("branch must be +1 or -1")
+    _check_branch(branch)
     return _block(p, None, branch == 1)
 
 
 def branch_projector(p, branch):
     """lambda_u for branch +1, lambda_v for branch -1."""
+    _check_branch(branch)
     return lambda_u(p) if branch == 1 else lambda_v(p)
 
 
@@ -188,7 +194,11 @@ def decompose_in_block(p, branch, spinor):
     Momenta (..., 4) and spinors (..., 4) give coefficients (..., 2); the
     branch is as for branch_block.
     """
-    block = branch_block(p, branch)
+    return _decompose(branch_block(p, branch), branch, spinor)
+
+
+def _decompose(block, branch, spinor):
+    """decompose_in_block in a block the caller has built for its rows."""
     spinor = np.asarray(spinor)
     a = np.asarray(branch, dtype=float)[..., None] * _matvec(bar(block), spinor)
     residual = _norm(_matvec(block, a) - spinor)

@@ -39,16 +39,15 @@ from .algebra import (
     GAMMA5,
     GAMMA_STACK,
     TWO_PI,
-    energy_sign,
     gamma,
     lower_index,
-    mass_of,
     minkowski_dot,
     _dot,
     _matvec,
+    _row_kinematics,
 )
 from .errors import BoxMismatch, MasslessState
-from .spinors import branch_block, decompose_in_block
+from .spinors import _block, _decompose
 
 
 class Subspace(enum.Enum):
@@ -63,7 +62,9 @@ class Mode:
     """One box-normalized plane-wave mode (p, branch, spin coefficients).
 
     label_key = (branch, p bytes, a bytes) uses the bytes of p + 0.0 and
-    a + 0.0, so -0.0 equals 0.0 as in array_equal.
+    a + 0.0, so -0.0 equals 0.0 as in array_equal.  The checks and the
+    kinematics (mass, phi) run on Python floats, bit for bit as mass_of and
+    energy_sign.
     """
 
     p: np.ndarray
@@ -77,12 +78,13 @@ class Mode:
             raise ValueError("momentum must be a four-vector")
         if a.shape != (2,):
             raise ValueError("spin coefficients must be a complex pair")
-        if not (np.isfinite(p).all() and np.isfinite(a).all()):
+        momentum = p.tolist()
+        if not all(map(math.isfinite, momentum + a.view(float).tolist())):
             raise ValueError("mode fields must be finite")
         branch = int(self.branch)
         if branch not in (1, -1):
             raise ValueError("branch must be +1 or -1")
-        m = mass_of(p)
+        m, phi = _row_kinematics(*momentum)
         if m == 0.0:
             raise MasslessState("modes require strictly timelike momenta")
         p.setflags(write=False)
@@ -91,7 +93,7 @@ class Mode:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "branch", branch)
         object.__setattr__(self, "mass", m)
-        object.__setattr__(self, "phi", energy_sign(p))
+        object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "label_key", (branch, (p + 0.0).tobytes(), (a + 0.0).tobytes()))
 
     @property
@@ -105,7 +107,7 @@ class Mode:
 
     def amplitude_spinor(self):
         """The bispinor factor block(p) @ a (box factor 1/L^2 not included)."""
-        return branch_block(self.p, self.branch) @ self.a
+        return _block(self.p, self.mass, self.branch == 1) @ self.a
 
 
 def overlap_join(keys_a, keys_b):
@@ -204,14 +206,14 @@ class TermContainer:
             np.array([m.p for m in modes]).reshape(shape + (4,)), branch.T.astype(int),
             np.array([m.a for m in modes]).reshape(shape + (2,)), mass.T))
 
-    def _derive(self, coeff, p, branch, a):
-        """A state of the same kind and box on new label arrays.  Checks in
-        batch what Mode.__post_init__ checks, with the same error classes."""
+    def _derive(self, coeff, p, branch, a, mass):
+        """A state of the same kind and box on new label arrays, with `mass`
+        the mass_of(p) that every caller already holds.  Checks in batch
+        what Mode.__post_init__ checks, with the same error classes."""
         if not (np.isfinite(p).all() and np.isfinite(a).all()):
             raise ValueError("mode fields must be finite")
         if not (np.abs(branch) == 1).all():
             raise ValueError("branch must be +1 or -1")
-        mass = mass_of(p)
         if (mass == 0.0).any():
             raise MasslessState("modes require strictly timelike momenta")
         rows = np.concatenate((p, a.view(float), branch[..., None]), axis=-1, dtype=float)
@@ -271,7 +273,7 @@ class TermContainer:
 
     def spinors(self):
         """Amplitude spinors block(p) @ a, shape (n, w, 4)."""
-        return _matvec(branch_block(self.p, self.branch), self.a)
+        return _matvec(_block(self.p, self.mass, self.branch == 1), self.a)
 
     def overlap_keys(self, col=0):
         """(branch, bytes of p + 0.0) of the modes in column `col`, in row order."""
@@ -332,7 +334,8 @@ def single_mode_state(mode: Mode, coeff=1.0, box_edge=TWO_PI) -> SpectralState:
 # Each map sends a plane-wave mode to another plane-wave mode; the transformed
 # spinor is re-expressed in the block basis of the image momentum, which is
 # exact because the maps commute with the free equation.  Spatial momenta
-# always flip; `flip` also flips the energy and the branch.
+# always flip; `flip` also flips the energy and the branch.  Flipping signs
+# leaves mass_of(p) bit for bit as it was, so the image keeps the state's mass.
 
 def _transform(state: SpectralState, matrix, conjugate, flip) -> SpectralState:
     spinor = state.spinors()
@@ -341,8 +344,8 @@ def _transform(state: SpectralState, matrix, conjugate, flip) -> SpectralState:
     spinor = _matvec(matrix, spinor)
     q = state.p * np.array([-1.0 if flip else 1.0, -1.0, -1.0, -1.0])
     branch = -state.branch if flip else state.branch
-    a = decompose_in_block(q, branch, spinor)
-    return state._derive(state.coeff.conj() if conjugate else state.coeff, q, branch, a)
+    a = _decompose(_block(q, state.mass, branch == 1), branch, spinor)
+    return state._derive(state.coeff.conj() if conjugate else state.coeff, q, branch, a, state.mass)
 
 
 def charge_conjugate(state: SpectralState) -> SpectralState:
@@ -385,6 +388,8 @@ def inner_product(state_a: SpectralState, state_b: SpectralState):
     if state_a.box_edge != state_b.box_edge:
         raise BoxMismatch("states quantized in different boxes")
     i, j = overlap_join(state_a.overlap_keys(), state_b.overlap_keys())
+    if not len(i):
+        return 0j
     total = 0.0j
     for ca, cb, overlap in zip(state_a.coeff[i].tolist(), state_b.coeff[j].tolist(),
                                state_a.overlaps(i, state_b, j).tolist()):

@@ -55,7 +55,7 @@ from .states import (
     overlap_join,
     pair_current,
 )
-from .spinors import branch_block
+from .spinors import _block
 
 _EXCHANGE_TAGS = ("none", "fermionic", "bosonic")
 
@@ -149,6 +149,8 @@ def two_inner_product(state_a: TwoParticleState, state_b: TwoParticleState) -> c
     if state_a.box_edge != state_b.box_edge:
         raise BoxMismatch("states quantized in different boxes")
     i, j = overlap_join(*(list(zip(s.overlap_keys(0), s.overlap_keys(1))) for s in (state_a, state_b)))
+    if not len(i):
+        return 0j
     return _overlap_sum(state_a, state_b, i, j,
                         [state_a.overlaps(i, state_b, j, col).tolist() for col in (0, 1)])
 
@@ -228,11 +230,11 @@ def _born_sandwich(state_f: TwoParticleState, state_i: TwoParticleState, pairs, 
     if not live:
         return born
     _, cols, rows_f, rows_i = np.array(live, dtype=np.intp).T
-    # spinors of the final, then of the incident rows, in one branch_block pass
-    p, branch, a = (np.concatenate((out[rows_f, cols], inc[rows_i, cols]))
-                    for out, inc in ((state_f.p, state_i.p), (state_f.branch, state_i.branch),
-                                     (state_f.a, state_i.a)))
-    spinors = _matvec(branch_block(p, branch), a)
+    # spinors of the final, then of the incident rows, in one block pass
+    p, branch, a, mass = (np.concatenate((out[rows_f, cols], inc[rows_i, cols]))
+                          for out, inc in ((state_f.p, state_i.p), (state_f.branch, state_i.branch),
+                                           (state_f.a, state_i.a), (state_f.mass, state_i.mass)))
+    spinors = _matvec(_block(p, mass, branch == 1), a)
     n = len(live)
     n_x, dp = n - int(cols.sum()), p[:n] - p[n:]
     # the rows of particle 1 come first; a shared potential takes one transform

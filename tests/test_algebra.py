@@ -1,13 +1,15 @@
 """Clifford table, metric conventions, and the adjoint machinery."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from paradirac.algebra import (
+    ATOL_ALGEBRA,
     GAMMA0,
     GAMMA1,
     GAMMA2,
@@ -26,8 +28,10 @@ from paradirac.algebra import (
     minkowski_dot,
     pauli_dot,
     slash,
+    _row_kinematics,
 )
-from paradirac.errors import SuperluminalMomentum, ZeroEnergy
+from paradirac.errors import MasslessState, SuperluminalMomentum, ZeroEnergy
+from paradirac.states import Mode
 
 component = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 four_components = st.tuples(component, component, component, component)
@@ -220,3 +224,121 @@ class TestBatchedKinematics:
         p[9] = four_vector(2.0, 0.0, 0.0, 2.0)
         masses = mass_of(p)
         assert masses[9] == 0.0 and np.all(np.delete(masses, 9) > 0.0)
+
+
+SIGNS = st.sampled_from((1.0, -1.0))
+# a spatial component: a signed zero or a direction cosine
+DIRECTION = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def timelike_rows(draw):
+    """(p0, x, y, z) of mass 1e-3..1e3 and |p|/m from 1e-6 to 1e8, either
+    energy sign; zero spatial components keep their sign."""
+    mass = 10.0 ** draw(st.floats(-3.0, 3.0))
+    ratio = 10.0 ** draw(st.floats(-6.0, 8.0))
+    direction = [draw(DIRECTION) for _ in range(3)]
+    norm = math.sqrt(sum(c * c for c in direction)) or 1.0
+    spatial = [ratio * mass * c / norm for c in direction]
+    return [draw(SIGNS) * math.sqrt(mass * mass + sum(c * c for c in spatial)), *spatial]
+
+
+@st.composite
+def lightlike_rows(draw):
+    """Exactly lightlike rows: Pythagorean quadruples scaled by a power of two,
+    spatial components permuted and signed (zeros as +0.0 or -0.0)."""
+    p0, *spatial = draw(st.sampled_from(((1, 0, 0, 1), (5, 3, 4, 0), (13, 5, 12, 0),
+                                         (3, 1, 2, 2), (9, 1, 4, 8))))
+    scale = 2.0 ** draw(st.integers(-40, 40))
+    spatial = [draw(SIGNS) * scale * c for c in draw(st.permutations(spatial))]
+    return [draw(SIGNS) * scale * p0, *spatial]
+
+
+def _invalid(row):
+    """p0 = +-0.0, or p.p above twice mass_of's spacelike tolerance."""
+    p0, *spatial = row
+    squares = sum(c * c for c in spatial)
+    return p0 == 0.0 or squares - p0 * p0 > 2.0 * ATOL_ALGEBRA * max(1.0, squares + p0 * p0)
+
+
+# spacelike rows and rows with p0 = +0.0 or -0.0
+INVALID_ROWS = st.tuples(
+    st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-1.0, 1.0)),
+    *[st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-1e3, 1e3))] * 3,
+).filter(_invalid)
+
+
+def _outcome(f, *args):
+    """f(*args) as exact bits, or the class and message of the error it raises."""
+    try:
+        return [value.hex() for value in f(*args)]
+    except (ZeroEnergy, SuperluminalMomentum) as error:
+        return type(error), str(error)
+
+
+def _numpy_route(*row):
+    p = np.array(row)
+    return mass_of(p), energy_sign(p)
+
+
+class TestRowKinematics:
+    """The Python-float kinematics of one row against mass_of and energy_sign,
+    bit for bit, with the same errors."""
+
+    @given(timelike_rows())
+    # x*x + (y*y + z*z) rounds this row's p.p differently
+    @example([41.69306661858319, -22.01129287007216, 11.154790043783201, -31.097131949216994])
+    def test_timelike_rows_equal_mass_of(self, row):
+        assert _outcome(_row_kinematics, *row) == _outcome(_numpy_route, *row)
+        # a batch row has the same bits
+        mass, _ = _row_kinematics(*row)
+        assert mass_of(np.array([row, row]))[1].hex() == mass.hex()
+
+    def test_seeded_batch(self, rng):
+        """Rows past hypothesis's simple values: |p|/m log-uniform over 1e-6..1e8."""
+        n = 4000
+        mass = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        direction = rng.normal(size=(n, 3))
+        spatial = direction * (10.0 ** rng.uniform(-6.0, 8.0, n) * mass / np.linalg.norm(direction, axis=1))[:, None]
+        spatial[rng.random((n, 3)) < 0.1] = -0.0
+        p0 = rng.choice([1.0, -1.0], n) * np.sqrt(mass**2 + (spatial**2).sum(axis=1))
+        p = np.column_stack((p0, spatial))
+        rows = [[value.hex() for value in _row_kinematics(*row)] for row in p.tolist()]
+        assert rows == [[m.hex(), s.hex()] for m, s in zip(mass_of(p).tolist(), energy_sign(p).tolist())]
+
+    @given(lightlike_rows())
+    def test_lightlike_rows_are_massless(self, row):
+        assert _outcome(_row_kinematics, *row) == _outcome(_numpy_route, *row)
+        mass, _ = _row_kinematics(*row)
+        assert mass.hex() == (0.0).hex()
+        with pytest.raises(MasslessState):
+            Mode(row, 1, [1.0, 0.0])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("row", [[1e155, 5e154, 0.0, 0.0], [-1e200, 0.0, -1e200, 1e200]])
+    def test_overflowing_rows_give_nan_mass(self, row):
+        """Squares that overflow make p.p = inf - inf: a NaN mass, as from
+        mass_of, and a Mode is built, not refused as massless."""
+        assert _outcome(_row_kinematics, *row) == _outcome(_numpy_route, *row)
+        assert math.isnan(_row_kinematics(*row)[0])
+        assert math.isnan(Mode(row, 1, [1.0, 0.0]).mass)
+
+    @given(INVALID_ROWS)
+    def test_invalid_rows_raise_the_same_error(self, row):
+        outcome = _outcome(_row_kinematics, *row)
+        assert isinstance(outcome, tuple) and outcome == _outcome(mass_of, np.array(row))[:2]
+        with pytest.raises(outcome[0]) as error:
+            Mode(row, 1, [1.0, 0.0])
+        assert str(error.value) == outcome[1]
+
+    @given(timelike_rows(), st.sampled_from((1, -1)), st.tuples(*[st.floats(-2.0, 2.0)] * 4))
+    def test_mode_kinematics_and_key(self, row, branch, spin):
+        p = np.array(row)
+        # at |p|/m = 1e8 a rounded row can fall on the light cone
+        assume(mass_of(p) > 0.0)
+        a = np.array([complex(spin[0], spin[1]), complex(spin[2], spin[3])])
+        mode = Mode(p, branch, a)
+        assert mode.mass.hex() == mass_of(p).hex()
+        assert mode.phi.hex() == energy_sign(p).hex()
+        assert mode.label_key == (branch, (p + 0.0).tobytes(), (a + 0.0).tobytes())

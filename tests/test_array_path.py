@@ -31,7 +31,7 @@ from brute_force import (
     signed_zeros,
     symmetry_loop,
 )
-from paradirac import propagate, states
+from paradirac import propagate, spinors, states, twobody
 from paradirac.algebra import ELEMENTARY_CHARGE, four_vector
 from paradirac.errors import MasslessState, SuperluminalMomentum, UnresolvedDelta, ZeroEnergy
 from paradirac.propagate import (
@@ -49,7 +49,13 @@ from paradirac.sampling import (
 )
 from paradirac.scattering import ExternalPotential, coulomb_ft, coulomb_potential
 from paradirac.states import Mode, SpectralState, concatenated_current, inner_product
-from paradirac.twobody import TwoParticleState, potential_from_transition, two_kernel_matrix
+from paradirac.twobody import (
+    TwoParticleState,
+    potential_from_transition,
+    s2_first_order,
+    two_inner_product,
+    two_kernel_matrix,
+)
 
 SEEDS = st.integers(0, 2**32 - 1)
 LABEL_STATES = st.lists(st.tuples(COEFFS, LABELS), max_size=12)
@@ -267,6 +273,80 @@ class TestArrayPathBuildsNoModes:
         # each read builds its Modes anew; nothing is cached
         assert label_bits(view[0][1]) == label_bits(view[0][1]) and len(built) == 6
         assert len(list(view)) == self.N and len(built) == self.N + 6
+
+
+class TestCarriedMass:
+    """A Mode computes its mass from its row, and the maps pass each
+    container's own mass to the spinor blocks: a mass_of call count, not a
+    timing."""
+
+    N = 400
+
+    @pytest.fixture
+    def mass_calls(self, monkeypatch):
+        """One entry per mass_of call from the state, spinor, propagation
+        and two-body layers while the test runs."""
+        calls = []
+        for module in (states, spinors, propagate, twobody):
+            if hasattr(module, "mass_of"):
+                fn = module.mass_of
+                monkeypatch.setattr(module, "mass_of", lambda p, fn=fn: calls.append(1) or fn(p))
+        return calls
+
+    def forward_pair(self, rng):
+        """Initial and final two-body states of N terms in S+ whose x momenta
+        share p0 and |p|, with a pool of y modes so partner keys repeat."""
+        incident = random_mode(rng, branch=1, phi=1)
+        momenta = elastic_shell(incident.p, np.linspace(0.1, 3.0, self.N // 8), n_azimuth=8)
+        ys = [random_mode(rng, branch=1, phi=1) for _ in range(self.N // 4)]
+        xs = [Mode(p, 1, random_spin_coefficients(rng)) for p in momenta]
+        state_i = TwoParticleState(tuple((1.0, x, ys[k % len(ys)]) for k, x in enumerate(xs)))
+        state_f = TwoParticleState(tuple((0.5j, xs[k - 1], ys[k % len(ys)]) for k in range(len(xs))))
+        return state_i, state_f
+
+    def test_modes_maps_evolution_and_s2_call_none(self, rng, mass_calls):
+        state = random_state(rng, self.N)
+        state_i, state_f = self.forward_pair(rng)
+        pots = (coulomb_potential(1.0), coulomb_potential(2.0))
+        mass_calls.clear()
+
+        Mode(state.p[0, 0], 1, state.a[0, 0])
+        state.spinors()
+        for name in sorted(SYMMETRIES):
+            getattr(states, name)(state)
+        free_evolve(state, 0.0, 0.7, 1)
+        amplitude = s2_first_order(state_i, state_f, pots)
+        assert mass_calls == []
+        assert amplitude.value != 0.0
+
+    def test_moller_calls_it_once(self, rng, mass_calls):
+        incident = random_mode(rng, branch=1, phi=1)
+        momenta = elastic_shell(incident.p, np.linspace(0.1, 3.0, self.N // 8), n_azimuth=8)
+        mass_calls.clear()
+        moller = moller_first_order(incident, coulomb_potential(1.0), momenta)
+        assert len(moller.coeff) == self.N + 1 and len(mass_calls) == 1
+
+
+class TestDisjointKeys:
+    """Joins whose key sets share nothing: an empty (2, 0) index, and zero
+    inner products and free overlap."""
+
+    def test_overlap_join_is_empty(self):
+        for keys_a, keys_b in (([1, 2, 2], [3, 4]), ([], [1]), ([1], []), ([], [])):
+            pairs = states.overlap_join(keys_a, keys_b)
+            assert pairs.shape == (2, 0) and pairs.dtype == np.intp
+
+    def test_two_body_products_and_amplitude(self, rng):
+        modes = [random_mode(rng, branch=1, phi=1) for _ in range(4)]
+        state_a = TwoParticleState(((1.0, modes[0], modes[1]), (-1.0, modes[1], modes[0])))
+        state_b = TwoParticleState(((0.5, modes[2], modes[3]),))
+        assert two_inner_product(state_a, state_b) == 0j
+        pots = (coulomb_potential(1.0), coulomb_potential(1.0))
+        amplitude = s2_first_order(state_a, state_b, pots)
+        # no shared key: no Born term, and the free overlap is zero
+        assert amplitude.value == two_inner_product(state_b, state_a) == 0j
+        assert type(two_inner_product(state_a, state_b)) is complex
+        assert inner_product(SpectralState(((1.0, modes[0]),)), SpectralState(((1.0, modes[1]),))) == 0j
 
 
 class TestContainersAreReadOnly:

@@ -113,21 +113,19 @@ class TestKernelMatrix:
         resid = influence_conjugation_check(rng.normal(size=4), 1.3, momenta)
         assert resid == 0.0
 
-    def test_nan_kernels_fail_the_checks(self):
-        # p.dx overflows, so every kernel entry is NaN
-        momenta = [four_vector(2.0), four_vector(3.0, 1.0, 0.0, 0.0)]
-        dx = np.full(4, 1e308)
-        with np.errstate(all="ignore"):
-            one = influence_conjugation_check(dx, 0.5, momenta)
-            two = two_conjugation_check((dx, dx), 0.5, [momenta])
-        assert np.isnan(one) and np.isnan(two)
-        assert not Check("conjugation", one, 1e-12).passed
-        assert not Check("two-body conjugation", two, 1e-12).passed
+    def test_nan_residual_fails_the_check(self):
+        # a NaN anywhere in the stack, as from NaN kernels, makes the residual NaN
+        diff = np.zeros((3, 4, 4), dtype=complex)
+        diff[1, 2, 3] = np.nan
+        resid = propagate._max_residual(diff)
+        assert np.isnan(resid) and np.isnan(propagate._max_residual(np.full((2, 4, 4), np.nan)))
+        assert not Check("conjugation", resid, 1e-12).passed
 
 
 class TestNonfinitePhase:
-    """An overflowing tau phase nu*dtau raises NonfiniteResult, with no numpy
-    warning on the way (pytest turns warnings into errors)."""
+    """An overflowing tau phase nu*dtau or kernel phase p.dx raises
+    NonfiniteResult, with no numpy warning on the way (pytest turns warnings
+    into errors)."""
 
     DTAU = 1.7976931348623157e308
 
@@ -146,6 +144,17 @@ class TestNonfinitePhase:
             kernel_matrix(1, momenta, np.zeros(4), self.DTAU)
         with pytest.raises(NonfiniteResult):
             influence_conjugation_check(np.zeros(4), -self.DTAU, momenta)
+
+    def test_overflowing_dx_raises(self):
+        # a finite dx whose p.dx overflows
+        momenta = [four_vector(2.0), four_vector(3.0, 1.0, 0.0, 0.0)]
+        dx = np.full(4, 1e308)
+        with pytest.raises(NonfiniteResult):
+            kernel_matrix(1, [four_vector(2.0)], dx, 0.5)
+        with pytest.raises(NonfiniteResult):
+            influence_conjugation_check(dx, 0.5, momenta)
+        with pytest.raises(NonfiniteResult):
+            two_conjugation_check((dx, dx), 0.5, [momenta])
 
 
 class TestKernelScalingGuard:

@@ -110,6 +110,14 @@ class TestBranchDecomposition:
         with pytest.raises(ValueError):
             branch_block(p, 0)
 
+    @pytest.mark.parametrize("branch", [0, 7, -2, 0.5])
+    def test_projector_rejects_other_branches(self, rng, branch):
+        p = random_timelike_momentum(rng)
+        with pytest.raises(ValueError, match="branch must be"):
+            branch_projector(p, branch)
+        with pytest.raises(ValueError, match="branch must be"):
+            branch_block(p, branch)
+
 
 class TestSpinMachinery:
     def test_boost_spin_constraints(self, rng):
