@@ -112,12 +112,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run the named residual suites")
+    p_verify.set_defaults(run=cmd_verify)
     p_verify.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--tol", type=_positive, default=None,
                           help="override every per-suite tolerance")
 
     p_mott = sub.add_parser("mott", help="angular cross-section table (CSV)")
+    p_mott.set_defaults(run=cmd_mott)
     p_mott.add_argument("--p-mag", type=_positive, default=ELECTRON_MASS,
                         help="momentum magnitude in MeV (default: electron mass)")
     p_mott.add_argument("--Z", type=_positive, default=1.0)
@@ -126,21 +128,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_mott.add_argument("--out", default=None)
 
     p_ueh = sub.add_parser("uehling", help="vacuum-polarization level shift (JSON)")
+    p_ueh.set_defaults(run=cmd_uehling)
     p_ueh.add_argument("--Z", type=_positive, default=1.0)
     p_ueh.add_argument("--state", choices=sorted(_STATE_LABELS), default="2s")
     p_ueh.add_argument("--out", default=None)
 
     p_g2 = sub.add_parser("g2", help="anomalous moment endpoint (JSON)")
+    p_g2.set_defaults(run=cmd_g2)
     p_g2.add_argument("--alpha", type=_positive, default=FINE_STRUCTURE)
     p_g2.add_argument("--out", default=None)
 
     p_anom = sub.add_parser("anomaly", help="axial anomaly contraction (JSON)")
+    p_anom.set_defaults(run=cmd_anomaly)
     p_anom.add_argument("--E", type=_parse_triple, required=True, metavar="Ex,Ey,Ez")
     p_anom.add_argument("--B", type=_parse_triple, required=True, metavar="Bx,By,Bz")
     p_anom.add_argument("--out", default=None)
 
     p_demo = sub.add_parser("propagate-demo",
                             help="free evolution of a seeded random state (JSON)")
+    p_demo.set_defaults(run=cmd_propagate_demo)
     p_demo.add_argument("--seed", type=int, default=0)
     p_demo.add_argument("--dtau", type=_finite, default=1.0)
     p_demo.add_argument("--which", type=int, choices=(1, -1), default=1)
@@ -225,16 +231,6 @@ def cmd_propagate_demo(args) -> int:
     return _emit_json(record, args.out)
 
 
-_DISPATCH = {
-    "verify": cmd_verify,
-    "mott": cmd_mott,
-    "uehling": cmd_uehling,
-    "g2": cmd_g2,
-    "anomaly": cmd_anomaly,
-    "propagate-demo": cmd_propagate_demo,
-}
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """build_parser(), once per process: in-process callers of main reuse it."""
@@ -244,7 +240,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except ValueError as exc:
         print(f"paradirac {args.command}: {exc}", file=sys.stderr)
         return 2

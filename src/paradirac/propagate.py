@@ -95,7 +95,10 @@ def free_evolve(state: TermContainer, tau: float, tau_prime: float, which: int) 
     S+) survive, phases advancing by nu*(tau'-tau); for tau' < tau only the
     complementary set survives.  which=-1 mirrors the pattern.  Annihilated
     modes are dropped from the term list.  Terms of any width evolve factor
-    by factor, so a term dies when any of its modes is annihilated.
+    by factor, so a term dies when any of its modes is annihilated; a
+    two-particle survivor picks up exp[i (nu_1 + nu_2) dtau], the two step
+    signs squaring away, and exchange symmetry is preserved because the
+    operator is symmetric under the factor swap.
     """
     if tau_prime == tau:
         raise DegenerateInterval("evolution interval is degenerate")

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import copy
 import enum
+import functools
 import json
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, dataclass
 from typing import NamedTuple
@@ -275,12 +277,18 @@ class TermContainer:
         """Amplitude spinors block(p) @ a, shape (n, w, 4)."""
         return _matvec(_block(self.p, self.mass, self.branch == 1), self.a)
 
-    def overlap_keys(self, col=0):
-        """(branch, bytes of p + 0.0) of the modes in column `col`, in row order."""
-        if col not in self._overlap_keys:
-            self._overlap_keys[col] = list(zip(self.branch[:, col].tolist(),
-                                               _row_bytes(self.p[:, col])))
-        return self._overlap_keys[col]
+    def overlap_keys(self, *cols):
+        """One flat (branch, bytes of p + 0.0, ...) tuple per row over the
+        modes in columns `cols` (every column if none is given), in row
+        order; keys of several columns join the cached keys of each."""
+        if cols not in self._overlap_keys:
+            if len(cols) == 1:
+                keys = zip(self.branch[:, cols[0]].tolist(), _row_bytes(self.p[:, cols[0]]))
+            else:
+                keys = functools.reduce(lambda x, y: map(operator.add, x, y),
+                                        map(self.overlap_keys, cols or range(self.width)))
+            self._overlap_keys[cols] = list(keys)
+        return self._overlap_keys[cols]
 
     def overlaps(self, i, other, j, col=0):
         """branch a* . a' of column `col` for rows i here and rows j of `other`:
@@ -375,25 +383,37 @@ def tpc(state: SpectralState) -> SpectralState:
 # ---------------------------------------------------------------------------
 # inner products and concatenated currents
 
-def inner_product(state_a: SpectralState, state_b: SpectralState):
-    """Box inner product integral d^4x of bar(psi_a) psi_b at fixed tau.
+def inner_product(state_a: TermContainer, state_b: TermContainer):
+    """Box inner product integral d^4x of bar(psi_a) psi_b at fixed tau, of
+    terms of any width: the overlaps of the tensor factors multiply.
 
     Distinct lattice momenta are orthogonal; equal momenta contract through
     the spinor metric, +a*.b on the u branch and -a*.b on the v branch, and
-    mixed branches vanish.  The result does not depend on tau.
+    mixed branches vanish.  States of different widths (particle numbers)
+    are orthogonal.  The result does not depend on tau.
 
-    The sum is a join on the overlap keys: each term of state_a meets only
-    its matches in state_b, in the order of the all-pairs loop.
+    The sum is a join on the overlap keys of all columns: each term of
+    state_a meets only its matches in state_b, in all-pairs order.
     """
     if state_a.box_edge != state_b.box_edge:
         raise BoxMismatch("states quantized in different boxes")
     i, j = overlap_join(state_a.overlap_keys(), state_b.overlap_keys())
     if not len(i):
         return 0j
+    # Python's product per pair: on few terms it beats an array product's numpy calls
+    products = state_a.overlaps(i, state_b, j, 0).tolist()
+    for col in range(1, state_a.width):
+        products = map(operator.mul, products, state_a.overlaps(i, state_b, j, col).tolist())
+    return _overlap_sum(state_a, state_b, i, j, products)
+
+
+def _overlap_sum(state_a, state_b, i, j, products):
+    """sum of conj(c_a) c_b ov over the term pairs (i, j) with their
+    overlap products ov, in order; a zero product adds nothing."""
     total = 0.0j
-    for ca, cb, overlap in zip(state_a.coeff[i].tolist(), state_b.coeff[j].tolist(),
-                               state_a.overlaps(i, state_b, j).tolist()):
-        total += np.conj(ca) * cb * overlap
+    for ca, cb, ov in zip(state_a.coeff[i].tolist(), state_b.coeff[j].tolist(), products):
+        if ov:
+            total += np.conj(ca) * cb * ov
     return total
 
 
@@ -409,14 +429,25 @@ class Pairs(NamedTuple):
     momenta: np.ndarray
 
 
+def _frequencies_match(nu_k, nu_l):
+    """|nu_k - nu_l| <= ATOL_ALGEBRA max(1, |nu_k|, |nu_l|), broadcast: the
+    pairs of tau frequencies that survive the tau-concatenation integral.
+    The test is not transitive, so it cannot bucket by frequency."""
+    scale = np.maximum(1.0, np.maximum(np.abs(nu_k), np.abs(nu_l)))
+    return np.abs(nu_k - nu_l) <= ATOL_ALGEBRA * scale
+
+
+def _require_one_particle(state):
+    if state.width != 1:
+        raise TypeError(f"a one-particle state is required, not terms of width {state.width}")
+
+
 def _concatenated_pair_arrays(state: SpectralState) -> Pairs:
-    """The pairs of concatenated_pairs, in the same order, by one test
-    |nu_k - nu_l| <= ATOL_ALGEBRA max(1, |nu_k|, |nu_l|) over the n x n
-    frequency grid; the test is not transitive, so it cannot bucket by
-    frequency."""
+    """The pairs of concatenated_pairs, in the same order, by one frequency
+    test over the n x n grid."""
+    _require_one_particle(state)
     nu = state.frequency[:, 0]
-    scale = np.maximum(1.0, np.maximum(np.abs(nu)[:, None], np.abs(nu)[None, :]))
-    k, l = np.nonzero(np.abs(nu[:, None] - nu[None, :]) <= ATOL_ALGEBRA * scale)
+    k, l = np.nonzero(_frequencies_match(nu[:, None], nu[None, :]))
     weight = np.conj(state.coeff[k]) * state.coeff[l] / state.box_edge**4
     return Pairs(k, l, weight, state.spinors()[:, 0], state.p[:, 0])
 
@@ -549,6 +580,7 @@ def mode_from_record(record) -> Mode:
 
 
 def state_to_json(state: SpectralState) -> str:
+    _require_one_particle(state)
     return json.dumps([{**mode_to_record(p, branch, coeff * a), "L": state.box_edge} for coeff, p, branch, a
                        in zip(state.coeff.tolist(), state.p[:, 0], state.branch[:, 0], state.a[:, 0])])
 

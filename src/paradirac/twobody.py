@@ -16,6 +16,7 @@ sign is +.
 from __future__ import annotations
 
 import json
+import operator
 
 import numpy as np
 
@@ -48,8 +49,11 @@ from .states import (
     Subspace,
     TermContainer,
     _divergence_fd,
+    _frequencies_match,
+    _overlap_sum,
     _plane_waves,
     classify_subspace,
+    inner_product,
     mode_from_record,
     mode_to_record,
     overlap_join,
@@ -134,54 +138,26 @@ def _term_join(state_a: TwoParticleState, state_b: TwoParticleState):
     return pairs, i, j, overlaps
 
 
-def _overlap_sum(state_a, state_b, i, j, overlaps):
-    """sum of conj(c_a) c_b <x_a|x_b> <y_a|y_b> over the term pairs (i, j), in order."""
-    total = 0.0j
-    for ca, cb, ox, oy in zip(state_a.coeff[i].tolist(), state_b.coeff[j].tolist(), *overlaps):
-        ov = ox * oy
-        if ov != 0.0:
-            total += np.conj(ca) * cb * ov
-    return total
-
-
-def two_inner_product(state_a: TwoParticleState, state_b: TwoParticleState) -> complex:
-    """Tensor inner product: partner overlaps multiply per term pair, in all-pairs order."""
-    if state_a.box_edge != state_b.box_edge:
-        raise BoxMismatch("states quantized in different boxes")
-    i, j = overlap_join(*(list(zip(s.overlap_keys(0), s.overlap_keys(1))) for s in (state_a, state_b)))
-    if not len(i):
-        return 0j
-    return _overlap_sum(state_a, state_b, i, j,
-                        [state_a.overlaps(i, state_b, j, col).tolist() for col in (0, 1)])
-
-
-def two_evolve(state: TwoParticleState, tau: float, tau_prime: float, which: int) -> TwoParticleState:
-    """Factorized free evolution: each tensor factor under its own kernel.
-
-    Both factors filter on the same (which, sign dtau) rule, so the two step
-    signs square away and survivors pick up exp[i (nu_1 + nu_2) dtau].
-    Exchange symmetry is preserved because the operator is symmetric under
-    the factor swap.
-    """
-    return free_evolve(state, tau, tau_prime, which)
+# one inner product and one free evolution serve every term width
+two_inner_product = inner_product
+two_evolve = free_evolve
 
 
 # ---------------------------------------------------------------------------
 # marginalized currents
 
-def _marginal_pairs(state: TwoParticleState, particle: int) -> Pairs:
+def _marginal_pairs(state: TwoParticleState, particle: int, spinors) -> Pairs:
     """Pairs (k, l) surviving tau concatenation and marginalization of the
-    partner factor, found by a join on the partner's overlap key."""
+    partner factor, found by a join on the partner's overlap key; spinors
+    is the state's (n, 2, 4) amplitude spinor stack."""
     own, other = particle - 1, 2 - particle
     k, l = overlap_join(state.overlap_keys(other), state.overlap_keys(other))
     partner = state.overlaps(k, state, l, other)
     nu = state.frequency.sum(axis=1)
-    nu_k, nu_l = nu[k], nu[l]
-    scale = np.maximum(1.0, np.maximum(np.abs(nu_k), np.abs(nu_l)))
-    keep = (partner != 0.0) & (np.abs(nu_k - nu_l) <= ATOL_ALGEBRA * scale)
+    keep = (partner != 0.0) & _frequencies_match(nu[k], nu[l])
     k, l, partner = k[keep], l[keep], partner[keep]
     weight = _cmul(_cmul(state.coeff[k].conj(), state.coeff[l]), partner) / state.box_edge**4
-    return Pairs(k, l, weight, state.spinors()[:, own], state.p[:, own])
+    return Pairs(k, l, weight, spinors[:, own], state.p[:, own])
 
 
 def two_currents(state: TwoParticleState, points):
@@ -191,15 +167,14 @@ def two_currents(state: TwoParticleState, points):
     current of its own factor times the partner's norm; for exchange-
     symmetric states both are invariant under permuting the state labels.
     """
-    j1 = pair_current(_marginal_pairs(state, 1), points)
-    j2 = pair_current(_marginal_pairs(state, 2), points)
-    return j1, j2
+    spinors = state.spinors()
+    return tuple(pair_current(_marginal_pairs(state, particle, spinors), points) for particle in (1, 2))
 
 
 def two_current_divergence_fd(state: TwoParticleState, points, particle: int = 1,
                               step: float = 1e-3):
     """4th-order central-difference divergence of one marginal current."""
-    pairs = _marginal_pairs(state, particle)
+    pairs = _marginal_pairs(state, particle, state.spinors())
     return _divergence_fd(lambda x: pair_current(pairs, x).values, points, step)
 
 
@@ -275,7 +250,7 @@ def s2_first_order(
 
     pairs, f, i, (ov_x, ov_y) = _term_join(state_f, state_i)
     # <f|i>: the pairs that share only one key add nothing
-    value = _overlap_sum(state_f, state_i, f, i, (ov_x, ov_y))
+    value = _overlap_sum(state_f, state_i, f, i, map(operator.mul, ov_x, ov_y))
     born_x, born_y = _born_sandwich(state_f, state_i, pairs, (ov_y, ov_x), (pot1, pot2))
     for cf, ci, ox, oy, bx, by in zip(state_f.coeff[f].tolist(), state_i.coeff[i].tolist(),
                                       ov_x, ov_y, born_x, born_y):

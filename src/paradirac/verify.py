@@ -84,17 +84,6 @@ from .twobody import (
     two_inner_product,
 )
 
-SUITE_NAMES = ("algebra", "spinors", "propagate", "twobody", "currents")
-
-DEFAULT_TOLS = {
-    "algebra": 1e-14,
-    "spinors": 1e-12,
-    "propagate": 1e-13,
-    "twobody": 1e-12,
-    "currents": 1e-10,
-}
-
-
 @dataclass(frozen=True)
 class Check:
     """One named identity with its measured residual and pass threshold."""
@@ -421,22 +410,25 @@ def suite_currents(rng, tol: float) -> list[Check]:
 # orchestration
 
 
-_SUITE_FN = {
-    "algebra": suite_algebra,
-    "spinors": suite_spinors,
-    "propagate": suite_propagate,
-    "twobody": suite_twobody,
-    "currents": suite_currents,
+# name -> (suite, default tolerance), in report order
+_SUITES = {
+    "algebra": (suite_algebra, 1e-14),
+    "spinors": (suite_spinors, 1e-12),
+    "propagate": (suite_propagate, 1e-13),
+    "twobody": (suite_twobody, 1e-12),
+    "currents": (suite_currents, 1e-10),
 }
+SUITE_NAMES = tuple(_SUITES)
+DEFAULT_TOLS = {name: default for name, (_, default) in _SUITES.items()}
 
 
 def run_suite(name: str, seed: int = 0, tol: float = None) -> list[Check]:
     """Run one named suite with a seed-derived generator."""
-    if name not in _SUITE_FN:
+    if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}")
     rng = np.random.default_rng([seed, SUITE_NAMES.index(name)])
-    use_tol = DEFAULT_TOLS[name] if tol is None else tol
-    return _SUITE_FN[name](rng, use_tol)
+    suite, default = _SUITES[name]
+    return suite(rng, default if tol is None else tol)
 
 
 def run_suites(names, seed: int = 0, tol: float = None):

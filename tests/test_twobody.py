@@ -35,7 +35,20 @@ from paradirac.errors import (
 from paradirac.propagate import elastic_shell, free_evolve
 from paradirac.sampling import random_mode, random_spin_coefficients
 from paradirac.scattering import coulomb_potential, s1_amplitude, zero_potential
-from paradirac.states import Mode, TermContainer, parity, single_mode_state, state_from_json
+from paradirac.radiative import axial_divergence_tree, vector_divergence_check
+from paradirac.states import (
+    Mode,
+    TermContainer,
+    bilinear_concatenated,
+    concatenated_current,
+    concatenated_pairs,
+    current_divergence_fd,
+    inner_product,
+    parity,
+    single_mode_state,
+    state_from_json,
+    state_to_json,
+)
 from paradirac.twobody import (
     TwoParticleState,
     antisymmetrize,
@@ -429,6 +442,11 @@ class TestLabelKeys:
         sa, sb = TwoParticleState(two_terms(raw_a)), TwoParticleState(two_terms(raw_b))
         assert two_inner_product(sa, sb) == all_pairs_two_inner(sa.terms, sb.terms)
 
+    @given(TWO_TERMS, TWO_TERMS)
+    def test_inner_product_of_width_two_matches_all_pairs(self, raw_a, raw_b):
+        sa, sb = TwoParticleState(two_terms(raw_a)), TwoParticleState(two_terms(raw_b))
+        assert inner_product(sa, sb) == all_pairs_two_inner(sa.terms, sb.terms)
+
     @given(FORWARD_TERMS, FORWARD_TERMS)
     # the final term meets incident terms 1 and 2 through x and term 2 also
     # through y, so the visiting order shows in the rounding of the sum
@@ -453,7 +471,7 @@ class TestLabelKeys:
 
 class TestScalingGuard:
     """TermContainer.overlaps receives only the key-matched term pairs of
-    400-term states."""
+    400-term states, and two_currents builds their spinors once."""
 
     N_TERMS = 400
 
@@ -493,3 +511,53 @@ class TestScalingGuard:
         two_currents(TwoParticleState(tuple(terms)), rng.normal(size=(2, 4)))
         # partners of particle 1 are the y modes: 380 singles and 10 pairs
         assert sum(overlap_rows) == (380 + 10 * 4) + self.N_TERMS
+
+    def test_two_currents_build_the_spinors_once(self, rng, monkeypatch):
+        calls = []
+        spinors = TermContainer.spinors
+        monkeypatch.setattr(TermContainer, "spinors", lambda self: calls.append(len(self.coeff)) or spinors(self))
+        terms = [(1.0, _mode(rng), _mode(rng)) for _ in range(self.N_TERMS)]
+        two_currents(TwoParticleState(tuple(terms)), rng.normal(size=(2, 4)))
+        assert calls == [self.N_TERMS]
+
+
+class TestWidthContract:
+    """One inner product and one free evolution serve both term widths; the
+    one-particle bilinears and state_to_json refuse two-particle terms."""
+
+    @pytest.fixture
+    def probe(self):
+        rng = np.random.default_rng(0)
+        m1, m2 = random_mode(rng), random_mode(rng)
+        return m1, TwoParticleState(((1.0, m1, m2),))
+
+    def test_two_body_names_are_the_shared_functions(self):
+        assert two_inner_product is inner_product
+        assert two_evolve is free_evolve
+
+    def test_inner_product_multiplies_both_overlaps(self, probe):
+        _, t = probe
+        assert inner_product(t, t) == two_inner_product(t, t)
+
+    def test_widths_are_orthogonal(self, probe):
+        m1, t = probe
+        single = single_mode_state(m1)
+        for value in (inner_product(single, t), inner_product(t, single)):
+            assert value == 0j and type(value) is complex
+        with pytest.raises(BoxMismatch):
+            inner_product(single_mode_state(m1, box_edge=3.0), t)
+
+    @pytest.mark.parametrize("call", [
+        lambda s, x: bilinear_concatenated(s, np.eye(4), x),
+        lambda s, x: list(concatenated_pairs(s)),
+        concatenated_current,
+        current_divergence_fd,
+        vector_divergence_check,
+        lambda s, x: axial_divergence_tree(s, 1.0, x),
+        lambda s, x: state_to_json(s),
+    ], ids=["bilinear_concatenated", "concatenated_pairs", "concatenated_current",
+            "current_divergence_fd", "vector_divergence_check", "axial_divergence_tree", "state_to_json"])
+    def test_one_particle_operations_refuse_width_two(self, probe, call):
+        _, t = probe
+        with pytest.raises(TypeError, match="width 2"):
+            call(t, np.zeros((2, 4)))
