@@ -18,12 +18,9 @@ import sys
 
 import numpy as np
 
+# each cmd_* imports the layers it runs, so a process loads only those
 from .algebra import ELECTRON_MASS, FINE_STRUCTURE
 from .errors import NonfiniteResult
-from .propagate import free_evolve, influence_conjugation_check
-from .radiative import anomaly_record, f2_record, shift_record
-from .sampling import random_state
-from .scattering import mott_dcs, rutherford_dcs
 from .verify import SUITE_NAMES, all_passed, format_report, run_suites
 
 _STATE_LABELS = {"1s": (1, 0), "2s": (2, 0), "2p": (2, 1)}
@@ -170,6 +167,8 @@ _MOTT_BATCH = 200
 
 
 def cmd_mott(args) -> int:
+    from .scattering import mott_dcs, rutherford_dcs
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["kappa_deg", "dcs", "ratio_to_rutherford"])
@@ -191,19 +190,28 @@ def cmd_mott(args) -> int:
 
 
 def cmd_uehling(args) -> int:
+    from .radiative import shift_record
+
     n, l = _STATE_LABELS[args.state]
     return _emit_json(shift_record(n, l, args.Z), args.out)
 
 
 def cmd_g2(args) -> int:
+    from .radiative import f2_record
+
     return _emit_json(f2_record(alpha=args.alpha), args.out)
 
 
 def cmd_anomaly(args) -> int:
+    from .radiative import anomaly_record
+
     return _emit_json(anomaly_record(args.E, args.B), args.out)
 
 
 def cmd_propagate_demo(args) -> int:
+    from .propagate import free_evolve, influence_conjugation_check
+    from .sampling import random_state
+
     rng = np.random.default_rng(args.seed)
     state = random_state(rng, n_modes=args.modes)
     evolved = free_evolve(state, 0.0, args.dtau, args.which)

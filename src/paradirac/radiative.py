@@ -50,7 +50,6 @@ from .errors import (
     QuadratureNonconvergence,
     UnsupportedState,
 )
-from .states import SpectralState, bilinear_concatenated
 
 # ---------------------------------------------------------------------------
 # field configurations and the antisymmetric symbol
@@ -453,18 +452,20 @@ def f2_anomalous_moment(alpha: float = FINE_STRUCTURE) -> float:
 # ---------------------------------------------------------------------------
 # spectral current identities
 
-def vector_divergence_check(state: SpectralState, points) -> float:
+def vector_divergence_check(state, points) -> float:
     """Max |d_mu J^mu| of the concatenated vector current, evaluated spectrally.
 
     Each surviving pair contributes i wbar_k slash(dp) w_l, which vanishes
     identically because slash(p) w = -nu w on both branches and the pair
     frequencies match; the return value is the roundoff residual.
     """
+    from .states import bilinear_concatenated
+
     samples = bilinear_concatenated(state, lambda dp: 1j * slash(dp), points)
     return float(np.abs(samples).max()) if samples.size else 0.0
 
 
-def axial_divergence_tree(state: SpectralState, mass: float, points):
+def axial_divergence_tree(state, mass: float, points):
     """Spectral (lhs, rhs) sample arrays of the tree-level axial identity.
 
     lhs = d_mu J5^mu with J5 the concatenated axial current; rhs is the
@@ -476,6 +477,8 @@ def axial_divergence_tree(state: SpectralState, mass: float, points):
     """
     if (np.abs(state.mass - mass) > ATOL_SHELL * max(1.0, mass)).any():
         raise MassMismatch("state carries a mass different from the sharp value")
+    from .states import bilinear_concatenated
+
     lhs = bilinear_concatenated(state, lambda dp: 1j * slash(dp) @ GAMMA5, points)
     rhs = -2j * mass * bilinear_concatenated(state, GAMMA5, points)
     return lhs, rhs

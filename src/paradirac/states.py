@@ -192,8 +192,8 @@ class TermContainer:
     def _load(self, terms, box_edge, **fields):
         """Construct from (coeff, Mode, ...) tuples in a box of edge
         box_edge; fields are the further attributes of the subclass."""
-        if box_edge <= 0.0:
-            raise ValueError("box edge must be positive")
+        if not 0.0 < box_edge < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"box edge must be positive and finite, got {box_edge}")
         vars(self).update(fields, box_edge=float(box_edge))
         coeffs, modes, keys = [], [], []
         for coeff, *row in terms:
@@ -383,7 +383,7 @@ def tpc(state: SpectralState) -> SpectralState:
 # ---------------------------------------------------------------------------
 # inner products and concatenated currents
 
-def inner_product(state_a: TermContainer, state_b: TermContainer):
+def inner_product(state_a: TermContainer, state_b: TermContainer) -> complex:
     """Box inner product integral d^4x of bar(psi_a) psi_b at fixed tau, of
     terms of any width: the overlaps of the tensor factors multiply.
 
@@ -408,12 +408,12 @@ def inner_product(state_a: TermContainer, state_b: TermContainer):
 
 
 def _overlap_sum(state_a, state_b, i, j, products):
-    """sum of conj(c_a) c_b ov over the term pairs (i, j) with their
-    overlap products ov, in order; a zero product adds nothing."""
+    """sum of conj(c_a) c_b ov, a Python complex, over the term pairs (i, j)
+    with their overlap products ov, in order; a zero product adds nothing."""
     total = 0.0j
     for ca, cb, ov in zip(state_a.coeff[i].tolist(), state_b.coeff[j].tolist(), products):
         if ov:
-            total += np.conj(ca) * cb * ov
+            total += ca.conjugate() * cb * ov
     return total
 
 

@@ -4,7 +4,8 @@ Each suite draws its inputs from a seeded generator and returns a list of
 named checks with measured residuals, so a run is reproducible bit for bit
 for a given seed.  Residuals are max-norm deviations of exact algebraic
 identities; default tolerances are set per suite a decade or two above the
-observed machine-precision plateau.
+observed machine-precision plateau.  Each suite imports the layers it
+checks, so importing this module loads only the algebra.
 """
 
 from __future__ import annotations
@@ -29,60 +30,7 @@ from .algebra import (
     minkowski_dot,
     slash,
 )
-from .propagate import (
-    elastic_shell,
-    free_evolve,
-    influence_conjugation_check,
-    moller_first_order,
-)
-from .radiative import (
-    FieldConfiguration,
-    anomaly_rhs,
-    axial_divergence_tree,
-    epsilon_tensor,
-    vector_divergence_check,
-)
-from .sampling import (
-    random_mode,
-    random_spin_coefficients,
-    random_spinor_draws,
-    random_state,
-    random_timelike_momentum,
-)
-from .scattering import coulomb_potential, s1_amplitude, zero_potential
-from .spinors import (
-    boost_spin,
-    branch_block,
-    decompose_in_block,
-    lambda_u,
-    lambda_v,
-    spin_projector,
-    u_block,
-    v_block,
-)
-from .states import (
-    Mode,
-    Subspace,
-    bilinear_concatenated,
-    concatenated_current,
-    current_divergence_fd,
-    single_mode_state,
-)
-from .twobody import (
-    TwoParticleState,
-    antisymmetrize,
-    bs_born_step,
-    bs_power_iteration,
-    exchange_residual,
-    mutual_scattering_amplitude,
-    permute_labels,
-    s2_first_order,
-    symmetrize,
-    two_conjugation_check,
-    two_currents,
-    two_evolve,
-    two_inner_product,
-)
+
 
 @dataclass(frozen=True)
 class Check:
@@ -106,6 +54,8 @@ def _max_abs(arr) -> float:
 
 
 def suite_algebra(rng, tol: float) -> list[Check]:
+    from .sampling import random_timelike_momentum
+
     checks = []
     for mu in range(4):
         for nu in range(4):
@@ -145,6 +95,11 @@ _SPINOR_BATCH = 100
 
 
 def _spinor_residuals(p, phi, a_u, a_v, spin_dirs) -> dict:
+    from .spinors import (
+        boost_spin, branch_block, decompose_in_block, lambda_u, lambda_v, spin_projector,
+        u_block, v_block,
+    )
+
     m = np.sqrt(-minkowski_dot(p, p))
     ub, vb = u_block(p), v_block(p)
     lu, lv = lambda_u(p), lambda_v(p)
@@ -174,6 +129,8 @@ def _spinor_residuals(p, phi, a_u, a_v, spin_dirs) -> dict:
 
 
 def suite_spinors(rng, tol: float, count: int = 1000) -> list[Check]:
+    from .sampling import random_spinor_draws
+
     p, phi, a_u, a_v, spin_dirs = random_spinor_draws(rng, count)
     worst = {}
     for lo in range(0, count, _SPINOR_BATCH):
@@ -190,6 +147,15 @@ def suite_spinors(rng, tol: float, count: int = 1000) -> list[Check]:
 
 
 def suite_propagate(rng, tol: float) -> list[Check]:
+    from .propagate import (
+        elastic_shell, free_evolve, influence_conjugation_check, moller_first_order,
+    )
+    from .sampling import (
+        random_mode, random_spin_coefficients, random_state, random_timelike_momentum,
+    )
+    from .scattering import coulomb_potential, s1_amplitude
+    from .states import Mode, single_mode_state
+
     checks = []
     coeff = 0.8 - 0.3j
     for which, direction, branch, phi in itertools.product((1, -1), repeat=4):
@@ -259,6 +225,16 @@ def suite_propagate(rng, tol: float) -> list[Check]:
 
 
 def suite_twobody(rng, tol: float) -> list[Check]:
+    from .propagate import elastic_shell
+    from .sampling import random_mode, random_spin_coefficients, random_timelike_momentum
+    from .scattering import coulomb_potential, s1_amplitude, zero_potential
+    from .states import Mode
+    from .twobody import (
+        TwoParticleState, antisymmetrize, bs_born_step, bs_power_iteration, exchange_residual,
+        mutual_scattering_amplitude, permute_labels, s2_first_order, symmetrize,
+        two_conjugation_check, two_evolve, two_inner_product,
+    )
+
     checks = []
     mode = random_mode(rng, branch=1, phi=1)
     pauli = antisymmetrize(mode, mode)
@@ -350,6 +326,17 @@ def suite_twobody(rng, tol: float) -> list[Check]:
 
 
 def suite_currents(rng, tol: float) -> list[Check]:
+    from .radiative import (
+        FieldConfiguration, anomaly_rhs, axial_divergence_tree, epsilon_tensor,
+        vector_divergence_check,
+    )
+    from .sampling import random_mode, random_state
+    from .states import (
+        Subspace, bilinear_concatenated, concatenated_current, current_divergence_fd,
+        single_mode_state,
+    )
+    from .twobody import TwoParticleState, two_currents
+
     checks = []
     points = rng.normal(size=(12, 4))
 

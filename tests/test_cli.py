@@ -117,8 +117,9 @@ class TestMottCommand:
             sizes.append(np.size(kappa))
             return mott_dcs(p_mag, kappa, z)
 
-        monkeypatch.setattr(cli, "mott_dcs", recording)
+        monkeypatch.setattr("paradirac.scattering.mott_dcs", recording)
         code, out, _ = run_cli(["mott", "--angles", f"1:179:{count}"], capsys)
+        monkeypatch.undo()  # mott_ratio below calls the real mott_dcs
         assert code == 0
         assert sizes == [cli._MOTT_BATCH, cli._MOTT_BATCH, 7]
         grid = np.linspace(1.0, 179.0, count)
@@ -310,6 +311,41 @@ class TestMottArgvContract:
 
 
 class TestStartupImports:
+    @pytest.mark.parametrize("argv, layers", [
+        ([], []),
+        (["g2"], ["algebra", "cli", "errors", "radiative", "verify"]),
+        (["uehling"], ["algebra", "cli", "errors", "radiative", "verify"]),
+        (["anomaly", "--E", "1,2,3", "--B", "0.5,-1,2"],
+         ["algebra", "cli", "errors", "radiative", "verify"]),
+        (["mott"], ["algebra", "cli", "errors", "scattering", "spinors", "verify"]),
+        (["propagate-demo"], ["algebra", "cli", "errors", "propagate", "sampling", "spinors",
+                              "states", "verify"]),
+        (["verify"], ["algebra", "cli", "errors", "propagate", "radiative", "sampling",
+                      "scattering", "spinors", "states", "twobody", "verify"]),
+    ], ids=["import", "g2", "uehling", "anomaly", "mott", "propagate-demo", "verify"])
+    def test_each_command_loads_only_its_layers(self, argv, layers):
+        # A fresh process per argv: `import paradirac` loads no layer, and a
+        # command loads the layers it runs and no others.
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import paradirac\n"
+            "argv = json.loads(sys.argv[1])\n"
+            "if argv:\n"
+            "    from paradirac.cli import main\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0\n"
+            "print(json.dumps(sorted(m.split('.', 1)[1] for m in sys.modules\n"
+            "                        if m.startswith('paradirac.'))))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+        )
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == layers
+
     def test_scipy_loaded_only_by_quadrature_commands(self):
         # A fresh process: scipy must stay out of sys.modules through every
         # command, the quadrature commands (uehling, g2) included.

@@ -13,6 +13,7 @@ from brute_force import (
     LABELS,
     all_pairs_two_inner,
     assert_same_terms,
+    bits,
     born_sandwich,
     label_bits,
     label_mode,
@@ -38,12 +39,14 @@ from paradirac.scattering import coulomb_potential, s1_amplitude, zero_potential
 from paradirac.radiative import axial_divergence_tree, vector_divergence_check
 from paradirac.states import (
     Mode,
+    SpectralState,
     TermContainer,
     bilinear_concatenated,
     concatenated_current,
     concatenated_pairs,
     current_divergence_fd,
     inner_product,
+    overlap_join,
     parity,
     single_mode_state,
     state_from_json,
@@ -369,6 +372,22 @@ class TestSerialization:
         with pytest.raises(error):
             two_state_from_json(two)
 
+    @pytest.mark.parametrize("build", [
+        lambda mode, record, edge: SpectralState(((1.0, mode),), edge),
+        lambda mode, record, edge: TwoParticleState(((1.0, mode, mode),), "none", edge),
+        lambda mode, record, edge: state_from_json(json.dumps([{**record, "L": edge}])),
+        lambda mode, record, edge: two_state_from_json(json.dumps(
+            {"exchange": "none", "L": edge, "pairs": [{"c": [1.0, 0.0], "x": record, "y": record}]})),
+    ], ids=["SpectralState", "TwoParticleState", "state_from_json", "two_state_from_json"])
+    def test_box_edge_must_be_positive_and_finite(self, build):
+        # json.dumps writes NaN and Infinity, which json.loads reads back
+        record = {"p": [np.sqrt(2.0), 1.0, 0.0, 0.0], "branch": 1, "a": [[0.3, -0.6], [0.8, 0.4]]}
+        mode = Mode(np.array(record["p"]), 1, np.array([0.3 - 0.6j, 0.8 + 0.4j]))
+        for edge in (0.0, -1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="box edge"):
+                build(mode, record, edge)
+        assert build(mode, record, 2.0).box_edge == 2.0
+
 
 # ---------------------------------------------------------------------------
 # label keys: merges, joins and marginal currents against the brute-force
@@ -467,6 +486,52 @@ class TestLabelKeys:
         for particle, field in zip((1, 2), two_currents(state, points)):
             want = pair_loop_current(marginal_pair_loop(state, particle), points)
             assert np.abs(field.values - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def numpy_scalar_inner(sa, sb):
+    """inner_product's sum in numpy scalar arithmetic, np.conj(c_a) c_b ov,
+    over the library's own joined pairs and overlap products."""
+    i, j = overlap_join(sa.overlap_keys(), sb.overlap_keys())
+    products = sa.overlaps(i, sb, j, 0).tolist()
+    for col in range(1, sa.width):
+        products = [x * y for x, y in zip(products, sa.overlaps(i, sb, j, col).tolist())]
+    total = 0j
+    with np.errstate(all="ignore"):  # the 1e200 scales overflow to inf on purpose
+        for ca, cb, ov in zip(sa.coeff[i].tolist(), sb.coeff[j].tolist(), products):
+            if ov:
+                total += np.conj(ca) * cb * ov
+    return total
+
+
+SCALES = st.sampled_from((1.0, 1e200))
+
+
+class TestInnerProductArithmetic:
+    """inner_product sums in Python complex arithmetic: it returns a complex
+    whether or not any pair joins, bit for bit numpy's scalar product."""
+
+    @given(SCALES, st.lists(st.tuples(COEFFS, LABELS), max_size=10),
+           SCALES, st.lists(st.tuples(COEFFS, LABELS), max_size=10))
+    @example(scale_a=1.0, raw_a=[(0.25 - 2.0j, (0, 1, 3, False))],
+             scale_b=1.0, raw_b=[(1.0j, (0, 1, 2, True))])
+    @example(scale_a=1.0, raw_a=[(1.0, (0, 1, 0, False))],
+             scale_b=1.0, raw_b=[(1.0, (1, 1, 0, False))])
+    def test_width_one(self, scale_a, raw_a, scale_b, raw_b):
+        sa = SpectralState(tuple((c * scale_a, label_mode(x)) for c, x in raw_a))
+        sb = SpectralState(tuple((c * scale_b, label_mode(x)) for c, x in raw_b))
+        got = inner_product(sa, sb)
+        assert type(got) is complex
+        assert bits(got) == bits(numpy_scalar_inner(sa, sb))
+
+    @given(SCALES, TWO_TERMS, SCALES, TWO_TERMS)
+    @example(scale_a=1e200, raw_a=[(0.25 - 2.0j, (0, 1, 3, False), (2, -1, 2, False))],
+             scale_b=1e200, raw_b=[(0.5, (0, 1, 2, True), (2, -1, 3, False))])
+    def test_width_two(self, scale_a, raw_a, scale_b, raw_b):
+        sa = TwoParticleState(tuple((c * scale_a, x, y) for c, x, y in two_terms(raw_a)))
+        sb = TwoParticleState(tuple((c * scale_b, x, y) for c, x, y in two_terms(raw_b)))
+        got = inner_product(sa, sb)
+        assert type(got) is complex
+        assert bits(got) == bits(numpy_scalar_inner(sa, sb))
 
 
 class TestScalingGuard:
