@@ -244,9 +244,10 @@ def moller_first_order(
     a_tilde = potential.fourier(dp)
     live = a_tilde.any(axis=-1)
     q, a_tilde, m_out = q[live], a_tilde[live], m_out[live]
-    branch = np.where(energy_sign(q) > 0, 1, -1)
+    phi = energy_sign(q)
+    branch = np.where(phi > 0, 1, -1)
     kick = _matvec(slash(a_tilde), incident.amplitude_spinor())
-    a_out = _matvec(bar(_block(q, m_out, branch == 1)), kick)
+    a_out = _matvec(bar(_block(q, m_out, phi, branch == 1)), kick)
     live = a_out.any(axis=-1)
     q, branch, a_out, m_out = q[live], branch[live], a_out[live], m_out[live]
     return SpectralState((), box_edge)._derive(

@@ -55,23 +55,24 @@ def _col(x):
     return x[..., None, None] if getattr(x, "ndim", 0) else x
 
 
-def _kinematics(p, mass=None):
+def _kinematics(p, mass=None, phi=None):
     """(p, m, E, phi) for momenta p of shape (..., 4).
 
-    `mass` carries the on-shell mass from where it is known; by default it is
-    mass_of(p), which loses about (|p|/m)^2 eps to rounding in p.
+    `mass` and `phi` carry the on-shell mass and the energy sign from where
+    they are known.  By default they are mass_of(p), which loses about
+    (|p|/m)^2 eps to rounding in p, and energy_sign(p).
     """
     p = np.asarray(p, dtype=float)
     m = mass_of(p) if mass is None else mass
     if _any(m == 0.0):
         raise MasslessState("lightlike momentum: spinor blocks need m_p > 0")
-    return p, m, abs(p[..., 0][()]), energy_sign(p)
+    return p, m, abs(p[..., 0][()]), energy_sign(p) if phi is None else phi
 
 
-def _block(p, mass, upper):
+def _block(p, mass, phi, upper):
     """u(p) where `upper` holds and v(p) where it does not; `upper` is one
-    bool or one per row of p."""
-    p, m, energy, phi = _kinematics(p, mass)
+    bool or one per row of p.  `mass` and `phi` are as for _kinematics."""
+    p, m, energy, phi = _kinematics(p, mass, phi)
     k = 1.0 / np.sqrt(2.0 * m * (m + energy))
     diagonal = _col(m + energy) * I2
     cross = _col(phi) * pauli_dot(p[..., 1:])
@@ -88,7 +89,7 @@ def u_block(p, mass=None):
 
     Momenta of shape (..., 4) give blocks of shape (..., 4, 2).
     """
-    return _block(p, mass, upper=True)
+    return _block(p, mass, None, upper=True)
 
 
 def v_block(p, mass=None):
@@ -96,7 +97,7 @@ def v_block(p, mass=None):
 
     Momenta of shape (..., 4) give blocks of shape (..., 4, 2).
     """
-    return _block(p, mass, upper=False)
+    return _block(p, mass, None, upper=False)
 
 
 def lambda_u(p, mass=None):
@@ -176,7 +177,7 @@ def branch_block(p, branch):
     """u_block for branch +1, v_block for branch -1; `branch` is one sign or
     one per row of p."""
     _check_branch(branch)
-    return _block(p, None, branch == 1)
+    return _block(p, None, None, branch == 1)
 
 
 def branch_projector(p, branch):

@@ -63,10 +63,10 @@ class Subspace(enum.Enum):
 class Mode:
     """One box-normalized plane-wave mode (p, branch, spin coefficients).
 
-    label_key = (branch, p bytes, a bytes) uses the bytes of p + 0.0 and
-    a + 0.0, so -0.0 equals 0.0 as in array_equal.  The checks and the
-    kinematics (mass, phi) run on Python floats, bit for bit as mass_of and
-    energy_sign.
+    The checks and kinematics (mass, phi) run on Python floats, bit for bit
+    as mass_of and energy_sign; _row keeps those floats (p, a as re/im pairs,
+    branch, mass) for a TermContainer to stack.  label_key, computed on read,
+    is (branch, bytes of p + 0.0, bytes of a + 0.0): -0.0 equals 0.0.
     """
 
     p: np.ndarray
@@ -80,23 +80,23 @@ class Mode:
             raise ValueError("momentum must be a four-vector")
         if a.shape != (2,):
             raise ValueError("spin coefficients must be a complex pair")
-        momentum = p.tolist()
-        if not all(map(math.isfinite, momentum + a.view(float).tolist())):
+        row = p.tolist() + a.view(float).tolist()
+        if not all(map(math.isfinite, row)):
             raise ValueError("mode fields must be finite")
         branch = int(self.branch)
         if branch not in (1, -1):
             raise ValueError("branch must be +1 or -1")
-        m, phi = _row_kinematics(*momentum)
+        m, phi = _row_kinematics(*row[:4])
         if m == 0.0:
             raise MasslessState("modes require strictly timelike momenta")
         p.setflags(write=False)
         a.setflags(write=False)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "branch", branch)
-        object.__setattr__(self, "mass", m)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "label_key", (branch, (p + 0.0).tobytes(), (a + 0.0).tobytes()))
+        row += (branch, m)
+        vars(self).update(p=p, a=a, branch=branch, mass=m, phi=phi, _row=row)
+
+    @property
+    def label_key(self):
+        return (self.branch, (self.p + 0.0).tobytes(), (self.a + 0.0).tobytes())
 
     @property
     def frequency(self):
@@ -109,7 +109,7 @@ class Mode:
 
     def amplitude_spinor(self):
         """The bispinor factor block(p) @ a (box factor 1/L^2 not included)."""
-        return _block(self.p, self.mass, self.branch == 1) @ self.a
+        return _block(self.p, self.mass, self.phi, self.branch == 1) @ self.a
 
 
 def overlap_join(keys_a, keys_b):
@@ -173,10 +173,10 @@ class TermContainer:
     with the mass (n, w) of every mode; they are the only copy of the
     labels.  The arrays are read-only and no attribute can be reassigned,
     so the cached join keys stay valid.  Rows with equal labels merge on
-    construction, keyed on the row bytes of (p + 0.0, a + 0.0, branch), so
-    -0.0 equals 0.0 as in array_equal: coefficients add in input order at
-    the first occurrence and zero sums drop.  The state maps work on the
-    arrays in one batched pass.
+    construction: _load and _derive key it on _row_bytes of (p + 0.0,
+    a + 0.0, branch), so -0.0 equals 0.0 as in array_equal: coefficients add
+    in input order at the first occurrence and zero sums drop.  The state
+    maps work on the arrays in one batched pass.
 
     `terms` views the rows as (coeff, Mode, ...) tuples, building Modes per read.
     """
@@ -195,18 +195,18 @@ class TermContainer:
         if not 0.0 < box_edge < math.inf:  # NaN fails both comparisons
             raise ValueError(f"box edge must be positive and finite, got {box_edge}")
         vars(self).update(fields, box_edge=float(box_edge))
-        coeffs, modes, keys = [], [], []
+        coeffs, rows, classes = [], [], (Mode,) * self.width
         for coeff, *row in terms:
-            if len(row) != self.width or not all(isinstance(m, Mode) for m in row):
+            if len(row) != self.width or not all(map(isinstance, row, classes)):
                 raise TypeError("terms must be (coefficient" + ", Mode" * self.width + ") tuples")
             coeffs.append(complex(coeff))
-            modes += row
-            keys.append(tuple([m.label_key for m in row]))
-        shape = (len(coeffs), self.width)
-        branch, mass = np.array([(m.branch, m.mass) for m in modes]).reshape(shape + (2,)).T
-        self._merge(keys, np.array(coeffs, dtype=complex), (
-            np.array([m.p for m in modes]).reshape(shape + (4,)), branch.T.astype(int),
-            np.array([m.a for m in modes]).reshape(shape + (2,)), mass.T))
+            for mode in row:
+                rows += mode._row
+        # per mode: p (4), a as re/im pairs (4), branch, mass
+        rows = np.array(rows, dtype=float).reshape(len(coeffs), self.width, 10)
+        self._merge(_row_bytes(rows[..., :9].reshape(len(coeffs), 9 * self.width)),
+                    np.array(coeffs, dtype=complex),
+                    (rows[..., :4], rows[..., 8].astype(int), rows[..., 4:8].view(complex), rows[..., 9]))
 
     def _derive(self, coeff, p, branch, a, mass):
         """A state of the same kind and box on new label arrays, with `mass`
@@ -275,7 +275,7 @@ class TermContainer:
 
     def spinors(self):
         """Amplitude spinors block(p) @ a, shape (n, w, 4)."""
-        return _matvec(_block(self.p, self.mass, self.branch == 1), self.a)
+        return _matvec(_block(self.p, self.mass, self.phi, self.branch == 1), self.a)
 
     def overlap_keys(self, *cols):
         """One flat (branch, bytes of p + 0.0, ...) tuple per row over the
@@ -351,8 +351,8 @@ def _transform(state: SpectralState, matrix, conjugate, flip) -> SpectralState:
         spinor = spinor.conj()
     spinor = _matvec(matrix, spinor)
     q = state.p * np.array([-1.0 if flip else 1.0, -1.0, -1.0, -1.0])
-    branch = -state.branch if flip else state.branch
-    a = _decompose(_block(q, state.mass, branch == 1), branch, spinor)
+    branch, phi = (-state.branch, -state.phi) if flip else (state.branch, state.phi)
+    a = _decompose(_block(q, state.mass, phi, branch == 1), branch, spinor)
     return state._derive(state.coeff.conj() if conjugate else state.coeff, q, branch, a, state.mass)
 
 
@@ -437,15 +437,16 @@ def _frequencies_match(nu_k, nu_l):
     return np.abs(nu_k - nu_l) <= ATOL_ALGEBRA * scale
 
 
-def _require_one_particle(state):
-    if state.width != 1:
-        raise TypeError(f"a one-particle state is required, not terms of width {state.width}")
+def _require_width(state, width):
+    if state.width != width:
+        raise TypeError(f"a {('one', 'two')[width - 1]}-particle state is required, "
+                        f"not terms of width {state.width}")
 
 
 def _concatenated_pair_arrays(state: SpectralState) -> Pairs:
     """The pairs of concatenated_pairs, in the same order, by one frequency
     test over the n x n grid."""
-    _require_one_particle(state)
+    _require_width(state, 1)
     nu = state.frequency[:, 0]
     k, l = np.nonzero(_frequencies_match(nu[:, None], nu[None, :]))
     weight = np.conj(state.coeff[k]) * state.coeff[l] / state.box_edge**4
@@ -580,7 +581,7 @@ def mode_from_record(record) -> Mode:
 
 
 def state_to_json(state: SpectralState) -> str:
-    _require_one_particle(state)
+    _require_width(state, 1)
     return json.dumps([{**mode_to_record(p, branch, coeff * a), "L": state.box_edge} for coeff, p, branch, a
                        in zip(state.coeff.tolist(), state.p[:, 0], state.branch[:, 0], state.a[:, 0])])
 

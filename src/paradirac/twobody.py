@@ -52,6 +52,7 @@ from .states import (
     _frequencies_match,
     _overlap_sum,
     _plane_waves,
+    _require_width,
     classify_subspace,
     inner_product,
     mode_from_record,
@@ -102,6 +103,7 @@ def symmetrize(phi: Mode, xi: Mode, box_edge: float = TWO_PI) -> TwoParticleStat
 
 def permute_labels(state: TwoParticleState) -> TwoParticleState:
     """Swap the tensor factors of every term."""
+    _require_width(state, 2)
     return state._subset((slice(None), slice(None, None, -1)), state.coeff)
 
 
@@ -111,6 +113,7 @@ def exchange_residual(state: TwoParticleState) -> float:
     Zero for correctly tagged fermionic/bosonic states; meaningless for
     exchange='none' (returns 0.0 without sampling).
     """
+    _require_width(state, 2)
     if state.exchange == "none":
         return 0.0
     sign = -1.0 if state.exchange == "fermionic" else 1.0
@@ -150,6 +153,7 @@ def _marginal_pairs(state: TwoParticleState, particle: int, spinors) -> Pairs:
     """Pairs (k, l) surviving tau concatenation and marginalization of the
     partner factor, found by a join on the partner's overlap key; spinors
     is the state's (n, 2, 4) amplitude spinor stack."""
+    _require_width(state, 2)
     own, other = particle - 1, 2 - particle
     k, l = overlap_join(state.overlap_keys(other), state.overlap_keys(other))
     partner = state.overlaps(k, state, l, other)
@@ -206,10 +210,10 @@ def _born_sandwich(state_f: TwoParticleState, state_i: TwoParticleState, pairs, 
         return born
     _, cols, rows_f, rows_i = np.array(live, dtype=np.intp).T
     # spinors of the final, then of the incident rows, in one block pass
-    p, branch, a, mass = (np.concatenate((out[rows_f, cols], inc[rows_i, cols]))
-                          for out, inc in ((state_f.p, state_i.p), (state_f.branch, state_i.branch),
-                                           (state_f.a, state_i.a), (state_f.mass, state_i.mass)))
-    spinors = _matvec(_block(p, mass, branch == 1), a)
+    labels = [(s.p, s.branch, s.a, s.mass, s.phi) for s in (state_f, state_i)]
+    p, branch, a, mass, phi = (np.concatenate((out[rows_f, cols], inc[rows_i, cols]))
+                               for out, inc in zip(*labels))
+    spinors = _matvec(_block(p, mass, phi, branch == 1), a)
     n = len(live)
     n_x, dp = n - int(cols.sum()), p[:n] - p[n:]
     # the rows of particle 1 come first; a shared potential takes one transform
@@ -240,6 +244,8 @@ def s2_first_order(
     are joined on the x and y overlap keys and met in the order of the
     all-pairs loop.
     """
+    _require_width(state_i, 2)
+    _require_width(state_f, 2)
     if state_i.box_edge != state_f.box_edge:
         raise BoxMismatch("states quantized in different boxes")
     _require_s_plus(state_i, "incident")
@@ -395,6 +401,7 @@ def mutual_scattering_amplitude(in1: Mode, out1: Mode, in2: Mode, out2: Mode,
 # serialization
 
 def two_state_to_json(state: TwoParticleState) -> str:
+    _require_width(state, 2)
     pairs = [{"c": [float(c.real), float(c.imag)], "x": mode_to_record(p[0], branch[0], a[0]),
               "y": mode_to_record(p[1], branch[1], a[1])}
              for c, p, branch, a in zip(state.coeff.tolist(), state.p, state.branch, state.a)]

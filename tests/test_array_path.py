@@ -68,6 +68,49 @@ def seeded_state(seed, n):
     return random_state(np.random.default_rng(seed), n)
 
 
+# rows of two labels each, a repeat draw, an earlier row and a sign of zeros
+LABEL_ROWS = st.lists(st.tuples(COEFFS, LABELS, LABELS, st.integers(0, 3), st.integers(0, 15), st.booleans()),
+                      max_size=16)
+
+
+def rows_with_repeats(raw, width):
+    """(coeff, Mode, ...) terms of `width` modes from LABEL_ROWS draws: a row
+    whose repeat draw is 0 (about a quarter of them) takes the labels of an
+    earlier row, with the signs of its zeros drawn anew."""
+    rows = []
+    for coeff, x, y, repeat, earlier, negative in raw:
+        labels = (x, y)[:width]
+        if repeat == 0 and rows:
+            labels = [(*label[:3], negative) for label in rows[earlier % len(rows)][1]]
+        rows.append((coeff, labels))
+    return tuple((coeff, *map(label_mode, labels)) for coeff, labels in rows)
+
+
+class TestConstructionMatchesOracle:
+    """Both constructors stack the Modes' rows and merge on the row bytes
+    of (p + 0.0, a + 0.0, branch), the key _derive merges on."""
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @given(raw=LABEL_ROWS)
+    def test_merge_matches_scan_and_derive(self, width, raw):
+        terms = rows_with_repeats(raw, width)
+        state = SpectralState(terms) if width == 1 else TwoParticleState(terms, "fermionic", 3.0)
+        assert_same_bits(state.terms, scan_merge(terms))
+        # the unmerged label arrays, merged by _derive
+        modes = [row for _, *row in terms]
+        derived = state._derive(
+            np.array([coeff for coeff, *_ in terms], dtype=complex),
+            np.array([[m.p for m in row] for row in modes], dtype=float).reshape(len(terms), width, 4),
+            np.array([[m.branch for m in row] for row in modes], dtype=int).reshape(len(terms), width),
+            np.array([[m.a for m in row] for row in modes], dtype=complex).reshape(len(terms), width, 2),
+            np.array([[m.mass for m in row] for row in modes], dtype=float).reshape(len(terms), width))
+        for name in ("coeff", "p", "branch", "a", "mass"):
+            got, want = getattr(state, name), getattr(derived, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert (derived.box_edge, getattr(derived, "exchange", None)) == \
+            (state.box_edge, getattr(state, "exchange", None))
+
+
 class TestSymmetriesMatchOracle:
     @pytest.mark.parametrize("name", sorted(SYMMETRIES))
     @given(raw=LABEL_STATES)
@@ -276,22 +319,30 @@ class TestArrayPathBuildsNoModes:
 
 
 class TestCarriedMass:
-    """A Mode computes its mass from its row, and the maps pass each
-    container's own mass to the spinor blocks: a mass_of call count, not a
-    timing."""
+    """A Mode computes its mass and energy sign from its row, and the maps
+    pass each container's own mass and sign to the spinor blocks: mass_of
+    and energy_sign call counts, not a timing."""
 
     N = 400
 
-    @pytest.fixture
-    def mass_calls(self, monkeypatch):
-        """One entry per mass_of call from the state, spinor, propagation
-        and two-body layers while the test runs."""
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        """One entry per call of algebra's `name` from the state, spinor,
+        propagation and two-body layers while the test runs."""
         calls = []
         for module in (states, spinors, propagate, twobody):
-            if hasattr(module, "mass_of"):
-                fn = module.mass_of
-                monkeypatch.setattr(module, "mass_of", lambda p, fn=fn: calls.append(1) or fn(p))
+            if hasattr(module, name):
+                fn = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda p, fn=fn: calls.append(1) or fn(p))
         return calls
+
+    @pytest.fixture
+    def mass_calls(self, monkeypatch):
+        return self.count_calls(monkeypatch, "mass_of")
+
+    @pytest.fixture
+    def sign_calls(self, monkeypatch):
+        return self.count_calls(monkeypatch, "energy_sign")
 
     def forward_pair(self, rng):
         """Initial and final two-body states of N terms in S+ whose x momenta
@@ -304,27 +355,54 @@ class TestCarriedMass:
         state_f = TwoParticleState(tuple((0.5j, xs[k - 1], ys[k % len(ys)]) for k in range(len(xs))))
         return state_i, state_f
 
-    def test_modes_maps_evolution_and_s2_call_none(self, rng, mass_calls):
+    def test_modes_maps_evolution_and_s2_call_none(self, rng, mass_calls, sign_calls):
         state = random_state(rng, self.N)
         state_i, state_f = self.forward_pair(rng)
         pots = (coulomb_potential(1.0), coulomb_potential(2.0))
         mass_calls.clear()
+        sign_calls.clear()
 
-        Mode(state.p[0, 0], 1, state.a[0, 0])
+        Mode(state.p[0, 0], 1, state.a[0, 0]).amplitude_spinor()
         state.spinors()
         for name in sorted(SYMMETRIES):
             getattr(states, name)(state)
         free_evolve(state, 0.0, 0.7, 1)
         amplitude = s2_first_order(state_i, state_f, pots)
-        assert mass_calls == []
+        assert mass_calls == [] and sign_calls == []
         assert amplitude.value != 0.0
 
-    def test_moller_calls_it_once(self, rng, mass_calls):
+    def test_moller_calls_it_once(self, rng, mass_calls, sign_calls):
         incident = random_mode(rng, branch=1, phi=1)
         momenta = elastic_shell(incident.p, np.linspace(0.1, 3.0, self.N // 8), n_azimuth=8)
         mass_calls.clear()
+        sign_calls.clear()
         moller = moller_first_order(incident, coulomb_potential(1.0), momenta)
-        assert len(moller.coeff) == self.N + 1 and len(mass_calls) == 1
+        assert len(moller.coeff) == self.N + 1 and len(mass_calls) == len(sign_calls) == 1
+
+
+class TestStackedConstruction:
+    """A Mode keeps its row of floats, not its key, and a container keys its
+    merge with one _row_bytes pass over the stacked rows: a call count, not
+    a timing."""
+
+    N = 400
+
+    def test_mode_holds_no_key(self, rng):
+        assert "label_key" not in vars(random_mode(rng))
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_one_key_pass_per_construction(self, rng, monkeypatch, width):
+        distinct = 3 * self.N // 4
+        modes = [random_mode(rng) for _ in range(distinct)]
+        rows = [tuple(modes[(k + c) % distinct] for c in range(width)) for k in range(distinct)]
+        # the last quarter of the rows repeats the first
+        terms = tuple((1.0, *row) for row in rows + rows[:self.N - distinct])
+        calls = []
+        row_bytes = states._row_bytes
+        monkeypatch.setattr(states, "_row_bytes", lambda rows: calls.append(len(rows)) or row_bytes(rows))
+        state = SpectralState(terms) if width == 1 else TwoParticleState(terms)
+        assert calls == [self.N]
+        assert len(state.coeff) == distinct and state.coeff[0] == 2.0
 
 
 class TestDisjointKeys:

@@ -588,7 +588,9 @@ class TestScalingGuard:
 
 class TestWidthContract:
     """One inner product and one free evolution serve both term widths; the
-    one-particle bilinears and state_to_json refuse two-particle terms."""
+    one-particle bilinears and state_to_json refuse two-particle terms, and
+    the two-particle currents, S_fi, serializer, label swap and exchange
+    residual refuse one-particle terms."""
 
     @pytest.fixture
     def probe(self):
@@ -626,3 +628,25 @@ class TestWidthContract:
         _, t = probe
         with pytest.raises(TypeError, match="width 2"):
             call(t, np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("call", [
+        two_currents,
+        two_current_divergence_fd,
+        lambda s, x: s2_first_order(s, s, (zero_potential(),) * 2),
+        lambda s, x: two_state_to_json(s),
+        lambda s, x: permute_labels(s),
+        lambda s, x: exchange_residual(s),
+    ], ids=["two_currents", "two_current_divergence_fd", "s2_first_order", "two_state_to_json",
+            "permute_labels", "exchange_residual"])
+    def test_two_particle_operations_refuse_width_one(self, probe, call):
+        m1, _ = probe
+        with pytest.raises(TypeError) as error:
+            call(single_mode_state(m1), np.zeros((2, 4)))
+        assert str(error.value) == "a two-particle state is required, not terms of width 1"
+
+    def test_s2_first_order_refuses_either_width_one_state(self, probe):
+        m1, t = probe
+        pots = (zero_potential(),) * 2
+        for state_i, state_f in ((t, single_mode_state(m1)), (single_mode_state(m1), t)):
+            with pytest.raises(TypeError, match="width 1"):
+                s2_first_order(state_i, state_f, pots)
