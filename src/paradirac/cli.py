@@ -9,9 +9,7 @@ Identical flags and seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -61,14 +59,24 @@ def _finite(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return value
+def _int_at_least(lowest: int, bound: str):
+    """Parser type for an int argument of at least `lowest`; `bound` words
+    the refusal, "must be {bound}, got {text}"."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "at least 1")
+_nonnegative_int = _int_at_least(0, "non-negative")
 
 
 def _positive(text: str) -> float:
@@ -111,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the named residual suites")
     p_verify.set_defaults(run=cmd_verify)
     p_verify.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_nonnegative_int, default=0)
     p_verify.add_argument("--tol", type=_positive, default=None,
                           help="override every per-suite tolerance")
 
@@ -144,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo = sub.add_parser("propagate-demo",
                             help="free evolution of a seeded random state (JSON)")
     p_demo.set_defaults(run=cmd_propagate_demo)
-    p_demo.add_argument("--seed", type=int, default=0)
+    p_demo.add_argument("--seed", type=_nonnegative_int, default=0)
     p_demo.add_argument("--dtau", type=_finite, default=1.0)
     p_demo.add_argument("--which", type=int, choices=(1, -1), default=1)
     p_demo.add_argument("--modes", type=_positive_int, default=4)
@@ -169,9 +177,7 @@ _MOTT_BATCH = 200
 def cmd_mott(args) -> int:
     from .scattering import mott_dcs, rutherford_dcs
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["kappa_deg", "dcs", "ratio_to_rutherford"])
+    lines = ["kappa_deg,dcs,ratio_to_rutherford\n"]
     for lo in range(0, args.angles.size, _MOTT_BATCH):
         degrees = args.angles[lo:lo + _MOTT_BATCH]
         kappa = np.radians(degrees)
@@ -183,9 +189,9 @@ def cmd_mott(args) -> int:
         bad = ~(np.isfinite(dcs) & np.isfinite(ratio))
         if bad.any():
             raise NonfiniteResult(f"non-finite cross-section at {degrees[bad.argmax()]:g} deg")
-        writer.writerows([f"{deg:.6f}", f"{d:.12e}", f"{r:.12e}"]
-                         for deg, d, r in zip(degrees, dcs, ratio))
-    _emit(buffer.getvalue(), args.out)
+        lines += ["%.6f,%.12e,%.12e\n" % row
+                  for row in zip(degrees.tolist(), dcs.tolist(), ratio.tolist())]
+    _emit("".join(lines), args.out)
     return 0
 
 

@@ -61,7 +61,7 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
 _LEVI3.setflags(write=False)
 
 
-def epsilon_tensor():
+def _determinant_symbol():
     """Rank-4 antisymmetric symbol, eps[0,1,2,3] = +1, built from determinants."""
     eye = np.eye(4)
     eps = np.zeros((4, 4, 4, 4))
@@ -73,8 +73,14 @@ def epsilon_tensor():
     return eps
 
 
-_EPSILON4 = epsilon_tensor()
+_EPSILON4 = _determinant_symbol()
 _EPSILON4.setflags(write=False)
+
+
+def epsilon_tensor():
+    """Rank-4 antisymmetric symbol, eps[0,1,2,3] = +1, as a fresh writable
+    copy of the determinant build made once at import."""
+    return _EPSILON4.copy()
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,12 @@
 
 Each suite draws its inputs from a seeded generator and returns a list of
 named checks with measured residuals, so a run is reproducible bit for bit
-for a given seed.  Residuals are max-norm deviations of exact algebraic
+for a given seed.  Suites batch their draws: the spinors suite takes its
+draws in stacked slices, and the propagate suite evolves the four filter
+cases of one (which, direction) as one state.  The draws come in the
+one-at-a-time order and every operation is row-wise, so the residuals equal
+those of the one-at-a-time route bit for bit; the tests keep that route as
+the reference.  Residuals are max-norm deviations of exact algebraic
 identities; default tolerances are set per suite a decade or two above the
 observed machine-precision plateau.  Each suite imports the layers it
 checks, so importing this module loads only the algebra.
@@ -90,8 +95,9 @@ def suite_algebra(rng, tol: float) -> list[Check]:
 
 # Draws per batch of suite_spinors, a multiple of 10 so that every batch
 # starts on a draw with a spin direction.  It bounds each (n, 4, 4) complex
-# temporary at 25 kB: one batch of all 1000 draws raised peak RSS by 2 MB.
-_SPINOR_BATCH = 100
+# temporary at 64 kB: a process running only this suite peaks at 35.9 MiB RSS
+# with batches of 100 or 250 draws, and at 37.5 MiB with one of all 1000.
+_SPINOR_BATCH = 250
 
 
 def _spinor_residuals(p, phi, a_u, a_v, spin_dirs) -> dict:
@@ -102,22 +108,23 @@ def _spinor_residuals(p, phi, a_u, a_v, spin_dirs) -> dict:
 
     m = np.sqrt(-minkowski_dot(p, p))
     ub, vb = u_block(p), v_block(p)
+    ubar, vbar = bar(ub), bar(vb)
     lu, lv = lambda_u(p), lambda_v(p)
     u_a = _matvec(ub, a_u)
     w = u_a + _matvec(0.6 * vb, a_v)
-    rebuilt = _matvec(ub, _matvec(bar(ub), w)) + _matvec(vb, -_matvec(bar(vb), w))
+    rebuilt = _matvec(ub, _matvec(ubar, w)) + _matvec(vb, -_matvec(vbar, w))
     pure = _matvec(branch_block(p, +1), decompose_in_block(p, +1, u_a))
     sig = spin_projector(boost_spin(spin_dirs, p[::10]))
     lu_spin = lu[::10]
     phi_m = (phi * m)[:, None, None]
     sl = slash(p)
     return {
-        "u-block orthonormality ubar u - 1": _max_abs(bar(ub) @ ub - I2),
-        "v-block orthonormality vbar v + 1": _max_abs(bar(vb) @ vb + I2),
-        "cross orthogonality ubar v": _max_abs(bar(ub) @ vb),
-        "cross orthogonality vbar u": _max_abs(bar(vb) @ ub),
-        "projector from block u ubar - P_u": _max_abs(ub @ bar(ub) - lu),
-        "projector from block v vbar + P_v": _max_abs(vb @ bar(vb) + lv),
+        "u-block orthonormality ubar u - 1": _max_abs(ubar @ ub - I2),
+        "v-block orthonormality vbar v + 1": _max_abs(vbar @ vb + I2),
+        "cross orthogonality ubar v": _max_abs(ubar @ vb),
+        "cross orthogonality vbar u": _max_abs(vbar @ ub),
+        "projector from block u ubar - P_u": _max_abs(ub @ ubar - lu),
+        "projector from block v vbar + P_v": _max_abs(vb @ vbar + lv),
         "projector completeness P_u + P_v - 1": _max_abs(lu + lv - I4),
         "frequency relation slash(p) u + phi m u": _max_abs(sl @ ub + phi_m * ub),
         "frequency relation slash(p) v - phi m v": _max_abs(sl @ vb - phi_m * vb),
@@ -154,28 +161,33 @@ def suite_propagate(rng, tol: float) -> list[Check]:
         random_mode, random_spin_coefficients, random_state, random_timelike_momentum,
     )
     from .scattering import coulomb_potential, s1_amplitude
-    from .states import Mode, single_mode_state
+    from .states import Mode, SpectralState
 
     checks = []
     coeff = 0.8 - 0.3j
-    for which, direction, branch, phi in itertools.product((1, -1), repeat=4):
+    cases = list(itertools.product((1, -1), repeat=4))
+    modes = [random_mode(rng, branch=branch, phi=phi, p_scale=0.7) for *_, branch, phi in cases]
+    # the four cases of one (which, direction) evolve as one state
+    for lo in range(0, len(cases), 4):
+        which, direction = cases[lo][:2]
         dtau = 0.7 * direction
-        mode = random_mode(rng, branch=branch, phi=phi, p_scale=0.7)
-        state = single_mode_state(mode, coeff=coeff)
+        state = SpectralState([(coeff, mode) for mode in modes[lo:lo + 4]])
         evolved = free_evolve(state, 0.0, dtau, which)
-        survives = branch * phi == which * direction
-        if survives:
-            expected = coeff * direction * np.exp(1j * mode.frequency * dtau)
-            resid = 1.0 if evolved.is_empty else abs(evolved.coeff[0] - expected)
-            verdict = "keeps"
-        else:
-            resid = 0.0 if evolved.is_empty else abs(evolved.coeff[0])
-            verdict = "drops"
-        label = (
-            f"filter w={which:+d} dt={direction:+d} b={branch:+d} "
-            f"phi={phi:+d} {verdict}"
-        )
-        checks.append(Check(label, resid, tol))
+        survivors = dict(zip(evolved.overlap_keys(), evolved.coeff))
+        for (_, _, branch, phi), mode in zip(cases[lo:lo + 4], modes[lo:lo + 4]):
+            found = survivors.get(mode.label_key[:2])
+            if branch * phi == which * direction:
+                expected = coeff * direction * np.exp(1j * mode.frequency * dtau)
+                resid = 1.0 if found is None else abs(found - expected)
+                verdict = "keeps"
+            else:
+                resid = 0.0 if found is None else abs(found)
+                verdict = "drops"
+            label = (
+                f"filter w={which:+d} dt={direction:+d} b={branch:+d} "
+                f"phi={phi:+d} {verdict}"
+            )
+            checks.append(Check(label, resid, tol))
 
     for which, direction in ((1, 1), (-1, -1)):
         state = random_state(rng, n_modes=6)

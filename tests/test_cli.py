@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from paradirac import cli
 from paradirac.verify import SUITE_NAMES
 from paradirac.algebra import ELECTRON_MASS, ELEMENTARY_CHARGE, FINE_STRUCTURE
-from paradirac.scattering import mott_dcs, mott_ratio
+from paradirac.scattering import mott_dcs, mott_ratio, rutherford_dcs
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -127,6 +127,30 @@ class TestMottCommand:
             ELECTRON_MASS, np.radians(grid), 1.0)
         assert out.split("\n")[1:-1] == [f"{deg:.6f},{d:.12e},{r:.12e}"
                                          for deg, d, r in zip(grid, dcs, ratio)]
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["--angles", "0.5:179.5:450"],
+        ["--angles", "0.5:179.5:450", "--Z", "92", "--p-mag", "0.01"],
+        ["--p-mag", "5e7", "--angles", "1e-9,90,180"],
+        ["--p-mag", "5e7", "--angles", "0.001:180:401"],
+        ["--Z", "92", "--p-mag", "0.01"],
+    ], ids=" ".join)
+    def test_bytes_equal_a_csv_writer_table(self, argv, capsys):
+        # the table as a csv.writer over f-string fields writes it, with the
+        # dcs and ratio of one trace over the whole grid
+        code, out, _ = run_cli(["mott"] + argv, capsys)
+        args = cli.build_parser().parse_args(["mott"] + argv)
+        kappa = np.radians(args.angles)
+        dcs = mott_dcs(args.p_mag, kappa, args.Z)
+        ratio = dcs / rutherford_dcs(args.p_mag, kappa, args.Z)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["kappa_deg", "dcs", "ratio_to_rutherford"])
+        writer.writerows([f"{deg:.6f}", f"{d:.12e}", f"{r:.12e}"]
+                         for deg, d, r in zip(args.angles, dcs, ratio))
+        assert code == 0
+        assert out == buffer.getvalue()
 
     @pytest.mark.parametrize("bad", ["0:10:4", "190", "abc", "10,,20", ""])
     def test_bad_angle_grids_rejected(self, bad):
@@ -264,6 +288,12 @@ class TestNonFiniteInputs:
         assert code == 2
         assert captured.out == ""
         assert captured.err
+
+    @pytest.mark.parametrize("command", ["verify", "propagate-demo"])
+    def test_negative_seed_names_its_flag(self, command):
+        code, out, err = _main_captured([command, "--seed", "-1"])
+        assert (code, out) == (2, "")
+        assert err == f"paradirac {command}: error: argument --seed: must be non-negative, got -1\n"
 
     @pytest.mark.parametrize("electric, magnetic", [
         ("1e200,0,0", "1e200,0,0"),  # E.B overflows to inf

@@ -27,7 +27,7 @@ from paradirac.scattering import coulomb_potential, s1_amplitude
 from paradirac.spinors import u_block, v_block
 from paradirac.states import Mode, Subspace, inner_product, single_mode_state
 from paradirac.twobody import two_conjugation_check
-from paradirac.verify import Check
+from paradirac.verify import DEFAULT_TOLS, SUITE_NAMES, Check, suite_propagate
 
 
 class TestFiltering:
@@ -259,3 +259,35 @@ class TestMollerFirstOrder:
         momenta = [m.p for _, m in result.terms]
         assert any(np.allclose(q, elastic) for q in momenta)
         assert not any(np.allclose(q, boosted) for q in momenta)
+
+
+def _filter_checks_loop(rng):
+    """The 16 filter checks of verify.suite_propagate one single-mode state
+    per case, as they ran before the cases of one (which, direction) were
+    evolved as one state: the reference for its draws and arithmetic."""
+    found = []
+    coeff = 0.8 - 0.3j
+    for which, direction, branch, phi in itertools.product((1, -1), repeat=4):
+        dtau = 0.7 * direction
+        mode = random_mode(rng, branch=branch, phi=phi, p_scale=0.7)
+        evolved = free_evolve(single_mode_state(mode, coeff=coeff), 0.0, dtau, which)
+        if branch * phi == which * direction:
+            expected = coeff * direction * np.exp(1j * mode.frequency * dtau)
+            resid = 1.0 if evolved.is_empty else abs(evolved.coeff[0] - expected)
+            verdict = "keeps"
+        else:
+            resid = 0.0 if evolved.is_empty else abs(evolved.coeff[0])
+            verdict = "drops"
+        label = f"filter w={which:+d} dt={direction:+d} b={branch:+d} phi={phi:+d} {verdict}"
+        found.append((label, resid))
+    return found
+
+
+class TestBatchedFilterSuite:
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_residuals_equal_the_case_by_case_loop(self, seed):
+        # same seeded stream, same rounding: labels, order and residuals agree bit for bit
+        stream = [seed, SUITE_NAMES.index("propagate")]
+        batched = suite_propagate(np.random.default_rng(stream), DEFAULT_TOLS["propagate"])
+        loop = _filter_checks_loop(np.random.default_rng(stream))
+        assert [(check.name, check.residual) for check in batched[:16]] == loop

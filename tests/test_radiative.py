@@ -69,6 +69,32 @@ class TestEpsilonTensor:
         assert np.abs(eps + np.swapaxes(eps, 2, 3)).max() == 0.0
         assert np.abs(eps + np.swapaxes(eps, 1, 2)).max() == 0.0
 
+    def test_fresh_writable_copy_of_a_determinant_build(self):
+        eye = np.eye(4)
+        built = np.zeros((4, 4, 4, 4))
+        for index in itertools.product(range(4), repeat=4):
+            built[index] = np.linalg.det(eye[list(index)])
+        eps = epsilon_tensor()
+        assert eps.flags.writeable and eps.flags.owndata
+        assert np.array_equal(eps, built)
+        assert epsilon_tensor() is not eps
+
+    def test_writes_reach_neither_a_second_call_nor_the_anomaly(self):
+        field = FieldConfiguration.from_fields([0.3, -1.2, 0.7], [1.1, 0.4, -0.5])
+        before = float(anomaly_rhs(field))
+        eps = epsilon_tensor()
+        eps[...] = 7.0
+        assert epsilon_tensor()[0, 1, 2, 3] == 1.0
+        assert np.count_nonzero(epsilon_tensor()) == 24
+        assert float(anomaly_rhs(field)) == before
+
+    def test_no_determinant_after_import(self, monkeypatch):
+        calls = []
+        det = np.linalg.det
+        monkeypatch.setattr(np.linalg, "det", lambda m: calls.append(m) or det(m))
+        epsilon_tensor()
+        assert calls == []
+
 
 class TestFieldConfiguration:
     def test_from_fields_roundtrip(self, rng):
