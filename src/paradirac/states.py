@@ -26,8 +26,9 @@ import functools
 import json
 import math
 import operator
+import struct
 from collections.abc import Sequence
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from typing import NamedTuple
 
 import numpy as np
@@ -59,40 +60,55 @@ class Subspace(enum.Enum):
     S_MINUS = "S-"
 
 
-@dataclass(frozen=True)
-class Mode:
+class _Frozen:
+    """Attributes are set once, through vars(self), on construction."""
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Mode(_Frozen):
     """One box-normalized plane-wave mode (p, branch, spin coefficients).
 
-    The checks and kinematics (mass, phi) run on Python floats, bit for bit
-    as mass_of and energy_sign; _row keeps those floats (p, a as re/im pairs,
-    branch, mass) for a TermContainer to stack.  label_key, computed on read,
-    is (branch, bytes of p + 0.0, bytes of a + 0.0): -0.0 equals 0.0.
+    A Mode holds only its checked row _row of Python floats (p, a as re/im
+    pairs, branch, mass), on which its checks and kinematics ran bit for bit
+    as mass_of and energy_sign; p and a are read-only snapshots built from it
+    on first read.  label_key, computed on read, is (branch, bytes of p + 0.0,
+    bytes of a + 0.0): -0.0 equals 0.0.  Equality is identity.
     """
 
-    p: np.ndarray
-    branch: int
-    a: np.ndarray
-
-    def __post_init__(self):
-        p = np.array(self.p, dtype=float)
-        a = np.array(self.a, dtype=complex)
+    def __init__(self, p, branch, a):
+        p = np.asarray(p, dtype=float)
+        a = np.asarray(a, dtype=complex)
         if p.shape != (4,):
             raise ValueError("momentum must be a four-vector")
         if a.shape != (2,):
             raise ValueError("spin coefficients must be a complex pair")
-        row = p.tolist() + a.view(float).tolist()
+        a0, a1 = a.tolist()
+        row = [*p.tolist(), a0.real, a0.imag, a1.real, a1.imag]
         if not all(map(math.isfinite, row)):
             raise ValueError("mode fields must be finite")
-        branch = int(self.branch)
-        if branch not in (1, -1):
+        if (b := int(branch)) != branch or b not in (1, -1):
             raise ValueError("branch must be +1 or -1")
         m, phi = _row_kinematics(*row[:4])
         if m == 0.0:
             raise MasslessState("modes require strictly timelike momenta")
-        p.setflags(write=False)
-        a.setflags(write=False)
-        row += (branch, m)
-        vars(self).update(p=p, a=a, branch=branch, mass=m, phi=phi, _row=row)
+        row += (b, m)
+        vars(self).update(branch=b, mass=m, phi=phi, _row=row)
+
+    @functools.cached_property
+    def p(self):
+        return np.frombuffer(struct.pack("4d", *self._row[:4]))  # read-only: bytes are immutable
+
+    @functools.cached_property
+    def a(self):
+        return np.frombuffer(struct.pack("4d", *self._row[4:8]), dtype=complex)
+
+    def __repr__(self):
+        return f"Mode(p={self.p!r}, branch={self.branch!r}, a={self.a!r})"
 
     @property
     def label_key(self):
@@ -166,7 +182,7 @@ def _row_bytes(rows):
     return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel().tolist()
 
 
-class TermContainer:
+class TermContainer(_Frozen):
     """Terms c_k (mode_k1 (x) ... (x) mode_kw) of width w, as a struct of arrays.
 
     The arrays are coeff (n,), p (n, w, 4), branch (n, w) and a (n, w, 2),
@@ -182,12 +198,6 @@ class TermContainer:
     """
 
     width = 1
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def _load(self, terms, box_edge, **fields):
         """Construct from (coeff, Mode, ...) tuples in a box of edge
@@ -211,7 +221,7 @@ class TermContainer:
     def _derive(self, coeff, p, branch, a, mass):
         """A state of the same kind and box on new label arrays, with `mass`
         the mass_of(p) that every caller already holds.  Checks in batch
-        what Mode.__post_init__ checks, with the same error classes."""
+        what Mode checks, with the same error classes."""
         if not (np.isfinite(p).all() and np.isfinite(a).all()):
             raise ValueError("mode fields must be finite")
         if not (np.abs(branch) == 1).all():
@@ -577,7 +587,9 @@ def mode_to_record(p, branch, a) -> dict:
 def mode_from_record(record) -> Mode:
     """The Mode of one wire record."""
     a = np.array([complex(re, im) for re, im in record["a"]])
-    return Mode(np.array(record["p"], dtype=float), int(record["branch"]), a)
+    if isinstance(record["branch"], bool):  # JSON true is not the branch +1
+        raise ValueError("branch must be +1 or -1")
+    return Mode(np.array(record["p"], dtype=float), record["branch"], a)
 
 
 def state_to_json(state: SpectralState) -> str:

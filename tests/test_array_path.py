@@ -274,8 +274,8 @@ class TestArrayPathBuildsNoModes:
     def built(self, monkeypatch):
         """One entry per Mode constructed while the test runs."""
         built = []
-        post_init = Mode.__post_init__
-        monkeypatch.setattr(Mode, "__post_init__", lambda mode: built.append(1) or post_init(mode))
+        init = Mode.__init__
+        monkeypatch.setattr(Mode, "__init__", lambda *args, **kwargs: built.append(1) or init(*args, **kwargs))
         return built
 
     def test_maps_evolution_joins_currents_and_moller(self, rng, built):

@@ -1,5 +1,8 @@
 """Spectral states: mode bookkeeping, symmetries, currents, serialization."""
 
+import json
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +10,8 @@ from hypothesis import strategies as st
 
 from brute_force import (
     COEFFS,
+    LABEL_MOMENTA,
+    LABEL_SPINS,
     LABELS,
     all_pairs_inner,
     assert_same_terms,
@@ -19,8 +24,8 @@ from brute_force import (
     signed_zeros,
 )
 from paradirac import states
-from paradirac.algebra import GAMMA0, GAMMA2, GAMMA5, TWO_PI, four_vector, gamma
-from paradirac.errors import BoxMismatch, MasslessState, SuperluminalMomentum
+from paradirac.algebra import GAMMA0, GAMMA2, GAMMA5, TWO_PI, energy_sign, four_vector, gamma, mass_of
+from paradirac.errors import BoxMismatch, MasslessState, SuperluminalMomentum, ZeroEnergy
 from paradirac.sampling import (
     random_mode,
     random_spin_coefficients,
@@ -93,6 +98,126 @@ class TestMode:
     def test_coordinate_velocity(self, rng):
         mode = random_mode(rng, mass=0.8, branch=-1, phi=1)
         assert abs(coordinate_velocity(mode) + 0.8 / mode.energy) <= 1e-12
+
+
+# the forms a caller may pass p or a in; each keeps the values and the signs
+# of zeros, or (narrow, real) changes them for the oracle and the Mode alike
+INPUT_FORMS = {
+    "array": lambda v: v,
+    "list": lambda v: v.tolist(),
+    "tuple": lambda v: tuple(v.tolist()),
+    "strided": lambda v: np.repeat(v, 3)[::3],
+    "narrow": lambda v: v.astype(np.complex64 if np.iscomplexobj(v) else np.float32),
+    "real": lambda v: v.real.copy(),
+}
+INT_MOMENTA = (np.array([2, 1, 0, 0]), np.array([-3, 0, 2, -1]), np.array([1, 0, 0, 0]))
+INT_SPINS = (np.array([1, 0]), np.array([0, -2]))
+MODE_INPUTS = st.one_of(
+    LABELS.map(lambda label: (signed_zeros(LABEL_MOMENTA[label[0]], label[3]), label[1],
+                              signed_zeros(LABEL_SPINS[label[2]], label[3]))),
+    st.tuples(st.sampled_from(INT_MOMENTA), st.sampled_from((1, -1)), st.sampled_from(INT_SPINS)),
+)
+
+
+def eager_mode_fields(p, branch, a):
+    """_row, the bytes of p and a, label_key, mass.hex() and phi by the eager
+    route: copy p and a to float and complex arrays, then read them."""
+    p, a = np.array(p, dtype=float), np.array(a, dtype=complex)
+    mass, phi = float(mass_of(p)), float(energy_sign(p))
+    return (p.tolist() + a.view(float).tolist() + [branch, mass], p.tobytes(), a.tobytes(),
+            (branch, (p + 0.0).tobytes(), (a + 0.0).tobytes()), mass.hex(), phi)
+
+
+def mode_fields(mode):
+    return mode._row, mode.p.tobytes(), mode.a.tobytes(), mode.label_key, mode.mass.hex(), mode.phi
+
+
+class TestModeContract:
+    """A Mode holds its checked row; p and a are read-only snapshots built on
+    first read, bit-equal to eager copies of the inputs."""
+
+    @given(MODE_INPUTS, st.sampled_from(sorted(INPUT_FORMS)), st.sampled_from(sorted(INPUT_FORMS)))
+    def test_fields_match_the_eager_copies(self, label, p_form, a_form):
+        p, branch, a = label
+        p, a = INPUT_FORMS[p_form](p), INPUT_FORMS[a_form](a)
+        want = eager_mode_fields(p, branch, a)
+        mode = Mode(p, branch, a)
+        assert mode_fields(mode) == want
+        assert mode.branch == branch and type(mode.branch) is int
+        assert (mode.p.dtype, mode.a.dtype, mode.p.shape, mode.a.shape) == (float, complex, (4,), (2,))
+
+    @given(MODE_INPUTS)
+    def test_later_changes_to_the_inputs_change_nothing(self, label):
+        p, branch, a = label
+        p, a = p.astype(float), a.astype(complex)
+        want = eager_mode_fields(p, branch, a)
+        mode = Mode(p, branch, a)
+        p[:] = 7.0
+        a[:] = 9.0j
+        assert mode_fields(mode) == want
+
+    def test_p_and_a_are_read_only_and_built_once(self):
+        mode = label_mode((0, 1, 2, True))
+        assert mode.p is mode.p and mode.a is mode.a
+        for value in (mode.p, mode.a):
+            assert not value.flags.writeable
+            with pytest.raises(ValueError):
+                value[0] = 0.0
+
+    @pytest.mark.parametrize("field", ["p", "a", "branch", "mass", "phi"])
+    def test_fields_cannot_be_set_or_deleted(self, field):
+        for read_first in (False, True):
+            mode = label_mode((1, -1, 3, False))
+            if read_first:
+                getattr(mode, field)
+            with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{field}'"):
+                setattr(mode, field, 1)
+            with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{field}'"):
+                delattr(mode, field)
+            assert mode_fields(mode) == mode_fields(label_mode((1, -1, 3, False)))
+
+    def test_repr(self):
+        assert repr(label_mode((1, -1, 3, True))) == (
+            "Mode(p=array([-1.11803399, -0.        ,  0.5       , -0.        ]), branch=-1, "
+            "a=array([ 1. +1.j, -0.5-0.j]))")
+
+    def test_equality_and_hash_are_identity(self):
+        mode, twin = label_mode((0, 1, 2, False)), label_mode((0, 1, 2, False))
+        assert mode == mode and mode != twin
+        assert hash(mode) == hash(mode) and len({mode, twin}) == 2
+
+    @pytest.mark.parametrize("p, branch, a, error, message", [
+        ([1.5, 0.0, 0.0], 1, [1.0, 0.0], ValueError, "momentum must be a four-vector"),
+        ([[1.5, 0.0, 0.0, 0.0]], 1, [1.0, 0.0], ValueError, "momentum must be a four-vector"),
+        ([1.5, 0.0, 0.0, 0.0], 1, [1.0, 0.0, 0.0], ValueError, "spin coefficients must be a complex pair"),
+        ([1.5, 0.0, 0.0, 0.0], 1, 1.0, ValueError, "spin coefficients must be a complex pair"),
+        ([1.5, np.nan, 0.0, 0.0], 1, [1.0, 0.0], ValueError, "mode fields must be finite"),
+        ([np.inf, 0.0, 0.0, 0.0], 1, [1.0, 0.0], ValueError, "mode fields must be finite"),
+        ([1.5, 0.0, 0.0, 0.0], 1, [1.0, complex(0.0, np.nan)], ValueError, "mode fields must be finite"),
+        ([1.5, 0.0, 0.0, 0.0], 1, [-np.inf, 0.0], ValueError, "mode fields must be finite"),
+        ([1.5, 0.0, 0.0, 0.0], 0, [1.0, 0.0], ValueError, "branch must be +1 or -1"),
+        ([1.5, 0.0, 0.0, 0.0], 2, [1.0, 0.0], ValueError, "branch must be +1 or -1"),
+        ([1.5, 0.0, 0.0, 0.0], 1.5, [1.0, 0.0], ValueError, "branch must be +1 or -1"),
+        ([1.5, 0.0, 0.0, 0.0], 1.9, [1.0, 0.0], ValueError, "branch must be +1 or -1"),
+        ([1.5, 0.0, 0.0, 0.0], -1.7, [1.0, 0.0], ValueError, "branch must be +1 or -1"),
+        ([0.0, 0.0, 0.0, 0.0], 1, [1.0, 0.0], ZeroEnergy, "four-momentum has p0 = 0; no rest frame branch"),
+        ([-0.0, 0.5, 0.0, 0.0], 1, [1.0, 0.0], ZeroEnergy, "four-momentum has p0 = 0; no rest frame branch"),
+        ([1.0, 0.0, 0.0, 9.0], 1, [1.0, 0.0], SuperluminalMomentum, "p.p = 80 > 0; momentum is spacelike"),
+        ([2.0, 0.0, 0.0, 2.0], 1, [1.0, 0.0], MasslessState, "modes require strictly timelike momenta"),
+        ([-5.0, 3.0, 4.0, 0.0], -1, [1.0, 0.0], MasslessState, "modes require strictly timelike momenta"),
+    ])
+    def test_invalid_inputs(self, p, branch, a, error, message):
+        with pytest.raises(ValueError) as info:
+            Mode(p, branch, a)
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_fractional_and_boolean_branches_in_json_are_refused(self):
+        record = {"p": [np.sqrt(2.0), 1.0, 0.0, 0.0], "a": [[0.3, -0.6], [0.8, 0.4]], "L": 2.0}
+        for branch in (-1.7, 1.9, 0.5, True, False):
+            with pytest.raises(ValueError, match=r"^branch must be \+1 or -1$"):
+                state_from_json(json.dumps([{**record, "branch": branch}]))
+        for branch in (1, 1.0, -1, -1.0):
+            assert state_from_json(json.dumps([{**record, "branch": branch}])).branch.tolist() == [[int(branch)]]
 
 
 class TestPlaneWave:

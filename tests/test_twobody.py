@@ -372,6 +372,21 @@ class TestSerialization:
         with pytest.raises(error):
             two_state_from_json(two)
 
+    def test_fractional_and_boolean_branches_are_refused(self):
+        # a branch is +1 or -1 as a number: -1.7 is not truncated to -1, nor true read as 1
+        record = {"p": [np.sqrt(2.0), 1.0, 0.0, 0.0], "branch": 1, "a": [[0.3, -0.6], [0.8, 0.4]]}
+        for particle in ("x", "y"):
+            for branch in (-1.7, 1.9, 0.5, True, False):
+                pair = {"c": [1.0, 0.0], "x": record, "y": record}
+                pair[particle] = {**record, "branch": branch}
+                text = json.dumps({"exchange": "none", "L": 2.0, "pairs": [pair]})
+                with pytest.raises(ValueError, match=r"^branch must be \+1 or -1$"):
+                    two_state_from_json(text)
+        for branch in (1.0, -1.0):
+            text = json.dumps({"exchange": "none", "L": 2.0, "pairs": [
+                {"c": [1.0, 0.0], "x": record, "y": {**record, "branch": branch}}]})
+            assert two_state_from_json(text).branch.tolist() == [[1, int(branch)]]
+
     @pytest.mark.parametrize("build", [
         lambda mode, record, edge: SpectralState(((1.0, mode),), edge),
         lambda mode, record, edge: TwoParticleState(((1.0, mode, mode),), "none", edge),
