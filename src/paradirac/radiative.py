@@ -21,6 +21,7 @@ assumed).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -62,14 +63,12 @@ _LEVI3.setflags(write=False)
 
 
 def _determinant_symbol():
-    """Rank-4 antisymmetric symbol, eps[0,1,2,3] = +1, built from determinants."""
+    """Rank-4 antisymmetric symbol, eps[0,1,2,3] = +1, built from determinants:
+    each permutation's entry is that of the permuted identity, the rest zero."""
     eye = np.eye(4)
     eps = np.zeros((4, 4, 4, 4))
-    for mu in range(4):
-        for nu in range(4):
-            for rho in range(4):
-                for sig in range(4):
-                    eps[mu, nu, rho, sig] = np.linalg.det(eye[[mu, nu, rho, sig]])
+    for perm in itertools.permutations(range(4)):
+        eps[perm] = np.linalg.det(eye[list(perm)])
     return eps
 
 

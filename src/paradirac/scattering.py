@@ -20,7 +20,7 @@ to leading order in beta).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -55,7 +55,6 @@ class ExternalPotential:
 
     fourier: Callable[[np.ndarray], np.ndarray]
     static: bool = False
-    params: dict = field(default_factory=dict)
 
     def hermiticity_residual(self, dp) -> float:
         dp = np.asarray(dp, dtype=float)
@@ -85,7 +84,6 @@ def coulomb_potential(Z: float, e: float = ELEMENTARY_CHARGE, mu: float = 0.0) -
     return ExternalPotential(
         fourier=lambda dp: coulomb_ft(dp, Z, e, mu),
         static=True,
-        params={"Z": Z, "e": e, "mu": mu},
     )
 
 

@@ -288,16 +288,14 @@ class TermContainer(_Frozen):
         return _matvec(_block(self.p, self.mass, self.phi, self.branch == 1), self.a)
 
     def overlap_keys(self, *cols):
-        """One flat (branch, bytes of p + 0.0, ...) tuple per row over the
-        modes in columns `cols` (every column if none is given), in row
-        order; keys of several columns join the cached keys of each."""
+        """One key per row over the modes in columns `cols` (every column if
+        none is given), in row order: (branch, bytes of p + 0.0) for one
+        column, the tuple of the cached per-column keys for several."""
+        cols = cols or tuple(range(self.width))
         if cols not in self._overlap_keys:
-            if len(cols) == 1:
-                keys = zip(self.branch[:, cols[0]].tolist(), _row_bytes(self.p[:, cols[0]]))
-            else:
-                keys = functools.reduce(lambda x, y: map(operator.add, x, y),
-                                        map(self.overlap_keys, cols or range(self.width)))
-            self._overlap_keys[cols] = list(keys)
+            self._overlap_keys[cols] = list(
+                zip(self.branch[:, cols[0]].tolist(), _row_bytes(self.p[:, cols[0]])) if len(cols) == 1
+                else zip(*map(self.overlap_keys, cols)))
         return self._overlap_keys[cols]
 
     def overlaps(self, i, other, j, col=0):
@@ -403,24 +401,19 @@ def inner_product(state_a: TermContainer, state_b: TermContainer) -> complex:
     are orthogonal.  The result does not depend on tau.
 
     The sum is a join on the overlap keys of all columns: each term of
-    state_a meets only its matches in state_b, in all-pairs order.
+    state_a meets only its matches in state_b, in all-pairs order, and a
+    zero overlap product adds nothing to the Python complex sum.
     """
     if state_a.box_edge != state_b.box_edge:
         raise BoxMismatch("states quantized in different boxes")
     i, j = overlap_join(state_a.overlap_keys(), state_b.overlap_keys())
+    total = 0j
     if not len(i):
-        return 0j
+        return total
     # Python's product per pair: on few terms it beats an array product's numpy calls
     products = state_a.overlaps(i, state_b, j, 0).tolist()
     for col in range(1, state_a.width):
         products = map(operator.mul, products, state_a.overlaps(i, state_b, j, col).tolist())
-    return _overlap_sum(state_a, state_b, i, j, products)
-
-
-def _overlap_sum(state_a, state_b, i, j, products):
-    """sum of conj(c_a) c_b ov, a Python complex, over the term pairs (i, j)
-    with their overlap products ov, in order; a zero product adds nothing."""
-    total = 0.0j
     for ca, cb, ov in zip(state_a.coeff[i].tolist(), state_b.coeff[j].tolist(), products):
         if ov:
             total += ca.conjugate() * cb * ov
@@ -584,8 +577,16 @@ def mode_to_record(p, branch, a) -> dict:
             "a": [[float(z.real), float(z.imag)] for z in a]}
 
 
+def _json_object(value, keys, what):
+    """value if it is a JSON object holding every one of keys, else ValueError."""
+    if not (isinstance(value, dict) and all(key in value for key in keys)):
+        raise ValueError(f"{what} must be a JSON object with the keys {', '.join(keys)}")
+    return value
+
+
 def mode_from_record(record) -> Mode:
     """The Mode of one wire record."""
+    _json_object(record, ("p", "branch", "a"), "mode record")
     a = np.array([complex(re, im) for re, im in record["a"]])
     if isinstance(record["branch"], bool):  # JSON true is not the branch +1
         raise ValueError("branch must be +1 or -1")
@@ -605,7 +606,7 @@ def state_from_json(text: str) -> SpectralState:
     terms = []
     box = None
     for item in items:
-        edge = float(item["L"])
+        edge = float(_json_object(item, ("L",), "mode record")["L"])
         if box is None:
             box = edge
         elif edge != box:

@@ -16,7 +16,6 @@ sign is +.
 from __future__ import annotations
 
 import json
-import operator
 
 import numpy as np
 
@@ -50,7 +49,7 @@ from .states import (
     TermContainer,
     _divergence_fd,
     _frequencies_match,
-    _overlap_sum,
+    _json_object,
     _plane_waves,
     _require_width,
     classify_subspace,
@@ -127,18 +126,13 @@ def exchange_residual(state: TwoParticleState) -> float:
     return worst
 
 
-def _term_join(state_a: TwoParticleState, state_b: TwoParticleState):
-    """Term pairs (i, j) whose x or y overlap keys match, in all-pairs order,
-    as a list and as index arrays, with their x and y overlaps (0 if unmatched)."""
-    joins = [set(zip(*(index.tolist() for index in
-                       overlap_join(state_a.overlap_keys(col), state_b.overlap_keys(col)))))
-             for col in (0, 1)]
-    pairs = sorted(joins[0] | joins[1])
-    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    overlaps = [[ov if pair in join else 0.0 for pair, ov in
-                 zip(pairs, state_a.overlaps(i, state_b, j, col).tolist())]
-                for col, join in enumerate(joins)] if pairs else [[], []]
-    return pairs, i, j, overlaps
+def _partner_join(state_a: TwoParticleState, state_b: TwoParticleState, col: int):
+    """Index arrays (i, j) of the term pairs whose column `col` modes overlap,
+    in all-pairs order, with those nonzero overlaps: the partner integration."""
+    i, j = overlap_join(state_a.overlap_keys(col), state_b.overlap_keys(col))
+    overlap = state_a.overlaps(i, state_b, j, col)
+    keep = overlap != 0.0
+    return i[keep], j[keep], overlap[keep]
 
 
 # one inner product and one free evolution serve every term width
@@ -155,10 +149,9 @@ def _marginal_pairs(state: TwoParticleState, particle: int, spinors) -> Pairs:
     is the state's (n, 2, 4) amplitude spinor stack."""
     _require_width(state, 2)
     own, other = particle - 1, 2 - particle
-    k, l = overlap_join(state.overlap_keys(other), state.overlap_keys(other))
-    partner = state.overlaps(k, state, l, other)
+    k, l, partner = _partner_join(state, state, other)
     nu = state.frequency.sum(axis=1)
-    keep = (partner != 0.0) & _frequencies_match(nu[k], nu[l])
+    keep = _frequencies_match(nu[k], nu[l])
     k, l, partner = k[keep], l[keep], partner[keep]
     weight = _cmul(_cmul(state.coeff[k].conj(), state.coeff[l]), partner) / state.box_edge**4
     return Pairs(k, l, weight, spinors[:, own], state.p[:, own])
@@ -190,25 +183,24 @@ def _require_s_plus(state: TwoParticleState, label: str):
         raise SubspaceViolation(f"{label} state leaves the forward subspace")
 
 
-def _born_sandwich(state_f: TwoParticleState, state_i: TwoParticleState, pairs, partners, pots):
-    """B(in -> out; A) = bar(w_out) slash(A~(p_out - p_in)) w_in of particle
-    1 and of particle 2 for each joined pair (f, i), row by row.  It is only
-    evaluated where the partner overlap is nonzero and the deltas hold (equal
-    tau frequencies and, for static potentials, energies, at ATOL_SHELL);
-    elsewhere, and where A~ vanishes, B is exactly zero.  Projection onto a
-    definite final mode cancels the branch signs, so one formula covers u
-    and v type."""
+def _born_sandwich(state_f: TwoParticleState, state_i: TwoParticleState, events, pots):
+    """B(in -> out; A) = bar(w_out) slash(A~(p_out - p_in)) w_in for each
+    event (f, i, col, _): the transition of particle col + 1 from row i of
+    state_i to row f of state_f in the potential pots[col].  It is only
+    evaluated where the deltas hold (equal tau frequencies and, for static
+    potentials, energies, at ATOL_SHELL); elsewhere, and where A~ vanishes,
+    B is exactly zero.  Projection onto a definite final mode cancels the
+    branch signs, so one formula covers u and v type."""
     nu_f, nu_i = state_f.frequency.tolist(), state_i.frequency.tolist()
     p0_f, p0_i = state_f.p[..., 0].tolist(), state_i.p[..., 0].tolist()
-    live = [(k, col, f, i) for col, (pot, partner) in enumerate(zip(pots, partners))
-            for k, ((f, i), ov) in enumerate(zip(pairs, partner))
-            if ov != 0.0
-            and abs(nu_f[f][col] - nu_i[i][col]) <= ATOL_SHELL * max(1.0, abs(nu_i[i][col]))
-            and not (pot.static and abs(p0_f[f][col] - p0_i[i][col]) > ATOL_SHELL)]
-    born = [[0.0j] * len(pairs), [0.0j] * len(pairs)]
+    # the rows of particle 1 first, each particle's in event order
+    live = sorted((col, k, f, i) for k, (f, i, col, _) in enumerate(events)
+                  if abs(nu_f[f][col] - nu_i[i][col]) <= ATOL_SHELL * max(1.0, abs(nu_i[i][col]))
+                  and not (pots[col].static and abs(p0_f[f][col] - p0_i[i][col]) > ATOL_SHELL))
+    born = [0.0j] * len(events)
     if not live:
         return born
-    _, cols, rows_f, rows_i = np.array(live, dtype=np.intp).T
+    cols, k, rows_f, rows_i = np.array(live, dtype=np.intp).T
     # spinors of the final, then of the incident rows, in one block pass
     labels = [(s.p, s.branch, s.a, s.mass, s.phi) for s in (state_f, state_i)]
     p, branch, a, mass, phi = (np.concatenate((out[rows_f, cols], inc[rows_i, cols]))
@@ -216,12 +208,12 @@ def _born_sandwich(state_f: TwoParticleState, state_i: TwoParticleState, pairs, 
     spinors = _matvec(_block(p, mass, phi, branch == 1), a)
     n = len(live)
     n_x, dp = n - int(cols.sum()), p[:n] - p[n:]
-    # the rows of particle 1 come first; a shared potential takes one transform
+    # a shared potential takes one transform
     a_tilde = (pots[0].fourier(dp) if pots[0] is pots[1] else
                np.concatenate((pots[0].fourier(dp[:n_x]), pots[1].fourier(dp[n_x:]))))
     sandwich = _dot((spinors[:n].conj()[:, None, :] @ GAMMA0 @ slash(a_tilde))[:, 0], spinors[n:])
-    for (k, col, _, _), value in zip(live, np.where(a_tilde.any(axis=-1), sandwich, 0.0).tolist()):
-        born[col][k] = value
+    for index, value in zip(k.tolist(), np.where(a_tilde.any(axis=-1), sandwich, 0.0).tolist()):
+        born[index] = value
     return born
 
 
@@ -240,9 +232,9 @@ def s2_first_order(
     with B the reduced sandwich of _born_sandwich.  The delta factors
     (total frequency, and energy for static potentials) are resolved inside
     B at ATOL_SHELL; their squared scales are recorded symbolically.  Both
-    states must lie in the forward subspace tensor square.  The term pairs
-    are joined on the x and y overlap keys and met in the order of the
-    all-pairs loop.
+    states must lie in the forward subspace tensor square.  <f|i> is
+    inner_product; each particle's Born terms join on its partner's overlap,
+    as the marginal currents do, in the order of the all-pairs loop.
     """
     _require_width(state_i, 2)
     _require_width(state_f, 2)
@@ -252,19 +244,17 @@ def s2_first_order(
     _require_s_plus(state_f, "final")
     pot1, pot2 = pot_pair
     e1, e2 = charges
-    box3 = state_i.box_edge**3
-
-    pairs, f, i, (ov_x, ov_y) = _term_join(state_f, state_i)
-    # <f|i>: the pairs that share only one key add nothing
-    value = _overlap_sum(state_f, state_i, f, i, map(operator.mul, ov_x, ov_y))
-    born_x, born_y = _born_sandwich(state_f, state_i, pairs, (ov_y, ov_x), (pot1, pot2))
-    for cf, ci, ox, oy, bx, by in zip(state_f.coeff[f].tolist(), state_i.coeff[i].tolist(),
-                                      ov_x, ov_y, born_x, born_y):
-        weight = np.conj(cf) * ci
-        if oy != 0.0:
-            value += weight * (1j * e1 / box3) * bx * oy
-        if ox != 0.0:
-            value += weight * ox * (1j * e2 / box3) * by
+    coupling = (1j * e1 / state_i.box_edge**3, 1j * e2 / state_i.box_edge**3)
+    # particle 1 joins on the y overlap, particle 2 on the x overlap; sorting
+    # merges the two sorted runs, particle 1 first on a tie
+    events = sorted((f, i, col, ov) for col in (0, 1) for f, i, ov in
+                    zip(*(x.tolist() for x in _partner_join(state_f, state_i, 1 - col))))
+    born = _born_sandwich(state_f, state_i, events, (pot1, pot2))
+    coeff_f, coeff_i = state_f.coeff.tolist(), state_i.coeff.tolist()
+    value = inner_product(state_f, state_i)
+    for (f, i, col, ov), b in zip(events, born):
+        weight = np.conj(coeff_f[f]) * coeff_i[i]
+        value += weight * coupling[0] * b * ov if col == 0 else weight * ov * coupling[1] * b
     factors = (("delta(Dnu_total)", "T_tau"),)
     if pot1.static or pot2.static:
         factors += (("2pi*delta(Dp0)", "T_0"),)
@@ -374,8 +364,7 @@ def potential_from_transition(mode_in: Mode, mode_out: Mode, charge: float) -> E
         out[np.isclose(dp, k0, atol=ATOL_SHELL).all(axis=-1)] = node
         return out
 
-    return ExternalPotential(fourier=fourier, static=False,
-                             params={"charge": charge, "node": k0})
+    return ExternalPotential(fourier=fourier, static=False)
 
 
 def mutual_scattering_amplitude(in1: Mode, out1: Mode, in2: Mode, out2: Mode,
@@ -409,9 +398,10 @@ def two_state_to_json(state: TwoParticleState) -> str:
 
 
 def two_state_from_json(text: str) -> TwoParticleState:
-    payload = json.loads(text)
-    terms = tuple(
-        (complex(pair["c"][0], pair["c"][1]), mode_from_record(pair["x"]), mode_from_record(pair["y"]))
-        for pair in payload["pairs"]
-    )
+    payload = _json_object(json.loads(text), ("exchange", "L", "pairs"), "two-particle state JSON")
+    if not isinstance(payload["pairs"], list):
+        raise ValueError("two-particle state JSON pairs must be a list of term records")
+    pairs = [_json_object(pair, ("c", "x", "y"), "term record") for pair in payload["pairs"]]
+    terms = [(complex(pair["c"][0], pair["c"][1]), mode_from_record(pair["x"]), mode_from_record(pair["y"]))
+             for pair in pairs]
     return TwoParticleState(terms, payload["exchange"], float(payload["L"]))

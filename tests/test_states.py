@@ -388,6 +388,26 @@ class TestSerialization:
             '{"p": [-1.118033988749895, -0.0, 0.5, -0.0], "branch": -1, '
             '"a": [[-1.0, 1.0], [0.0, -0.5]], "L": 2.0}]')
 
+    @pytest.mark.parametrize("text", [
+        "{}", "1", '"mode"', "null",  # a top level that is not a list
+        "[1]", "[[]]", '["p"]', "[null]",  # a record that is not an object
+        '[{"p": [1.5, 0.0, 0.0, 0.0], "branch": 1, "a": [[1.0, 0.0], [0.0, 0.0]]}]',
+        '[{"L": 2.0, "branch": 1, "a": [[1.0, 0.0], [0.0, 0.0]]}]',
+        '[{"L": 2.0, "p": [1.5, 0.0, 0.0, 0.0], "a": [[1.0, 0.0], [0.0, 0.0]]}]',
+        '[{"L": 2.0, "p": [1.5, 0.0, 0.0, 0.0], "branch": 1}]',
+    ])
+    def test_malformed_json_raises_value_error(self, text):
+        # not TypeError or KeyError: every failure of the library is a ValueError
+        with pytest.raises(ValueError):
+            state_from_json(text)
+
+    def test_mode_record_must_be_a_complete_object(self):
+        record = {"p": [1.5, 0.0, 0.0, 0.0], "branch": 1, "a": [[1.0, 0.0], [0.0, 0.0]]}
+        assert states.mode_from_record(record).label_key == Mode(record["p"], 1, [1.0, 0.0]).label_key
+        for bad in ([], None, "p", {k: v for k, v in record.items() if k != "a"}):
+            with pytest.raises(ValueError):
+                states.mode_from_record(bad)
+
 
 # ---------------------------------------------------------------------------
 # label keys: merges and overlaps against the brute-force loops of

@@ -351,6 +351,30 @@ class TestSerialization:
             '"a": [[-0.0, -0.0], [-0.0, 1.0]]}, '
             '"y": {"p": [1.0, 0.0, 0.0, 0.0], "branch": -1, "a": [[0.6, 0.0], [0.0, 0.8]]}}]}')
 
+    @pytest.mark.parametrize("payload", [
+        [], 1, "state", None,  # a top level that is not an object
+        {"exchange": "none", "L": 6.0, "pairs": {}},  # pairs that are not a list
+        {"exchange": "none", "L": 6.0, "pairs": "xy"},
+        {"exchange": "none", "L": 6.0, "pairs": None},
+        {"exchange": "none", "L": 6.0, "pairs": [1]},  # a term record that is not an object
+        {"exchange": "none", "L": 6.0, "pairs": [[]]},
+        {"exchange": "none", "L": 6.0},  # missing keys
+        {"L": 6.0, "pairs": []},
+        {"exchange": "none", "pairs": []},
+        {"exchange": "none", "L": 6.0, "pairs": [{"x": "RECORD", "y": "RECORD"}]},
+        {"exchange": "none", "L": 6.0, "pairs": [{"c": [1.0, 0.0], "y": "RECORD"}]},
+        {"exchange": "none", "L": 6.0, "pairs": [{"c": [1.0, 0.0], "x": "RECORD", "y": []}]},
+        {"exchange": "none", "L": 6.0, "pairs": [{"c": [1.0, 0.0], "x": "RECORD", "y": {"p": [1.5, 0, 0, 0]}}]},
+    ])
+    def test_malformed_json_raises_value_error(self, payload):
+        # not TypeError or KeyError, nor an empty state for a pairs object
+        record = {"p": [1.5, 0.0, 0.0, 0.0], "branch": 1, "a": [[1.0, 0.0], [0.0, 0.0]]}
+        text = json.dumps(payload).replace('"RECORD"', json.dumps(record))
+        with pytest.raises(ValueError):
+            two_state_from_json(text)
+        valid = {"exchange": "none", "L": 6.0, "pairs": [{"c": [1.0, 0.0], "x": record, "y": record}]}
+        assert len(two_state_from_json(json.dumps(valid)).terms) == 1
+
     @pytest.mark.parametrize("change, error", [
         ({"p": None}, ValueError),
         ({"branch": None}, TypeError),
@@ -582,8 +606,8 @@ class TestScalingGuard:
         final += [(1.0, _mode(rng), _mode(rng)) for _ in range(self.N_TERMS - 15)]
         pots = (coulomb_potential(1.0), coulomb_potential(2.0))
         s2_first_order(TwoParticleState(tuple(initial)), TwoParticleState(tuple(final)), pots)
-        # each of the 15 joined term pairs takes an x and a y overlap
-        assert sum(overlap_rows) == 2 * 15
+        # each of the 15 joined term pairs takes only its partner's overlap
+        assert sum(overlap_rows) == 15
 
     def test_two_currents(self, rng, overlap_rows):
         terms = [(1.0, _mode(rng), _mode(rng)) for _ in range(self.N_TERMS - 10)]
