@@ -140,6 +140,12 @@ def _cmul(x, y):
     return out
 
 
+def _max_residual(diff):
+    """Max |entry| of a residual array or a list of equal-shape arrays or scalars,
+    0.0 when empty; any NaN entry makes it NaN, so no check passes on a NaN."""
+    return float(np.abs(diff).max(initial=0.0))
+
+
 def mass_of(p):
     """Rest mass sqrt(-p.p) of subluminal four-momenta p of shape (..., 4).
 

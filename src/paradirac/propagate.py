@@ -35,6 +35,7 @@ from .algebra import (
     slash,
     _cmul,
     _matvec,
+    _max_residual,
 )
 from .errors import DegenerateInterval, NonfiniteResult, UnresolvedDelta
 from .spinors import _block, lambda_u, lambda_v
@@ -171,12 +172,6 @@ def influence_conjugation_check(dx, dtau: float, momenta, box_edge: float = TWO_
     plus = _kernels(+1, momenta, dx, dtau, box_edge)
     minus = _kernels(-1, momenta, -dx, -dtau, box_edge)
     return _max_residual(dirac_adjoint(plus) - minus)
-
-
-def _max_residual(diff):
-    """Max |entry| over a stack of residual matrices, 0.0 for an empty
-    stack; a NaN entry makes the residual NaN, so the check cannot pass."""
-    return float(np.abs(diff).max(initial=0.0))
 
 
 def elastic_shell(p_in, kappas, n_azimuth: int = 8):

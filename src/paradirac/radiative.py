@@ -39,6 +39,7 @@ from .algebra import (
     MEV_TO_MHZ,
     METRIC,
     TWO_PI,
+    _max_residual,
     minkowski_dot,
     slash,
 )
@@ -55,12 +56,6 @@ from .errors import (
 # ---------------------------------------------------------------------------
 # field configurations and the antisymmetric symbol
 
-_LEVI3 = np.zeros((3, 3, 3))
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    _LEVI3[_i, _j, _k] = 1.0
-    _LEVI3[_j, _i, _k] = -1.0
-_LEVI3.setflags(write=False)
-
 
 def _determinant_symbol():
     """Rank-4 antisymmetric symbol, eps[0,1,2,3] = +1, built from determinants:
@@ -74,6 +69,8 @@ def _determinant_symbol():
 
 _EPSILON4 = _determinant_symbol()
 _EPSILON4.setflags(write=False)
+# eps^{jkl} = eps^{0jkl}, the rank-3 symbol of the field tensor's B block
+_LEVI3 = _EPSILON4[0, 1:, 1:, 1:]  # a read-only view
 
 
 def epsilon_tensor():
@@ -466,8 +463,7 @@ def vector_divergence_check(state, points) -> float:
     """
     from .states import bilinear_concatenated
 
-    samples = bilinear_concatenated(state, lambda dp: 1j * slash(dp), points)
-    return float(np.abs(samples).max()) if samples.size else 0.0
+    return _max_residual(bilinear_concatenated(state, lambda dp: 1j * slash(dp), points))
 
 
 def axial_divergence_tree(state, mass: float, points):

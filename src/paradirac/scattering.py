@@ -33,6 +33,7 @@ from .algebra import (
     TWO_PI,
     _any,
     _dot,
+    _max_residual,
     bar,
     dirac_adjoint,
     mass_of,
@@ -58,7 +59,7 @@ class ExternalPotential:
 
     def hermiticity_residual(self, dp) -> float:
         dp = np.asarray(dp, dtype=float)
-        return float(np.abs(self.fourier(-dp) - np.conj(self.fourier(dp))).max())
+        return _max_residual(self.fourier(-dp) - np.conj(self.fourier(dp)))
 
 
 def coulomb_ft(dp, Z: float, e: float = ELEMENTARY_CHARGE, mu: float = 0.0):

@@ -47,6 +47,7 @@ from .algebra import (
     minkowski_dot,
     _dot,
     _matvec,
+    _max_residual,
     _row_kinematics,
 )
 from .errors import BoxMismatch, MasslessState
@@ -172,7 +173,7 @@ def free_equation_residual(mode: Mode, x, tau, box_edge=TWO_PI):
     event = np.append(np.asarray(x, dtype=float), tau)
     d = _central_differences(lambda e: plane_wave_value(mode, e[:, :4], e[:, 4], box_edge), event, 1e-3)
     total = d[4, 0] / 1j + sum(gamma(mu) @ (d[mu, 0] / 1j) for mu in range(4))
-    return float(np.abs(total).max())
+    return _max_residual(total)
 
 
 def _row_bytes(rows):
@@ -584,13 +585,21 @@ def _json_object(value, keys, what):
     return value
 
 
+def _json_numbers(value, shape, message):
+    """value if it is JSON numbers (not true or null) of that shape, else ValueError(message)."""
+    arr = np.array(value, dtype=object)
+    if arr.shape != shape or not all(type(v) in (int, float) for v in arr.flat):
+        raise ValueError(message)
+    return value
+
+
 def mode_from_record(record) -> Mode:
     """The Mode of one wire record."""
     _json_object(record, ("p", "branch", "a"), "mode record")
-    a = np.array([complex(re, im) for re, im in record["a"]])
-    if isinstance(record["branch"], bool):  # JSON true is not the branch +1
-        raise ValueError("branch must be +1 or -1")
-    return Mode(np.array(record["p"], dtype=float), record["branch"], a)
+    p = _json_numbers(record["p"], (4,), "momentum must be a four-vector")
+    branch = _json_numbers(record["branch"], (), "branch must be +1 or -1")
+    a = _json_numbers(record["a"], (2, 2), "spin coefficients must be two [re, im] pairs")
+    return Mode(p, branch, [complex(re, im) for re, im in a])
 
 
 def state_to_json(state: SpectralState) -> str:
@@ -606,7 +615,8 @@ def state_from_json(text: str) -> SpectralState:
     terms = []
     box = None
     for item in items:
-        edge = float(_json_object(item, ("L",), "mode record")["L"])
+        record = _json_object(item, ("L",), "mode record")
+        edge = float(_json_numbers(record["L"], (), "box edge L must be a number"))
         if box is None:
             box = edge
         elif edge != box:

@@ -29,6 +29,7 @@ from .algebra import (
     _cmul,
     _dot,
     _matvec,
+    _max_residual,
     bar,
     minkowski_dot,
     slash,
@@ -40,7 +41,7 @@ from .errors import (
     OnMassShell,
     SubspaceViolation,
 )
-from .propagate import _kernels, _max_residual, free_evolve
+from .propagate import _kernels, free_evolve
 from .scattering import ExternalPotential, ReducedAmplitude
 from .states import (
     Mode,
@@ -49,6 +50,7 @@ from .states import (
     TermContainer,
     _divergence_fd,
     _frequencies_match,
+    _json_numbers,
     _json_object,
     _plane_waves,
     _require_width,
@@ -117,13 +119,8 @@ def exchange_residual(state: TwoParticleState) -> float:
         return 0.0
     sign = -1.0 if state.exchange == "fermionic" else 1.0
     rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(4):
-        x, y = rng.normal(size=4), rng.normal(size=4)
-        tau = rng.normal()
-        resid = np.abs(state.value(y, x, tau).T - sign * state.value(x, y, tau)).max()
-        worst = max(worst, float(resid))
-    return worst
+    events = [(rng.normal(size=4), rng.normal(size=4), rng.normal()) for _ in range(4)]
+    return _max_residual([state.value(y, x, tau).T - sign * state.value(x, y, tau) for x, y, tau in events])
 
 
 def _partner_join(state_a: TwoParticleState, state_b: TwoParticleState, col: int):
@@ -402,6 +399,7 @@ def two_state_from_json(text: str) -> TwoParticleState:
     if not isinstance(payload["pairs"], list):
         raise ValueError("two-particle state JSON pairs must be a list of term records")
     pairs = [_json_object(pair, ("c", "x", "y"), "term record") for pair in payload["pairs"]]
-    terms = [(complex(pair["c"][0], pair["c"][1]), mode_from_record(pair["x"]), mode_from_record(pair["y"]))
-             for pair in pairs]
-    return TwoParticleState(terms, payload["exchange"], float(payload["L"]))
+    terms = [(complex(*_json_numbers(pair["c"], (2,), "term coefficient c must be a [re, im] pair")),
+              mode_from_record(pair["x"]), mode_from_record(pair["y"])) for pair in pairs]
+    edge = _json_numbers(payload["L"], (), "box edge L must be a number")
+    return TwoParticleState(terms, payload["exchange"], float(edge))

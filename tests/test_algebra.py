@@ -28,6 +28,7 @@ from paradirac.algebra import (
     minkowski_dot,
     pauli_dot,
     slash,
+    _max_residual,
     _row_kinematics,
 )
 from paradirac.errors import MasslessState, SuperluminalMomentum, ZeroEnergy
@@ -172,6 +173,28 @@ class TestKinematicHelpers:
         for i in range(3):
             assert np.abs(SIGMA[i] @ SIGMA[i] - np.eye(2)).max() == 0.0
             assert np.abs(SIGMA[i] - SIGMA[i].conj().T).max() == 0.0
+
+
+class TestMaxResidual:
+    """The one reduction of every residual check: max |entry|, 0.0 when
+    empty, NaN when any entry is NaN."""
+
+    def test_list_of_equal_shape_arrays(self, rng):
+        parts = [rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)) for _ in range(5)]
+        assert _max_residual(parts) == max(np.abs(part).max() for part in parts)
+        assert _max_residual([0.5, -2.0, 1j, -0.0]) == 2.0
+
+    def test_empty_is_zero(self):
+        assert _max_residual([]) == 0.0
+        assert _max_residual(np.zeros((0, 4, 4), dtype=complex)) == 0.0
+
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_any_nan_entry_is_nan(self, where):
+        # a Python max() fold keeps 0.0 or the finite part here
+        parts = [np.zeros((2, 2)) for _ in range(5)]
+        parts[where] = np.array([[0.0, np.nan], [1.0, 0.0]])
+        assert np.isnan(_max_residual(parts))
+        assert np.isnan(_max_residual([0.0, float("nan"), 3.0]))
 
 
 def _timelike_batch(rng, n=50):

@@ -395,6 +395,13 @@ class TestSerialization:
         '[{"L": 2.0, "branch": 1, "a": [[1.0, 0.0], [0.0, 0.0]]}]',
         '[{"L": 2.0, "p": [1.5, 0.0, 0.0, 0.0], "a": [[1.0, 0.0], [0.0, 0.0]]}]',
         '[{"L": 2.0, "p": [1.5, 0.0, 0.0, 0.0], "branch": 1}]',
+        # values of the wrong JSON type
+        '[{"L": null, "p": [1.5, 0.0, 0.0, 0.0], "branch": 1, "a": [[1.0, 0.0], [0.0, 0.0]]}]',
+        '[{"L": true, "p": [1.5, 0.0, 0.0, 0.0], "branch": 1, "a": [[1.0, 0.0], [0.0, 0.0]]}]',
+        '[{"L": 2.0, "p": [1.5, 0.0, 0.0, 0.0], "branch": null, "a": [[1.0, 0.0], [0.0, 0.0]]}]',
+        '[{"L": 2.0, "p": [1.5, 0.0, 0.0, 0.0], "branch": 1, "a": 3}]',
+        '[{"L": 2.0, "p": [1.5, 0.0, 0.0, 0.0], "branch": 1, "a": null}]',
+        '[{"L": 2.0, "p": [1.5, 0.0, 0.0, 0.0], "branch": 1, "a": [["x", 1.0], [0, 0]]}]',
     ])
     def test_malformed_json_raises_value_error(self, text):
         # not TypeError or KeyError: every failure of the library is a ValueError

@@ -92,6 +92,14 @@ class TestExchange:
         state = symmetrize(_mode(rng), _mode(rng))
         assert exchange_residual(state) <= 1e-15
 
+    def test_nan_values_make_the_residual_nan(self, rng):
+        # in a box of edge 1e-80 the values overflow, and their differences
+        # are NaN at all four events: the residual is NaN, not the pass value 0.0
+        mx, my = _mode(rng), _mode(rng)
+        state = TwoParticleState(((1, mx, my), (-1, my, mx)), "fermionic", 1e-80)
+        with np.errstate(all="ignore"):
+            assert np.isnan(exchange_residual(state))
+
     def test_permute_labels_negates_fermionic(self, rng):
         m1, m2 = _mode(rng), _mode(rng)
         state = antisymmetrize(m1, m2)
@@ -365,6 +373,15 @@ class TestSerialization:
         {"exchange": "none", "L": 6.0, "pairs": [{"c": [1.0, 0.0], "y": "RECORD"}]},
         {"exchange": "none", "L": 6.0, "pairs": [{"c": [1.0, 0.0], "x": "RECORD", "y": []}]},
         {"exchange": "none", "L": 6.0, "pairs": [{"c": [1.0, 0.0], "x": "RECORD", "y": {"p": [1.5, 0, 0, 0]}}]},
+        # values of the wrong JSON type: a coefficient that is not an [re, im]
+        # pair of numbers, and a box edge that is not a number
+        {"exchange": "none", "L": 6.0, "pairs": [{"c": 1, "x": "RECORD", "y": "RECORD"}]},
+        {"exchange": "none", "L": 6.0, "pairs": [{"c": [1], "x": "RECORD", "y": "RECORD"}]},
+        {"exchange": "none", "L": 6.0, "pairs": [{"c": [True, False], "x": "RECORD", "y": "RECORD"}]},
+        {"exchange": "none", "L": 6.0, "pairs": [{"c": None, "x": "RECORD", "y": "RECORD"}]},
+        {"exchange": "none", "L": None, "pairs": [{"c": [1.0, 0.0], "x": "RECORD", "y": "RECORD"}]},
+        {"exchange": "none", "L": True, "pairs": [{"c": [1.0, 0.0], "x": "RECORD", "y": "RECORD"}]},
+        {"exchange": "none", "L": "6", "pairs": [{"c": [1.0, 0.0], "x": "RECORD", "y": "RECORD"}]},
     ])
     def test_malformed_json_raises_value_error(self, payload):
         # not TypeError or KeyError, nor an empty state for a pairs object
@@ -377,12 +394,19 @@ class TestSerialization:
 
     @pytest.mark.parametrize("change, error", [
         ({"p": None}, ValueError),
-        ({"branch": None}, TypeError),
-        ({"a": None}, TypeError),
+        ({"branch": None}, ValueError),
+        ({"a": None}, ValueError),
         ({"branch": 0}, ValueError),
         ({"p": [1.0, 2.0, 0.0, 0.0]}, SuperluminalMomentum),
         ({"p": [1.0, 1.0, 0.0, 0.0]}, MasslessState),
         ({"a": [[1.0, 2.0, 3.0]]}, ValueError),
+        # values of the wrong JSON type are ValueErrors too, never TypeErrors
+        ({"a": 3}, ValueError),
+        ({"a": [["x", 1.0], [0, 0]]}, ValueError),
+        ({"a": [[True, 0.0], [0.0, 0.0]]}, ValueError),
+        ({"p": [True, 0.0, 0.0, 0.0]}, ValueError),
+        ({"p": [{}, 0.0, 0.0, 0.0]}, ValueError),
+        ({"branch": [1]}, ValueError),
     ])
     def test_malformed_mode_records(self, change, error):
         # both readers share one record decoder and raise what each did alone

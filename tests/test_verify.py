@@ -1,0 +1,73 @@
+"""A NaN residual fails every check of `paradirac verify`.
+
+Each check reduces its residuals once, through algebra._max_residual, never
+by a Python max() fold: max(0.0, nan) is 0.0, so a fold drops a NaN and its
+check passes.  Each test below puts a NaN into one fold of a suite and
+requires that check, and no other, to read NaN and fail.
+"""
+
+import dataclasses
+
+import numpy as np
+
+from paradirac import sampling, scattering, spinors, states, verify
+from paradirac.algebra import GAMMA2
+
+
+def _assert_only_these_fail(checks, names):
+    failed = {check.name: check.residual for check in checks if not check.passed}
+    assert set(failed) == set(names)
+    assert all(np.isnan(resid) for resid in failed.values())
+
+
+def _nan_on_call(fn, which, make_nan):
+    """fn, except that call number `which` (1-based) returns make_nan(result)."""
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(1)
+        result = fn(*args, **kwargs)
+        return make_nan(result) if len(calls) == which else result
+    return patched
+
+
+def test_algebra_folds_keep_a_nan_draw(monkeypatch):
+    # the third of the 8 slash(p) draws is NaN
+    nan_momentum = _nan_on_call(sampling.random_timelike_momentum, 3, lambda p: np.full_like(p, np.nan))
+    monkeypatch.setattr(sampling, "random_timelike_momentum", nan_momentum)
+    _assert_only_these_fail(verify.run_suite("algebra", seed=0), [
+        "slash(p)^2 + p.p (8 random timelike p)", "slash(p) self-adjoint under bar (8 draws)"])
+
+
+def test_spinor_batches_keep_a_nan_batch(monkeypatch):
+    # only the second of the four batches reads NaN
+    name = "u-block orthonormality ubar u - 1"
+    nan_batch = _nan_on_call(verify._spinor_residuals, 2, lambda resids: {**resids, name: float("nan")})
+    monkeypatch.setattr(verify, "_spinor_residuals", nan_batch)
+    _assert_only_these_fail(verify.run_suite("spinors", seed=0), [name])
+
+
+def test_branch_roundtrip_keeps_a_nan_second_operand(monkeypatch):
+    # the block decomposition feeds only `pure - u_a`, the second operand
+    monkeypatch.setattr(spinors, "decompose_in_block",
+                        lambda p, branch, w: np.full(w.shape[:-1] + (2,), complex(np.nan, np.nan)))
+    _assert_only_these_fail(verify.run_suite("spinors", seed=0), ["branch decomposition roundtrip"])
+
+
+def test_moller_check_keeps_nan_amplitudes(monkeypatch):
+    s1_amplitude = scattering.s1_amplitude
+    monkeypatch.setattr(scattering, "s1_amplitude",
+                        lambda *args: dataclasses.replace(s1_amplitude(*args), value=complex(np.nan, 0.0)))
+    _assert_only_these_fail(verify.run_suite("propagate", seed=0),
+                            ["first Born node matches reduced amplitude"])
+
+
+def test_current_reality_keeps_a_nan_component(monkeypatch):
+    # only mu = 2 of the four gamma^mu inserts reads NaN
+    bilinear = states.bilinear_concatenated
+
+    def nan_for_mu_2(state, insert, points):
+        values = bilinear(state, insert, points)
+        return np.full_like(values, complex(np.nan, np.nan)) if insert is GAMMA2 else values
+    monkeypatch.setattr(states, "bilinear_concatenated", nan_for_mu_2)
+    _assert_only_these_fail(verify.run_suite("currents", seed=0), ["concatenated current reality"])
