@@ -27,6 +27,7 @@ import json
 import math
 import operator
 import struct
+import sys
 from collections.abc import Sequence
 from dataclasses import FrozenInstanceError
 from typing import NamedTuple
@@ -50,7 +51,7 @@ from .algebra import (
     _max_residual,
     _row_kinematics,
 )
-from .errors import BoxMismatch, MasslessState
+from .errors import BoxMismatch, MasslessState, NonfiniteResult
 from .spinors import _block, _decompose
 
 
@@ -92,11 +93,12 @@ class Mode(_Frozen):
         row = [*p.tolist(), a0.real, a0.imag, a1.real, a1.imag]
         if not all(map(math.isfinite, row)):
             raise ValueError("mode fields must be finite")
-        if (b := int(branch)) != branch or b not in (1, -1):
+        if branch not in (1, -1):  # tested before int(), which a NaN or infinite branch makes raise
             raise ValueError("branch must be +1 or -1")
         m, phi = _row_kinematics(*row[:4])
         if m == 0.0:
             raise MasslessState("modes require strictly timelike momenta")
+        b = int(branch)
         row += (b, m)
         vars(self).update(branch=b, mass=m, phi=phi, _row=row)
 
@@ -517,9 +519,14 @@ def bilinear_concatenated(state: SpectralState, insert, points):
 
 def pair_current(pairs: Pairs, points) -> CurrentField:
     """Real vector current of a hermitian pair set: pair_sum with gamma^mu
-    inserted; an imaginary part beyond roundoff raises AssertionError."""
-    raw = pair_sum(pairs, GAMMA_STACK, points)
-    if raw.size and np.abs(raw.imag).max() > 1e-10 * max(1.0, np.abs(raw).max()):
+    inserted; a non-finite sample raises NonfiniteResult, and an imaginary
+    part beyond roundoff AssertionError."""
+    with np.errstate(all="ignore"):  # an overflowing phase raises NonfiniteResult below, not a warning
+        raw = pair_sum(pairs, GAMMA_STACK, points)
+    size = _max_residual(raw)  # NaN or inf when any sample is
+    if not math.isfinite(size):
+        raise NonfiniteResult("the vector current is not finite")
+    if _max_residual(raw.imag) > 1e-10 * max(1.0, size):
         raise AssertionError("vector current acquired an imaginary part")
     return CurrentField(values=raw.real, scale="T_tau")
 
@@ -586,9 +593,11 @@ def _json_object(value, keys, what):
 
 
 def _json_numbers(value, shape, message):
-    """value if it is JSON numbers (not true or null) of that shape, else ValueError(message)."""
+    """value if it is JSON numbers (not true or null, nor integers beyond float
+    range) of that shape, else ValueError(message)."""
     arr = np.array(value, dtype=object)
-    if arr.shape != shape or not all(type(v) in (int, float) for v in arr.flat):
+    if arr.shape != shape or not all(type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max)
+                                     for v in arr.flat):
         raise ValueError(message)
     return value
 

@@ -42,7 +42,7 @@ from .errors import (
     SubspaceViolation,
 )
 from .propagate import _kernels, free_evolve
-from .scattering import ExternalPotential, ReducedAmplitude
+from .scattering import _STATIC_FACTOR, ExternalPotential, ReducedAmplitude
 from .states import (
     Mode,
     Pairs,
@@ -175,45 +175,6 @@ def two_current_divergence_fd(state: TwoParticleState, points, particle: int = 1
 # ---------------------------------------------------------------------------
 # first-order two-particle S-matrix
 
-def _require_s_plus(state: TwoParticleState, label: str):
-    if not (state.branch * state.phi > 0).all():
-        raise SubspaceViolation(f"{label} state leaves the forward subspace")
-
-
-def _born_sandwich(state_f: TwoParticleState, state_i: TwoParticleState, events, pots):
-    """B(in -> out; A) = bar(w_out) slash(A~(p_out - p_in)) w_in for each
-    event (f, i, col, _): the transition of particle col + 1 from row i of
-    state_i to row f of state_f in the potential pots[col].  It is only
-    evaluated where the deltas hold (equal tau frequencies and, for static
-    potentials, energies, at ATOL_SHELL); elsewhere, and where A~ vanishes,
-    B is exactly zero.  Projection onto a definite final mode cancels the
-    branch signs, so one formula covers u and v type."""
-    nu_f, nu_i = state_f.frequency.tolist(), state_i.frequency.tolist()
-    p0_f, p0_i = state_f.p[..., 0].tolist(), state_i.p[..., 0].tolist()
-    # the rows of particle 1 first, each particle's in event order
-    live = sorted((col, k, f, i) for k, (f, i, col, _) in enumerate(events)
-                  if abs(nu_f[f][col] - nu_i[i][col]) <= ATOL_SHELL * max(1.0, abs(nu_i[i][col]))
-                  and not (pots[col].static and abs(p0_f[f][col] - p0_i[i][col]) > ATOL_SHELL))
-    born = [0.0j] * len(events)
-    if not live:
-        return born
-    cols, k, rows_f, rows_i = np.array(live, dtype=np.intp).T
-    # spinors of the final, then of the incident rows, in one block pass
-    labels = [(s.p, s.branch, s.a, s.mass, s.phi) for s in (state_f, state_i)]
-    p, branch, a, mass, phi = (np.concatenate((out[rows_f, cols], inc[rows_i, cols]))
-                               for out, inc in zip(*labels))
-    spinors = _matvec(_block(p, mass, phi, branch == 1), a)
-    n = len(live)
-    n_x, dp = n - int(cols.sum()), p[:n] - p[n:]
-    # a shared potential takes one transform
-    a_tilde = (pots[0].fourier(dp) if pots[0] is pots[1] else
-               np.concatenate((pots[0].fourier(dp[:n_x]), pots[1].fourier(dp[n_x:]))))
-    sandwich = _dot((spinors[:n].conj()[:, None, :] @ GAMMA0 @ slash(a_tilde))[:, 0], spinors[n:])
-    for index, value in zip(k.tolist(), np.where(a_tilde.any(axis=-1), sandwich, 0.0).tolist()):
-        born[index] = value
-    return born
-
-
 def s2_first_order(
     state_i: TwoParticleState,
     state_f: TwoParticleState,
@@ -226,35 +187,56 @@ def s2_first_order(
             (i e1 / L^3) B(x_i -> x_f; A1) <y_f|y_i>
           + (i e2 / L^3) <x_f|x_i> B(y_i -> y_f; A2),
 
-    with B the reduced sandwich of _born_sandwich.  The delta factors
-    (total frequency, and energy for static potentials) are resolved inside
-    B at ATOL_SHELL; their squared scales are recorded symbolically.  Both
-    states must lie in the forward subspace tensor square.  <f|i> is
-    inner_product; each particle's Born terms join on its partner's overlap,
-    as the marginal currents do, in the order of the all-pairs loop.
+    with B(in -> out; A) = bar(w_out) slash(A~(p_out - p_in)) w_in; projection
+    onto a definite final mode cancels the branch signs, so one formula
+    covers u and v type.  B is evaluated only where the deltas (equal tau
+    frequencies and, for static potentials, energies) hold at ATOL_SHELL, and
+    is exactly zero elsewhere and where A~ vanishes; the squared delta scales
+    are recorded symbolically.  Both states must lie in the forward subspace
+    tensor square.  <f|i> is inner_product; each particle's Born terms join
+    on its partner's overlap, as the marginal currents do, in the order of
+    the all-pairs loop.
     """
     _require_width(state_i, 2)
     _require_width(state_f, 2)
     if state_i.box_edge != state_f.box_edge:
         raise BoxMismatch("states quantized in different boxes")
-    _require_s_plus(state_i, "incident")
-    _require_s_plus(state_f, "final")
+    for state, label in ((state_i, "incident"), (state_f, "final")):
+        if not (state.branch * state.phi > 0).all():
+            raise SubspaceViolation(f"{label} state leaves the forward subspace")
     pot1, pot2 = pot_pair
     e1, e2 = charges
     coupling = (1j * e1 / state_i.box_edge**3, 1j * e2 / state_i.box_edge**3)
-    # particle 1 joins on the y overlap, particle 2 on the x overlap; sorting
-    # merges the two sorted runs, particle 1 first on a tie
-    events = sorted((f, i, col, ov) for col in (0, 1) for f, i, ov in
-                    zip(*(x.tolist() for x in _partner_join(state_f, state_i, 1 - col))))
-    born = _born_sandwich(state_f, state_i, events, (pot1, pot2))
-    coeff_f, coeff_i = state_f.coeff.tolist(), state_i.coeff.tolist()
+    nu_f, nu_i = state_f.frequency.tolist(), state_i.frequency.tolist()
+    p0_f, p0_i = state_f.p[..., 0].tolist(), state_i.p[..., 0].tolist()
+    # particle 1 joins on the y overlap, particle 2 on the x overlap; only the
+    # pairs whose own deltas hold are kept, particle 1's first
+    live = [(f, i, col, ov) for col, pot in enumerate((pot1, pot2)) for f, i, ov in
+            zip(*(x.tolist() for x in _partner_join(state_f, state_i, 1 - col)))
+            if not (pot.static and abs(p0_f[f][col] - p0_i[i][col]) > ATOL_SHELL)
+            and abs(nu_f[f][col] - nu_i[i][col]) <= ATOL_SHELL * max(1.0, abs(nu_i[i][col]))]
     value = inner_product(state_f, state_i)
-    for (f, i, col, ov), b in zip(events, born):
-        weight = np.conj(coeff_f[f]) * coeff_i[i]
-        value += weight * coupling[0] * b * ov if col == 0 else weight * ov * coupling[1] * b
-    factors = (("delta(Dnu_total)", "T_tau"),)
-    if pot1.static or pot2.static:
-        factors += (("2pi*delta(Dp0)", "T_0"),)
+    if live:
+        rows_f, rows_i, cols = np.array([event[:3] for event in live], dtype=np.intp).T
+        # spinors of the final, then of the incident rows, in one block pass
+        labels = [(s.p, s.branch, s.a, s.mass, s.phi) for s in (state_f, state_i)]
+        p, branch, a, mass, phi = (np.concatenate((out[rows_f, cols], inc[rows_i, cols]))
+                                   for out, inc in zip(*labels))
+        spinors = _matvec(_block(p, mass, phi, branch == 1), a)
+        n = len(live)
+        n_x, dp = n - int(cols.sum()), p[:n] - p[n:]
+        # a shared potential takes one transform
+        a_tilde = (pot1.fourier(dp) if pot1 is pot2 else
+                   np.concatenate((pot1.fourier(dp[:n_x]), pot2.fourier(dp[n_x:]))))
+        sandwich = _dot((spinors[:n].conj()[:, None, :] @ GAMMA0 @ slash(a_tilde))[:, 0], spinors[n:])
+        born = np.where(a_tilde.any(axis=-1), sandwich, 0.0).tolist()
+        coeff_f, coeff_i = state_f.coeff.tolist(), state_i.coeff.tolist()
+        # sorting merges the two sorted runs into all-pairs order, particle 1
+        # first on a tie; (f, i, col) is unique, so no overlap is compared
+        for (f, i, col, ov), b in sorted(zip(live, born)):
+            weight = np.conj(coeff_f[f]) * coeff_i[i]
+            value += weight * coupling[0] * b * ov if col == 0 else weight * ov * coupling[1] * b
+    factors = (("delta(Dnu_total)", "T_tau"),) + (_STATIC_FACTOR if pot1.static or pot2.static else ())
     return ReducedAmplitude(complex(value), factors)
 
 

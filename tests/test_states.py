@@ -25,7 +25,7 @@ from brute_force import (
 )
 from paradirac import states
 from paradirac.algebra import GAMMA0, GAMMA2, GAMMA5, TWO_PI, energy_sign, four_vector, gamma, mass_of
-from paradirac.errors import BoxMismatch, MasslessState, SuperluminalMomentum, ZeroEnergy
+from paradirac.errors import BoxMismatch, MasslessState, NonfiniteResult, SuperluminalMomentum, ZeroEnergy
 from paradirac.sampling import (
     random_mode,
     random_spin_coefficients,
@@ -205,6 +205,10 @@ class TestModeContract:
         ([1.0, 0.0, 0.0, 9.0], 1, [1.0, 0.0], SuperluminalMomentum, "p.p = 80 > 0; momentum is spacelike"),
         ([2.0, 0.0, 0.0, 2.0], 1, [1.0, 0.0], MasslessState, "modes require strictly timelike momenta"),
         ([-5.0, 3.0, 4.0, 0.0], -1, [1.0, 0.0], MasslessState, "modes require strictly timelike momenta"),
+        # branches that int() cannot take
+        ([1.5, 0.0, 0.0, 0.0], np.inf, [1.0, 0.0], ValueError, "branch must be +1 or -1"),
+        ([1.5, 0.0, 0.0, 0.0], -np.inf, [1.0, 0.0], ValueError, "branch must be +1 or -1"),
+        ([1.5, 0.0, 0.0, 0.0], np.nan, [1.0, 0.0], ValueError, "branch must be +1 or -1"),
     ])
     def test_invalid_inputs(self, p, branch, a, error, message):
         with pytest.raises(ValueError) as info:
@@ -365,6 +369,13 @@ class TestCurrents:
         vals = concatenated_current(state, points).values
         assert np.abs(vals - vals[0]).max() <= 1e-13
 
+    def test_nonfinite_current_raises(self, rng):
+        # the phases p.x overflow at |x| = 1e308, so every sample is NaN
+        state = random_state(rng, 4, mass=1.0)
+        # warnings are errors under pytest here, so no RuntimeWarning may come first
+        with pytest.raises(NonfiniteResult):
+            concatenated_current(state, np.full((2, 4), 1e308))
+
 
 class TestSerialization:
     def test_roundtrip_values(self, rng):
@@ -402,6 +413,15 @@ class TestSerialization:
         '[{"L": 2.0, "p": [1.5, 0.0, 0.0, 0.0], "branch": 1, "a": 3}]',
         '[{"L": 2.0, "p": [1.5, 0.0, 0.0, 0.0], "branch": 1, "a": null}]',
         '[{"L": 2.0, "p": [1.5, 0.0, 0.0, 0.0], "branch": 1, "a": [["x", 1.0], [0, 0]]}]',
+        # integers beyond float range, and infinite branches
+        pytest.param('[{"L": 1%s, "p": [1.5, 0.0, 0.0, 0.0], "branch": 1, "a": [[1.0, 0.0], [0.0, 0.0]]}]'
+                     % ("0" * 400), id="L-1e400"),
+        pytest.param('[{"L": 2.0, "p": [1%s, 0.0, 0.0, 0.0], "branch": 1, "a": [[1.0, 0.0], [0.0, 0.0]]}]'
+                     % ("0" * 400), id="p0-1e400"),
+        pytest.param('[{"L": 2.0, "p": [1.5, 0.0, 0.0, 0.0], "branch": 1, "a": [[-1%s, 0.0], [0.0, 0.0]]}]'
+                     % ("0" * 400), id="a-minus-1e400"),
+        '[{"L": 2.0, "p": [1.5, 0.0, 0.0, 0.0], "branch": Infinity, "a": [[1.0, 0.0], [0.0, 0.0]]}]',
+        '[{"L": 2.0, "p": [1.5, 0.0, 0.0, 0.0], "branch": -Infinity, "a": [[1.0, 0.0], [0.0, 0.0]]}]',
     ])
     def test_malformed_json_raises_value_error(self, text):
         # not TypeError or KeyError: every failure of the library is a ValueError

@@ -23,11 +23,13 @@ from brute_force import (
     scan_merge,
     signed_zeros,
 )
+from paradirac import twobody
 from paradirac.algebra import ELEMENTARY_CHARGE, TWO_PI, four_vector
 from paradirac.errors import (
     BoxMismatch,
     GridIncompatible,
     MasslessState,
+    NonfiniteResult,
     OnLightCone,
     OnMassShell,
     SubspaceViolation,
@@ -331,6 +333,14 @@ class TestKernelAndCurrents:
             div = two_current_divergence_fd(state, points, particle=particle, step=2e-3)
             assert np.abs(div).max() <= 1e-9
 
+    def test_nonfinite_marginal_current_raises(self, rng):
+        # two x modes of one mass share a partner, so their pair survives and
+        # its phase (p_l - p_k).x overflows at |x| = 1e308
+        partner = _mode(rng)
+        state = TwoParticleState(((1.0, _mode(rng, mass=1.0), partner), (0.5, _mode(rng, mass=1.0), partner)))
+        with pytest.raises(NonfiniteResult):
+            two_currents(state, np.full((2, 4), 1e308))
+
 
 class TestSerialization:
     def test_roundtrip(self, rng):
@@ -382,6 +392,10 @@ class TestSerialization:
         {"exchange": "none", "L": None, "pairs": [{"c": [1.0, 0.0], "x": "RECORD", "y": "RECORD"}]},
         {"exchange": "none", "L": True, "pairs": [{"c": [1.0, 0.0], "x": "RECORD", "y": "RECORD"}]},
         {"exchange": "none", "L": "6", "pairs": [{"c": [1.0, 0.0], "x": "RECORD", "y": "RECORD"}]},
+        # integers beyond float range
+        {"exchange": "none", "L": 10**400, "pairs": [{"c": [1.0, 0.0], "x": "RECORD", "y": "RECORD"}]},
+        {"exchange": "none", "L": 6.0, "pairs": [{"c": [10**400, 0.0], "x": "RECORD", "y": "RECORD"}]},
+        {"exchange": "none", "L": 6.0, "pairs": [{"c": [0.0, -10**400], "x": "RECORD", "y": "RECORD"}]},
     ])
     def test_malformed_json_raises_value_error(self, payload):
         # not TypeError or KeyError, nor an empty state for a pairs object
@@ -407,6 +421,11 @@ class TestSerialization:
         ({"p": [True, 0.0, 0.0, 0.0]}, ValueError),
         ({"p": [{}, 0.0, 0.0, 0.0]}, ValueError),
         ({"branch": [1]}, ValueError),
+        # integers beyond float range, and infinite branches
+        ({"p": [10**400, 0.0, 0.0, 0.0]}, ValueError),
+        ({"a": [[0.3, 10**400], [0.8, 0.4]]}, ValueError),
+        ({"branch": float("inf")}, ValueError),
+        ({"branch": float("-inf")}, ValueError),
     ])
     def test_malformed_mode_records(self, change, error):
         # both readers share one record decoder and raise what each did alone
@@ -469,6 +488,16 @@ FORWARD_LABELS = st.tuples(
     st.booleans(),
 )
 TWO_TERMS = st.lists(st.tuples(COEFFS, LABELS, LABELS), max_size=10)
+SHARED_COULOMB = coulomb_potential(1.0, mu=0.5)
+# one transform for both particles, one each, and non-static sources whose
+# transfers +-(p_0 - p_2) and +-(p_1 - p_3) join shell labels
+S2_POTENTIALS = {
+    "shared": (SHARED_COULOMB, SHARED_COULOMB),
+    "distinct": (coulomb_potential(1.0, mu=0.5), coulomb_potential(2.0, mu=0.7)),
+    "transition": tuple(potential_from_transition(label_mode((k, 1, k, False), SHELL_MOMENTA),
+                                                  label_mode((k + 2, 1, 1, False), SHELL_MOMENTA), 0.7)
+                        for k in (0, 1)),
+}
 FORWARD_TERMS = st.lists(st.tuples(COEFFS, FORWARD_LABELS, FORWARD_LABELS), max_size=8)
 
 
@@ -529,6 +558,7 @@ class TestLabelKeys:
         sa, sb = TwoParticleState(two_terms(raw_a)), TwoParticleState(two_terms(raw_b))
         assert inner_product(sa, sb) == all_pairs_two_inner(sa.terms, sb.terms)
 
+    @pytest.mark.parametrize("pots", S2_POTENTIALS.values(), ids=S2_POTENTIALS.keys())
     @given(FORWARD_TERMS, FORWARD_TERMS)
     # the final term meets incident terms 1 and 2 through x and term 2 also
     # through y, so the visiting order shows in the rounding of the sum
@@ -536,10 +566,9 @@ class TestLabelKeys:
                     (1.0, (1, 1, 0, False), (0, 1, 0, False)),
                     (1.0, (1, 1, 0, False), (2, 1, 1, False))],
              raw_f=[(1.0, (1, 1, 0, False), (2, 1, 2, False))])
-    def test_s2_matches_all_pairs(self, raw_i, raw_f):
+    def test_s2_matches_all_pairs(self, pots, raw_i, raw_f):
         state_i = TwoParticleState(two_terms(raw_i, SHELL_MOMENTA))
         state_f = TwoParticleState(two_terms(raw_f, SHELL_MOMENTA))
-        pots = (coulomb_potential(1.0, mu=0.5), coulomb_potential(2.0, mu=0.7))
         assert s2_first_order(state_i, state_f, pots).value == all_pairs_s2(state_i, state_f, pots)
 
     @given(st.lists(st.tuples(COEFFS, LABELS, LABELS), max_size=8))
@@ -599,7 +628,8 @@ class TestInnerProductArithmetic:
 
 class TestScalingGuard:
     """TermContainer.overlaps receives only the key-matched term pairs of
-    400-term states, and two_currents builds their spinors once."""
+    400-term states, s2_first_order sorts and sums only the joined pairs
+    whose deltas hold, and two_currents builds their spinors once."""
 
     N_TERMS = 400
 
@@ -632,6 +662,34 @@ class TestScalingGuard:
         s2_first_order(TwoParticleState(tuple(initial)), TwoParticleState(tuple(final)), pots)
         # each of the 15 joined term pairs takes only its partner's overlap
         assert sum(overlap_rows) == 15
+
+    def test_s2_first_order_keeps_only_live_pairs(self, rng, monkeypatch):
+        # 400 x rows of one mass over 8 shared partners: 396 final rows join
+        # 50 incident rows each through their partner, but of those ~20000
+        # pairs only the 6 whose x is rotated on its own energy shell conserve
+        # energy (particle 1), and the 4 rows whose partner is rotated join
+        # their incident row through the unchanged x (particle 2)
+        counted = []
+
+        def counting_sorted(events):
+            events = list(events)
+            counted.extend(events)
+            return sorted(events)
+
+        monkeypatch.setattr(twobody, "sorted", counting_sorted, raising=False)
+        partners = [_mode(rng, mass=1.0) for _ in range(8)]
+        initial = [(1.0, _mode(rng, mass=1.0), partners[k % 8]) for k in range(self.N_TERMS)]
+
+        def rotated(mode):
+            return Mode(elastic_shell(mode.p, [0.9], n_azimuth=1)[0], 1, random_spin_coefficients(rng))
+
+        final = [(1.0, rotated(x), y) for _, x, y in initial[:6]]
+        final += [(1.0, x, rotated(y)) for _, x, y in initial[6:10]]
+        final += [(1.0, _mode(rng, mass=1.0), y) for _, _, y in initial[10:]]
+        pots = (coulomb_potential(1.0, mu=0.5), coulomb_potential(2.0, mu=0.7))
+        amplitude = s2_first_order(TwoParticleState(tuple(initial)), TwoParticleState(tuple(final)), pots)
+        assert amplitude.value != 0.0
+        assert len(counted) == 6 + 4
 
     def test_two_currents(self, rng, overlap_rows):
         terms = [(1.0, _mode(rng), _mode(rng)) for _ in range(self.N_TERMS - 10)]
