@@ -423,18 +423,6 @@ def inner_product(state_a: TermContainer, state_b: TermContainer) -> complex:
     return total
 
 
-class Pairs(NamedTuple):
-    """Surviving pairs (k[i], l[i]) of a bilinear with their weights; the
-    indices point into the rows of the amplitude spinors and momenta, both
-    of shape (n, 4)."""
-
-    k: np.ndarray
-    l: np.ndarray
-    weight: np.ndarray
-    spinors: np.ndarray
-    momenta: np.ndarray
-
-
 def _frequencies_match(nu_k, nu_l):
     """|nu_k - nu_l| <= ATOL_ALGEBRA max(1, |nu_k|, |nu_l|), broadcast: the
     pairs of tau frequencies that survive the tau-concatenation integral.
@@ -449,53 +437,67 @@ def _require_width(state, width):
                         f"not terms of width {state.width}")
 
 
-def _concatenated_pair_arrays(state: SpectralState) -> Pairs:
-    """The pairs of concatenated_pairs, in the same order, by one frequency
-    test over the n x n grid."""
-    _require_width(state, 1)
-    nu = state.frequency[:, 0]
-    k, l = np.nonzero(_frequencies_match(nu[:, None], nu[None, :]))
-    weight = np.conj(state.coeff[k]) * state.coeff[l] / state.box_edge**4
-    return Pairs(k, l, weight, state.spinors()[:, 0], state.p[:, 0])
-
-
 def concatenated_pairs(state: SpectralState):
     """Mode pairs surviving the tau-concatenation integral of a bilinear.
 
     Yields (weight, dp, w_bra, w_ket) for each ordered pair (k, l) whose tau
     frequencies match; weight = conj(c_k) c_l / L^4 and dp = p_l - p_k.  The
     overall scale T_tau of the concatenation integral is carried symbolically
-    by the caller.
+    by the caller.  The pairs come from one n x n grid of frequency tests.
     """
-    k, l, weight, spinors, momenta = _concatenated_pair_arrays(state)
+    _require_width(state, 1)
+    k, l = np.nonzero(_frequencies_match(state.frequency, state.frequency.T))
+    weight = np.conj(state.coeff[k]) * state.coeff[l] / state.box_edge**4
+    spinors, momenta = state.spinors()[:, 0], state.p[:, 0]
     yield from zip(weight, momenta[l] - momenta[k], spinors[k], spinors[l])
 
 
-# entries of the phase matrix per block of pairs in pair_sum
-_PHASE_BLOCK = 1 << 16
-
-
-def pair_sum(pairs: Pairs, insert, points):
-    """sum over pairs of weight bar(w_k) insert w_l exp(i dp.x), dp = p_l - p_k,
-    with insert as for bilinear_concatenated.  Per block of pairs, one einsum
-    gives the sandwiches and one matrix exp(i points @ dp_lowered^T) the phases.
-    """
+def _window_outer(group, nu, bra, ket, momenta, points, box_edge):
+    """sum over the row pairs (k, l) of one group with matching tau frequencies
+    of bar(f_k) (x) g_l, f_k = bra_k exp(i p_k.x) / L^2 and g_l the same of
+    ket_l: shape (npoints, c, 4, c, 4) for rows bra, ket (n, c, 4).  Sorted by
+    (group, nu), a row's matches form one window, its chain of neighbour
+    matches if the chain's ends match, else found by bisection.  A window's
+    ket rows, and the bra rows whose window it is, each sum to one field per
+    point: O(npoints n) work, not O(pairs)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if not callable(insert):
-        stack = np.asarray(insert, dtype=complex)
-        insert = lambda dp: np.broadcast_to(stack, (len(dp), *stack.shape))  # noqa: E731
-    spinors, momenta = pairs.spinors, pairs.momenta
-    bars = spinors.conj() @ GAMMA0
-    step = max(1, _PHASE_BLOCK // points.shape[0])
-    out = 0.0
-    for start in range(0, max(len(pairs.k), 1), step):
-        k, l = pairs.k[start:start + step], pairs.l[start:start + step]
-        dp = momenta[l] - momenta[k]
-        sandwich = np.einsum("pi,p...ij,pj->p...", bars[k], insert(dp), spinors[l])
-        shape = sandwich.shape[1:]
-        weighted = pairs.weight[start:start + step, None] * sandwich.reshape(len(k), math.prod(shape))
-        out = out + np.exp(1j * (points @ lower_index(dp).T)) @ weighted
-    return out.reshape(points.shape[0], *shape)
+    order = np.lexsort((nu, group))
+    nu, group, n = nu[order], group[order], len(order)
+    cut = np.ones(n + 1, dtype=bool)
+    cut[1:n] = (group[1:] != group[:-1]) | ~_frequencies_match(nu[1:], nu[:-1])
+    runs, ends = cut[:n].nonzero()[0], cut[1:].nonzero()[0]  # chain starts and ends
+    clique = _frequencies_match(nu[runs], nu[ends]).all()
+    chain = cut[:n].cumsum() - 1
+    momenta = momenta[order] - momenta[order[runs[chain]]]  # the chain's first p cancels in each pair
+    if not clique:
+        # bisect toward each row's chain start and end; near always matches
+        row = near = np.tile(np.arange(n), 2)
+        far = np.concatenate((runs[chain], ends[chain]))
+        while (near != far).any():
+            mid = (near + far + (far > near)) // 2  # strictly past near, at most far
+            ok = _frequencies_match(nu[mid], nu[row])
+            near, far = np.where(ok, mid, near), np.where(ok, far, mid - np.sign(far - near))
+        # the window ends never decrease along the sorted rows
+        runs = np.flatnonzero(np.r_[True, np.diff(near.reshape(2, n)).any(axis=0)])
+        windows = (near.reshape(2, n)[:, runs] + [[0], [1]]).T.ravel()  # [lo, hi) pairs
+    rows = bra if ket is bra else np.concatenate((bra, ket), axis=1)
+    size, rows = 4 * bra.shape[1], rows[order].reshape(n, 4 * rows.shape[1])
+    with np.errstate(all="ignore"):  # an overflowing phase gives NaN samples, for the caller to refuse
+        fields = np.exp(1j * (points @ lower_index(momenta).T))[..., None] * rows
+        sums = np.add.reduceat(fields, runs, axis=1)
+        # reduceat sums [lo, hi) at the even entries of windows; the zero pad allows hi = n
+        kets = sums[..., -size:] if clique else np.add.reduceat(
+            np.pad(fields[..., -size:], ((0, 0), (0, 1), (0, 0))), windows, axis=1)[:, ::2]
+        outer = sums[..., :size].conj().swapaxes(1, 2) @ kets / box_edge**4
+    return outer.reshape(len(points), *bra.shape[1:], *bra.shape[1:]) * GAMMA0.diagonal()[:, None, None]
+
+
+def _concatenated_outer(state: SpectralState, channels, points):
+    """_window_outer of a one-particle state in one group, on rows channels (n, c) times w_l."""
+    _require_width(state, 1)
+    rows = channels[..., None] * state.spinors()
+    return _window_outer(np.zeros(len(rows), dtype=np.intp), state.frequency[:, 0], rows, rows,
+                         state.p[:, 0], points, state.box_edge)
 
 
 class CurrentField(NamedTuple):
@@ -508,21 +510,18 @@ class CurrentField(NamedTuple):
 def bilinear_concatenated(state: SpectralState, insert, points):
     """sum over surviving pairs of w_bar_k @ insert @ w_l exp(i dp.x).
 
-    insert may be a (4, 4) matrix, a stack of them with shape (..., 4, 4),
-    or a function of the pair transfers dp, shape (P, 4), that returns
-    per-pair matrices (P, ..., 4, 4); returns complex samples of shape
-    (npoints, ...).  Values are in units of T_tau (the symbolic
-    tau-concatenation scale).  The batched kernel pair_sum does the sum.
+    insert may be a (4, 4) matrix or a stack of them with shape (..., 4, 4);
+    returns complex samples of shape (npoints, ...).  Values are in units of
+    T_tau (the symbolic tau-concatenation scale).
     """
-    return pair_sum(_concatenated_pair_arrays(state), insert, points)
+    outer = _concatenated_outer(state, state.coeff[:, None], points)[:, 0, :, 0]
+    return np.einsum("xab,...ab->x...", outer, insert)
 
 
-def pair_current(pairs: Pairs, points) -> CurrentField:
-    """Real vector current of a hermitian pair set: pair_sum with gamma^mu
-    inserted; a non-finite sample raises NonfiniteResult, and an imaginary
-    part beyond roundoff AssertionError."""
-    with np.errstate(all="ignore"):  # an overflowing phase raises NonfiniteResult below, not a warning
-        raw = pair_sum(pairs, GAMMA_STACK, points)
+def _vector_current(outer) -> CurrentField:
+    """Real vector current of a hermitian window outer sum (npoints, 4, 4); a
+    non-finite sample raises NonfiniteResult, an imaginary part AssertionError."""
+    raw = np.einsum("xab,mab->xm", outer, GAMMA_STACK)
     size = _max_residual(raw)  # NaN or inf when any sample is
     if not math.isfinite(size):
         raise NonfiniteResult("the vector current is not finite")
@@ -537,7 +536,7 @@ def concatenated_current(state: SpectralState, points) -> CurrentField:
     Only equal-frequency mode pairs survive the tau integral; the values are
     reported in units of the symbolic concatenation scale T_tau.
     """
-    return pair_current(_concatenated_pair_arrays(state), points)
+    return _vector_current(_concatenated_outer(state, state.coeff[:, None], points)[:, 0, :, 0])
 
 
 def _central_differences(f, points, step):

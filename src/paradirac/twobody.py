@@ -26,7 +26,6 @@ from .algebra import (
     GAMMA0,
     GAMMA_STACK,
     TWO_PI,
-    _cmul,
     _dot,
     _matvec,
     _max_residual,
@@ -45,21 +44,20 @@ from .propagate import _kernels, free_evolve
 from .scattering import _STATIC_FACTOR, ExternalPotential, ReducedAmplitude
 from .states import (
     Mode,
-    Pairs,
     Subspace,
     TermContainer,
     _divergence_fd,
-    _frequencies_match,
     _json_numbers,
     _json_object,
     _plane_waves,
     _require_width,
+    _vector_current,
+    _window_outer,
     classify_subspace,
     inner_product,
     mode_from_record,
     mode_to_record,
     overlap_join,
-    pair_current,
 )
 from .spinors import _block
 
@@ -123,15 +121,6 @@ def exchange_residual(state: TwoParticleState) -> float:
     return _max_residual([state.value(y, x, tau).T - sign * state.value(x, y, tau) for x, y, tau in events])
 
 
-def _partner_join(state_a: TwoParticleState, state_b: TwoParticleState, col: int):
-    """Index arrays (i, j) of the term pairs whose column `col` modes overlap,
-    in all-pairs order, with those nonzero overlaps: the partner integration."""
-    i, j = overlap_join(state_a.overlap_keys(col), state_b.overlap_keys(col))
-    overlap = state_a.overlaps(i, state_b, j, col)
-    keep = overlap != 0.0
-    return i[keep], j[keep], overlap[keep]
-
-
 # one inner product and one free evolution serve every term width
 two_inner_product = inner_product
 two_evolve = free_evolve
@@ -140,18 +129,18 @@ two_evolve = free_evolve
 # ---------------------------------------------------------------------------
 # marginalized currents
 
-def _marginal_pairs(state: TwoParticleState, particle: int, spinors) -> Pairs:
-    """Pairs (k, l) surviving tau concatenation and marginalization of the
-    partner factor, found by a join on the partner's overlap key; spinors
-    is the state's (n, 2, 4) amplitude spinor stack."""
+def _marginal_outer(state: TwoParticleState, particle: int, spinors, points):
+    """Window outer sum (npoints, 4, 4) of one particle's marginal current: rows
+    group by partner overlap key and match on total tau frequency; the partner
+    overlap branch a_k* . a_l is one channel per spin component."""
     _require_width(state, 2)
     own, other = particle - 1, 2 - particle
-    k, l, partner = _partner_join(state, state, other)
-    nu = state.frequency.sum(axis=1)
-    keep = _frequencies_match(nu[k], nu[l])
-    k, l, partner = k[keep], l[keep], partner[keep]
-    weight = _cmul(_cmul(state.coeff[k].conj(), state.coeff[l]), partner) / state.box_edge**4
-    return Pairs(k, l, weight, spinors[:, own], state.p[:, own])
+    ids: dict = {}
+    group = np.array([ids.setdefault(key, len(ids)) for key in state.overlap_keys(other)], dtype=np.intp)
+    bra = (state.coeff[:, None] * state.a[:, other])[..., None] * spinors[:, own, None]
+    outer = _window_outer(group, state.frequency.sum(axis=1), bra, state.branch[:, other, None, None] * bra,
+                          state.p[:, own], points, state.box_edge)
+    return np.einsum("xsasb->xab", outer)
 
 
 def two_currents(state: TwoParticleState, points):
@@ -162,14 +151,15 @@ def two_currents(state: TwoParticleState, points):
     symmetric states both are invariant under permuting the state labels.
     """
     spinors = state.spinors()
-    return tuple(pair_current(_marginal_pairs(state, particle, spinors), points) for particle in (1, 2))
+    return tuple(_vector_current(_marginal_outer(state, particle, spinors, points)) for particle in (1, 2))
 
 
 def two_current_divergence_fd(state: TwoParticleState, points, particle: int = 1,
                               step: float = 1e-3):
     """4th-order central-difference divergence of one marginal current."""
-    pairs = _marginal_pairs(state, particle, state.spinors())
-    return _divergence_fd(lambda x: pair_current(pairs, x).values, points, step)
+    spinors = state.spinors()
+    return _divergence_fd(lambda x: _vector_current(_marginal_outer(state, particle, spinors, x)).values,
+                          points, step)
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +184,7 @@ def s2_first_order(
     is exactly zero elsewhere and where A~ vanishes; the squared delta scales
     are recorded symbolically.  Both states must lie in the forward subspace
     tensor square.  <f|i> is inner_product; each particle's Born terms join
-    on its partner's overlap, as the marginal currents do, in the order of
-    the all-pairs loop.
+    on its partner's overlap key, in the order of the all-pairs loop.
     """
     _require_width(state_i, 2)
     _require_width(state_f, 2)
@@ -209,12 +198,15 @@ def s2_first_order(
     coupling = (1j * e1 / state_i.box_edge**3, 1j * e2 / state_i.box_edge**3)
     nu_f, nu_i = state_f.frequency.tolist(), state_i.frequency.tolist()
     p0_f, p0_i = state_f.p[..., 0].tolist(), state_i.p[..., 0].tolist()
-    # particle 1 joins on the y overlap, particle 2 on the x overlap; only the
-    # pairs whose own deltas hold are kept, particle 1's first
-    live = [(f, i, col, ov) for col, pot in enumerate((pot1, pot2)) for f, i, ov in
-            zip(*(x.tolist() for x in _partner_join(state_f, state_i, 1 - col)))
-            if not (pot.static and abs(p0_f[f][col] - p0_i[i][col]) > ATOL_SHELL)
-            and abs(nu_f[f][col] - nu_i[i][col]) <= ATOL_SHELL * max(1.0, abs(nu_i[i][col]))]
+    # particle 1 joins on the y overlap, particle 2 on the x overlap, in all-pairs
+    # order; only pairs of nonzero overlap whose own deltas hold stay, particle 1's first
+    live = []
+    for col, pot in enumerate((pot1, pot2)):
+        join_f, join_i = overlap_join(state_f.overlap_keys(1 - col), state_i.overlap_keys(1 - col))
+        overlap = state_f.overlaps(join_f, state_i, join_i, 1 - col).tolist()
+        live += [(f, i, col, ov) for f, i, ov in zip(join_f.tolist(), join_i.tolist(), overlap)
+                 if ov and not (pot.static and abs(p0_f[f][col] - p0_i[i][col]) > ATOL_SHELL)
+                 and abs(nu_f[f][col] - nu_i[i][col]) <= ATOL_SHELL * max(1.0, abs(nu_i[i][col]))]
     value = inner_product(state_f, state_i)
     if live:
         rows_f, rows_i, cols = np.array([event[:3] for event in live], dtype=np.intp).T

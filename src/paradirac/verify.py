@@ -23,6 +23,7 @@ import numpy as np
 from .algebra import (
     ELEMENTARY_CHARGE,
     GAMMA5,
+    GAMMA_STACK,
     I2,
     I4,
     METRIC,
@@ -353,7 +354,7 @@ def suite_currents(rng, tol: float) -> list[Check]:
     fd = current_divergence_fd(gentle, points[:4], step=2e-3)
     checks.append(Check("vector current divergence (finite difference)", _max_residual(fd), tol))
 
-    imag = [bilinear_concatenated(state, gamma(mu), points).imag for mu in range(4)]
+    imag = bilinear_concatenated(state, GAMMA_STACK, points).imag
     checks.append(Check("concatenated current reality", _max_residual(imag), tol))
 
     minus = random_state(rng, n_modes=8, mass=1.0, subspace=Subspace.S_MINUS)

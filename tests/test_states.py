@@ -369,6 +369,22 @@ class TestCurrents:
         vals = concatenated_current(state, points).values
         assert np.abs(vals - vals[0]).max() <= 1e-13
 
+    def test_fast_packet_current_matches_pair_loop(self, rng):
+        # six modes around |p| = 1e6 m: p.x is large, but the pair phases
+        # (p_l - p_k).x are of order 1, and the current keeps their precision
+        center = rng.normal(size=3)
+        center *= 1e6 / np.linalg.norm(center)
+        momenta = [center + rng.normal(size=3) for _ in range(6)]
+        modes = [Mode(four_vector(np.sqrt(1.0 + p @ p), *p), 1, random_spin_coefficients(rng)) for p in momenta]
+        state = SpectralState([(complex(*rng.normal(size=2)), m) for m in modes])
+        points = rng.normal(size=(4, 4))
+        pairs = [(np.conj(ck) * cl, mk, ml) for ck, mk in state.terms for cl, ml in state.terms
+                 if frequencies_match(mk.frequency, ml.frequency)]
+        assert len(pairs) > len(modes)
+        want = pair_loop_current(pairs, points)
+        got = concatenated_current(state, points).values
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_nonfinite_current_raises(self, rng):
         # the phases p.x overflow at |x| = 1e308, so every sample is NaN
         state = random_state(rng, 4, mass=1.0)
@@ -517,3 +533,16 @@ class TestScalingGuard:
                             lambda self, i, *args: rows.append(len(i)) or overlaps(self, i, *args))
         inner_product(sa, sb)
         assert sum(rows) == shared
+
+    def test_concatenated_current_lowers_only_the_rows(self, rng, monkeypatch):
+        # 400 modes of one tau frequency: all 160,000 ordered pairs match, yet
+        # the phases exp(i p.x) come from the 400 lowered momenta alone, so
+        # the phase array holds points x rows entries; a pair path lowers
+        # the 160,000 transfers, or no rows at all
+        state = random_state(rng, 400, mass=1.0, subspace=Subspace.S_PLUS)
+        assert sum(1 for _ in concatenated_pairs(state)) == 400 * 400
+        lowered = []
+        lower_index = states.lower_index
+        monkeypatch.setattr(states, "lower_index", lambda p: lowered.append(np.shape(p)) or lower_index(p))
+        concatenated_current(state, rng.normal(size=(8, 4)))
+        assert lowered == [(400, 4)]

@@ -15,6 +15,7 @@ from brute_force import (
     assert_same_terms,
     bits,
     born_sandwich,
+    frequencies_match,
     label_bits,
     label_mode,
     marginal_pair_loop,
@@ -23,7 +24,7 @@ from brute_force import (
     scan_merge,
     signed_zeros,
 )
-from paradirac import twobody
+from paradirac import states, twobody
 from paradirac.algebra import ELEMENTARY_CHARGE, TWO_PI, four_vector
 from paradirac.errors import (
     BoxMismatch,
@@ -36,13 +37,14 @@ from paradirac.errors import (
     SuperluminalMomentum,
 )
 from paradirac.propagate import elastic_shell, free_evolve
-from paradirac.sampling import random_mode, random_spin_coefficients
+from paradirac.sampling import random_mode, random_spin_coefficients, random_timelike_momentum
 from paradirac.scattering import coulomb_potential, s1_amplitude, zero_potential
 from paradirac.radiative import axial_divergence_tree, vector_divergence_check
 from paradirac.states import (
     Mode,
     SpectralState,
     TermContainer,
+    _window_outer,
     bilinear_concatenated,
     concatenated_current,
     concatenated_pairs,
@@ -580,6 +582,64 @@ class TestLabelKeys:
             assert np.abs(field.values - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
+def window_pairs(group, nu):
+    """The number of row pairs that _window_outer sums: each adds conj(1) 1
+    at zero momentum."""
+    rows = np.zeros((len(nu), 1, 4))
+    rows[:, 0, 0] = 1.0
+    outer = _window_outer(np.asarray(group, dtype=np.intp), np.asarray(nu), rows, rows, np.zeros((len(nu), 4)),
+                          np.zeros((1, 4)), 1.0)
+    return int(outer[0, 0, 0, 0, 0].real)
+
+
+class TestNonTransitiveChains:
+    """Masses 1 + j step, for a step near the relative frequency tolerance
+    1e-12, make chains of tau frequencies whose matches are not transitive:
+    the window kernel sums exactly the pairs of the frequency test, and the
+    currents match the pair loops, in one- and two-particle form."""
+
+    STEPS = (0.3e-12, 0.6e-12, 0.9e-12, 1.1e-12)
+
+    @staticmethod
+    def chain_modes(rng, step):
+        """8 masses, each on both energy signs and both branches."""
+        return [Mode(random_timelike_momentum(rng, mass=1.0 + j * step, phi=phi, p_scale=0.5), branch,
+                     random_spin_coefficients(rng))
+                for j in range(8) for phi in (1, -1) for branch in (1, -1)]
+
+    @pytest.mark.parametrize("step", STEPS)
+    def test_one_particle(self, rng, step):
+        state = SpectralState([(complex(*rng.normal(size=2)), m) for m in self.chain_modes(rng, step)])
+        freqs = sorted({m.frequency for _, m in state.terms})
+        transitive = all(frequencies_match(a, c) for a in freqs for b in freqs for c in freqs
+                         if frequencies_match(a, b) and frequencies_match(b, c))
+        assert transitive == (step > 1e-12)
+        pairs = [(np.conj(ck) * cl, mk, ml) for ck, mk in state.terms for cl, ml in state.terms
+                 if frequencies_match(mk.frequency, ml.frequency)]
+        assert window_pairs(np.zeros(len(state.coeff)), state.frequency[:, 0]) == len(pairs)
+        assert sum(1 for _ in concatenated_pairs(state)) == len(pairs)
+        points = rng.normal(size=(5, 4))
+        want = pair_loop_current(pairs, points)
+        got = concatenated_current(state, points).values
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("step", STEPS)
+    def test_two_particle(self, rng, step):
+        # two partners share an overlap key; the third is on the v branch
+        y = _mode(rng)
+        partners = (y, Mode(y.p, 1, random_spin_coefficients(rng)), _mode(rng, branch=-1))
+        state = TwoParticleState([(complex(*rng.normal(size=2)), x, y)
+                                  for x in self.chain_modes(rng, step) for y in partners])
+        points = rng.normal(size=(5, 4))
+        for particle, field in zip((1, 2), two_currents(state, points)):
+            pairs = marginal_pair_loop(state, particle)
+            ids: dict = {}
+            group = [ids.setdefault(key, len(ids)) for key in state.overlap_keys(2 - particle)]
+            assert window_pairs(group, state.frequency.sum(axis=1)) == len(pairs)
+            want = pair_loop_current(pairs, points)
+            assert np.abs(field.values - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
 def numpy_scalar_inner(sa, sb):
     """inner_product's sum in numpy scalar arithmetic, np.conj(c_a) c_b ov,
     over the library's own joined pairs and overlap products."""
@@ -691,12 +751,18 @@ class TestScalingGuard:
         assert amplitude.value != 0.0
         assert len(counted) == 6 + 4
 
-    def test_two_currents(self, rng, overlap_rows):
+    def test_two_currents(self, rng, monkeypatch):
+        # the phases exp(i p.x) of each particle come from its 400 lowered
+        # momenta alone, so the phase array holds points x rows entries; a
+        # pair path lowers the transfers of its 420 (particle 1: 380 singles
+        # and 10 shared partners) or 400 matched pairs, or no rows at all
+        lowered = []
+        lower_index = states.lower_index
+        monkeypatch.setattr(states, "lower_index", lambda p: lowered.append(np.shape(p)) or lower_index(p))
         terms = [(1.0, _mode(rng), _mode(rng)) for _ in range(self.N_TERMS - 10)]
         terms += [(1.0, _mode(rng), y) for _, _, y in terms[:10]]
         two_currents(TwoParticleState(tuple(terms)), rng.normal(size=(2, 4)))
-        # partners of particle 1 are the y modes: 380 singles and 10 pairs
-        assert sum(overlap_rows) == (380 + 10 * 4) + self.N_TERMS
+        assert lowered == [(self.N_TERMS, 4)] * 2
 
     def test_two_currents_build_the_spinors_once(self, rng, monkeypatch):
         calls = []

@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 
 from paradirac import sampling, scattering, spinors, states, verify
-from paradirac.algebra import GAMMA2
+from paradirac.algebra import GAMMA_STACK
 
 
 def _assert_only_these_fail(checks, names):
@@ -63,11 +63,13 @@ def test_moller_check_keeps_nan_amplitudes(monkeypatch):
 
 
 def test_current_reality_keeps_a_nan_component(monkeypatch):
-    # only mu = 2 of the four gamma^mu inserts reads NaN
+    # only the mu = 2 column of the stacked gamma^mu bilinear reads NaN
     bilinear = states.bilinear_concatenated
 
     def nan_for_mu_2(state, insert, points):
         values = bilinear(state, insert, points)
-        return np.full_like(values, complex(np.nan, np.nan)) if insert is GAMMA2 else values
+        if insert is GAMMA_STACK:
+            values[:, 2] = complex(np.nan, np.nan)
+        return values
     monkeypatch.setattr(states, "bilinear_concatenated", nan_for_mu_2)
     _assert_only_these_fail(verify.run_suite("currents", seed=0), ["concatenated current reality"])
