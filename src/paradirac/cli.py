@@ -130,24 +130,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_mott.add_argument("--Z", type=_positive, default=1.0)
     p_mott.add_argument("--angles", type=_parse_angles, default="3.6:176.4:50",
                         help="degrees, 'start:stop:count' or comma list, in (0, 180]")
-    p_mott.add_argument("--out", default=None)
 
     p_ueh = sub.add_parser("uehling", help="vacuum-polarization level shift (JSON)")
     p_ueh.set_defaults(run=cmd_uehling)
     p_ueh.add_argument("--Z", type=_positive, default=1.0)
     p_ueh.add_argument("--state", choices=sorted(_STATE_LABELS), default="2s")
-    p_ueh.add_argument("--out", default=None)
 
     p_g2 = sub.add_parser("g2", help="anomalous moment endpoint (JSON)")
     p_g2.set_defaults(run=cmd_g2)
     p_g2.add_argument("--alpha", type=_positive, default=FINE_STRUCTURE)
-    p_g2.add_argument("--out", default=None)
 
     p_anom = sub.add_parser("anomaly", help="axial anomaly contraction (JSON)")
     p_anom.set_defaults(run=cmd_anomaly)
     p_anom.add_argument("--E", type=_parse_triple, required=True, metavar="Ex,Ey,Ez")
     p_anom.add_argument("--B", type=_parse_triple, required=True, metavar="Bx,By,Bz")
-    p_anom.add_argument("--out", default=None)
 
     p_demo = sub.add_parser("propagate-demo",
                             help="free evolution of a seeded random state (JSON)")
@@ -156,8 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--dtau", type=_finite, default=1.0)
     p_demo.add_argument("--which", type=int, choices=(1, -1), default=1)
     p_demo.add_argument("--modes", type=_positive_int, default=4)
-    p_demo.add_argument("--out", default=None)
 
+    for p_emit in (p_mott, p_ueh, p_g2, p_anom, p_demo):
+        p_emit.add_argument("--out", default=None)
     return parser
 
 

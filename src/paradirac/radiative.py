@@ -461,7 +461,7 @@ def _divergence_bilinears(state, insert, points):
     d_mu of each exp(i p.x) weights bra and ket rows by i p_mu, in the same windows."""
     from .states import _concatenated_outer
 
-    channels = np.c_[np.ones(len(state.coeff)), 1j * lower_index(state.p[:, 0])]
+    channels = np.concatenate([np.ones((len(state.coeff), 1)), 1j * lower_index(state.p[:, 0])], axis=1)
     outer = _concatenated_outer(state, state.coeff[:, None] * channels, points)
     d = outer[:, 0, :, 1:].swapaxes(1, 2) + outer[:, 1:, :, 0]  # mu first
     return np.einsum("xab,ab->x", outer[:, 0, :, 0], insert), np.einsum("xmab,mab->x", d, GAMMA_STACK @ insert)
@@ -496,36 +496,23 @@ def axial_divergence_tree(state, mass: float, points):
 # ---------------------------------------------------------------------------
 # result records
 
+def _record(quantity: str, value: float, units: str, est_error: float, panels: int) -> dict:
+    return {"quantity": quantity, "value": value, "units": units, "est_error": est_error,
+            "quadrature_panels": panels}
+
+
 def shift_record(n: int, l: int, Z: float) -> dict:
     res = uehling_shift(n, l, Z)
-    return {
-        "quantity": f"uehling_shift_n{n}_l{l}_Z{Z:g}",
-        "value": res.mhz,
-        "units": "MHz",
-        "est_error": res.est_error_mev * MEV_TO_MHZ,
-        "quadrature_panels": res.panels,
-    }
+    return _record(f"uehling_shift_n{n}_l{l}_Z{Z:g}", res.mhz, "MHz", res.est_error_mev * MEV_TO_MHZ, res.panels)
 
 
 def f2_record(alpha: float = FINE_STRUCTURE) -> dict:
     value, err, panels = _f2_quadrature(alpha)
-    return {
-        "quantity": "a_e",
-        "value": value,
-        "units": "dimensionless",
-        "est_error": err,
-        "quadrature_panels": panels,
-    }
+    return _record("a_e", value, "dimensionless", err, panels)
 
 
 def anomaly_record(electric, magnetic, charge: float = ELEMENTARY_CHARGE) -> dict:
     value = float(anomaly_rhs(FieldConfiguration.from_fields(electric, magnetic), charge)) + 0.0
     if not math.isfinite(value):
         raise NonfiniteResult("the contraction eps^{mnrs} F_mn F_rs overflows")
-    return {
-        "quantity": "axial_anomaly_rhs",
-        "value": value,
-        "units": "MeV^4",
-        "est_error": 0.0,
-        "quadrature_panels": 0,
-    }
+    return _record("axial_anomaly_rhs", value, "MeV^4", 0.0, 0)

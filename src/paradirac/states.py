@@ -194,8 +194,9 @@ class TermContainer(_Frozen):
     so the cached join keys stay valid.  Rows with equal labels merge on
     construction: _load and _derive key it on _row_bytes of (p + 0.0,
     a + 0.0, branch), so -0.0 equals 0.0 as in array_equal: coefficients add
-    in input order at the first occurrence and zero sums drop.  The state
-    maps work on the arrays in one batched pass.
+    in input order at the first occurrence and zero sums drop.  A non-finite
+    coefficient, given or summed, raises NonfiniteResult.  The state maps
+    work on the arrays in one batched pass.
 
     `terms` views the rows as (coeff, Mode, ...) tuples, building Modes per read.
     """
@@ -254,11 +255,14 @@ class TermContainer(_Frozen):
             later = np.ones(len(group), dtype=bool)
             later[rows] = False
             summed = coeff[rows]
-            np.add.at(summed, group[later], coeff[later])
+            with np.errstate(all="ignore"):  # an overflowing sum raises in _store
+                np.add.at(summed, group[later], coeff[later])
             coeff, labels = summed, [x[rows] for x in labels]
         self._store(coeff, labels)
 
     def _store(self, coeff, labels):
+        if not np.isfinite(coeff).all():
+            raise NonfiniteResult("term coefficients must be finite")
         if not coeff.all():
             keep = coeff != 0.0
             coeff, labels = coeff[keep], [x[keep] for x in labels]
@@ -612,8 +616,12 @@ def mode_from_record(record) -> Mode:
 
 def state_to_json(state: SpectralState) -> str:
     _require_width(state, 1)
-    return json.dumps([{**mode_to_record(p, branch, coeff * a), "L": state.box_edge} for coeff, p, branch, a
-                       in zip(state.coeff.tolist(), state.p[:, 0], state.branch[:, 0], state.a[:, 0])])
+    with np.errstate(all="ignore"):  # an overflowing fold raises below
+        folded = [coeff * a for coeff, a in zip(state.coeff.tolist(), state.a[:, 0])]
+    if not np.isfinite(folded).all():
+        raise NonfiniteResult("a folded spin coefficient c a is not finite")
+    return json.dumps([{**mode_to_record(p, branch, a), "L": state.box_edge}
+                       for p, branch, a in zip(state.p[:, 0], state.branch[:, 0], folded)])
 
 
 def state_from_json(text: str) -> SpectralState:

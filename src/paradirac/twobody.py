@@ -180,8 +180,8 @@ def s2_first_order(
     with B(in -> out; A) = bar(w_out) slash(A~(p_out - p_in)) w_in; projection
     onto a definite final mode cancels the branch signs, so one formula
     covers u and v type.  B is evaluated only where the deltas (equal tau
-    frequencies and, for static potentials, energies) hold at ATOL_SHELL, and
-    is exactly zero elsewhere and where A~ vanishes; the squared delta scales
+    frequencies and, for static potentials, energies) hold at ATOL_SHELL and
+    A~ is nonzero, and is exactly zero elsewhere; the squared delta scales
     are recorded symbolically.  Both states must lie in the forward subspace
     tensor square.  <f|i> is inner_product; each particle's Born terms join
     on its partner's overlap key, in the order of the all-pairs loop.
@@ -210,18 +210,21 @@ def s2_first_order(
     value = inner_product(state_f, state_i)
     if live:
         rows_f, rows_i, cols = np.array([event[:3] for event in live], dtype=np.intp).T
+        dp = state_f.p[rows_f, cols] - state_i.p[rows_i, cols]
+        n_x = len(live) - int(cols.sum())
+        # a shared potential takes one transform; a pair whose transform vanishes adds nothing
+        a_tilde = (pot1.fourier(dp) if pot1 is pot2 else
+                   np.concatenate((pot1.fourier(dp[:n_x]), pot2.fourier(dp[n_x:]))))
+        kept = a_tilde.any(axis=-1)
+        live, rows_f, rows_i, cols, a_tilde = ([event for event, k in zip(live, kept.tolist()) if k],
+                                               rows_f[kept], rows_i[kept], cols[kept], a_tilde[kept])
         # spinors of the final, then of the incident rows, in one block pass
         labels = [(s.p, s.branch, s.a, s.mass, s.phi) for s in (state_f, state_i)]
         p, branch, a, mass, phi = (np.concatenate((out[rows_f, cols], inc[rows_i, cols]))
                                    for out, inc in zip(*labels))
         spinors = _matvec(_block(p, mass, phi, branch == 1), a)
         n = len(live)
-        n_x, dp = n - int(cols.sum()), p[:n] - p[n:]
-        # a shared potential takes one transform
-        a_tilde = (pot1.fourier(dp) if pot1 is pot2 else
-                   np.concatenate((pot1.fourier(dp[:n_x]), pot2.fourier(dp[n_x:]))))
-        sandwich = _dot((spinors[:n].conj()[:, None, :] @ GAMMA0 @ slash(a_tilde))[:, 0], spinors[n:])
-        born = np.where(a_tilde.any(axis=-1), sandwich, 0.0).tolist()
+        born = _dot((spinors[:n].conj()[:, None, :] @ GAMMA0 @ slash(a_tilde))[:, 0], spinors[n:]).tolist()
         coeff_f, coeff_i = state_f.coeff.tolist(), state_i.coeff.tolist()
         # sorting merges the two sorted runs into all-pairs order, particle 1
         # first on a tie; (f, i, col) is unique, so no overlap is compared

@@ -2,12 +2,10 @@
 
 Each suite draws its inputs from a seeded generator and returns a list of
 named checks with measured residuals, so a run is reproducible bit for bit
-for a given seed.  Suites batch their draws: the spinors suite takes its
-draws in stacked slices, and the propagate suite evolves the four filter
-cases of one (which, direction) as one state.  The draws come in the
-one-at-a-time order and every operation is row-wise, so the residuals equal
-those of the one-at-a-time route bit for bit; the tests keep that route as
-the reference.  Residuals are max-norm deviations of exact algebraic
+for a given seed.  The spinors suite takes its draws in stacked slices, in
+the one-at-a-time order; every operation is row-wise, so the residuals equal
+those of the one-at-a-time route bit for bit, and the tests keep that route
+as the reference.  Residuals are max-norm deviations of exact algebraic
 identities; default tolerances are set per suite a decade or two above the
 observed machine-precision plateau.  Each suite imports the layers it
 checks, so importing this module loads only the algebra.
@@ -160,29 +158,19 @@ def suite_propagate(rng, tol: float) -> list[Check]:
 
     checks = []
     coeff = 0.8 - 0.3j
-    cases = list(itertools.product((1, -1), repeat=4))
-    modes = [random_mode(rng, branch=branch, phi=phi, p_scale=0.7) for *_, branch, phi in cases]
-    # the four cases of one (which, direction) evolve as one state
-    for lo in range(0, len(cases), 4):
-        which, direction = cases[lo][:2]
+    for which, direction, branch, phi in itertools.product((1, -1), repeat=4):
         dtau = 0.7 * direction
-        state = SpectralState([(coeff, mode) for mode in modes[lo:lo + 4]])
-        evolved = free_evolve(state, 0.0, dtau, which)
-        survivors = dict(zip(evolved.overlap_keys(), evolved.coeff))
-        for (_, _, branch, phi), mode in zip(cases[lo:lo + 4], modes[lo:lo + 4]):
-            found = survivors.get(mode.label_key[:2])
-            if branch * phi == which * direction:
-                expected = coeff * direction * np.exp(1j * mode.frequency * dtau)
-                resid = 1.0 if found is None else abs(found - expected)
-                verdict = "keeps"
-            else:
-                resid = 0.0 if found is None else abs(found)
-                verdict = "drops"
-            label = (
-                f"filter w={which:+d} dt={direction:+d} b={branch:+d} "
-                f"phi={phi:+d} {verdict}"
-            )
-            checks.append(Check(label, resid, tol))
+        mode = random_mode(rng, branch=branch, phi=phi, p_scale=0.7)
+        evolved = free_evolve(SpectralState([(coeff, mode)]), 0.0, dtau, which)
+        if branch * phi == which * direction:
+            expected = coeff * direction * np.exp(1j * mode.frequency * dtau)
+            resid = 1.0 if evolved.is_empty else abs(evolved.coeff[0] - expected)
+            verdict = "keeps"
+        else:
+            resid = 0.0 if evolved.is_empty else abs(evolved.coeff[0])
+            verdict = "drops"
+        label = f"filter w={which:+d} dt={direction:+d} b={branch:+d} phi={phi:+d} {verdict}"
+        checks.append(Check(label, resid, tol))
 
     for which, direction in ((1, 1), (-1, -1)):
         state = random_state(rng, n_modes=6)

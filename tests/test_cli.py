@@ -200,6 +200,20 @@ class TestJsonCommands:
             cli.main(["anomaly", "--E", "0,0", "--B", "0,0,1"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["uehling", "--Z", "10", "--state", "2p"],
+        ["g2"],
+        ["anomaly", "--E", "1,2,3", "--B", "0.5,-1,2"],
+        ["propagate-demo", "--seed", "7", "--modes", "6"],
+    ])
+    def test_out_file_matches_stdout(self, argv, tmp_path, capsys):
+        target = tmp_path / "record.json"
+        code, out, _ = run_cli(argv, capsys)
+        code2, out2, err2 = run_cli(argv + ["--out", str(target)], capsys)
+        assert code == code2 == 0
+        assert out2 == err2 == ""
+        assert target.read_bytes() == out.encode()
+
 
 class TestPropagateDemo:
     def test_record_contents(self, capsys):

@@ -262,9 +262,9 @@ class TestMollerFirstOrder:
 
 
 def _filter_checks_loop(rng):
-    """The 16 filter checks of verify.suite_propagate one single-mode state
-    per case, as they ran before the cases of one (which, direction) were
-    evolved as one state: the reference for its draws and arithmetic."""
+    """The 16 filter checks of verify.suite_propagate, one single-mode state
+    per case, written apart from the suite: the reference for its draws and
+    arithmetic."""
     found = []
     coeff = 0.8 - 0.3j
     for which, direction, branch, phi in itertools.product((1, -1), repeat=4):
@@ -283,7 +283,7 @@ def _filter_checks_loop(rng):
     return found
 
 
-class TestBatchedFilterSuite:
+class TestFilterSuite:
     @pytest.mark.parametrize("seed", [0, 3, 7])
     def test_residuals_equal_the_case_by_case_loop(self, seed):
         # same seeded stream, same rounding: labels, order and residuals agree bit for bit

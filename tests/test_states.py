@@ -1,6 +1,7 @@
 """Spectral states: mode bookkeeping, symmetries, currents, serialization."""
 
 import json
+import warnings
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -53,6 +54,7 @@ from paradirac.states import (
     time_reverse,
     tpc,
 )
+from paradirac.twobody import TwoParticleState, two_state_from_json, two_state_to_json
 
 GAMMA1 = gamma(1)
 GAMMA3 = gamma(3)
@@ -450,6 +452,52 @@ class TestSerialization:
         for bad in ([], None, "p", {k: v for k, v in record.items() if k != "a"}):
             with pytest.raises(ValueError):
                 states.mode_from_record(bad)
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def _two_json_with_c(mode, c):
+    text = two_state_to_json(TwoParticleState([(1.0, mode, mode)]))
+    return two_state_from_json(text.replace('"c": [1.0, 0.0]', f'"c": {c}'))
+
+
+class TestFiniteCoefficients:
+    """A term coefficient given, read or summed non-finite, and a folded c a
+    that overflows on the wire, raise NonfiniteResult before any warning."""
+
+    MODE = Mode([1.5, 0.3, -0.2, 0.1], 1, [0.6, 0.8j])
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda m: SpectralState([(np.nan, m)]), id="nan"),
+        pytest.param(lambda m: SpectralState([(complex(0.0, -np.inf), m)]), id="inf"),
+        pytest.param(lambda m: TwoParticleState([(np.inf, m, m)]), id="two-particle-inf"),
+        pytest.param(lambda m: _two_json_with_c(m, "[NaN, 0]"), id="json-nan"),
+        pytest.param(lambda m: _two_json_with_c(m, "[Infinity, 0]"), id="json-inf"),
+        pytest.param(lambda m: SpectralState([(1e308, m), (1e308, m)]), id="merge-overflow"),
+        pytest.param(lambda m: state_to_json(SpectralState([(1e200, Mode(m.p, 1, [1e200, 0.5]))])),
+                     id="fold-overflow"),
+    ])
+    def test_nonfinite_raises(self, build):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonfiniteResult):
+                build(self.MODE)
+
+    def test_finite_json_is_strict_and_reads_back(self, rng):
+        # c a = 1e308 is the largest fold here, and still finite
+        big = SpectralState([(1e154, Mode(self.MODE.p, 1, [1e154, 0.5])), (1.0, self.MODE)])
+        for state in (random_state(rng, 5), big):
+            text = state_to_json(state)
+            _strict_json(text)
+            assert state_to_json(state_from_json(text)) == text
+        pair = TwoParticleState([(1e308, self.MODE, self.MODE), (-1e308j, self.MODE, random_mode(rng))])
+        text = two_state_to_json(pair)
+        _strict_json(text)
+        assert two_state_to_json(two_state_from_json(text)) == text
 
 
 # ---------------------------------------------------------------------------

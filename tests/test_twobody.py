@@ -772,6 +772,25 @@ class TestScalingGuard:
         two_currents(TwoParticleState(tuple(terms)), rng.normal(size=(2, 4)))
         assert calls == [self.N_TERMS]
 
+    def test_s2_first_order_builds_spinors_only_for_nonzero_transforms(self, rng, monkeypatch):
+        # a transition potential has no energy delta, so each of the ~20000
+        # same-mass pairs joined through the 8 shared partners passes the
+        # frequency delta; only the pair (0, 0), whose x transfer is the
+        # source's, has a nonzero transform, and only its two rows take spinor blocks
+        rows = []
+        block = twobody._block
+        monkeypatch.setattr(twobody, "_block", lambda p, *args: rows.append(len(p)) or block(p, *args))
+        partners = [_mode(rng, mass=1.0) for _ in range(8)]
+        initial = [(1.0, _mode(rng, mass=1.0), partners[k % 8]) for k in range(self.N_TERMS)]
+        rotated = Mode(elastic_shell(initial[0][1].p, [0.9], n_azimuth=1)[0], 1, random_spin_coefficients(rng))
+        final = [(1.0, rotated, partners[0])]
+        final += [(1.0, _mode(rng, mass=1.0), y) for _, _, y in initial[1:]]
+        source = potential_from_transition(initial[0][1], rotated, 0.7)
+        state_i, state_f = TwoParticleState(tuple(initial)), TwoParticleState(tuple(final))
+        amplitude = s2_first_order(state_i, state_f, (source, source))
+        assert rows == [2]
+        assert amplitude.value != inner_product(state_f, state_i)
+
 
 class TestWidthContract:
     """One inner product and one free evolution serve both term widths; the
