@@ -48,7 +48,8 @@ class InfluenceKernel:
 
     which = +1 selects the kernel whose forward step preserves S+; which = -1
     the one preserving S-.  The raw kernel multiplies a surviving mode by
-    i * sign(dtau) * exp(i nu dtau); evolution maps carry an extra 1/i.
+    i * sign(dtau) * exp(i nu dtau); evolution maps carry an extra 1/i.  A
+    zero or non-finite dtau is refused.
     """
 
     which: int
@@ -59,25 +60,25 @@ class InfluenceKernel:
             raise ValueError("which must be +1 or -1")
         if self.dtau == 0.0:
             raise DegenerateInterval("influence functions need a nonzero tau step")
+        if not np.isfinite(self.dtau):
+            raise ValueError(f"the tau step must be finite, not {self.dtau}")
 
     @property
     def step_sign(self):
         return 1 if self.dtau > 0 else -1
 
-    def _survivors(self, state: TermContainer):
-        """Rows of `state` whose every mode survives, and the multipliers
-        i*sgn*exp(i nu dtau) of their modes, one column per mode."""
+    def _evolve(self, state: TermContainer, unit: complex) -> TermContainer:
+        """Rows whose every mode has branch*phi = which*sgn, each coefficient times
+        unit*sgn*exp(i nu dtau) per mode: exact, as unit*sgn is +-1 or +-i."""
         sgn = self.step_sign
-        sign = state.branch * state.phi
-        rows = np.flatnonzero((sign == self.which * sgn).all(axis=1))
-        return rows, _cmul(1j * sgn, np.exp(1j * _tau_angle(state.frequency[rows], self.dtau)))
-
-    def apply(self, state: TermContainer) -> TermContainer:
-        rows, factors = self._survivors(state)
+        rows = np.flatnonzero((state.branch * state.phi == self.which * sgn).all(axis=1))
         coeff = state.coeff[rows]
-        for factor in factors.T:
+        for factor in (unit * sgn * np.exp(1j * _tau_angle(state.frequency[rows], self.dtau))).T:
             coeff = _cmul(coeff, factor)
         return state._subset(rows, coeff)
+
+    def apply(self, state: TermContainer) -> TermContainer:
+        return self._evolve(state, 1j)
 
 
 def _tau_angle(nu, dtau: float):
@@ -101,13 +102,7 @@ def free_evolve(state: TermContainer, tau: float, tau_prime: float, which: int) 
     signs squaring away, and exchange symmetry is preserved because the
     operator is symmetric under the factor swap.
     """
-    if tau_prime == tau:
-        raise DegenerateInterval("evolution interval is degenerate")
-    rows, factors = InfluenceKernel(which, tau_prime - tau)._survivors(state)
-    coeff = state.coeff[rows]
-    for factor in factors.T:
-        coeff = _cmul(_cmul(coeff, -1j), factor)
-    return state._subset(rows, coeff)
+    return InfluenceKernel(which, tau_prime - tau)._evolve(state, 1)
 
 
 def semigroup_compose(state: SpectralState, tau0: float, tau1: float, tau2: float, which: int) -> SpectralState:
@@ -233,12 +228,10 @@ def moller_first_order(
     if not shell.any():
         raise UnresolvedDelta("no outgoing momentum conserves the mass")
     dp = q - incident.p
-    if getattr(potential, "static", False):
+    if potential.static:
         shell &= np.abs(dp[:, 0]) <= ATOL_SHELL
     q, dp, m_out = q[shell], dp[shell], m_out[shell]
     a_tilde = potential.fourier(dp)
-    live = a_tilde.any(axis=-1)
-    q, a_tilde, m_out = q[live], a_tilde[live], m_out[live]
     phi = energy_sign(q)
     branch = np.where(phi > 0, 1, -1)
     kick = _matvec(slash(a_tilde), incident.amplitude_spinor())

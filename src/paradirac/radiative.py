@@ -273,9 +273,7 @@ def uehling_potential(r: float, Z: float, m_e: float = ELECTRON_MASS,
     U(r) = -(Z alpha / r) * uehling_ratio(r): a short-range attractive
     deepening of the Coulomb well, screened beyond the Compton scale.
     """
-    if r <= 0.0:
-        raise NonpositiveRadius("the potential is defined for r > 0")
-    return -(Z * alpha / r) * uehling_ratio(r, m_e, alpha)
+    return uehling_ratio(r, m_e, alpha) * -(Z * alpha / r)
 
 
 def uehling_potential_hyperbolic(r: float, Z: float, m_e: float = ELECTRON_MASS,

@@ -409,7 +409,8 @@ def inner_product(state_a: TermContainer, state_b: TermContainer) -> complex:
 
     The sum is a join on the overlap keys of all columns: each term of
     state_a meets only its matches in state_b, in all-pairs order, and a
-    zero overlap product adds nothing to the Python complex sum.
+    zero overlap product adds nothing to the Python complex sum.  A sum that
+    is not finite raises NonfiniteResult.
     """
     if state_a.box_edge != state_b.box_edge:
         raise BoxMismatch("states quantized in different boxes")
@@ -424,6 +425,8 @@ def inner_product(state_a: TermContainer, state_b: TermContainer) -> complex:
     for ca, cb, ov in zip(state_a.coeff[i].tolist(), state_b.coeff[j].tolist(), products):
         if ov:
             total += ca.conjugate() * cb * ov
+    if not np.isfinite(total):
+        raise NonfiniteResult("the inner product sum is not finite")
     return total
 
 

@@ -36,6 +36,7 @@ from .algebra import (
 from .errors import (
     BoxMismatch,
     GridIncompatible,
+    NonfiniteResult,
     OnLightCone,
     OnMassShell,
     SubspaceViolation,
@@ -184,7 +185,8 @@ def s2_first_order(
     A~ is nonzero, and is exactly zero elsewhere; the squared delta scales
     are recorded symbolically.  Both states must lie in the forward subspace
     tensor square.  <f|i> is inner_product; each particle's Born terms join
-    on its partner's overlap key, in the order of the all-pairs loop.
+    on its partner's overlap key, in the order of the all-pairs loop; a sum
+    that is not finite raises NonfiniteResult.
     """
     _require_width(state_i, 2)
     _require_width(state_f, 2)
@@ -229,8 +231,10 @@ def s2_first_order(
         # sorting merges the two sorted runs into all-pairs order, particle 1
         # first on a tie; (f, i, col) is unique, so no overlap is compared
         for (f, i, col, ov), b in sorted(zip(live, born)):
-            weight = np.conj(coeff_f[f]) * coeff_i[i]
+            weight = coeff_f[f].conjugate() * coeff_i[i]
             value += weight * coupling[0] * b * ov if col == 0 else weight * ov * coupling[1] * b
+    if not np.isfinite(value):
+        raise NonfiniteResult("the first-order S-matrix sum is not finite")
     factors = (("delta(Dnu_total)", "T_tau"),) + (_STATIC_FACTOR if pot1.static or pot2.static else ())
     return ReducedAmplitude(complex(value), factors)
 

@@ -26,7 +26,7 @@ from paradirac.sampling import (
 from paradirac.scattering import coulomb_potential, s1_amplitude
 from paradirac.spinors import u_block, v_block
 from paradirac.states import Mode, Subspace, inner_product, single_mode_state
-from paradirac.twobody import two_conjugation_check
+from paradirac.twobody import antisymmetrize, two_conjugation_check, two_evolve
 from paradirac.verify import DEFAULT_TOLS, SUITE_NAMES, Check, suite_propagate
 
 
@@ -61,7 +61,31 @@ class TestFiltering:
         via_evolve = free_evolve(state, 0.2, -0.2, -1)
         assert len(via_kernel.terms) == len(via_evolve.terms)
         for (c1, m1), (c2, m2) in zip(via_kernel.terms, via_evolve.terms):
-            assert abs(c1 - 1j * c2) <= 1e-15 and m1.branch == m2.branch
+            # both factors are exact: exp(i nu dtau) times +-i or +-1
+            assert c1 == 1j * c2 and m1.branch == m2.branch
+
+    @pytest.mark.parametrize("tau_prime", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_step_raises(self, rng, tau_prime):
+        state = random_state(rng, 4)
+        with pytest.raises(ValueError, match="finite"):
+            free_evolve(state, 0.0, tau_prime, 1)
+        with pytest.raises(ValueError, match="finite"):
+            InfluenceKernel(1, tau_prime)
+
+    def test_one_cmul_per_mode_column(self, rng, monkeypatch):
+        # free_evolve, the raw kernel and two_evolve share one pass, which
+        # multiplies each kept coefficient once per mode
+        calls = []
+        cmul = propagate._cmul
+        monkeypatch.setattr(propagate, "_cmul", lambda x, y: calls.append(1) or cmul(x, y))
+        mode = random_mode(rng, branch=1, phi=1)
+        free_evolve(single_mode_state(mode), 0.0, 0.7, 1)
+        InfluenceKernel(1, 0.7).apply(single_mode_state(mode))
+        assert len(calls) == 2
+        pair = antisymmetrize(mode, random_mode(rng, branch=1, phi=1))
+        assert len(pair.terms) == 2
+        two_evolve(pair, 0.0, 0.7, 1)
+        assert len(calls) == 4
 
 
 class TestSemigroup:

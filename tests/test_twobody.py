@@ -1,5 +1,6 @@
 """Two-particle states: exchange, evolution, S_fi, the Born-step operator."""
 
+import cmath
 import json
 
 import numpy as np
@@ -166,6 +167,14 @@ class TestFirstOrderAmplitude:
         state = antisymmetrize(_mode(rng), _mode(rng))
         amp = s2_first_order(state, state, (zero_potential(), zero_potential()))
         assert abs(amp.value - two_inner_product(state, state)) <= 1e-13
+
+    def test_overflowing_sum_raises(self):
+        # finite coefficients whose Born weight conj(c_f) c_i overflows
+        m = Mode([2, .3, .1, 0], 1, [1, .5j])
+        m2 = Mode([2, .1, .3, 0], 1, [.2, .5j])
+        state_i, state_f = TwoParticleState([(1e200, m, m)]), TwoParticleState([(1e200, m2, m)])
+        with pytest.raises(NonfiniteResult):
+            s2_first_order(state_i, state_f, (coulomb_potential(1.0, mu=0.3),) * 2)
 
     def test_label_permutation_flips_sign(self, rng):
         state_i = antisymmetrize(_mode(rng), _mode(rng))
@@ -660,7 +669,19 @@ SCALES = st.sampled_from((1.0, 1e200))
 
 class TestInnerProductArithmetic:
     """inner_product sums in Python complex arithmetic: it returns a complex
-    whether or not any pair joins, bit for bit numpy's scalar product."""
+    whether or not any pair joins, bit for bit numpy's scalar product, and
+    raises NonfiniteResult where that product is not finite."""
+
+    @staticmethod
+    def check(sa, sb):
+        want = numpy_scalar_inner(sa, sb)
+        if not cmath.isfinite(want):
+            with pytest.raises(NonfiniteResult):
+                inner_product(sa, sb)
+            return
+        got = inner_product(sa, sb)
+        assert type(got) is complex
+        assert bits(got) == bits(want)
 
     @given(SCALES, st.lists(st.tuples(COEFFS, LABELS), max_size=10),
            SCALES, st.lists(st.tuples(COEFFS, LABELS), max_size=10))
@@ -668,12 +689,13 @@ class TestInnerProductArithmetic:
              scale_b=1.0, raw_b=[(1.0j, (0, 1, 2, True))])
     @example(scale_a=1.0, raw_a=[(1.0, (0, 1, 0, False))],
              scale_b=1.0, raw_b=[(1.0, (1, 1, 0, False))])
+    # the norm of a finite state whose sum overflows
+    @example(scale_a=1e200, raw_a=[(1.0, (0, 1, 0, False))],
+             scale_b=1e200, raw_b=[(1.0, (0, 1, 0, False))])
     def test_width_one(self, scale_a, raw_a, scale_b, raw_b):
         sa = SpectralState(tuple((c * scale_a, label_mode(x)) for c, x in raw_a))
         sb = SpectralState(tuple((c * scale_b, label_mode(x)) for c, x in raw_b))
-        got = inner_product(sa, sb)
-        assert type(got) is complex
-        assert bits(got) == bits(numpy_scalar_inner(sa, sb))
+        self.check(sa, sb)
 
     @given(SCALES, TWO_TERMS, SCALES, TWO_TERMS)
     @example(scale_a=1e200, raw_a=[(0.25 - 2.0j, (0, 1, 3, False), (2, -1, 2, False))],
@@ -681,9 +703,7 @@ class TestInnerProductArithmetic:
     def test_width_two(self, scale_a, raw_a, scale_b, raw_b):
         sa = TwoParticleState(tuple((c * scale_a, x, y) for c, x, y in two_terms(raw_a)))
         sb = TwoParticleState(tuple((c * scale_b, x, y) for c, x, y in two_terms(raw_b)))
-        got = inner_product(sa, sb)
-        assert type(got) is complex
-        assert bits(got) == bits(numpy_scalar_inner(sa, sb))
+        self.check(sa, sb)
 
 
 class TestScalingGuard:
