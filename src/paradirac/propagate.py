@@ -196,13 +196,7 @@ def elastic_shell(p_in, kappas, n_azimuth: int = 8):
     return out.reshape(-1, 4)
 
 
-def moller_first_order(
-    incident: Mode,
-    potential,
-    out_momenta,
-    charge: float = ELEMENTARY_CHARGE,
-    box_edge: float = TWO_PI,
-) -> SpectralState:
+def moller_first_order(incident: Mode, potential, out_momenta) -> SpectralState:
     """Incident mode plus the first Born term of the forward wave operator.
 
     The Born term places weight on each supplied outgoing momentum q that
@@ -211,18 +205,20 @@ def moller_first_order(
     coefficients are the mode-space sandwich of slash(A~(q - p)) with the
     incident amplitude spinor:
 
-        u-type node:  +i (charge/L^3) ubar(q) slash(A~) w_i
-        v-type node:  -i (charge/L^3) vbar(q) slash(A~) w_i
+        u-type node:  +i (e/L^3) ubar(q) slash(A~) w_i
+        v-type node:  -i (e/L^3) vbar(q) slash(A~) w_i
 
-    the relative sign carried by Lambda_v = -v vbar.  The nodes of all
+    the relative sign carried by Lambda_v = -v vbar, with e the elementary
+    charge and L = 2 pi the default box edge.  The nodes of all
     outgoing momenta are one batched pass, with one potential.fourier call.
     An incident mode in S- is annihilated by the forward operator: the empty
     state is returned (the subspace violation is the documented zero, not an
-    exception).
+    exception).  An empty list of outgoing momenta, or one with none on the
+    incident mass shell, raises UnresolvedDelta.
     """
     if classify_subspace(incident) is Subspace.S_MINUS:
-        return SpectralState((), box_edge)
-    q = np.atleast_2d(np.asarray(out_momenta, dtype=float))
+        return SpectralState(())
+    q = np.asarray(out_momenta, dtype=float).reshape(-1, 4)
     m_out = mass_of(q)
     shell = np.abs(m_out - incident.mass) <= ATOL_SHELL * max(1.0, incident.mass)
     if not shell.any():
@@ -238,8 +234,8 @@ def moller_first_order(
     a_out = _matvec(bar(_block(q, m_out, phi, branch == 1)), kick)
     live = a_out.any(axis=-1)
     q, branch, a_out, m_out = q[live], branch[live], a_out[live], m_out[live]
-    return SpectralState((), box_edge)._derive(
-        np.concatenate(([1.0 + 0.0j], branch * (1j * charge / box_edge**3))),
+    return SpectralState(())._derive(
+        np.concatenate(([1.0 + 0.0j], branch * (1j * ELEMENTARY_CHARGE / TWO_PI**3))),
         np.concatenate((incident.p[None], q))[:, None],
         np.concatenate(([incident.branch], branch))[:, None],
         np.concatenate((incident.a[None], a_out))[:, None],

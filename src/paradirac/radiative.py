@@ -239,7 +239,7 @@ def _doubled_rule(integrand, edges, what: str):
 # ---------------------------------------------------------------------------
 # Uehling potential and hydrogenic shifts
 
-def uehling_ratio(r: float, m_e: float = ELECTRON_MASS, alpha: float = FINE_STRUCTURE) -> float:
+def uehling_ratio(r: float) -> float:
     """U(r) divided by the bare Coulomb -Z alpha / r: the screening profile.
 
     (2 alpha / 3 pi) * integral_1^inf dt e^{-2 m r t} (1 + 1/(2t^2))
@@ -250,7 +250,7 @@ def uehling_ratio(r: float, m_e: float = ELECTRON_MASS, alpha: float = FINE_STRU
     """
     if r <= 0.0:
         raise NonpositiveRadius("the potential is defined for r > 0")
-    two_mr = 2.0 * m_e * r
+    two_mr = 2.0 * ELECTRON_MASS * r
     v_max = math.sqrt(_DECAY / two_mr)
     if not math.isfinite(v_max):
         raise NonfiniteResult(f"the screening-profile rule overflows at r = {r:g}")
@@ -263,21 +263,19 @@ def uehling_ratio(r: float, m_e: float = ELECTRON_MASS, alpha: float = FINE_STRU
         return 2.0 * (v2 * s) * (np.sqrt(2.0 + v2) * s) * (1.0 + 0.5 * s * s) * np.exp(-two_mr * v2)
 
     fine = _doubled_rule(integrand, edges, "screening-profile")[0]
-    return 2.0 * alpha / (3.0 * np.pi) * math.exp(-two_mr) * fine
+    return 2.0 * FINE_STRUCTURE / (3.0 * np.pi) * math.exp(-two_mr) * fine
 
 
-def uehling_potential(r: float, Z: float, m_e: float = ELECTRON_MASS,
-                      alpha: float = FINE_STRUCTURE) -> float:
+def uehling_potential(r: float, Z: float) -> float:
     """Vacuum-polarization correction to the Coulomb potential, in MeV.
 
     U(r) = -(Z alpha / r) * uehling_ratio(r): a short-range attractive
     deepening of the Coulomb well, screened beyond the Compton scale.
     """
-    return uehling_ratio(r, m_e, alpha) * -(Z * alpha / r)
+    return uehling_ratio(r) * -(Z * FINE_STRUCTURE / r)
 
 
-def uehling_potential_hyperbolic(r: float, Z: float, m_e: float = ELECTRON_MASS,
-                                 alpha: float = FINE_STRUCTURE) -> float:
+def uehling_potential_hyperbolic(r: float, Z: float) -> float:
     """Independent realization through t = cosh(theta).
 
     Same potential, different integrand and integration variable:
@@ -287,7 +285,7 @@ def uehling_potential_hyperbolic(r: float, Z: float, m_e: float = ELECTRON_MASS,
     """
     if r <= 0.0:
         raise NonpositiveRadius("the potential is defined for r > 0")
-    two_mr = 2.0 * m_e * r
+    two_mr = 2.0 * ELECTRON_MASS * r
     theta_max = math.acosh(1.0 + _DECAY / two_mr)
     if not math.isfinite(theta_max):
         raise NonfiniteResult(f"the hyperbolic-form rule overflows at r = {r:g}")
@@ -299,20 +297,25 @@ def uehling_potential_hyperbolic(r: float, Z: float, m_e: float = ELECTRON_MASS,
         return np.exp(-two_mr * (ch - 1.0)) * (1.0 + 0.5 * sech * sech) * np.tanh(theta) ** 2
 
     fine = _doubled_rule(integrand, edges, "hyperbolic-form")[0]
-    return -(Z * alpha / r) * (2.0 * alpha / (3.0 * np.pi)) * math.exp(-two_mr) * fine
+    return -(Z * FINE_STRUCTURE / r) * (2.0 * FINE_STRUCTURE / (3.0 * np.pi)) * math.exp(-two_mr) * fine
 
 
-def bohr_radius(Z: float, m_e: float = ELECTRON_MASS, alpha: float = FINE_STRUCTURE) -> float:
-    return 1.0 / (Z * alpha * m_e)
+def _check_nuclear_charge(Z: float):
+    if not (Z > 0.0 and math.isfinite(Z)):
+        raise ValueError("nuclear charge Z must be positive and finite")
 
 
-def hydrogen_radial(n: int, l: int, Z: float, m_e: float = ELECTRON_MASS,
-                    alpha: float = FINE_STRUCTURE):
+def bohr_radius(Z: float) -> float:
+    _check_nuclear_charge(Z)
+    return 1.0 / (Z * FINE_STRUCTURE * ELECTRON_MASS)
+
+
+def hydrogen_radial(n: int, l: int, Z: float):
     """Nonrelativistic hydrogenic radial function R_nl for (1,0), (2,0), (2,1).
 
     Normalized so integral_0^inf R^2 r^2 dr = 1; r in MeV^-1.
     """
-    a = bohr_radius(Z, m_e, alpha)
+    a = bohr_radius(Z)
     try:
         scale = a**-1.5
     except OverflowError:
@@ -353,8 +356,7 @@ class UehlingShift(NamedTuple):
     panels: int
 
 
-def uehling_shift(n: int, l: int, Z: float, m_e: float = ELECTRON_MASS,
-                  alpha: float = FINE_STRUCTURE) -> UehlingShift:
+def uehling_shift(n: int, l: int, Z: float) -> UehlingShift:
     """First-order shift integral_0^inf R_nl^2 U(r) r^2 dr, in MeV and MHz.
 
     The r integral is taken first and in closed form: with t = cosh(theta),
@@ -373,8 +375,9 @@ def uehling_shift(n: int, l: int, Z: float, m_e: float = ELECTRON_MASS,
         beta, coeffs = _RADIAL_DENSITY[(n, l)]
     except KeyError:
         raise UnsupportedState(f"radial density for (n, l) = ({n}, {l}) not provided") from None
-    zeta = Z * alpha
-    scale = -2.0 * alpha / (3.0 * np.pi) * zeta * zeta * m_e
+    _check_nuclear_charge(Z)
+    zeta = Z * FINE_STRUCTURE
+    scale = -2.0 * FINE_STRUCTURE / (3.0 * np.pi) * zeta * zeta * ELECTRON_MASS
     overflow = NonfiniteResult(f"the shift at Z = {Z:g} overflows")
     # checked before the rule too: where the scale overflows, theta_max can
     if not math.isfinite(scale * MEV_TO_MHZ):
@@ -400,9 +403,7 @@ def uehling_shift(n: int, l: int, Z: float, m_e: float = ELECTRON_MASS,
                         panels=2 * _NODES * (len(edges) - 1))
 
 
-def uehling_shift_fixed_grid(n: int, l: int, Z: float, segments: int = 24,
-                             m_e: float = ELECTRON_MASS,
-                             alpha: float = FINE_STRUCTURE) -> float:
+def uehling_shift_fixed_grid(n: int, l: int, Z: float, segments: int = 24) -> float:
     """Composite 12-node Gauss-Legendre oracle for the shift, in MeV.
 
     Deliberately independent of uehling_shift: the r integral is outermost,
@@ -410,16 +411,16 @@ def uehling_shift_fixed_grid(n: int, l: int, Z: float, segments: int = 24,
     pointwise in the t-form (uehling_potential) instead of the closed-form
     radial integral under a theta rule.  Doubling `segments` probes convergence.
     """
-    radial = hydrogen_radial(n, l, Z, m_e, alpha)
+    radial = hydrogen_radial(n, l, Z)
     x, w = np.polynomial.legendre.leggauss(12)
-    r_max = 20.0 / m_e
+    r_max = 20.0 / ELECTRON_MASS
     edges = np.linspace(0.0, r_max, segments + 1)
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         for xi, wi in zip(x, w):
             r = mid + half * xi
-            total += wi * half * radial(r) ** 2 * uehling_potential(r, Z, m_e, alpha) * r * r
+            total += wi * half * radial(r) ** 2 * uehling_potential(r, Z) * r * r
     return total
 
 
@@ -509,8 +510,8 @@ def f2_record(alpha: float = FINE_STRUCTURE) -> dict:
     return _record("a_e", value, "dimensionless", err, panels)
 
 
-def anomaly_record(electric, magnetic, charge: float = ELEMENTARY_CHARGE) -> dict:
-    value = float(anomaly_rhs(FieldConfiguration.from_fields(electric, magnetic), charge)) + 0.0
+def anomaly_record(electric, magnetic) -> dict:
+    value = float(anomaly_rhs(FieldConfiguration.from_fields(electric, magnetic))) + 0.0
     if not math.isfinite(value):
         raise NonfiniteResult("the contraction eps^{mnrs} F_mn F_rs overflows")
     return _record("axial_anomaly_rhs", value, "MeV^4", 0.0, 0)

@@ -62,7 +62,7 @@ class ExternalPotential:
         return _max_residual(self.fourier(-dp) - np.conj(self.fourier(dp)))
 
 
-def coulomb_ft(dp, Z: float, e: float = ELEMENTARY_CHARGE, mu: float = 0.0):
+def coulomb_ft(dp, Z: float, *, mu: float = 0.0):
     """Fourier transform of the point-charge Coulomb potential.
 
     A~^0 = -Z e / (|Dp_vec|^2 + mu^2), spatial components zero; mu is an
@@ -77,15 +77,12 @@ def coulomb_ft(dp, Z: float, e: float = ELEMENTARY_CHARGE, mu: float = 0.0):
     if _any(denom == 0.0):
         raise ForwardSingular("Coulomb transform diverges at zero momentum transfer")
     out = np.zeros(dp.shape, dtype=complex)
-    out[..., 0] = -Z * e / denom
+    out[..., 0] = -Z * ELEMENTARY_CHARGE / denom
     return out
 
 
-def coulomb_potential(Z: float, e: float = ELEMENTARY_CHARGE, mu: float = 0.0) -> ExternalPotential:
-    return ExternalPotential(
-        fourier=lambda dp: coulomb_ft(dp, Z, e, mu),
-        static=True,
-    )
+def coulomb_potential(Z: float, *, mu: float = 0.0) -> ExternalPotential:
+    return ExternalPotential(fourier=lambda dp: coulomb_ft(dp, Z, mu=mu), static=True)
 
 
 def zero_potential() -> ExternalPotential:
@@ -207,8 +204,7 @@ def _elastic_pair(p_mag: float, kappa, mass: float):
     return p_i, p_f
 
 
-def mott_dcs(p_mag: float, kappa, Z: float, mass: float = ELECTRON_MASS,
-             e: float = ELEMENTARY_CHARGE):
+def mott_dcs(p_mag: float, kappa, Z: float):
     """Differential cross-section for elastic Coulomb scattering, MeV^-2 per sr.
 
     Assembled from the computed spin sum: after cancelling the squared delta
@@ -223,12 +219,12 @@ def mott_dcs(p_mag: float, kappa, Z: float, mass: float = ELECTRON_MASS,
     the projectors take the mass as given, not from the rounded momenta.
     """
     _check_angles(kappa)
-    p_i, p_f = _elastic_pair(p_mag, kappa, mass)
-    amp2 = spin_trace(p_i, p_f, coulomb_potential(Z, e), mass)
-    return mass**2 / TWO_PI**2 * e**2 * amp2
+    p_i, p_f = _elastic_pair(p_mag, kappa, ELECTRON_MASS)
+    amp2 = spin_trace(p_i, p_f, coulomb_potential(Z), ELECTRON_MASS)
+    return ELECTRON_MASS**2 / TWO_PI**2 * ELEMENTARY_CHARGE**2 * amp2
 
 
-def rutherford_dcs(p_mag: float, kappa, Z: float, mass: float = ELECTRON_MASS):
+def rutherford_dcs(p_mag: float, kappa, Z: float):
     """Spinless baseline Z^2 alpha^2 E^2 / (4 p^4 sin^4(kappa/2)), MeV^-2 per sr.
 
     Taken as (Z alpha E / (2 p^2 sin^2(kappa/2)))^2, whose intermediates stay
@@ -236,7 +232,7 @@ def rutherford_dcs(p_mag: float, kappa, Z: float, mass: float = ELECTRON_MASS):
     single angle or an array of them.
     """
     _check_angles(kappa)
-    energy = float(np.hypot(mass, p_mag))
+    energy = float(np.hypot(ELECTRON_MASS, p_mag))
     s2 = np.sin(np.asarray(kappa) / 2.0) ** 2
     try:
         return (Z * FINE_STRUCTURE * energy / (2.0 * p_mag**2 * s2)) ** 2
@@ -244,18 +240,18 @@ def rutherford_dcs(p_mag: float, kappa, Z: float, mass: float = ELECTRON_MASS):
         raise NonfiniteResult("Rutherford cross-section overflows") from None
 
 
-def mott_ratio(p_mag: float, kappa, Z: float = 1.0, mass: float = ELECTRON_MASS):
+def mott_ratio(p_mag: float, kappa, Z: float = 1.0):
     """Computed ratio dcs/rutherford; analytically 1 - beta^2 sin^2(kappa/2).
 
     Takes a single angle or an array of them.
     """
-    return mott_dcs(p_mag, kappa, Z, mass) / rutherford_dcs(p_mag, kappa, Z, mass)
+    return mott_dcs(p_mag, kappa, Z) / rutherford_dcs(p_mag, kappa, Z)
 
 
-def mott_factor_momentum_form(p_mag: float, kappa: float, mass: float = ELECTRON_MASS) -> float:
+def mott_factor_momentum_form(p_mag: float, kappa: float) -> float:
     """The variant factor 1 - |p/m|^2 sin^2(kappa/2), reported for comparison.
 
     Agrees with the computed beta^2 form only to leading order in |p|/m; the
     computed form is normative here.
     """
-    return 1.0 - (p_mag / mass) ** 2 * np.sin(kappa / 2.0) ** 2
+    return 1.0 - (p_mag / ELECTRON_MASS) ** 2 * np.sin(kappa / 2.0) ** 2

@@ -347,13 +347,12 @@ def potential_from_transition(mode_in: Mode, mode_out: Mode, charge: float) -> E
 
 def mutual_scattering_amplitude(in1: Mode, out1: Mode, in2: Mode, out2: Mode,
                                 charge1: float = ELEMENTARY_CHARGE,
-                                charge2: float = ELEMENTARY_CHARGE,
-                                box_edge: float = TWO_PI) -> complex:
+                                charge2: float = ELEMENTARY_CHARGE) -> complex:
     """First-order amplitude for particle 1 scattering off the field of 2.
 
     A single source iteration: particle 2's transition current sources a
     potential through the photon kernel, and particle 1 scatters off it at
-    momentum transfer Dp1.  Exchanging the roles of the particles yields the
+    momentum transfer Dp1, in the box of edge 2 pi.  Exchanging the roles of the particles yields the
     same number, which is the mutuality property under test; the contraction
     symmetry is not assumed here.
     """
@@ -361,7 +360,7 @@ def mutual_scattering_amplitude(in1: Mode, out1: Mode, in2: Mode, out2: Mode,
     dp1 = out1.p - in1.p
     a_tilde = pot.fourier(dp1)
     sandwich = bar(out1.amplitude_spinor()) @ slash(a_tilde) @ in1.amplitude_spinor()
-    return complex(1j * charge1 / box_edge**3 * sandwich)
+    return complex(1j * charge1 / TWO_PI**3 * sandwich)
 
 
 # ---------------------------------------------------------------------------

@@ -101,10 +101,10 @@ def _spinor_residuals(p, phi, a_u, a_v, spin_dirs) -> dict:
         u_block, v_block,
     )
 
-    m = np.sqrt(-minkowski_dot(p, p))
-    ub, vb = u_block(p), v_block(p)
+    m = np.sqrt(-minkowski_dot(p, p))  # mass_of(p) to the bit
+    ub, vb = u_block(p, m), v_block(p, m)
     ubar, vbar = bar(ub), bar(vb)
-    lu, lv = lambda_u(p), lambda_v(p)
+    lu, lv = lambda_u(p, m), lambda_v(p, m)
     u_a = _matvec(ub, a_u)
     w = u_a + _matvec(0.6 * vb, a_v)
     rebuilt = _matvec(ub, _matvec(ubar, w)) + _matvec(vb, -_matvec(vbar, w))

@@ -270,6 +270,13 @@ class TestMollerFirstOrder:
         with pytest.raises(UnresolvedDelta):
             moller_first_order(incident, coulomb_potential(Z=1.0), [q])
 
+    def test_no_outgoing_momenta_raises_unresolved_delta(self, rng):
+        p_in = four_vector(np.hypot(1.0, 0.5), 0.0, 0.0, 0.5)
+        incident = Mode(p=p_in, branch=1, a=random_spin_coefficients(rng))
+        for outs in ([], elastic_shell(p_in, [0.5], n_azimuth=0)):
+            with pytest.raises(UnresolvedDelta, match="no outgoing momentum conserves the mass"):
+                moller_first_order(incident, coulomb_potential(1.0), outs)
+
     def test_static_potential_skips_energy_violating_nodes(self, rng):
         # same mass but different p0: allowed by the mass delta, killed by
         # the static potential's energy delta; the elastic node survives

@@ -253,6 +253,14 @@ class TestUehling:
         with pytest.raises(NonfiniteResult):
             uehling_shift(1, 0, Z=1e300)
 
+    @pytest.mark.parametrize("Z", [0.0, -1.0, -300.0, float("nan"), float("inf")])
+    def test_nuclear_charge_must_be_positive_and_finite(self, Z):
+        for call in (lambda: bohr_radius(Z), lambda: hydrogen_radial(1, 0, Z),
+                     lambda: uehling_shift(1, 0, Z), lambda: uehling_shift_fixed_grid(2, 1, Z),
+                     lambda: shift_record(2, 0, Z)):
+            with pytest.raises(ValueError, match="nuclear charge Z must be positive and finite"):
+                call()
+
     @pytest.mark.parametrize("form", [uehling_ratio, uehling_potential_hyperbolic])
     def test_subnormal_radius_is_nonfinite_result(self, form):
         # 40 / (2 m r) overflows at a subnormal r, and the panel count with it

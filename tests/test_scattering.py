@@ -42,6 +42,13 @@ class TestCoulombTransform:
         val = coulomb_ft(four_vector(0.0, 0.0, 0.0, 0.0), Z=1.0, mu=0.1)
         assert np.isfinite(val[0])
 
+    def test_screening_mass_is_keyword_only(self):
+        dp = four_vector(0.0, 0.5, 0.0, 0.0)
+        with pytest.raises(TypeError):
+            coulomb_ft(dp, 1.0, 0.1)
+        with pytest.raises(TypeError):
+            coulomb_potential(1.0, 0.1)
+
     def test_z_linearity(self):
         dp = four_vector(0.0, 0.5, 0.0, 0.0)
         assert np.allclose(coulomb_ft(dp, Z=3.0), 3.0 * coulomb_ft(dp, Z=1.0))

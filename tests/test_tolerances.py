@@ -50,6 +50,56 @@ def test_numeric_control_parameters_are_only_those_callers_set():
     }
 
 
+_PHYSICS_PARAMETERS = {"m_e", "alpha", "mass", "e", "charge", "charges", "charge1", "charge2",
+                       "box_edge"}
+
+
+def test_physics_parameters_are_only_those_callers_set():
+    found = set()
+    for short in _MODULES:
+        module = importlib.import_module(f"paradirac.{short}")
+        for name, fn in _public_callables(module):
+            for param in inspect.signature(fn).parameters:
+                if param in _PHYSICS_PARAMETERS:
+                    found.add(f"{short}.{name}({param})")
+    # the Uehling, Mott, Moller, mutual-scattering and anomaly-record
+    # functions read the electron mass, alpha, e and the 2 pi box from
+    # algebra; what remains is carried data or set by verify, the CLI, the
+    # sampling draws or the tests
+    assert found == {
+        "propagate.influence_conjugation_check(box_edge)",
+        "propagate.kernel_matrix(box_edge)",
+        "radiative.anomaly_rhs(charge)",
+        "radiative.axial_divergence_tree(mass)",
+        "radiative.f2_anomalous_moment(alpha)",
+        "radiative.f2_record(alpha)",
+        "radiative.self_potential(charge)",
+        "sampling.random_mode(mass)",
+        "sampling.random_state(box_edge)",
+        "sampling.random_state(mass)",
+        "sampling.random_timelike_momentum(mass)",
+        "scattering.spin_averaged_amp2(mass)",
+        "scattering.spin_trace(mass)",
+        "spinors.lambda_u(mass)",
+        "spinors.lambda_v(mass)",
+        "spinors.u_block(mass)",
+        "spinors.v_block(mass)",
+        "states.free_equation_residual(box_edge)",
+        "states.plane_wave_value(box_edge)",
+        "states.single_mode_state(box_edge)",
+        "twobody.antisymmetrize(box_edge)",
+        "twobody.bs_born_step(mass)",
+        "twobody.bs_power_iteration(mass)",
+        "twobody.mutual_scattering_amplitude(charge1)",
+        "twobody.mutual_scattering_amplitude(charge2)",
+        "twobody.potential_from_transition(charge)",
+        "twobody.s2_first_order(charges)",
+        "twobody.symmetrize(box_edge)",
+        "twobody.two_conjugation_check(box_edge)",
+        "twobody.two_kernel_matrix(box_edge)",
+    }
+
+
 def _momentum(mass, p_mag=0.5):
     return four_vector(np.hypot(mass, p_mag), 0.0, 0.0, p_mag)
 
