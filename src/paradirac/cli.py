@@ -165,9 +165,10 @@ def cmd_verify(args) -> int:
     return 0 if all_passed(results) else 1
 
 
-# Angles per batched Mott trace.  Each row keeps several 4x4 complex
-# temporaries (256 B each) live, so a long grid is taken in slices; the
-# benchmark's tables (at most 200 angles) are one slice.
+# Angles per batched Mott table.  Each row keeps a few complex temporaries
+# live (4x4 for X, 4x2 and 2x4 spinor blocks, the 2x2 amplitudes), so a long
+# grid is taken in slices; the benchmark's tables (at most 200 angles) are
+# one slice.
 _MOTT_BATCH = 200
 
 

@@ -38,7 +38,7 @@ from .algebra import (
     _max_residual,
 )
 from .errors import DegenerateInterval, NonfiniteResult, UnresolvedDelta
-from .spinors import _block, lambda_u, lambda_v
+from .spinors import _block, _projector
 from .states import Mode, SpectralState, Subspace, TermContainer, classify_subspace
 
 
@@ -132,7 +132,7 @@ def _support_terms(which: int, momenta, dx, dtau: float):
     if not np.isfinite(angle).all():
         raise NonfiniteResult("the kernel phase p.dx overflows")
     phase = np.exp(1j * angle)
-    projector = np.where(np.asarray(upper)[..., None, None], lambda_u(p, m), lambda_v(p, m))
+    projector = _projector(p, m, phi, np.where(upper, -1.0, 1.0))
     return sgn, projector * phase[..., None, None] + 0.0
 
 

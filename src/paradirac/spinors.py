@@ -100,18 +100,23 @@ def v_block(p, mass=None):
     return _block(p, mass, None, upper=False)
 
 
+def _projector(p, mass, phi, sign):
+    """(m I4 + sign phi_p slash(p)) / 2m: Lambda_u for sign -1 and Lambda_v
+    for sign +1; `sign` is one or one per row of p, `mass` and `phi` are as
+    for _kinematics."""
+    p, m, _, phi = _kinematics(p, mass, phi)
+    m = _col(m)
+    return (m * I4 + _col(sign * phi) * slash(p)) / (2.0 * m)
+
+
 def lambda_u(p, mass=None):
     """Covariant projector onto the u branch, (m I4 - phi_p slash(p)) / 2m."""
-    p, m, _, phi = _kinematics(p, mass)
-    m = _col(m)
-    return (m * I4 - _col(phi) * slash(p)) / (2.0 * m)
+    return _projector(p, mass, None, -1)
 
 
 def lambda_v(p, mass=None):
     """Covariant projector onto the v branch, (m I4 + phi_p slash(p)) / 2m."""
-    p, m, _, phi = _kinematics(p, mass)
-    m = _col(m)
-    return (m * I4 + _col(phi) * slash(p)) / (2.0 * m)
+    return _projector(p, mass, None, 1)
 
 
 def spin_projector(s):

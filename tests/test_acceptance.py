@@ -195,6 +195,27 @@ def test_criterion_4_mott_ratio_precision_range(announce):
     assert worst <= 1e-12
 
 
+def test_criterion_4_mott_ratio_at_180_degrees(announce):
+    # A Mott table enumerates its four spin amplitudes, which cancels terms
+    # of order E/m only, so the ratio keeps its relative precision up to 180
+    # degrees, where it falls to (m/E)^2; spin_trace, which cancels terms of
+    # order (E/m)^2, is 35% off at |p|/m = 1e8 and 180 degrees.  Oracle: the
+    # closed form, as above.
+    m = ELECTRON_MASS
+    degrees = [1e-3, 0.5, 10.0, 30.0, 60.0, 90.0, 120.0, 150.0, 170.0, 179.0, 179.9, 179.99, 180.0]
+    kappa = np.radians(degrees)
+    worst = 0.0
+    for ratio_pm in np.geomspace(1e-6, 1e8, 29):
+        p_mag = ratio_pm * m
+        analytic = (m * m + (p_mag * np.cos(kappa / 2.0)) ** 2) / (m * m + p_mag * p_mag)
+        rel = np.abs(mott_ratio(p_mag, kappa) - analytic) / analytic
+        worst = max(worst, float(rel.max()))
+    ok = worst <= 1e-7
+    announce(4, f"ratio vs closed form max rel dev {worst:.1e} over {len(degrees)} angles up to "
+                f"180 deg by 29 values of |p|/m in [1e-6, 1e8]", ok)
+    assert worst <= 1e-7
+
+
 def test_criterion_5_anomalous_moment(announce):
     start = time.perf_counter()
     value = f2_anomalous_moment()

@@ -188,10 +188,8 @@ class TestKernelScalingGuard:
     @pytest.fixture
     def projector_calls(self, monkeypatch):
         calls = []
-        for name in ("lambda_u", "lambda_v"):
-            fn = getattr(propagate, name)
-            monkeypatch.setattr(propagate, name,
-                                lambda *args, fn=fn, **kw: calls.append(1) or fn(*args, **kw))
+        fn = propagate._projector
+        monkeypatch.setattr(propagate, "_projector", lambda *args, **kw: calls.append(1) or fn(*args, **kw))
         return calls
 
     def test_influence_conjugation_check(self, rng, projector_calls):
@@ -201,14 +199,14 @@ class TestKernelScalingGuard:
             momenta = [random_timelike_momentum(rng) for _ in range(n)]
             assert influence_conjugation_check(rng.normal(size=4), 0.9, momenta) == 0.0
             counts.append(len(projector_calls))
-        # one lambda_u and one lambda_v call for each of the two kernel stacks
-        assert counts == [4, 4]
+        # one projector call for each of the two kernel stacks
+        assert counts == [2, 2]
 
     def test_two_conjugation_check(self, rng, projector_calls):
         pairs = [(random_timelike_momentum(rng), random_timelike_momentum(rng)) for _ in range(200)]
         assert two_conjugation_check((rng.normal(size=4), rng.normal(size=4)), 0.6, pairs) == 0.0
-        # two signs, two tensor factors, one lambda_u and one lambda_v each
-        assert len(projector_calls) == 8
+        # two signs, two tensor factors, one projector call each
+        assert len(projector_calls) == 4
 
 
 class TestElasticShell:

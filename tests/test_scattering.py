@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from paradirac import cli, scattering
 from paradirac.algebra import ELECTRON_MASS, FINE_STRUCTURE, four_vector
 from paradirac.errors import ForwardSingular, SubspaceViolation
 from paradirac.sampling import random_spin_coefficients
@@ -53,11 +54,38 @@ class TestCoulombTransform:
         dp = four_vector(0.0, 0.5, 0.0, 0.0)
         assert np.allclose(coulomb_ft(dp, Z=3.0), 3.0 * coulomb_ft(dp, Z=1.0))
 
+    def test_negative_charge_allowed(self):
+        dp = four_vector(0.0, 0.5, 0.0, 0.0)
+        val = coulomb_potential(-2.0, mu=0.7).fourier(dp)
+        assert np.array_equal(val, -2.0 * coulomb_ft(dp, 1.0, mu=0.7))
+
     def test_potential_hermiticity(self):
         pot = coulomb_potential(Z=1.0)
         assert pot.static
         dp = four_vector(0.0, 0.4, -0.2, 0.9)
         assert pot.hermiticity_residual(dp) <= 1e-14
+
+
+_NAN, _INF = float("nan"), float("inf")
+_DP = four_vector(0.0, 0.3, -0.2, 0.5)
+
+
+@pytest.mark.parametrize("fn, args, kwargs", [
+    *[pytest.param(coulomb_ft, (_DP, z), {}, id=f"coulomb_ft-Z={z}") for z in (_NAN, _INF, -_INF)],
+    *[pytest.param(coulomb_ft, (_DP, 1.0), {"mu": mu}, id=f"coulomb_ft-mu={mu}") for mu in (_NAN, _INF)],
+    *[pytest.param(coulomb_potential, (z,), {}, id=f"coulomb_potential-Z={z}") for z in (_NAN, _INF)],
+    *[pytest.param(coulomb_potential, (1.0,), {"mu": mu}, id=f"coulomb_potential-mu={mu}")
+      for mu in (_NAN, _INF, -0.5)],
+    *[pytest.param(fn, (p_mag, 1.0, 1.0), {}, id=f"{fn.__name__}-p={p_mag}")
+      for fn in (mott_dcs, rutherford_dcs, mott_ratio) for p_mag in (_NAN, _INF, -2.0, 0.0)],
+    *[pytest.param(fn, (0.5, 1.0, z), {}, id=f"{fn.__name__}-Z={z}")
+      for fn in (mott_dcs, rutherford_dcs, mott_ratio) for z in (_NAN, _INF, -_INF)],
+])
+def test_nonfinite_or_nonpositive_input_refused(fn, args, kwargs):
+    # each raises ValueError before any arithmetic, not a NaN, an inf or a
+    # numpy warning
+    with pytest.raises(ValueError, match="must be"):
+        fn(*args, **kwargs)
 
 
 class TestReducedAmplitude:
@@ -202,8 +230,11 @@ class TestBatchedAngles:
         # At |p|/m = 1e4 the mass recovered from the rounded p_i and p_f
         # differs beyond the shell tolerance, which zeroed most rows; the
         # carried mass keeps every dcs positive and the ratio on its closed
-        # form.  The trace cancels to an absolute, not relative, eps-level
-        # error, which shows as the ratio falls to 1e-8 at 180 degrees.
+        # form.  The bound is absolute because spin_trace's error is: it
+        # cancels terms of order (E/m)^2 to an eps-level absolute error, which
+        # is no longer small against the ratio as it falls to 1e-8 at 180
+        # degrees.  Acceptance criterion 4 holds the enumeration to a
+        # relative bound.
         m = ELECTRON_MASS
         p_mag = 1e4 * m
         kappa = np.radians(np.linspace(0.5, 180.0, 200))
@@ -211,6 +242,17 @@ class TestBatchedAngles:
         assert np.all(dcs > 0.0)
         analytic = (m * m + (p_mag * np.cos(kappa / 2.0)) ** 2) / (m * m + p_mag * p_mag)
         assert np.abs(mott_ratio(p_mag, kappa) - analytic).max() <= 1e-12
+
+    def test_tables_do_not_take_the_trace(self, monkeypatch, capsys):
+        # spin_trace stays the second route: mott_dcs and the mott command
+        # run without it
+        def refuse(*args, **kwargs):
+            raise AssertionError("spin_trace called")
+
+        monkeypatch.setattr(scattering, "spin_trace", refuse)
+        assert np.all(mott_dcs(0.7, self.angles, 1.0) > 0.0)
+        assert cli.main(["mott", "--angles", "30,90,180"]) == 0
+        assert capsys.readouterr().out.count("\n") == 4
 
     def test_carried_mass_in_spin_sum(self):
         # spin_averaged_amp2 with the mass given skips mass_of, whose
