@@ -19,9 +19,9 @@ import numpy as np
 # each cmd_* imports the layers it runs, so a process loads only those
 from .algebra import ELECTRON_MASS, FINE_STRUCTURE
 from .errors import NonfiniteResult
-from .verify import SUITE_NAMES, all_passed, format_report, run_suites
 
 _STATE_LABELS = {"1s": (1, 0), "2s": (2, 0), "2p": (2, 1)}
+_SUITE_NAMES = ("algebra", "spinors", "propagate", "twobody", "currents")  # verify.SUITE_NAMES, without loading verify
 
 
 def _parse_angles(text: str):
@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the named residual suites")
     p_verify.set_defaults(run=cmd_verify)
-    p_verify.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
+    p_verify.add_argument("--suite", choices=("all",) + _SUITE_NAMES, default="all")
     p_verify.add_argument("--seed", type=_nonnegative_int, default=0)
     p_verify.add_argument("--tol", type=_positive, default=None,
                           help="override every per-suite tolerance")
@@ -159,6 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_verify(args) -> int:
+    from .verify import SUITE_NAMES, all_passed, format_report, run_suites
+
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     results = run_suites(names, seed=args.seed, tol=args.tol)
     sys.stdout.write(format_report(results))

@@ -105,18 +105,6 @@ def free_evolve(state: TermContainer, tau: float, tau_prime: float, which: int) 
     return InfluenceKernel(which, tau_prime - tau)._evolve(state, 1)
 
 
-def semigroup_compose(state: SpectralState, tau0: float, tau1: float, tau2: float, which: int) -> SpectralState:
-    """Two-step evolution tau0 -> tau1 -> tau2 with the same kernel.
-
-    When tau1 lies between tau0 and tau2 this equals sign(tau2 - tau0) times
-    the direct single step.  When tau1 lies outside the interval the two
-    steps impose contradictory subspace filters and the composition is the
-    empty state; that ordering violation is reported through the returned
-    value, not an exception.
-    """
-    return free_evolve(free_evolve(state, tau0, tau1, which), tau1, tau2, which)
-
-
 def _support_terms(which: int, momenta, dx, dtau: float):
     """sign(dtau) and, per momentum of shape (..., 4), the unscaled 4x4 term of
     kernel_matrix's sum, as a zero-started sum holds it: -0.0 folded to +0.0.
@@ -234,9 +222,6 @@ def moller_first_order(incident: Mode, potential, out_momenta) -> SpectralState:
     a_out = _matvec(bar(_block(q, m_out, phi, branch == 1)), kick)
     live = a_out.any(axis=-1)
     q, branch, a_out, m_out = q[live], branch[live], a_out[live], m_out[live]
-    return SpectralState(())._derive(
-        np.concatenate(([1.0 + 0.0j], branch * (1j * ELEMENTARY_CHARGE / TWO_PI**3))),
-        np.concatenate((incident.p[None], q))[:, None],
-        np.concatenate(([incident.branch], branch))[:, None],
-        np.concatenate((incident.a[None], a_out))[:, None],
-        np.concatenate(([incident.mass], m_out))[:, None])
+    rows = np.concatenate((q, a_out.view(float), branch[:, None], m_out[:, None]), axis=1)
+    return SpectralState._from_rows(np.concatenate(([1.0], branch * (1j * ELEMENTARY_CHARGE / TWO_PI**3))),
+                                    np.concatenate(([incident._row], rows)), TWO_PI)

@@ -461,9 +461,10 @@ def _divergence_bilinears(state, insert, points):
     from .states import _concatenated_outer
 
     channels = np.concatenate([np.ones((len(state.coeff), 1)), 1j * lower_index(state.p[:, 0])], axis=1)
-    outer = _concatenated_outer(state, state.coeff[:, None] * channels, points)
-    d = outer[:, 0, :, 1:].swapaxes(1, 2) + outer[:, 1:, :, 0]  # mu first
-    return np.einsum("xab,ab->x", outer[:, 0, :, 0], insert), np.einsum("xmab,mab->x", d, GAMMA_STACK @ insert)
+    with np.errstate(all="ignore"):  # NaN samples: axial_divergence_tree refuses them, a NaN residual fails
+        outer = _concatenated_outer(state, state.coeff[:, None] * channels, points)
+        d = outer[:, 0, :, 1:].swapaxes(1, 2) + outer[:, 1:, :, 0]  # mu first
+        return np.einsum("xab,ab->x", outer[:, 0, :, 0], insert), np.einsum("xmab,mab->x", d, GAMMA_STACK @ insert)
 
 
 def vector_divergence_check(state, points) -> float:
@@ -484,12 +485,17 @@ def axial_divergence_tree(state, mass: float, points):
     tau frequency nu the exact relation is lhs = (2 i nu) * density, so lhs
     equals rhs on the backward subspace (nu = -mass) and equals -rhs on the
     forward one; callers compare on the subspace they prepared.  Every mode
-    must carry the mass to ATOL_SHELL (relative), else MassMismatch.
+    must carry the mass to ATOL_SHELL (relative), else MassMismatch; a
+    non-finite sample raises NonfiniteResult.
     """
     if (np.abs(state.mass - mass) > ATOL_SHELL * max(1.0, mass)).any():
         raise MassMismatch("state carries a mass different from the sharp value")
     density, lhs = _divergence_bilinears(state, GAMMA5, points)
-    return lhs, -2j * mass * density
+    with np.errstate(all="ignore"):  # an overflowing sample is refused below
+        rhs = -2j * mass * density
+    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+        raise NonfiniteResult("the axial divergence samples are not finite")
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import TWO_PI, _dot, _norm, four_vector
+from .algebra import TWO_PI, _dot, _norm, mass_of
 from .states import Mode, SpectralState, Subspace
 
 # default mass for generated modes, in the natural MeV units used throughout
@@ -26,6 +26,22 @@ def random_unit_vector(rng):
     return v / n
 
 
+def _sign(rng):
+    return 1 if rng.integers(0, 2) == 0 else -1
+
+
+def _on_shell(phi, pvec, mass):
+    """Four-momenta of spatial parts pvec (..., 3) and energy phi sqrt(m^2 + p.p)."""
+    energy = phi * np.sqrt(mass**2 + _dot(pvec, pvec))
+    return np.concatenate((np.expand_dims(energy, -1), pvec), axis=-1)
+
+
+def _unit_doublets(normals):
+    """Unit spin doublets of normals (..., 4): the real parts, then the imaginary."""
+    a = normals[..., :2] + 1j * normals[..., 2:4]
+    return a / _norm(a)[..., None]
+
+
 def random_timelike_momentum(rng, mass=DEFAULT_MASS, phi=None, p_scale=1.0):
     """On-shell four-momentum with rest mass ``mass`` and energy sign ``phi``.
 
@@ -33,16 +49,13 @@ def random_timelike_momentum(rng, mass=DEFAULT_MASS, phi=None, p_scale=1.0):
     momentum spread (normal components with that standard deviation).
     """
     if phi is None:
-        phi = 1 if rng.integers(0, 2) == 0 else -1
-    pvec = rng.normal(scale=p_scale, size=3)
-    e = phi * np.sqrt(mass**2 + pvec @ pvec)
-    return four_vector(e, *pvec)
+        phi = _sign(rng)
+    return _on_shell(phi, rng.normal(scale=p_scale, size=3), mass)
 
 
 def random_spin_coefficients(rng):
     """Normalized complex doublet of spin coefficients."""
-    a = rng.normal(size=2) + 1j * rng.normal(size=2)
-    return a / np.linalg.norm(a)
+    return _unit_doublets(rng.normal(size=4))
 
 
 def random_spinor_draws(rng, count: int):
@@ -52,9 +65,8 @@ def random_spinor_draws(rng, count: int):
 
     Returns p (count, 4), phi (count,), a_u and a_v (count, 2) and the spin
     directions (count // 10 rounded up, 3).  One block of normals, sliced
-    per draw, is the same stream as those calls make one at a time, and the
-    arithmetic is rounded as theirs is; a change to any of them must be
-    made here too.
+    per draw, is the same stream as those calls make one at a time, and
+    their arithmetic runs on the stacked draws.
     """
     draw = np.arange(count)
     tenth = draw % 10 == 0
@@ -64,44 +76,39 @@ def random_spinor_draws(rng, count: int):
     rows = normals[starts[:, None] + np.arange(11)]
     spin_dirs = normals[starts[tenth, None] + np.arange(11, 14)]
     phi = np.where(draw % 2 == 0, 1.0, -1.0)
-    pvec = rows[:, :3]
-    energy = phi * np.sqrt(DEFAULT_MASS**2 + _dot(pvec, pvec))
-    p = np.concatenate([energy[:, None], pvec], axis=1)
-    a_u, a_v = (rows[:, j:j + 2] + 1j * rows[:, j + 2:j + 4] for j in (3, 7))
-    a_u, a_v = (a / _norm(a)[:, None] for a in (a_u, a_v))
-    return p, phi, a_u, a_v, spin_dirs / _norm(spin_dirs)[:, None]
+    p = _on_shell(phi, rows[:, :3], DEFAULT_MASS)
+    return p, phi, _unit_doublets(rows[:, 3:7]), _unit_doublets(rows[:, 7:]), spin_dirs / _norm(spin_dirs)[:, None]
+
+
+def _mode_draws(rng, branch, phi, p_scale, size):
+    """One mode's draws in stream order, [branch, phi, normals]: each sign where it
+    is None, the momentum's three normals (times p_scale), then size - 3 more."""
+    if branch is None:
+        branch = _sign(rng)
+    if phi is None:
+        phi = _sign(rng)
+    return [branch, phi, *rng.normal(scale=p_scale, size=3).tolist(), *rng.normal(size=size - 3).tolist()]
 
 
 def random_mode(rng, mass=DEFAULT_MASS, branch=None, phi=None, p_scale=1.0):
     """Single random plane-wave mode."""
-    if branch is None:
-        branch = 1 if rng.integers(0, 2) == 0 else -1
-    p = random_timelike_momentum(rng, mass=mass, phi=phi, p_scale=p_scale)
-    return Mode(p=p, branch=branch, a=random_spin_coefficients(rng))
+    row = np.array(_mode_draws(rng, branch, phi, p_scale, 7))
+    return Mode(_on_shell(row[1], row[2:5], mass), int(row[0]), _unit_doublets(row[5:]))
 
 
-def random_state(
-    rng,
-    n_modes=4,
-    mass=DEFAULT_MASS,
-    subspace=None,
-    box_edge=TWO_PI,
-    p_scale=1.0,
-):
+def random_state(rng, n_modes=4, mass=DEFAULT_MASS, subspace=None, box_edge=TWO_PI, p_scale=1.0):
     """Superposition of ``n_modes`` random modes with random coefficients.
 
     subspace=Subspace.S_PLUS restricts to branch*sign(p0) = +1 (mixing both
     energy signs), S_MINUS to -1; None mixes all four (branch, sign) cells.
+    Each mode draws as random_mode, then its coefficient; no Mode is built.
     """
-    terms = []
+    rows = []
     for _ in range(n_modes):
-        if subspace is None:
-            branch, phi = None, None
-        else:
-            phi = 1 if rng.integers(0, 2) == 0 else -1
-            want = 1 if subspace is Subspace.S_PLUS else -1
-            branch = want * phi
-        mode = random_mode(rng, mass=mass, branch=branch, phi=phi, p_scale=p_scale)
-        coeff = rng.normal() + 1j * rng.normal()
-        terms.append((coeff, mode))
-    return SpectralState(terms=tuple(terms), box_edge=box_edge)
+        phi = None if subspace is None else _sign(rng)
+        branch = None if subspace is None else (phi if subspace is Subspace.S_PLUS else -phi)
+        rows.append(_mode_draws(rng, branch, phi, p_scale, 9))
+    rows = np.array(rows).reshape(-1, 11)
+    p, a = _on_shell(rows[:, 1], rows[:, 2:5], mass), _unit_doublets(rows[:, 5:9])
+    labels = np.concatenate((p, a.view(float), rows[:, :1], mass_of(p)[:, None]), axis=1)
+    return SpectralState._from_rows(rows[:, 9] + 1j * rows[:, 10], labels, box_edge)

@@ -172,23 +172,12 @@ def boost_spin(s_hat, p):
     return out
 
 
-def _check_branch(branch):
-    """Raise ValueError unless `branch` (one sign or one per row) is +1 or -1."""
-    if not (np.all(np.abs(branch) == 1) if np.ndim(branch) else branch in (1, -1)):
-        raise ValueError("branch must be +1 or -1")
-
-
 def branch_block(p, branch):
     """u_block for branch +1, v_block for branch -1; `branch` is one sign or
     one per row of p."""
-    _check_branch(branch)
+    if not (np.all(np.abs(branch) == 1) if np.ndim(branch) else branch in (1, -1)):
+        raise ValueError("branch must be +1 or -1")
     return _block(p, None, None, branch == 1)
-
-
-def branch_projector(p, branch):
-    """lambda_u for branch +1, lambda_v for branch -1."""
-    _check_branch(branch)
-    return lambda_u(p) if branch == 1 else lambda_v(p)
 
 
 def decompose_in_block(p, branch, spinor):

@@ -72,6 +72,26 @@ class _Frozen:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+def _label_row(p, branch, a):
+    """Mode's checks of one label, in order: its row [p, a as re/im pairs, branch, mass] and phi."""
+    p = np.asarray(p, dtype=float)
+    a = np.asarray(a, dtype=complex)
+    if p.shape != (4,):
+        raise ValueError("momentum must be a four-vector")
+    if a.shape != (2,):
+        raise ValueError("spin coefficients must be a complex pair")
+    a0, a1 = a.tolist()
+    row = [*p.tolist(), a0.real, a0.imag, a1.real, a1.imag]
+    if not all(map(math.isfinite, row)):
+        raise ValueError("mode fields must be finite")
+    if branch not in (1, -1):  # tested before int(), which a NaN or infinite branch makes raise
+        raise ValueError("branch must be +1 or -1")
+    m, phi = _row_kinematics(*row[:4])
+    if m == 0.0:
+        raise MasslessState("modes require strictly timelike momenta")
+    return row + [int(branch), m], phi
+
+
 class Mode(_Frozen):
     """One box-normalized plane-wave mode (p, branch, spin coefficients).
 
@@ -83,24 +103,8 @@ class Mode(_Frozen):
     """
 
     def __init__(self, p, branch, a):
-        p = np.asarray(p, dtype=float)
-        a = np.asarray(a, dtype=complex)
-        if p.shape != (4,):
-            raise ValueError("momentum must be a four-vector")
-        if a.shape != (2,):
-            raise ValueError("spin coefficients must be a complex pair")
-        a0, a1 = a.tolist()
-        row = [*p.tolist(), a0.real, a0.imag, a1.real, a1.imag]
-        if not all(map(math.isfinite, row)):
-            raise ValueError("mode fields must be finite")
-        if branch not in (1, -1):  # tested before int(), which a NaN or infinite branch makes raise
-            raise ValueError("branch must be +1 or -1")
-        m, phi = _row_kinematics(*row[:4])
-        if m == 0.0:
-            raise MasslessState("modes require strictly timelike momenta")
-        b = int(branch)
-        row += (b, m)
-        vars(self).update(branch=b, mass=m, phi=phi, _row=row)
+        row, phi = _label_row(p, branch, a)
+        vars(self).update(branch=row[8], mass=row[9], phi=phi, _row=row)
 
     @functools.cached_property
     def p(self):
@@ -192,7 +196,7 @@ class TermContainer(_Frozen):
     with the mass (n, w) of every mode; they are the only copy of the
     labels.  The arrays are read-only and no attribute can be reassigned,
     so the cached join keys stay valid.  Rows with equal labels merge on
-    construction: _load and _derive key it on _row_bytes of (p + 0.0,
+    construction: _fill keys it on _row_bytes of (p + 0.0,
     a + 0.0, branch), so -0.0 equals 0.0 as in array_equal: coefficients add
     in input order at the first occurrence and zero sums drop.  A non-finite
     coefficient, given or summed, raises NonfiniteResult.  The state maps
@@ -204,11 +208,7 @@ class TermContainer(_Frozen):
     width = 1
 
     def _load(self, terms, box_edge, **fields):
-        """Construct from (coeff, Mode, ...) tuples in a box of edge
-        box_edge; fields are the further attributes of the subclass."""
-        if not 0.0 < box_edge < math.inf:  # NaN fails both comparisons
-            raise ValueError(f"box edge must be positive and finite, got {box_edge}")
-        vars(self).update(fields, box_edge=float(box_edge))
+        """Construct from (coeff, Mode, ...) tuples, through _fill."""
         coeffs, rows, classes = [], [], (Mode,) * self.width
         for coeff, *row in terms:
             if len(row) != self.width or not all(map(isinstance, row, classes)):
@@ -216,36 +216,25 @@ class TermContainer(_Frozen):
             coeffs.append(complex(coeff))
             for mode in row:
                 rows += mode._row
-        # per mode: p (4), a as re/im pairs (4), branch, mass
-        rows = np.array(rows, dtype=float).reshape(len(coeffs), self.width, 10)
-        self._merge(_row_bytes(rows[..., :9].reshape(len(coeffs), 9 * self.width)),
-                    np.array(coeffs, dtype=complex),
-                    (rows[..., :4], rows[..., 8].astype(int), rows[..., 4:8].view(complex), rows[..., 9]))
+        self._fill(coeffs, rows, box_edge, **fields)
 
-    def _derive(self, coeff, p, branch, a, mass):
-        """A state of the same kind and box on new label arrays, with `mass`
-        the mass_of(p) that every caller already holds.  Checks in batch
-        what Mode checks, with the same error classes."""
-        if not (np.isfinite(p).all() and np.isfinite(a).all()):
+    def _fill(self, coeff, rows, box_edge, **fields):
+        """The one constructor: coefficients (n,) and the n * w label rows of their
+        modes, as _label_row gives them, checked in batch as Mode checks them (same
+        error classes) and merged on their keys; fields are the subclass's own."""
+        if not 0.0 < box_edge < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"box edge must be positive and finite, got {box_edge}")
+        coeff = np.asarray(coeff, dtype=complex)
+        rows = np.asarray(rows, dtype=float).reshape(len(coeff), self.width, 10)
+        if not np.isfinite(rows[..., :8]).all():
             raise ValueError("mode fields must be finite")
-        if not (np.abs(branch) == 1).all():
+        if not (np.abs(rows[..., 8]) == 1).all():
             raise ValueError("branch must be +1 or -1")
-        if (mass == 0.0).any():
+        if not rows[..., 9].all():  # a NaN mass passes, as in Mode
             raise MasslessState("modes require strictly timelike momenta")
-        rows = np.concatenate((p, a.view(float), branch[..., None]), axis=-1, dtype=float)
-        out = copy.copy(self)
-        out._merge(_row_bytes(rows.reshape(len(rows), 9 * self.width)), coeff, (p, branch, a, mass))
-        return out
-
-    def _subset(self, index, coeff):
-        """The labels at [index] (rows, or rows and columns) with new coefficients."""
-        out = copy.copy(self)
-        out._store(coeff, [x[index] for x in (self.p, self.branch, self.a, self.mass)])
-        return out
-
-    def _merge(self, keys, coeff, labels):
-        """Store the rows merged on their keys; labels are the arrays
-        (p, branch, a, mass)."""
+        vars(self).update(fields, box_edge=float(box_edge))
+        keys = _row_bytes(rows[..., :9].reshape(len(coeff), 9 * self.width))
+        labels = (rows[..., :4], rows[..., 8].astype(int), rows[..., 4:8].view(complex), rows[..., 9])
         first = dict.fromkeys(keys)
         if len(first) < len(keys):
             ids = {key: i for i, key in enumerate(first)}
@@ -259,6 +248,18 @@ class TermContainer(_Frozen):
                 np.add.at(summed, group[later], coeff[later])
             coeff, labels = summed, [x[rows] for x in labels]
         self._store(coeff, labels)
+        return self
+
+    @classmethod
+    def _from_rows(cls, coeff, rows, box_edge, **fields):
+        """A new container, through _fill."""
+        return object.__new__(cls)._fill(coeff, rows, box_edge, **fields)
+
+    def _subset(self, index, coeff):
+        """The labels at [index] (rows, or rows and columns) with new coefficients."""
+        out = copy.copy(self)
+        out._store(coeff, [x[index] for x in (self.p, self.branch, self.a, self.mass)])
+        return out
 
     def _store(self, coeff, labels):
         if not np.isfinite(coeff).all():
@@ -368,7 +369,8 @@ def _transform(state: SpectralState, matrix, conjugate, flip) -> SpectralState:
     q = state.p * np.array([-1.0 if flip else 1.0, -1.0, -1.0, -1.0])
     branch, phi = (-state.branch, -state.phi) if flip else (state.branch, state.phi)
     a = _decompose(_block(q, state.mass, phi, branch == 1), branch, spinor)
-    return state._derive(state.coeff.conj() if conjugate else state.coeff, q, branch, a, state.mass)
+    rows = np.concatenate((q, a.view(float), branch[..., None], state.mass[..., None]), axis=-1)
+    return copy.copy(state)._fill(state.coeff.conj() if conjugate else state.coeff, rows, state.box_edge)
 
 
 def charge_conjugate(state: SpectralState) -> SpectralState:
@@ -502,7 +504,8 @@ def _window_outer(group, nu, bra, ket, momenta, points, box_edge):
 def _concatenated_outer(state: SpectralState, channels, points):
     """_window_outer of a one-particle state in one group, on rows channels (n, c) times w_l."""
     _require_width(state, 1)
-    rows = channels[..., None] * state.spinors()
+    with np.errstate(all="ignore"):  # an overflowing row gives NaN samples, for the caller to refuse
+        rows = channels[..., None] * state.spinors()
     return _window_outer(np.zeros(len(rows), dtype=np.intp), state.frequency[:, 0], rows, rows,
                          state.p[:, 0], points, state.box_edge)
 
@@ -518,11 +521,14 @@ def bilinear_concatenated(state: SpectralState, insert, points):
     """sum over surviving pairs of w_bar_k @ insert @ w_l exp(i dp.x).
 
     insert may be a (4, 4) matrix or a stack of them with shape (..., 4, 4);
-    returns complex samples of shape (npoints, ...).  Values are in units of
-    T_tau (the symbolic tau-concatenation scale).
+    returns complex samples of shape (npoints, ...) in units of T_tau (the
+    symbolic tau-concatenation scale).  A non-finite one raises NonfiniteResult.
     """
     outer = _concatenated_outer(state, state.coeff[:, None], points)[:, 0, :, 0]
-    return np.einsum("xab,...ab->x...", outer, insert)
+    samples = np.einsum("xab,...ab->x...", outer, insert)
+    if not np.isfinite(samples).all():
+        raise NonfiniteResult("the concatenated bilinear is not finite")
+    return samples
 
 
 def _vector_current(outer) -> CurrentField:
@@ -608,13 +614,13 @@ def _json_numbers(value, shape, message):
     return value
 
 
-def mode_from_record(record) -> Mode:
-    """The Mode of one wire record."""
+def _record_row(record):
+    """The checked row of one wire record, as _label_row gives it."""
     _json_object(record, ("p", "branch", "a"), "mode record")
     p = _json_numbers(record["p"], (4,), "momentum must be a four-vector")
     branch = _json_numbers(record["branch"], (), "branch must be +1 or -1")
     a = _json_numbers(record["a"], (2, 2), "spin coefficients must be two [re, im] pairs")
-    return Mode(p, branch, [complex(re, im) for re, im in a])
+    return _label_row(p, branch, [complex(re, im) for re, im in a])[0]
 
 
 def state_to_json(state: SpectralState) -> str:
@@ -631,8 +637,7 @@ def state_from_json(text: str) -> SpectralState:
     items = json.loads(text)
     if not isinstance(items, list):
         raise ValueError("spectral state JSON must be a list of mode records")
-    terms = []
-    box = None
+    rows, box = [], None
     for item in items:
         record = _json_object(item, ("L",), "mode record")
         edge = float(_json_numbers(record["L"], (), "box edge L must be a number"))
@@ -640,5 +645,5 @@ def state_from_json(text: str) -> SpectralState:
             box = edge
         elif edge != box:
             raise BoxMismatch("mode records disagree on the box edge")
-        terms.append((1.0 + 0.0j, mode_from_record(item)))
-    return SpectralState(tuple(terms), TWO_PI if box is None else box)
+        rows += _record_row(item)
+    return SpectralState._from_rows([1.0] * len(items), rows, TWO_PI if box is None else box)

@@ -51,18 +51,24 @@ from .states import (
     _json_numbers,
     _json_object,
     _plane_waves,
+    _record_row,
     _require_width,
     _vector_current,
     _window_outer,
     classify_subspace,
     inner_product,
-    mode_from_record,
     mode_to_record,
     overlap_join,
 )
 from .spinors import _block
 
 _EXCHANGE_TAGS = ("none", "fermionic", "bosonic")
+
+
+def _exchange_tag(exchange):
+    if exchange not in _EXCHANGE_TAGS:
+        raise ValueError(f"exchange must be one of {_EXCHANGE_TAGS}")
+    return exchange
 
 
 class TwoParticleState(TermContainer):
@@ -73,9 +79,7 @@ class TwoParticleState(TermContainer):
     width = 2
 
     def __init__(self, terms, exchange="none", box_edge=TWO_PI):
-        if exchange not in _EXCHANGE_TAGS:
-            raise ValueError(f"exchange must be one of {_EXCHANGE_TAGS}")
-        self._load(terms, box_edge, exchange=exchange)
+        self._load(terms, box_edge, exchange=_exchange_tag(exchange))
 
     def value(self, x, y, tau):
         """4x4 outer-product wavefunction, first index particle 1."""
@@ -138,9 +142,10 @@ def _marginal_outer(state: TwoParticleState, particle: int, spinors, points):
     own, other = particle - 1, 2 - particle
     ids: dict = {}
     group = np.array([ids.setdefault(key, len(ids)) for key in state.overlap_keys(other)], dtype=np.intp)
-    bra = (state.coeff[:, None] * state.a[:, other])[..., None] * spinors[:, own, None]
-    outer = _window_outer(group, state.frequency.sum(axis=1), bra, state.branch[:, other, None, None] * bra,
-                          state.p[:, own], points, state.box_edge)
+    with np.errstate(all="ignore"):  # an overflowing row gives NaN samples, which _vector_current refuses
+        bra = (state.coeff[:, None] * state.a[:, other])[..., None] * spinors[:, own, None]
+        ket = state.branch[:, other, None, None] * bra
+    outer = _window_outer(group, state.frequency.sum(axis=1), bra, ket, state.p[:, own], points, state.box_edge)
     return np.einsum("xsasb->xab", outer)
 
 
@@ -380,6 +385,7 @@ def two_state_from_json(text: str) -> TwoParticleState:
         raise ValueError("two-particle state JSON pairs must be a list of term records")
     pairs = [_json_object(pair, ("c", "x", "y"), "term record") for pair in payload["pairs"]]
     terms = [(complex(*_json_numbers(pair["c"], (2,), "term coefficient c must be a [re, im] pair")),
-              mode_from_record(pair["x"]), mode_from_record(pair["y"])) for pair in pairs]
+              _record_row(pair["x"]) + _record_row(pair["y"])) for pair in pairs]
     edge = _json_numbers(payload["L"], (), "box edge L must be a number")
-    return TwoParticleState(terms, payload["exchange"], float(edge))
+    return TwoParticleState._from_rows([c for c, _ in terms], [row for _, row in terms], float(edge),
+                                       exchange=_exchange_tag(payload["exchange"]))

@@ -7,7 +7,8 @@ The per-Mode loops for the discrete symmetries, free evolution, the Born
 sandwiches and the Moller nodes work one Mode at a time, as the code did
 before the term container held arrays; none of them reads a container's
 arrays.  The free influence kernel is the loop over its support, one
-momentum at a time.
+momentum at a time.  The samplers draw one mode at a time with scalar numpy
+calls and build a Mode per draw.
 The label pools hold momenta and spins with zero components, so that their
 sign-flipped variants (-0.0) test the key folding.
 """
@@ -32,7 +33,7 @@ from paradirac.algebra import (
     slash,
 )
 from paradirac.spinors import branch_block, decompose_in_block, lambda_u, lambda_v
-from paradirac.states import Mode
+from paradirac.states import Mode, SpectralState, Subspace
 
 # on-shell momenta with zero components (masses 1 and 2, both energy signs),
 # so that sign flips of zeros occur; the last two share an energy shell
@@ -284,3 +285,38 @@ def kernel_loop(which, momenta, dx, dtau, box_edge=TWO_PI):
     for p in momenta:
         out += kernel_term(which, p, dx, dtau)
     return (1 if dtau > 0 else -1) * 1j / box_edge**4 * out
+
+
+def sampled_momentum(rng, mass, phi, p_scale):
+    """random_timelike_momentum, one scalar draw and one four-vector."""
+    if phi is None:
+        phi = 1 if rng.integers(0, 2) == 0 else -1
+    pvec = rng.normal(scale=p_scale, size=3)
+    return four_vector(phi * np.sqrt(mass**2 + pvec @ pvec), *pvec)
+
+
+def sampled_spins(rng):
+    """random_spin_coefficients, its real and imaginary parts drawn apart."""
+    a = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return a / np.linalg.norm(a)
+
+
+def sampled_mode(rng, mass, branch, phi, p_scale):
+    """random_mode: the branch draw, then a momentum and spins, as one Mode."""
+    if branch is None:
+        branch = 1 if rng.integers(0, 2) == 0 else -1
+    return Mode(sampled_momentum(rng, mass, phi, p_scale), branch, sampled_spins(rng))
+
+
+def sampled_state(rng, n_modes, mass, subspace, box_edge, p_scale):
+    """random_state as a loop of sampled_mode plus a coefficient per mode,
+    built from the (coeff, Mode) terms."""
+    terms = []
+    for _ in range(n_modes):
+        branch = phi = None
+        if subspace is not None:
+            phi = 1 if rng.integers(0, 2) == 0 else -1
+            branch = phi if subspace is Subspace.S_PLUS else -phi
+        mode = sampled_mode(rng, mass, branch, phi, p_scale)
+        terms.append((rng.normal() + 1j * rng.normal(), mode))
+    return SpectralState(tuple(terms), box_edge)

@@ -27,6 +27,10 @@ from brute_force import (
     label_bits,
     label_mode,
     moller_loop,
+    sampled_mode,
+    sampled_momentum,
+    sampled_spins,
+    sampled_state,
     scan_merge,
     signed_zeros,
     symmetry_loop,
@@ -48,13 +52,23 @@ from paradirac.sampling import (
     random_timelike_momentum,
 )
 from paradirac.scattering import ExternalPotential, coulomb_ft, coulomb_potential
-from paradirac.states import Mode, SpectralState, concatenated_current, inner_product
+from paradirac.states import (
+    Mode,
+    SpectralState,
+    Subspace,
+    concatenated_current,
+    inner_product,
+    state_from_json,
+    state_to_json,
+)
 from paradirac.twobody import (
     TwoParticleState,
     potential_from_transition,
     s2_first_order,
     two_inner_product,
     two_kernel_matrix,
+    two_state_from_json,
+    two_state_to_json,
 )
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -88,7 +102,7 @@ def rows_with_repeats(raw, width):
 
 class TestConstructionMatchesOracle:
     """Both constructors stack the Modes' rows and merge on the row bytes
-    of (p + 0.0, a + 0.0, branch), the key _derive merges on."""
+    of (p + 0.0, a + 0.0, branch), the key of the one constructor, _fill."""
 
     @pytest.mark.parametrize("width", [1, 2])
     @given(raw=LABEL_ROWS)
@@ -96,14 +110,10 @@ class TestConstructionMatchesOracle:
         terms = rows_with_repeats(raw, width)
         state = SpectralState(terms) if width == 1 else TwoParticleState(terms, "fermionic", 3.0)
         assert_same_bits(state.terms, scan_merge(terms))
-        # the unmerged label arrays, merged by _derive
-        modes = [row for _, *row in terms]
-        derived = state._derive(
-            np.array([coeff for coeff, *_ in terms], dtype=complex),
-            np.array([[m.p for m in row] for row in modes], dtype=float).reshape(len(terms), width, 4),
-            np.array([[m.branch for m in row] for row in modes], dtype=int).reshape(len(terms), width),
-            np.array([[m.a for m in row] for row in modes], dtype=complex).reshape(len(terms), width, 2),
-            np.array([[m.mass for m in row] for row in modes], dtype=float).reshape(len(terms), width))
+        # the unmerged label rows, stacked from each Mode's arrays, merged by _fill
+        rows = [[*m.p, *m.a.view(float), m.branch, m.mass] for _, *row in terms for m in row]
+        fields = {"exchange": state.exchange} if width == 2 else {}
+        derived = type(state)._from_rows([coeff for coeff, *_ in terms], rows, state.box_edge, **fields)
         for name in ("coeff", "p", "branch", "a", "mass"):
             got, want = getattr(state, name), getattr(derived, name)
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
@@ -307,6 +317,16 @@ class TestArrayPathBuildsNoModes:
         assert len(moller.terms) == self.N + 1 and not moller.is_empty
         assert built == []
 
+    def test_sampling_and_readers(self, rng, built):
+        modes = [mode for _, mode in random_state(rng, self.N).terms]
+        pair = TwoParticleState(tuple((1.0, x, y) for x, y in zip(modes, modes[1:] + modes[:1])), "none", 3.0)
+        one, two = state_to_json(SpectralState(tuple((1.0, m) for m in modes))), two_state_to_json(pair)
+        built.clear()
+
+        assert len(random_state(rng, self.N).coeff) == self.N and built == []
+        assert len(state_from_json(one).coeff) == self.N and built == []
+        assert len(two_state_from_json(two).coeff) == self.N and built == []
+
     def test_rows_are_built_per_read(self, rng, built):
         image = states.parity(random_state(rng, self.N))
         built.clear()
@@ -316,6 +336,49 @@ class TestArrayPathBuildsNoModes:
         # each read builds its Modes anew; nothing is cached
         assert label_bits(view[0][1]) == label_bits(view[0][1]) and len(built) == 6
         assert len(list(view)) == self.N and len(built) == self.N + 6
+
+
+SAMPLING_GRID = [(n, mass, p_scale) for n in (0, 1, 3, 17, 200)
+                 for mass, p_scale in ((1.0, 1.0), (0.511, 3.0), (2.0, 1e-4))]
+
+
+def generator_state(rng):
+    state = rng.bit_generator.state
+    return state["state"], state["has_uint32"], state["uinteger"]
+
+
+class TestSamplingMatchesOracle:
+    """The samplers draw in the one-mode-at-a-time order and do the
+    arithmetic on the stacked draws: the states, the wire text and the
+    generator state after the draws equal the scalar loops' bit for bit."""
+
+    @pytest.mark.parametrize("subspace", [None, Subspace.S_PLUS, Subspace.S_MINUS])
+    def test_random_state_grid(self, subspace):
+        for seed in range(30):
+            box = 3.0 if seed % 3 == 0 else states.TWO_PI
+            for n, mass, p_scale in SAMPLING_GRID:
+                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = random_state(got_rng, n, mass=mass, subspace=subspace, box_edge=box, p_scale=p_scale)
+                want = sampled_state(want_rng, n, mass, subspace, box, p_scale)
+                for name in ("coeff", "p", "branch", "a", "mass"):
+                    x, y = getattr(got, name), getattr(want, name)
+                    assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+                assert got.box_edge == want.box_edge
+                assert state_to_json(got) == state_to_json(want)
+                assert generator_state(got_rng) == generator_state(want_rng)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_modes_momenta_and_spins(self, seed):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _, mass, p_scale in SAMPLING_GRID:
+            for branch in (None, 1, -1):
+                for phi in (None, 1, -1):
+                    got = random_mode(got_rng, mass=mass, branch=branch, phi=phi, p_scale=p_scale)
+                    assert label_bits(got) == label_bits(sampled_mode(want_rng, mass, branch, phi, p_scale))
+                    p = random_timelike_momentum(got_rng, mass=mass, phi=phi, p_scale=p_scale)
+                    assert p.tobytes() == sampled_momentum(want_rng, mass, phi, p_scale).tobytes()
+                    assert random_spin_coefficients(got_rng).tobytes() == sampled_spins(want_rng).tobytes()
+        assert generator_state(got_rng) == generator_state(want_rng)
 
 
 class TestCarriedMass:

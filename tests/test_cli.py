@@ -62,6 +62,12 @@ class TestVerifyCommand:
             cli.main(["verify", "--suite", "bogus"])
         assert excinfo.value.code == 2
 
+    def test_parser_suite_names_are_verify_suites(self):
+        # the parser spells the suite names out, so that it loads no suite
+        assert cli._SUITE_NAMES == SUITE_NAMES
+        for name in ("all",) + SUITE_NAMES:
+            assert cli.build_parser().parse_args(["verify", "--suite", name]).suite == name
+
 
 class TestMottCommand:
     def test_table_shape_and_values(self, capsys):
@@ -357,13 +363,13 @@ class TestMottArgvContract:
 class TestStartupImports:
     @pytest.mark.parametrize("argv, layers", [
         ([], []),
-        (["g2"], ["algebra", "cli", "errors", "radiative", "verify"]),
-        (["uehling"], ["algebra", "cli", "errors", "radiative", "verify"]),
+        (["g2"], ["algebra", "cli", "errors", "radiative"]),
+        (["uehling"], ["algebra", "cli", "errors", "radiative"]),
         (["anomaly", "--E", "1,2,3", "--B", "0.5,-1,2"],
-         ["algebra", "cli", "errors", "radiative", "verify"]),
-        (["mott"], ["algebra", "cli", "errors", "scattering", "spinors", "verify"]),
+         ["algebra", "cli", "errors", "radiative"]),
+        (["mott"], ["algebra", "cli", "errors", "scattering", "spinors"]),
         (["propagate-demo"], ["algebra", "cli", "errors", "propagate", "sampling", "spinors",
-                              "states", "verify"]),
+                              "states"]),
         (["verify"], ["algebra", "cli", "errors", "propagate", "radiative", "sampling",
                       "scattering", "spinors", "states", "twobody", "verify"]),
     ], ids=["import", "g2", "uehling", "anomaly", "mott", "propagate-demo", "verify"])

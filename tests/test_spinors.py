@@ -14,7 +14,6 @@ from paradirac.sampling import (
 from paradirac.spinors import (
     boost_spin,
     branch_block,
-    branch_projector,
     chirality_projector,
     decompose_in_block,
     helicity_operator,
@@ -105,16 +104,13 @@ class TestBranchDecomposition:
         p = random_timelike_momentum(rng)
         assert np.array_equal(branch_block(p, 1), u_block(p))
         assert np.array_equal(branch_block(p, -1), v_block(p))
-        assert np.array_equal(branch_projector(p, 1), lambda_u(p))
-        assert np.array_equal(branch_projector(p, -1), lambda_v(p))
         with pytest.raises(ValueError):
             branch_block(p, 0)
 
     @pytest.mark.parametrize("branch", [0, 7, -2, 0.5])
     def test_projector_rejects_other_branches(self, rng, branch):
+        # lambda_u and lambda_v take no branch; the one branch dispatch is branch_block
         p = random_timelike_momentum(rng)
-        with pytest.raises(ValueError, match="branch must be"):
-            branch_projector(p, branch)
         with pytest.raises(ValueError, match="branch must be"):
             branch_block(p, branch)
 
@@ -186,8 +182,6 @@ class TestBatched:
             assert np.array_equal(fn(p), [fn(row) for row in p]), fn.__name__
         for branch in (1, -1):
             assert np.array_equal(branch_block(p, branch), [branch_block(row, branch) for row in p])
-            assert np.array_equal(branch_projector(p, branch),
-                                  [branch_projector(row, branch) for row in p])
 
     def test_decomposition_equals_rows(self, rng):
         p = _batch(rng)

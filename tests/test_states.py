@@ -1,6 +1,7 @@
 """Spectral states: mode bookkeeping, symmetries, currents, serialization."""
 
 import json
+import math
 import warnings
 from dataclasses import FrozenInstanceError
 
@@ -27,6 +28,7 @@ from brute_force import (
 from paradirac import states
 from paradirac.algebra import GAMMA0, GAMMA2, GAMMA5, TWO_PI, energy_sign, four_vector, gamma, mass_of
 from paradirac.errors import BoxMismatch, MasslessState, NonfiniteResult, SuperluminalMomentum, ZeroEnergy
+from paradirac.radiative import axial_divergence_tree, vector_divergence_check
 from paradirac.sampling import (
     random_mode,
     random_spin_coefficients,
@@ -54,7 +56,7 @@ from paradirac.states import (
     time_reverse,
     tpc,
 )
-from paradirac.twobody import TwoParticleState, two_state_from_json, two_state_to_json
+from paradirac.twobody import TwoParticleState, two_currents, two_state_from_json, two_state_to_json
 
 GAMMA1 = gamma(1)
 GAMMA3 = gamma(3)
@@ -447,11 +449,12 @@ class TestSerialization:
             state_from_json(text)
 
     def test_mode_record_must_be_a_complete_object(self):
-        record = {"p": [1.5, 0.0, 0.0, 0.0], "branch": 1, "a": [[1.0, 0.0], [0.0, 0.0]]}
-        assert states.mode_from_record(record).label_key == Mode(record["p"], 1, [1.0, 0.0]).label_key
+        record = {"p": [1.5, 0.0, 0.0, 0.0], "branch": 1, "a": [[1.0, 0.0], [0.0, 0.0]], "L": 2.0}
+        state = state_from_json(json.dumps([record]))
+        assert state.terms[0][1].label_key == Mode(record["p"], 1, [1.0, 0.0]).label_key
         for bad in ([], None, "p", {k: v for k, v in record.items() if k != "a"}):
-            with pytest.raises(ValueError):
-                states.mode_from_record(bad)
+            with pytest.raises(ValueError, match="^mode record must be a JSON object with the keys"):
+                state_from_json(json.dumps([bad]))
 
 
 def _strict_json(text):
@@ -498,6 +501,45 @@ class TestFiniteCoefficients:
         text = two_state_to_json(pair)
         _strict_json(text)
         assert two_state_to_json(two_state_from_json(text)) == text
+
+
+class TestFiniteBilinears:
+    """A finite state whose samples overflow: each bilinear value raises
+    NonfiniteResult before any warning, and a divergence residual reads NaN."""
+
+    # on the mass-1 forward shell; FAST's spinor has a component sqrt(1.5)
+    FAST = Mode(four_vector(2.0, np.sqrt(3.0), 0.0, 0.0), 1, [1.0, 0.0])
+    SLOW = Mode(four_vector(np.sqrt(1.25), 0.0, 0.5, 0.0), 1, [0.6, 0.8j])
+    STATES = [
+        pytest.param(lambda: SpectralState([(1e300, TestFiniteBilinears.FAST), (1.0, TestFiniteBilinears.SLOW)]),
+                     id="square-overflows"),
+        pytest.param(lambda: SpectralState([(1.7e308, TestFiniteBilinears.FAST)]), id="row-overflows"),
+    ]
+    POINTS = np.array([[0.1, -0.2, 0.3, 0.4], [1.0, 0.5, -0.5, 0.0]])
+
+    @pytest.mark.parametrize("value", [
+        pytest.param(lambda state, points: bilinear_concatenated(state, np.eye(4), points), id="bilinear"),
+        pytest.param(concatenated_current, id="current"),
+        pytest.param(lambda state, points: axial_divergence_tree(state, 1.0, points), id="axial"),
+    ])
+    @pytest.mark.parametrize("build", STATES)
+    def test_value_raises(self, value, build):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonfiniteResult):
+                value(build(), self.POINTS)
+
+    @pytest.mark.parametrize("build", STATES)
+    def test_residual_is_nan(self, build):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(vector_divergence_check(build(), self.POINTS))
+
+    def test_two_body_row_overflow_raises(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonfiniteResult):
+                two_currents(TwoParticleState([(1.7e308, self.FAST, self.FAST)]), self.POINTS)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,49 @@ def test_physics_parameters_are_only_those_callers_set():
     }
 
 
+# Each module's public functions and classes.  A name that only tests call
+# is a wrapper to delete unless it is a second route that a check compares
+# against; a new public name is added here on purpose.
+_PUBLIC_NAMES = {
+    "algebra": {"bar", "dirac_adjoint", "energy_sign", "four_vector", "gamma", "lower_index", "mass_of",
+                "minkowski_dot", "pauli_dot", "slash"},
+    "spinors": {"boost_spin", "branch_block", "chirality_projector", "decompose_in_block", "helicity_operator",
+                "lambda_u", "lambda_v", "spin_projector", "u_block", "v_block"},
+    "states": {"CurrentField", "Mode", "SpectralState", "Subspace", "TermContainer", "bilinear_concatenated",
+               "charge_conjugate", "classify_subspace", "concatenated_current", "concatenated_pairs",
+               "coordinate_velocity", "current_divergence_fd", "free_equation_residual", "inner_product",
+               "mode_to_record", "overlap_join", "parity", "plane_wave_value", "single_mode_state",
+               "state_from_json", "state_to_json", "time_reverse", "tpc"},
+    "propagate": {"InfluenceKernel", "elastic_shell", "free_evolve", "influence_conjugation_check",
+                  "kernel_matrix", "moller_first_order"},
+    "scattering": {"ExternalPotential", "ReducedAmplitude", "SpinSum", "coulomb_ft", "coulomb_potential",
+                   "mott_dcs", "mott_factor_momentum_form", "mott_ratio", "rutherford_dcs", "s1_amplitude",
+                   "spin_averaged_amp2", "spin_trace", "zero_potential"},
+    "twobody": {"TwoParticleState", "antisymmetrize", "bs_born_step", "bs_power_iteration", "exchange_residual",
+                "mutual_scattering_amplitude", "permute_labels", "potential_from_transition", "s2_first_order",
+                "symmetrize", "two_conjugation_check", "two_current_divergence_fd", "two_currents",
+                "two_kernel_matrix", "two_state_from_json", "two_state_to_json"},
+    "radiative": {"FieldConfiguration", "UehlingShift", "anomaly_record", "anomaly_rhs", "axial_divergence_tree",
+                  "bohr_radius", "epsilon_tensor", "f2_anomalous_moment", "f2_record", "hydrogen_radial",
+                  "photon_propagator", "self_potential", "shift_record", "substitution_propagator",
+                  "uehling_potential", "uehling_potential_hyperbolic", "uehling_ratio", "uehling_shift",
+                  "uehling_shift_fixed_grid", "vector_divergence_check"},
+    "sampling": {"random_mode", "random_spin_coefficients", "random_spinor_draws", "random_state",
+                 "random_timelike_momentum", "random_unit_vector"},
+    "verify": {"Check", "all_passed", "format_report", "run_suite", "run_suites", "suite_algebra",
+               "suite_currents", "suite_propagate", "suite_spinors", "suite_twobody"},
+}
+
+
+def test_public_names_are_the_census():
+    found = {}
+    for short in _MODULES:
+        module = importlib.import_module(f"paradirac.{short}")
+        found[short] = {name for name, obj in vars(module).items()
+                        if not name.startswith("_") and getattr(obj, "__module__", None) == module.__name__}
+    assert found == _PUBLIC_NAMES
+
+
 def _momentum(mass, p_mag=0.5):
     return four_vector(np.hypot(mass, p_mag), 0.0, 0.0, p_mag)
 
