@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import SuperluminalMomentum, ZeroEnergy
+from .errors import NonfiniteResult, SuperluminalMomentum, ZeroEnergy
 
 # absolute tolerance for algebraic identities and kinematic checks
 ATOL_ALGEBRA = 1e-12
@@ -138,6 +138,13 @@ def _cmul(x, y):
     np.subtract(x.real * y.real, x.imag * y.imag, out=parts[..., 0])
     np.add(x.real * y.imag, x.imag * y.real, out=parts[..., 1])
     return out
+
+
+def _finite(value, message):
+    """value if every entry of it is finite, else NonfiniteResult(message)."""
+    if not np.isfinite(value).all():
+        raise NonfiniteResult(message)
+    return value
 
 
 def _max_residual(diff):

@@ -34,12 +34,13 @@ from .algebra import (
     minkowski_dot,
     slash,
     _cmul,
+    _finite,
     _matvec,
     _max_residual,
 )
-from .errors import DegenerateInterval, NonfiniteResult, UnresolvedDelta
+from .errors import DegenerateInterval, UnresolvedDelta
 from .spinors import _block, _projector
-from .states import Mode, SpectralState, Subspace, TermContainer, classify_subspace
+from .states import Mode, SpectralState, Subspace, TermContainer, _label_rows, classify_subspace
 
 
 @dataclass(frozen=True)
@@ -84,10 +85,7 @@ class InfluenceKernel:
 def _tau_angle(nu, dtau: float):
     """The tau phases nu * dtau; NonfiniteResult where one overflows."""
     with np.errstate(over="ignore"):
-        angle = nu * dtau
-    if not np.isfinite(angle).all():
-        raise NonfiniteResult(f"the tau phase nu*dtau overflows at dtau = {dtau:g}")
-    return angle
+        return _finite(nu * dtau, f"the tau phase nu*dtau overflows at dtau = {dtau:g}")
 
 
 def free_evolve(state: TermContainer, tau: float, tau_prime: float, which: int) -> TermContainer:
@@ -116,9 +114,7 @@ def _support_terms(which: int, momenta, dx, dtau: float):
     upper = phi == which * sgn
     angle = np.where(upper, 1.0, -1.0) * _tau_angle(phi * m, dtau)
     with np.errstate(over="ignore", invalid="ignore"):
-        angle = minkowski_dot(p, dx) + angle
-    if not np.isfinite(angle).all():
-        raise NonfiniteResult("the kernel phase p.dx overflows")
+        angle = _finite(minkowski_dot(p, dx) + angle, "the kernel phase p.dx overflows")
     phase = np.exp(1j * angle)
     projector = _projector(p, m, phi, np.where(upper, -1.0, 1.0))
     return sgn, projector * phase[..., None, None] + 0.0
@@ -202,7 +198,7 @@ def moller_first_order(incident: Mode, potential, out_momenta) -> SpectralState:
     An incident mode in S- is annihilated by the forward operator: the empty
     state is returned (the subspace violation is the documented zero, not an
     exception).  An empty list of outgoing momenta, or one with none on the
-    incident mass shell, raises UnresolvedDelta.
+    incident mass shell, raises UnresolvedDelta, and an overflowing node NonfiniteResult.
     """
     if classify_subspace(incident) is Subspace.S_MINUS:
         return SpectralState(())
@@ -218,10 +214,10 @@ def moller_first_order(incident: Mode, potential, out_momenta) -> SpectralState:
     a_tilde = potential.fourier(dp)
     phi = energy_sign(q)
     branch = np.where(phi > 0, 1, -1)
-    kick = _matvec(slash(a_tilde), incident.amplitude_spinor())
-    a_out = _matvec(bar(_block(q, m_out, phi, branch == 1)), kick)
+    with np.errstate(all="ignore"):  # an overflowing node is refused by _label_rows
+        kick = _matvec(slash(a_tilde), incident.amplitude_spinor())
+        a_out = _matvec(bar(_block(q, m_out, phi, branch == 1)), kick)
     live = a_out.any(axis=-1)
-    q, branch, a_out, m_out = q[live], branch[live], a_out[live], m_out[live]
-    rows = np.concatenate((q, a_out.view(float), branch[:, None], m_out[:, None]), axis=1)
-    return SpectralState._from_rows(np.concatenate(([1.0], branch * (1j * ELEMENTARY_CHARGE / TWO_PI**3))),
+    rows = _label_rows(q[live], a_out[live], branch[live], m_out[live])
+    return SpectralState._from_rows(np.concatenate(([1.0], branch[live] * (1j * ELEMENTARY_CHARGE / TWO_PI**3))),
                                     np.concatenate(([incident._row], rows)), TWO_PI)

@@ -40,6 +40,7 @@ from .algebra import (
     MEV_TO_MHZ,
     METRIC,
     TWO_PI,
+    _finite,
     _max_residual,
     lower_index,
     minkowski_dot,
@@ -251,9 +252,7 @@ def uehling_ratio(r: float) -> float:
     if r <= 0.0:
         raise NonpositiveRadius("the potential is defined for r > 0")
     two_mr = 2.0 * ELECTRON_MASS * r
-    v_max = math.sqrt(_DECAY / two_mr)
-    if not math.isfinite(v_max):
-        raise NonfiniteResult(f"the screening-profile rule overflows at r = {r:g}")
+    v_max = _finite(math.sqrt(_DECAY / two_mr), f"the screening-profile rule overflows at r = {r:g}")
     halvings = max(3, math.ceil(math.log2(4.0 * v_max)))
     edges = v_max * np.concatenate(([0.0], 0.5 ** np.arange(halvings, -1, -1)))
 
@@ -286,9 +285,7 @@ def uehling_potential_hyperbolic(r: float, Z: float) -> float:
     if r <= 0.0:
         raise NonpositiveRadius("the potential is defined for r > 0")
     two_mr = 2.0 * ELECTRON_MASS * r
-    theta_max = math.acosh(1.0 + _DECAY / two_mr)
-    if not math.isfinite(theta_max):
-        raise NonfiniteResult(f"the hyperbolic-form rule overflows at r = {r:g}")
+    theta_max = _finite(math.acosh(1.0 + _DECAY / two_mr), f"the hyperbolic-form rule overflows at r = {r:g}")
     edges = np.linspace(0.0, theta_max, max(8, math.ceil(theta_max)) + 1)
 
     def integrand(theta):
@@ -378,10 +375,9 @@ def uehling_shift(n: int, l: int, Z: float) -> UehlingShift:
     _check_nuclear_charge(Z)
     zeta = Z * FINE_STRUCTURE
     scale = -2.0 * FINE_STRUCTURE / (3.0 * np.pi) * zeta * zeta * ELECTRON_MASS
-    overflow = NonfiniteResult(f"the shift at Z = {Z:g} overflows")
+    overflow = f"the shift at Z = {Z:g} overflows"
     # checked before the rule too: where the scale overflows, theta_max can
-    if not math.isfinite(scale * MEV_TO_MHZ):
-        raise overflow
+    _finite(scale * MEV_TO_MHZ, overflow)
     # 1/s = q / (beta q + cosh theta) with q = 1/(2 m a): finite for any finite Z
     q = 0.5 * zeta
     weights = [math.factorial(k + 1) * c for k, c in enumerate(coeffs)]
@@ -397,9 +393,7 @@ def uehling_shift(n: int, l: int, Z: float) -> UehlingShift:
     edges = np.linspace(0.0, theta_max, math.ceil(theta_max) + 1)
     fine, err = _doubled_rule(integrand, edges, "shift")
     mev = scale * fine
-    if not math.isfinite(mev * MEV_TO_MHZ):
-        raise overflow
-    return UehlingShift(mev=mev, mhz=mev * MEV_TO_MHZ, est_error_mev=abs(scale) * err,
+    return UehlingShift(mev=mev, mhz=_finite(mev * MEV_TO_MHZ, overflow), est_error_mev=abs(scale) * err,
                         panels=2 * _NODES * (len(edges) - 1))
 
 
@@ -491,11 +485,8 @@ def axial_divergence_tree(state, mass: float, points):
     if (np.abs(state.mass - mass) > ATOL_SHELL * max(1.0, mass)).any():
         raise MassMismatch("state carries a mass different from the sharp value")
     density, lhs = _divergence_bilinears(state, GAMMA5, points)
-    with np.errstate(all="ignore"):  # an overflowing sample is refused below
-        rhs = -2j * mass * density
-    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
-        raise NonfiniteResult("the axial divergence samples are not finite")
-    return lhs, rhs
+    with np.errstate(all="ignore"):  # an overflowing sample is refused
+        return _finite((lhs, -2j * mass * density), "the axial divergence samples are not finite")
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +509,5 @@ def f2_record(alpha: float = FINE_STRUCTURE) -> dict:
 
 def anomaly_record(electric, magnetic) -> dict:
     value = float(anomaly_rhs(FieldConfiguration.from_fields(electric, magnetic))) + 0.0
-    if not math.isfinite(value):
-        raise NonfiniteResult("the contraction eps^{mnrs} F_mn F_rs overflows")
+    _finite(value, "the contraction eps^{mnrs} F_mn F_rs overflows")
     return _record("axial_anomaly_rhs", value, "MeV^4", 0.0, 0)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import TWO_PI, _dot, _norm, mass_of
-from .states import Mode, SpectralState, Subspace
+from .states import Mode, SpectralState, Subspace, _label_rows
 
 # default mass for generated modes, in the natural MeV units used throughout
 DEFAULT_MASS = 1.0
@@ -24,6 +24,11 @@ def random_unit_vector(rng):
         v = rng.normal(size=3)
         n = np.linalg.norm(v)
     return v / n
+
+
+def _check_mass(mass):
+    if not 0.0 < mass < np.inf:  # NaN fails both comparisons; checked before any draw
+        raise ValueError(f"mass must be positive and finite, got {mass}")
 
 
 def _sign(rng):
@@ -48,6 +53,7 @@ def random_timelike_momentum(rng, mass=DEFAULT_MASS, phi=None, p_scale=1.0):
     phi=None draws the energy sign uniformly; p_scale sets the spatial
     momentum spread (normal components with that standard deviation).
     """
+    _check_mass(mass)
     if phi is None:
         phi = _sign(rng)
     return _on_shell(phi, rng.normal(scale=p_scale, size=3), mass)
@@ -92,6 +98,7 @@ def _mode_draws(rng, branch, phi, p_scale, size):
 
 def random_mode(rng, mass=DEFAULT_MASS, branch=None, phi=None, p_scale=1.0):
     """Single random plane-wave mode."""
+    _check_mass(mass)
     row = np.array(_mode_draws(rng, branch, phi, p_scale, 7))
     return Mode(_on_shell(row[1], row[2:5], mass), int(row[0]), _unit_doublets(row[5:]))
 
@@ -101,14 +108,17 @@ def random_state(rng, n_modes=4, mass=DEFAULT_MASS, subspace=None, box_edge=TWO_
 
     subspace=Subspace.S_PLUS restricts to branch*sign(p0) = +1 (mixing both
     energy signs), S_MINUS to -1; None mixes all four (branch, sign) cells.
-    Each mode draws as random_mode, then its coefficient; no Mode is built.
+    Each mode draws as random_mode, then its coefficient; no Mode is built.  An
+    overflowing momentum raises NonfiniteResult.
     """
+    _check_mass(mass)
     rows = []
     for _ in range(n_modes):
         phi = None if subspace is None else _sign(rng)
         branch = None if subspace is None else (phi if subspace is Subspace.S_PLUS else -phi)
         rows.append(_mode_draws(rng, branch, phi, p_scale, 9))
     rows = np.array(rows).reshape(-1, 11)
-    p, a = _on_shell(rows[:, 1], rows[:, 2:5], mass), _unit_doublets(rows[:, 5:9])
-    labels = np.concatenate((p, a.view(float), rows[:, :1], mass_of(p)[:, None]), axis=1)
+    with np.errstate(all="ignore"):  # an overflowing momentum is refused by _label_rows
+        p = _on_shell(rows[:, 1], rows[:, 2:5], mass)
+        labels = _label_rows(p, _unit_doublets(rows[:, 5:9]), rows[:, 0], mass_of(p))
     return SpectralState._from_rows(rows[:, 9] + 1j * rows[:, 10], labels, box_edge)

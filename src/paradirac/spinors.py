@@ -42,6 +42,7 @@ from .algebra import (
     slash,
     _any,
     _dot,
+    _finite,
     _first,
     _matvec,
     _norm,
@@ -187,17 +188,18 @@ def decompose_in_block(p, branch, spinor):
     for the v branch.  Raises if the spinor has a component outside the
     branch subspace (it never does for images of the discrete symmetries).
     Momenta (..., 4) and spinors (..., 4) give coefficients (..., 2); the
-    branch is as for branch_block.
+    branch is as for branch_block.  A coefficient that is not finite raises NonfiniteResult.
     """
-    return _decompose(branch_block(p, branch), branch, spinor)
+    with np.errstate(all="ignore"):  # a NaN or inf is refused by _decompose
+        return _decompose(branch_block(p, branch), branch, spinor)
 
 
 def _decompose(block, branch, spinor):
-    """decompose_in_block in a block the caller has built for its rows."""
+    """decompose_in_block in a block the caller has built, under the caller's np.errstate."""
     spinor = np.asarray(spinor)
     a = np.asarray(branch, dtype=float)[..., None] * _matvec(bar(block), spinor)
-    residual = _norm(_matvec(block, a) - spinor)
+    residual = _norm(_matvec(block, _finite(a, "spin coefficients are not finite")) - spinor)
     scale = np.maximum(_norm(spinor), 1e-300)
-    if _any(residual > 1e-10 * scale):
+    if not (residual <= 1e-10 * scale).all():  # a NaN residual fails
         raise ValueError("spinor does not lie in the requested branch subspace")
     return a

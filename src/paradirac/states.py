@@ -47,11 +47,12 @@ from .algebra import (
     lower_index,
     minkowski_dot,
     _dot,
+    _finite,
     _matvec,
     _max_residual,
     _row_kinematics,
 )
-from .errors import BoxMismatch, MasslessState, NonfiniteResult
+from .errors import BoxMismatch, MasslessState
 from .spinors import _block, _decompose
 
 
@@ -90,6 +91,18 @@ def _label_row(p, branch, a):
     if m == 0.0:
         raise MasslessState("modes require strictly timelike momenta")
     return row + [int(branch), m], phi
+
+
+def _label_rows(p, a, branch, mass):
+    """_label_row's rows (..., 10) and checks, in batch, for computed labels p (..., 4),
+    a (..., 2), branch and mass (...); a non-finite field raises NonfiniteResult."""
+    rows = np.concatenate((p, a.view(float), branch[..., None], mass[..., None]), axis=-1)
+    _finite(rows[..., :8], "mode fields must be finite")
+    if not (np.abs(branch) == 1).all():
+        raise ValueError("branch must be +1 or -1")
+    if not mass.all():  # a NaN mass passes, as in _label_row
+        raise MasslessState("modes require strictly timelike momenta")
+    return rows
 
 
 class Mode(_Frozen):
@@ -220,18 +233,12 @@ class TermContainer(_Frozen):
 
     def _fill(self, coeff, rows, box_edge, **fields):
         """The one constructor: coefficients (n,) and the n * w label rows of their
-        modes, as _label_row gives them, checked in batch as Mode checks them (same
-        error classes) and merged on their keys; fields are the subclass's own."""
+        modes, checked already by _label_row (Modes, wire records) or _label_rows
+        (computed labels), merged on their keys; fields are the subclass's own."""
         if not 0.0 < box_edge < math.inf:  # NaN fails both comparisons
             raise ValueError(f"box edge must be positive and finite, got {box_edge}")
         coeff = np.asarray(coeff, dtype=complex)
         rows = np.asarray(rows, dtype=float).reshape(len(coeff), self.width, 10)
-        if not np.isfinite(rows[..., :8]).all():
-            raise ValueError("mode fields must be finite")
-        if not (np.abs(rows[..., 8]) == 1).all():
-            raise ValueError("branch must be +1 or -1")
-        if not rows[..., 9].all():  # a NaN mass passes, as in Mode
-            raise MasslessState("modes require strictly timelike momenta")
         vars(self).update(fields, box_edge=float(box_edge))
         keys = _row_bytes(rows[..., :9].reshape(len(coeff), 9 * self.width))
         labels = (rows[..., :4], rows[..., 8].astype(int), rows[..., 4:8].view(complex), rows[..., 9])
@@ -262,8 +269,7 @@ class TermContainer(_Frozen):
         return out
 
     def _store(self, coeff, labels):
-        if not np.isfinite(coeff).all():
-            raise NonfiniteResult("term coefficients must be finite")
+        _finite(coeff, "term coefficients must be finite")
         if not coeff.all():
             keep = coeff != 0.0
             coeff, labels = coeff[keep], [x[keep] for x in labels]
@@ -362,15 +368,14 @@ def single_mode_state(mode: Mode, coeff=1.0, box_edge=TWO_PI) -> SpectralState:
 # leaves mass_of(p) bit for bit as it was, so the image keeps the state's mass.
 
 def _transform(state: SpectralState, matrix, conjugate, flip) -> SpectralState:
-    spinor = state.spinors()
-    if conjugate:
-        spinor = spinor.conj()
-    spinor = _matvec(matrix, spinor)
     q = state.p * np.array([-1.0 if flip else 1.0, -1.0, -1.0, -1.0])
     branch, phi = (-state.branch, -state.phi) if flip else (state.branch, state.phi)
-    a = _decompose(_block(q, state.mass, phi, branch == 1), branch, spinor)
-    rows = np.concatenate((q, a.view(float), branch[..., None], state.mass[..., None]), axis=-1)
-    return copy.copy(state)._fill(state.coeff.conj() if conjugate else state.coeff, rows, state.box_edge)
+    with np.errstate(all="ignore"):  # an overflow gives a non-finite a, which _decompose refuses
+        spinor = state.spinors()
+        spinor = _matvec(matrix, spinor.conj() if conjugate else spinor)
+        a = _decompose(_block(q, state.mass, phi, branch == 1), branch, spinor)
+    return copy.copy(state)._fill(state.coeff.conj() if conjugate else state.coeff,
+                                  _label_rows(q, a, branch, state.mass), state.box_edge)
 
 
 def charge_conjugate(state: SpectralState) -> SpectralState:
@@ -427,9 +432,7 @@ def inner_product(state_a: TermContainer, state_b: TermContainer) -> complex:
     for ca, cb, ov in zip(state_a.coeff[i].tolist(), state_b.coeff[j].tolist(), products):
         if ov:
             total += ca.conjugate() * cb * ov
-    if not np.isfinite(total):
-        raise NonfiniteResult("the inner product sum is not finite")
-    return total
+    return _finite(total, "the inner product sum is not finite")
 
 
 def _frequencies_match(nu_k, nu_l):
@@ -525,19 +528,14 @@ def bilinear_concatenated(state: SpectralState, insert, points):
     symbolic tau-concatenation scale).  A non-finite one raises NonfiniteResult.
     """
     outer = _concatenated_outer(state, state.coeff[:, None], points)[:, 0, :, 0]
-    samples = np.einsum("xab,...ab->x...", outer, insert)
-    if not np.isfinite(samples).all():
-        raise NonfiniteResult("the concatenated bilinear is not finite")
-    return samples
+    return _finite(np.einsum("xab,...ab->x...", outer, insert), "the concatenated bilinear is not finite")
 
 
 def _vector_current(outer) -> CurrentField:
     """Real vector current of a hermitian window outer sum (npoints, 4, 4); a
     non-finite sample raises NonfiniteResult, an imaginary part AssertionError."""
     raw = np.einsum("xab,mab->xm", outer, GAMMA_STACK)
-    size = _max_residual(raw)  # NaN or inf when any sample is
-    if not math.isfinite(size):
-        raise NonfiniteResult("the vector current is not finite")
+    size = _finite(_max_residual(raw), "the vector current is not finite")  # NaN or inf if any sample is
     if _max_residual(raw.imag) > 1e-10 * max(1.0, size):
         raise AssertionError("vector current acquired an imaginary part")
     return CurrentField(values=raw.real, scale="T_tau")
@@ -627,8 +625,7 @@ def state_to_json(state: SpectralState) -> str:
     _require_width(state, 1)
     with np.errstate(all="ignore"):  # an overflowing fold raises below
         folded = [coeff * a for coeff, a in zip(state.coeff.tolist(), state.a[:, 0])]
-    if not np.isfinite(folded).all():
-        raise NonfiniteResult("a folded spin coefficient c a is not finite")
+    _finite(folded, "a folded spin coefficient c a is not finite")
     return json.dumps([{**mode_to_record(p, branch, a), "L": state.box_edge}
                        for p, branch, a in zip(state.p[:, 0], state.branch[:, 0], folded)])
 

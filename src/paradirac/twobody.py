@@ -27,6 +27,7 @@ from .algebra import (
     GAMMA_STACK,
     TWO_PI,
     _dot,
+    _finite,
     _matvec,
     _max_residual,
     bar,
@@ -36,7 +37,6 @@ from .algebra import (
 from .errors import (
     BoxMismatch,
     GridIncompatible,
-    NonfiniteResult,
     OnLightCone,
     OnMassShell,
     SubspaceViolation,
@@ -238,10 +238,8 @@ def s2_first_order(
         for (f, i, col, ov), b in sorted(zip(live, born)):
             weight = coeff_f[f].conjugate() * coeff_i[i]
             value += weight * coupling[0] * b * ov if col == 0 else weight * ov * coupling[1] * b
-    if not np.isfinite(value):
-        raise NonfiniteResult("the first-order S-matrix sum is not finite")
     factors = (("delta(Dnu_total)", "T_tau"),) + (_STATIC_FACTOR if pot1.static or pot2.static else ())
-    return ReducedAmplitude(complex(value), factors)
+    return ReducedAmplitude(complex(_finite(value, "the first-order S-matrix sum is not finite")), factors)
 
 
 # ---------------------------------------------------------------------------

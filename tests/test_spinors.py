@@ -1,10 +1,12 @@
 """Momentum-block spinors: orthonormality, projectors, spin machinery."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from paradirac.algebra import I2, I4, GAMMA5, bar, four_vector, minkowski_dot, slash
-from paradirac.errors import MasslessState, NonUnitSpin, SuperluminalMomentum, ZeroEnergy
+from paradirac.errors import MasslessState, NonfiniteResult, NonUnitSpin, SuperluminalMomentum, ZeroEnergy
 from paradirac.sampling import (
     random_spin_coefficients,
     random_spinor_draws,
@@ -99,6 +101,18 @@ class TestBranchDecomposition:
         w = u_block(p) @ np.array([1.0, 0.0]) + v_block(p) @ np.array([0.0, 1.0])
         with pytest.raises(ValueError):
             decompose_in_block(p, +1, w)
+
+    @pytest.mark.parametrize("bad", [np.full(4, np.nan), [np.inf, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -np.inf]])
+    def test_rejects_nonfinite_spinor(self, rng, bad):
+        p = np.array(list(_draws(rng, count=3)))
+        spinors = (branch_block(p, 1) @ np.ones((3, 2, 1)))[..., 0]
+        spinors[1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonfiniteResult):
+                decompose_in_block(p, 1, spinors)
+            with pytest.raises(NonfiniteResult):
+                decompose_in_block(p[1], 1, np.asarray(bad, dtype=complex))
 
     def test_branch_dispatch(self, rng):
         p = random_timelike_momentum(rng)

@@ -25,9 +25,10 @@ from brute_force import (
     scan_merge,
     signed_zeros,
 )
-from paradirac import states
+from paradirac import propagate, sampling, states
 from paradirac.algebra import GAMMA0, GAMMA2, GAMMA5, TWO_PI, energy_sign, four_vector, gamma, mass_of
 from paradirac.errors import BoxMismatch, MasslessState, NonfiniteResult, SuperluminalMomentum, ZeroEnergy
+from paradirac.propagate import elastic_shell, moller_first_order
 from paradirac.radiative import axial_divergence_tree, vector_divergence_check
 from paradirac.sampling import (
     random_mode,
@@ -35,6 +36,7 @@ from paradirac.sampling import (
     random_state,
     random_timelike_momentum,
 )
+from paradirac.scattering import coulomb_potential
 from paradirac.states import (
     Mode,
     SpectralState,
@@ -540,6 +542,111 @@ class TestFiniteBilinears:
             warnings.simplefilter("error")
             with pytest.raises(NonfiniteResult):
                 two_currents(TwoParticleState([(1.7e308, self.FAST, self.FAST)]), self.POINTS)
+
+
+class TestComputedLabels:
+    """The labels the library computes (C/P/T images, Moller nodes and
+    random_state's draws) are checked once, by states._label_rows; the rows of
+    Modes and wire records are checked by _label_row and never again.  A
+    computed label that overflows raises NonfiniteResult before any warning."""
+
+    MODE = Mode([1.5, 0.3, 0.2, 0.1], 1, [1.0, 1.0])
+    P_IN = np.array([np.sqrt(2.0), 0.0, 0.0, 1.0])
+    IMAGES = [parity, charge_conjugate, time_reverse, tpc]
+
+    @pytest.mark.parametrize("image", IMAGES)
+    def test_image_of_large_finite_labels(self, image):
+        # the spinor's products overflow in a matmul; the image does not
+        big = SpectralState([(1.0, Mode(self.MODE.p, 1, [1e308, 1e308]))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = image(big)
+        want = image(single_mode_state(self.MODE))
+        assert np.array_equal(got.p, want.p) and np.isfinite(got.a).all()
+        assert np.abs(got.a - 1e308 * want.a).max() <= 1e-12 * 1e308
+
+    @pytest.mark.parametrize("image", IMAGES)
+    def test_overflowing_image_raises(self, image):
+        state = single_mode_state(Mode([50.0, 30.0, 20.0, 10.0], 1, [1.7e308, 1.7e308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonfiniteResult):
+                image(state)
+
+    def test_overflowing_moller_node_raises(self):
+        incident = Mode(self.P_IN, 1, [1.7e308, 1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonfiniteResult, match="^mode fields must be finite$"):
+                moller_first_order(incident, coulomb_potential(1.0), elastic_shell(self.P_IN, [0.5], 2))
+
+    def test_overflowing_draw_raises(self, rng):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonfiniteResult, match="^mode fields must be finite$"):
+                random_state(rng, 3, p_scale=1e200)
+
+    def test_lightlike_draw_raises(self):
+        # the on-shell rows of mass 1e-10 round to lightlike: mass_of gives 0.0
+        with pytest.raises(MasslessState):
+            random_state(np.random.default_rng(0), 3, mass=1e-10)
+
+    @pytest.mark.parametrize("column, value, error, message", [
+        (0, np.inf, NonfiniteResult, "mode fields must be finite"),
+        (5, np.nan, NonfiniteResult, "mode fields must be finite"),
+        (8, 0.0, ValueError, r"branch must be \+1 or -1"),
+        (9, 0.0, MasslessState, "modes require strictly timelike momenta"),
+    ])
+    def test_label_rows_checks(self, column, value, error, message):
+        rows = np.array([self.MODE._row] * 3)
+        rows[1, column] = value
+        p, a, branch, mass = rows[:, :4], rows[:, 4:8].copy().view(complex), rows[:, 8], rows[:, 9]
+        with pytest.raises(error, match=f"^{message}$"):
+            states._label_rows(p, a, branch, mass)
+
+    def test_label_rows_runs_once_per_computed_state(self, monkeypatch, rng):
+        modes = [random_mode(rng) for _ in range(4)]
+        incident = random_mode(rng, branch=1, phi=1)
+        one = SpectralState([(1.0, mode) for mode in modes])
+        two = TwoParticleState([(1.0, modes[0], modes[1]), (0.5j, modes[2], modes[3])], "fermionic")
+        one_text, two_text = state_to_json(one), two_state_to_json(two)
+        label_rows, calls = states._label_rows, []
+
+        def counted(*args):
+            calls.append(args)
+            return label_rows(*args)
+
+        for module in (states, propagate, sampling):
+            monkeypatch.setattr(module, "_label_rows", counted)
+
+        def count(build):
+            calls.clear()
+            build()
+            return len(calls)
+
+        assert count(lambda: SpectralState([(1.0, mode) for mode in modes])) == 0
+        assert count(lambda: TwoParticleState([(1.0, modes[0], modes[1])])) == 0
+        assert count(lambda: state_from_json(one_text)) == 0
+        assert count(lambda: two_state_from_json(two_text)) == 0
+        for image in self.IMAGES:
+            assert count(lambda: image(one)) == 1
+        shell = elastic_shell(incident.p, [0.5, 1.0], 4)
+        assert count(lambda: moller_first_order(incident, coulomb_potential(1.0), shell)) == 1
+        assert count(lambda: random_state(rng, 5)) == 1
+
+
+@pytest.mark.parametrize("mass", [0.0, -1.0, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("draw", [
+    pytest.param(lambda rng, mass: random_mode(rng, mass=mass), id="mode"),
+    pytest.param(lambda rng, mass: random_state(rng, 2, mass=mass), id="state"),
+    pytest.param(lambda rng, mass: random_timelike_momentum(rng, mass=mass), id="momentum"),
+])
+def test_sampling_refuses_a_mass_that_is_not_positive_and_finite(draw, mass):
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^mass must be positive and finite"):
+        draw(rng, mass)
+    assert rng.bit_generator.state == before  # refused before any draw
 
 
 # ---------------------------------------------------------------------------
