@@ -22,10 +22,6 @@ class NonUnitSpin(ValueError):
     """Spin four-vector with s.s != +1."""
 
 
-class ZeroMomentum(ValueError):
-    """Vanishing spatial momentum; no helicity axis exists."""
-
-
 class BoxMismatch(ValueError):
     """Two states quantized with different box edges cannot be combined."""
 
@@ -51,11 +47,11 @@ class GridIncompatible(ValueError):
 
 
 class OnLightCone(ValueError):
-    """Photon propagator evaluated at k.k = 0 within tolerance."""
+    """Photon kernel 1/k.k taken at a momentum transfer with k.k = 0 within tolerance."""
 
 
 class OnMassShell(ValueError):
-    """Substitution propagator evaluated at its pole within tolerance."""
+    """Two-body kernel evaluated at its pole within tolerance."""
 
 
 class NonpositiveRadius(ValueError):

@@ -74,8 +74,9 @@ class InfluenceKernel:
         sgn = self.step_sign
         rows = np.flatnonzero((state.branch * state.phi == self.which * sgn).all(axis=1))
         coeff = state.coeff[rows]
-        for factor in (unit * sgn * np.exp(1j * _tau_angle(state.frequency[rows], self.dtau))).T:
-            coeff = _cmul(coeff, factor)
+        with np.errstate(all="ignore"):  # an overflowing coefficient is refused by _subset
+            for factor in (unit * sgn * np.exp(1j * _tau_angle(state.frequency[rows], self.dtau))).T:
+                coeff = _cmul(coeff, factor)
         return state._subset(rows, coeff)
 
     def apply(self, state: TermContainer) -> TermContainer:

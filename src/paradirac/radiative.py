@@ -1,5 +1,5 @@
-"""Photon-mediated endpoints: propagators, vacuum-polarization potential,
-hydrogenic level shifts, the anomalous moment, and current identities.
+"""Photon-mediated endpoints: vacuum-polarization potential, hydrogenic
+level shifts, the anomalous moment, and current identities.
 
 Everything here is finite and regularization-free: the vacuum-polarization
 potential is evaluated through its spectral representation, the anomalous
@@ -29,7 +29,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import (
-    ATOL_ALGEBRA,
     ATOL_SHELL,
     ELECTRON_MASS,
     ELEMENTARY_CHARGE,
@@ -43,15 +42,11 @@ from .algebra import (
     _finite,
     _max_residual,
     lower_index,
-    minkowski_dot,
-    slash,
 )
 from .errors import (
     MassMismatch,
     NonfiniteResult,
     NonpositiveRadius,
-    OnLightCone,
-    OnMassShell,
     QuadratureNonconvergence,
     UnsupportedState,
 )
@@ -130,46 +125,6 @@ def anomaly_rhs(field: FieldConfiguration, charge: float = ELEMENTARY_CHARGE):
     f_low = field.lowered()
     contraction = np.einsum("mnrs,...mn,...rs->...", _EPSILON4, f_low, f_low)
     return -(charge**2) / (2.0 * TWO_PI) ** 2 * contraction
-
-
-# ---------------------------------------------------------------------------
-# propagators and sourced potentials
-
-def photon_propagator(k) -> float:
-    """Momentum-space photon kernel 1/k.k; poles are excluded, not smeared."""
-    k = np.asarray(k, dtype=float)
-    kk = float(minkowski_dot(k, k))
-    if abs(kk) < ATOL_ALGEBRA * max(1.0, float(k @ k)):
-        raise OnLightCone("photon kernel evaluated on the light cone")
-    return 1.0 / kk
-
-
-def self_potential(j_fourier, charge: float = ELEMENTARY_CHARGE):
-    """Potential sourced by a momentum-space current: A~(k) = charge J~(k)/k.k.
-
-    Preserves transversality: k.A~ = 0 whenever k.J~ = 0.
-    """
-
-    def a_fourier(k):
-        k = np.asarray(k, dtype=float)
-        return charge * np.asarray(j_fourier(k), dtype=complex) * photon_propagator(k)
-
-    return a_fourier
-
-
-def substitution_propagator(r, mbar: float):
-    """Mass-shifted fermion kernel (mbar I - slash(r)) / (mbar^2 + r.r).
-
-    Satisfies (mbar I - slash(r)) (mbar I + slash(r)) = (mbar^2 + r.r) I
-    since slash(r)^2 = -(r.r) I.
-    """
-    if mbar <= 0.0:
-        raise ValueError("substitution mass must be positive")
-    r = np.asarray(r, dtype=float)
-    denom = mbar**2 + float(minkowski_dot(r, r))
-    if abs(denom) < ATOL_ALGEBRA * max(1.0, mbar**2, float(r @ r)):
-        raise OnMassShell("substitution kernel evaluated on its mass shell")
-    return (mbar * I4 - slash(r)) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +394,6 @@ def _f2_quadrature(alpha: float):
     val, err = _doubled_rule(inner, np.array([0.0, 1.0]), "vertex")
     scale = alpha / (2.0 * np.pi)
     return scale * val, scale * err, 2 * _NODES * _NODES
-
-
-def f2_anomalous_moment(alpha: float = FINE_STRUCTURE) -> float:
-    """One-loop anomalous moment F2(0) by 2D quadrature; analytically alpha/2pi."""
-    return _f2_quadrature(alpha)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import TWO_PI, _dot, _norm, mass_of
+from .algebra import TWO_PI, _dot, _finite, _norm, mass_of
 from .states import Mode, SpectralState, Subspace, _label_rows
 
 # default mass for generated modes, in the natural MeV units used throughout
@@ -36,8 +36,10 @@ def _sign(rng):
 
 
 def _on_shell(phi, pvec, mass):
-    """Four-momenta of spatial parts pvec (..., 3) and energy phi sqrt(m^2 + p.p)."""
-    energy = phi * np.sqrt(mass**2 + _dot(pvec, pvec))
+    """Four-momenta of spatial parts pvec (..., 3) and energy phi sqrt(m^2 + p.p);
+    an energy that overflows raises NonfiniteResult."""
+    with np.errstate(all="ignore"):  # an overflowing p.p gives an infinite energy, refused here
+        energy = _finite(phi * np.sqrt(mass**2 + _dot(pvec, pvec)), "mode fields must be finite")
     return np.concatenate((np.expand_dims(energy, -1), pvec), axis=-1)
 
 
@@ -51,7 +53,8 @@ def random_timelike_momentum(rng, mass=DEFAULT_MASS, phi=None, p_scale=1.0):
     """On-shell four-momentum with rest mass ``mass`` and energy sign ``phi``.
 
     phi=None draws the energy sign uniformly; p_scale sets the spatial
-    momentum spread (normal components with that standard deviation).
+    momentum spread (normal components with that standard deviation).  An
+    overflowing energy raises NonfiniteResult.
     """
     _check_mass(mass)
     if phi is None:
@@ -118,7 +121,7 @@ def random_state(rng, n_modes=4, mass=DEFAULT_MASS, subspace=None, box_edge=TWO_
         branch = None if subspace is None else (phi if subspace is Subspace.S_PLUS else -phi)
         rows.append(_mode_draws(rng, branch, phi, p_scale, 9))
     rows = np.array(rows).reshape(-1, 11)
-    with np.errstate(all="ignore"):  # an overflowing momentum is refused by _label_rows
-        p = _on_shell(rows[:, 1], rows[:, 2:5], mass)
+    p = _on_shell(rows[:, 1], rows[:, 2:5], mass)
+    with np.errstate(all="ignore"):  # mass_of's sums of squares may overflow for a finite p
         labels = _label_rows(p, _unit_doublets(rows[:, 5:9]), rows[:, 0], mass_of(p))
     return SpectralState._from_rows(rows[:, 9] + 1j * rows[:, 10], labels, box_edge)

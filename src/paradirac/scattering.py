@@ -13,9 +13,7 @@ cross-section.
 
 The Mott factor is never hard-coded: the angular dependence comes out of the
 spin sums.  The computed factor is 1 - beta^2 sin^2(kappa/2) with
-beta = |p|/E; the momentum-form variant 1 - |p/m|^2 sin^2(kappa/2) sometimes
-quoted for this ratio is exposed separately for comparison (the two agree only
-to leading order in beta).
+beta = |p|/E.
 """
 
 from __future__ import annotations
@@ -272,11 +270,3 @@ def mott_ratio(p_mag: float, kappa, Z: float = 1.0):
     """
     return mott_dcs(p_mag, kappa, Z) / rutherford_dcs(p_mag, kappa, Z)
 
-
-def mott_factor_momentum_form(p_mag: float, kappa: float) -> float:
-    """The variant factor 1 - |p/m|^2 sin^2(kappa/2), reported for comparison.
-
-    Agrees with the computed beta^2 form only to leading order in |p|/m; the
-    computed form is normative here.
-    """
-    return 1.0 - (p_mag / ELECTRON_MASS) ** 2 * np.sin(kappa / 2.0) ** 2

@@ -47,7 +47,7 @@ from .algebra import (
     _matvec,
     _norm,
 )
-from .errors import MasslessState, NonUnitSpin, ZeroMomentum
+from .errors import MasslessState, NonUnitSpin
 
 
 def _col(x):
@@ -133,26 +133,6 @@ def spin_projector(s):
     if _any(off):
         raise NonUnitSpin(f"s.s = {_first(ss, off):g}, expected +1")
     return 0.5 * (I4 - GAMMA5 @ slash(s))
-
-
-def chirality_projector(sign):
-    """(I4 + sign gamma^5) / 2 with sign = +1 or -1."""
-    if sign not in (1, -1, 1.0, -1.0):
-        raise ValueError("chirality sign must be +1 or -1")
-    return 0.5 * (I4 + float(sign) * GAMMA5)
-
-
-def helicity_operator(p):
-    """Block-diagonal helicity matrix diag(phat.sigma, phat.sigma)."""
-    p = np.asarray(p, dtype=float)
-    pmag = float(np.linalg.norm(p[1:]))
-    if pmag == 0.0:
-        raise ZeroMomentum("helicity needs a nonzero spatial momentum")
-    hat = pauli_dot(p[1:] / pmag)
-    out = np.zeros((4, 4), dtype=complex)
-    out[:2, :2] = hat
-    out[2:, 2:] = hat
-    return out
 
 
 def boost_spin(s_hat, p):

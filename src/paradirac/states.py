@@ -95,11 +95,10 @@ def _label_row(p, branch, a):
 
 def _label_rows(p, a, branch, mass):
     """_label_row's rows (..., 10) and checks, in batch, for computed labels p (..., 4),
-    a (..., 2), branch and mass (...); a non-finite field raises NonfiniteResult."""
+    a (..., 2), branch and mass (...); a non-finite field raises NonfiniteResult.
+    Every caller makes branch +-1 (C/P/T negate checked branches), so it is not checked."""
     rows = np.concatenate((p, a.view(float), branch[..., None], mass[..., None]), axis=-1)
     _finite(rows[..., :8], "mode fields must be finite")
-    if not (np.abs(branch) == 1).all():
-        raise ValueError("branch must be +1 or -1")
     if not mass.all():  # a NaN mass passes, as in _label_row
         raise MasslessState("modes require strictly timelike momenta")
     return rows
@@ -172,14 +171,6 @@ def _plane_waves(p, nu, spinors, x, tau, box_edge):
     """spinors * exp[i (p.x + nu tau)] / L^2, broadcast over the leading axes."""
     phase = np.exp(1j * (minkowski_dot(p, np.asarray(x, dtype=float)) + nu * tau))
     return spinors * (phase / box_edge**2)[..., None]
-
-
-def coordinate_velocity(mode: Mode):
-    """dt/dtau along constant phase: +m/E on branch +1, -m/E on branch -1.
-
-    Independent of the energy sign phi_p.
-    """
-    return mode.branch * mode.mass / mode.energy
 
 
 def free_equation_residual(mode: Mode, x, tau, box_edge=TWO_PI):
@@ -494,14 +485,14 @@ def _window_outer(group, nu, bra, ket, momenta, points, box_edge):
         windows = (near.reshape(2, n)[:, runs] + [[0], [1]]).T.ravel()  # [lo, hi) pairs
     rows = bra if ket is bra else np.concatenate((bra, ket), axis=1)
     size, rows = 4 * bra.shape[1], rows[order].reshape(n, 4 * rows.shape[1])
-    with np.errstate(all="ignore"):  # an overflowing phase gives NaN samples, for the caller to refuse
+    with np.errstate(all="ignore"):  # an overflowing phase or sum gives NaN samples, for the caller to refuse
         fields = np.exp(1j * (points @ lower_index(momenta).T))[..., None] * rows
         sums = np.add.reduceat(fields, runs, axis=1)
         # reduceat sums [lo, hi) at the even entries of windows; the zero pad allows hi = n
         kets = sums[..., -size:] if clique else np.add.reduceat(
             np.pad(fields[..., -size:], ((0, 0), (0, 1), (0, 0))), windows, axis=1)[:, ::2]
         outer = sums[..., :size].conj().swapaxes(1, 2) @ kets / box_edge**4
-    return outer.reshape(len(points), *bra.shape[1:], *bra.shape[1:]) * GAMMA0.diagonal()[:, None, None]
+        return outer.reshape(len(points), *bra.shape[1:], *bra.shape[1:]) * GAMMA0.diagonal()[:, None, None]
 
 
 def _concatenated_outer(state: SpectralState, channels, points):
@@ -566,20 +557,20 @@ def _central_differences(f, points, step):
     return (f_m2 - 8.0 * f_m1 + 8.0 * f_p1 - f_p2) / (12.0 * step)
 
 
-def _divergence_fd(current, points, step):
-    """4th-order central-difference d_mu J^mu at each point, where current
-    maps an (N, 4) array of points to (N, 4) real samples."""
-    d = _central_differences(current, points, step)
+def _divergence_fd(current, points):
+    """4th-order central-difference d_mu J^mu at each point, at the step 2e-3,
+    where current maps an (N, 4) array of points to (N, 4) real samples."""
+    d = _central_differences(current, points, 2e-3)
     return sum(d[mu, :, mu] for mu in range(4))
 
 
-def current_divergence_fd(state: SpectralState, points, step=1e-3):
+def current_divergence_fd(state: SpectralState, points):
     """Finite-difference divergence d_mu J^mu at each point (4th order central).
 
     Returns the samples; the identity value is zero for equal-frequency
     superpositions, so the magnitude measures the discretization residual.
     """
-    return _divergence_fd(lambda x: concatenated_current(state, x).values, points, step)
+    return _divergence_fd(lambda x: concatenated_current(state, x).values, points)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ from .states import (
     Mode,
     Subspace,
     TermContainer,
-    _divergence_fd,
     _json_numbers,
     _json_object,
     _plane_waves,
@@ -158,14 +157,6 @@ def two_currents(state: TwoParticleState, points):
     """
     spinors = state.spinors()
     return tuple(_vector_current(_marginal_outer(state, particle, spinors, points)) for particle in (1, 2))
-
-
-def two_current_divergence_fd(state: TwoParticleState, points, particle: int = 1,
-                              step: float = 1e-3):
-    """4th-order central-difference divergence of one marginal current."""
-    spinors = state.spinors()
-    return _divergence_fd(lambda x: _vector_current(_marginal_outer(state, particle, spinors, x)).values,
-                          points, step)
 
 
 # ---------------------------------------------------------------------------

@@ -339,7 +339,7 @@ def suite_currents(rng, tol: float) -> list[Check]:
                         vector_divergence_check(state, points), tol))
 
     gentle = random_state(rng, n_modes=6, mass=1.0, p_scale=0.5)
-    fd = current_divergence_fd(gentle, points[:4], step=2e-3)
+    fd = current_divergence_fd(gentle, points[:4])
     checks.append(Check("vector current divergence (finite difference)", _max_residual(fd), tol))
 
     imag = bilinear_concatenated(state, GAMMA_STACK, points).imag

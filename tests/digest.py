@@ -13,8 +13,8 @@ S-matrix of one 200-term pair of forward states over 8 shared partners.  It
 also hashes, at default arguments, every function that reads the electron
 mass, alpha, e or the 2 pi box from algebra: the Uehling ratio and both
 potential forms at a few radii, the shifts and the fixed-grid oracle for 1s,
-2s and 2p, hydrogenic radial samples and Bohr radii, the Rutherford and
-momentum-form factors over a few angles, the screened Coulomb transform,
+2s and 2p, hydrogenic radial samples and Bohr radii, the Rutherford
+cross-sections over a few angles, the screened Coulomb transform,
 first-order Moller states on elastic shells, mutual-scattering amplitudes
 and anomaly records.  The marginal currents of the forward states, the
 spectral vector divergence residual (with its current's scale), and the Mott
@@ -34,8 +34,7 @@ from paradirac.radiative import (FieldConfiguration, anomaly_record, bohr_radius
                                  uehling_potential, uehling_potential_hyperbolic, uehling_ratio,
                                  uehling_shift, uehling_shift_fixed_grid, vector_divergence_check)
 from paradirac.sampling import random_mode, random_spin_coefficients, random_state, random_timelike_momentum
-from paradirac.scattering import (coulomb_ft, coulomb_potential, mott_dcs, mott_factor_momentum_form,
-                                  mott_ratio, rutherford_dcs, zero_potential)
+from paradirac.scattering import coulomb_ft, coulomb_potential, mott_dcs, mott_ratio, rutherford_dcs, zero_potential
 from paradirac.states import (Mode, SpectralState, charge_conjugate, concatenated_current,
                               free_equation_residual, inner_product, parity, state_to_json, time_reverse,
                               tpc)
@@ -183,7 +182,6 @@ for p_mag in (0.01, 0.51099895, 30.0, 5e7):
         for f in (mott_dcs, mott_ratio):
             approx[f"{f.__name__} {p_mag} {z}"] = f(p_mag, kappa, z)
     approx[f"mott_ratio {p_mag} 30 deg"] = np.asarray(mott_ratio(p_mag, kappa[1]))
-    digest.update(np.asarray(mott_factor_momentum_form(p_mag, kappa)).tobytes())
 rng = np.random.default_rng(9)
 digest.update(coulomb_ft(rng.normal(size=(6, 4)), 2.0, mu=0.3).tobytes())
 for mass in (1.0, 0.51099895):

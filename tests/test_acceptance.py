@@ -29,7 +29,7 @@ from paradirac.radiative import (
     anomaly_rhs,
     axial_divergence_tree,
     epsilon_tensor,
-    f2_anomalous_moment,
+    f2_record,
     uehling_potential,
     uehling_potential_hyperbolic,
     uehling_shift,
@@ -44,7 +44,6 @@ from paradirac.sampling import (
 )
 from paradirac.scattering import (
     coulomb_potential,
-    mott_factor_momentum_form,
     mott_ratio,
     rutherford_dcs,
     s1_amplitude,
@@ -167,12 +166,10 @@ def test_criterion_4_mott_ratio_against_enumeration(announce):
     p_nr = ELECTRON_MASS * beta / np.sqrt(1.0 - beta**2)
     worst_nr = max(abs(mott_ratio(p_nr, kappa) - 1.0) for kappa in angles)
 
-    variant = mott_factor_momentum_form(p_mag, np.pi / 2.0)
     computed = mott_ratio(p_mag, np.pi / 2.0)
     ok = worst <= 1e-10 and worst_nr <= 1e-6
     announce(4, f"ratio vs spin-sum oracle max dev {worst:.1e} over 50 angles, "
-                f"nonrel dev {worst_nr:.1e}; at 90 deg computed {computed:.6f}, "
-                f"momentum-form variant {variant:.6f}", ok)
+                f"nonrel dev {worst_nr:.1e}; at 90 deg computed {computed:.6f}", ok)
     assert worst <= 1e-10
     assert worst_nr <= 1e-6
 
@@ -218,7 +215,7 @@ def test_criterion_4_mott_ratio_at_180_degrees(announce):
 
 def test_criterion_5_anomalous_moment(announce):
     start = time.perf_counter()
-    value = f2_anomalous_moment()
+    value = f2_record()["value"]
     elapsed = time.perf_counter() - start
     target = FINE_STRUCTURE / (2.0 * np.pi)
     rel = abs(value - target) / target

@@ -470,7 +470,7 @@ class TestStartupImports:
             "signs = [radiative.uehling_ratio(r) > 0.0,\n"
             "         radiative.uehling_potential_hyperbolic(r, 1.0) < 0.0,\n"
             "         radiative.uehling_shift_fixed_grid(2, 0, 1.0) < 0.0,\n"
-            "         radiative.f2_anomalous_moment() > 0.0]\n"
+            "         radiative.f2_record()['value'] > 0.0]\n"
             "print(json.dumps([steps, [bool(s) for s in signs]]))\n"
         )
         env = dict(os.environ)

@@ -11,17 +11,11 @@ from paradirac.algebra import (
     ELECTRON_MASS,
     ELEMENTARY_CHARGE,
     FINE_STRUCTURE,
-    I4,
-    four_vector,
-    minkowski_dot,
-    slash,
 )
 from paradirac.errors import (
     MassMismatch,
     NonfiniteResult,
     NonpositiveRadius,
-    OnLightCone,
-    OnMassShell,
     UnsupportedState,
 )
 from paradirac.radiative import (
@@ -31,13 +25,9 @@ from paradirac.radiative import (
     axial_divergence_tree,
     bohr_radius,
     epsilon_tensor,
-    f2_anomalous_moment,
     f2_record,
     hydrogen_radial,
-    photon_propagator,
-    self_potential,
     shift_record,
-    substitution_propagator,
     uehling_potential,
     uehling_potential_hyperbolic,
     uehling_ratio,
@@ -151,50 +141,6 @@ class TestAnomaly:
         assert abs(float(anomaly_rhs(f3)) - 9.0 * float(anomaly_rhs(f1))) <= 1e-12 * max(
             1.0, abs(float(anomaly_rhs(f3)))
         )
-
-
-class TestPropagators:
-    def test_photon_kernel_value(self):
-        k = four_vector(0.1, 0.0, 2.0, 0.0)
-        assert abs(photon_propagator(k) - 1.0 / minkowski_dot(k, k)) == 0.0
-
-    def test_photon_kernel_pole(self):
-        with pytest.raises(OnLightCone):
-            photon_propagator(four_vector(1.0, 1.0, 0.0, 0.0))
-
-    def test_substitution_kernel_identity(self, rng):
-        for _ in range(6):
-            r = rng.normal(size=4)
-            mbar = 0.5 + rng.random()
-            s = substitution_propagator(r, mbar)
-            resid = np.abs(s @ (mbar * I4 + slash(r)) - I4).max()
-            assert resid <= 1e-12
-
-    def test_substitution_pole(self):
-        r = four_vector(np.sqrt(2.0), 1.0, 0.0, 0.0)  # r.r = -1
-        with pytest.raises(OnMassShell):
-            substitution_propagator(r, 1.0)
-
-    def test_substitution_rejects_nonpositive_mass(self):
-        with pytest.raises(ValueError):
-            substitution_propagator(four_vector(2.0, 0.0, 0.0, 0.0), 0.0)
-
-    def test_self_potential_scaling(self):
-        j = lambda k: np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
-        k = four_vector(0.0, 0.0, 3.0, 0.0)
-        a = self_potential(j, charge=0.5)(k)
-        assert np.abs(a - 0.5 * j(k) / 9.0).max() <= 1e-15
-
-    def test_self_potential_transversality(self):
-        # current transverse to k maps to a transverse potential
-        k = four_vector(0.2, 1.5, 0.0, 0.0)
-
-        def j(kk):
-            return np.array([1.5, 0.2, 0.7, -0.3], dtype=complex)
-
-        a = self_potential(j)(k)
-        assert abs(minkowski_dot(k, j(k))) <= 1e-12
-        assert abs(minkowski_dot(k, a)) <= 1e-12
 
 
 class TestUehling:
@@ -340,12 +286,12 @@ class TestUehlingShift:
 
 class TestAnomalousMoment:
     def test_schwinger_value(self):
-        value = f2_anomalous_moment()
+        value = f2_record()["value"]
         assert abs(value - FINE_STRUCTURE / (2.0 * np.pi)) <= 1e-12 * value
 
     def test_linear_in_alpha(self):
-        assert abs(f2_anomalous_moment(alpha=2.0 * FINE_STRUCTURE)
-                   - 2.0 * f2_anomalous_moment()) <= 1e-12
+        assert abs(f2_record(alpha=2.0 * FINE_STRUCTURE)["value"]
+                   - 2.0 * f2_record()["value"]) <= 1e-12
 
 
 class TestCurrentIdentities:

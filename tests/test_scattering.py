@@ -12,7 +12,6 @@ from paradirac.scattering import (
     coulomb_ft,
     coulomb_potential,
     mott_dcs,
-    mott_factor_momentum_form,
     mott_ratio,
     rutherford_dcs,
     s1_amplitude,
@@ -178,16 +177,6 @@ class TestMott:
             4.0 * p_mag**4 * np.sin(kappa / 2.0) ** 4
         )
         assert abs(rutherford_dcs(p_mag, kappa, Z=2.0) - expect) <= 1e-12 * expect
-
-    def test_momentum_form_variant(self):
-        # the printed variant uses |p/m|^2 where the computed factor has
-        # beta^2; they agree only in the nonrelativistic regime
-        p_mag, kappa = 0.05 * ELECTRON_MASS, 2.0
-        variant = mott_factor_momentum_form(p_mag, kappa)
-        computed = mott_ratio(p_mag, kappa)
-        assert abs(variant - computed) <= (p_mag / ELECTRON_MASS) ** 4
-        expect = 1.0 - (p_mag / ELECTRON_MASS) ** 2 * np.sin(kappa / 2.0) ** 2
-        assert abs(variant - expect) <= 1e-14
 
     def test_dcs_backward_angle_allowed(self):
         assert mott_dcs(0.5, np.pi, Z=1.0) > 0.0

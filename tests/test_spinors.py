@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from paradirac.algebra import I2, I4, GAMMA5, bar, four_vector, minkowski_dot, slash
+from paradirac.algebra import I2, I4, bar, four_vector, minkowski_dot, slash
 from paradirac.errors import MasslessState, NonfiniteResult, NonUnitSpin, SuperluminalMomentum, ZeroEnergy
 from paradirac.sampling import (
     random_spin_coefficients,
@@ -16,9 +16,7 @@ from paradirac.sampling import (
 from paradirac.spinors import (
     boost_spin,
     branch_block,
-    chirality_projector,
     decompose_in_block,
-    helicity_operator,
     lambda_u,
     lambda_v,
     spin_projector,
@@ -164,21 +162,6 @@ class TestSpinMachinery:
     def test_spin_projector_rejects_non_unit(self):
         with pytest.raises(NonUnitSpin):
             spin_projector(four_vector(0.0, 0.5, 0.0, 0.0))
-
-    def test_chirality_projectors(self):
-        pl, pr = chirality_projector(-1), chirality_projector(+1)
-        assert np.abs(pl + pr - I4).max() == 0.0
-        assert np.abs(pl @ pl - pl).max() <= 1e-15
-        assert np.abs(pl @ pr).max() <= 1e-15
-        assert np.abs(GAMMA5 @ pr - pr).max() <= 1e-15
-        assert np.abs(GAMMA5 @ pl + pl).max() <= 1e-15
-
-    def test_helicity_operator(self, rng):
-        for p in _draws(rng, count=10):
-            h = helicity_operator(p)
-            assert np.abs(h @ h - I4).max() <= 1e-12
-            assert np.abs(h @ lambda_u(p) - lambda_u(p) @ h).max() <= 1e-12
-            assert np.abs(h @ GAMMA5 - GAMMA5 @ h).max() <= 1e-12
 
 
 def _batch(rng, n=50):

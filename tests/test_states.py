@@ -7,7 +7,7 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from brute_force import (
@@ -22,13 +22,14 @@ from brute_force import (
     label_bits,
     label_mode,
     pair_loop_current,
+    sampled_momentum,
     scan_merge,
     signed_zeros,
 )
 from paradirac import propagate, sampling, states
 from paradirac.algebra import GAMMA0, GAMMA2, GAMMA5, TWO_PI, energy_sign, four_vector, gamma, mass_of
 from paradirac.errors import BoxMismatch, MasslessState, NonfiniteResult, SuperluminalMomentum, ZeroEnergy
-from paradirac.propagate import elastic_shell, moller_first_order
+from paradirac.propagate import elastic_shell, free_evolve, moller_first_order
 from paradirac.radiative import axial_divergence_tree, vector_divergence_check
 from paradirac.sampling import (
     random_mode,
@@ -46,7 +47,6 @@ from paradirac.states import (
     classify_subspace,
     concatenated_current,
     concatenated_pairs,
-    coordinate_velocity,
     current_divergence_fd,
     free_equation_residual,
     inner_product,
@@ -58,7 +58,7 @@ from paradirac.states import (
     time_reverse,
     tpc,
 )
-from paradirac.twobody import TwoParticleState, two_currents, two_state_from_json, two_state_to_json
+from paradirac.twobody import TwoParticleState, s2_first_order, two_currents, two_state_from_json, two_state_to_json
 
 GAMMA1 = gamma(1)
 GAMMA3 = gamma(3)
@@ -100,10 +100,6 @@ class TestMode:
             Mode(p=four_vector(1.0, 0, 0, 9.0), branch=1, a=np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             Mode(p=four_vector(np.nan, 0, 0, 0), branch=1, a=np.array([1.0, 0.0]))
-
-    def test_coordinate_velocity(self, rng):
-        mode = random_mode(rng, mass=0.8, branch=-1, phi=1)
-        assert abs(coordinate_velocity(mode) + 0.8 / mode.energy) <= 1e-12
 
 
 # the forms a caller may pass p or a in; each keeps the values and the signs
@@ -358,7 +354,7 @@ class TestCurrents:
         field = concatenated_current(state, points)
         assert field.scale == "T_tau"
         assert field.values.shape == (6, 4)
-        div = current_divergence_fd(state, points[:3], step=2e-3)
+        div = current_divergence_fd(state, points[:3])
         assert np.abs(div).max() <= 1e-9
 
     def test_bilinear_stack_shapes(self, rng):
@@ -594,7 +590,6 @@ class TestComputedLabels:
     @pytest.mark.parametrize("column, value, error, message", [
         (0, np.inf, NonfiniteResult, "mode fields must be finite"),
         (5, np.nan, NonfiniteResult, "mode fields must be finite"),
-        (8, 0.0, ValueError, r"branch must be \+1 or -1"),
         (9, 0.0, MasslessState, "modes require strictly timelike momenta"),
     ])
     def test_label_rows_checks(self, column, value, error, message):
@@ -647,6 +642,93 @@ def test_sampling_refuses_a_mass_that_is_not_positive_and_finite(draw, mass):
     with pytest.raises(ValueError, match="^mass must be positive and finite"):
         draw(rng, mass)
     assert rng.bit_generator.state == before  # refused before any draw
+
+
+@pytest.mark.parametrize("draw", [
+    pytest.param(random_timelike_momentum, id="momentum"),
+    pytest.param(random_mode, id="mode"),
+])
+def test_sampling_refuses_an_overflowing_momentum(draw):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonfiniteResult, match="^mode fields must be finite$"):
+            draw(np.random.default_rng(0), p_scale=1e200)
+
+
+def test_large_finite_momentum_draw_keeps_its_stream_and_bits():
+    # |p|^2 of about 3e300 is finite, so the draw is not refused
+    got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+    p = random_timelike_momentum(got_rng, mass=2.0, phi=-1, p_scale=1e150)
+    assert p.tobytes() == sampled_momentum(want_rng, 2.0, -1, 1e150).tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+# every finite magnitude from the smallest subnormal to near the largest double
+SWEEP_PARTS = (0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0, 1e150, -1e150, 1e300, -1e300, 1.7e308, -1.7e308)
+SWEEP_COEFFS = st.builds(complex, st.sampled_from(SWEEP_PARTS), st.sampled_from(SWEEP_PARTS))
+
+
+def _finite_or_refused(call):
+    """call() under warnings as errors: None where it raises a ValueError
+    subclass, else its result, whose numbers must be finite and whose JSON
+    text must be strict."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = call()
+        except ValueError:
+            return None
+    if isinstance(value, str):
+        _strict_json(value)
+    elif isinstance(value, (Mode, states.TermContainer)):
+        assert all(np.isfinite(getattr(value, name)).all() for name in ("coeff", "p", "a", "mass")
+                   if hasattr(value, name))
+    else:
+        assert np.isfinite(value).all()
+    return value
+
+
+class TestFiniteValueSweep:
+    """Finite in, finite out: on coefficients from the subnormal to the
+    largest double, and on draws at a huge momentum scale, every public op
+    gives a finite result or raises a ValueError subclass, with no warning."""
+
+    POINTS = np.array([[0.1, -0.2, 0.3, 0.4], [1.0, 0.5, -0.5, 0.0]])
+    PAIR = (coulomb_potential(1.0, mu=0.5),) * 2
+
+    @given(one_raw=st.lists(st.tuples(SWEEP_COEFFS, LABELS), max_size=6),
+           two_raw=st.lists(st.tuples(SWEEP_COEFFS, LABELS, LABELS), max_size=6),
+           p_scale=st.sampled_from((1e150, 1e154, 1e200, 1e300, 1.7e308)))
+    # an evolved coefficient whose parts overflow, and a two-body outer sum that does
+    @example(one_raw=[(1.7e308 + 1.7e308j, (0, 1, 0, False))], two_raw=[], p_scale=1e150)
+    @example(one_raw=[], two_raw=[(1e300j, (0, 1, 0, False), (0, 1, 2, False))], p_scale=1e150)
+    def test_finite_or_refused(self, one_raw, two_raw, p_scale):
+        one = _finite_or_refused(lambda: SpectralState(build_terms(one_raw)))
+        two_terms = [(c, label_mode(x), label_mode(y)) for c, x, y in two_raw]
+        two = _finite_or_refused(lambda: TwoParticleState(two_terms))
+        forward = _finite_or_refused(lambda: TwoParticleState(
+            [(c, x, y) for c, x, y in two_terms if x.branch * x.phi > 0 and y.branch * y.phi > 0]))
+        for state, to_json, from_json in ((one, state_to_json, state_from_json),
+                                          (two, two_state_to_json, two_state_from_json)):
+            if state is None:
+                continue
+            _finite_or_refused(lambda: free_evolve(state, 0.0, 0.7, 1))
+            _finite_or_refused(lambda: inner_product(state, state))
+            text = _finite_or_refused(lambda: to_json(state))
+            if text is not None:  # the reader takes what the writer wrote
+                assert _finite_or_refused(lambda: from_json(text)) is not None
+        if one is not None:
+            for image in (charge_conjugate, parity, time_reverse, tpc):
+                _finite_or_refused(lambda: image(one))
+            _finite_or_refused(lambda: concatenated_current(one, self.POINTS).values)
+            _finite_or_refused(lambda: bilinear_concatenated(one, np.stack([GAMMA0, GAMMA5]), self.POINTS))
+        if two is not None:
+            _finite_or_refused(lambda: [current.values for current in two_currents(two, self.POINTS)])
+        if forward is not None:
+            _finite_or_refused(lambda: s2_first_order(forward, forward, self.PAIR).value)
+        for draw in (random_timelike_momentum, random_mode,
+                     lambda rng, p_scale: random_state(rng, 3, p_scale=p_scale)):
+            _finite_or_refused(lambda: draw(np.random.default_rng(0), p_scale=p_scale))
 
 
 # ---------------------------------------------------------------------------

@@ -40,11 +40,8 @@ def test_numeric_control_parameters_are_only_those_callers_set():
             for param in inspect.signature(fn).parameters:
                 if param in _NUMERIC_CONTROLS:
                     found.add(f"{short}.{name}({param})")
-    # the two finite-difference steps are set by verify and the tests; the
-    # suite seeds carry the CLI's --seed
+    # the suite seeds carry the CLI's --seed
     assert found == {
-        "states.current_divergence_fd(step)",
-        "twobody.two_current_divergence_fd(step)",
         "verify.run_suite(seed)",
         "verify.run_suites(seed)",
     }
@@ -71,9 +68,7 @@ def test_physics_parameters_are_only_those_callers_set():
         "propagate.kernel_matrix(box_edge)",
         "radiative.anomaly_rhs(charge)",
         "radiative.axial_divergence_tree(mass)",
-        "radiative.f2_anomalous_moment(alpha)",
         "radiative.f2_record(alpha)",
-        "radiative.self_potential(charge)",
         "sampling.random_mode(mass)",
         "sampling.random_state(box_edge)",
         "sampling.random_state(mass)",
@@ -106,25 +101,24 @@ def test_physics_parameters_are_only_those_callers_set():
 _PUBLIC_NAMES = {
     "algebra": {"bar", "dirac_adjoint", "energy_sign", "four_vector", "gamma", "lower_index", "mass_of",
                 "minkowski_dot", "pauli_dot", "slash"},
-    "spinors": {"boost_spin", "branch_block", "chirality_projector", "decompose_in_block", "helicity_operator",
-                "lambda_u", "lambda_v", "spin_projector", "u_block", "v_block"},
+    "spinors": {"boost_spin", "branch_block", "decompose_in_block", "lambda_u", "lambda_v", "spin_projector",
+                "u_block", "v_block"},
     "states": {"CurrentField", "Mode", "SpectralState", "Subspace", "TermContainer", "bilinear_concatenated",
                "charge_conjugate", "classify_subspace", "concatenated_current", "concatenated_pairs",
-               "coordinate_velocity", "current_divergence_fd", "free_equation_residual", "inner_product",
+               "current_divergence_fd", "free_equation_residual", "inner_product",
                "mode_to_record", "overlap_join", "parity", "plane_wave_value", "single_mode_state",
                "state_from_json", "state_to_json", "time_reverse", "tpc"},
     "propagate": {"InfluenceKernel", "elastic_shell", "free_evolve", "influence_conjugation_check",
                   "kernel_matrix", "moller_first_order"},
     "scattering": {"ExternalPotential", "ReducedAmplitude", "SpinSum", "coulomb_ft", "coulomb_potential",
-                   "mott_dcs", "mott_factor_momentum_form", "mott_ratio", "rutherford_dcs", "s1_amplitude",
+                   "mott_dcs", "mott_ratio", "rutherford_dcs", "s1_amplitude",
                    "spin_averaged_amp2", "spin_trace", "zero_potential"},
     "twobody": {"TwoParticleState", "antisymmetrize", "bs_born_step", "bs_power_iteration", "exchange_residual",
                 "mutual_scattering_amplitude", "permute_labels", "potential_from_transition", "s2_first_order",
-                "symmetrize", "two_conjugation_check", "two_current_divergence_fd", "two_currents",
+                "symmetrize", "two_conjugation_check", "two_currents",
                 "two_kernel_matrix", "two_state_from_json", "two_state_to_json"},
     "radiative": {"FieldConfiguration", "UehlingShift", "anomaly_record", "anomaly_rhs", "axial_divergence_tree",
-                  "bohr_radius", "epsilon_tensor", "f2_anomalous_moment", "f2_record", "hydrogen_radial",
-                  "photon_propagator", "self_potential", "shift_record", "substitution_propagator",
+                  "bohr_radius", "epsilon_tensor", "f2_record", "hydrogen_radial", "shift_record",
                   "uehling_potential", "uehling_potential_hyperbolic", "uehling_ratio", "uehling_shift",
                   "uehling_shift_fixed_grid", "vector_divergence_check"},
     "sampling": {"random_mode", "random_spin_coefficients", "random_spinor_draws", "random_state",

@@ -45,6 +45,7 @@ from paradirac.states import (
     Mode,
     SpectralState,
     TermContainer,
+    _divergence_fd,
     _window_outer,
     bilinear_concatenated,
     concatenated_current,
@@ -69,7 +70,6 @@ from paradirac.twobody import (
     s2_first_order,
     symmetrize,
     two_conjugation_check,
-    two_current_divergence_fd,
     two_currents,
     two_evolve,
     two_inner_product,
@@ -340,8 +340,8 @@ class TestKernelAndCurrents:
             terms=tuple(state.terms) + ((0.3, m3, m1),), exchange="none"
         )
         points = rng.normal(size=(3, 4))
-        for particle in (1, 2):
-            div = two_current_divergence_fd(state, points, particle=particle, step=2e-3)
+        for particle in (0, 1):
+            div = _divergence_fd(lambda x: two_currents(state, x)[particle].values, points)
             assert np.abs(div).max() <= 1e-9
 
     def test_nonfinite_marginal_current_raises(self, rng):
@@ -857,12 +857,11 @@ class TestWidthContract:
 
     @pytest.mark.parametrize("call", [
         two_currents,
-        two_current_divergence_fd,
         lambda s, x: s2_first_order(s, s, (zero_potential(),) * 2),
         lambda s, x: two_state_to_json(s),
         lambda s, x: permute_labels(s),
         lambda s, x: exchange_residual(s),
-    ], ids=["two_currents", "two_current_divergence_fd", "s2_first_order", "two_state_to_json",
+    ], ids=["two_currents", "s2_first_order", "two_state_to_json",
             "permute_labels", "exchange_residual"])
     def test_two_particle_operations_refuse_width_one(self, probe, call):
         m1, _ = probe
