@@ -5,7 +5,8 @@ modes: acting through (1/i) integral d^4x, each mode is either kept with its
 tau phase advanced or annihilated, depending on the sign of branch * phi_p
 relative to which kernel is applied and the direction of the tau step.  All
 action here is mode-wise; no position-space 4D integral is ever evaluated,
-since every state in scope is a finite superposition.
+since every state in scope is a finite superposition; position-space
+kernels, one per support momentum, serve only the conjugation checks.
 
 Sign bookkeeping, fixed once: with sgn = sign(tau' - tau),
 
@@ -18,8 +19,6 @@ sign(tau2 - tau0), and opposite-direction chains annihilate every mode.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,44 +42,16 @@ from .spinors import _block, _projector
 from .states import Mode, SpectralState, Subspace, TermContainer, _label_rows, classify_subspace
 
 
-@dataclass(frozen=True)
-class InfluenceKernel:
-    """Spectral action of one free influence function over a tau step.
-
-    which = +1 selects the kernel whose forward step preserves S+; which = -1
-    the one preserving S-.  The raw kernel multiplies a surviving mode by
-    i * sign(dtau) * exp(i nu dtau); evolution maps carry an extra 1/i.  A
-    zero or non-finite dtau is refused.
-    """
-
-    which: int
-    dtau: float
-
-    def __post_init__(self):
-        if self.which not in (1, -1):
-            raise ValueError("which must be +1 or -1")
-        if self.dtau == 0.0:
-            raise DegenerateInterval("influence functions need a nonzero tau step")
-        if not np.isfinite(self.dtau):
-            raise ValueError(f"the tau step must be finite, not {self.dtau}")
-
-    @property
-    def step_sign(self):
-        return 1 if self.dtau > 0 else -1
-
-    def _evolve(self, state: TermContainer, unit: complex) -> TermContainer:
-        """Rows whose every mode has branch*phi = which*sgn, each coefficient times
-        unit*sgn*exp(i nu dtau) per mode: exact, as unit*sgn is +-1 or +-i."""
-        sgn = self.step_sign
-        rows = np.flatnonzero((state.branch * state.phi == self.which * sgn).all(axis=1))
-        coeff = state.coeff[rows]
-        with np.errstate(all="ignore"):  # an overflowing coefficient is refused by _subset
-            for factor in (unit * sgn * np.exp(1j * _tau_angle(state.frequency[rows], self.dtau))).T:
-                coeff = _cmul(coeff, factor)
-        return state._subset(rows, coeff)
-
-    def apply(self, state: TermContainer) -> TermContainer:
-        return self._evolve(state, 1j)
+def _step_sign(which: int, dtau: float) -> int:
+    """sign(dtau) of a step of Gamma0_which (+1 preserves S+ forward, -1 S-);
+    a zero or non-finite dtau is refused."""
+    if which not in (1, -1):
+        raise ValueError("which must be +1 or -1")
+    if dtau == 0.0:
+        raise DegenerateInterval("influence functions need a nonzero tau step")
+    if not np.isfinite(dtau):
+        raise ValueError(f"the tau step must be finite, not {dtau}")
+    return 1 if dtau > 0 else -1
 
 
 def _tau_angle(nu, dtau: float):
@@ -101,47 +72,35 @@ def free_evolve(state: TermContainer, tau: float, tau_prime: float, which: int) 
     signs squaring away, and exchange symmetry is preserved because the
     operator is symmetric under the factor swap.
     """
-    return InfluenceKernel(which, tau_prime - tau)._evolve(state, 1)
+    dtau = tau_prime - tau
+    sgn = _step_sign(which, dtau)
+    rows = np.flatnonzero((state.branch * state.phi == which * sgn).all(axis=1))
+    coeff = state.coeff[rows]
+    with np.errstate(all="ignore"):  # an overflowing coefficient is refused by _subset
+        for factor in (sgn * np.exp(1j * _tau_angle(state.frequency[rows], dtau))).T:
+            coeff = _cmul(coeff, factor)
+    return state._subset(rows, coeff)
 
 
-def _support_terms(which: int, momenta, dx, dtau: float):
-    """sign(dtau) and, per momentum of shape (..., 4), the unscaled 4x4 term of
-    kernel_matrix's sum, as a zero-started sum holds it: -0.0 folded to +0.0.
-    NonfiniteResult where a phase p.dx +/- phi m dtau overflows."""
-    sgn = InfluenceKernel(which, dtau).step_sign
+def _kernels(which: int, momenta, dx, dtau: float):
+    """Position-space 4x4 kernel of each support momentum p (..., 4), L = 2 pi:
+    sign(dtau) i / L^4 Lambda_u(p) e^{i(p.dx + phi m dtau)} where phi_p =
+    which*sign(dtau), else the same with Lambda_v(p) and -phi m dtau; -0.0
+    folds to +0.0 as in a zero-started sum over a support.  NonfiniteResult
+    where a phase overflows."""
+    sgn = _step_sign(which, dtau)
     p = np.asarray(momenta, dtype=float)
-    phi = energy_sign(p)
-    m = mass_of(p)
+    phi, m = energy_sign(p), mass_of(p)
     upper = phi == which * sgn
     angle = np.where(upper, 1.0, -1.0) * _tau_angle(phi * m, dtau)
     with np.errstate(over="ignore", invalid="ignore"):
         angle = _finite(minkowski_dot(p, dx) + angle, "the kernel phase p.dx overflows")
     phase = np.exp(1j * angle)
     projector = _projector(p, m, phi, np.where(upper, -1.0, 1.0))
-    return sgn, projector * phase[..., None, None] + 0.0
+    return sgn * 1j / TWO_PI**4 * (projector * phase[..., None, None] + 0.0)
 
 
-def _kernels(which: int, momenta, dx, dtau: float, box_edge: float):
-    """The kernel_matrix of each momentum's one-element support, stacked."""
-    sgn, terms = _support_terms(which, momenta, dx, dtau)
-    return sgn * 1j / box_edge**4 * terms
-
-
-def kernel_matrix(which: int, momenta, dx, dtau: float, box_edge: float = TWO_PI):
-    """Position-space 4x4 kernel value over a finite momentum support.
-
-    Each support momentum p contributes its u-type projector when phi_p
-    matches which*sign(dtau) and its v-type projector when it matches the
-    opposite sign, with phases exp[i(p.dx +/- phi_p m_p dtau)]:
-
-        sign(dtau) * i / L^4 * sum_p [ Lambda_u(p) e^{i(p.dx + phi m dtau)}
-                                     + Lambda_v(p) e^{i(p.dx - phi m dtau)} ].
-    """
-    sgn, terms = _support_terms(which, np.asarray(momenta, dtype=float).reshape(-1, 4), dx, dtau)
-    return sgn * 1j / box_edge**4 * terms.sum(axis=0)
-
-
-def influence_conjugation_check(dx, dtau: float, momenta, box_edge: float = TWO_PI) -> float:
+def influence_conjugation_check(dx, dtau: float, momenta) -> float:
     """Max mode-wise residual of g0 (Gamma0+)^dag g0 = Gamma0- at reversed arguments.
 
     The identity holds per support momentum, so the residual is reported as
@@ -149,8 +108,8 @@ def influence_conjugation_check(dx, dtau: float, momenta, box_edge: float = TWO_
     """
     dx = np.asarray(dx, dtype=float)
     momenta = np.asarray(momenta, dtype=float).reshape(-1, 4)
-    plus = _kernels(+1, momenta, dx, dtau, box_edge)
-    minus = _kernels(-1, momenta, -dx, -dtau, box_edge)
+    plus = _kernels(+1, momenta, dx, dtau)
+    minus = _kernels(-1, momenta, -dx, -dtau)
     return _max_residual(dirac_adjoint(plus) - minus)
 
 

@@ -41,6 +41,7 @@ from .algebra import (
     TWO_PI,
     _finite,
     _max_residual,
+    dirac_adjoint,
     lower_index,
 )
 from .errors import (
@@ -102,14 +103,6 @@ class FieldConfiguration:
         f[..., 1:, 0] = -e
         f[..., 1:, 1:] = np.einsum("jkl,...l->...jk", _LEVI3, b)
         return cls(f)
-
-    @property
-    def electric(self):
-        return self.tensor[..., 0, 1:].copy()
-
-    @property
-    def magnetic(self):
-        return 0.5 * np.einsum("ljk,...jk->...l", _LEVI3, self.tensor[..., 1:, 1:])
 
     def lowered(self):
         """F_{mu nu} = g F g for the diagonal metric."""
@@ -399,16 +392,12 @@ def _f2_quadrature(alpha: float):
 # ---------------------------------------------------------------------------
 # spectral current identities
 
-def _divergence_bilinears(state, insert, points):
-    """Samples of the concatenated bilinears of G = insert and of i slash(dp) G:
-    d_mu of each exp(i p.x) weights bra and ket rows by i p_mu, in the same windows."""
-    from .states import _concatenated_outer
-
-    channels = np.concatenate([np.ones((len(state.coeff), 1)), 1j * lower_index(state.p[:, 0])], axis=1)
-    with np.errstate(all="ignore"):  # NaN samples: axial_divergence_tree refuses them, a NaN residual fails
-        outer = _concatenated_outer(state, state.coeff[:, None] * channels, points)
-        d = outer[:, 0, :, 1:].swapaxes(1, 2) + outer[:, 1:, :, 0]  # mu first
-        return np.einsum("xab,ab->x", outer[:, 0, :, 0], insert), np.einsum("xmab,mab->x", d, GAMMA_STACK @ insert)
+def _divergence(outer, insert):
+    """Samples of the concatenated bilinear of i slash(dp) G, G = insert, from window blocks
+    (npoints, 4, 4, 4) with the i p_mu of d_mu exp(i p.x) on the bra rows, mu first.  As (k, l) and
+    (l, k) match alike, the ket side's sum against x is the conjugate of the bra side's against dirac_adjoint(x)."""
+    x = GAMMA_STACK @ insert
+    return np.einsum("xmab,mab->x", outer, x) + np.einsum("xmab,mab->x", outer, dirac_adjoint(x)).conj()
 
 
 def vector_divergence_check(state, points) -> float:
@@ -418,7 +407,11 @@ def vector_divergence_check(state, points) -> float:
     identically because slash(p) w = -nu w on both branches and the pair
     frequencies match; the return value is the roundoff residual.
     """
-    return _max_residual(_divergence_bilinears(state, I4, points)[1])
+    from .states import _concatenated_outer
+
+    with np.errstate(all="ignore"):  # NaN samples give a NaN residual, which fails
+        outer = _concatenated_outer(state, points, state.coeff[:, None] * (1j * lower_index(state.p[:, 0])))
+        return _max_residual(_divergence(outer, I4))
 
 
 def axial_divergence_tree(state, mass: float, points):
@@ -434,8 +427,12 @@ def axial_divergence_tree(state, mass: float, points):
     """
     if (np.abs(state.mass - mass) > ATOL_SHELL * max(1.0, mass)).any():
         raise MassMismatch("state carries a mass different from the sharp value")
-    density, lhs = _divergence_bilinears(state, GAMMA5, points)
+    from .states import _concatenated_outer
+
+    channels = np.concatenate([np.ones((len(state.coeff), 1)), 1j * lower_index(state.p[:, 0])], axis=1)
     with np.errstate(all="ignore"):  # an overflowing sample is refused
+        outer = _concatenated_outer(state, points, state.coeff[:, None] * channels)
+        density, lhs = np.einsum("xab,ab->x", outer[:, 0], GAMMA5), _divergence(outer[:, 1:], GAMMA5)
         return _finite((lhs, -2j * mass * density), "the axial divergence samples are not finite")
 
 

@@ -38,8 +38,12 @@ def _sign(rng):
 def _on_shell(phi, pvec, mass):
     """Four-momenta of spatial parts pvec (..., 3) and energy phi sqrt(m^2 + p.p);
     an energy that overflows raises NonfiniteResult."""
-    with np.errstate(all="ignore"):  # an overflowing p.p gives an infinite energy, refused here
-        energy = _finite(phi * np.sqrt(mass**2 + _dot(pvec, pvec)), "mode fields must be finite")
+    with np.errstate(all="ignore"):  # an overflowing m^2 or p.p gives an infinite energy, refused here
+        try:
+            square = mass**2
+        except OverflowError:  # a Python float's square past the float range
+            square = np.inf
+        energy = _finite(phi * np.sqrt(square + _dot(pvec, pvec)), "mode fields must be finite")
     return np.concatenate((np.expand_dims(energy, -1), pvec), axis=-1)
 
 

@@ -32,7 +32,6 @@ from .algebra import (
     TWO_PI,
     _any,
     _dot,
-    _max_residual,
     bar,
     dirac_adjoint,
     mass_of,
@@ -49,16 +48,11 @@ class ExternalPotential:
     static=True declares an overall 2 pi delta(Dp0) carried symbolically; the
     fourier callable then returns the coefficient of that delta.  fourier
     maps transfers of shape (..., 4) to transforms of that shape, row by
-    row.  Position space hermiticity requires A~(-Dp) = conj(A~(Dp));
-    hermiticity_residual probes it pointwise.
+    row.  A real potential in position space has A~(-Dp) = conj(A~(Dp)).
     """
 
     fourier: Callable[[np.ndarray], np.ndarray]
     static: bool = False
-
-    def hermiticity_residual(self, dp) -> float:
-        dp = np.asarray(dp, dtype=float)
-        return _max_residual(self.fourier(-dp) - np.conj(self.fourier(dp)))
 
 
 def coulomb_ft(dp, Z: float, *, mu: float = 0.0):

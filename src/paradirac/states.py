@@ -110,8 +110,7 @@ class Mode(_Frozen):
     A Mode holds only its checked row _row of Python floats (p, a as re/im
     pairs, branch, mass), on which its checks and kinematics ran bit for bit
     as mass_of and energy_sign; p and a are read-only snapshots built from it
-    on first read.  label_key, computed on read, is (branch, bytes of p + 0.0,
-    bytes of a + 0.0): -0.0 equals 0.0.  Equality is identity.
+    on first read.  Equality is identity.
     """
 
     def __init__(self, p, branch, a):
@@ -130,17 +129,9 @@ class Mode(_Frozen):
         return f"Mode(p={self.p!r}, branch={self.branch!r}, a={self.a!r})"
 
     @property
-    def label_key(self):
-        return (self.branch, (self.p + 0.0).tobytes(), (self.a + 0.0).tobytes())
-
-    @property
     def frequency(self):
         """Tau frequency nu = branch phi_p m_p."""
         return self.branch * self.phi * self.mass
-
-    @property
-    def energy(self):
-        return abs(self.p[0])
 
     def amplitude_spinor(self):
         """The bispinor factor block(p) @ a (box factor 1/L^2 not included)."""
@@ -188,7 +179,7 @@ def free_equation_residual(mode: Mode, x, tau, box_edge=TWO_PI):
 
 def _row_bytes(rows):
     """One bytes key per row of a real (n, k) array; the + 0.0 makes -0.0
-    equal 0.0, as in Mode's keys."""
+    equal 0.0."""
     rows = np.ascontiguousarray(rows, dtype=float) + 0.0
     return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel().tolist()
 
@@ -458,9 +449,9 @@ def concatenated_pairs(state: SpectralState):
 def _window_outer(group, nu, bra, ket, momenta, points, box_edge):
     """sum over the row pairs (k, l) of one group with matching tau frequencies
     of bar(f_k) (x) g_l, f_k = bra_k exp(i p_k.x) / L^2 and g_l the same of
-    ket_l: shape (npoints, c, 4, c, 4) for rows bra, ket (n, c, 4).  Sorted by
-    (group, nu), a row's matches form one window, its chain of neighbour
-    matches if the chain's ends match, else found by bisection.  A window's
+    ket_l: shape (npoints, c, 4, d, 4) for rows bra (n, c, 4), ket (n, d, 4).
+    Sorted by (group, nu), a row's matches form one window, its chain of
+    neighbour matches if the chain's ends match, else by bisection.  A window's
     ket rows, and the bra rows whose window it is, each sum to one field per
     point: O(npoints n) work, not O(pairs)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -484,24 +475,26 @@ def _window_outer(group, nu, bra, ket, momenta, points, box_edge):
         runs = np.flatnonzero(np.r_[True, np.diff(near.reshape(2, n)).any(axis=0)])
         windows = (near.reshape(2, n)[:, runs] + [[0], [1]]).T.ravel()  # [lo, hi) pairs
     rows = bra if ket is bra else np.concatenate((bra, ket), axis=1)
-    size, rows = 4 * bra.shape[1], rows[order].reshape(n, 4 * rows.shape[1])
+    size, rows = 4 * ket.shape[1], rows[order].reshape(n, 4 * rows.shape[1])
     with np.errstate(all="ignore"):  # an overflowing phase or sum gives NaN samples, for the caller to refuse
         fields = np.exp(1j * (points @ lower_index(momenta).T))[..., None] * rows
         sums = np.add.reduceat(fields, runs, axis=1)
         # reduceat sums [lo, hi) at the even entries of windows; the zero pad allows hi = n
         kets = sums[..., -size:] if clique else np.add.reduceat(
             np.pad(fields[..., -size:], ((0, 0), (0, 1), (0, 0))), windows, axis=1)[:, ::2]
-        outer = sums[..., :size].conj().swapaxes(1, 2) @ kets / box_edge**4
-        return outer.reshape(len(points), *bra.shape[1:], *bra.shape[1:]) * GAMMA0.diagonal()[:, None, None]
+        outer = sums[..., :4 * bra.shape[1]].conj().swapaxes(1, 2) @ kets / box_edge**4
+        return outer.reshape(len(points), *bra.shape[1:], *ket.shape[1:]) * GAMMA0.diagonal()[:, None, None]
 
 
-def _concatenated_outer(state: SpectralState, channels, points):
-    """_window_outer of a one-particle state in one group, on rows channels (n, c) times w_l."""
+def _concatenated_outer(state: SpectralState, points, channels=None):
+    """_window_outer in one group: ket rows c_l w_l, bra rows channels (n, c) times w_l or the ket rows."""
     _require_width(state, 1)
+    spinors = state.spinors()
     with np.errstate(all="ignore"):  # an overflowing row gives NaN samples, for the caller to refuse
-        rows = channels[..., None] * state.spinors()
-    return _window_outer(np.zeros(len(rows), dtype=np.intp), state.frequency[:, 0], rows, rows,
-                         state.p[:, 0], points, state.box_edge)
+        ket = state.coeff[:, None, None] * spinors
+        bra = ket if channels is None else channels[..., None] * spinors
+    return _window_outer(np.zeros(len(ket), dtype=np.intp), state.frequency[:, 0], bra, ket,
+                         state.p[:, 0], points, state.box_edge)[:, :, :, 0]
 
 
 class CurrentField(NamedTuple):
@@ -518,7 +511,7 @@ def bilinear_concatenated(state: SpectralState, insert, points):
     returns complex samples of shape (npoints, ...) in units of T_tau (the
     symbolic tau-concatenation scale).  A non-finite one raises NonfiniteResult.
     """
-    outer = _concatenated_outer(state, state.coeff[:, None], points)[:, 0, :, 0]
+    outer = _concatenated_outer(state, points)[:, 0]
     return _finite(np.einsum("xab,...ab->x...", outer, insert), "the concatenated bilinear is not finite")
 
 
@@ -538,7 +531,7 @@ def concatenated_current(state: SpectralState, points) -> CurrentField:
     Only equal-frequency mode pairs survive the tau integral; the values are
     reported in units of the symbolic concatenation scale T_tau.
     """
-    return _vector_current(_concatenated_outer(state, state.coeff[:, None], points)[:, 0, :, 0])
+    return _vector_current(_concatenated_outer(state, points)[:, 0])
 
 
 def _central_differences(f, points, step):

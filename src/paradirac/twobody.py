@@ -236,19 +236,17 @@ def s2_first_order(
 # ---------------------------------------------------------------------------
 # two-particle kernel conjugation
 
-def two_kernel_matrix(which: int, momenta_pair, dx_pair, dtau: float, box_edge: float = TWO_PI):
+def two_kernel_matrix(which: int, momenta_pair, dx_pair, dtau: float):
     """16x16 tensor kernel, bare product form, per (p_x, p_y) support pair:
     pairs of shape (..., 2, 4) give kernels of shape (..., 16, 16)."""
     momenta = np.asarray(momenta_pair, dtype=float)
-    dx, dy = dx_pair
-    kx = _kernels(which, momenta[..., 0, :], dx, dtau, box_edge)
-    ky = _kernels(which, momenta[..., 1, :], dy, dtau, box_edge)
+    kx, ky = (_kernels(which, momenta[..., k, :], dx_pair[k], dtau) for k in (0, 1))
     # the broadcast product np.kron forms, with the pair axes in front
     product = kx[..., :, None, :, None] * ky[..., None, :, None, :]
     return product.reshape(product.shape[:-4] + (16, 16))
 
 
-def two_conjugation_check(dx_pair, dtau: float, momenta_pairs, box_edge: float = TWO_PI) -> float:
+def two_conjugation_check(dx_pair, dtau: float, momenta_pairs) -> float:
     """Residual of (g0 (x) g0) K++^dag (g0 (x) g0) = K-- at reversed arguments.
 
     The identity holds for the bare tensor product of the two single-particle
@@ -257,8 +255,8 @@ def two_conjugation_check(dx_pair, dtau: float, momenta_pairs, box_edge: float =
     dx, dy = (np.asarray(v, dtype=float) for v in dx_pair)
     pairs = np.asarray(momenta_pairs, dtype=float).reshape(-1, 2, 4)
     g00 = np.kron(GAMMA0, GAMMA0)
-    plus = two_kernel_matrix(+1, pairs, (dx, dy), dtau, box_edge)
-    minus = two_kernel_matrix(-1, pairs, (-dx, -dy), -dtau, box_edge)
+    plus = two_kernel_matrix(+1, pairs, (dx, dy), dtau)
+    minus = two_kernel_matrix(-1, pairs, (-dx, -dy), -dtau)
     return _max_residual(g00 @ plus.conj().swapaxes(-1, -2) @ g00 - minus)
 
 

@@ -278,13 +278,14 @@ def kernel_term(which, p, dx, dtau):
     return lambda_v(p) * np.exp(1j * (space_phase - phi * m * dtau))
 
 
-def kernel_loop(which, momenta, dx, dtau, box_edge=TWO_PI):
-    """kernel_matrix as the sum over its support, one momentum at a time."""
+def kernel_loop(which, momenta, dx, dtau):
+    """The position-space kernel summed over a support, one momentum at a
+    time; a one-momentum support gives that momentum's propagate._kernels."""
     dx = np.asarray(dx, dtype=float)
     out = np.zeros((4, 4), dtype=complex)
     for p in momenta:
         out += kernel_term(which, p, dx, dtau)
-    return (1 if dtau > 0 else -1) * 1j / box_edge**4 * out
+    return (1 if dtau > 0 else -1) * 1j / TWO_PI**4 * out
 
 
 def sampled_momentum(rng, mass, phi, p_scale):

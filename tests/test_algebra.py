@@ -364,4 +364,4 @@ class TestRowKinematics:
         mode = Mode(p, branch, a)
         assert mode.mass.hex() == mass_of(p).hex()
         assert mode.phi.hex() == energy_sign(p).hex()
-        assert mode.label_key == (branch, (p + 0.0).tobytes(), (a + 0.0).tobytes())
+        assert ((mode.p + 0.0).tobytes(), (mode.a + 0.0).tobytes()) == ((p + 0.0).tobytes(), (a + 0.0).tobytes())

@@ -3,8 +3,8 @@
 The discrete symmetries, free evolution and the Moller nodes each run as one
 batched pass over the container's arrays.  Their results must equal, bit for
 bit, the one-Mode-at-a-time loops of brute_force.py; and none of them may
-build a Mode until a caller reads the rows of `terms`.  The free influence kernel is one
-pass over its momentum support, bit for bit the loop over the support.
+build a Mode until a caller reads the rows of `terms`.  The free influence kernels are
+one pass over their momentum support, each bit for bit the loop's term.
 """
 
 from dataclasses import FrozenInstanceError
@@ -36,13 +36,12 @@ from brute_force import (
     symmetry_loop,
 )
 from paradirac import propagate, spinors, states, twobody
-from paradirac.algebra import ELEMENTARY_CHARGE, four_vector
+from paradirac.algebra import ELEMENTARY_CHARGE, TWO_PI, four_vector
 from paradirac.errors import MasslessState, SuperluminalMomentum, UnresolvedDelta, ZeroEnergy
 from paradirac.propagate import (
     elastic_shell,
     free_evolve,
     influence_conjugation_check,
-    kernel_matrix,
     moller_first_order,
 )
 from paradirac.sampling import (
@@ -226,22 +225,21 @@ def same_bits(got, want):
 
 
 class TestKernelPassMatchesOracle:
-    """kernel_matrix, the conjugation checks and the two-body kernel take one
-    pass over the support; the oracle is the loop over it."""
+    """The kernel stack, the conjugation checks and the two-body kernel take
+    one pass over the support; the oracle is the loop over it."""
 
     @given(seed=SEEDS, n=st.integers(0, 24), which=st.sampled_from((1, -1)), dtau=DTAUS)
     @example(seed=1, n=0, which=1, dtau=0.7)
     @example(seed=1, n=300, which=-1, dtau=-0.7)
     def test_stack_rows_and_sum(self, seed, n, which, dtau):
         momenta, dx = seeded_support(seed, n)
-        sgn, terms = propagate._support_terms(which, momenta, dx, dtau)
-        assert sgn == (1 if dtau > 0 else -1)
-        assert terms.shape == (n, 4, 4)
-        # each row as the loop's zero-started sum adds it, -0.0 folded
-        for row, p in zip(terms, momenta):
-            assert same_bits(row, np.zeros((4, 4), dtype=complex) + kernel_term(which, p, dx, dtau))
-        assert same_bits(kernel_matrix(which, list(momenta), dx, dtau, 1.7),
-                         kernel_loop(which, momenta, dx, dtau, 1.7))
+        stack = propagate._kernels(which, momenta, dx, dtau)
+        assert stack.shape == (n, 4, 4)
+        # each row as the loop's zero-started sum adds it, -0.0 folded, then scaled
+        sgn = 1 if dtau > 0 else -1
+        for row, p in zip(stack, momenta):
+            term = np.zeros((4, 4), dtype=complex) + kernel_term(which, p, dx, dtau)
+            assert same_bits(row, sgn * 1j / TWO_PI**4 * term)
 
     @given(seed=SEEDS, n=st.integers(0, 8), which=st.sampled_from((1, -1)), dtau=DTAUS)
     def test_two_kernel_is_kron_per_pair(self, seed, n, which, dtau):
@@ -256,7 +254,7 @@ class TestKernelPassMatchesOracle:
             assert same_bits(two_kernel_matrix(which, (px, py), (dx, dy), dtau), want)
 
     def test_empty_supports(self):
-        assert same_bits(kernel_matrix(1, [], np.zeros(4), 0.5), np.zeros((4, 4), dtype=complex))
+        assert propagate._kernels(1, np.zeros((0, 4)), np.zeros(4), 0.5).shape == (0, 4, 4)
         assert influence_conjugation_check(np.zeros(4), 0.5, []) == 0.0
 
     @pytest.mark.parametrize("bad, error", [
@@ -270,7 +268,7 @@ class TestKernelPassMatchesOracle:
         with pytest.raises(error):
             kernel_loop(1, momenta, dx, 0.5)
         with pytest.raises(error):
-            kernel_matrix(1, momenta, dx, 0.5)
+            propagate._kernels(1, momenta, dx, 0.5)
         with pytest.raises(error):
             influence_conjugation_check(dx, 0.5, momenta)
 
@@ -451,7 +449,8 @@ class TestStackedConstruction:
     N = 400
 
     def test_mode_holds_no_key(self, rng):
-        assert "label_key" not in vars(random_mode(rng))
+        # no key and no p or a array until one is read: only the row and what it gives
+        assert set(vars(random_mode(rng))) == {"_row", "branch", "mass", "phi"}
 
     @pytest.mark.parametrize("width", [1, 2])
     def test_one_key_pass_per_construction(self, rng, monkeypatch, width):

@@ -9,11 +9,9 @@ from paradirac import propagate
 from paradirac.algebra import ELEMENTARY_CHARGE, TWO_PI, four_vector, minkowski_dot
 from paradirac.errors import DegenerateInterval, NonfiniteResult, UnresolvedDelta
 from paradirac.propagate import (
-    InfluenceKernel,
     elastic_shell,
     free_evolve,
     influence_conjugation_check,
-    kernel_matrix,
     moller_first_order,
 )
 from paradirac.sampling import (
@@ -50,18 +48,14 @@ class TestFiltering:
         with pytest.raises(DegenerateInterval):
             free_evolve(state, 1.0, 1.0, 1)
         with pytest.raises(DegenerateInterval):
-            InfluenceKernel(which=1, dtau=0.0)
+            propagate._kernels(1, random_timelike_momentum(rng), np.zeros(4), 0.0)
 
-    def test_kernel_apply_is_i_times_free_evolve(self, rng):
-        # the raw kernel carries the factor i that evolution divides out
-        state = random_state(rng, 5)
-        kern = InfluenceKernel(which=-1, dtau=-0.4)
-        via_kernel = kern.apply(state)
-        via_evolve = free_evolve(state, 0.2, -0.2, -1)
-        assert len(via_kernel.terms) == len(via_evolve.terms)
-        for (c1, m1), (c2, m2) in zip(via_kernel.terms, via_evolve.terms):
-            # both factors are exact: exp(i nu dtau) times +-i or +-1
-            assert c1 == 1j * c2 and m1.branch == m2.branch
+    @pytest.mark.parametrize("which", [0, 2, -1.5])
+    def test_which_must_be_plus_or_minus_one(self, rng, which):
+        with pytest.raises(ValueError, match=r"^which must be \+1 or -1$"):
+            free_evolve(random_state(rng, 2), 0.0, 0.5, which)
+        with pytest.raises(ValueError, match=r"^which must be \+1 or -1$"):
+            propagate._kernels(which, random_timelike_momentum(rng), np.zeros(4), 0.5)
 
     @pytest.mark.parametrize("tau_prime", [np.nan, np.inf, -np.inf])
     def test_nonfinite_step_raises(self, rng, tau_prime):
@@ -69,22 +63,21 @@ class TestFiltering:
         with pytest.raises(ValueError, match="finite"):
             free_evolve(state, 0.0, tau_prime, 1)
         with pytest.raises(ValueError, match="finite"):
-            InfluenceKernel(1, tau_prime)
+            propagate._kernels(1, random_timelike_momentum(rng), np.zeros(4), tau_prime)
 
     def test_one_cmul_per_mode_column(self, rng, monkeypatch):
-        # free_evolve, the raw kernel and two_evolve share one pass, which
-        # multiplies each kept coefficient once per mode
+        # free_evolve and two_evolve are one pass, which multiplies each
+        # kept coefficient once per mode
         calls = []
         cmul = propagate._cmul
         monkeypatch.setattr(propagate, "_cmul", lambda x, y: calls.append(1) or cmul(x, y))
         mode = random_mode(rng, branch=1, phi=1)
         free_evolve(single_mode_state(mode), 0.0, 0.7, 1)
-        InfluenceKernel(1, 0.7).apply(single_mode_state(mode))
-        assert len(calls) == 2
+        assert len(calls) == 1
         pair = antisymmetrize(mode, random_mode(rng, branch=1, phi=1))
         assert len(pair.terms) == 2
         two_evolve(pair, 0.0, 0.7, 1)
-        assert len(calls) == 4
+        assert len(calls) == 3
 
 
 class TestSemigroup:
@@ -121,7 +114,7 @@ class TestKernelMatrix:
     def test_projects_onto_surviving_branch(self, rng):
         p = random_timelike_momentum(rng, phi=1)
         dx = rng.normal(size=4)
-        kern = kernel_matrix(+1, [p], dx, 0.8)
+        kern = propagate._kernels(+1, p, dx, 0.8)
         a = random_spin_coefficients(rng)
         # which=+1, dtau>0, phi=+1 keeps the u branch and kills the v branch
         u_img = kern @ (u_block(p) @ a)
@@ -157,15 +150,13 @@ class TestNonfinitePhase:
         state = random_state(rng, 6, mass=2.0, subspace=Subspace.S_PLUS)
         with pytest.raises(NonfiniteResult):
             free_evolve(state, 0.0, self.DTAU, 1)
-        with pytest.raises(NonfiniteResult):
-            InfluenceKernel(1, self.DTAU).apply(state)
         # no survivor, no phase
         assert free_evolve(state, 0.0, self.DTAU, -1).is_empty
 
     def test_kernels_raise(self, rng):
         momenta = [random_timelike_momentum(rng, mass=2.0) for _ in range(3)]
         with pytest.raises(NonfiniteResult):
-            kernel_matrix(1, momenta, np.zeros(4), self.DTAU)
+            propagate._kernels(1, momenta, np.zeros(4), self.DTAU)
         with pytest.raises(NonfiniteResult):
             influence_conjugation_check(np.zeros(4), -self.DTAU, momenta)
 
@@ -174,7 +165,7 @@ class TestNonfinitePhase:
         momenta = [four_vector(2.0), four_vector(3.0, 1.0, 0.0, 0.0)]
         dx = np.full(4, 1e308)
         with pytest.raises(NonfiniteResult):
-            kernel_matrix(1, [four_vector(2.0)], dx, 0.5)
+            propagate._kernels(1, four_vector(2.0), dx, 0.5)
         with pytest.raises(NonfiniteResult):
             influence_conjugation_check(dx, 0.5, momenta)
         with pytest.raises(NonfiniteResult):

@@ -79,7 +79,6 @@ class TestMode:
                 mode = random_mode(rng, mass=1.4, branch=branch, phi=phi)
                 assert abs(mode.frequency - branch * phi * 1.4) <= 1e-12
                 assert mode.phi == phi
-                assert mode.energy == abs(mode.p[0])
 
     def test_subspace_cells(self, rng):
         for branch, phi, want in (
@@ -122,7 +121,7 @@ MODE_INPUTS = st.one_of(
 
 
 def eager_mode_fields(p, branch, a):
-    """_row, the bytes of p and a, label_key, mass.hex() and phi by the eager
+    """_row, the bytes of p and a, folded_label, mass.hex() and phi by the eager
     route: copy p and a to float and complex arrays, then read them."""
     p, a = np.array(p, dtype=float), np.array(a, dtype=complex)
     mass, phi = float(mass_of(p)), float(energy_sign(p))
@@ -130,8 +129,13 @@ def eager_mode_fields(p, branch, a):
             (branch, (p + 0.0).tobytes(), (a + 0.0).tobytes()), mass.hex(), phi)
 
 
+def folded_label(mode):
+    """The branch and the bytes of p + 0.0 and a + 0.0: -0.0 reads as 0.0."""
+    return mode.branch, (mode.p + 0.0).tobytes(), (mode.a + 0.0).tobytes()
+
+
 def mode_fields(mode):
-    return mode._row, mode.p.tobytes(), mode.a.tobytes(), mode.label_key, mode.mass.hex(), mode.phi
+    return mode._row, mode.p.tobytes(), mode.a.tobytes(), folded_label(mode), mode.mass.hex(), mode.phi
 
 
 class TestModeContract:
@@ -449,7 +453,7 @@ class TestSerialization:
     def test_mode_record_must_be_a_complete_object(self):
         record = {"p": [1.5, 0.0, 0.0, 0.0], "branch": 1, "a": [[1.0, 0.0], [0.0, 0.0]], "L": 2.0}
         state = state_from_json(json.dumps([record]))
-        assert state.terms[0][1].label_key == Mode(record["p"], 1, [1.0, 0.0]).label_key
+        assert folded_label(state.terms[0][1]) == folded_label(Mode(record["p"], 1, [1.0, 0.0]))
         for bad in ([], None, "p", {k: v for k, v in record.items() if k != "a"}):
             with pytest.raises(ValueError, match="^mode record must be a JSON object with the keys"):
                 state_from_json(json.dumps([bad]))
@@ -644,15 +648,19 @@ def test_sampling_refuses_a_mass_that_is_not_positive_and_finite(draw, mass):
     assert rng.bit_generator.state == before  # refused before any draw
 
 
-@pytest.mark.parametrize("draw", [
-    pytest.param(random_timelike_momentum, id="momentum"),
-    pytest.param(random_mode, id="mode"),
+@pytest.mark.parametrize("draw, scale", [
+    pytest.param(random_timelike_momentum, {"p_scale": 1e200}, id="momentum"),
+    pytest.param(random_mode, {"p_scale": 1e200}, id="mode"),
+    # a finite mass whose Python float square overflows
+    pytest.param(random_timelike_momentum, {"mass": 1e200}, id="momentum-mass"),
+    pytest.param(random_mode, {"mass": 1e200}, id="mode-mass"),
+    pytest.param(random_state, {"mass": 1e200}, id="state-mass"),
 ])
-def test_sampling_refuses_an_overflowing_momentum(draw):
+def test_sampling_refuses_an_overflowing_momentum(draw, scale):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonfiniteResult, match="^mode fields must be finite$"):
-            draw(np.random.default_rng(0), p_scale=1e200)
+            draw(np.random.default_rng(0), **scale)
 
 
 def test_large_finite_momentum_draw_keeps_its_stream_and_bits():
@@ -742,7 +750,7 @@ class TestLabelKeys:
         assert np.signbit(image.p[1:3]).all()
         clone = Mode(np.where(image.p == 0.0, 0.0, image.p), image.branch, image.a)
         assert not np.signbit(clone.p[1:3]).any()
-        assert image.label_key == clone.label_key
+        assert folded_label(image) == folded_label(clone)
         merged = SpectralState(((0.5, image), (0.25, clone)))
         assert len(merged.terms) == 1 and merged.terms[0][0] == 0.75
         assert label_bits(merged.terms[0][1]) == label_bits(image)

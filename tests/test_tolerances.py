@@ -1,5 +1,6 @@
 """Fixed numerical tolerances: no per-call tolerance knobs, one shell tolerance."""
 
+import functools
 import importlib
 import inspect
 
@@ -64,8 +65,6 @@ def test_physics_parameters_are_only_those_callers_set():
     # algebra; what remains is carried data or set by verify, the CLI, the
     # sampling draws or the tests
     assert found == {
-        "propagate.influence_conjugation_check(box_edge)",
-        "propagate.kernel_matrix(box_edge)",
         "radiative.anomaly_rhs(charge)",
         "radiative.axial_divergence_tree(mass)",
         "radiative.f2_record(alpha)",
@@ -90,50 +89,63 @@ def test_physics_parameters_are_only_those_callers_set():
         "twobody.potential_from_transition(charge)",
         "twobody.s2_first_order(charges)",
         "twobody.symmetrize(box_edge)",
-        "twobody.two_conjugation_check(box_edge)",
-        "twobody.two_kernel_matrix(box_edge)",
     }
 
 
-# Each module's public functions and classes.  A name that only tests call
-# is a wrapper to delete unless it is a second route that a check compares
-# against; a new public name is added here on purpose.
+# Each module's public functions and classes, and each public class's own
+# public methods and properties as "Class.member".  A name that only tests
+# call is a wrapper to delete unless it is a second route that a check
+# compares against (SpectralState.value: the wavefunction the C, P and T
+# maps are tested on); a new public name is added here on purpose.
 _PUBLIC_NAMES = {
     "algebra": {"bar", "dirac_adjoint", "energy_sign", "four_vector", "gamma", "lower_index", "mass_of",
                 "minkowski_dot", "pauli_dot", "slash"},
     "spinors": {"boost_spin", "branch_block", "decompose_in_block", "lambda_u", "lambda_v", "spin_projector",
                 "u_block", "v_block"},
-    "states": {"CurrentField", "Mode", "SpectralState", "Subspace", "TermContainer", "bilinear_concatenated",
+    "states": {"CurrentField", "Mode", "Mode.a", "Mode.amplitude_spinor", "Mode.frequency", "Mode.p",
+               "SpectralState", "SpectralState.value", "Subspace", "TermContainer", "TermContainer.frequency",
+               "TermContainer.is_empty", "TermContainer.overlap_keys", "TermContainer.overlaps",
+               "TermContainer.phi", "TermContainer.spinors", "TermContainer.terms", "bilinear_concatenated",
                "charge_conjugate", "classify_subspace", "concatenated_current", "concatenated_pairs",
                "current_divergence_fd", "free_equation_residual", "inner_product",
                "mode_to_record", "overlap_join", "parity", "plane_wave_value", "single_mode_state",
                "state_from_json", "state_to_json", "time_reverse", "tpc"},
-    "propagate": {"InfluenceKernel", "elastic_shell", "free_evolve", "influence_conjugation_check",
-                  "kernel_matrix", "moller_first_order"},
+    "propagate": {"elastic_shell", "free_evolve", "influence_conjugation_check", "moller_first_order"},
     "scattering": {"ExternalPotential", "ReducedAmplitude", "SpinSum", "coulomb_ft", "coulomb_potential",
                    "mott_dcs", "mott_ratio", "rutherford_dcs", "s1_amplitude",
                    "spin_averaged_amp2", "spin_trace", "zero_potential"},
-    "twobody": {"TwoParticleState", "antisymmetrize", "bs_born_step", "bs_power_iteration", "exchange_residual",
+    "twobody": {"TwoParticleState", "TwoParticleState.value", "antisymmetrize", "bs_born_step", "bs_power_iteration", "exchange_residual",
                 "mutual_scattering_amplitude", "permute_labels", "potential_from_transition", "s2_first_order",
                 "symmetrize", "two_conjugation_check", "two_currents",
                 "two_kernel_matrix", "two_state_from_json", "two_state_to_json"},
-    "radiative": {"FieldConfiguration", "UehlingShift", "anomaly_record", "anomaly_rhs", "axial_divergence_tree",
+    "radiative": {"FieldConfiguration", "FieldConfiguration.from_fields", "FieldConfiguration.lowered",
+                  "UehlingShift", "anomaly_record", "anomaly_rhs", "axial_divergence_tree",
                   "bohr_radius", "epsilon_tensor", "f2_record", "hydrogen_radial", "shift_record",
                   "uehling_potential", "uehling_potential_hyperbolic", "uehling_ratio", "uehling_shift",
                   "uehling_shift_fixed_grid", "vector_divergence_check"},
     "sampling": {"random_mode", "random_spin_coefficients", "random_spinor_draws", "random_state",
                  "random_timelike_momentum", "random_unit_vector"},
-    "verify": {"Check", "all_passed", "format_report", "run_suite", "run_suites", "suite_algebra",
+    "verify": {"Check", "Check.passed", "all_passed", "format_report", "run_suite", "run_suites", "suite_algebra",
                "suite_currents", "suite_propagate", "suite_spinors", "suite_twobody"},
 }
+
+
+_MEMBER_KINDS = (property, functools.cached_property, classmethod, staticmethod)
 
 
 def test_public_names_are_the_census():
     found = {}
     for short in _MODULES:
         module = importlib.import_module(f"paradirac.{short}")
-        found[short] = {name for name, obj in vars(module).items()
-                        if not name.startswith("_") and getattr(obj, "__module__", None) == module.__name__}
+        found[short] = set()
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            found[short].add(name)
+            if inspect.isclass(obj):
+                found[short] |= {f"{name}.{attr}" for attr, member in vars(obj).items()
+                                 if not attr.startswith("_")
+                                 and (inspect.isfunction(member) or isinstance(member, _MEMBER_KINDS))}
     assert found == _PUBLIC_NAMES
 
 
