@@ -199,12 +199,10 @@ def _row_kinematics(p0, x, y, z):
 
 
 def gamma(index):
-    """Dirac matrix gamma^index for index in {0, 1, 2, 3} or 'five' (also 5).
+    """Dirac matrix gamma^index for index in {0, 1, 2, 3}; gamma5 is GAMMA5.
 
     The returned arrays are read-only module constants.
     """
-    if index in (5, "five", "5"):
-        return GAMMA5
     if index in (0, 1, 2, 3):
         return _GAMMAS[index]
     raise ValueError(f"no gamma matrix with index {index!r}")

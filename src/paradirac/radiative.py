@@ -109,15 +109,16 @@ class FieldConfiguration:
         return np.einsum("am,...mn,nb->...ab", METRIC, self.tensor, METRIC)
 
 
-def anomaly_rhs(field: FieldConfiguration, charge: float = ELEMENTARY_CHARGE):
-    """-(charge^2/(4 pi)^2) eps^{mnrs} F_mn F_rs, pointwise for batched F.
+def anomaly_rhs(field: FieldConfiguration):
+    """-(e^2/(4 pi)^2) eps^{mnrs} F_mn F_rs, pointwise for batched F, with e
+    the elementary charge of algebra.
 
     The contraction is carried out by explicit index sums over the rank-4
     symbol; the proportionality to E.B is emergent, not hard-coded.
     """
     f_low = field.lowered()
     contraction = np.einsum("mnrs,...mn,...rs->...", _EPSILON4, f_low, f_low)
-    return -(charge**2) / (2.0 * TWO_PI) ** 2 * contraction
+    return -(ELEMENTARY_CHARGE**2) / (2.0 * TWO_PI) ** 2 * contraction
 
 
 # ---------------------------------------------------------------------------

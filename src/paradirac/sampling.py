@@ -110,8 +110,9 @@ def random_mode(rng, mass=DEFAULT_MASS, branch=None, phi=None, p_scale=1.0):
     return Mode(_on_shell(row[1], row[2:5], mass), int(row[0]), _unit_doublets(row[5:]))
 
 
-def random_state(rng, n_modes=4, mass=DEFAULT_MASS, subspace=None, box_edge=TWO_PI, p_scale=1.0):
-    """Superposition of ``n_modes`` random modes with random coefficients.
+def random_state(rng, n_modes=4, mass=DEFAULT_MASS, subspace=None, p_scale=1.0):
+    """Superposition of ``n_modes`` random modes with random coefficients, in
+    the 2 pi box.
 
     subspace=Subspace.S_PLUS restricts to branch*sign(p0) = +1 (mixing both
     energy signs), S_MINUS to -1; None mixes all four (branch, sign) cells.
@@ -128,4 +129,4 @@ def random_state(rng, n_modes=4, mass=DEFAULT_MASS, subspace=None, box_edge=TWO_
     p = _on_shell(rows[:, 1], rows[:, 2:5], mass)
     with np.errstate(all="ignore"):  # mass_of's sums of squares may overflow for a finite p
         labels = _label_rows(p, _unit_doublets(rows[:, 5:9]), rows[:, 0], mass_of(p))
-    return SpectralState._from_rows(rows[:, 9] + 1j * rows[:, 10], labels, box_edge)
+    return SpectralState._from_rows(rows[:, 9] + 1j * rows[:, 10], labels, TWO_PI)

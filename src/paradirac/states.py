@@ -153,9 +153,10 @@ def classify_subspace(mode: Mode) -> Subspace:
     return Subspace.S_PLUS if mode.branch * mode.phi > 0 else Subspace.S_MINUS
 
 
-def plane_wave_value(mode: Mode, x, tau, box_edge=TWO_PI):
-    """Value of the mode wavefunction at events x (..., 4) and parameter times tau (...)."""
-    return _plane_waves(mode.p, mode.frequency, mode.amplitude_spinor(), x, tau, box_edge)
+def plane_wave_value(mode: Mode, x, tau):
+    """Value of the mode wavefunction in the 2 pi box at events x (..., 4) and
+    parameter times tau (...)."""
+    return _plane_waves(mode.p, mode.frequency, mode.amplitude_spinor(), x, tau, TWO_PI)
 
 
 def _plane_waves(p, nu, spinors, x, tau, box_edge):
@@ -164,7 +165,7 @@ def _plane_waves(p, nu, spinors, x, tau, box_edge):
     return spinors * (phase / box_edge**2)[..., None]
 
 
-def free_equation_residual(mode: Mode, x, tau, box_edge=TWO_PI):
+def free_equation_residual(mode: Mode, x, tau):
     """Finite-difference residual of the free parameter-time wave equation.
 
     Every mode satisfies (1/i) d_tau psi + gamma^mu (1/i) d_mu psi = 0
@@ -172,7 +173,7 @@ def free_equation_residual(mode: Mode, x, tau, box_edge=TWO_PI):
     roundoff of the central differences at the step 1e-3.
     """
     event = np.append(np.asarray(x, dtype=float), tau)
-    d = _central_differences(lambda e: plane_wave_value(mode, e[:, :4], e[:, 4], box_edge), event, 1e-3)
+    d = _central_differences(lambda e: plane_wave_value(mode, e[:, :4], e[:, 4]), event, 1e-3)
     total = d[4, 0] / 1j + sum(gamma(mu) @ (d[mu, 0] / 1j) for mu in range(4))
     return _max_residual(total)
 
@@ -336,8 +337,8 @@ class SpectralState(TermContainer):
         return sum((c * f for c, f in zip(self.coeff.tolist(), waves)), np.zeros(4, dtype=complex))
 
 
-def single_mode_state(mode: Mode, coeff=1.0, box_edge=TWO_PI) -> SpectralState:
-    return SpectralState(((complex(coeff), mode),), box_edge)
+def single_mode_state(mode: Mode, coeff=1.0) -> SpectralState:
+    return SpectralState(((complex(coeff), mode),))
 
 
 # ---------------------------------------------------------------------------
@@ -550,20 +551,15 @@ def _central_differences(f, points, step):
     return (f_m2 - 8.0 * f_m1 + 8.0 * f_p1 - f_p2) / (12.0 * step)
 
 
-def _divergence_fd(current, points):
-    """4th-order central-difference d_mu J^mu at each point, at the step 2e-3,
-    where current maps an (N, 4) array of points to (N, 4) real samples."""
-    d = _central_differences(current, points, 2e-3)
-    return sum(d[mu, :, mu] for mu in range(4))
-
-
 def current_divergence_fd(state: SpectralState, points):
-    """Finite-difference divergence d_mu J^mu at each point (4th order central).
+    """Finite-difference divergence d_mu J^mu at each point (4th order central,
+    step 2e-3).
 
     Returns the samples; the identity value is zero for equal-frequency
     superpositions, so the magnitude measures the discretization residual.
     """
-    return _divergence_fd(lambda x: concatenated_current(state, x).values, points)
+    d = _central_differences(lambda x: concatenated_current(state, x).values, points, 2e-3)
+    return sum(d[mu, :, mu] for mu in range(4))
 
 
 # ---------------------------------------------------------------------------
@@ -588,11 +584,16 @@ def _json_object(value, keys, what):
 
 def _json_numbers(value, shape, message):
     """value if it is JSON numbers (not true or null, nor integers beyond float
-    range) of that shape, else ValueError(message)."""
-    arr = np.array(value, dtype=object)
-    if arr.shape != shape or not all(type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max)
-                                     for v in arr.flat):
-        raise ValueError(message)
+    range) in nested lists of that shape, else ValueError(message)."""
+    items = [value]
+    for size in shape:
+        for item in items:
+            if type(item) is not list or len(item) != size:
+                raise ValueError(message)
+        items = [entry for item in items for entry in item]
+    for v in items:
+        if type(v) is not float and not (type(v) is int and abs(v) <= sys.float_info.max):
+            raise ValueError(message)
     return value
 
 

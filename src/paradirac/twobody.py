@@ -88,20 +88,20 @@ class TwoParticleState(TermContainer):
                    np.zeros((4, 4), dtype=complex))
 
 
-def antisymmetrize(psi: Mode, chi: Mode, box_edge: float = TWO_PI) -> TwoParticleState:
-    """(psi (x) chi - chi (x) psi) / sqrt(2), exchange-antisymmetric.
+def antisymmetrize(psi: Mode, chi: Mode) -> TwoParticleState:
+    """(psi (x) chi - chi (x) psi) / sqrt(2) in the 2 pi box, exchange-antisymmetric.
 
     Equal modes annihilate each other: exclusion is realized as the exact
     empty state, not an exception.
     """
     rt = 1.0 / np.sqrt(2.0)
-    return TwoParticleState(((rt, psi, chi), (-rt, chi, psi)), "fermionic", box_edge)
+    return TwoParticleState(((rt, psi, chi), (-rt, chi, psi)), "fermionic")
 
 
-def symmetrize(phi: Mode, xi: Mode, box_edge: float = TWO_PI) -> TwoParticleState:
-    """(phi (x) xi + xi (x) phi) / sqrt(2), exchange-symmetric."""
+def symmetrize(phi: Mode, xi: Mode) -> TwoParticleState:
+    """(phi (x) xi + xi (x) phi) / sqrt(2) in the 2 pi box, exchange-symmetric."""
     rt = 1.0 / np.sqrt(2.0)
-    return TwoParticleState(((rt, phi, xi), (rt, xi, phi)), "bosonic", box_edge)
+    return TwoParticleState(((rt, phi, xi), (rt, xi, phi)), "bosonic")
 
 
 def permute_labels(state: TwoParticleState) -> TwoParticleState:
@@ -162,19 +162,15 @@ def two_currents(state: TwoParticleState, points):
 # ---------------------------------------------------------------------------
 # first-order two-particle S-matrix
 
-def s2_first_order(
-    state_i: TwoParticleState,
-    state_f: TwoParticleState,
-    pot_pair,
-    charges=(ELEMENTARY_CHARGE, ELEMENTARY_CHARGE),
-) -> ReducedAmplitude:
+def s2_first_order(state_i: TwoParticleState, state_f: TwoParticleState, pot_pair) -> ReducedAmplitude:
     """S_fi through first order: free overlap plus one-potential Born terms.
 
     value = <f|i> + sum over term pairs of
-            (i e1 / L^3) B(x_i -> x_f; A1) <y_f|y_i>
-          + (i e2 / L^3) <x_f|x_i> B(y_i -> y_f; A2),
+            (i e / L^3) B(x_i -> x_f; A1) <y_f|y_i>
+          + (i e / L^3) <x_f|x_i> B(y_i -> y_f; A2),
 
-    with B(in -> out; A) = bar(w_out) slash(A~(p_out - p_in)) w_in; projection
+    with e the elementary charge of algebra and
+    B(in -> out; A) = bar(w_out) slash(A~(p_out - p_in)) w_in; projection
     onto a definite final mode cancels the branch signs, so one formula
     covers u and v type.  B is evaluated only where the deltas (equal tau
     frequencies and, for static potentials, energies) hold at ATOL_SHELL and
@@ -192,8 +188,7 @@ def s2_first_order(
         if not (state.branch * state.phi > 0).all():
             raise SubspaceViolation(f"{label} state leaves the forward subspace")
     pot1, pot2 = pot_pair
-    e1, e2 = charges
-    coupling = (1j * e1 / state_i.box_edge**3, 1j * e2 / state_i.box_edge**3)
+    coupling = 1j * ELEMENTARY_CHARGE / state_i.box_edge**3
     nu_f, nu_i = state_f.frequency.tolist(), state_i.frequency.tolist()
     p0_f, p0_i = state_f.p[..., 0].tolist(), state_i.p[..., 0].tolist()
     # particle 1 joins on the y overlap, particle 2 on the x overlap, in all-pairs
@@ -228,7 +223,7 @@ def s2_first_order(
         # first on a tie; (f, i, col) is unique, so no overlap is compared
         for (f, i, col, ov), b in sorted(zip(live, born)):
             weight = coeff_f[f].conjugate() * coeff_i[i]
-            value += weight * coupling[0] * b * ov if col == 0 else weight * ov * coupling[1] * b
+            value += weight * coupling * b * ov if col == 0 else weight * ov * coupling * b
     factors = (("delta(Dnu_total)", "T_tau"),) + (_STATIC_FACTOR if pot1.static or pot2.static else ())
     return ReducedAmplitude(complex(_finite(value, "the first-order S-matrix sum is not finite")), factors)
 

@@ -1,13 +1,14 @@
 """Named residual suites behind ``paradirac verify``.
 
-Each suite draws its inputs from a seeded generator and returns a list of
-named checks with measured residuals, so a run is reproducible bit for bit
-for a given seed.  The spinors suite takes its draws in stacked slices, in
-the one-at-a-time order; every operation is row-wise, so the residuals equal
+Each suite takes only a seeded generator and returns {check name: residual}
+in report order, so a run is reproducible bit for bit for a given seed;
+`run_suite` is the one place that pairs a residual with its tolerance as a
+`Check`.  The spinors suite takes its draws in stacked slices, in the
+one-at-a-time order; every operation is row-wise, so the residuals equal
 those of the one-at-a-time route bit for bit, and the tests keep that route
 as the reference.  Residuals are max-norm deviations of exact algebraic
-identities; default tolerances are set per suite a decade or two above the
-observed machine-precision plateau.  Each suite imports the layers it
+identities; the default tolerances are set per suite a decade or two above
+the observed machine-precision plateau.  Each suite imports the layers it
 checks, so importing this module loads only the algebra.
 """
 
@@ -54,33 +55,29 @@ class Check:
 # algebra
 
 
-def suite_algebra(rng, tol: float) -> list[Check]:
+def suite_algebra(rng) -> dict:
     from .sampling import random_timelike_momentum
 
-    checks = []
+    checks = {}
     for mu in range(4):
         for nu in range(4):
-            anti = gamma(mu) @ gamma(nu) + gamma(nu) @ gamma(mu)
-            resid = _max_residual(anti + 2.0 * METRIC[mu, nu] * I4)
-            checks.append(Check(f"anticommutator ({mu},{nu}) + 2 g^{mu}{nu}", resid, tol))
+            anti = gamma(mu) @ gamma(nu) + gamma(nu) @ gamma(mu) + 2.0 * METRIC[mu, nu] * I4
+            checks[f"anticommutator ({mu},{nu}) + 2 g^{mu}{nu}"] = _max_residual(anti)
     for mu in range(4):
-        resid = _max_residual(GAMMA5 @ gamma(mu) + gamma(mu) @ GAMMA5)
-        checks.append(Check(f"gamma5 anticommutes with gamma^{mu}", resid, tol))
+        checks[f"gamma5 anticommutes with gamma^{mu}"] = _max_residual(GAMMA5 @ gamma(mu) + gamma(mu) @ GAMMA5)
     for mu in range(4):
         for nu in range(4):
             tr = np.trace(gamma(mu) @ gamma(nu))
-            resid = abs(tr + 4.0 * METRIC[mu, nu])
-            checks.append(Check(f"trace pair ({mu},{nu}) + 4 g^{mu}{nu}", resid, tol))
+            checks[f"trace pair ({mu},{nu}) + 4 g^{mu}{nu}"] = abs(tr + 4.0 * METRIC[mu, nu])
     squares, adjoints = [], []
     for _ in range(8):
         p = random_timelike_momentum(rng)
         sp = slash(p)
         squares.append(sp @ sp + minkowski_dot(p, p) * I4)
         adjoints.append(dirac_adjoint(sp) - sp)
-    checks.append(Check("slash(p)^2 + p.p (8 random timelike p)", _max_residual(squares), tol))
-    checks.append(Check("slash(p) self-adjoint under bar (8 draws)", _max_residual(adjoints), tol))
-    resid = _max_residual(GAMMA5 @ GAMMA5 - I4)
-    checks.append(Check("gamma5 squares to identity", resid, tol))
+    checks["slash(p)^2 + p.p (8 random timelike p)"] = _max_residual(squares)
+    checks["slash(p) self-adjoint under bar (8 draws)"] = _max_residual(adjoints)
+    checks["gamma5 squares to identity"] = _max_residual(GAMMA5 @ GAMMA5 - I4)
     return checks
 
 
@@ -88,10 +85,12 @@ def suite_algebra(rng, tol: float) -> list[Check]:
 # spinors
 
 
-# Draws per batch of suite_spinors, a multiple of 10 so that every batch
-# starts on a draw with a spin direction.  It bounds each (n, 4, 4) complex
-# temporary at 64 kB: a process running only this suite peaks at 35.9 MiB RSS
-# with batches of 100 or 250 draws, and at 37.5 MiB with one of all 1000.
+# suite_spinors takes _SPINOR_DRAWS draws in batches of _SPINOR_BATCH, a
+# multiple of 10 so that every batch starts on a draw with a spin direction.
+# The batch bounds each (n, 4, 4) complex temporary at 64 kB: a process
+# running only this suite peaks at 35.9 MiB RSS with batches of 100 or 250
+# draws, and at 37.5 MiB with one of all 1000.
+_SPINOR_DRAWS = 1000
 _SPINOR_BATCH = 250
 
 
@@ -130,23 +129,23 @@ def _spinor_residuals(p, phi, a_u, a_v, spin_dirs) -> dict:
     }
 
 
-def suite_spinors(rng, tol: float, count: int = 1000) -> list[Check]:
+def suite_spinors(rng) -> dict:
     from .sampling import random_spinor_draws
 
-    p, phi, a_u, a_v, spin_dirs = random_spinor_draws(rng, count)
+    p, phi, a_u, a_v, spin_dirs = random_spinor_draws(rng, _SPINOR_DRAWS)
     batches = []
-    for lo in range(0, count, _SPINOR_BATCH):
+    for lo in range(0, _SPINOR_DRAWS, _SPINOR_BATCH):
         rows = slice(lo, lo + _SPINOR_BATCH)
         spins = slice(lo // 10, (lo + _SPINOR_BATCH) // 10)
         batches.append(_spinor_residuals(p[rows], phi[rows], a_u[rows], a_v[rows], spin_dirs[spins]))
-    return [Check(name, _max_residual([b[name] for b in batches]), tol) for name in batches[0]]
+    return {name: _max_residual([b[name] for b in batches]) for name in batches[0]}
 
 
 # ---------------------------------------------------------------------------
 # propagation
 
 
-def suite_propagate(rng, tol: float) -> list[Check]:
+def suite_propagate(rng) -> dict:
     from .propagate import (
         elastic_shell, free_evolve, influence_conjugation_check, moller_first_order,
     )
@@ -156,7 +155,7 @@ def suite_propagate(rng, tol: float) -> list[Check]:
     from .scattering import coulomb_potential, s1_amplitude
     from .states import Mode, SpectralState
 
-    checks = []
+    checks = {}
     coeff = 0.8 - 0.3j
     for which, direction, branch, phi in itertools.product((1, -1), repeat=4):
         dtau = 0.7 * direction
@@ -170,7 +169,7 @@ def suite_propagate(rng, tol: float) -> list[Check]:
             resid = 0.0 if evolved.is_empty else abs(evolved.coeff[0])
             verdict = "drops"
         label = f"filter w={which:+d} dt={direction:+d} b={branch:+d} phi={phi:+d} {verdict}"
-        checks.append(Check(label, resid, tol))
+        checks[label] = resid
 
     for which, direction in ((1, 1), (-1, -1)):
         state = random_state(rng, n_modes=6)
@@ -181,16 +180,15 @@ def suite_propagate(rng, tol: float) -> list[Check]:
         direct = free_evolve(state, taus[0], taus[-1], which)
         same = len(chained.coeff) == len(direct.coeff)
         resid = _max_residual(chained.coeff - direct.coeff) if same else 1.0
-        checks.append(Check(f"semigroup chain of 5 (w={which:+d})", resid, tol))
+        checks[f"semigroup chain of 5 (w={which:+d})"] = resid
 
     state = random_state(rng, n_modes=6)
     wobble = free_evolve(free_evolve(state, 0.0, 1.0, 1), 1.0, 0.5, 1)
-    checks.append(Check("non-monotone chain empties", float(len(wobble.coeff)), tol))
+    checks["non-monotone chain empties"] = float(len(wobble.coeff))
 
     momenta = [random_timelike_momentum(rng) for _ in range(5)]
     dx = rng.normal(size=4)
-    resid = influence_conjugation_check(dx, 0.9, momenta)
-    checks.append(Check("kernel conjugation g0 K+^dag g0 = K- rev", resid, tol))
+    checks["kernel conjugation g0 K+^dag g0 = K- rev"] = influence_conjugation_check(dx, 0.9, momenta)
 
     m = 1.0
     p_in = four_vector(np.hypot(m, 1.0), 0.0, 0.0, 1.0)
@@ -206,11 +204,11 @@ def suite_propagate(rng, tol: float) -> list[Check]:
         for k, a_f in enumerate(np.eye(2)):
             s1 = s1_amplitude(p_in, incident.a, p, a_f, pot)
             diffs.append(c * a[k] - 1j * e3 * s1.value)
-    checks.append(Check("first Born node matches reduced amplitude", _max_residual(diffs), tol))
+    checks["first Born node matches reduced amplitude"] = _max_residual(diffs)
 
     backward = Mode(p=p_in, branch=-1, a=incident.a)
     silent = moller_first_order(backward, pot, outs)
-    checks.append(Check("backward incident mode yields no nodes", float(len(silent.coeff)), tol))
+    checks["backward incident mode yields no nodes"] = float(len(silent.coeff))
     return checks
 
 
@@ -218,7 +216,7 @@ def suite_propagate(rng, tol: float) -> list[Check]:
 # two-body
 
 
-def suite_twobody(rng, tol: float) -> list[Check]:
+def suite_twobody(rng) -> dict:
     from .propagate import elastic_shell
     from .sampling import random_mode, random_spin_coefficients, random_timelike_momentum
     from .scattering import coulomb_potential, s1_amplitude, zero_potential
@@ -229,17 +227,17 @@ def suite_twobody(rng, tol: float) -> list[Check]:
         two_conjugation_check, two_evolve, two_inner_product,
     )
 
-    checks = []
+    checks = {}
     mode = random_mode(rng, branch=1, phi=1)
     pauli = antisymmetrize(mode, mode)
-    checks.append(Check("identical-mode antisymmetrization empties", float(len(pauli.coeff)), tol))
+    checks["identical-mode antisymmetrization empties"] = float(len(pauli.coeff))
 
     m1 = random_mode(rng, branch=1, phi=1)
     m2 = random_mode(rng, branch=1, phi=1)
     anti = antisymmetrize(m1, m2)
     sym = symmetrize(m1, m2)
-    checks.append(Check("fermionic exchange antisymmetry", exchange_residual(anti), tol))
-    checks.append(Check("bosonic exchange symmetry", exchange_residual(sym), tol))
+    checks["fermionic exchange antisymmetry"] = exchange_residual(anti)
+    checks["bosonic exchange symmetry"] = exchange_residual(sym)
 
     f1 = random_mode(rng, branch=1, phi=1)
     f2 = random_mode(rng, branch=1, phi=1)
@@ -247,13 +245,13 @@ def suite_twobody(rng, tol: float) -> list[Check]:
     pots = (coulomb_potential(Z=1.0), coulomb_potential(Z=3.0))
     plain = s2_first_order(anti, final, pots).value
     flipped = s2_first_order(permute_labels(anti), final, pots).value
-    checks.append(Check("label permutation flips the amplitude sign", abs(plain + flipped), tol))
+    checks["label permutation flips the amplitude sign"] = abs(plain + flipped)
 
     shift = 0.83
     anti_s = two_evolve(anti, 0.0, shift, 1)
     final_s = two_evolve(final, 0.0, shift, 1)
     shifted = s2_first_order(anti_s, final_s, pots).value
-    checks.append(Check("amplitude invariant under common tau shift", abs(shifted - plain), tol))
+    checks["amplitude invariant under common tau shift"] = abs(shifted - plain)
 
     ix, iy = random_mode(rng, branch=1, phi=1), random_mode(rng, branch=1, phi=1)
     fx = Mode(p=elastic_shell(ix.p, [0.9], n_azimuth=1)[0], branch=1,
@@ -264,7 +262,7 @@ def suite_twobody(rng, tol: float) -> list[Check]:
     s1 = s1_amplitude(ix.p, ix.a, fx.p, fx.a, pots[0])
     partner = np.vdot(iy.a, iy.a)
     target = 1j * ELEMENTARY_CHARGE / TWO_PI**3 * s1.value * partner
-    checks.append(Check("separable amplitude factorizes", abs(amp - target), tol))
+    checks["separable amplitude factorizes"] = abs(amp - target)
 
     basis = []
     for _ in range(5):
@@ -282,21 +280,18 @@ def suite_twobody(rng, tol: float) -> list[Check]:
     k2 = bs_born_step(k1, basis, v_matrix, 1.3)
     k3 = bs_born_step(k2, basis, v_matrix, 1.3)
     scale = _max_residual(k1)
-    checks.append(Check("rank-1 Born series is geometric (step 2)",
-                        _max_residual(k2 - ratio * k1) / scale, tol))
-    checks.append(Check("rank-1 Born series is geometric (step 3)",
-                        _max_residual(k3 - ratio**2 * k1) / scale, tol))
-    checks.append(Check("kernel annihilates backward pairs", abs(k1[-1]), tol))
+    checks["rank-1 Born series is geometric (step 2)"] = _max_residual(k2 - ratio * k1) / scale
+    checks["rank-1 Born series is geometric (step 3)"] = _max_residual(k3 - ratio**2 * k1) / scale
+    checks["kernel annihilates backward pairs"] = abs(k1[-1])
     eig, _ = bs_power_iteration(basis, v_matrix, 1.3)
-    checks.append(Check("power iteration finds the geometric ratio",
-                        abs(eig - ratio) / abs(ratio), tol))
+    checks["power iteration finds the geometric ratio"] = abs(eig - ratio) / abs(ratio)
 
     pairs = [
         (random_timelike_momentum(rng), random_timelike_momentum(rng))
         for _ in range(3)
     ]
     resid = two_conjugation_check((rng.normal(size=4), rng.normal(size=4)), 0.6, pairs)
-    checks.append(Check("two-body kernel conjugation", resid, tol))
+    checks["two-body kernel conjugation"] = resid
 
     in1 = random_mode(rng, branch=1, phi=1, p_scale=0.4)
     in2 = random_mode(rng, mass=2.0, branch=1, phi=1, p_scale=0.3)
@@ -306,12 +301,11 @@ def suite_twobody(rng, tol: float) -> list[Check]:
     amp12 = mutual_scattering_amplitude(in1, out1, in2, out2, 0.4, 0.9)
     amp21 = mutual_scattering_amplitude(in2, out2, in1, out1, 0.9, 0.4)
     scale = max(abs(amp12), 1e-300)
-    checks.append(Check("mutual scattering is symmetric", abs(amp12 - amp21) / scale, tol))
+    checks["mutual scattering is symmetric"] = abs(amp12 - amp21) / scale
 
     norm = two_inner_product(anti, anti)
     target = np.vdot(m1.a, m1.a) * np.vdot(m2.a, m2.a)
-    checks.append(Check("antisymmetrized norm matches factor norms",
-                        abs(norm - target), tol))
+    checks["antisymmetrized norm matches factor norms"] = abs(norm - target)
     return checks
 
 
@@ -319,7 +313,7 @@ def suite_twobody(rng, tol: float) -> list[Check]:
 # currents
 
 
-def suite_currents(rng, tol: float) -> list[Check]:
+def suite_currents(rng) -> dict:
     from .radiative import (
         FieldConfiguration, anomaly_rhs, axial_divergence_tree, epsilon_tensor,
         vector_divergence_check,
@@ -331,28 +325,25 @@ def suite_currents(rng, tol: float) -> list[Check]:
     )
     from .twobody import TwoParticleState, two_currents
 
-    checks = []
+    checks = {}
     points = rng.normal(size=(12, 4))
 
     state = random_state(rng, n_modes=8, mass=1.0)
-    checks.append(Check("vector current divergence (spectral)",
-                        vector_divergence_check(state, points), tol))
+    checks["vector current divergence (spectral)"] = vector_divergence_check(state, points)
 
     gentle = random_state(rng, n_modes=6, mass=1.0, p_scale=0.5)
     fd = current_divergence_fd(gentle, points[:4])
-    checks.append(Check("vector current divergence (finite difference)", _max_residual(fd), tol))
+    checks["vector current divergence (finite difference)"] = _max_residual(fd)
 
     imag = bilinear_concatenated(state, GAMMA_STACK, points).imag
-    checks.append(Check("concatenated current reality", _max_residual(imag), tol))
+    checks["concatenated current reality"] = _max_residual(imag)
 
     minus = random_state(rng, n_modes=8, mass=1.0, subspace=Subspace.S_MINUS)
     lhs, rhs = axial_divergence_tree(minus, 1.0, points)
-    checks.append(Check("axial divergence identity on backward states",
-                        _max_residual(lhs - rhs), tol))
+    checks["axial divergence identity on backward states"] = _max_residual(lhs - rhs)
     plus = random_state(rng, n_modes=8, mass=1.0, subspace=Subspace.S_PLUS)
     lhs_p, rhs_p = axial_divergence_tree(plus, 1.0, points)
-    checks.append(Check("axial divergence sign reversal on forward states",
-                        _max_residual(lhs_p + rhs_p), tol))
+    checks["axial divergence sign reversal on forward states"] = _max_residual(lhs_p + rhs_p)
 
     e_vec = rng.normal(size=3)
     b_vec = rng.normal(size=3)
@@ -365,12 +356,11 @@ def suite_currents(rng, tol: float) -> list[Check]:
         mu, nu, rho, sig = perm
         oracle += eps[mu, nu, rho, sig] * low[..., mu, nu] * low[..., rho, sig]
     oracle *= -(charge**2) / (2.0 * TWO_PI) ** 2
-    resid = abs(float(anomaly_rhs(field, charge)) - float(oracle))
-    checks.append(Check("anomaly contraction vs permutation oracle", resid, tol))
+    anomaly = float(anomaly_rhs(field))
+    checks["anomaly contraction vs permutation oracle"] = abs(anomaly - float(oracle))
 
     analytic = charge**2 * float(np.dot(e_vec, b_vec)) / (2.0 * np.pi**2)
-    checks.append(Check("anomaly contraction vs E.B closed form",
-                        abs(float(anomaly_rhs(field, charge)) - analytic), tol))
+    checks["anomaly contraction vs E.B closed form"] = abs(anomaly - analytic)
 
     mx = random_mode(rng, branch=1, phi=1, p_scale=0.5)
     my = random_mode(rng, branch=1, phi=1, p_scale=0.5)
@@ -379,7 +369,7 @@ def suite_currents(rng, tol: float) -> list[Check]:
     single_x = concatenated_current(single_mode_state(mx, coeff=abs(0.7 + 0.2j)), points[:4])
     weight_y = float(np.vdot(my.a, my.a).real)
     resid = _max_residual(j1.values - single_x.values * weight_y)
-    checks.append(Check("marginal current reduces on product states", resid, tol))
+    checks["marginal current reduces on product states"] = resid
     return checks
 
 
@@ -396,16 +386,17 @@ _SUITES = {
     "currents": (suite_currents, 1e-10),
 }
 SUITE_NAMES = tuple(_SUITES)
-DEFAULT_TOLS = {name: default for name, (_, default) in _SUITES.items()}
 
 
 def run_suite(name: str, seed: int = 0, tol: float = None) -> list[Check]:
-    """Run one named suite with a seed-derived generator."""
+    """Run one named suite with a seed-derived generator; each check gets
+    tol, or the suite's default when tol is None."""
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}")
     rng = np.random.default_rng([seed, SUITE_NAMES.index(name)])
     suite, default = _SUITES[name]
-    return suite(rng, default if tol is None else tol)
+    tol = default if tol is None else tol
+    return [Check(label, residual, tol) for label, residual in suite(rng).items()]
 
 
 def run_suites(names, seed: int = 0, tol: float = None):

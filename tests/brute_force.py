@@ -309,7 +309,7 @@ def sampled_mode(rng, mass, branch, phi, p_scale):
     return Mode(sampled_momentum(rng, mass, phi, p_scale), branch, sampled_spins(rng))
 
 
-def sampled_state(rng, n_modes, mass, subspace, box_edge, p_scale):
+def sampled_state(rng, n_modes, mass, subspace, p_scale):
     """random_state as a loop of sampled_mode plus a coefficient per mode,
     built from the (coeff, Mode) terms."""
     terms = []
@@ -320,4 +320,4 @@ def sampled_state(rng, n_modes, mass, subspace, box_edge, p_scale):
             branch = phi if subspace is Subspace.S_PLUS else -phi
         mode = sampled_mode(rng, mass, branch, phi, p_scale)
         terms.append((rng.normal() + 1j * rng.normal(), mode))
-    return SpectralState(tuple(terms), box_edge)
+    return SpectralState(tuple(terms))

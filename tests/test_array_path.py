@@ -353,11 +353,10 @@ class TestSamplingMatchesOracle:
     @pytest.mark.parametrize("subspace", [None, Subspace.S_PLUS, Subspace.S_MINUS])
     def test_random_state_grid(self, subspace):
         for seed in range(30):
-            box = 3.0 if seed % 3 == 0 else states.TWO_PI
             for n, mass, p_scale in SAMPLING_GRID:
                 got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = random_state(got_rng, n, mass=mass, subspace=subspace, box_edge=box, p_scale=p_scale)
-                want = sampled_state(want_rng, n, mass, subspace, box, p_scale)
+                got = random_state(got_rng, n, mass=mass, subspace=subspace, p_scale=p_scale)
+                want = sampled_state(want_rng, n, mass, subspace, p_scale)
                 for name in ("coeff", "p", "branch", "a", "mass"):
                     x, y = getattr(got, name), getattr(want, name)
                     assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name

@@ -24,7 +24,7 @@ from paradirac.scattering import coulomb_potential, s1_amplitude
 from paradirac.spinors import u_block, v_block
 from paradirac.states import Mode, Subspace, inner_product, single_mode_state
 from paradirac.twobody import antisymmetrize, two_conjugation_check, two_evolve
-from paradirac.verify import DEFAULT_TOLS, SUITE_NAMES, Check, suite_propagate
+from paradirac.verify import SUITE_NAMES, Check, suite_propagate
 
 
 class TestFiltering:
@@ -308,6 +308,6 @@ class TestFilterSuite:
     def test_residuals_equal_the_case_by_case_loop(self, seed):
         # same seeded stream, same rounding: labels, order and residuals agree bit for bit
         stream = [seed, SUITE_NAMES.index("propagate")]
-        batched = suite_propagate(np.random.default_rng(stream), DEFAULT_TOLS["propagate"])
+        batched = suite_propagate(np.random.default_rng(stream))
         loop = _filter_checks_loop(np.random.default_rng(stream))
-        assert [(check.name, check.residual) for check in batched[:16]] == loop
+        assert list(batched.items())[:16] == loop

@@ -122,21 +122,19 @@ class TestAnomaly:
     def test_closed_form_e_dot_b(self, rng):
         e, b = rng.normal(size=3), rng.normal(size=3)
         field = FieldConfiguration.from_fields(e, b)
-        charge = ELEMENTARY_CHARGE
-        expect = charge**2 * float(np.dot(e, b)) / (2.0 * np.pi**2)
-        assert abs(float(anomaly_rhs(field, charge)) - expect) <= 1e-14 * max(1.0, abs(expect))
+        expect = ELEMENTARY_CHARGE**2 * float(np.dot(e, b)) / (2.0 * np.pi**2)
+        assert abs(float(anomaly_rhs(field)) - expect) <= 1e-14 * max(1.0, abs(expect))
 
     def test_matches_permutation_oracle_exactly(self, rng):
         e, b = rng.normal(size=3), rng.normal(size=3)
         field = FieldConfiguration.from_fields(e, b)
         low = field.lowered()
         eps = epsilon_tensor()
-        charge = 0.9
         oracle = 0.0
         for mu, nu, rho, sig in itertools.permutations(range(4)):
             oracle += eps[mu, nu, rho, sig] * low[mu, nu] * low[rho, sig]
-        oracle *= -(charge**2) / (4.0 * np.pi) ** 2
-        assert float(anomaly_rhs(field, charge)) == oracle
+        oracle *= -(ELEMENTARY_CHARGE**2) / (4.0 * np.pi) ** 2
+        assert float(anomaly_rhs(field)) == oracle
 
     def test_quadratic_scaling(self, rng):
         e, b = rng.normal(size=3), rng.normal(size=3)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from paradirac import verify
 from paradirac.algebra import I2, I4, bar, four_vector, minkowski_dot, slash
 from paradirac.errors import MasslessState, NonfiniteResult, NonUnitSpin, SuperluminalMomentum, ZeroEnergy
 from paradirac.sampling import (
@@ -23,7 +24,7 @@ from paradirac.spinors import (
     u_block,
     v_block,
 )
-from paradirac.verify import DEFAULT_TOLS, SUITE_NAMES, suite_spinors
+from paradirac.verify import SUITE_NAMES, suite_spinors
 
 
 def _draws(rng, count=60):
@@ -281,9 +282,11 @@ class TestSpinorDraws:
 
 class TestBatchedSuite:
     @pytest.mark.parametrize("seed,count", [(0, 1000), (1, 95), (7, 30)])
-    def test_residuals_equal_the_draw_by_draw_loop(self, seed, count):
-        # same seeded stream, same rounding: the residuals agree bit for bit
+    def test_residuals_equal_the_draw_by_draw_loop(self, seed, count, monkeypatch):
+        # same seeded stream, same rounding: the residuals agree bit for bit,
+        # for the suite's 1000 draws and for one short batch
+        monkeypatch.setattr(verify, "_SPINOR_DRAWS", count)
         stream = [seed, SUITE_NAMES.index("spinors")]
-        batched = suite_spinors(np.random.default_rng(stream), DEFAULT_TOLS["spinors"], count)
+        batched = suite_spinors(np.random.default_rng(stream))
         loop = _suite_spinors_loop(np.random.default_rng(stream), count)
-        assert [check.residual for check in batched] == loop
+        assert list(batched.values()) == loop

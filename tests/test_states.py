@@ -241,8 +241,8 @@ class TestPlaneWave:
     def test_box_normalization_scale(self, rng):
         mode = random_mode(rng)
         x = rng.normal(size=4)
-        v1 = plane_wave_value(mode, x, 0.2, box_edge=TWO_PI)
-        v2 = plane_wave_value(mode, x, 0.2, box_edge=2.0 * TWO_PI)
+        v1 = plane_wave_value(mode, x, 0.2)
+        v2 = SpectralState(((1.0, mode),), 2.0 * TWO_PI).value(x, 0.2)
         assert np.abs(v1 - 4.0 * v2).max() <= 1e-12 * np.abs(v1).max()
 
 
@@ -289,7 +289,7 @@ class TestInnerProduct:
 
     def test_box_mismatch_raises(self, rng):
         sa = random_state(rng, 2)
-        sb = random_state(rng, 2, box_edge=3.0)
+        sb = SpectralState(random_state(rng, 2).terms, 3.0)
         with pytest.raises(BoxMismatch):
             inner_product(sa, sb)
 

@@ -18,7 +18,7 @@ from paradirac.states import Mode, single_mode_state
 _MODULES = ("algebra", "spinors", "states", "propagate", "scattering",
             "twobody", "radiative", "sampling", "verify")
 _NUMERIC_CONTROLS = {"atol", "rtol", "freq_atol", "mass_atol", "epsrel", "step",
-                     "samples", "seed", "iterations", "nodes_per_segment"}
+                     "samples", "seed", "iterations", "nodes_per_segment", "tol", "count"}
 
 
 def _public_callables(module):
@@ -41,10 +41,14 @@ def test_numeric_control_parameters_are_only_those_callers_set():
             for param in inspect.signature(fn).parameters:
                 if param in _NUMERIC_CONTROLS:
                     found.add(f"{short}.{name}({param})")
-    # the suite seeds carry the CLI's --seed
+    # the suite seeds and tolerance carry the CLI's --seed and --tol, and the
+    # spinors suite sets its draw count; the suites take only their generator
     assert found == {
+        "sampling.random_spinor_draws(count)",
         "verify.run_suite(seed)",
+        "verify.run_suite(tol)",
         "verify.run_suites(seed)",
+        "verify.run_suites(tol)",
     }
 
 
@@ -60,16 +64,15 @@ def test_physics_parameters_are_only_those_callers_set():
             for param in inspect.signature(fn).parameters:
                 if param in _PHYSICS_PARAMETERS:
                     found.add(f"{short}.{name}({param})")
-    # the Uehling, Mott, Moller, mutual-scattering and anomaly-record
-    # functions read the electron mass, alpha, e and the 2 pi box from
-    # algebra; what remains is carried data or set by verify, the CLI, the
-    # sampling draws or the tests
+    # the Uehling, Mott, Moller, first-order S-matrix, mutual-scattering and
+    # anomaly functions, the plane waves, the single-mode and (anti)symmetrized
+    # states and the sampled states read the electron mass, alpha, e and the
+    # 2 pi box from algebra; what remains is carried data or set by verify,
+    # the CLI, the sampling draws or the tests
     assert found == {
-        "radiative.anomaly_rhs(charge)",
         "radiative.axial_divergence_tree(mass)",
         "radiative.f2_record(alpha)",
         "sampling.random_mode(mass)",
-        "sampling.random_state(box_edge)",
         "sampling.random_state(mass)",
         "sampling.random_timelike_momentum(mass)",
         "scattering.spin_averaged_amp2(mass)",
@@ -78,17 +81,11 @@ def test_physics_parameters_are_only_those_callers_set():
         "spinors.lambda_v(mass)",
         "spinors.u_block(mass)",
         "spinors.v_block(mass)",
-        "states.free_equation_residual(box_edge)",
-        "states.plane_wave_value(box_edge)",
-        "states.single_mode_state(box_edge)",
-        "twobody.antisymmetrize(box_edge)",
         "twobody.bs_born_step(mass)",
         "twobody.bs_power_iteration(mass)",
         "twobody.mutual_scattering_amplitude(charge1)",
         "twobody.mutual_scattering_amplitude(charge2)",
         "twobody.potential_from_transition(charge)",
-        "twobody.s2_first_order(charges)",
-        "twobody.symmetrize(box_edge)",
     }
 
 

@@ -1,9 +1,11 @@
-"""A NaN residual fails every check of `paradirac verify`.
+"""The suites of `paradirac verify`: their shape, and NaN residuals.
 
-Each check reduces its residuals once, through algebra._max_residual, never
-by a Python max() fold: max(0.0, nan) is 0.0, so a fold drops a NaN and its
-check passes.  Each test below puts a NaN into one fold of a suite and
-requires that check, and no other, to read NaN and fail.
+Each suite maps its check names to residuals, and run_suite pairs them with
+a tolerance.  Each check reduces its residuals once, through
+algebra._max_residual, never by a Python max() fold: max(0.0, nan) is 0.0,
+so a fold drops a NaN and its check passes.  Each NaN test below puts a NaN
+into one fold of a suite and requires that check, and no other, to read NaN
+and fail.
 """
 
 import dataclasses
@@ -73,3 +75,20 @@ def test_current_reality_keeps_a_nan_component(monkeypatch):
         return values
     monkeypatch.setattr(states, "bilinear_concatenated", nan_for_mu_2)
     _assert_only_these_fail(verify.run_suite("currents", seed=0), ["concatenated current reality"])
+
+
+# checks per suite, in report order
+_SUITE_SIZES = {"algebra": 39, "spinors": 13, "propagate": 22, "twobody": 13, "currents": 8}
+
+
+def test_suites_map_unique_names_to_float_residuals():
+    # a label that a later check overwrites in the suite's dict shrinks its count
+    assert tuple(_SUITE_SIZES) == verify.SUITE_NAMES
+    for index, name in enumerate(verify.SUITE_NAMES):
+        residuals = getattr(verify, f"suite_{name}")(np.random.default_rng([0, index]))
+        assert type(residuals) is dict and len(residuals) == _SUITE_SIZES[name]
+        assert all(type(label) is str and isinstance(resid, float) for label, resid in residuals.items())
+        # run_suite pairs the same residuals, in order, with one tolerance
+        checks = verify.run_suite(name, seed=0, tol=0.5)
+        assert [(check.name, check.residual) for check in checks] == list(residuals.items())
+        assert {check.tol for check in checks} == {0.5}
