@@ -180,4 +180,4 @@ def moller_first_order(incident: Mode, potential, out_momenta) -> SpectralState:
     live = a_out.any(axis=-1)
     rows = _label_rows(q[live], a_out[live], branch[live], m_out[live])
     return SpectralState._from_rows(np.concatenate(([1.0], branch[live] * (1j * ELEMENTARY_CHARGE / TWO_PI**3))),
-                                    np.concatenate(([incident._row], rows)), TWO_PI)
+                                    np.concatenate(([np.frombuffer(incident._row)], rows)), TWO_PI)

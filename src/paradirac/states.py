@@ -23,6 +23,7 @@ from __future__ import annotations
 import copy
 import enum
 import functools
+import itertools
 import json
 import math
 import operator
@@ -64,7 +65,7 @@ class Subspace(enum.Enum):
 
 
 class _Frozen:
-    """Attributes are set once, through vars(self), on construction."""
+    """Attributes are set once, through vars(self) or object.__setattr__, on construction."""
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -104,26 +105,49 @@ def _label_rows(p, a, branch, mass):
     return rows
 
 
+class _built_once(functools.cached_property):
+    """cached_property without the lock Python 3.11's takes on each miss: the
+    value is built on first read and stored on the instance, where later
+    reads find it."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.func(instance)
+        object.__setattr__(instance, self.attrname, value)  # a non-data descriptor: the instance's value wins
+        return value
+
+
+_pack_row = struct.Struct("10d").pack
+
+
 class Mode(_Frozen):
     """One box-normalized plane-wave mode (p, branch, spin coefficients).
 
-    A Mode holds only its checked row _row of Python floats (p, a as re/im
-    pairs, branch, mass), on which its checks and kinematics ran bit for bit
-    as mass_of and energy_sign; p and a are read-only snapshots built from it
-    on first read.  Equality is identity.
+    A Mode holds only its checked row _row, the 80 packed bytes of the 10
+    floats (p, a as re/im pairs, branch, mass) on which its checks and
+    kinematics ran bit for bit as mass_of and energy_sign; p and a are
+    read-only views of those bytes, built on first read.  Equality is
+    identity.
     """
 
     def __init__(self, p, branch, a):
         row, phi = _label_row(p, branch, a)
-        vars(self).update(branch=row[8], mass=row[9], phi=phi, _row=row)
+        # object.__setattr__ keeps the fields in the instance's inline values, where
+        # Python 3.11+ builds no __dict__: one object less for the cyclic GC to count
+        set_field = object.__setattr__
+        set_field(self, "branch", row[8])
+        set_field(self, "mass", row[9])
+        set_field(self, "phi", phi)
+        set_field(self, "_row", _pack_row(*row))
 
-    @functools.cached_property
+    @_built_once
     def p(self):
-        return np.frombuffer(struct.pack("4d", *self._row[:4]))  # read-only: bytes are immutable
+        return np.frombuffer(self._row, float, 4)  # read-only: bytes are immutable
 
-    @functools.cached_property
+    @_built_once
     def a(self):
-        return np.frombuffer(struct.pack("4d", *self._row[4:8]), dtype=complex)
+        return np.frombuffer(self._row, complex, 2, 32)
 
     def __repr__(self):
         return f"Mode(p={self.p!r}, branch={self.branch!r}, a={self.a!r})"
@@ -178,6 +202,10 @@ def free_equation_residual(mode: Mode, x, tau):
     return _max_residual(total)
 
 
+# coefficient types that np.array(..., dtype=complex) converts as complex() does
+_PLAIN_NUMBERS = frozenset((float, complex, np.float64, np.complex128))
+
+
 def _row_bytes(rows):
     """One bytes key per row of a real (n, k) array; the + 0.0 makes -0.0
     equal 0.0."""
@@ -196,7 +224,8 @@ class TermContainer(_Frozen):
     a + 0.0, branch), so -0.0 equals 0.0 as in array_equal: coefficients add
     in input order at the first occurrence and zero sums drop.  A non-finite
     coefficient, given or summed, raises NonfiniteResult.  The state maps
-    work on the arrays in one batched pass.
+    work on the arrays in one batched pass.  Built from Modes, the label
+    rows are the Modes' packed bytes (Mode._row) joined into one buffer.
 
     `terms` views the rows as (coeff, Mode, ...) tuples, building Modes per read.
     """
@@ -204,15 +233,29 @@ class TermContainer(_Frozen):
     width = 1
 
     def _load(self, terms, box_edge, **fields):
-        """Construct from (coeff, Mode, ...) tuples, through _fill."""
-        coeffs, rows, classes = [], [], (Mode,) * self.width
-        for coeff, *row in terms:
-            if len(row) != self.width or not all(map(isinstance, row, classes)):
-                raise TypeError("terms must be (coefficient" + ", Mode" * self.width + ") tuples")
-            coeffs.append(complex(coeff))
-            for mode in row:
-                rows += mode._row
-        self._fill(coeffs, rows, box_edge, **fields)
+        """Construct from (coeff, Mode, ...) tuples, through _fill, in a few
+        passes: the coefficients convert in one call when all are plain
+        numbers, and the modes' packed rows join into one buffer.  Bad terms
+        raise the error a term-by-term read would raise first."""
+        terms = tuple(terms)
+        try:
+            coeffs, *cols = zip(*terms, strict=True) if terms else [()] * (self.width + 1)
+        except (TypeError, ValueError):  # a term that does not unpack, or terms of unequal widths
+            cols = ()
+        modes = list(itertools.chain.from_iterable(zip(*cols)))
+        if len(cols) != self.width or not all(map(isinstance, modes, itertools.repeat(Mode))):
+            message = "terms must be (coefficient" + ", Mode" * self.width + ") tuples"
+            for coeff, *row in terms:
+                if len(row) != self.width or not all(map(isinstance, row, itertools.repeat(Mode))):
+                    raise TypeError(message)
+                complex(coeff)
+            raise TypeError(message)
+        if _PLAIN_NUMBERS.issuperset(map(type, coeffs)):
+            coeffs = np.array(coeffs, dtype=complex)  # the bits complex() gives each
+        else:
+            coeffs = [complex(coeff) for coeff in coeffs]
+        self._fill(coeffs, np.frombuffer(b"".join(map(operator.attrgetter("_row"), modes))),
+                   box_edge, **fields)
 
     def _fill(self, coeff, rows, box_edge, **fields):
         """The one constructor: coefficients (n,) and the n * w label rows of their
@@ -476,13 +519,14 @@ def _window_outer(group, nu, bra, ket, momenta, points, box_edge):
         runs = np.flatnonzero(np.r_[True, np.diff(near.reshape(2, n)).any(axis=0)])
         windows = (near.reshape(2, n)[:, runs] + [[0], [1]]).T.ravel()  # [lo, hi) pairs
     rows = bra if ket is bra else np.concatenate((bra, ket), axis=1)
-    size, rows = 4 * ket.shape[1], rows[order].reshape(n, 4 * rows.shape[1])
+    # the columns (4c,) first and the n sorted rows last, so that reduceat sums along a contiguous axis
+    size, rows = 4 * ket.shape[1], np.ascontiguousarray(rows[order].reshape(n, 4 * rows.shape[1]).T)
     with np.errstate(all="ignore"):  # an overflowing phase or sum gives NaN samples, for the caller to refuse
-        fields = np.exp(1j * (points @ lower_index(momenta).T))[..., None] * rows
-        sums = np.add.reduceat(fields, runs, axis=1)
+        fields = np.exp(1j * (points @ lower_index(momenta).T))[:, None] * rows
+        sums = np.add.reduceat(fields, runs, axis=2).swapaxes(1, 2)
         # reduceat sums [lo, hi) at the even entries of windows; the zero pad allows hi = n
         kets = sums[..., -size:] if clique else np.add.reduceat(
-            np.pad(fields[..., -size:], ((0, 0), (0, 1), (0, 0))), windows, axis=1)[:, ::2]
+            np.pad(fields[:, -size:], ((0, 0), (0, 0), (0, 1))), windows, axis=2)[..., ::2].swapaxes(1, 2)
         outer = sums[..., :4 * bra.shape[1]].conj().swapaxes(1, 2) @ kets / box_edge**4
         return outer.reshape(len(points), *bra.shape[1:], *ket.shape[1:]) * GAMMA0.diagonal()[:, None, None]
 

@@ -121,7 +121,7 @@ MODE_INPUTS = st.one_of(
 
 
 def eager_mode_fields(p, branch, a):
-    """_row, the bytes of p and a, folded_label, mass.hex() and phi by the eager
+    """The row, the bytes of p and a, folded_label, mass.hex() and phi by the eager
     route: copy p and a to float and complex arrays, then read them."""
     p, a = np.array(p, dtype=float), np.array(a, dtype=complex)
     mass, phi = float(mass_of(p)), float(energy_sign(p))
@@ -135,7 +135,7 @@ def folded_label(mode):
 
 
 def mode_fields(mode):
-    return mode._row, mode.p.tobytes(), mode.a.tobytes(), folded_label(mode), mode.mass.hex(), mode.phi
+    return np.frombuffer(mode._row).tolist(), mode.p.tobytes(), mode.a.tobytes(), folded_label(mode), mode.mass.hex(), mode.phi
 
 
 class TestModeContract:
@@ -597,7 +597,7 @@ class TestComputedLabels:
         (9, 0.0, MasslessState, "modes require strictly timelike momenta"),
     ])
     def test_label_rows_checks(self, column, value, error, message):
-        rows = np.array([self.MODE._row] * 3)
+        rows = np.array([np.frombuffer(self.MODE._row)] * 3)
         rows[1, column] = value
         p, a, branch, mass = rows[:, :4], rows[:, 4:8].copy().view(complex), rows[:, 8], rows[:, 9]
         with pytest.raises(error, match=f"^{message}$"):
@@ -804,6 +804,106 @@ class TestLabelKeys:
         assert sum(1 for _ in concatenated_pairs(state)) == sum(
             frequencies_match(mk.frequency, ml.frequency) for _, mk in state.terms for _, ml in state.terms
         )
+
+
+# a small label space, so that drawn terms repeat labels, with and without -0.0
+FEW_LABELS = st.tuples(st.integers(0, 1), st.sampled_from((1, -1)), st.integers(0, 1), st.booleans())
+REPEATED_TERMS = st.lists(st.tuples(COEFFS, st.sampled_from((complex, np.complex128)), FEW_LABELS, FEW_LABELS),
+                          max_size=12)
+LOADED_ARRAYS = ("coeff", "p", "branch", "a", "mass")
+
+
+class TestLoadFromModes:
+    """Terms of Modes load as the label rows _label_row gives their labels:
+    the containers' arrays equal those of _from_rows on the same rows, bit
+    for bit; a coefficient converts as complex() converts it, and a bad term
+    raises what reading the terms one by one raises first."""
+
+    MODE = Mode(LABEL_MOMENTA[0], 1, LABEL_SPINS[3])
+    OTHER = Mode(LABEL_MOMENTA[3], -1, LABEL_SPINS[2])
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @given(raw=REPEATED_TERMS)
+    @example(raw=[(0.5, complex, (0, 1, 0, False), (1, 1, 1, False)),
+                  (-0.5, complex, (0, 1, 0, True), (1, 1, 1, True)),
+                  (1.0j, np.complex128, (1, -1, 1, True), (0, -1, 0, False)),
+                  (0.25 - 2.0j, complex, (1, -1, 1, False), (0, -1, 0, True))])
+    def test_arrays_equal_the_label_rows(self, width, raw):
+        cls = (SpectralState, TwoParticleState)[width - 1]
+        terms, rows = [], []
+        for coeff, kind, *labels in raw:
+            terms.append((kind(coeff), *map(label_mode, labels[:width])))
+            for ip, branch, ia, negative in labels[:width]:
+                rows += states._label_row(signed_zeros(LABEL_MOMENTA[ip], negative), branch,
+                                          signed_zeros(LABEL_SPINS[ia], negative))[0]
+        got = cls(terms)
+        fields = {"exchange": "none"} if width == 2 else {}
+        want = cls._from_rows([complex(coeff) for coeff, *_ in raw], rows, TWO_PI, **fields)
+        for name in LOADED_ARRAYS:
+            got_array, want_array = getattr(got, name), getattr(want, name)
+            assert (got_array.dtype, got_array.shape) == (want_array.dtype, want_array.shape)
+            assert got_array.tobytes() == want_array.tobytes()
+
+    @pytest.mark.parametrize("coeff, want", [
+        (1, 1 + 0j),
+        (True, 1 + 0j),
+        ("1+2j", 1 + 2j),
+        (np.float32(0.1), 0.10000000149011612 + 0j),
+        (np.complex64(0.1 + 0.2j), 0.10000000149011612 + 0.20000000298023224j),
+        (np.array(2.5), 2.5 + 0j),
+    ], ids=["int", "bool", "str", "float32", "complex64", "0-d array"])
+    def test_accepted_coefficients_convert_as_complex_does(self, coeff, want):
+        # alone, and between plain coefficients that alone would convert in one call
+        for state, merged in ((SpectralState([(coeff, self.MODE)]), []),
+                              (SpectralState([(-1.0, self.OTHER), (coeff, self.MODE),
+                                              (np.complex128(2j), self.OTHER)]), [-1.0 + 2j]),
+                              (TwoParticleState([(coeff, self.MODE, self.OTHER)]), [])):
+            assert state.coeff.tobytes() == np.array(merged + [want]).tobytes()
+
+    def test_a_generator_of_terms_is_read_once(self):
+        terms = ((0.5, self.MODE), (2.0, self.OTHER), (0.25, self.MODE))
+        state = SpectralState((coeff, mode) for coeff, mode in terms)
+        assert state.coeff.tolist() == [0.75, 2.0]
+        two = TwoParticleState((coeff, self.MODE, self.OTHER) for coeff in (1.0, 1j))
+        assert two.coeff.tolist() == [1.0 + 1.0j]
+
+    @pytest.mark.parametrize("coeff, message", [
+        (None, "complex() first argument must be a string or a number, not 'NoneType'"),
+        ([1], "complex() first argument must be a string or a number, not 'list'"),
+        (np.array([1.0]), None),  # its error and message depend on the numpy version
+        (object(), "complex() first argument must be a string or a number, not 'object'"),
+    ], ids=["None", "list", "1-d array", "object"])
+    def test_refused_coefficients_raise_as_complex_does(self, coeff, message):
+        with pytest.raises(Exception) as want:
+            complex(coeff)
+        if message is not None:
+            assert (want.type, str(want.value)) == (TypeError, message)
+        for build in (lambda: SpectralState([(1.0, self.MODE), (coeff, self.OTHER)]),
+                      lambda: TwoParticleState([(1.0, self.MODE, self.OTHER), (coeff, self.OTHER, self.MODE)])):
+            with pytest.raises(want.type) as got:
+                build()
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("cls, width", [(SpectralState, 1), (TwoParticleState, 2)])
+    def test_bad_terms_raise_the_type_error(self, cls, width):
+        message = "^terms must be \\(coefficient" + ", Mode" * width + "\\) tuples$"
+        good = (1.0, *[self.MODE] * width)
+        for bad in [(1.0, *[self.MODE] * (width - 1)), (*good, self.MODE),  # the wrong width
+                    (1.0, *[self.MODE] * (width - 1), "mode"), (1.0, *[self.MODE] * (width - 1), self.MODE.p)]:
+            with pytest.raises(TypeError, match=message):
+                cls([good, bad])
+            with pytest.raises(TypeError, match=message):
+                cls([bad, good])
+
+    def test_the_first_bad_term_raises_first(self):
+        with pytest.raises(TypeError, match="not 'NoneType'$"):
+            SpectralState([(1.0, self.MODE), (None, self.MODE), (2.0, 3)])
+        with pytest.raises(TypeError, match="^terms must be"):
+            SpectralState([(1.0, self.MODE), (2.0, 3), (None, self.MODE)])
+        with pytest.raises(TypeError, match="^cannot unpack non-iterable float object$"):
+            SpectralState([(1.0, self.MODE), 2.0])
+        with pytest.raises(ValueError, match="^not enough values to unpack"):
+            SpectralState([(1.0, self.MODE), ()])
 
 
 class TestScalingGuard:
