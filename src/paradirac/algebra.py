@@ -187,13 +187,16 @@ def energy_sign(p):
 def _row_kinematics(p0, x, y, z):
     """(mass_of(p), energy_sign(p)) of one four-momentum given as Python
     floats, with the same checks and messages.  The sums run left to right,
-    as numpy's do over four or fewer elements, and the mass is +0.0 for
-    pp = +-0.0 and NaN for a NaN pp (overflowing squares), as
-    np.sqrt(np.maximum(-pp, 0.0)) gives, so the bits are the same."""
+    as numpy's do over four or fewer elements, each square is taken once,
+    and the tolerance is formed only for pp > 0, the one case it can refuse.
+    The mass is +0.0 for pp = +-0.0 and NaN for a NaN pp (overflowing
+    squares), as np.sqrt(np.maximum(-pp, 0.0)) gives, so the bits are the
+    same."""
     if p0 == 0.0:
         raise ZeroEnergy("four-momentum has p0 = 0; no rest frame branch")
-    pp = ((x * x + y * y) + z * z) - p0 * p0
-    if pp > ATOL_ALGEBRA * max(1.0, ((p0 * p0 + x * x) + y * y) + z * z):
+    tt, xx, yy, zz = p0 * p0, x * x, y * y, z * z
+    pp = ((xx + yy) + zz) - tt
+    if pp > 0.0 and pp > ATOL_ALGEBRA * max(1.0, ((tt + xx) + yy) + zz):
         raise SuperluminalMomentum(f"p.p = {pp:g} > 0; momentum is spacelike")
     return 0.0 if pp >= 0.0 else math.sqrt(-pp), 1.0 if p0 > 0.0 else -1.0
 
@@ -231,11 +234,21 @@ def dirac_adjoint(m):
 
 def bar(psi):
     """Row adjoint psi^dagger gamma^0 of a bispinor column, a (4, k) block
-    or a stack (..., 4, k) of blocks."""
-    psi = np.asarray(psi).conj()
+    or a stack (..., 4, k) of blocks.
+
+    gamma^0 = diag(1, 1, -1, -1) only negates components 2 and 3 of the
+    conjugate; the + 0.0 then folds -0.0 to +0.0, as the sums of the dense
+    product do, so the bits are those of psi^dagger @ GAMMA0.  The result
+    is C-ordered like that product's, because a later matmul's sums follow
+    the memory layout of its operands."""
+    psi = np.conjugate(psi)  # a new array, negated in place below
     if psi.ndim > 1:
         psi = psi.swapaxes(-1, -2)
-    return psi @ GAMMA0
+    if psi.shape[-1:] != (4,):
+        raise ValueError("a bispinor has four components")
+    lower = psi[..., 2:]
+    np.negative(lower, out=lower)
+    return np.add(psi, 0.0, dtype=complex, order="C")
 
 
 def pauli_dot(v3):

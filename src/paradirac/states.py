@@ -53,7 +53,7 @@ from .algebra import (
     _max_residual,
     _row_kinematics,
 )
-from .errors import BoxMismatch, MasslessState
+from .errors import BoxMismatch, MasslessState, NonfiniteResult
 from .spinors import _block, _decompose
 
 
@@ -75,23 +75,28 @@ class _Frozen:
 
 
 def _label_row(p, branch, a):
-    """Mode's checks of one label, in order: its row [p, a as re/im pairs, branch, mass] and phi."""
+    """Mode's checks of one label, in order; its row (p, a as re/im pairs,
+    branch, mass) as a tuple ready to pack."""
     p = np.asarray(p, dtype=float)
     a = np.asarray(a, dtype=complex)
     if p.shape != (4,):
         raise ValueError("momentum must be a four-vector")
     if a.shape != (2,):
         raise ValueError("spin coefficients must be a complex pair")
+    p0, x, y, z = p.tolist()
     a0, a1 = a.tolist()
-    row = [*p.tolist(), a0.real, a0.imag, a1.real, a1.imag]
-    if not all(map(math.isfinite, row)):
+    row = (p0, x, y, z, a0.real, a0.imag, a1.real, a1.imag)
+    # a finite sum has finite terms; finite fields whose sum overflows pass the per-field test
+    if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
         raise ValueError("mode fields must be finite")
     if branch not in (1, -1):  # tested before int(), which a NaN or infinite branch makes raise
         raise ValueError("branch must be +1 or -1")
-    m, phi = _row_kinematics(*row[:4])
+    m = _row_kinematics(p0, x, y, z)[0]
     if m == 0.0:
         raise MasslessState("modes require strictly timelike momenta")
-    return row + [int(branch), m], phi
+    if not math.isfinite(m):  # squares that overflow: p.p = inf - inf or -inf
+        raise NonfiniteResult("mode mass is not finite")
+    return (*row, int(branch), m)
 
 
 def _label_rows(p, a, branch, mass):
@@ -100,7 +105,9 @@ def _label_rows(p, a, branch, mass):
     Every caller makes branch +-1 (C/P/T negate checked branches), so it is not checked."""
     rows = np.concatenate((p, a.view(float), branch[..., None], mass[..., None]), axis=-1)
     _finite(rows[..., :8], "mode fields must be finite")
-    if not mass.all():  # a NaN mass passes, as in _label_row
+    # unlike _label_row's, a NaN mass passes: C/P/T keep checked masses, and Moller
+    # nodes and random_state draws take theirs from finite on-shell momenta
+    if not mass.all():
         raise MasslessState("modes require strictly timelike momenta")
     return rows
 
@@ -119,6 +126,7 @@ class _built_once(functools.cached_property):
 
 
 _pack_row = struct.Struct("10d").pack
+_unpack_double = struct.Struct("d").unpack_from
 
 
 class Mode(_Frozen):
@@ -126,20 +134,16 @@ class Mode(_Frozen):
 
     A Mode holds only its checked row _row, the 80 packed bytes of the 10
     floats (p, a as re/im pairs, branch, mass) on which its checks and
-    kinematics ran bit for bit as mass_of and energy_sign; p and a are
-    read-only views of those bytes, built on first read.  Equality is
+    kinematics ran bit for bit as mass_of and energy_sign.  Its five fields
+    are read from those bytes on first read: p and a as read-only views,
+    branch, mass and the energy sign phi as Python numbers.  Equality is
     identity.
     """
 
     def __init__(self, p, branch, a):
-        row, phi = _label_row(p, branch, a)
-        # object.__setattr__ keeps the fields in the instance's inline values, where
+        # object.__setattr__ keeps the row in the instance's inline values, where
         # Python 3.11+ builds no __dict__: one object less for the cyclic GC to count
-        set_field = object.__setattr__
-        set_field(self, "branch", row[8])
-        set_field(self, "mass", row[9])
-        set_field(self, "phi", phi)
-        set_field(self, "_row", _pack_row(*row))
+        object.__setattr__(self, "_row", _pack_row(*_label_row(p, branch, a)))
 
     @_built_once
     def p(self):
@@ -148,6 +152,18 @@ class Mode(_Frozen):
     @_built_once
     def a(self):
         return np.frombuffer(self._row, complex, 2, 32)
+
+    @_built_once
+    def branch(self):
+        return int(_unpack_double(self._row, 64)[0])
+
+    @_built_once
+    def mass(self):
+        return _unpack_double(self._row, 72)[0]
+
+    @_built_once
+    def phi(self):
+        return 1.0 if _unpack_double(self._row)[0] > 0.0 else -1.0
 
     def __repr__(self):
         return f"Mode(p={self.p!r}, branch={self.branch!r}, a={self.a!r})"
@@ -647,7 +663,7 @@ def _record_row(record):
     p = _json_numbers(record["p"], (4,), "momentum must be a four-vector")
     branch = _json_numbers(record["branch"], (), "branch must be +1 or -1")
     a = _json_numbers(record["a"], (2, 2), "spin coefficients must be two [re, im] pairs")
-    return _label_row(p, branch, [complex(re, im) for re, im in a])[0]
+    return _label_row(p, branch, [complex(re, im) for re, im in a])
 
 
 def state_to_json(state: SpectralState) -> str:

@@ -31,7 +31,7 @@ from paradirac.algebra import (
     _max_residual,
     _row_kinematics,
 )
-from paradirac.errors import MasslessState, SuperluminalMomentum, ZeroEnergy
+from paradirac.errors import MasslessState, NonfiniteResult, SuperluminalMomentum, ZeroEnergy
 from paradirac.states import Mode
 
 component = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -127,6 +127,25 @@ class TestAdjoints:
         assert np.abs(bar(psi) - psi.conj() @ GAMMA0).max() == 0.0
         block = rng.normal(size=(4, 2))
         assert bar(block).shape == (2, 4)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 1), (4, 2), (4, 4), (3, 4, 2), (2, 5, 4, 3)])
+    def test_bar_equals_the_dense_product(self, rng, shape):
+        """bar's sign flip gives the bytes, dtype, shape and C layout of the
+        dense psi^dagger @ GAMMA0 on signed zeros, subnormals and large
+        entries, for complex and real input."""
+        parts = np.array([0.0, -0.0, 5e-324, -5e-324, 1.5, -2.25, 1.7e308, -1.7e308])
+        psi = rng.choice(parts, shape + (2,)).view(complex)[..., 0]
+        for value in (psi, psi.real.copy(), psi.tolist()):
+            dense = np.asarray(value).conj()
+            dense = (dense.swapaxes(-1, -2) if dense.ndim > 1 else dense) @ GAMMA0
+            got = bar(value)
+            assert (got.dtype, got.shape, got.flags.c_contiguous) == (dense.dtype, dense.shape, True)
+            assert got.tobytes() == dense.tobytes()
+
+    def test_bar_refuses_other_than_four_components(self):
+        for psi in (np.ones(3), np.ones((3, 2)), np.ones((2, 5, 2))):
+            with pytest.raises(ValueError):
+                bar(psi)
 
     @given(four_components, four_components)
     def test_lower_index_matches_dot(self, ca, cb):
@@ -342,10 +361,11 @@ class TestRowKinematics:
     @pytest.mark.parametrize("row", [[1e155, 5e154, 0.0, 0.0], [-1e200, 0.0, -1e200, 1e200]])
     def test_overflowing_rows_give_nan_mass(self, row):
         """Squares that overflow make p.p = inf - inf: a NaN mass, as from
-        mass_of, and a Mode is built, not refused as massless."""
+        mass_of, and a Mode refuses it as not finite, not as massless."""
         assert _outcome(_row_kinematics, *row) == _outcome(_numpy_route, *row)
         assert math.isnan(_row_kinematics(*row)[0])
-        assert math.isnan(Mode(row, 1, [1.0, 0.0]).mass)
+        with pytest.raises(NonfiniteResult, match="^mode mass is not finite$"):
+            Mode(row, 1, [1.0, 0.0])
 
     @given(INVALID_ROWS)
     def test_invalid_rows_raise_the_same_error(self, row):

@@ -448,8 +448,8 @@ class TestStackedConstruction:
     N = 400
 
     def test_mode_holds_no_key(self, rng):
-        # no key and no p or a array until one is read: only the row and what it gives
-        assert set(vars(random_mode(rng))) == {"_row", "branch", "mass", "phi"}
+        # no key and no field until one is read: only the row
+        assert set(vars(random_mode(rng))) == {"_row"}
 
     @pytest.mark.parametrize("width", [1, 2])
     def test_one_key_pass_per_construction(self, rng, monkeypatch, width):

@@ -215,11 +215,63 @@ class TestModeContract:
         ([1.5, 0.0, 0.0, 0.0], np.inf, [1.0, 0.0], ValueError, "branch must be +1 or -1"),
         ([1.5, 0.0, 0.0, 0.0], -np.inf, [1.0, 0.0], ValueError, "branch must be +1 or -1"),
         ([1.5, 0.0, 0.0, 0.0], np.nan, [1.0, 0.0], ValueError, "branch must be +1 or -1"),
+        # finite momenta whose squares overflow: p.p = -inf (mass inf) and inf - inf (mass NaN)
+        ([1e200, 0.0, 0.0, 0.0], 1, [1.0, 0.0], NonfiniteResult, "mode mass is not finite"),
+        ([1e155, 5e154, 0.0, 0.0], 1, [1.0, 0.0], NonfiniteResult, "mode mass is not finite"),
     ])
     def test_invalid_inputs(self, p, branch, a, error, message):
         with pytest.raises(ValueError) as info:
             Mode(p, branch, a)
         assert type(info.value) is error and str(info.value) == message
+
+    @pytest.mark.parametrize("a", [
+        [complex(1.7e308, 1.7e308), complex(1.7e308, -1.7e308)],  # the fields sum to +inf
+        [complex(-1.7e308, -0.0), complex(-1.7e308, 1e308)],  # to -inf
+    ])
+    def test_fields_whose_sum_overflows_are_accepted(self, a):
+        """A finite sum of the 8 fields implies finite fields, not the
+        converse: finite fields whose sum overflows pass the per-field test
+        and give the eager route's row.  (Finite terms cannot sum to NaN.)"""
+        p, a = np.array([1.5, 0.3, -0.0, 0.1]), np.array(a)
+        assert math.isinf(sum([*p.tolist(), *a.view(float).tolist()]))
+        for branch in (1, -1):
+            assert mode_fields(Mode(p, branch, a)) == eager_mode_fields(p, branch, a)
+
+    @pytest.mark.parametrize("background", ["plain", "huge"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", range(8))
+    def test_any_nonfinite_field_is_refused(self, field, value, background):
+        """NaN or +-inf in any one field of (p, a as re/im pairs), beside
+        small fields or beside spin fields of -1.7e308 whose sum is -inf."""
+        fields = np.array([1.5, 0.3, 0.2, 0.1] + ([0.6, 0.2, -0.3, 0.7] if background == "plain" else [-1.7e308] * 4))
+        fields[field] = value
+        with pytest.raises(ValueError) as info:
+            Mode(fields[:4], 1, fields[4:].view(complex))
+        assert type(info.value) is ValueError and str(info.value) == "mode fields must be finite"
+
+    def test_checks_run_in_order(self):
+        """Shape, then finiteness, then branch, then kinematics: each label
+        also fails every check after the one it raises."""
+        nan = np.nan
+        cases = [
+            ([nan, 2.0, 0.0], 0, [nan, 0.0, 0.0], ValueError, "momentum must be a four-vector"),
+            ([0.0, 2.0, 0.0, nan], 0, [nan, 0.0, 0.0], ValueError, "spin coefficients must be a complex pair"),
+            ([0.0, 2.0, 0.0, nan], 0, [nan, 0.0], ValueError, "mode fields must be finite"),
+            ([0.0, 2.0, 1e200, 0.0], 0, [1.0, 0.0], ValueError, "branch must be +1 or -1"),
+            ([0.0, 2.0, 1e200, 0.0], 1, [1.0, 0.0], ZeroEnergy, "four-momentum has p0 = 0; no rest frame branch"),
+            ([1.0, 2.0, 0.0, 0.0], 1, [1.0, 0.0], SuperluminalMomentum, "p.p = 3 > 0; momentum is spacelike"),
+            ([2.0, 2.0, 0.0, 0.0], 1, [1.0, 0.0], MasslessState, "modes require strictly timelike momenta"),
+            ([1e200, 0.0, 0.0, 0.0], 1, [1.0, 0.0], NonfiniteResult, "mode mass is not finite"),
+        ]
+        for p, branch, a, error, message in cases:
+            with pytest.raises(ValueError) as info:
+                Mode(p, branch, a)
+            assert type(info.value) is error and str(info.value) == message
+
+    def test_overflowing_mass_record_is_refused(self):
+        record = {"p": [1e155, 5e154, 0.0, 0.0], "branch": 1, "a": [[1.0, 0.0], [0.0, 0.0]], "L": 2.0}
+        with pytest.raises(NonfiniteResult, match="^mode mass is not finite$"):
+            state_from_json(json.dumps([record]))
 
     def test_fractional_and_boolean_branches_in_json_are_refused(self):
         record = {"p": [np.sqrt(2.0), 1.0, 0.0, 0.0], "a": [[0.3, -0.6], [0.8, 0.4]], "L": 2.0}
@@ -835,7 +887,7 @@ class TestLoadFromModes:
             terms.append((kind(coeff), *map(label_mode, labels[:width])))
             for ip, branch, ia, negative in labels[:width]:
                 rows += states._label_row(signed_zeros(LABEL_MOMENTA[ip], negative), branch,
-                                          signed_zeros(LABEL_SPINS[ia], negative))[0]
+                                          signed_zeros(LABEL_SPINS[ia], negative))
         got = cls(terms)
         fields = {"exchange": "none"} if width == 2 else {}
         want = cls._from_rows([complex(coeff) for coeff, *_ in raw], rows, TWO_PI, **fields)

@@ -99,7 +99,8 @@ _PUBLIC_NAMES = {
                 "minkowski_dot", "pauli_dot", "slash"},
     "spinors": {"boost_spin", "branch_block", "decompose_in_block", "lambda_u", "lambda_v", "spin_projector",
                 "u_block", "v_block"},
-    "states": {"CurrentField", "Mode", "Mode.a", "Mode.amplitude_spinor", "Mode.frequency", "Mode.p",
+    "states": {"CurrentField", "Mode", "Mode.a", "Mode.amplitude_spinor", "Mode.branch", "Mode.frequency",
+               "Mode.mass", "Mode.p", "Mode.phi",
                "SpectralState", "SpectralState.value", "Subspace", "TermContainer", "TermContainer.frequency",
                "TermContainer.is_empty", "TermContainer.overlap_keys", "TermContainer.overlaps",
                "TermContainer.phi", "TermContainer.spinors", "TermContainer.terms", "bilinear_concatenated",
