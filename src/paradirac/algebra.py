@@ -184,23 +184,6 @@ def energy_sign(p):
     return _unbatched(np.sign(p0))
 
 
-def _row_kinematics(p0, x, y, z):
-    """(mass_of(p), energy_sign(p)) of one four-momentum given as Python
-    floats, with the same checks and messages.  The sums run left to right,
-    as numpy's do over four or fewer elements, each square is taken once,
-    and the tolerance is formed only for pp > 0, the one case it can refuse.
-    The mass is +0.0 for pp = +-0.0 and NaN for a NaN pp (overflowing
-    squares), as np.sqrt(np.maximum(-pp, 0.0)) gives, so the bits are the
-    same."""
-    if p0 == 0.0:
-        raise ZeroEnergy("four-momentum has p0 = 0; no rest frame branch")
-    tt, xx, yy, zz = p0 * p0, x * x, y * y, z * z
-    pp = ((xx + yy) + zz) - tt
-    if pp > 0.0 and pp > ATOL_ALGEBRA * max(1.0, ((tt + xx) + yy) + zz):
-        raise SuperluminalMomentum(f"p.p = {pp:g} > 0; momentum is spacelike")
-    return 0.0 if pp >= 0.0 else math.sqrt(-pp), 1.0 if p0 > 0.0 else -1.0
-
-
 def gamma(index):
     """Dirac matrix gamma^index for index in {0, 1, 2, 3}; gamma5 is GAMMA5.
 

@@ -89,9 +89,13 @@ def _positive(text: str) -> float:
 def _emit(text: str, out_path):
     if out_path is None:
         sys.stdout.write(text)
-    else:
-        with open(out_path, "w", newline="") as handle:
-            handle.write(text)
+        return
+    try:
+        handle = open(out_path, "w", newline="")
+    except OSError as exc:  # an --out path that cannot be opened is an invalid argument: exit 2
+        raise ValueError(f"cannot write {out_path}: {exc.strerror}") from None
+    with handle:
+        handle.write(text)
 
 
 def _emit_json(record: dict, out_path) -> int:

@@ -51,9 +51,8 @@ from .algebra import (
     _finite,
     _matvec,
     _max_residual,
-    _row_kinematics,
 )
-from .errors import BoxMismatch, MasslessState, NonfiniteResult
+from .errors import BoxMismatch, MasslessState, NonfiniteResult, SuperluminalMomentum, ZeroEnergy
 from .spinors import _block, _decompose
 
 
@@ -75,8 +74,10 @@ class _Frozen:
 
 
 def _label_row(p, branch, a):
-    """Mode's checks of one label, in order; its row (p, a as re/im pairs,
-    branch, mass) as a tuple ready to pack."""
+    """The one scalar label check, of a Mode or a wire record (_label_rows is the
+    batched one): shapes, finite fields, the branch, then mass_of's checks and
+    bits, a massless p and a mass that is not finite, in that order.  Returns
+    the 10 floats (p, a as re/im pairs, branch, mass) packed into 80 bytes."""
     p = np.asarray(p, dtype=float)
     a = np.asarray(a, dtype=complex)
     if p.shape != (4,):
@@ -85,24 +86,32 @@ def _label_row(p, branch, a):
         raise ValueError("spin coefficients must be a complex pair")
     p0, x, y, z = p.tolist()
     a0, a1 = a.tolist()
-    row = (p0, x, y, z, a0.real, a0.imag, a1.real, a1.imag)
+    re0, im0, re1, im1 = a0.real, a0.imag, a1.real, a1.imag
     # a finite sum has finite terms; finite fields whose sum overflows pass the per-field test
-    if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
+    if not math.isfinite(p0 + x + y + z + re0 + im0 + re1 + im1) and not all(
+            map(math.isfinite, (p0, x, y, z, re0, im0, re1, im1))):
         raise ValueError("mode fields must be finite")
     if branch not in (1, -1):  # tested before int(), which a NaN or infinite branch makes raise
         raise ValueError("branch must be +1 or -1")
-    m = _row_kinematics(p0, x, y, z)[0]
-    if m == 0.0:
+    if p0 == 0.0:
+        raise ZeroEnergy("four-momentum has p0 = 0; no rest frame branch")
+    # mass_of's sums run left to right (numpy's over 4 terms); its tolerance refuses only pp > 0
+    tt, xx, yy, zz = p0 * p0, x * x, y * y, z * z
+    pp = ((xx + yy) + zz) - tt
+    if pp > 0.0 and pp > ATOL_ALGEBRA * max(1.0, ((tt + xx) + yy) + zz):
+        raise SuperluminalMomentum(f"p.p = {pp:g} > 0; momentum is spacelike")
+    if pp >= 0.0:  # mass_of's mass 0.0
         raise MasslessState("modes require strictly timelike momenta")
-    if not math.isfinite(m):  # squares that overflow: p.p = inf - inf or -inf
+    if not pp > -math.inf:  # squares that overflow: p.p = inf - inf or -inf
         raise NonfiniteResult("mode mass is not finite")
-    return (*row, int(branch), m)
+    return _pack_row(p0, x, y, z, re0, im0, re1, im1, int(branch), math.sqrt(-pp))
 
 
 def _label_rows(p, a, branch, mass):
-    """_label_row's rows (..., 10) and checks, in batch, for computed labels p (..., 4),
-    a (..., 2), branch and mass (...); a non-finite field raises NonfiniteResult.
-    Every caller makes branch +-1 (C/P/T negate checked branches), so it is not checked."""
+    """The batched label check: the rows (..., 10) _label_row packs, and its
+    checks, for computed labels p (..., 4), a (..., 2), branch and mass (...);
+    a non-finite field raises NonfiniteResult.  Every caller makes branch +-1
+    (C/P/T negate checked branches), so it is not checked."""
     rows = np.concatenate((p, a.view(float), branch[..., None], mass[..., None]), axis=-1)
     _finite(rows[..., :8], "mode fields must be finite")
     # unlike _label_row's, a NaN mass passes: C/P/T keep checked masses, and Moller
@@ -132,18 +141,16 @@ _unpack_double = struct.Struct("d").unpack_from
 class Mode(_Frozen):
     """One box-normalized plane-wave mode (p, branch, spin coefficients).
 
-    A Mode holds only its checked row _row, the 80 packed bytes of the 10
-    floats (p, a as re/im pairs, branch, mass) on which its checks and
-    kinematics ran bit for bit as mass_of and energy_sign.  Its five fields
-    are read from those bytes on first read: p and a as read-only views,
-    branch, mass and the energy sign phi as Python numbers.  Equality is
-    identity.
+    A Mode holds only its checked row _row, the packed bytes _label_row
+    gives its label.  Its five fields are read from those bytes on first
+    read: p and a as read-only views, branch, mass and the energy sign phi
+    as Python numbers.  Equality is identity.
     """
 
     def __init__(self, p, branch, a):
         # object.__setattr__ keeps the row in the instance's inline values, where
         # Python 3.11+ builds no __dict__: one object less for the cyclic GC to count
-        object.__setattr__(self, "_row", _pack_row(*_label_row(p, branch, a)))
+        object.__setattr__(self, "_row", _label_row(p, branch, a))
 
     @_built_once
     def p(self):
@@ -241,7 +248,8 @@ class TermContainer(_Frozen):
     in input order at the first occurrence and zero sums drop.  A non-finite
     coefficient, given or summed, raises NonfiniteResult.  The state maps
     work on the arrays in one batched pass.  Built from Modes, the label
-    rows are the Modes' packed bytes (Mode._row) joined into one buffer.
+    rows are the Modes' packed bytes (Mode._row), checked by _label_row,
+    joined into one buffer.
 
     `terms` views the rows as (coeff, Mode, ...) tuples, building Modes per read.
     """
@@ -251,14 +259,15 @@ class TermContainer(_Frozen):
     def _load(self, terms, box_edge, **fields):
         """Construct from (coeff, Mode, ...) tuples, through _fill, in a few
         passes: the coefficients convert in one call when all are plain
-        numbers, and the modes' packed rows join into one buffer.  Bad terms
+        numbers, and the modes' packed rows join into one buffer, column
+        after column, copied once into term order for width 2.  Bad terms
         raise the error a term-by-term read would raise first."""
         terms = tuple(terms)
         try:
             coeffs, *cols = zip(*terms, strict=True) if terms else [()] * (self.width + 1)
         except (TypeError, ValueError):  # a term that does not unpack, or terms of unequal widths
             cols = ()
-        modes = list(itertools.chain.from_iterable(zip(*cols)))
+        modes = list(itertools.chain.from_iterable(cols))  # column after column
         if len(cols) != self.width or not all(map(isinstance, modes, itertools.repeat(Mode))):
             message = "terms must be (coefficient" + ", Mode" * self.width + ") tuples"
             for coeff, *row in terms:
@@ -270,8 +279,8 @@ class TermContainer(_Frozen):
             coeffs = np.array(coeffs, dtype=complex)  # the bits complex() gives each
         else:
             coeffs = [complex(coeff) for coeff in coeffs]
-        self._fill(coeffs, np.frombuffer(b"".join(map(operator.attrgetter("_row"), modes))),
-                   box_edge, **fields)
+        rows = np.frombuffer(b"".join(map(operator.attrgetter("_row"), modes))).reshape(self.width, -1, 10)
+        self._fill(coeffs, np.ascontiguousarray(rows.swapaxes(0, 1)), box_edge, **fields)
 
     def _fill(self, coeff, rows, box_edge, **fields):
         """The one constructor: coefficients (n,) and the n * w label rows of their
@@ -658,7 +667,8 @@ def _json_numbers(value, shape, message):
 
 
 def _record_row(record):
-    """The checked row of one wire record, as _label_row gives it."""
+    """The packed row of one wire record, checked by _label_row after the
+    record's own JSON checks, as a Mode's is; no Mode is built."""
     _json_object(record, ("p", "branch", "a"), "mode record")
     p = _json_numbers(record["p"], (4,), "momentum must be a four-vector")
     branch = _json_numbers(record["branch"], (), "branch must be +1 or -1")
@@ -687,5 +697,6 @@ def state_from_json(text: str) -> SpectralState:
             box = edge
         elif edge != box:
             raise BoxMismatch("mode records disagree on the box edge")
-        rows += _record_row(item)
-    return SpectralState._from_rows([1.0] * len(items), rows, TWO_PI if box is None else box)
+        rows.append(_record_row(item))
+    return SpectralState._from_rows([1.0] * len(items), np.frombuffer(b"".join(rows)),
+                                    TWO_PI if box is None else box)

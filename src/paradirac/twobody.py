@@ -369,5 +369,6 @@ def two_state_from_json(text: str) -> TwoParticleState:
     terms = [(complex(*_json_numbers(pair["c"], (2,), "term coefficient c must be a [re, im] pair")),
               _record_row(pair["x"]) + _record_row(pair["y"])) for pair in pairs]
     edge = _json_numbers(payload["L"], (), "box edge L must be a number")
-    return TwoParticleState._from_rows([c for c, _ in terms], [row for _, row in terms], float(edge),
+    rows = np.frombuffer(b"".join(row for _, row in terms))
+    return TwoParticleState._from_rows([c for c, _ in terms], rows, float(edge),
                                        exchange=_exchange_tag(payload["exchange"]))

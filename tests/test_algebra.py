@@ -29,7 +29,6 @@ from paradirac.algebra import (
     pauli_dot,
     slash,
     _max_residual,
-    _row_kinematics,
 )
 from paradirac.errors import MasslessState, NonfiniteResult, SuperluminalMomentum, ZeroEnergy
 from paradirac.states import Mode
@@ -314,7 +313,7 @@ def _outcome(f, *args):
     """f(*args) as exact bits, or the class and message of the error it raises."""
     try:
         return [value.hex() for value in f(*args)]
-    except (ZeroEnergy, SuperluminalMomentum) as error:
+    except (ZeroEnergy, SuperluminalMomentum, MasslessState, NonfiniteResult) as error:
         return type(error), str(error)
 
 
@@ -323,18 +322,39 @@ def _numpy_route(*row):
     return mass_of(p), energy_sign(p)
 
 
+def _mode_route(*row):
+    """The mass and energy sign a Mode reads from its checked row."""
+    mode = Mode(row, 1, [1.0, 0.0])
+    return mode.mass, mode.phi
+
+
+def _expected(*row):
+    """_numpy_route's outcome, with the mass a Mode refuses: MasslessState for
+    mass_of's 0.0 and NonfiniteResult for a NaN or infinite mass."""
+    outcome = _outcome(_numpy_route, *row)
+    if isinstance(outcome, tuple):
+        return outcome
+    mass = float.fromhex(outcome[0])
+    if mass == 0.0:
+        return MasslessState, "modes require strictly timelike momenta"
+    if not math.isfinite(mass):
+        return NonfiniteResult, "mode mass is not finite"
+    return outcome
+
+
 class TestRowKinematics:
-    """The Python-float kinematics of one row against mass_of and energy_sign,
-    bit for bit, with the same errors."""
+    """The Python-float kinematics of Mode's label check against mass_of and
+    energy_sign, bit for bit, with the same errors."""
 
     @given(timelike_rows())
     # x*x + (y*y + z*z) rounds this row's p.p differently
     @example([41.69306661858319, -22.01129287007216, 11.154790043783201, -31.097131949216994])
     def test_timelike_rows_equal_mass_of(self, row):
-        assert _outcome(_row_kinematics, *row) == _outcome(_numpy_route, *row)
+        outcome = _outcome(_mode_route, *row)
+        assert outcome == _expected(*row)
         # a batch row has the same bits
-        mass, _ = _row_kinematics(*row)
-        assert mass_of(np.array([row, row]))[1].hex() == mass.hex()
+        if not isinstance(outcome, tuple):
+            assert mass_of(np.array([row, row]))[1].hex() == outcome[0]
 
     def test_seeded_batch(self, rng):
         """Rows past hypothesis's simple values: |p|/m log-uniform over 1e-6..1e8."""
@@ -345,14 +365,14 @@ class TestRowKinematics:
         spatial[rng.random((n, 3)) < 0.1] = -0.0
         p0 = rng.choice([1.0, -1.0], n) * np.sqrt(mass**2 + (spatial**2).sum(axis=1))
         p = np.column_stack((p0, spatial))
-        rows = [[value.hex() for value in _row_kinematics(*row)] for row in p.tolist()]
-        assert rows == [[m.hex(), s.hex()] for m, s in zip(mass_of(p).tolist(), energy_sign(p).tolist())]
+        rows = [_outcome(_mode_route, *row) for row in p.tolist()]
+        assert rows == [[m.hex(), s.hex()] if m else (MasslessState, "modes require strictly timelike momenta")
+                        for m, s in zip(mass_of(p).tolist(), energy_sign(p).tolist())]
 
     @given(lightlike_rows())
     def test_lightlike_rows_are_massless(self, row):
-        assert _outcome(_row_kinematics, *row) == _outcome(_numpy_route, *row)
-        mass, _ = _row_kinematics(*row)
-        assert mass.hex() == (0.0).hex()
+        assert mass_of(np.array(row)).hex() == (0.0).hex()
+        assert _outcome(_mode_route, *row) == _expected(*row)
         with pytest.raises(MasslessState):
             Mode(row, 1, [1.0, 0.0])
 
@@ -360,16 +380,16 @@ class TestRowKinematics:
                                 "ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("row", [[1e155, 5e154, 0.0, 0.0], [-1e200, 0.0, -1e200, 1e200]])
     def test_overflowing_rows_give_nan_mass(self, row):
-        """Squares that overflow make p.p = inf - inf: a NaN mass, as from
-        mass_of, and a Mode refuses it as not finite, not as massless."""
-        assert _outcome(_row_kinematics, *row) == _outcome(_numpy_route, *row)
-        assert math.isnan(_row_kinematics(*row)[0])
+        """Squares that overflow make p.p = inf - inf: mass_of gives a NaN
+        mass, and a Mode refuses it as not finite, not as massless."""
+        assert math.isnan(mass_of(np.array(row)))
+        assert _outcome(_mode_route, *row) == _expected(*row)
         with pytest.raises(NonfiniteResult, match="^mode mass is not finite$"):
             Mode(row, 1, [1.0, 0.0])
 
     @given(INVALID_ROWS)
     def test_invalid_rows_raise_the_same_error(self, row):
-        outcome = _outcome(_row_kinematics, *row)
+        outcome = _outcome(_mode_route, *row)
         assert isinstance(outcome, tuple) and outcome == _outcome(mass_of, np.array(row))[:2]
         with pytest.raises(outcome[0]) as error:
             Mode(row, 1, [1.0, 0.0])

@@ -220,6 +220,17 @@ class TestJsonCommands:
         assert out2 == err2 == ""
         assert target.read_bytes() == out.encode()
 
+    def test_out_in_missing_directory_exits_2(self, tmp_path, capsys):
+        """--out that cannot be opened exits 2 with one stderr line naming the
+        path, for every command that takes --out, and writes nothing."""
+        target = tmp_path / "missing" / "x"
+        for argv in (["mott", "--angles", "10:170:5"], ["uehling"], ["g2"],
+                     ["anomaly", "--E", "0,0,1", "--B", "0,1,0"], ["propagate-demo"]):
+            code, out, err = run_cli(argv + ["--out", str(target)], capsys)
+            assert code == 2 and out == ""
+            assert err == f"paradirac {argv[0]}: cannot write {target}: No such file or directory\n"
+        assert not target.parent.exists()
+
 
 class TestPropagateDemo:
     def test_record_contents(self, capsys):

@@ -886,8 +886,8 @@ class TestLoadFromModes:
         for coeff, kind, *labels in raw:
             terms.append((kind(coeff), *map(label_mode, labels[:width])))
             for ip, branch, ia, negative in labels[:width]:
-                rows += states._label_row(signed_zeros(LABEL_MOMENTA[ip], negative), branch,
-                                          signed_zeros(LABEL_SPINS[ia], negative))
+                rows.append(np.frombuffer(states._label_row(signed_zeros(LABEL_MOMENTA[ip], negative),
+                                                            branch, signed_zeros(LABEL_SPINS[ia], negative))))
         got = cls(terms)
         fields = {"exchange": "none"} if width == 2 else {}
         want = cls._from_rows([complex(coeff) for coeff, *_ in raw], rows, TWO_PI, **fields)
