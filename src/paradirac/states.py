@@ -24,11 +24,9 @@ import copy
 import enum
 import functools
 import itertools
-import json
 import math
 import operator
 import struct
-import sys
 from collections.abc import Sequence
 from dataclasses import FrozenInstanceError
 from typing import NamedTuple
@@ -73,48 +71,14 @@ class _Frozen:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def _label_row(p, branch, a):
-    """The one scalar label check, of a Mode or a wire record (_label_rows is the
-    batched one): shapes, finite fields, the branch, then mass_of's checks and
-    bits, a massless p and a mass that is not finite, in that order.  Returns
-    the 10 floats (p, a as re/im pairs, branch, mass) packed into 80 bytes."""
-    p = np.asarray(p, dtype=float)
-    a = np.asarray(a, dtype=complex)
-    if p.shape != (4,):
-        raise ValueError("momentum must be a four-vector")
-    if a.shape != (2,):
-        raise ValueError("spin coefficients must be a complex pair")
-    p0, x, y, z = p.tolist()
-    a0, a1 = a.tolist()
-    re0, im0, re1, im1 = a0.real, a0.imag, a1.real, a1.imag
-    # a finite sum has finite terms; finite fields whose sum overflows pass the per-field test
-    if not math.isfinite(p0 + x + y + z + re0 + im0 + re1 + im1) and not all(
-            map(math.isfinite, (p0, x, y, z, re0, im0, re1, im1))):
-        raise ValueError("mode fields must be finite")
-    if branch not in (1, -1):  # tested before int(), which a NaN or infinite branch makes raise
-        raise ValueError("branch must be +1 or -1")
-    if p0 == 0.0:
-        raise ZeroEnergy("four-momentum has p0 = 0; no rest frame branch")
-    # mass_of's sums run left to right (numpy's over 4 terms); its tolerance refuses only pp > 0
-    tt, xx, yy, zz = p0 * p0, x * x, y * y, z * z
-    pp = ((xx + yy) + zz) - tt
-    if pp > 0.0 and pp > ATOL_ALGEBRA * max(1.0, ((tt + xx) + yy) + zz):
-        raise SuperluminalMomentum(f"p.p = {pp:g} > 0; momentum is spacelike")
-    if pp >= 0.0:  # mass_of's mass 0.0
-        raise MasslessState("modes require strictly timelike momenta")
-    if not pp > -math.inf:  # squares that overflow: p.p = inf - inf or -inf
-        raise NonfiniteResult("mode mass is not finite")
-    return _pack_row(p0, x, y, z, re0, im0, re1, im1, int(branch), math.sqrt(-pp))
-
-
 def _label_rows(p, a, branch, mass):
-    """The batched label check: the rows (..., 10) _label_row packs, and its
+    """The batched label check: the rows (..., 10) a Mode packs, and its
     checks, for computed labels p (..., 4), a (..., 2), branch and mass (...);
     a non-finite field raises NonfiniteResult.  Every caller makes branch +-1
     (C/P/T negate checked branches), so it is not checked."""
     rows = np.concatenate((p, a.view(float), branch[..., None], mass[..., None]), axis=-1)
     _finite(rows[..., :8], "mode fields must be finite")
-    # unlike _label_row's, a NaN mass passes: C/P/T keep checked masses, and Moller
+    # unlike a Mode's, a NaN mass passes: C/P/T keep checked masses, and Moller
     # nodes and random_state draws take theirs from finite on-shell momenta
     if not mass.all():
         raise MasslessState("modes require strictly timelike momenta")
@@ -141,16 +105,45 @@ _unpack_double = struct.Struct("d").unpack_from
 class Mode(_Frozen):
     """One box-normalized plane-wave mode (p, branch, spin coefficients).
 
-    A Mode holds only its checked row _row, the packed bytes _label_row
-    gives its label.  Its five fields are read from those bytes on first
-    read: p and a as read-only views, branch, mass and the energy sign phi
-    as Python numbers.  Equality is identity.
+    Construction is the one scalar label check (_label_rows is the batched
+    one): shapes, finite fields, the branch, then mass_of's checks and bits,
+    a massless p and a mass that is not finite, in that order.  A Mode holds
+    only its checked row _row, the 10 floats (p, a as re/im pairs, branch,
+    mass) packed into 80 bytes.  Its five fields are read from those bytes
+    on first read: p and a as read-only views, branch, mass and the energy
+    sign phi as Python numbers.  Equality is identity.
     """
 
     def __init__(self, p, branch, a):
+        p = np.asarray(p, dtype=float)
+        a = np.asarray(a, dtype=complex)
+        if p.shape != (4,):
+            raise ValueError("momentum must be a four-vector")
+        if a.shape != (2,):
+            raise ValueError("spin coefficients must be a complex pair")
+        p0, x, y, z = p.tolist()
+        a0, a1 = a.tolist()
+        re0, im0, re1, im1 = a0.real, a0.imag, a1.real, a1.imag
+        # a finite sum has finite terms; finite fields whose sum overflows pass the per-field test
+        if not math.isfinite(p0 + x + y + z + re0 + im0 + re1 + im1) and not all(
+                map(math.isfinite, (p0, x, y, z, re0, im0, re1, im1))):
+            raise ValueError("mode fields must be finite")
+        if branch not in (1, -1):  # tested before int(), which a NaN or infinite branch makes raise
+            raise ValueError("branch must be +1 or -1")
+        if p0 == 0.0:
+            raise ZeroEnergy("four-momentum has p0 = 0; no rest frame branch")
+        # mass_of's sums run left to right (numpy's over 4 terms); its tolerance refuses only pp > 0
+        tt, xx, yy, zz = p0 * p0, x * x, y * y, z * z
+        pp = ((xx + yy) + zz) - tt
+        if pp > 0.0 and pp > ATOL_ALGEBRA * max(1.0, ((tt + xx) + yy) + zz):
+            raise SuperluminalMomentum(f"p.p = {pp:g} > 0; momentum is spacelike")
+        if pp >= 0.0:  # mass_of's mass 0.0
+            raise MasslessState("modes require strictly timelike momenta")
+        if not pp > -math.inf:  # squares that overflow: p.p = inf - inf or -inf
+            raise NonfiniteResult("mode mass is not finite")
         # object.__setattr__ keeps the row in the instance's inline values, where
         # Python 3.11+ builds no __dict__: one object less for the cyclic GC to count
-        object.__setattr__(self, "_row", _label_row(p, branch, a))
+        object.__setattr__(self, "_row", _pack_row(p0, x, y, z, re0, im0, re1, im1, int(branch), math.sqrt(-pp)))
 
     @_built_once
     def p(self):
@@ -248,7 +241,7 @@ class TermContainer(_Frozen):
     in input order at the first occurrence and zero sums drop.  A non-finite
     coefficient, given or summed, raises NonfiniteResult.  The state maps
     work on the arrays in one batched pass.  Built from Modes, the label
-    rows are the Modes' packed bytes (Mode._row), checked by _label_row,
+    rows are the Modes' packed bytes (Mode._row), checked on construction,
     joined into one buffer.
 
     `terms` views the rows as (coeff, Mode, ...) tuples, building Modes per read.
@@ -284,8 +277,8 @@ class TermContainer(_Frozen):
 
     def _fill(self, coeff, rows, box_edge, **fields):
         """The one constructor: coefficients (n,) and the n * w label rows of their
-        modes, checked already by _label_row (Modes, wire records) or _label_rows
-        (computed labels), merged on their keys; fields are the subclass's own."""
+        modes, checked already by Mode (given labels) or _label_rows (computed
+        labels), merged on their keys; fields are the subclass's own."""
         if not 0.0 < box_edge < math.inf:  # NaN fails both comparisons
             raise ValueError(f"box edge must be positive and finite, got {box_edge}")
         coeff = np.asarray(coeff, dtype=complex)
@@ -629,74 +622,3 @@ def current_divergence_fd(state: SpectralState, points):
     """
     d = _central_differences(lambda x: concatenated_current(state, x).values, points, 2e-3)
     return sum(d[mu, :, mu] for mu in range(4))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-#
-# Both wire formats write a mode as the record {p, branch, a}, a as [re, im]
-# pairs.  A spectral state is a JSON list of mode records with L appended; term
-# coefficients are folded into the spin coefficients, lossless for the wavefunction.
-
-def mode_to_record(p, branch, a) -> dict:
-    """The wire record of the mode label (p, branch, a)."""
-    return {"p": [float(c) for c in p], "branch": int(branch),
-            "a": [[float(z.real), float(z.imag)] for z in a]}
-
-
-def _json_object(value, keys, what):
-    """value if it is a JSON object holding every one of keys, else ValueError."""
-    if not (isinstance(value, dict) and all(key in value for key in keys)):
-        raise ValueError(f"{what} must be a JSON object with the keys {', '.join(keys)}")
-    return value
-
-
-def _json_numbers(value, shape, message):
-    """value if it is JSON numbers (not true or null, nor integers beyond float
-    range) in nested lists of that shape, else ValueError(message)."""
-    items = [value]
-    for size in shape:
-        for item in items:
-            if type(item) is not list or len(item) != size:
-                raise ValueError(message)
-        items = [entry for item in items for entry in item]
-    for v in items:
-        if type(v) is not float and not (type(v) is int and abs(v) <= sys.float_info.max):
-            raise ValueError(message)
-    return value
-
-
-def _record_row(record):
-    """The packed row of one wire record, checked by _label_row after the
-    record's own JSON checks, as a Mode's is; no Mode is built."""
-    _json_object(record, ("p", "branch", "a"), "mode record")
-    p = _json_numbers(record["p"], (4,), "momentum must be a four-vector")
-    branch = _json_numbers(record["branch"], (), "branch must be +1 or -1")
-    a = _json_numbers(record["a"], (2, 2), "spin coefficients must be two [re, im] pairs")
-    return _label_row(p, branch, [complex(re, im) for re, im in a])
-
-
-def state_to_json(state: SpectralState) -> str:
-    _require_width(state, 1)
-    with np.errstate(all="ignore"):  # an overflowing fold raises below
-        folded = [coeff * a for coeff, a in zip(state.coeff.tolist(), state.a[:, 0])]
-    _finite(folded, "a folded spin coefficient c a is not finite")
-    return json.dumps([{**mode_to_record(p, branch, a), "L": state.box_edge}
-                       for p, branch, a in zip(state.p[:, 0], state.branch[:, 0], folded)])
-
-
-def state_from_json(text: str) -> SpectralState:
-    items = json.loads(text)
-    if not isinstance(items, list):
-        raise ValueError("spectral state JSON must be a list of mode records")
-    rows, box = [], None
-    for item in items:
-        record = _json_object(item, ("L",), "mode record")
-        edge = float(_json_numbers(record["L"], (), "box edge L must be a number"))
-        if box is None:
-            box = edge
-        elif edge != box:
-            raise BoxMismatch("mode records disagree on the box edge")
-        rows.append(_record_row(item))
-    return SpectralState._from_rows([1.0] * len(items), np.frombuffer(b"".join(rows)),
-                                    TWO_PI if box is None else box)

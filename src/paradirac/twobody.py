@@ -15,8 +15,6 @@ sign is +.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .algebra import (
@@ -47,16 +45,12 @@ from .states import (
     Mode,
     Subspace,
     TermContainer,
-    _json_numbers,
-    _json_object,
     _plane_waves,
-    _record_row,
     _require_width,
     _vector_current,
     _window_outer,
     classify_subspace,
     inner_product,
-    mode_to_record,
     overlap_join,
 )
 from .spinors import _block
@@ -348,27 +342,3 @@ def mutual_scattering_amplitude(in1: Mode, out1: Mode, in2: Mode, out2: Mode,
     a_tilde = pot.fourier(dp1)
     sandwich = bar(out1.amplitude_spinor()) @ slash(a_tilde) @ in1.amplitude_spinor()
     return complex(1j * charge1 / TWO_PI**3 * sandwich)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def two_state_to_json(state: TwoParticleState) -> str:
-    _require_width(state, 2)
-    pairs = [{"c": [float(c.real), float(c.imag)], "x": mode_to_record(p[0], branch[0], a[0]),
-              "y": mode_to_record(p[1], branch[1], a[1])}
-             for c, p, branch, a in zip(state.coeff.tolist(), state.p, state.branch, state.a)]
-    return json.dumps({"exchange": state.exchange, "L": state.box_edge, "pairs": pairs})
-
-
-def two_state_from_json(text: str) -> TwoParticleState:
-    payload = _json_object(json.loads(text), ("exchange", "L", "pairs"), "two-particle state JSON")
-    if not isinstance(payload["pairs"], list):
-        raise ValueError("two-particle state JSON pairs must be a list of term records")
-    pairs = [_json_object(pair, ("c", "x", "y"), "term record") for pair in payload["pairs"]]
-    terms = [(complex(*_json_numbers(pair["c"], (2,), "term coefficient c must be a [re, im] pair")),
-              _record_row(pair["x"]) + _record_row(pair["y"])) for pair in pairs]
-    edge = _json_numbers(payload["L"], (), "box edge L must be a number")
-    rows = np.frombuffer(b"".join(row for _, row in terms))
-    return TwoParticleState._from_rows([c for c, _ in terms], rows, float(edge),
-                                       exchange=_exchange_tag(payload["exchange"]))

@@ -4,8 +4,9 @@ Run as ``python tests/digest.py OUT.npz`` with the tree under test on
 PYTHONPATH; the same copy of this file runs on the base commit and on the
 head, and both must print the same hash.  It builds seeded one- and
 two-particle states from Modes, with repeated rows and -0.0 components, and
-hashes the JSON of the states, their C/P/T/TPC images, free evolutions and
-antisymmetrized pairs, the repr of their inner products, the first-order
+hashes the arrays of the states, their C/P/T/TPC images, free evolutions and
+antisymmetrized pairs (the dtype, shape and bytes of coeff, p, branch, a and
+mass, with the box edge and exchange tag), the repr of their inner products, the first-order
 two-particle S-matrix of forward states, the residuals of the exchange check
 and of the conjugation and free-equation checks (in the 2 pi box), the bytes
 of seeded field tensors, and the S-matrix of one 200-term pair of forward
@@ -35,11 +36,9 @@ from paradirac.radiative import (FieldConfiguration, anomaly_record, bohr_radius
 from paradirac.sampling import random_mode, random_spin_coefficients, random_state, random_timelike_momentum
 from paradirac.scattering import coulomb_ft, coulomb_potential, mott_dcs, mott_ratio, rutherford_dcs, zero_potential
 from paradirac.states import (Mode, SpectralState, charge_conjugate, concatenated_current,
-                              free_equation_residual, inner_product, parity, state_to_json, time_reverse,
-                              tpc)
+                              free_equation_residual, inner_product, parity, time_reverse, tpc)
 from paradirac.twobody import (TwoParticleState, exchange_residual, mutual_scattering_amplitude,
-                               potential_from_transition, s2_first_order, two_conjugation_check, two_currents,
-                               two_state_to_json)
+                               potential_from_transition, s2_first_order, two_conjugation_check, two_currents)
 
 digest = hashlib.sha256()
 approx = {}  # arrays compared by tolerance, not hashed
@@ -53,6 +52,11 @@ def exchange_pair(psi, chi, box, exchange="fermionic"):
 
 def mode_fields(mode):
     return repr((repr(mode), mode.p.tobytes(), mode.a.tobytes(), mode.mass.hex()))
+
+
+def state_fields(state):
+    arrays = [(x.dtype.str, x.shape, x.tobytes()) for x in (state.coeff, state.p, state.branch, state.a, state.mass)]
+    return repr((arrays, state.box_edge.hex(), getattr(state, "exchange", None)))
 
 
 for seed in range(8):
@@ -83,13 +87,12 @@ for seed in range(8):
                 digest.update(mode_fields(mode).encode())
         images = [state] + [f(state) for f in (charge_conjugate, parity, time_reverse, tpc)]
         images += [free_evolve(state, 0.0, 0.7, 1), free_evolve(state, 0.3, -0.4, -1)]
-        dump = state_to_json if state.width == 1 else two_state_to_json
         for image in images:
-            digest.update(dump(image).encode())
+            digest.update(state_fields(image).encode())
             digest.update(repr(inner_product(state, image)).encode())
     for k, l in picks[:8]:
         pair = exchange_pair(pool[k], pool[l], box)
-        digest.update(two_state_to_json(pair).encode())
+        digest.update(state_fields(pair).encode())
         digest.update(repr(inner_product(pair, states[1])).encode())
     # the first-order S-matrix and the marginal currents of forward
     # states: final rows rotate an x or a y label on its energy
@@ -190,7 +193,7 @@ for mass in (1.0, 0.51099895):
     incident = random_mode(rng, mass=mass, branch=1, phi=1)
     outs = elastic_shell(incident.p, [0.4, 1.3, 2.9], n_azimuth=3)
     for pot in (coulomb_potential(2.0, mu=0.3), coulomb_potential(1.0)):
-        digest.update(state_to_json(moller_first_order(incident, pot, outs)).encode())
+        digest.update(state_fields(moller_first_order(incident, pot, outs)).encode())
 in1 = random_mode(rng, branch=1, phi=1, p_scale=0.4)
 in2 = random_mode(rng, mass=2.0, branch=1, phi=1, p_scale=0.3)
 out1 = Mode(elastic_shell(in1.p, [0.8], n_azimuth=1)[0], 1, random_spin_coefficients(rng))

@@ -1,6 +1,5 @@
-"""Spectral states: mode bookkeeping, symmetries, currents, serialization."""
+"""Spectral states: mode bookkeeping, symmetries, currents."""
 
-import json
 import math
 import warnings
 from dataclasses import FrozenInstanceError
@@ -53,12 +52,10 @@ from paradirac.states import (
     parity,
     plane_wave_value,
     single_mode_state,
-    state_from_json,
-    state_to_json,
     time_reverse,
     tpc,
 )
-from paradirac.twobody import TwoParticleState, s2_first_order, two_currents, two_state_from_json, two_state_to_json
+from paradirac.twobody import TwoParticleState, s2_first_order, two_currents
 
 GAMMA1 = gamma(1)
 GAMMA3 = gamma(3)
@@ -268,19 +265,6 @@ class TestModeContract:
                 Mode(p, branch, a)
             assert type(info.value) is error and str(info.value) == message
 
-    def test_overflowing_mass_record_is_refused(self):
-        record = {"p": [1e155, 5e154, 0.0, 0.0], "branch": 1, "a": [[1.0, 0.0], [0.0, 0.0]], "L": 2.0}
-        with pytest.raises(NonfiniteResult, match="^mode mass is not finite$"):
-            state_from_json(json.dumps([record]))
-
-    def test_fractional_and_boolean_branches_in_json_are_refused(self):
-        record = {"p": [np.sqrt(2.0), 1.0, 0.0, 0.0], "a": [[0.3, -0.6], [0.8, 0.4]], "L": 2.0}
-        for branch in (-1.7, 1.9, 0.5, True, False):
-            with pytest.raises(ValueError, match=r"^branch must be \+1 or -1$"):
-                state_from_json(json.dumps([{**record, "branch": branch}]))
-        for branch in (1, 1.0, -1, -1.0):
-            assert state_from_json(json.dumps([{**record, "branch": branch}])).branch.tolist() == [[int(branch)]]
-
 
 class TestPlaneWave:
     def test_satisfies_free_equation(self, rng):
@@ -451,80 +435,9 @@ class TestCurrents:
             concatenated_current(state, np.full((2, 4), 1e308))
 
 
-class TestSerialization:
-    def test_roundtrip_values(self, rng):
-        state = random_state(rng, 5)
-        clone = state_from_json(state_to_json(state))
-        assert clone.box_edge == state.box_edge
-        for x, tau in _events(rng):
-            assert np.abs(clone.value(x, tau) - state.value(x, tau)).max() <= 1e-12
-
-    def test_roundtrip_term_count(self, rng):
-        state = random_state(rng, 5)
-        assert len(state_from_json(state_to_json(state)).terms) == len(state.terms)
-
-    def test_wire_text(self):
-        # recorded before the mode-record codec was shared with twobody
-        state = SpectralState(((0.5 - 1.0j, label_mode((0, 1, 2, False))),
-                               (1.0j, label_mode((1, -1, 3, True)))), box_edge=2.0)
-        assert state_to_json(state) == (
-            '[{"p": [1.4142135623730951, 1.0, 0.0, 0.0], "branch": 1, '
-            '"a": [[0.3, -0.6], [0.8, 0.4]], "L": 2.0}, '
-            '{"p": [-1.118033988749895, -0.0, 0.5, -0.0], "branch": -1, '
-            '"a": [[-1.0, 1.0], [0.0, -0.5]], "L": 2.0}]')
-
-    @pytest.mark.parametrize("text", [
-        "{}", "1", '"mode"', "null",  # a top level that is not a list
-        "[1]", "[[]]", '["p"]', "[null]",  # a record that is not an object
-        '[{"p": [1.5, 0.0, 0.0, 0.0], "branch": 1, "a": [[1.0, 0.0], [0.0, 0.0]]}]',
-        '[{"L": 2.0, "branch": 1, "a": [[1.0, 0.0], [0.0, 0.0]]}]',
-        '[{"L": 2.0, "p": [1.5, 0.0, 0.0, 0.0], "a": [[1.0, 0.0], [0.0, 0.0]]}]',
-        '[{"L": 2.0, "p": [1.5, 0.0, 0.0, 0.0], "branch": 1}]',
-        # values of the wrong JSON type
-        '[{"L": null, "p": [1.5, 0.0, 0.0, 0.0], "branch": 1, "a": [[1.0, 0.0], [0.0, 0.0]]}]',
-        '[{"L": true, "p": [1.5, 0.0, 0.0, 0.0], "branch": 1, "a": [[1.0, 0.0], [0.0, 0.0]]}]',
-        '[{"L": 2.0, "p": [1.5, 0.0, 0.0, 0.0], "branch": null, "a": [[1.0, 0.0], [0.0, 0.0]]}]',
-        '[{"L": 2.0, "p": [1.5, 0.0, 0.0, 0.0], "branch": 1, "a": 3}]',
-        '[{"L": 2.0, "p": [1.5, 0.0, 0.0, 0.0], "branch": 1, "a": null}]',
-        '[{"L": 2.0, "p": [1.5, 0.0, 0.0, 0.0], "branch": 1, "a": [["x", 1.0], [0, 0]]}]',
-        # integers beyond float range, and infinite branches
-        pytest.param('[{"L": 1%s, "p": [1.5, 0.0, 0.0, 0.0], "branch": 1, "a": [[1.0, 0.0], [0.0, 0.0]]}]'
-                     % ("0" * 400), id="L-1e400"),
-        pytest.param('[{"L": 2.0, "p": [1%s, 0.0, 0.0, 0.0], "branch": 1, "a": [[1.0, 0.0], [0.0, 0.0]]}]'
-                     % ("0" * 400), id="p0-1e400"),
-        pytest.param('[{"L": 2.0, "p": [1.5, 0.0, 0.0, 0.0], "branch": 1, "a": [[-1%s, 0.0], [0.0, 0.0]]}]'
-                     % ("0" * 400), id="a-minus-1e400"),
-        '[{"L": 2.0, "p": [1.5, 0.0, 0.0, 0.0], "branch": Infinity, "a": [[1.0, 0.0], [0.0, 0.0]]}]',
-        '[{"L": 2.0, "p": [1.5, 0.0, 0.0, 0.0], "branch": -Infinity, "a": [[1.0, 0.0], [0.0, 0.0]]}]',
-    ])
-    def test_malformed_json_raises_value_error(self, text):
-        # not TypeError or KeyError: every failure of the library is a ValueError
-        with pytest.raises(ValueError):
-            state_from_json(text)
-
-    def test_mode_record_must_be_a_complete_object(self):
-        record = {"p": [1.5, 0.0, 0.0, 0.0], "branch": 1, "a": [[1.0, 0.0], [0.0, 0.0]], "L": 2.0}
-        state = state_from_json(json.dumps([record]))
-        assert folded_label(state.terms[0][1]) == folded_label(Mode(record["p"], 1, [1.0, 0.0]))
-        for bad in ([], None, "p", {k: v for k, v in record.items() if k != "a"}):
-            with pytest.raises(ValueError, match="^mode record must be a JSON object with the keys"):
-                state_from_json(json.dumps([bad]))
-
-
-def _strict_json(text):
-    def refuse(constant):
-        raise ValueError(f"non-strict JSON constant {constant}")
-    return json.loads(text, parse_constant=refuse)
-
-
-def _two_json_with_c(mode, c):
-    text = two_state_to_json(TwoParticleState([(1.0, mode, mode)]))
-    return two_state_from_json(text.replace('"c": [1.0, 0.0]', f'"c": {c}'))
-
-
 class TestFiniteCoefficients:
-    """A term coefficient given, read or summed non-finite, and a folded c a
-    that overflows on the wire, raise NonfiniteResult before any warning."""
+    """A term coefficient given or summed non-finite raises NonfiniteResult
+    before any warning."""
 
     MODE = Mode([1.5, 0.3, -0.2, 0.1], 1, [0.6, 0.8j])
 
@@ -532,29 +445,13 @@ class TestFiniteCoefficients:
         pytest.param(lambda m: SpectralState([(np.nan, m)]), id="nan"),
         pytest.param(lambda m: SpectralState([(complex(0.0, -np.inf), m)]), id="inf"),
         pytest.param(lambda m: TwoParticleState([(np.inf, m, m)]), id="two-particle-inf"),
-        pytest.param(lambda m: _two_json_with_c(m, "[NaN, 0]"), id="json-nan"),
-        pytest.param(lambda m: _two_json_with_c(m, "[Infinity, 0]"), id="json-inf"),
         pytest.param(lambda m: SpectralState([(1e308, m), (1e308, m)]), id="merge-overflow"),
-        pytest.param(lambda m: state_to_json(SpectralState([(1e200, Mode(m.p, 1, [1e200, 0.5]))])),
-                     id="fold-overflow"),
     ])
     def test_nonfinite_raises(self, build):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonfiniteResult):
                 build(self.MODE)
-
-    def test_finite_json_is_strict_and_reads_back(self, rng):
-        # c a = 1e308 is the largest fold here, and still finite
-        big = SpectralState([(1e154, Mode(self.MODE.p, 1, [1e154, 0.5])), (1.0, self.MODE)])
-        for state in (random_state(rng, 5), big):
-            text = state_to_json(state)
-            _strict_json(text)
-            assert state_to_json(state_from_json(text)) == text
-        pair = TwoParticleState([(1e308, self.MODE, self.MODE), (-1e308j, self.MODE, random_mode(rng))])
-        text = two_state_to_json(pair)
-        _strict_json(text)
-        assert two_state_to_json(two_state_from_json(text)) == text
 
 
 class TestFiniteBilinears:
@@ -599,8 +496,8 @@ class TestFiniteBilinears:
 class TestComputedLabels:
     """The labels the library computes (C/P/T images, Moller nodes and
     random_state's draws) are checked once, by states._label_rows; the rows of
-    Modes and wire records are checked by _label_row and never again.  A
-    computed label that overflows raises NonfiniteResult before any warning."""
+    Modes are checked on construction and never again.  A computed label
+    that overflows raises NonfiniteResult before any warning."""
 
     MODE = Mode([1.5, 0.3, 0.2, 0.1], 1, [1.0, 1.0])
     P_IN = np.array([np.sqrt(2.0), 0.0, 0.0, 1.0])
@@ -660,7 +557,6 @@ class TestComputedLabels:
         incident = random_mode(rng, branch=1, phi=1)
         one = SpectralState([(1.0, mode) for mode in modes])
         two = TwoParticleState([(1.0, modes[0], modes[1]), (0.5j, modes[2], modes[3])], "fermionic")
-        one_text, two_text = state_to_json(one), two_state_to_json(two)
         label_rows, calls = states._label_rows, []
 
         def counted(*args):
@@ -677,8 +573,6 @@ class TestComputedLabels:
 
         assert count(lambda: SpectralState([(1.0, mode) for mode in modes])) == 0
         assert count(lambda: TwoParticleState([(1.0, modes[0], modes[1])])) == 0
-        assert count(lambda: state_from_json(one_text)) == 0
-        assert count(lambda: two_state_from_json(two_text)) == 0
         for image in self.IMAGES:
             assert count(lambda: image(one)) == 1
         shell = elastic_shell(incident.p, [0.5, 1.0], 4)
@@ -730,17 +624,14 @@ SWEEP_COEFFS = st.builds(complex, st.sampled_from(SWEEP_PARTS), st.sampled_from(
 
 def _finite_or_refused(call):
     """call() under warnings as errors: None where it raises a ValueError
-    subclass, else its result, whose numbers must be finite and whose JSON
-    text must be strict."""
+    subclass, else its result, whose numbers must be finite."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             value = call()
         except ValueError:
             return None
-    if isinstance(value, str):
-        _strict_json(value)
-    elif isinstance(value, (Mode, states.TermContainer)):
+    if isinstance(value, (Mode, states.TermContainer)):
         assert all(np.isfinite(getattr(value, name)).all() for name in ("coeff", "p", "a", "mass")
                    if hasattr(value, name))
     else:
@@ -768,15 +659,11 @@ class TestFiniteValueSweep:
         two = _finite_or_refused(lambda: TwoParticleState(two_terms))
         forward = _finite_or_refused(lambda: TwoParticleState(
             [(c, x, y) for c, x, y in two_terms if x.branch * x.phi > 0 and y.branch * y.phi > 0]))
-        for state, to_json, from_json in ((one, state_to_json, state_from_json),
-                                          (two, two_state_to_json, two_state_from_json)):
+        for state in (one, two):
             if state is None:
                 continue
             _finite_or_refused(lambda: free_evolve(state, 0.0, 0.7, 1))
             _finite_or_refused(lambda: inner_product(state, state))
-            text = _finite_or_refused(lambda: to_json(state))
-            if text is not None:  # the reader takes what the writer wrote
-                assert _finite_or_refused(lambda: from_json(text)) is not None
         if one is not None:
             for image in (charge_conjugate, parity, time_reverse, tpc):
                 _finite_or_refused(lambda: image(one))
@@ -866,8 +753,8 @@ LOADED_ARRAYS = ("coeff", "p", "branch", "a", "mass")
 
 
 class TestLoadFromModes:
-    """Terms of Modes load as the label rows _label_row gives their labels:
-    the containers' arrays equal those of _from_rows on the same rows, bit
+    """Terms of Modes load as the label rows of their Modes: the containers'
+    arrays equal those of _from_rows on the Modes' rows (Mode._row), bit
     for bit; a coefficient converts as complex() converts it, and a bad term
     raises what reading the terms one by one raises first."""
 
@@ -886,8 +773,8 @@ class TestLoadFromModes:
         for coeff, kind, *labels in raw:
             terms.append((kind(coeff), *map(label_mode, labels[:width])))
             for ip, branch, ia, negative in labels[:width]:
-                rows.append(np.frombuffer(states._label_row(signed_zeros(LABEL_MOMENTA[ip], negative),
-                                                            branch, signed_zeros(LABEL_SPINS[ia], negative))))
+                rows.append(np.frombuffer(Mode(signed_zeros(LABEL_MOMENTA[ip], negative),
+                                               branch, signed_zeros(LABEL_SPINS[ia], negative))._row))
         got = cls(terms)
         fields = {"exchange": "none"} if width == 2 else {}
         want = cls._from_rows([complex(coeff) for coeff, *_ in raw], rows, TWO_PI, **fields)

@@ -106,8 +106,7 @@ _PUBLIC_NAMES = {
                "TermContainer.phi", "TermContainer.spinors", "TermContainer.terms", "bilinear_concatenated",
                "charge_conjugate", "classify_subspace", "concatenated_current", "concatenated_pairs",
                "current_divergence_fd", "free_equation_residual", "inner_product",
-               "mode_to_record", "overlap_join", "parity", "plane_wave_value", "single_mode_state",
-               "state_from_json", "state_to_json", "time_reverse", "tpc"},
+               "overlap_join", "parity", "plane_wave_value", "single_mode_state", "time_reverse", "tpc"},
     "propagate": {"elastic_shell", "free_evolve", "influence_conjugation_check", "moller_first_order"},
     "scattering": {"ExternalPotential", "ReducedAmplitude", "SpinSum", "coulomb_ft", "coulomb_potential",
                    "mott_dcs", "mott_ratio", "rutherford_dcs", "s1_amplitude",
@@ -115,7 +114,7 @@ _PUBLIC_NAMES = {
     "twobody": {"TwoParticleState", "TwoParticleState.value", "antisymmetrize", "bs_born_step", "bs_power_iteration", "exchange_residual",
                 "mutual_scattering_amplitude", "permute_labels", "potential_from_transition", "s2_first_order",
                 "symmetrize", "two_conjugation_check", "two_currents",
-                "two_kernel_matrix", "two_state_from_json", "two_state_to_json"},
+                "two_kernel_matrix"},
     "radiative": {"FieldConfiguration", "FieldConfiguration.from_fields", "FieldConfiguration.lowered",
                   "UehlingShift", "anomaly_record", "anomaly_rhs", "axial_divergence_tree",
                   "bohr_radius", "epsilon_tensor", "f2_record", "hydrogen_radial", "shift_record",

@@ -1,7 +1,6 @@
 """Two-particle states: exchange, evolution, S_fi, the Born-step operator."""
 
 import cmath
-import json
 
 import numpy as np
 import pytest
@@ -30,12 +29,10 @@ from paradirac.algebra import ELEMENTARY_CHARGE, TWO_PI, four_vector
 from paradirac.errors import (
     BoxMismatch,
     GridIncompatible,
-    MasslessState,
     NonfiniteResult,
     OnLightCone,
     OnMassShell,
     SubspaceViolation,
-    SuperluminalMomentum,
 )
 from paradirac.propagate import elastic_shell, free_evolve
 from paradirac.sampling import random_mode, random_spin_coefficients, random_timelike_momentum
@@ -55,8 +52,6 @@ from paradirac.states import (
     overlap_join,
     parity,
     single_mode_state,
-    state_from_json,
-    state_to_json,
 )
 from paradirac.twobody import (
     TwoParticleState,
@@ -73,8 +68,6 @@ from paradirac.twobody import (
     two_currents,
     two_evolve,
     two_inner_product,
-    two_state_from_json,
-    two_state_to_json,
 )
 
 
@@ -354,132 +347,18 @@ class TestKernelAndCurrents:
 
 
 class TestSerialization:
-    def test_roundtrip(self, rng):
-        state = antisymmetrize(_mode(rng), _mode(rng))
-        text = two_state_to_json(state)
-        clone = two_state_from_json(text)
-        assert clone.exchange == state.exchange
-        assert clone.box_edge == state.box_edge
-        assert len(clone.terms) == len(state.terms)
-        x, y, tau = rng.normal(size=4), rng.normal(size=4), 0.4
-        assert np.abs(clone.value(x, y, tau) - state.value(x, y, tau)).max() <= 1e-13
-
-    def test_wire_format_is_json_object(self, rng):
-        state = symmetrize(_mode(rng), _mode(rng))
-        record = json.loads(two_state_to_json(state))
-        assert record["exchange"] == "bosonic"
-        assert len(record["pairs"]) == 2
-
-    def test_wire_text(self):
-        # recorded before the mode-record codec was shared with states
-        state = TwoParticleState(((0.25 - 2.0j, label_mode((0, 1, 1, True)),
-                                   label_mode((2, -1, 2, False))),), "fermionic", 3.0)
-        assert two_state_to_json(state) == (
-            '{"exchange": "fermionic", "L": 3.0, "pairs": [{"c": [0.25, -2.0], '
-            '"x": {"p": [1.4142135623730951, 1.0, -0.0, -0.0], "branch": 1, '
-            '"a": [[-0.0, -0.0], [-0.0, 1.0]]}, '
-            '"y": {"p": [1.0, 0.0, 0.0, 0.0], "branch": -1, "a": [[0.6, 0.0], [0.0, 0.8]]}}]}')
-
-    @pytest.mark.parametrize("payload", [
-        [], 1, "state", None,  # a top level that is not an object
-        {"exchange": "none", "L": 6.0, "pairs": {}},  # pairs that are not a list
-        {"exchange": "none", "L": 6.0, "pairs": "xy"},
-        {"exchange": "none", "L": 6.0, "pairs": None},
-        {"exchange": "none", "L": 6.0, "pairs": [1]},  # a term record that is not an object
-        {"exchange": "none", "L": 6.0, "pairs": [[]]},
-        {"exchange": "none", "L": 6.0},  # missing keys
-        {"L": 6.0, "pairs": []},
-        {"exchange": "none", "pairs": []},
-        {"exchange": "none", "L": 6.0, "pairs": [{"x": "RECORD", "y": "RECORD"}]},
-        {"exchange": "none", "L": 6.0, "pairs": [{"c": [1.0, 0.0], "y": "RECORD"}]},
-        {"exchange": "none", "L": 6.0, "pairs": [{"c": [1.0, 0.0], "x": "RECORD", "y": []}]},
-        {"exchange": "none", "L": 6.0, "pairs": [{"c": [1.0, 0.0], "x": "RECORD", "y": {"p": [1.5, 0, 0, 0]}}]},
-        # values of the wrong JSON type: a coefficient that is not an [re, im]
-        # pair of numbers, and a box edge that is not a number
-        {"exchange": "none", "L": 6.0, "pairs": [{"c": 1, "x": "RECORD", "y": "RECORD"}]},
-        {"exchange": "none", "L": 6.0, "pairs": [{"c": [1], "x": "RECORD", "y": "RECORD"}]},
-        {"exchange": "none", "L": 6.0, "pairs": [{"c": [True, False], "x": "RECORD", "y": "RECORD"}]},
-        {"exchange": "none", "L": 6.0, "pairs": [{"c": None, "x": "RECORD", "y": "RECORD"}]},
-        {"exchange": "none", "L": None, "pairs": [{"c": [1.0, 0.0], "x": "RECORD", "y": "RECORD"}]},
-        {"exchange": "none", "L": True, "pairs": [{"c": [1.0, 0.0], "x": "RECORD", "y": "RECORD"}]},
-        {"exchange": "none", "L": "6", "pairs": [{"c": [1.0, 0.0], "x": "RECORD", "y": "RECORD"}]},
-        # integers beyond float range
-        {"exchange": "none", "L": 10**400, "pairs": [{"c": [1.0, 0.0], "x": "RECORD", "y": "RECORD"}]},
-        {"exchange": "none", "L": 6.0, "pairs": [{"c": [10**400, 0.0], "x": "RECORD", "y": "RECORD"}]},
-        {"exchange": "none", "L": 6.0, "pairs": [{"c": [0.0, -10**400], "x": "RECORD", "y": "RECORD"}]},
-    ])
-    def test_malformed_json_raises_value_error(self, payload):
-        # not TypeError or KeyError, nor an empty state for a pairs object
-        record = {"p": [1.5, 0.0, 0.0, 0.0], "branch": 1, "a": [[1.0, 0.0], [0.0, 0.0]]}
-        text = json.dumps(payload).replace('"RECORD"', json.dumps(record))
-        with pytest.raises(ValueError):
-            two_state_from_json(text)
-        valid = {"exchange": "none", "L": 6.0, "pairs": [{"c": [1.0, 0.0], "x": record, "y": record}]}
-        assert len(two_state_from_json(json.dumps(valid)).terms) == 1
-
-    @pytest.mark.parametrize("change, error", [
-        ({"p": None}, ValueError),
-        ({"branch": None}, ValueError),
-        ({"a": None}, ValueError),
-        ({"branch": 0}, ValueError),
-        ({"p": [1.0, 2.0, 0.0, 0.0]}, SuperluminalMomentum),
-        ({"p": [1.0, 1.0, 0.0, 0.0]}, MasslessState),
-        ({"a": [[1.0, 2.0, 3.0]]}, ValueError),
-        # values of the wrong JSON type are ValueErrors too, never TypeErrors
-        ({"a": 3}, ValueError),
-        ({"a": [["x", 1.0], [0, 0]]}, ValueError),
-        ({"a": [[True, 0.0], [0.0, 0.0]]}, ValueError),
-        ({"p": [True, 0.0, 0.0, 0.0]}, ValueError),
-        ({"p": [{}, 0.0, 0.0, 0.0]}, ValueError),
-        ({"branch": [1]}, ValueError),
-        # integers beyond float range, and infinite branches
-        ({"p": [10**400, 0.0, 0.0, 0.0]}, ValueError),
-        ({"a": [[0.3, 10**400], [0.8, 0.4]]}, ValueError),
-        ({"branch": float("inf")}, ValueError),
-        ({"branch": float("-inf")}, ValueError),
-    ])
-    def test_malformed_mode_records(self, change, error):
-        # both readers share one record decoder and raise what each did alone
-        record = {"p": [np.sqrt(2.0), 1.0, 0.0, 0.0], "branch": 1, "a": [[0.3, -0.6], [0.8, 0.4]]}
-        record = {**record, **change}
-        one = json.dumps([{**record, "L": 2.0}])
-        two = json.dumps({"exchange": "none", "L": 2.0,
-                          "pairs": [{"c": [1.0, 0.0], "x": record, "y": record}]})
-        with pytest.raises(error):
-            state_from_json(one)
-        with pytest.raises(error):
-            two_state_from_json(two)
-
-    def test_fractional_and_boolean_branches_are_refused(self):
-        # a branch is +1 or -1 as a number: -1.7 is not truncated to -1, nor true read as 1
-        record = {"p": [np.sqrt(2.0), 1.0, 0.0, 0.0], "branch": 1, "a": [[0.3, -0.6], [0.8, 0.4]]}
-        for particle in ("x", "y"):
-            for branch in (-1.7, 1.9, 0.5, True, False):
-                pair = {"c": [1.0, 0.0], "x": record, "y": record}
-                pair[particle] = {**record, "branch": branch}
-                text = json.dumps({"exchange": "none", "L": 2.0, "pairs": [pair]})
-                with pytest.raises(ValueError, match=r"^branch must be \+1 or -1$"):
-                    two_state_from_json(text)
-        for branch in (1.0, -1.0):
-            text = json.dumps({"exchange": "none", "L": 2.0, "pairs": [
-                {"c": [1.0, 0.0], "x": record, "y": {**record, "branch": branch}}]})
-            assert two_state_from_json(text).branch.tolist() == [[1, int(branch)]]
+    """The container fields a state carries besides its terms."""
 
     @pytest.mark.parametrize("build", [
-        lambda mode, record, edge: SpectralState(((1.0, mode),), edge),
-        lambda mode, record, edge: TwoParticleState(((1.0, mode, mode),), "none", edge),
-        lambda mode, record, edge: state_from_json(json.dumps([{**record, "L": edge}])),
-        lambda mode, record, edge: two_state_from_json(json.dumps(
-            {"exchange": "none", "L": edge, "pairs": [{"c": [1.0, 0.0], "x": record, "y": record}]})),
-    ], ids=["SpectralState", "TwoParticleState", "state_from_json", "two_state_from_json"])
+        lambda mode, edge: SpectralState(((1.0, mode),), edge),
+        lambda mode, edge: TwoParticleState(((1.0, mode, mode),), "none", edge),
+    ], ids=["SpectralState", "TwoParticleState"])
     def test_box_edge_must_be_positive_and_finite(self, build):
-        # json.dumps writes NaN and Infinity, which json.loads reads back
-        record = {"p": [np.sqrt(2.0), 1.0, 0.0, 0.0], "branch": 1, "a": [[0.3, -0.6], [0.8, 0.4]]}
-        mode = Mode(np.array(record["p"]), 1, np.array([0.3 - 0.6j, 0.8 + 0.4j]))
+        mode = Mode(np.array([np.sqrt(2.0), 1.0, 0.0, 0.0]), 1, np.array([0.3 - 0.6j, 0.8 + 0.4j]))
         for edge in (0.0, -1.0, np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="box edge"):
-                build(mode, record, edge)
-        assert build(mode, record, 2.0).box_edge == 2.0
+                build(mode, edge)
+        assert build(mode, 2.0).box_edge == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -814,9 +693,9 @@ class TestScalingGuard:
 
 class TestWidthContract:
     """One inner product and one free evolution serve both term widths; the
-    one-particle bilinears and state_to_json refuse two-particle terms, and
-    the two-particle currents, S_fi, serializer, label swap and exchange
-    residual refuse one-particle terms."""
+    one-particle bilinears refuse two-particle terms, and the two-particle
+    currents, S_fi, label swap and exchange residual refuse one-particle
+    terms."""
 
     @pytest.fixture
     def probe(self):
@@ -847,9 +726,8 @@ class TestWidthContract:
         current_divergence_fd,
         vector_divergence_check,
         lambda s, x: axial_divergence_tree(s, 1.0, x),
-        lambda s, x: state_to_json(s),
     ], ids=["bilinear_concatenated", "concatenated_pairs", "concatenated_current",
-            "current_divergence_fd", "vector_divergence_check", "axial_divergence_tree", "state_to_json"])
+            "current_divergence_fd", "vector_divergence_check", "axial_divergence_tree"])
     def test_one_particle_operations_refuse_width_two(self, probe, call):
         _, t = probe
         with pytest.raises(TypeError, match="width 2"):
@@ -858,11 +736,9 @@ class TestWidthContract:
     @pytest.mark.parametrize("call", [
         two_currents,
         lambda s, x: s2_first_order(s, s, (zero_potential(),) * 2),
-        lambda s, x: two_state_to_json(s),
         lambda s, x: permute_labels(s),
         lambda s, x: exchange_residual(s),
-    ], ids=["two_currents", "s2_first_order", "two_state_to_json",
-            "permute_labels", "exchange_residual"])
+    ], ids=["two_currents", "s2_first_order", "permute_labels", "exchange_residual"])
     def test_two_particle_operations_refuse_width_one(self, probe, call):
         m1, _ = probe
         with pytest.raises(TypeError) as error:
