@@ -166,20 +166,16 @@ def decompose_in_block(p, branch, spinor):
 
     The right inverse of the block is +bar(u) for the u branch and -bar(v)
     for the v branch.  Raises if the spinor has a component outside the
-    branch subspace (it never does for images of the discrete symmetries).
-    Momenta (..., 4) and spinors (..., 4) give coefficients (..., 2); the
-    branch is as for branch_block.  A coefficient that is not finite raises NonfiniteResult.
+    branch subspace.  Momenta (..., 4) and spinors (..., 4) give
+    coefficients (..., 2); the branch is as for branch_block.  A coefficient
+    that is not finite raises NonfiniteResult.
     """
-    with np.errstate(all="ignore"):  # a NaN or inf is refused by _decompose
-        return _decompose(branch_block(p, branch), branch, spinor)
-
-
-def _decompose(block, branch, spinor):
-    """decompose_in_block in a block the caller has built, under the caller's np.errstate."""
     spinor = np.asarray(spinor)
-    a = np.asarray(branch, dtype=float)[..., None] * _matvec(bar(block), spinor)
-    residual = _norm(_matvec(block, _finite(a, "spin coefficients are not finite")) - spinor)
-    scale = np.maximum(_norm(spinor), 1e-300)
+    with np.errstate(all="ignore"):  # a NaN or inf is refused by _finite or the residual test
+        block = branch_block(p, branch)
+        a = np.asarray(branch, dtype=float)[..., None] * _matvec(bar(block), spinor)
+        residual = _norm(_matvec(block, _finite(a, "spin coefficients are not finite")) - spinor)
+        scale = np.maximum(_norm(spinor), 1e-300)
     if not (residual <= 1e-10 * scale).all():  # a NaN residual fails
         raise ValueError("spinor does not lie in the requested branch subspace")
     return a

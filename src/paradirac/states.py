@@ -36,11 +36,9 @@ import numpy as np
 from .algebra import (
     ATOL_ALGEBRA,
     GAMMA0,
-    GAMMA1,
-    GAMMA2,
-    GAMMA3,
-    GAMMA5,
     GAMMA_STACK,
+    I2,
+    SIGMA,
     TWO_PI,
     gamma,
     lower_index,
@@ -51,7 +49,7 @@ from .algebra import (
     _max_residual,
 )
 from .errors import BoxMismatch, MasslessState, NonfiniteResult, SuperluminalMomentum, ZeroEnergy
-from .spinors import _block, _decompose
+from .spinors import _block
 
 
 class Subspace(enum.Enum):
@@ -405,36 +403,42 @@ def single_mode_state(mode: Mode, coeff=1.0) -> SpectralState:
 # ---------------------------------------------------------------------------
 # discrete symmetries
 #
-# Each map sends a plane-wave mode to another plane-wave mode; the transformed
-# spinor is re-expressed in the block basis of the image momentum, which is
-# exact because the maps commute with the free equation.  Spatial momenta
-# always flip; `flip` also flips the energy and the branch.  Flipping signs
-# leaves mass_of(p) bit for bit as it was, so the image keeps the state's mass.
+# Each map takes a block at p to a block at the image momentum times a
+# constant 2x2 spin matrix, so it acts on the labels alone.  With the blocks
+# u(p) = K[(m+E)I; phi p.sigma], v(p) = K[phi p.sigma; (m+E)I], p~ = (p0, -p)
+# and i sigma2 = [[0, 1], [-1, 0]]:
+#   P: gamma^0 u(p) = u(p~) and gamma^0 v(p) = -v(p~), so a' = branch a;
+#   TPC: -i gamma^5 takes each block at p to the other block at -p times -i, so a' = -i a;
+#   C: i gamma^2 (u a)* = v(-p)(-i sigma2 a*) and i gamma^2 (v a)* = u(-p)(i sigma2 a*),
+#      so a' = -branch i sigma2 a*;
+#   T: i gamma^1 gamma^3 (w a)* = w(p~)(-sigma2 a*) for either block w, so a' = -sigma2 a*.
+# The spin matrices hold only 0, +-1 and +-i, so the image is exact.  Spatial momenta
+# always flip; `flip` also flips the energy and the branch.  Flipping signs leaves
+# mass_of(p) bit for bit as it was, so the image keeps the state's mass.
 
-def _transform(state: SpectralState, matrix, conjugate, flip) -> SpectralState:
+def _transform(state: SpectralState, spin, conjugate, flip) -> SpectralState:
+    """The image labels; the antilinear maps conjugate a and the coefficients."""
     q = state.p * np.array([-1.0 if flip else 1.0, -1.0, -1.0, -1.0])
-    branch, phi = (-state.branch, -state.phi) if flip else (state.branch, state.phi)
-    with np.errstate(all="ignore"):  # an overflow gives a non-finite a, which _decompose refuses
-        spinor = state.spinors()
-        spinor = _matvec(matrix, spinor.conj() if conjugate else spinor)
-        a = _decompose(_block(q, state.mass, phi, branch == 1), branch, spinor)
+    spin = np.where(state.branch[..., None, None] > 0, *spin)  # spin[0] on u rows, spin[1] on v rows
+    a = _matvec(spin, state.a.conj() if conjugate else state.a)
     return copy.copy(state)._fill(state.coeff.conj() if conjugate else state.coeff,
-                                  _label_rows(q, a, branch, state.mass), state.box_edge)
+                                  _label_rows(q, a, -state.branch if flip else state.branch, state.mass),
+                                  state.box_edge)
 
 
 def charge_conjugate(state: SpectralState) -> SpectralState:
     """Antilinear map psi -> i gamma^2 psi*(x, -tau); momentum and branch flip."""
-    return _transform(state, 1j * GAMMA2, True, True)
+    return _transform(state, (-1j * SIGMA[1], 1j * SIGMA[1]), True, True)
 
 
 def parity(state: SpectralState) -> SpectralState:
     """Linear map psi -> gamma^0 psi(t, -x, tau); spatial momentum flips."""
-    return _transform(state, GAMMA0, False, False)
+    return _transform(state, (I2, -I2), False, False)
 
 
 def time_reverse(state: SpectralState) -> SpectralState:
     """Antilinear map psi -> i gamma^1 gamma^3 psi*(-t, x, -tau)."""
-    return _transform(state, 1j * GAMMA1 @ GAMMA3, True, False)
+    return _transform(state, (-SIGMA[1],) * 2, True, False)
 
 
 def tpc(state: SpectralState) -> SpectralState:
@@ -443,7 +447,7 @@ def tpc(state: SpectralState) -> SpectralState:
     Sends u modes at p to v modes at -p and conversely, exchanging the two
     tau-frequency subspaces' particle/antiparticle labels.
     """
-    return _transform(state, -1j * GAMMA5, False, True)
+    return _transform(state, (-1j * I2,) * 2, False, True)
 
 
 # ---------------------------------------------------------------------------

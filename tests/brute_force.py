@@ -6,12 +6,17 @@ keyed merge, the overlap join or the batched kernels it is compared with.
 The per-Mode loops for the discrete symmetries, free evolution, the Born
 sandwiches and the Moller nodes work one Mode at a time, as the code did
 before the term container held arrays; none of them reads a container's
-arrays.  The free influence kernel is the loop over its support, one
-momentum at a time.  The samplers draw one mode at a time with scalar numpy
-calls and build a Mode per draw.
-The label pools hold momenta and spins with zero components, so that their
+arrays.  The symmetry loop solves each map's defining equation
+gamma @ block(p) @ a = block(q) @ a' in exact Fraction arithmetic, not
+through the 2x2 spin matrices the maps use, so the exact images it gives
+must equal the library's bit for bit.  The free influence kernel is the
+loop over its support, one momentum at a time.  The samplers draw one mode
+at a time with scalar numpy calls and build a Mode per draw.  The label
+pools hold momenta and spins with zero components, so that their
 sign-flipped variants (-0.0) test the key folding.
 """
+
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -32,7 +37,7 @@ from paradirac.algebra import (
     minkowski_dot,
     slash,
 )
-from paradirac.spinors import branch_block, decompose_in_block, lambda_u, lambda_v
+from paradirac.spinors import branch_block, lambda_u, lambda_v
 from paradirac.states import Mode, SpectralState, Subspace
 
 # on-shell momenta with zero components (masses 1 and 2, both energy signs),
@@ -204,25 +209,56 @@ SYMMETRIES = {
 }
 
 
+def exact(z):
+    """A complex number as the pair of Fractions of its real and imaginary parts."""
+    z = complex(z)
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def exact_matvec(matrix, v):
+    """matrix @ v in exact arithmetic, on complex entries as (re, im) pairs."""
+    return [(sum(x * c - y * d for (x, y), (c, d) in zip(row, v)),
+             sum(x * d + y * c for (x, y), (c, d) in zip(row, v))) for row in matrix]
+
+
+def exact_block(p, mass, upper):
+    """The block [(m+E)I; phi p.sigma] (upper) or [phi p.sigma; (m+E)I] of a
+    float momentum and mass, in exact arithmetic, without its factor K."""
+    t, x, y, z = map(Fraction, p)
+    phi = 1 if t > 0 else -1
+    diagonal = [[(mass + abs(t), 0), (0, 0)], [(0, 0), (mass + abs(t), 0)]]
+    cross = [[(phi * z, 0), (phi * x, -phi * y)], [(phi * x, phi * y), (-phi * z, 0)]]
+    return diagonal + cross if upper else cross + diagonal
+
+
 def transform_mode(mode, matrix, conjugate, flip):
-    """Image of one mode: the matrix on its amplitude spinor, re-expressed in
-    the block basis of the image momentum."""
-    w = mode.amplitude_spinor()
-    if conjugate:
-        w = w.conj()
-    w = matrix @ w
+    """Image of one mode, solved in Fraction arithmetic from
+    matrix @ block(p) @ a = block(q) @ a' (a* on the left for the antilinear
+    maps).  p and q share m and E, so K cancels.  a' is read from the two rows
+    where block(q) is (m+E)I, and all four rows must then hold exactly."""
     q = mode.p.copy()
     q[1:] = -q[1:]
     if flip:
         q[0] = -q[0]
     branch = -mode.branch if flip else mode.branch
-    return Mode(q, branch, decompose_in_block(q, branch, w))
+    mass = Fraction(mode.mass)
+    w = exact_matvec(exact_block(mode.p, mass, mode.branch == 1), list(map(exact, mode.a)))
+    if conjugate:
+        w = [(x, -y) for x, y in w]
+    w = exact_matvec([list(map(exact, row)) for row in matrix], w)
+    scale = mass + abs(Fraction(q[0]))
+    a = [(x / scale, y / scale) for x, y in (w[:2] if branch == 1 else w[2:])]
+    assert exact_matvec(exact_block(q, mass, branch == 1), a) == w
+    image = [complex(float(x), float(y)) for x, y in a]
+    assert list(map(exact, image)) == a  # each coefficient is a double, met without rounding
+    return Mode(q, branch, image)
 
 
 def symmetry_loop(terms, name):
+    """The map on (coeff, Mode, ...) terms of any width, one factor at a time."""
     matrix, conjugate, flip = SYMMETRIES[name]
-    return scan_merge([(np.conj(c) if conjugate else c, transform_mode(m, matrix, conjugate, flip))
-                       for c, m in terms])
+    return scan_merge([(np.conj(c) if conjugate else c,
+                        *(transform_mode(m, matrix, conjugate, flip) for m in modes)) for c, *modes in terms])
 
 
 def evolve_loop(terms, tau, tau_prime, which):

@@ -4,10 +4,11 @@ Run as ``python tests/digest.py OUT.npz`` with the tree under test on
 PYTHONPATH; the same copy of this file runs on the base commit and on the
 head, and both must print the same hash.  It builds seeded one- and
 two-particle states from Modes, with repeated rows and -0.0 components, and
-hashes the arrays of the states, their C/P/T/TPC images, free evolutions and
-antisymmetrized pairs (the dtype, shape and bytes of coeff, p, branch, a and
-mass, with the box edge and exchange tag), the repr of their inner products, the first-order
-two-particle S-matrix of forward states, the residuals of the exchange check
+hashes the arrays of the states, their free evolutions and antisymmetrized
+pairs (the dtype, shape and bytes of coeff, p, branch, a and mass, with the
+box edge and exchange tag), the repr of their inner products, the same
+fields but a of the states' C/P/T/TPC images, the first-order two-particle
+S-matrix of forward states, the residuals of the exchange check
 and of the conjugation and free-equation checks (in the 2 pi box), the bytes
 of seeded field tensors, and the S-matrix of one 200-term pair of forward
 states over 8 shared partners.  It also hashes, at default arguments, every
@@ -16,8 +17,10 @@ algebra: the Uehling ratio and both potential forms at a few radii, the
 shifts and the fixed-grid oracle for 1s, 2s and 2p, hydrogenic radial
 samples and Bohr radii, the Rutherford cross-sections over a few angles, the
 screened Coulomb transform, first-order Moller states on elastic shells,
-mutual-scattering amplitudes and anomaly records.  The marginal currents of
-the forward states, the spectral vector divergence residual (with its
+mutual-scattering amplitudes and anomaly records.  The spin coefficients a
+of the C/P/T/TPC images and their inner products with the state (a spinor
+route to the images rounds a, the label maps do not), the marginal currents
+of the forward states, the spectral vector divergence residual (with its
 current's scale), and the Mott cross-sections and ratios over those angles
 (a Mott table enumerates its spin amplitudes where it took a trace, which
 moves the roundoff digits) are saved to OUT.npz apart, for approx.py to
@@ -54,8 +57,8 @@ def mode_fields(mode):
     return repr((repr(mode), mode.p.tobytes(), mode.a.tobytes(), mode.mass.hex()))
 
 
-def state_fields(state):
-    arrays = [(x.dtype.str, x.shape, x.tobytes()) for x in (state.coeff, state.p, state.branch, state.a, state.mass)]
+def state_fields(state, names=("coeff", "p", "branch", "a", "mass")):
+    arrays = [(x.dtype.str, x.shape, x.tobytes()) for x in map(state.__getattribute__, names)]
     return repr((arrays, state.box_edge.hex(), getattr(state, "exchange", None)))
 
 
@@ -85,11 +88,14 @@ for seed in range(8):
         for term in state.terms:
             for mode in term[1:]:
                 digest.update(mode_fields(mode).encode())
-        images = [state] + [f(state) for f in (charge_conjugate, parity, time_reverse, tpc)]
-        images += [free_evolve(state, 0.0, 0.7, 1), free_evolve(state, 0.3, -0.4, -1)]
-        for image in images:
+        for image in (state, free_evolve(state, 0.0, 0.7, 1), free_evolve(state, 0.3, -0.4, -1)):
             digest.update(state_fields(image).encode())
             digest.update(repr(inner_product(state, image)).encode())
+        for f in (charge_conjugate, parity, time_reverse, tpc):
+            image = f(state)
+            digest.update(state_fields(image, ("coeff", "p", "branch", "mass")).encode())
+            approx[f"{f.__name__} {seed} {state.width} a"] = image.a
+            approx[f"{f.__name__} {seed} {state.width} inner_product"] = np.array(inner_product(state, image))
     for k, l in picks[:8]:
         pair = exchange_pair(pool[k], pool[l], box)
         digest.update(state_fields(pair).encode())

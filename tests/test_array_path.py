@@ -139,6 +139,14 @@ class TestSymmetriesMatchOracle:
         twice = getattr(states, name)(image)
         assert_same_bits(twice.terms, symmetry_loop(symmetry_loop(state.terms, name), name))
 
+    @pytest.mark.parametrize("name", sorted(SYMMETRIES))
+    @given(raw=LABEL_ROWS, exchange=st.sampled_from(("none", "fermionic", "bosonic")))
+    def test_width_two_keeps_exchange_tag(self, name, raw, exchange):
+        state = TwoParticleState(rows_with_repeats(raw, 2), exchange, 3.0)
+        image = getattr(states, name)(state)
+        assert_same_bits(image.terms, symmetry_loop(state.terms, name))
+        assert (type(image), image.exchange, image.box_edge) == (TwoParticleState, exchange, 3.0)
+
 
 class TestFreeEvolutionMatchesOracle:
     @given(raw=LABEL_STATES, evolution=EVOLUTION)
@@ -282,14 +290,19 @@ class TestArrayPathBuildsNoModes:
         monkeypatch.setattr(Mode, "__init__", lambda *args, **kwargs: built.append(1) or init(*args, **kwargs))
         return built
 
-    def test_maps_evolution_joins_currents_and_moller(self, rng, built):
+    def test_maps_evolution_joins_currents_and_moller(self, rng, built, monkeypatch):
         state = random_state(rng, self.N)
         incident = random_mode(rng, branch=1, phi=1)
         momenta = elastic_shell(incident.p, np.linspace(0.1, 3.0, self.N // 8), n_azimuth=8)
         points = rng.normal(size=(3, 4))
+        blocks = []
+        for module in (states, spinors, propagate, twobody):
+            block = module._block
+            monkeypatch.setattr(module, "_block", lambda *args, block=block: blocks.append(1) or block(*args))
         built.clear()
 
         images = [getattr(states, name)(state) for name in sorted(SYMMETRIES)]
+        assert blocks == []  # the maps act on labels alone: no spinor block is built
         evolved = free_evolve(images[0], 0.0, 0.7, 1)
         inner_product(images[0], images[0])
         inner_product(images[1], evolved)
@@ -377,9 +390,9 @@ class TestSamplingMatchesOracle:
 
 
 class TestCarriedMass:
-    """A Mode computes its mass and energy sign from its row, and the maps
-    pass each container's own mass and sign to the spinor blocks: mass_of
-    and energy_sign call counts, not a timing."""
+    """A Mode computes its mass and energy sign from its row, the maps keep
+    each container's own mass, and the spinor blocks take it with its sign:
+    mass_of and energy_sign call counts, not a timing."""
 
     N = 400
 

@@ -15,6 +15,7 @@ from brute_force import (
     LABEL_SPINS,
     LABELS,
     all_pairs_inner,
+    assert_same_bits,
     assert_same_terms,
     build_terms,
     frequencies_match,
@@ -24,6 +25,7 @@ from brute_force import (
     sampled_momentum,
     scan_merge,
     signed_zeros,
+    symmetry_loop,
 )
 from paradirac import propagate, sampling, states
 from paradirac.algebra import GAMMA0, GAMMA2, GAMMA5, TWO_PI, energy_sign, four_vector, gamma, mass_of
@@ -496,8 +498,10 @@ class TestFiniteBilinears:
 class TestComputedLabels:
     """The labels the library computes (C/P/T images, Moller nodes and
     random_state's draws) are checked once, by states._label_rows; the rows of
-    Modes are checked on construction and never again.  A computed label
-    that overflows raises NonfiniteResult before any warning."""
+    Modes are checked on construction and never again.  A C/P/T image moves
+    each spin coefficient to a new place and sign and builds no spinor, so
+    it cannot overflow; a Moller node or a draw that overflows raises
+    NonfiniteResult before any warning."""
 
     MODE = Mode([1.5, 0.3, 0.2, 0.1], 1, [1.0, 1.0])
     P_IN = np.array([np.sqrt(2.0), 0.0, 0.0, 1.0])
@@ -505,7 +509,7 @@ class TestComputedLabels:
 
     @pytest.mark.parametrize("image", IMAGES)
     def test_image_of_large_finite_labels(self, image):
-        # the spinor's products overflow in a matmul; the image does not
+        # a spinor of these labels overflows in a matmul; the maps build none
         big = SpectralState([(1.0, Mode(self.MODE.p, 1, [1e308, 1e308]))])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -515,12 +519,13 @@ class TestComputedLabels:
         assert np.abs(got.a - 1e308 * want.a).max() <= 1e-12 * 1e308
 
     @pytest.mark.parametrize("image", IMAGES)
-    def test_overflowing_image_raises(self, image):
+    def test_image_of_overflowing_spinor_is_exact(self, image):
+        # block(p) @ a overflows here; the maps never build it
         state = single_mode_state(Mode([50.0, 30.0, 20.0, 10.0], 1, [1.7e308, 1.7e308]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonfiniteResult):
-                image(state)
+            got = image(state)
+        assert_same_bits(got.terms, symmetry_loop(state.terms, image.__name__))
 
     def test_overflowing_moller_node_raises(self):
         incident = Mode(self.P_IN, 1, [1.7e308, 1.7e308])
