@@ -74,3 +74,7 @@ class NonfiniteResult(ValueError):
 
 class MassMismatch(ValueError):
     """Modes of unequal rest mass where a sharp-mass state is required."""
+
+
+class NoDominantEigenvalue(ValueError):
+    """The two eigenvalues of largest magnitude tie within tolerance."""

@@ -117,9 +117,11 @@ def elastic_shell(p_in, kappas, n_azimuth: int = 8):
     """Outgoing momenta with |p| and p0 equal to the incident values.
 
     Polar angles kappa are measured from the incident direction; n_azimuth
-    equally spaced azimuths are generated per angle.  Returns an array of
-    four-momenta of shape (len(kappas)*n_azimuth, 4).
+    equally spaced azimuths, an int of at least 1 (else ValueError), are
+    generated per angle.  Returns four-momenta (len(kappas)*n_azimuth, 4).
     """
+    if not isinstance(n_azimuth, (int, np.integer)) or n_azimuth < 1:
+        raise ValueError(f"n_azimuth must be an integer of at least 1, got {n_azimuth!r}")
     p_in = np.asarray(p_in, dtype=float)
     pvec = p_in[1:]
     pmag = np.linalg.norm(pvec)

@@ -354,6 +354,8 @@ def uehling_shift_fixed_grid(n: int, l: int, Z: float, segments: int = 24) -> fl
     pointwise in the t-form (uehling_potential) instead of the closed-form
     radial integral under a theta rule.  Doubling `segments` probes convergence.
     """
+    if segments < 1:  # no panel would sum to 0.0
+        raise ValueError(f"segments must be at least 1, got {segments!r}")
     radial = hydrogen_radial(n, l, Z)
     x, w = np.polynomial.legendre.leggauss(12)
     r_max = 20.0 / ELECTRON_MASS

@@ -26,9 +26,13 @@ def random_unit_vector(rng):
     return v / n
 
 
-def _check_mass(mass):
+def _check_draw(mass, phi=None, subspace=None):
     if not 0.0 < mass < np.inf:  # NaN fails both comparisons; checked before any draw
         raise ValueError(f"mass must be positive and finite, got {mass}")
+    if phi not in (None, 1, -1):
+        raise ValueError(f"phi must be +1, -1 or None, got {phi!r}")
+    if subspace not in (None, Subspace.S_PLUS, Subspace.S_MINUS):
+        raise ValueError(f"subspace must be Subspace.S_PLUS, Subspace.S_MINUS or None, got {subspace!r}")
 
 
 def _sign(rng):
@@ -60,7 +64,7 @@ def random_timelike_momentum(rng, mass=DEFAULT_MASS, phi=None, p_scale=1.0):
     momentum spread (normal components with that standard deviation).  An
     overflowing energy raises NonfiniteResult.
     """
-    _check_mass(mass)
+    _check_draw(mass, phi)
     if phi is None:
         phi = _sign(rng)
     return _on_shell(phi, rng.normal(scale=p_scale, size=3), mass)
@@ -105,7 +109,7 @@ def _mode_draws(rng, branch, phi, p_scale, size):
 
 def random_mode(rng, mass=DEFAULT_MASS, branch=None, phi=None, p_scale=1.0):
     """Single random plane-wave mode."""
-    _check_mass(mass)
+    _check_draw(mass, phi)
     row = np.array(_mode_draws(rng, branch, phi, p_scale, 7))
     return Mode(_on_shell(row[1], row[2:5], mass), int(row[0]), _unit_doublets(row[5:]))
 
@@ -119,7 +123,7 @@ def random_state(rng, n_modes=4, mass=DEFAULT_MASS, subspace=None, p_scale=1.0):
     Each mode draws as random_mode, then its coefficient; no Mode is built.  An
     overflowing momentum raises NonfiniteResult.
     """
-    _check_mass(mass)
+    _check_draw(mass, subspace=subspace)
     rows = []
     for _ in range(n_modes):
         phi = None if subspace is None else _sign(rng)

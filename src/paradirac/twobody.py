@@ -24,6 +24,7 @@ from .algebra import (
     GAMMA0,
     GAMMA_STACK,
     TWO_PI,
+    _cmul,
     _dot,
     _finite,
     _matvec,
@@ -35,6 +36,7 @@ from .algebra import (
 from .errors import (
     BoxMismatch,
     GridIncompatible,
+    NoDominantEigenvalue,
     OnLightCone,
     OnMassShell,
     SubspaceViolation,
@@ -43,13 +45,11 @@ from .propagate import _kernels, free_evolve
 from .scattering import _STATIC_FACTOR, ExternalPotential, ReducedAmplitude
 from .states import (
     Mode,
-    Subspace,
     TermContainer,
     _plane_waves,
     _require_width,
     _vector_current,
     _window_outer,
-    classify_subspace,
     inner_product,
     overlap_join,
 )
@@ -250,7 +250,19 @@ def two_conjugation_check(dx_pair, dtau: float, momenta_pairs) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bethe-Salpeter Born step
+# Bethe-Salpeter operator D V, with D diagonal in the pair basis
+
+def _bs_kernel(pair_basis, mass: float):
+    """D's diagonal as bs_born_step states it; a forward pair on the pole raises OnMassShell."""
+    nu = np.array([(mx.frequency, my.frequency) for mx, my in pair_basis], dtype=float).reshape(-1, 2)
+    forward = (nu > 0.0).all(axis=1)  # nu = branch phi m: both modes in S+
+    detuning = nu[forward, 0] + nu[forward, 1] - mass
+    if (np.abs(detuning) < ATOL_ALGEBRA * max(1.0, abs(mass))).any():
+        raise OnMassShell("combined kernel pole at the requested mass")
+    kernel = np.zeros(len(nu))
+    kernel[forward] = -2.0 / detuning
+    return kernel
+
 
 def bs_born_step(coeffs, pair_basis, v_matrix, mass: float):
     """One iteration of the integral term: combined kernel times V times Psi.
@@ -265,34 +277,27 @@ def bs_born_step(coeffs, pair_basis, v_matrix, mass: float):
     n = len(pair_basis)
     if coeffs.shape != (n,) or v_matrix.shape != (n, n):
         raise GridIncompatible("coefficient vector, basis and kernel sizes disagree")
-    driven = v_matrix @ coeffs
-    out = np.zeros(n, dtype=complex)
-    for k, (mx, my) in enumerate(pair_basis):
-        if classify_subspace(mx) is not Subspace.S_PLUS or classify_subspace(my) is not Subspace.S_PLUS:
-            continue
-        nu = mx.frequency + my.frequency
-        if abs(nu - mass) < ATOL_ALGEBRA * max(1.0, abs(mass)):
-            raise OnMassShell("combined kernel pole at the requested mass")
-        out[k] = -2.0 / (nu - mass) * driven[k]
-    return out
+    kernel = _bs_kernel(pair_basis, mass)
+    # each forward row rounded as one scalar complex product, each backward row an exact 0
+    return np.where(kernel != 0.0, _cmul(kernel, v_matrix @ coeffs), 0.0)
 
 
-def bs_power_iteration(pair_basis, v_matrix, mass: float):
-    """Dominant eigenvalue/vector of the Born-step operator by 20 steps of
-    power iteration from a seeded random start."""
-    rng = np.random.default_rng(0)
-    n = len(pair_basis)
-    vec = rng.normal(size=n) + 1j * rng.normal(size=n)
-    vec /= np.linalg.norm(vec)
-    eig = 0.0j
-    for _ in range(20):
-        nxt = bs_born_step(vec, pair_basis, v_matrix, mass)
-        norm = np.linalg.norm(nxt)
-        if norm == 0.0:
-            return 0.0j, nxt
-        eig = np.vdot(vec, nxt) / np.vdot(vec, vec)
-        vec = nxt / norm
-    return eig, vec
+def bs_dominant_eigenpair(pair_basis, v_matrix, mass: float):
+    """The eigenvalue of largest magnitude of the Born-step operator D V, with its
+    unit eigenvector, by one dense eigensolve; (0j, zeros) if all are 0.  D V is
+    not Hermitian, so lambda can tie in magnitude with its conjugate or with
+    -lambda: a tie within ATOL_ALGEBRA relative raises NoDominantEigenvalue."""
+    v_matrix = np.asarray(v_matrix, dtype=complex)
+    if v_matrix.shape != (len(pair_basis),) * 2:
+        raise GridIncompatible("basis and kernel sizes disagree")
+    values, vectors = np.linalg.eig(_bs_kernel(pair_basis, mass)[:, None] * v_matrix)
+    size = np.abs(values)
+    if not size.any():
+        return 0j, np.zeros(len(size), dtype=complex)
+    top = int(np.argmax(size))
+    if (size >= size[top] * (1.0 - ATOL_ALGEBRA)).sum() > 1:
+        raise NoDominantEigenvalue("the two eigenvalues of largest magnitude tie")
+    return values[top], vectors[:, top]
 
 
 # ---------------------------------------------------------------------------

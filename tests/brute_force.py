@@ -6,7 +6,8 @@ keyed merge, the overlap join or the batched kernels it is compared with.
 The per-Mode loops for the discrete symmetries, free evolution, the Born
 sandwiches and the Moller nodes work one Mode at a time, as the code did
 before the term container held arrays; none of them reads a container's
-arrays.  The symmetry loop solves each map's defining equation
+arrays.  The Bethe-Salpeter Born step loops over the pair basis and
+classifies each Mode.  The symmetry loop solves each map's defining equation
 gamma @ block(p) @ a = block(q) @ a' in exact Fraction arithmetic, not
 through the 2x2 spin matrices the maps use, so the exact images it gives
 must equal the library's bit for bit.  The free influence kernel is the
@@ -22,6 +23,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from paradirac.algebra import (
+    ATOL_ALGEBRA,
     ATOL_SHELL,
     GAMMA0,
     GAMMA1,
@@ -37,8 +39,9 @@ from paradirac.algebra import (
     minkowski_dot,
     slash,
 )
+from paradirac.errors import OnMassShell
 from paradirac.spinors import branch_block, lambda_u, lambda_v
-from paradirac.states import Mode, SpectralState, Subspace
+from paradirac.states import Mode, SpectralState, Subspace, classify_subspace
 
 # on-shell momenta with zero components (masses 1 and 2, both energy signs),
 # so that sign flips of zeros occur; the last two share an energy shell
@@ -159,6 +162,22 @@ def born_sandwich(mode_in, mode_out, pot):
     if not np.any(a_tilde):
         return 0.0j
     return complex(bar(mode_out.amplitude_spinor()) @ slash(a_tilde) @ mode_in.amplitude_spinor())
+
+
+def born_step_loop(coeffs, pair_basis, v_matrix, mass):
+    """bs_born_step as a loop over the pairs: V Psi, then -2/(nu - mass) times
+    its entry on each pair of two S+ modes (nu the total tau frequency), a
+    pole there raising OnMassShell, and zero on every other pair."""
+    driven = np.asarray(v_matrix, dtype=complex) @ np.asarray(coeffs, dtype=complex)
+    out = np.zeros(len(pair_basis), dtype=complex)
+    for k, (mx, my) in enumerate(pair_basis):
+        if classify_subspace(mx) is not Subspace.S_PLUS or classify_subspace(my) is not Subspace.S_PLUS:
+            continue
+        nu = mx.frequency + my.frequency
+        if abs(nu - mass) < ATOL_ALGEBRA * max(1.0, abs(mass)):
+            raise OnMassShell("combined kernel pole at the requested mass")
+        out[k] = -2.0 / (nu - mass) * driven[k]
+    return out
 
 
 def all_pairs_two_inner(terms_a, terms_b):

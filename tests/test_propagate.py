@@ -262,9 +262,16 @@ class TestMollerFirstOrder:
     def test_no_outgoing_momenta_raises_unresolved_delta(self, rng):
         p_in = four_vector(np.hypot(1.0, 0.5), 0.0, 0.0, 0.5)
         incident = Mode(p=p_in, branch=1, a=random_spin_coefficients(rng))
-        for outs in ([], elastic_shell(p_in, [0.5], n_azimuth=0)):
+        for outs in ([], np.empty((0, 4))):
             with pytest.raises(UnresolvedDelta, match="no outgoing momentum conserves the mass"):
                 moller_first_order(incident, coulomb_potential(1.0), outs)
+
+    @pytest.mark.parametrize("n_azimuth", [0, -1, 2.5, 2.0, np.nan])
+    def test_elastic_shell_refuses_a_bad_azimuth_count(self, n_azimuth):
+        # 2.5 would space 3 rows 2 pi / 2.5 apart, and 0 would give no rows,
+        # which moller_first_order reports as an UnresolvedDelta
+        with pytest.raises(ValueError, match="^n_azimuth must be an integer of at least 1"):
+            elastic_shell(four_vector(np.hypot(1.0, 0.5), 0.0, 0.0, 0.5), [0.5], n_azimuth=n_azimuth)
 
     def test_static_potential_skips_energy_violating_nodes(self, rng):
         # same mass but different p0: allowed by the mass delta, killed by

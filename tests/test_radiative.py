@@ -269,6 +269,12 @@ class TestUehlingShift:
         assert abs(shift - oracle) <= abs(oracle - coarse)
         assert abs(shift - oracle) <= 1e-4 * abs(oracle)
 
+    @pytest.mark.parametrize("segments", [0, -3])
+    def test_fixed_grid_refuses_fewer_than_one_segment(self, segments):
+        # with no panel the oracle would sum to 0.0, a value that looks valid
+        with pytest.raises(ValueError, match="^segments must be at least 1"):
+            uehling_shift_fixed_grid(2, 0, 1.0, segments=segments)
+
     def test_2p_unchanged_when_nodes_double(self, monkeypatch):
         # 2P at Z = 1 is the smallest shift in scope (~3e-19 MeV); its value
         # must not rest on an absolute error floor.

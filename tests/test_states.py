@@ -599,6 +599,25 @@ def test_sampling_refuses_a_mass_that_is_not_positive_and_finite(draw, mass):
     assert rng.bit_generator.state == before  # refused before any draw
 
 
+@pytest.mark.parametrize("draw, match", [
+    # phi scales the drawn energy, so phi = 2 would give a momentum of mass 2.31
+    pytest.param(lambda rng: random_timelike_momentum(rng, phi=2), "^phi must be", id="momentum-phi-2"),
+    pytest.param(lambda rng: random_timelike_momentum(rng, phi=0), "^phi must be", id="momentum-phi-0"),
+    pytest.param(lambda rng: random_timelike_momentum(rng, phi=np.nan), "^phi must be", id="momentum-phi-nan"),
+    pytest.param(lambda rng: random_mode(rng, phi=3), "^phi must be", id="mode-phi-3"),
+    pytest.param(lambda rng: random_mode(rng, phi=-0.5), "^phi must be", id="mode-phi-half"),
+    # any value but S_PLUS would draw S- modes
+    pytest.param(lambda rng: random_state(rng, 2, subspace="S+"), "^subspace must be", id="state-str"),
+    pytest.param(lambda rng: random_state(rng, 2, subspace=1), "^subspace must be", id="state-int"),
+])
+def test_sampling_refuses_a_bad_sign_or_subspace(draw, match):
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=match):
+        draw(rng)
+    assert rng.bit_generator.state == before  # refused before any draw
+
+
 @pytest.mark.parametrize("draw, scale", [
     pytest.param(random_timelike_momentum, {"p_scale": 1e200}, id="momentum"),
     pytest.param(random_mode, {"p_scale": 1e200}, id="mode"),

@@ -82,7 +82,7 @@ def test_physics_parameters_are_only_those_callers_set():
         "spinors.u_block(mass)",
         "spinors.v_block(mass)",
         "twobody.bs_born_step(mass)",
-        "twobody.bs_power_iteration(mass)",
+        "twobody.bs_dominant_eigenpair(mass)",
         "twobody.mutual_scattering_amplitude(charge1)",
         "twobody.mutual_scattering_amplitude(charge2)",
         "twobody.potential_from_transition(charge)",
@@ -111,7 +111,7 @@ _PUBLIC_NAMES = {
     "scattering": {"ExternalPotential", "ReducedAmplitude", "SpinSum", "coulomb_ft", "coulomb_potential",
                    "mott_dcs", "mott_ratio", "rutherford_dcs", "s1_amplitude",
                    "spin_averaged_amp2", "spin_trace", "zero_potential"},
-    "twobody": {"TwoParticleState", "TwoParticleState.value", "antisymmetrize", "bs_born_step", "bs_power_iteration", "exchange_residual",
+    "twobody": {"TwoParticleState", "TwoParticleState.value", "antisymmetrize", "bs_born_step", "bs_dominant_eigenpair", "exchange_residual",
                 "mutual_scattering_amplitude", "permute_labels", "potential_from_transition", "s2_first_order",
                 "symmetrize", "two_conjugation_check", "two_currents",
                 "two_kernel_matrix"},

@@ -15,6 +15,7 @@ from brute_force import (
     assert_same_terms,
     bits,
     born_sandwich,
+    born_step_loop,
     frequencies_match,
     label_bits,
     label_mode,
@@ -29,6 +30,7 @@ from paradirac.algebra import ELEMENTARY_CHARGE, TWO_PI, four_vector
 from paradirac.errors import (
     BoxMismatch,
     GridIncompatible,
+    NoDominantEigenvalue,
     NonfiniteResult,
     OnLightCone,
     OnMassShell,
@@ -57,7 +59,7 @@ from paradirac.twobody import (
     TwoParticleState,
     antisymmetrize,
     bs_born_step,
-    bs_power_iteration,
+    bs_dominant_eigenpair,
     exchange_residual,
     mutual_scattering_amplitude,
     permute_labels,
@@ -261,15 +263,117 @@ class TestBornStep:
         assert out[-1] == 0.0
         assert np.all(out[:-1] != 0.0)
 
-    def test_power_iteration_matches_ratio(self, rng):
+    def test_matches_the_pair_loop_bit_for_bit(self, rng):
+        # forward pairs of masses 0.5 to 4 on both sides of the pole, pairs
+        # with a backward mode in either slot, and a backward pair whose total
+        # frequency 2.0 - 0.7 sits on the pole and so must not raise
+        mass = 1.3
+        on_pole = (_mode(rng, mass=2.0), _mode(rng, mass=0.7, branch=-1))
+        assert abs(on_pole[0].frequency + on_pole[1].frequency - mass) < 1e-12
+        for _ in range(40):
+            basis = [(_mode(rng, mass=rng.uniform(0.5, 4.0), branch=rng.choice([1, 1, -1])),
+                      _mode(rng, mass=rng.uniform(0.5, 4.0), branch=rng.choice([1, 1, -1])))
+                     for _ in range(7)] + [on_pole]
+            psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+            v = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+            got = bs_born_step(psi, basis, v, mass)
+            assert [bits(z) for z in got] == [bits(z) for z in born_step_loop(psi, basis, v, mass)]
+        # D = -2/6.7 times the least subnormal underflows, and the zero's sign
+        # is the loop's only through a scalar complex product
+        basis = [(_mode(rng, mass=4.0), _mode(rng, mass=4.0))] * 2 + [on_pole]
+        psi = np.array([5e-324 - 1j, -5e-324 + 1j, 1.0])
+        got = bs_born_step(psi, basis, np.eye(3), mass)
+        assert [bits(z) for z in got] == [bits(z) for z in born_step_loop(psi, basis, np.eye(3), mass)]
+
+    def test_dominant_eigenpair_matches_ratio(self, rng):
         basis = self._basis(rng, 4)
         g = rng.normal(size=4) + 1j * rng.normal(size=4)
         lam = 0.3 - 0.2j
         v = lam * np.outer(g, g.conj())
         ratio = lam * np.vdot(g, g) * (-2.0 / (2.0 - 1.1))
-        eig, vec = bs_power_iteration(basis, v, 1.1)
+        eig, vec = bs_dominant_eigenpair(basis, v, 1.1)
         assert abs(eig - ratio) <= 1e-12 * abs(ratio)
-        assert np.linalg.norm(vec) > 0.0
+        assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+
+
+def _matches_eigvals(basis, v, mass):
+    """bs_dominant_eigenpair against np.linalg.eigvals of D V, built column by
+    column from the pair loop: the eigenvalue of largest magnitude within
+    1e-10 relative, with a unit eigenvector, or NoDominantEigenvalue where the
+    two largest magnitudes agree within 1e-10.  True when it returned."""
+    operator = np.column_stack([born_step_loop(e, basis, v, mass) for e in np.eye(len(basis))])
+    values = np.linalg.eigvals(operator)
+    size = np.sort(np.abs(values))
+    try:
+        lam, vec = bs_dominant_eigenpair(basis, v, mass)
+    except NoDominantEigenvalue:
+        assert size[-2] >= size[-1] * (1.0 - 1e-10)
+        return False
+    assert abs(lam - values[np.argmax(np.abs(values))]) <= 1e-10 * size[-1]
+    assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+    assert np.linalg.norm(operator @ vec - lam * vec) <= 1e-10 * abs(lam)
+    return True
+
+
+class TestDominantEigenpair:
+    def test_hermitian_probe(self):
+        # 300 Hermitian V on 6 forward pairs of mass-1 modes at mass 1.3, so D
+        # is one constant; 93 cases have a gap |l1|/|l2| below 1.1, where 20
+        # power-iteration steps were off by a median 0.36 relative
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            basis = [(_mode(rng), _mode(rng)) for _ in range(6)]
+            h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+            assert _matches_eigvals(basis, (h + h.conj().T) / 2, 1.3)
+
+    def test_indefinite_kernel_raises_only_on_a_tie(self):
+        # forward frequencies from 0.8 to 2.0 put D's entries on both sides of
+        # the pole, and a Hermitian V then gives conjugate pairs of eigenvalues
+        rng = np.random.default_rng(5)
+        returned = 0
+        for _ in range(100):
+            basis = [(_mode(rng, mass=rng.uniform(0.4, 1.0)), _mode(rng, mass=rng.uniform(0.4, 1.0)))
+                     for _ in range(6)]
+            h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+            returned += _matches_eigvals(basis, (h + h.conj().T) / 2, 1.3)
+        assert 0 < returned < 100
+
+    def test_exact_tie_raises(self, rng):
+        # D V = [[0, d1], [d2, 0]] has eigenvalues +-sqrt(d1 d2): no dominant one
+        basis = [(_mode(rng), _mode(rng)), (_mode(rng), _mode(rng, mass=2.0))]
+        with pytest.raises(NoDominantEigenvalue):
+            bs_dominant_eigenpair(basis, [[0.0, 1.0], [1.0, 0.0]], 1.3)
+
+    def test_known_spectrum(self, rng):
+        # on the forward block V = D^-1 Q diag(lam) Q^-1, so D V has the
+        # eigenvalues lam there; a backward pair adds a zero row to D V, and
+        # with it the eigenvalue 0, whatever V holds in its row and column
+        mass = 1.3
+        masses = (0.5, 0.6, 0.9, 1.0)
+        basis = [(_mode(rng, mass=m), _mode(rng, mass=m)) for m in masses]
+        basis.insert(2, (_mode(rng, branch=-1), _mode(rng)))
+        forward = [0, 1, 3, 4]
+        d = np.array([-2.0 / (mx.frequency + my.frequency - mass) for mx, my in (basis[k] for k in forward)])
+        lam = np.array([0.3 + 0.2j, -2.5 + 1.0j, -1.1, 0.05j])
+        q = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        v = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        v[np.ix_(forward, forward)] = (q * lam) @ np.linalg.inv(q) / d[:, None]
+        eig, vec = bs_dominant_eigenpair(basis, v, mass)
+        assert abs(eig - lam[1]) <= 1e-10 * abs(lam[1])
+        assert abs(vec[2]) <= 1e-12
+        assert _matches_eigvals(basis, v, mass)
+
+    def test_all_backward_basis_gives_zero(self, rng):
+        basis = [(_mode(rng, branch=-1), _mode(rng)), (_mode(rng), _mode(rng, branch=-1)),
+                 (_mode(rng, phi=-1), _mode(rng, branch=-1, phi=-1))]
+        v = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        eig, vec = bs_dominant_eigenpair(basis, v, 1.3)
+        assert eig == 0.0
+        assert vec.shape == (3,) and not vec.any()
+
+    def test_shape_guard(self, rng):
+        with pytest.raises(GridIncompatible):
+            bs_dominant_eigenpair([(_mode(rng), _mode(rng)) for _ in range(3)], np.eye(4), 1.3)
 
 
 class TestMutualScattering:
