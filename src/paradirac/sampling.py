@@ -114,6 +114,18 @@ def random_mode(rng, mass=DEFAULT_MASS, branch=None, phi=None, p_scale=1.0):
     return Mode(_on_shell(row[1], row[2:5], mass), int(row[0]), _unit_doublets(row[5:]))
 
 
+def _signed_modes(rng, branch, phi, mass=DEFAULT_MASS, p_scale=1.0):
+    """The Modes of len(branch) random_mode calls with the given signs, one per
+    entry of branch and phi: their normals are one (n, 7) block, and
+    _on_shell and _unit_doublets round each row as for one mode."""
+    _check_draw(mass)
+    for sign in set(phi):
+        _check_draw(mass, sign)
+    normals = rng.normal(size=(len(branch), 7))
+    p = _on_shell(np.array(phi, dtype=float), 0.0 + p_scale * normals[:, :3], mass)  # normal(scale=) is 0 + scale z
+    return list(map(Mode, p, branch, _unit_doublets(normals[:, 3:])))
+
+
 def random_state(rng, n_modes=4, mass=DEFAULT_MASS, subspace=None, p_scale=1.0):
     """Superposition of ``n_modes`` random modes with random coefficients, in
     the 2 pi box.

@@ -108,15 +108,23 @@ def exchange_residual(state: TwoParticleState) -> float:
     """Max deviation of value(y,x)^T from -+ value(x,y) at 4 seeded random events.
 
     Zero for correctly tagged fermionic/bosonic states; meaningless for
-    exchange='none' (returns 0.0 without sampling).
+    exchange='none' (returns 0.0 without sampling).  The 8 event pairs, (x, y)
+    then (y, x), go through one _plane_waves call, and the outer products sum
+    over the terms in row order from zero, rounding as value does per event.
     """
     _require_width(state, 2)
     if state.exchange == "none":
         return 0.0
     sign = -1.0 if state.exchange == "fermionic" else 1.0
-    rng = np.random.default_rng(0)
-    events = [(rng.normal(size=4), rng.normal(size=4), rng.normal()) for _ in range(4)]
-    return _max_residual([state.value(y, x, tau).T - sign * state.value(x, y, tau) for x, y, tau in events])
+    events = np.random.default_rng(0).normal(size=(4, 9))  # x, y, tau per row: the stream of 4 value calls
+    xy = events[:, :8].reshape(4, 2, 4)
+    pairs, tau = np.concatenate((xy, xy[:, ::-1])), np.tile(events[:, 8], 2)
+    waves = _plane_waves(state.p[:, None], state.frequency[:, None], state.spinors()[:, None],
+                         pairs, tau[:, None], state.box_edge)
+    values = np.zeros((8, 4, 4), dtype=complex)
+    for c, (f1, f2) in zip(state.coeff.tolist(), waves.swapaxes(1, 2)):
+        values = values + c * (f1[..., :, None] * f2[..., None, :])
+    return _max_residual(values[4:].swapaxes(-1, -2) - sign * values[:4])
 
 
 # one inner product and one free evolution serve every term width
@@ -270,13 +278,16 @@ def bs_born_step(coeffs, pair_basis, v_matrix, mass: float):
     In the joint mode basis the mass-transformed combined free kernel is
     diagonal with entries -2/(nu_k - mass) on forward-subspace pairs
     (nu_k the total tau frequency) and zero elsewhere; repeated application
-    of D V generates the Born series.
+    of D V generates the Born series.  A non-finite V or Psi raises
+    NonfiniteResult.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     v_matrix = np.asarray(v_matrix, dtype=complex)
     n = len(pair_basis)
     if coeffs.shape != (n,) or v_matrix.shape != (n, n):
         raise GridIncompatible("coefficient vector, basis and kernel sizes disagree")
+    _finite(v_matrix, "the Bethe-Salpeter matrix V must be finite")
+    _finite(coeffs, "the Born-step coefficients must be finite")
     kernel = _bs_kernel(pair_basis, mass)
     # each forward row rounded as one scalar complex product, each backward row an exact 0
     return np.where(kernel != 0.0, _cmul(kernel, v_matrix @ coeffs), 0.0)
@@ -286,10 +297,12 @@ def bs_dominant_eigenpair(pair_basis, v_matrix, mass: float):
     """The eigenvalue of largest magnitude of the Born-step operator D V, with its
     unit eigenvector, by one dense eigensolve; (0j, zeros) if all are 0.  D V is
     not Hermitian, so lambda can tie in magnitude with its conjugate or with
-    -lambda: a tie within ATOL_ALGEBRA relative raises NoDominantEigenvalue."""
+    -lambda: a tie within ATOL_ALGEBRA relative raises NoDominantEigenvalue, and a
+    non-finite V NonfiniteResult."""
     v_matrix = np.asarray(v_matrix, dtype=complex)
     if v_matrix.shape != (len(pair_basis),) * 2:
         raise GridIncompatible("basis and kernel sizes disagree")
+    _finite(v_matrix, "the Bethe-Salpeter matrix V must be finite")
     values, vectors = np.linalg.eig(_bs_kernel(pair_basis, mass)[:, None] * v_matrix)
     size = np.abs(values)
     if not size.any():

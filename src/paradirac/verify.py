@@ -6,14 +6,19 @@ in report order, so a run is reproducible bit for bit for a given seed;
 `Check`.  The spinors suite takes its draws in stacked slices, in the
 one-at-a-time order; every operation is row-wise, so the residuals equal
 those of the one-at-a-time route bit for bit, and the tests keep that route
-as the reference.  Residuals are max-norm deviations of exact algebraic
-identities; the default tolerances are set per suite a decade or two above
-the observed machine-precision plateau.  Each suite imports the layers it
-checks, so importing this module loads only the algebra.
+as the reference.  The same holds for the stacked work of the other suites:
+the algebra checks that read only the gamma constants run once per process,
+the 16 filter checks evolve four 4-row states, one per (which, direction),
+and runs of same-sign modes are drawn as one block.  Residuals are max-norm
+deviations of exact algebraic identities; the default tolerances are set
+per suite a decade or two above the observed machine-precision plateau.
+Each suite imports the layers it checks, so importing this module loads
+only the algebra.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -55,9 +60,9 @@ class Check:
 # algebra
 
 
-def suite_algebra(rng) -> dict:
-    from .sampling import random_timelike_momentum
-
+@functools.cache
+def _constant_algebra_checks() -> dict:
+    """The checks of suite_algebra that read only the gamma constants, once per process."""
     checks = {}
     for mu in range(4):
         for nu in range(4):
@@ -69,6 +74,13 @@ def suite_algebra(rng) -> dict:
         for nu in range(4):
             tr = np.trace(gamma(mu) @ gamma(nu))
             checks[f"trace pair ({mu},{nu}) + 4 g^{mu}{nu}"] = abs(tr + 4.0 * METRIC[mu, nu])
+    return checks
+
+
+def suite_algebra(rng) -> dict:
+    from .sampling import random_timelike_momentum
+
+    checks = dict(_constant_algebra_checks())
     squares, adjoints = [], []
     for _ in range(8):
         p = random_timelike_momentum(rng)
@@ -96,8 +108,7 @@ _SPINOR_BATCH = 250
 
 def _spinor_residuals(p, phi, a_u, a_v, spin_dirs) -> dict:
     from .spinors import (
-        boost_spin, branch_block, decompose_in_block, lambda_u, lambda_v, spin_projector,
-        u_block, v_block,
+        boost_spin, decompose_in_block, lambda_u, lambda_v, spin_projector, u_block, v_block,
     )
 
     m = np.sqrt(-minkowski_dot(p, p))  # mass_of(p) to the bit
@@ -107,7 +118,7 @@ def _spinor_residuals(p, phi, a_u, a_v, spin_dirs) -> dict:
     u_a = _matvec(ub, a_u)
     w = u_a + _matvec(0.6 * vb, a_v)
     rebuilt = _matvec(ub, _matvec(ubar, w)) + _matvec(vb, -_matvec(vbar, w))
-    pure = _matvec(branch_block(p, +1), decompose_in_block(p, +1, u_a))
+    pure = _matvec(ub, decompose_in_block(p, +1, u_a))
     sig = spin_projector(boost_spin(spin_dirs, p[::10]))
     lu_spin = lu[::10]
     phi_m = (phi * m)[:, None, None]
@@ -149,27 +160,29 @@ def suite_propagate(rng) -> dict:
     from .propagate import (
         elastic_shell, free_evolve, influence_conjugation_check, moller_first_order,
     )
-    from .sampling import (
-        random_mode, random_spin_coefficients, random_state, random_timelike_momentum,
-    )
+    from .sampling import _signed_modes, random_spin_coefficients, random_state, random_timelike_momentum
     from .scattering import coulomb_potential, s1_amplitude
     from .states import Mode, SpectralState
 
     checks = {}
     coeff = 0.8 - 0.3j
-    for which, direction, branch, phi in itertools.product((1, -1), repeat=4):
+    signs = list(itertools.product((1, -1), repeat=2))  # (which, direction) of a group, (branch, phi) of its rows
+    for which, direction in signs:
         dtau = 0.7 * direction
-        mode = random_mode(rng, branch=branch, phi=phi, p_scale=0.7)
-        evolved = free_evolve(SpectralState([(coeff, mode)]), 0.0, dtau, which)
-        if branch * phi == which * direction:
-            expected = coeff * direction * np.exp(1j * mode.frequency * dtau)
-            resid = 1.0 if evolved.is_empty else abs(evolved.coeff[0] - expected)
-            verdict = "keeps"
-        else:
-            resid = 0.0 if evolved.is_empty else abs(evolved.coeff[0])
-            verdict = "drops"
-        label = f"filter w={which:+d} dt={direction:+d} b={branch:+d} phi={phi:+d} {verdict}"
-        checks[label] = resid
+        modes = _signed_modes(rng, *zip(*signs), p_scale=0.7)
+        evolved = free_evolve(SpectralState([(coeff, mode) for mode in modes]), 0.0, dtau, which)
+        for (branch, phi), mode in zip(signs, modes):
+            # the survivor by its label: a row that should drop but survives shows its |coefficient|
+            found = np.flatnonzero((evolved.p[:, 0] == mode.p).all(axis=1) & (evolved.branch[:, 0] == branch))
+            if branch * phi == which * direction:
+                expected = coeff * direction * np.exp(1j * mode.frequency * dtau)
+                resid = abs(evolved.coeff[found[0]] - expected) if len(found) else 1.0
+                verdict = "keeps"
+            else:
+                resid = abs(evolved.coeff[found[0]]) if len(found) else 0.0
+                verdict = "drops"
+            label = f"filter w={which:+d} dt={direction:+d} b={branch:+d} phi={phi:+d} {verdict}"
+            checks[label] = resid
 
     for which, direction in ((1, 1), (-1, -1)):
         state = random_state(rng, n_modes=6)
@@ -218,7 +231,7 @@ def suite_propagate(rng) -> dict:
 
 def suite_twobody(rng) -> dict:
     from .propagate import elastic_shell
-    from .sampling import random_mode, random_spin_coefficients, random_timelike_momentum
+    from .sampling import _signed_modes, random_mode, random_spin_coefficients, random_timelike_momentum
     from .scattering import coulomb_potential, s1_amplitude, zero_potential
     from .states import Mode
     from .twobody import (
@@ -228,19 +241,15 @@ def suite_twobody(rng) -> dict:
     )
 
     checks = {}
-    mode = random_mode(rng, branch=1, phi=1)
+    mode, m1, m2, f1, f2 = _signed_modes(rng, (1,) * 5, (1,) * 5)
     pauli = antisymmetrize(mode, mode)
     checks["identical-mode antisymmetrization empties"] = float(len(pauli.coeff))
 
-    m1 = random_mode(rng, branch=1, phi=1)
-    m2 = random_mode(rng, branch=1, phi=1)
     anti = antisymmetrize(m1, m2)
     sym = symmetrize(m1, m2)
     checks["fermionic exchange antisymmetry"] = exchange_residual(anti)
     checks["bosonic exchange symmetry"] = exchange_residual(sym)
 
-    f1 = random_mode(rng, branch=1, phi=1)
-    f2 = random_mode(rng, branch=1, phi=1)
     final = antisymmetrize(f1, f2)
     pots = (coulomb_potential(Z=1.0), coulomb_potential(Z=3.0))
     plain = s2_first_order(anti, final, pots).value
@@ -264,10 +273,8 @@ def suite_twobody(rng) -> dict:
     target = 1j * ELEMENTARY_CHARGE / TWO_PI**3 * s1.value * partner
     checks["separable amplitude factorizes"] = abs(amp - target)
 
-    basis = []
-    for _ in range(5):
-        basis.append((random_mode(rng, branch=1, phi=1), random_mode(rng, branch=1, phi=1)))
-    basis.append((random_mode(rng, branch=-1, phi=1), random_mode(rng, branch=1, phi=1)))
+    drawn = _signed_modes(rng, (1,) * 10 + (-1, 1), (1,) * 12)  # 5 forward pairs, then a backward one
+    basis = list(zip(drawn[::2], drawn[1::2]))
     g = rng.normal(size=6) + 1j * rng.normal(size=6)
     lam = 0.37 - 0.12j
     v_matrix = lam * np.outer(g, g.conj())

@@ -7,13 +7,14 @@ The per-Mode loops for the discrete symmetries, free evolution, the Born
 sandwiches and the Moller nodes work one Mode at a time, as the code did
 before the term container held arrays; none of them reads a container's
 arrays.  The Bethe-Salpeter Born step loops over the pair basis and
-classifies each Mode.  The symmetry loop solves each map's defining equation
-gamma @ block(p) @ a = block(q) @ a' in exact Fraction arithmetic, not
-through the 2x2 spin matrices the maps use, so the exact images it gives
-must equal the library's bit for bit.  The free influence kernel is the
-loop over its support, one momentum at a time.  The samplers draw one mode
-at a time with scalar numpy calls and build a Mode per draw.  The label
-pools hold momenta and spins with zero components, so that their
+classifies each Mode.  The exchange check calls a two-particle state's
+value once per event and order.  The symmetry loop solves each map's
+defining equation gamma @ block(p) @ a = block(q) @ a' in exact Fraction
+arithmetic, not through the 2x2 spin matrices the maps use, so the exact
+images it gives must equal the library's bit for bit.  The free influence
+kernel is the loop over its support, one momentum at a time.  The samplers
+draw one mode at a time with scalar numpy calls and build a Mode per draw.
+The label pools hold momenta and spins with zero components, so that their
 sign-flipped variants (-0.0) test the key folding.
 """
 
@@ -178,6 +179,19 @@ def born_step_loop(coeffs, pair_basis, v_matrix, mass):
             raise OnMassShell("combined kernel pole at the requested mass")
         out[k] = -2.0 / (nu - mass) * driven[k]
     return out
+
+
+def exchange_loop(state):
+    """exchange_residual as the per-event loop: value(y, x, tau).T minus the
+    exchange sign times value(x, y, tau), one value call per event and order,
+    at the 4 events (x, y, tau) of default_rng(0) drawn one at a time."""
+    if state.exchange == "none":
+        return 0.0
+    sign = -1.0 if state.exchange == "fermionic" else 1.0
+    rng = np.random.default_rng(0)
+    events = [(rng.normal(size=4), rng.normal(size=4), rng.normal()) for _ in range(4)]
+    diffs = [state.value(y, x, tau).T - sign * state.value(x, y, tau) for x, y, tau in events]
+    return float(np.abs(diffs).max(initial=0.0))
 
 
 def all_pairs_two_inner(terms_a, terms_b):

@@ -45,6 +45,7 @@ from paradirac.propagate import (
     moller_first_order,
 )
 from paradirac.sampling import (
+    _signed_modes,
     random_mode,
     random_spin_coefficients,
     random_state,
@@ -387,6 +388,21 @@ class TestSamplingMatchesOracle:
                     assert p.tobytes() == sampled_momentum(want_rng, mass, phi, p_scale).tobytes()
                     assert random_spin_coefficients(got_rng).tobytes() == sampled_spins(want_rng).tobytes()
         assert generator_state(got_rng) == generator_state(want_rng)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_signed_modes_equal_random_mode_calls(self, seed):
+        # the stacked draws of the verify suites, n modes of given signs in one block
+        signs = np.random.default_rng([seed, 1])
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for mass in (1e-3, 0.511, 1.0, 7.0):
+            for p_scale in (0.3, 1.0, 3.0):
+                for n in (0, 1, 4, 12):
+                    branch, phi = signs.choice([1, -1], size=(2, n)).tolist()
+                    got = _signed_modes(got_rng, branch, phi, mass, p_scale)
+                    want = [random_mode(want_rng, mass=mass, branch=b, phi=f, p_scale=p_scale)
+                            for b, f in zip(branch, phi)]
+                    assert [mode._row for mode in got] == [mode._row for mode in want]
+                    assert generator_state(got_rng) == generator_state(want_rng)
 
 
 class TestCarriedMass:

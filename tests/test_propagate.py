@@ -311,7 +311,7 @@ def _filter_checks_loop(rng):
 
 
 class TestFilterSuite:
-    @pytest.mark.parametrize("seed", [0, 3, 7])
+    @pytest.mark.parametrize("seed", [0, 3, 7, 12345])
     def test_residuals_equal_the_case_by_case_loop(self, seed):
         # same seeded stream, same rounding: labels, order and residuals agree bit for bit
         stream = [seed, SUITE_NAMES.index("propagate")]

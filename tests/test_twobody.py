@@ -16,6 +16,7 @@ from brute_force import (
     bits,
     born_sandwich,
     born_step_loop,
+    exchange_loop,
     frequencies_match,
     label_bits,
     label_mode,
@@ -99,6 +100,23 @@ class TestExchange:
         state = TwoParticleState(((1, mx, my), (-1, my, mx)), "fermionic", 1e-80)
         with np.errstate(all="ignore"):
             assert np.isnan(exchange_residual(state))
+
+    @pytest.mark.parametrize("exchange", ["fermionic", "bosonic", "none"])
+    def test_residual_equals_the_per_event_loop_bit_for_bit(self, rng, exchange):
+        # random terms, whose residual is of order one, and (anti)symmetrized
+        # ones, whose residual is roundoff, of 1-6 terms in boxes of edge 1 to 10
+        for n in range(1, 7):
+            for trial in range(21):
+                modes = [random_mode(rng, mass=rng.uniform(0.5, 3.0), p_scale=rng.uniform(0.3, 3.0))
+                         for _ in range(2 * n)]
+                coeffs = (rng.normal(size=n) + 1j * rng.normal(size=n)).tolist()
+                terms = list(zip(coeffs, modes[::2], modes[1::2]))
+                if trial == 20:
+                    sign = 1.0 if exchange == "bosonic" else -1.0
+                    terms = terms[:(n + 1) // 2]
+                    terms += [(sign * c, y, x) for c, x, y in terms]
+                state = TwoParticleState(terms, exchange, rng.uniform(1.0, 10.0))
+                assert exchange_residual(state).hex() == exchange_loop(state).hex()
 
     def test_permute_labels_negates_fermionic(self, rng):
         m1, m2 = _mode(rng), _mode(rng)
@@ -285,6 +303,20 @@ class TestBornStep:
         got = bs_born_step(psi, basis, np.eye(3), mass)
         assert [bits(z) for z in got] == [bits(z) for z in born_step_loop(psi, basis, np.eye(3), mass)]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("where", ["v", "coeffs"])
+    def test_refuses_a_nonfinite_input(self, rng, where, bad):
+        basis = self._basis(rng, 3)
+        psi, v = np.ones(3, dtype=complex), np.eye(3, dtype=complex)
+        (v if where == "v" else psi).flat[1] = bad
+        with pytest.raises(NonfiniteResult):
+            bs_born_step(psi, basis, v, 1.3)
+        # after the shape guard, before the kernel's pole test: every forward pair sits on mass 2.0
+        with pytest.raises(GridIncompatible):
+            bs_born_step(psi[:2], basis, v, 1.3)
+        with pytest.raises(NonfiniteResult):
+            bs_born_step(psi, basis, v, 2.0)
+
     def test_dominant_eigenpair_matches_ratio(self, rng):
         basis = self._basis(rng, 4)
         g = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -374,6 +406,16 @@ class TestDominantEigenpair:
     def test_shape_guard(self, rng):
         with pytest.raises(GridIncompatible):
             bs_dominant_eigenpair([(_mode(rng), _mode(rng)) for _ in range(3)], np.eye(4), 1.3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_refuses_a_nonfinite_v(self, rng, bad):
+        basis = [(_mode(rng), _mode(rng)) for _ in range(3)]
+        v = np.eye(3, dtype=complex)
+        v[0, 1] = bad
+        with pytest.raises(NonfiniteResult):
+            bs_dominant_eigenpair(basis, v, 1.3)
+        with pytest.raises(NonfiniteResult):  # before the kernel's pole test
+            bs_dominant_eigenpair(basis, v, 2.0)
 
 
 class TestMutualScattering:

@@ -1,18 +1,20 @@
-"""The suites of `paradirac verify`: their shape, and NaN residuals.
+"""The suites of `paradirac verify`: their shape, NaN residuals, and their stacked work.
 
 Each suite maps its check names to residuals, and run_suite pairs them with
 a tolerance.  Each check reduces its residuals once, through
 algebra._max_residual, never by a Python max() fold: max(0.0, nan) is 0.0,
 so a fold drops a NaN and its check passes.  Each NaN test below puts a NaN
 into one fold of a suite and requires that check, and no other, to read NaN
-and fail.
+and fail.  The last tests pin the work that the suites do once or in stacks:
+the constant algebra checks, the draws of modes and the filter evolutions.
 """
 
+import collections
 import dataclasses
 
 import numpy as np
 
-from paradirac import sampling, scattering, spinors, states, verify
+from paradirac import propagate, sampling, scattering, spinors, states, twobody, verify
 from paradirac.algebra import GAMMA_STACK
 
 
@@ -92,3 +94,32 @@ def test_suites_map_unique_names_to_float_residuals():
         checks = verify.run_suite(name, seed=0, tol=0.5)
         assert [(check.name, check.residual) for check in checks] == list(residuals.items())
         assert {check.tol for check in checks} == {0.5}
+
+
+def test_constant_algebra_checks_are_computed_once_and_copied():
+    # the 36 checks of the gamma constants come first, equal at every seed
+    first = verify.suite_algebra(np.random.default_rng([0, 0]))
+    constant = list(first.items())[:36]
+    assert constant == list(verify._constant_algebra_checks.__wrapped__().items())
+    first["anticommutator (0,0) + 2 g^00"] = float("nan")
+    del first["gamma5 anticommutes with gamma^1"]
+    second = verify.suite_algebra(np.random.default_rng([1, 0]))
+    assert list(second.items())[:36] == constant and len(second) == 39
+
+
+def test_suites_draw_and_evolve_in_stacks(monkeypatch):
+    # one run of every suite, counted: the filter checks evolve four 4-row
+    # states, the two-body suite draws its same-sign modes in two blocks and
+    # the exchange checks call no per-event value
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(sampling, "random_mode", counted("random_mode", sampling.random_mode))
+    monkeypatch.setattr(propagate, "free_evolve", counted("free_evolve", propagate.free_evolve))
+    monkeypatch.setattr(twobody.TwoParticleState, "value", counted("value", twobody.TwoParticleState.value))
+    verify.run_suites(verify.SUITE_NAMES, seed=0)
+    assert dict(calls) == {"random_mode": 6, "free_evolve": 18}
