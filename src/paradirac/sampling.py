@@ -119,8 +119,8 @@ def _signed_modes(rng, branch, phi, mass=DEFAULT_MASS, p_scale=1.0):
     entry of branch and phi: their normals are one (n, 7) block, and
     _on_shell and _unit_doublets round each row as for one mode."""
     _check_draw(mass)
-    for sign in set(phi):
-        _check_draw(mass, sign)
+    if not set(phi) <= {1, -1}:
+        raise ValueError(f"phi must be +1 or -1, got {phi!r}")
     normals = rng.normal(size=(len(branch), 7))
     p = _on_shell(np.array(phi, dtype=float), 0.0 + p_scale * normals[:, :3], mass)  # normal(scale=) is 0 + scale z
     return list(map(Mode, p, branch, _unit_doublets(normals[:, 3:])))

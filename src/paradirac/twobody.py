@@ -75,11 +75,19 @@ class TwoParticleState(TermContainer):
         self._load(terms, box_edge, exchange=_exchange_tag(exchange))
 
     def value(self, x, y, tau):
-        """4x4 outer-product wavefunction, first index particle 1."""
-        # column 0 at x, column 1 at y
-        waves = _plane_waves(self.p, self.frequency, self.spinors(), np.array([x, y]), tau, self.box_edge)
-        return sum((c * np.outer(f1, f2) for c, (f1, f2) in zip(self.coeff.tolist(), waves)),
-                   np.zeros((4, 4), dtype=complex))
+        """4x4 outer-product wavefunction, first index particle 1, broadcast
+        over leading event axes: x and y of shape (..., 4) and tau of shape
+        (...) give (..., 4, 4).  The terms sum in row order from zero, so each
+        event rounds as it does alone."""
+        events = np.stack((x, y), -2)  # particle 1 at x, particle 2 at y
+        rows = (len(self.coeff),) + (1,) * (events.ndim - 2)  # the term axis, then one per event axis
+        waves = _plane_waves(self.p.reshape(rows + (2, 4)), self.frequency.reshape(rows + (2,)),
+                             self.spinors().reshape(rows + (2, 4)), events,
+                             np.asarray(tau, dtype=float)[..., None], self.box_edge)
+        values = np.zeros(events.shape[:-2] + (4, 4), dtype=complex)
+        for c, wave in zip(self.coeff.tolist(), waves):
+            values = values + c * (wave[..., 0, :, None] * wave[..., 1, None, :])
+        return values
 
 
 def antisymmetrize(psi: Mode, chi: Mode) -> TwoParticleState:
@@ -108,22 +116,16 @@ def exchange_residual(state: TwoParticleState) -> float:
     """Max deviation of value(y,x)^T from -+ value(x,y) at 4 seeded random events.
 
     Zero for correctly tagged fermionic/bosonic states; meaningless for
-    exchange='none' (returns 0.0 without sampling).  The 8 event pairs, (x, y)
-    then (y, x), go through one _plane_waves call, and the outer products sum
-    over the terms in row order from zero, rounding as value does per event.
+    exchange='none' (returns 0.0 without sampling).  One value call takes the
+    8 event pairs, (x, y) then (y, x), as one broadcast.
     """
     _require_width(state, 2)
     if state.exchange == "none":
         return 0.0
     sign = -1.0 if state.exchange == "fermionic" else 1.0
     events = np.random.default_rng(0).normal(size=(4, 9))  # x, y, tau per row: the stream of 4 value calls
-    xy = events[:, :8].reshape(4, 2, 4)
-    pairs, tau = np.concatenate((xy, xy[:, ::-1])), np.tile(events[:, 8], 2)
-    waves = _plane_waves(state.p[:, None], state.frequency[:, None], state.spinors()[:, None],
-                         pairs, tau[:, None], state.box_edge)
-    values = np.zeros((8, 4, 4), dtype=complex)
-    for c, (f1, f2) in zip(state.coeff.tolist(), waves.swapaxes(1, 2)):
-        values = values + c * (f1[..., :, None] * f2[..., None, :])
+    x, y, tau = events[:, :4], events[:, 4:8], events[:, 8]
+    values = state.value(np.concatenate((x, y)), np.concatenate((y, x)), np.tile(tau, 2))
     return _max_residual(values[4:].swapaxes(-1, -2) - sign * values[:4])
 
 

@@ -167,9 +167,11 @@ def suite_propagate(rng) -> dict:
     checks = {}
     coeff = 0.8 - 0.3j
     signs = list(itertools.product((1, -1), repeat=2))  # (which, direction) of a group, (branch, phi) of its rows
-    for which, direction in signs:
+    branches, phis = zip(*signs)
+    drawn = _signed_modes(rng, branches * 4, phis * 4, p_scale=0.7)  # the 16 rows, group by group
+    for group, (which, direction) in enumerate(signs):
         dtau = 0.7 * direction
-        modes = _signed_modes(rng, *zip(*signs), p_scale=0.7)
+        modes = drawn[4 * group:4 * group + 4]
         evolved = free_evolve(SpectralState([(coeff, mode) for mode in modes]), 0.0, dtau, which)
         for (branch, phi), mode in zip(signs, modes):
             # the survivor by its label: a row that should drop but survives shows its |coefficient|

@@ -7,11 +7,12 @@ The per-Mode loops for the discrete symmetries, free evolution, the Born
 sandwiches and the Moller nodes work one Mode at a time, as the code did
 before the term container held arrays; none of them reads a container's
 arrays.  The Bethe-Salpeter Born step loops over the pair basis and
-classifies each Mode.  The exchange check calls a two-particle state's
-value once per event and order.  The symmetry loop solves each map's
-defining equation gamma @ block(p) @ a = block(q) @ a' in exact Fraction
-arithmetic, not through the 2x2 spin matrices the maps use, so the exact
-images it gives must equal the library's bit for bit.  The free influence
+classifies each Mode.  A two-particle value sums each term's plane waves
+one event at a time, and the exchange check calls it once per event and
+order.  The symmetry loop solves each map's defining equation
+gamma @ block(p) @ a = block(q) @ a' in exact Fraction arithmetic, not
+through the 2x2 spin matrices the maps use, so the exact images it gives
+must equal the library's bit for bit.  The free influence
 kernel is the loop over its support, one momentum at a time.  The samplers
 draw one mode at a time with scalar numpy calls and build a Mode per draw.
 The label pools hold momenta and spins with zero components, so that their
@@ -42,7 +43,7 @@ from paradirac.algebra import (
 )
 from paradirac.errors import OnMassShell
 from paradirac.spinors import branch_block, lambda_u, lambda_v
-from paradirac.states import Mode, SpectralState, Subspace, classify_subspace
+from paradirac.states import Mode, SpectralState, Subspace, _plane_waves, classify_subspace
 
 # on-shell momenta with zero components (masses 1 and 2, both energy signs),
 # so that sign flips of zeros occur; the last two share an energy shell
@@ -181,16 +182,29 @@ def born_step_loop(coeffs, pair_basis, v_matrix, mass):
     return out
 
 
+def two_value_loop(state, x, y, tau):
+    """A two-particle state's value at one event, one Mode at a time: each
+    term's plane waves at x and y, their outer product summed from zero in
+    term order."""
+    total = np.zeros((4, 4), dtype=complex)
+    for c, mx, my in state.terms:
+        f1 = _plane_waves(mx.p, mx.frequency, mx.amplitude_spinor(), x, tau, state.box_edge)
+        f2 = _plane_waves(my.p, my.frequency, my.amplitude_spinor(), y, tau, state.box_edge)
+        total = total + c * np.outer(f1, f2)
+    return total
+
+
 def exchange_loop(state):
     """exchange_residual as the per-event loop: value(y, x, tau).T minus the
-    exchange sign times value(x, y, tau), one value call per event and order,
-    at the 4 events (x, y, tau) of default_rng(0) drawn one at a time."""
+    exchange sign times value(x, y, tau), one two_value_loop per event and
+    order, at the 4 events (x, y, tau) of default_rng(0) drawn one at a time."""
     if state.exchange == "none":
         return 0.0
     sign = -1.0 if state.exchange == "fermionic" else 1.0
     rng = np.random.default_rng(0)
     events = [(rng.normal(size=4), rng.normal(size=4), rng.normal()) for _ in range(4)]
-    diffs = [state.value(y, x, tau).T - sign * state.value(x, y, tau) for x, y, tau in events]
+    diffs = [two_value_loop(state, y, x, tau).T - sign * two_value_loop(state, x, y, tau)
+             for x, y, tau in events]
     return float(np.abs(diffs).max(initial=0.0))
 
 

@@ -25,6 +25,7 @@ from brute_force import (
     pair_loop_current,
     scan_merge,
     signed_zeros,
+    two_value_loop,
 )
 from paradirac import states, twobody
 from paradirac.algebra import ELEMENTARY_CHARGE, TWO_PI, four_vector
@@ -117,6 +118,22 @@ class TestExchange:
                     terms += [(sign * c, y, x) for c, x, y in terms]
                 state = TwoParticleState(terms, exchange, rng.uniform(1.0, 10.0))
                 assert exchange_residual(state).hex() == exchange_loop(state).hex()
+
+    def test_value_broadcasts_as_the_per_event_loop_bit_for_bit(self, rng):
+        # a (2, 3) grid of events in one call, and each event alone, against
+        # the term-by-term loop
+        for n in range(1, 7):
+            modes = [random_mode(rng, mass=rng.uniform(0.5, 3.0), p_scale=rng.uniform(0.3, 3.0))
+                     for _ in range(2 * n)]
+            coeffs = (rng.normal(size=n) + 1j * rng.normal(size=n)).tolist()
+            state = TwoParticleState(list(zip(coeffs, modes[::2], modes[1::2])), "none", rng.uniform(1.0, 10.0))
+            x, y, tau = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3))
+            grid = state.value(x, y, tau)
+            assert grid.shape == (2, 3, 4, 4)
+            for i, j in np.ndindex(2, 3):
+                want = two_value_loop(state, x[i, j], y[i, j], tau[i, j]).tobytes()
+                assert grid[i, j].tobytes() == want
+                assert state.value(x[i, j], y[i, j], tau[i, j]).tobytes() == want
 
     def test_permute_labels_negates_fermionic(self, rng):
         m1, m2 = _mode(rng), _mode(rng)

@@ -110,7 +110,7 @@ def test_constant_algebra_checks_are_computed_once_and_copied():
 def test_suites_draw_and_evolve_in_stacks(monkeypatch):
     # one run of every suite, counted: the filter checks evolve four 4-row
     # states, the two-body suite draws its same-sign modes in two blocks and
-    # the exchange checks call no per-event value
+    # each of its two exchange checks makes one value call for its 8 events
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -122,4 +122,4 @@ def test_suites_draw_and_evolve_in_stacks(monkeypatch):
     monkeypatch.setattr(propagate, "free_evolve", counted("free_evolve", propagate.free_evolve))
     monkeypatch.setattr(twobody.TwoParticleState, "value", counted("value", twobody.TwoParticleState.value))
     verify.run_suites(verify.SUITE_NAMES, seed=0)
-    assert dict(calls) == {"random_mode": 6, "free_evolve": 18}
+    assert dict(calls) == {"random_mode": 6, "free_evolve": 18, "value": 2}
