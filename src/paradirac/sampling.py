@@ -97,21 +97,15 @@ def random_spinor_draws(rng, count: int):
     return p, phi, _unit_doublets(rows[:, 3:7]), _unit_doublets(rows[:, 7:]), spin_dirs / _norm(spin_dirs)[:, None]
 
 
-def _mode_draws(rng, branch, phi, p_scale, size):
-    """One mode's draws in stream order, [branch, phi, normals]: each sign where it
-    is None, the momentum's three normals (times p_scale), then size - 3 more."""
+def random_mode(rng, mass=DEFAULT_MASS, branch=None, phi=None, p_scale=1.0):
+    """Single random plane-wave mode: each sign not given is drawn, branch
+    first, then the mode draws as one row of _signed_modes."""
+    _check_draw(mass, phi)
     if branch is None:
         branch = _sign(rng)
     if phi is None:
         phi = _sign(rng)
-    return [branch, phi, *rng.normal(scale=p_scale, size=3).tolist(), *rng.normal(size=size - 3).tolist()]
-
-
-def random_mode(rng, mass=DEFAULT_MASS, branch=None, phi=None, p_scale=1.0):
-    """Single random plane-wave mode."""
-    _check_draw(mass, phi)
-    row = np.array(_mode_draws(rng, branch, phi, p_scale, 7))
-    return Mode(_on_shell(row[1], row[2:5], mass), int(row[0]), _unit_doublets(row[5:]))
+    return _signed_modes(rng, (branch,), (phi,), mass, p_scale)[0]
 
 
 def _signed_modes(rng, branch, phi, mass=DEFAULT_MASS, p_scale=1.0):
@@ -121,8 +115,12 @@ def _signed_modes(rng, branch, phi, mass=DEFAULT_MASS, p_scale=1.0):
     _check_draw(mass)
     if not set(phi) <= {1, -1}:
         raise ValueError(f"phi must be +1 or -1, got {phi!r}")
+    if p_scale < 0:  # refused as normal(scale=) refuses it
+        raise ValueError("scale < 0")
     normals = rng.normal(size=(len(branch), 7))
-    p = _on_shell(np.array(phi, dtype=float), 0.0 + p_scale * normals[:, :3], mass)  # normal(scale=) is 0 + scale z
+    with np.errstate(over="ignore"):  # an infinite momentum is refused in _on_shell
+        pvec = 0.0 + p_scale * normals[:, :3]  # normal(scale=) is 0 + scale z
+    p = _on_shell(np.array(phi, dtype=float), pvec, mass)
     return list(map(Mode, p, branch, _unit_doublets(normals[:, 3:])))
 
 
@@ -138,9 +136,13 @@ def random_state(rng, n_modes=4, mass=DEFAULT_MASS, subspace=None, p_scale=1.0):
     _check_draw(mass, subspace=subspace)
     rows = []
     for _ in range(n_modes):
-        phi = None if subspace is None else _sign(rng)
-        branch = None if subspace is None else (phi if subspace is Subspace.S_PLUS else -phi)
-        rows.append(_mode_draws(rng, branch, phi, p_scale, 9))
+        if subspace is None:
+            branch, phi = _sign(rng), _sign(rng)
+        else:
+            phi = _sign(rng)
+            branch = phi if subspace is Subspace.S_PLUS else -phi
+        # [branch, phi, normals]: the momentum's three (times p_scale), the spins' four, the coefficient's two
+        rows.append([branch, phi, *rng.normal(scale=p_scale, size=3).tolist(), *rng.normal(size=6).tolist()])
     rows = np.array(rows).reshape(-1, 11)
     p = _on_shell(rows[:, 1], rows[:, 2:5], mass)
     with np.errstate(all="ignore"):  # mass_of's sums of squares may overflow for a finite p

@@ -191,12 +191,6 @@ def classify_subspace(mode: Mode) -> Subspace:
     return Subspace.S_PLUS if mode.branch * mode.phi > 0 else Subspace.S_MINUS
 
 
-def plane_wave_value(mode: Mode, x, tau):
-    """Value of the mode wavefunction in the 2 pi box at events x (..., 4) and
-    parameter times tau (...)."""
-    return _plane_waves(mode.p, mode.frequency, mode.amplitude_spinor(), x, tau, TWO_PI)
-
-
 def _plane_waves(p, nu, spinors, x, tau, box_edge):
     """spinors * exp[i (p.x + nu tau)] / L^2, broadcast over the leading axes."""
     phase = np.exp(1j * (minkowski_dot(p, np.asarray(x, dtype=float)) + nu * tau))
@@ -211,7 +205,7 @@ def free_equation_residual(mode: Mode, x, tau):
     roundoff of the central differences at the step 1e-3.
     """
     event = np.append(np.asarray(x, dtype=float), tau)
-    d = _central_differences(lambda e: plane_wave_value(mode, e[:, :4], e[:, 4]), event, 1e-3)
+    d = _central_differences(lambda e: single_mode_state(mode).value(e[:, :4], e[:, 4]), event, 1e-3)
     total = d[4, 0] / 1j + sum(gamma(mu) @ (d[mu, 0] / 1j) for mu in range(4))
     return _max_residual(total)
 
@@ -326,10 +320,6 @@ class TermContainer(_Frozen):
         return _TermsView(self)
 
     @property
-    def is_empty(self):
-        return not len(self.coeff)
-
-    @property
     def phi(self):
         """Energy signs, shape (n, w); no p0 is zero in a container."""
         return np.sign(self.p[..., 0])
@@ -342,6 +332,27 @@ class TermContainer(_Frozen):
     def spinors(self):
         """Amplitude spinors block(p) @ a, shape (n, w, 4)."""
         return _matvec(_block(self.p, self.mass, self.phi, self.branch == 1), self.a)
+
+    def value(self, *args):
+        """The wavefunction sum_k c_k f_k1(x_1, tau) ... f_kw(x_w, tau), called
+        as value(x, tau) for width 1 and value(x, y, tau) for width 2, and
+        broadcast over leading event axes: events of shape (..., 4) and tau of
+        shape (...) give (..., 4) for width 1 and the outer product (..., 4, 4),
+        first index particle 1, for width 2.  The terms sum in row order from
+        zero, so each event rounds as it does alone."""
+        if len(args) != self.width + 1:
+            raise TypeError(f"value takes one event per particle and tau: {self.width + 1} arguments, not {len(args)}")
+        *events, tau = args
+        events = np.stack(events, -2)  # particle k at events[..., k, :]
+        rows = (len(self.coeff),) + (1,) * (events.ndim - 2)  # the term axis, then one per event axis
+        waves = _plane_waves(self.p.reshape(rows + (self.width, 4)), self.frequency.reshape(rows + (self.width,)),
+                             self.spinors().reshape(rows + (self.width, 4)), events,
+                             np.asarray(tau, dtype=float)[..., None], self.box_edge)
+        values = np.zeros(events.shape[:-2] + (4,) * self.width, dtype=complex)
+        for c, wave in zip(self.coeff.tolist(), waves):
+            term = wave[..., 0, :] if self.width == 1 else wave[..., 0, :, None] * wave[..., 1, None, :]
+            values = values + c * term
+        return values
 
     def overlap_keys(self, *cols):
         """One key per row over the modes in columns `cols` (every column if
@@ -389,11 +400,6 @@ class SpectralState(TermContainer):
 
     def __init__(self, terms, box_edge=TWO_PI):
         self._load(terms, box_edge)
-
-    def value(self, x, tau):
-        """Wavefunction value sum_k c_k f_k(x, tau)."""
-        waves = _plane_waves(self.p, self.frequency, self.spinors(), x, tau, self.box_edge)[:, 0]
-        return sum((c * f for c, f in zip(self.coeff.tolist(), waves)), np.zeros(4, dtype=complex))
 
 
 def single_mode_state(mode: Mode, coeff=1.0) -> SpectralState:

@@ -46,7 +46,6 @@ from .scattering import _STATIC_FACTOR, ExternalPotential, ReducedAmplitude
 from .states import (
     Mode,
     TermContainer,
-    _plane_waves,
     _require_width,
     _vector_current,
     _window_outer,
@@ -73,21 +72,6 @@ class TwoParticleState(TermContainer):
 
     def __init__(self, terms, exchange="none", box_edge=TWO_PI):
         self._load(terms, box_edge, exchange=_exchange_tag(exchange))
-
-    def value(self, x, y, tau):
-        """4x4 outer-product wavefunction, first index particle 1, broadcast
-        over leading event axes: x and y of shape (..., 4) and tau of shape
-        (...) give (..., 4, 4).  The terms sum in row order from zero, so each
-        event rounds as it does alone."""
-        events = np.stack((x, y), -2)  # particle 1 at x, particle 2 at y
-        rows = (len(self.coeff),) + (1,) * (events.ndim - 2)  # the term axis, then one per event axis
-        waves = _plane_waves(self.p.reshape(rows + (2, 4)), self.frequency.reshape(rows + (2,)),
-                             self.spinors().reshape(rows + (2, 4)), events,
-                             np.asarray(tau, dtype=float)[..., None], self.box_edge)
-        values = np.zeros(events.shape[:-2] + (4, 4), dtype=complex)
-        for c, wave in zip(self.coeff.tolist(), waves):
-            values = values + c * (wave[..., 0, :, None] * wave[..., 1, None, :])
-        return values
 
 
 def antisymmetrize(psi: Mode, chi: Mode) -> TwoParticleState:

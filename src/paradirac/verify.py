@@ -38,6 +38,7 @@ from .algebra import (
     dirac_adjoint,
     four_vector,
     gamma,
+    mass_of,
     minkowski_dot,
     slash,
 )
@@ -111,7 +112,7 @@ def _spinor_residuals(p, phi, a_u, a_v, spin_dirs) -> dict:
         boost_spin, decompose_in_block, lambda_u, lambda_v, spin_projector, u_block, v_block,
     )
 
-    m = np.sqrt(-minkowski_dot(p, p))  # mass_of(p) to the bit
+    m = mass_of(p)
     ub, vb = u_block(p, m), v_block(p, m)
     ubar, vbar = bar(ub), bar(vb)
     lu, lv = lambda_u(p, m), lambda_v(p, m)

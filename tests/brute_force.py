@@ -7,12 +7,12 @@ The per-Mode loops for the discrete symmetries, free evolution, the Born
 sandwiches and the Moller nodes work one Mode at a time, as the code did
 before the term container held arrays; none of them reads a container's
 arrays.  The Bethe-Salpeter Born step loops over the pair basis and
-classifies each Mode.  A two-particle value sums each term's plane waves
-one event at a time, and the exchange check calls it once per event and
-order.  The symmetry loop solves each map's defining equation
-gamma @ block(p) @ a = block(q) @ a' in exact Fraction arithmetic, not
-through the 2x2 spin matrices the maps use, so the exact images it gives
-must equal the library's bit for bit.  The free influence
+classifies each Mode.  A one- or two-particle value sums each term's plane
+waves one event at a time, and the exchange check calls the two-particle
+one once per event and order.  The symmetry loop solves each map's
+defining equation gamma @ block(p) @ a = block(q) @ a' in exact Fraction
+arithmetic, not through the 2x2 spin matrices the maps use, so the exact
+images it gives must equal the library's bit for bit.  The free influence
 kernel is the loop over its support, one momentum at a time.  The samplers
 draw one mode at a time with scalar numpy calls and build a Mode per draw.
 The label pools hold momenta and spins with zero components, so that their
@@ -180,6 +180,15 @@ def born_step_loop(coeffs, pair_basis, v_matrix, mass):
             raise OnMassShell("combined kernel pole at the requested mass")
         out[k] = -2.0 / (nu - mass) * driven[k]
     return out
+
+
+def value_loop(state, x, tau):
+    """A one-particle state's value at one event, one Mode at a time: each
+    term's plane wave at x summed from zero in term order."""
+    total = np.zeros(4, dtype=complex)
+    for c, mode in state.terms:
+        total = total + c * _plane_waves(mode.p, mode.frequency, mode.amplitude_spinor(), x, tau, state.box_edge)
+    return total
 
 
 def two_value_loop(state, x, y, tau):

@@ -41,7 +41,7 @@ class TestFiltering:
             expected = coeff * direction * np.exp(1j * mode.frequency * dtau)
             assert abs(evolved.terms[0][0] - expected) == 0.0
         else:
-            assert evolved.is_empty
+            assert len(evolved.coeff) == 0
 
     def test_zero_interval_raises(self, rng):
         state = random_state(rng, 2)
@@ -105,9 +105,9 @@ class TestSemigroup:
     def test_non_monotone_chain_is_empty(self, rng):
         state = random_state(rng, 6)
         first = free_evolve(state, 0.0, 1.0, 1)
-        assert not first.is_empty
+        assert len(first.coeff) > 0
         # tau1 outside [tau0, tau2]: the two subspace filters contradict each other
-        assert free_evolve(first, 1.0, 0.4, 1).is_empty
+        assert len(free_evolve(first, 1.0, 0.4, 1).coeff) == 0
 
 
 class TestKernelMatrix:
@@ -151,7 +151,7 @@ class TestNonfinitePhase:
         with pytest.raises(NonfiniteResult):
             free_evolve(state, 0.0, self.DTAU, 1)
         # no survivor, no phase
-        assert free_evolve(state, 0.0, self.DTAU, -1).is_empty
+        assert len(free_evolve(state, 0.0, self.DTAU, -1).coeff) == 0
 
     def test_kernels_raise(self, rng):
         momenta = [random_timelike_momentum(rng, mass=2.0) for _ in range(3)]
@@ -239,7 +239,7 @@ class TestMollerFirstOrder:
         p_in = four_vector(np.hypot(1.0, 0.7), 0.0, 0.7, 0.0)
         incident = Mode(p=p_in, branch=-1, a=random_spin_coefficients(rng))
         out = moller_first_order(incident, coulomb_potential(Z=1.0), [p_in])
-        assert out.is_empty
+        assert len(out.coeff) == 0
 
     def test_negative_energy_incident_keeps_its_branch(self, rng):
         # S+ through branch -1 and phi = -1: the passthrough row is the incident mode
@@ -300,10 +300,10 @@ def _filter_checks_loop(rng):
         evolved = free_evolve(single_mode_state(mode, coeff=coeff), 0.0, dtau, which)
         if branch * phi == which * direction:
             expected = coeff * direction * np.exp(1j * mode.frequency * dtau)
-            resid = 1.0 if evolved.is_empty else abs(evolved.coeff[0] - expected)
+            resid = 1.0 if len(evolved.coeff) == 0 else abs(evolved.coeff[0] - expected)
             verdict = "keeps"
         else:
-            resid = 0.0 if evolved.is_empty else abs(evolved.coeff[0])
+            resid = 0.0 if len(evolved.coeff) == 0 else abs(evolved.coeff[0])
             verdict = "drops"
         label = f"filter w={which:+d} dt={direction:+d} b={branch:+d} phi={phi:+d} {verdict}"
         found.append((label, resid))

@@ -26,6 +26,7 @@ from brute_force import (
     scan_merge,
     signed_zeros,
     symmetry_loop,
+    value_loop,
 )
 from paradirac import propagate, sampling, states
 from paradirac.algebra import GAMMA0, GAMMA2, GAMMA5, TWO_PI, energy_sign, four_vector, gamma, mass_of
@@ -52,7 +53,6 @@ from paradirac.states import (
     free_equation_residual,
     inner_product,
     parity,
-    plane_wave_value,
     single_mode_state,
     time_reverse,
     tpc,
@@ -68,7 +68,8 @@ def _events(rng, count=5):
 
 
 def _values(state, events):
-    return np.array([state.value(x, tau) for x, tau in events])
+    x, tau = map(np.array, zip(*events))
+    return state.value(x, tau)
 
 
 class TestMode:
@@ -279,7 +280,7 @@ class TestPlaneWave:
     def test_box_normalization_scale(self, rng):
         mode = random_mode(rng)
         x = rng.normal(size=4)
-        v1 = plane_wave_value(mode, x, 0.2)
+        v1 = value_loop(single_mode_state(mode), x, 0.2)
         v2 = SpectralState(((1.0, mode),), 2.0 * TWO_PI).value(x, 0.2)
         assert np.abs(v1 - 4.0 * v2).max() <= 1e-12 * np.abs(v1).max()
 
@@ -301,8 +302,31 @@ class TestSpectralState:
         coeffs = [0.2, -0.7j, 1.1]
         state = SpectralState(terms=tuple(zip(coeffs, modes)))
         x, tau = rng.normal(size=4), 0.6
-        direct = sum(c * plane_wave_value(m, x, tau) for c, m in zip(coeffs, modes))
+        direct = sum(c * value_loop(single_mode_state(m), x, tau) for c, m in zip(coeffs, modes))
         assert np.abs(state.value(x, tau) - direct).max() <= 1e-14
+
+    def test_value_takes_one_event_per_particle(self, rng):
+        x = rng.normal(size=4)
+        with pytest.raises(TypeError, match="^value takes one event per particle and tau: 2 arguments, not 3$"):
+            random_state(rng, 2).value(x, x, 0.1)
+        with pytest.raises(TypeError, match="^value takes one event per particle and tau: 3 arguments, not 2$"):
+            TwoParticleState(((1.0, random_mode(rng), random_mode(rng)),)).value(x, 0.1)
+
+    def test_value_broadcasts_as_the_per_event_loop_bit_for_bit(self, rng):
+        # a (2, 3) grid of events in one call, and each event alone, against
+        # the term-by-term loop
+        for n in range(1, 7):
+            modes = [random_mode(rng, mass=rng.uniform(0.5, 3.0), p_scale=rng.uniform(0.3, 3.0))
+                     for _ in range(n)]
+            coeffs = (rng.normal(size=n) + 1j * rng.normal(size=n)).tolist()
+            state = SpectralState(list(zip(coeffs, modes)), rng.uniform(1.0, 10.0))
+            x, tau = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3))
+            grid = state.value(x, tau)
+            assert grid.shape == (2, 3, 4)
+            for i, j in np.ndindex(2, 3):
+                want = value_loop(state, x[i, j], tau[i, j]).tobytes()
+                assert grid[i, j].tobytes() == want
+                assert state.value(x[i, j], tau[i, j]).tobytes() == want
 
 
 class TestInnerProduct:
@@ -633,6 +657,21 @@ def test_sampling_refuses_an_overflowing_momentum(draw, scale):
             draw(np.random.default_rng(0), **scale)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_random_mode_refuses_an_overflowing_spread_without_a_warning(seed):
+    # momentum normals times the largest spread overflow on most draws
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonfiniteResult, match="^mode fields must be finite$"):
+            random_mode(np.random.default_rng(seed), p_scale=1.7e308)
+
+
+@pytest.mark.parametrize("draw", [random_timelike_momentum, random_mode, random_state])
+def test_sampling_refuses_a_negative_spread(draw):
+    with pytest.raises(ValueError, match="^scale < 0$"):
+        draw(np.random.default_rng(0), p_scale=-1.0)
+
+
 def test_large_finite_momentum_draw_keeps_its_stream_and_bits():
     # |p|^2 of about 3e300 is finite, so the draw is not refused
     got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
@@ -740,7 +779,7 @@ class TestLabelKeys:
         a = np.array([1.0, 0.0])
         negative = Mode(signed_zeros(p, True), 1, signed_zeros(a, True))
         state = SpectralState(((0.5, Mode(p, 1, a)), (-0.5, negative)))
-        assert state.is_empty
+        assert len(state.coeff) == 0
 
     @given(st.lists(st.tuples(COEFFS, LABELS), max_size=12))
     def test_merge_matches_linear_scan(self, raw):

@@ -92,8 +92,7 @@ def test_physics_parameters_are_only_those_callers_set():
 # Each module's public functions and classes, and each public class's own
 # public methods and properties as "Class.member".  A name that only tests
 # call is a wrapper to delete unless it is a second route that a check
-# compares against (SpectralState.value: the wavefunction the C, P and T
-# maps are tested on); a new public name is added here on purpose.
+# compares against; a new public name is added here on purpose.
 _PUBLIC_NAMES = {
     "algebra": {"bar", "dirac_adjoint", "energy_sign", "four_vector", "gamma", "lower_index", "mass_of",
                 "minkowski_dot", "pauli_dot", "slash"},
@@ -101,17 +100,17 @@ _PUBLIC_NAMES = {
                 "u_block", "v_block"},
     "states": {"CurrentField", "Mode", "Mode.a", "Mode.amplitude_spinor", "Mode.branch", "Mode.frequency",
                "Mode.mass", "Mode.p", "Mode.phi",
-               "SpectralState", "SpectralState.value", "Subspace", "TermContainer", "TermContainer.frequency",
-               "TermContainer.is_empty", "TermContainer.overlap_keys", "TermContainer.overlaps",
-               "TermContainer.phi", "TermContainer.spinors", "TermContainer.terms", "bilinear_concatenated",
-               "charge_conjugate", "classify_subspace", "concatenated_current", "concatenated_pairs",
-               "current_divergence_fd", "free_equation_residual", "inner_product",
-               "overlap_join", "parity", "plane_wave_value", "single_mode_state", "time_reverse", "tpc"},
+               "SpectralState", "Subspace", "TermContainer", "TermContainer.frequency",
+               "TermContainer.overlap_keys", "TermContainer.overlaps",
+               "TermContainer.phi", "TermContainer.spinors", "TermContainer.terms", "TermContainer.value",
+               "bilinear_concatenated", "charge_conjugate", "classify_subspace", "concatenated_current",
+               "concatenated_pairs", "current_divergence_fd", "free_equation_residual", "inner_product",
+               "overlap_join", "parity", "single_mode_state", "time_reverse", "tpc"},
     "propagate": {"elastic_shell", "free_evolve", "influence_conjugation_check", "moller_first_order"},
     "scattering": {"ExternalPotential", "ReducedAmplitude", "SpinSum", "coulomb_ft", "coulomb_potential",
                    "mott_dcs", "mott_ratio", "rutherford_dcs", "s1_amplitude",
                    "spin_averaged_amp2", "spin_trace", "zero_potential"},
-    "twobody": {"TwoParticleState", "TwoParticleState.value", "antisymmetrize", "bs_born_step", "bs_dominant_eigenpair", "exchange_residual",
+    "twobody": {"TwoParticleState", "antisymmetrize", "bs_born_step", "bs_dominant_eigenpair", "exchange_residual",
                 "mutual_scattering_amplitude", "permute_labels", "potential_from_transition", "s2_first_order",
                 "symmetrize", "two_conjugation_check", "two_currents",
                 "two_kernel_matrix"},

@@ -14,7 +14,7 @@ import dataclasses
 
 import numpy as np
 
-from paradirac import propagate, sampling, scattering, spinors, states, twobody, verify
+from paradirac import propagate, sampling, scattering, spinors, states, verify
 from paradirac.algebra import GAMMA_STACK
 
 
@@ -120,6 +120,6 @@ def test_suites_draw_and_evolve_in_stacks(monkeypatch):
         return wrapper
     monkeypatch.setattr(sampling, "random_mode", counted("random_mode", sampling.random_mode))
     monkeypatch.setattr(propagate, "free_evolve", counted("free_evolve", propagate.free_evolve))
-    monkeypatch.setattr(twobody.TwoParticleState, "value", counted("value", twobody.TwoParticleState.value))
+    monkeypatch.setattr(states.TermContainer, "value", counted("value", states.TermContainer.value))
     verify.run_suites(verify.SUITE_NAMES, seed=0)
     assert dict(calls) == {"random_mode": 6, "free_evolve": 18, "value": 2}
