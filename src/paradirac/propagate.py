@@ -39,12 +39,14 @@ from .algebra import (
 )
 from .errors import DegenerateInterval, UnresolvedDelta
 from .spinors import _block, _projector
-from .states import Mode, SpectralState, Subspace, TermContainer, _label_rows, classify_subspace
+from .states import _BOOLEANS, Mode, SpectralState, Subspace, TermContainer, _label_rows, classify_subspace
 
 
 def _step_sign(which: int, dtau: float) -> int:
     """sign(dtau) of a step of Gamma0_which (+1 preserves S+ forward, -1 S-);
     a zero or non-finite dtau is refused."""
+    if type(which) in _BOOLEANS:
+        raise TypeError("which must be +1 or -1, not a boolean")
     if which not in (1, -1):
         raise ValueError("which must be +1 or -1")
     if dtau == 0.0:

@@ -96,6 +96,7 @@ class _built_once(functools.cached_property):
         return value
 
 
+_BOOLEANS = frozenset((bool, np.bool_))  # True == 1, so a +-1 sign refuses these by class
 _pack_row = struct.Struct("10d").pack
 _unpack_double = struct.Struct("d").unpack_from
 
@@ -126,6 +127,8 @@ class Mode(_Frozen):
         if not math.isfinite(p0 + x + y + z + re0 + im0 + re1 + im1) and not all(
                 map(math.isfinite, (p0, x, y, z, re0, im0, re1, im1))):
             raise ValueError("mode fields must be finite")
+        if type(branch) in _BOOLEANS:
+            raise TypeError("branch must be +1 or -1, not a boolean")
         if branch not in (1, -1):  # tested before int(), which a NaN or infinite branch makes raise
             raise ValueError("branch must be +1 or -1")
         if p0 == 0.0:
@@ -176,16 +179,6 @@ class Mode(_Frozen):
         return _block(self.p, self.mass, self.phi, self.branch == 1) @ self.a
 
 
-def overlap_join(keys_a, keys_b):
-    """Index arrays (i, j), the rows of one (2, m) array, of the pairs with
-    keys_a[i] == keys_b[j] in all-pairs order: i ascending, then j ascending."""
-    index: dict = {}
-    for j, key in enumerate(keys_b):
-        index.setdefault(key, []).append(j)
-    pairs = [(i, j) for i, key in enumerate(keys_a) for j in index.get(key, ())]
-    return np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-
-
 def classify_subspace(mode: Mode) -> Subspace:
     """S+ for modes evolving as exp(+i m tau), S- for exp(-i m tau)."""
     return Subspace.S_PLUS if mode.branch * mode.phi > 0 else Subspace.S_MINUS
@@ -227,9 +220,9 @@ class TermContainer(_Frozen):
     The arrays are coeff (n,), p (n, w, 4), branch (n, w) and a (n, w, 2),
     with the mass (n, w) of every mode; they are the only copy of the
     labels.  The arrays are read-only and no attribute can be reassigned,
-    so the cached join keys stay valid.  Rows with equal labels merge on
-    construction: _fill keys it on _row_bytes of (p + 0.0,
-    a + 0.0, branch), so -0.0 equals 0.0 as in array_equal: coefficients add
+    so the cached per-column overlap keys stay valid.  Rows with equal labels
+    merge on construction: _fill keys it on _row_bytes of (p + 0.0, a + 0.0,
+    branch), so -0.0 equals 0.0 as in array_equal: coefficients add
     in input order at the first occurrence and zero sums drop.  A non-finite
     coefficient, given or summed, raises NonfiniteResult.  The state maps
     work on the arrays in one batched pass.  Built from Modes, the label
@@ -312,7 +305,7 @@ class TermContainer(_Frozen):
         p, branch, a, mass = labels
         for value in (coeff, p, branch, a, mass):
             value.setflags(write=False)
-        vars(self).update(coeff=coeff, p=p, branch=branch, a=a, mass=mass, _overlap_keys={})
+        vars(self).update(coeff=coeff, p=p, branch=branch, a=a, mass=mass, _keys={})
 
     @property
     def terms(self):
@@ -354,21 +347,11 @@ class TermContainer(_Frozen):
             values = values + c * term
         return values
 
-    def overlap_keys(self, *cols):
-        """One key per row over the modes in columns `cols` (every column if
-        none is given), in row order: (branch, bytes of p + 0.0) for one
-        column, the tuple of the cached per-column keys for several."""
-        cols = cols or tuple(range(self.width))
-        if cols not in self._overlap_keys:
-            self._overlap_keys[cols] = list(
-                zip(self.branch[:, cols[0]].tolist(), _row_bytes(self.p[:, cols[0]])) if len(cols) == 1
-                else zip(*map(self.overlap_keys, cols)))
-        return self._overlap_keys[cols]
-
-    def overlaps(self, i, other, j, col=0):
-        """branch a* . a' of column `col` for rows i here and rows j of `other`:
-        the box overlap of the two modes where their overlap keys are equal."""
-        return self.branch[i, col] * _dot(self.a[i, col].conj(), other.a[j, col])
+    def _column_keys(self, col):
+        """Column `col`'s overlap keys (branch, bytes of p + 0.0) in row order, cached."""
+        if col not in self._keys:
+            self._keys[col] = list(zip(self.branch[:, col].tolist(), _row_bytes(self.p[:, col])))
+        return self._keys[col]
 
 
 class _TermsView(Sequence):
@@ -459,6 +442,24 @@ def tpc(state: SpectralState) -> SpectralState:
 # ---------------------------------------------------------------------------
 # inner products and concatenated currents
 
+def _overlap_pairs(state_a: TermContainer, state_b: TermContainer, cols):
+    """The one overlap join: index arrays (i, j) of the row pairs whose modes in
+    the one or two columns `cols` share overlap keys, in all-pairs order (i, then
+    j), and the list of the products over `cols` of their overlaps branch a_i* . a_j."""
+    keys_a, keys_b = (state_a._column_keys(cols[0]), state_b._column_keys(cols[0])) if len(cols) == 1 else (
+        zip(*map(state_a._column_keys, cols)), zip(*map(state_b._column_keys, cols)))  # composed per call
+    index: dict = {}
+    for j, key in enumerate(keys_b):
+        index.setdefault(key, []).append(j)
+    pairs = [(i, j) for i, key in enumerate(keys_a) for j in index.get(key, ())]
+    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    if not pairs:
+        return i, j, []
+    # Python's product per pair: on few terms it beats an array product's numpy calls
+    overlaps = [(state_a.branch[i, c] * _dot(state_a.a[i, c].conj(), state_b.a[j, c])).tolist() for c in cols]
+    return i, j, overlaps[0] if len(cols) == 1 else list(map(operator.mul, *overlaps))
+
+
 def inner_product(state_a: TermContainer, state_b: TermContainer) -> complex:
     """Box inner product integral d^4x of bar(psi_a) psi_b at fixed tau, of
     terms of any width: the overlaps of the tensor factors multiply.
@@ -468,22 +469,20 @@ def inner_product(state_a: TermContainer, state_b: TermContainer) -> complex:
     mixed branches vanish.  States of different widths (particle numbers)
     are orthogonal.  The result does not depend on tau.
 
-    The sum is a join on the overlap keys of all columns: each term of
-    state_a meets only its matches in state_b, in all-pairs order, and a
-    zero overlap product adds nothing to the Python complex sum.  A sum that
-    is not finite raises NonfiniteResult.
+    The sum runs over _overlap_pairs on every column: each term of state_a
+    meets only its matches in state_b, in all-pairs order, and a zero
+    overlap product adds nothing to the Python complex sum.  A sum that is
+    not finite raises NonfiniteResult.
     """
     if state_a.box_edge != state_b.box_edge:
         raise BoxMismatch("states quantized in different boxes")
-    i, j = overlap_join(state_a.overlap_keys(), state_b.overlap_keys())
     total = 0j
-    if not len(i):
+    if state_a.width != state_b.width:
         return total
-    # Python's product per pair: on few terms it beats an array product's numpy calls
-    products = state_a.overlaps(i, state_b, j, 0).tolist()
-    for col in range(1, state_a.width):
-        products = map(operator.mul, products, state_a.overlaps(i, state_b, j, col).tolist())
-    for ca, cb, ov in zip(state_a.coeff[i].tolist(), state_b.coeff[j].tolist(), products):
+    i, j, overlaps = _overlap_pairs(state_a, state_b, range(state_a.width))
+    if not overlaps:
+        return total
+    for ca, cb, ov in zip(state_a.coeff[i].tolist(), state_b.coeff[j].tolist(), overlaps):
         if ov:
             total += ca.conjugate() * cb * ov
     return _finite(total, "the inner product sum is not finite")

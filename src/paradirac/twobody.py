@@ -46,11 +46,11 @@ from .scattering import _STATIC_FACTOR, ExternalPotential, ReducedAmplitude
 from .states import (
     Mode,
     TermContainer,
+    _overlap_pairs,
     _require_width,
     _vector_current,
     _window_outer,
     inner_product,
-    overlap_join,
 )
 from .spinors import _block
 
@@ -128,7 +128,7 @@ def _marginal_outer(state: TwoParticleState, particle: int, spinors, points):
     _require_width(state, 2)
     own, other = particle - 1, 2 - particle
     ids: dict = {}
-    group = np.array([ids.setdefault(key, len(ids)) for key in state.overlap_keys(other)], dtype=np.intp)
+    group = np.array([ids.setdefault(key, len(ids)) for key in state._column_keys(other)], dtype=np.intp)
     with np.errstate(all="ignore"):  # an overflowing row gives NaN samples, which _vector_current refuses
         bra = (state.coeff[:, None] * state.a[:, other])[..., None] * spinors[:, own, None]
         ket = state.branch[:, other, None, None] * bra
@@ -164,9 +164,9 @@ def s2_first_order(state_i: TwoParticleState, state_f: TwoParticleState, pot_pai
     frequencies and, for static potentials, energies) hold at ATOL_SHELL and
     A~ is nonzero, and is exactly zero elsewhere; the squared delta scales
     are recorded symbolically.  Both states must lie in the forward subspace
-    tensor square.  <f|i> is inner_product; each particle's Born terms join
-    on its partner's overlap key, in the order of the all-pairs loop; a sum
-    that is not finite raises NonfiniteResult.
+    tensor square.  <f|i> is inner_product; each particle's Born terms are
+    the _overlap_pairs of its partner's column, in the order of the
+    all-pairs loop; a sum that is not finite raises NonfiniteResult.
     """
     _require_width(state_i, 2)
     _require_width(state_f, 2)
@@ -183,8 +183,7 @@ def s2_first_order(state_i: TwoParticleState, state_f: TwoParticleState, pot_pai
     # order; only pairs of nonzero overlap whose own deltas hold stay, particle 1's first
     live = []
     for col, pot in enumerate((pot1, pot2)):
-        join_f, join_i = overlap_join(state_f.overlap_keys(1 - col), state_i.overlap_keys(1 - col))
-        overlap = state_f.overlaps(join_f, state_i, join_i, 1 - col).tolist()
+        join_f, join_i, overlap = _overlap_pairs(state_f, state_i, (1 - col,))
         live += [(f, i, col, ov) for f, i, ov in zip(join_f.tolist(), join_i.tolist(), overlap)
                  if ov and not (pot.static and abs(p0_f[f][col] - p0_i[i][col]) > ATOL_SHELL)
                  and abs(nu_f[f][col] - nu_i[i][col]) <= ATOL_SHELL * max(1.0, abs(nu_i[i][col]))]

@@ -7,6 +7,8 @@ build a Mode until a caller reads the rows of `terms`.  The free influence kerne
 one pass over their momentum support, each bit for bit the loop's term.
 """
 
+import cmath
+import math
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -493,14 +495,76 @@ class TestStackedConstruction:
         assert len(state.coeff) == distinct and state.coeff[0] == 2.0
 
 
-class TestDisjointKeys:
-    """Joins whose key sets share nothing: an empty (2, 0) index, and zero
-    inner products and free overlap."""
+# in turn: each side repeats a key (p and branch) with other spins; the sides
+# share no momentum; one side or both are empty
+JOIN_CASES = (
+    ([(1.0, (0, 1, 0, False)), (1.0, (0, 1, 1, True)), (1.0, (0, 1, 2, False)), (1.0, (1, -1, 0, False))],
+     [(1.0, (0, 1, 3, True)), (1.0, (1, -1, 2, False)), (1.0, (0, 1, 0, False)), (1.0, (1, 1, 0, False))]),
+    ([(1.0, (0, 1, 0, False)), (1.0, (1, 1, 0, False))], [(1.0, (2, 1, 0, False)), (1.0, (3, -1, 1, False))]),
+    ([], [(1.0, (0, 1, 0, False))]),
+    ([(1.0, (0, 1, 0, False))], []),
+    ([], []),
+)
+# the same cases on width 2, each with a partner that one side repeats
+TWO_JOIN_CASES = tuple(tuple([(c, x, (k % 2, 1, k % 4, False)) for k, (c, x) in enumerate(raw)] for raw in case)
+                       for case in JOIN_CASES)
 
-    def test_overlap_join_is_empty(self):
-        for keys_a, keys_b in (([1, 2, 2], [3, 4]), ([], [1]), ([1], []), ([], [])):
-            pairs = states.overlap_join(keys_a, keys_b)
-            assert pairs.shape == (2, 0) and pairs.dtype == np.intp
+
+class TestOverlapPairs:
+    """states._overlap_pairs, the one overlap join, against a double loop over
+    both states' rows: the pairs whose modes in `cols` share p (-0.0 equal to
+    0.0) and branch, in all-pairs order, with the product over `cols` of their
+    box overlaps branch a_i* . a_j; an empty join gives empty index arrays."""
+
+    @staticmethod
+    def check(sa, sb, cols):
+        pairs, want = [], []
+        for i in range(len(sa.coeff)):
+            for j in range(len(sb.coeff)):
+                if all(sa.branch[i, c] == sb.branch[j, c] and np.array_equal(sa.p[i, c], sb.p[j, c]) for c in cols):
+                    pairs.append((i, j))
+                    want.append(math.prod(sa.branch[i, c] * np.vdot(sa.a[i, c], sb.a[j, c]) for c in cols))
+        i, j, overlaps = states._overlap_pairs(sa, sb, cols)
+        assert i.dtype == j.dtype == np.intp and i.shape == j.shape == (len(pairs),)
+        assert list(zip(i.tolist(), j.tolist())) == pairs
+        assert type(overlaps) is list and len(overlaps) == len(pairs)
+        assert all(type(ov) is complex and cmath.isclose(ov, w, abs_tol=1e-15) for ov, w in zip(overlaps, want))
+
+    @given(st.lists(st.tuples(COEFFS, LABELS), max_size=8), st.lists(st.tuples(COEFFS, LABELS), max_size=8))
+    @example(*JOIN_CASES[0])
+    @example(*JOIN_CASES[1])
+    @example(*JOIN_CASES[2])
+    @example(*JOIN_CASES[3])
+    @example(*JOIN_CASES[4])
+    def test_width_one(self, raw_a, raw_b):
+        self.check(SpectralState(build_terms(raw_a)), SpectralState(build_terms(raw_b)), (0,))
+
+    @pytest.mark.parametrize("cols", [(0,), (1,), (0, 1)])
+    @given(st.lists(st.tuples(COEFFS, LABELS, LABELS), max_size=8),
+           st.lists(st.tuples(COEFFS, LABELS, LABELS), max_size=8))
+    @example(*TWO_JOIN_CASES[0])
+    @example(*TWO_JOIN_CASES[1])
+    @example(*TWO_JOIN_CASES[2])
+    @example(*TWO_JOIN_CASES[3])
+    @example(*TWO_JOIN_CASES[4])
+    def test_width_two(self, cols, raw_a, raw_b):
+        sa, sb = (TwoParticleState(tuple((c, label_mode(x), label_mode(y)) for c, x, y in raw))
+                  for raw in (raw_a, raw_b))
+        self.check(sa, sb, cols)
+
+    def test_only_column_keys_are_cached(self, rng):
+        # a width-2 join composes its row keys per call: the cache holds one
+        # (branch, p bytes) list per column, and no tuple of them per row
+        modes = [random_mode(rng) for _ in range(4)]
+        state = TwoParticleState(tuple((1.0, x, y) for x in modes for y in modes[:2]))
+        inner_product(state, state)
+        assert sorted(state._keys) == [0, 1]
+        for col, keys in state._keys.items():
+            assert keys == list(zip(state.branch[:, col].tolist(), (p.tobytes() for p in state.p[:, col] + 0.0)))
+
+
+class TestDisjointKeys:
+    """Joins whose key sets share nothing: zero inner products and free overlap."""
 
     def test_two_body_products_and_amplitude(self, rng):
         modes = [random_mode(rng, branch=1, phi=1) for _ in range(4)]
@@ -516,7 +580,7 @@ class TestDisjointKeys:
 
 
 class TestContainersAreReadOnly:
-    """The terms view and the cached join keys rest on labels that never change."""
+    """The terms view and the cached overlap keys rest on labels that never change."""
 
     def test_attributes_cannot_be_reassigned(self, rng):
         state = random_state(rng, 3)

@@ -57,6 +57,19 @@ class TestFiltering:
         with pytest.raises(ValueError, match=r"^which must be \+1 or -1$"):
             propagate._kernels(which, random_timelike_momentum(rng), np.zeros(4), 0.5)
 
+    @pytest.mark.parametrize("which", [True, False, np.True_], ids=["True", "False", "np.True_"])
+    def test_boolean_which_is_refused(self, rng, which):
+        with pytest.raises(TypeError, match=r"^which must be \+1 or -1, not a boolean$"):
+            free_evolve(random_state(rng, 2), 0.0, 1.0, which)
+        with pytest.raises(TypeError, match=r"^which must be \+1 or -1, not a boolean$"):
+            propagate._kernels(which, random_timelike_momentum(rng), np.zeros(4), 0.5)
+
+    @pytest.mark.parametrize("which", [1, -1])
+    def test_integral_which_is_compared_by_value(self, rng, which):
+        state = random_state(rng, 4)
+        want, got = free_evolve(state, 0.0, 1.0, which), free_evolve(state, 0.0, 1.0, float(which))
+        assert np.array_equal(got.coeff, want.coeff) and np.array_equal(got.p, want.p)
+
     @pytest.mark.parametrize("tau_prime", [np.nan, np.inf, -np.inf])
     def test_nonfinite_step_raises(self, rng, tau_prime):
         state = random_state(rng, 4)

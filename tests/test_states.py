@@ -224,6 +224,18 @@ class TestModeContract:
             Mode(p, branch, a)
         assert type(info.value) is error and str(info.value) == message
 
+    @pytest.mark.parametrize("branch", [True, False, np.True_], ids=["True", "False", "np.True_"])
+    def test_boolean_branch_is_refused(self, branch):
+        # True == 1, so only its class tells it from a sign
+        with pytest.raises(TypeError, match=r"^branch must be \+1 or -1, not a boolean$"):
+            Mode([1.5, 0.0, 0.0, 0.0], branch, [1.0, 0.0])
+
+    @pytest.mark.parametrize("branch", [1.0, -1.0, np.int64(-1), np.float64(1.0)],
+                             ids=["1.0", "-1.0", "np.int64(-1)", "np.float64(1.0)"])
+    def test_integral_branch_is_compared_by_value(self, branch):
+        mode = Mode([1.5, 0.0, 0.0, 0.0], branch, [1.0, 0.0])
+        assert type(mode.branch) is int and mode.branch == branch
+
     @pytest.mark.parametrize("a", [
         [complex(1.7e308, 1.7e308), complex(1.7e308, -1.7e308)],  # the fields sum to +inf
         [complex(-1.7e308, -0.0), complex(-1.7e308, 1e308)],  # to -inf
@@ -916,12 +928,16 @@ class TestScalingGuard:
         modes_b += [Mode(m.p, m.branch, random_spin_coefficients(rng)) for m in modes_a[:shared]]
         sa = SpectralState(tuple((1.0, m) for m in modes_a))
         sb = SpectralState(tuple((1.0, m) for m in modes_b))
-        rows = []
-        overlaps = states.TermContainer.overlaps
-        monkeypatch.setattr(states.TermContainer, "overlaps",
-                            lambda self, i, *args: rows.append(len(i)) or overlaps(self, i, *args))
+        pairs, overlap_pairs = [], states._overlap_pairs
+
+        def counting(*args):
+            joined = overlap_pairs(*args)
+            pairs.append(len(joined[0]))
+            return joined
+
+        monkeypatch.setattr(states, "_overlap_pairs", counting)
         inner_product(sa, sb)
-        assert sum(rows) == shared
+        assert pairs == [shared]
 
     def test_concatenated_current_lowers_only_the_rows(self, rng, monkeypatch):
         # 400 modes of one tau frequency: all 160,000 ordered pairs match, yet

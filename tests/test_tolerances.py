@@ -101,11 +101,10 @@ _PUBLIC_NAMES = {
     "states": {"CurrentField", "Mode", "Mode.a", "Mode.amplitude_spinor", "Mode.branch", "Mode.frequency",
                "Mode.mass", "Mode.p", "Mode.phi",
                "SpectralState", "Subspace", "TermContainer", "TermContainer.frequency",
-               "TermContainer.overlap_keys", "TermContainer.overlaps",
                "TermContainer.phi", "TermContainer.spinors", "TermContainer.terms", "TermContainer.value",
                "bilinear_concatenated", "charge_conjugate", "classify_subspace", "concatenated_current",
                "concatenated_pairs", "current_divergence_fd", "free_equation_residual", "inner_product",
-               "overlap_join", "parity", "single_mode_state", "time_reverse", "tpc"},
+               "parity", "single_mode_state", "time_reverse", "tpc"},
     "propagate": {"elastic_shell", "free_evolve", "influence_conjugation_check", "moller_first_order"},
     "scattering": {"ExternalPotential", "ReducedAmplitude", "SpinSum", "coulomb_ft", "coulomb_potential",
                    "mott_dcs", "mott_ratio", "rutherford_dcs", "s1_amplitude",

@@ -47,13 +47,13 @@ from paradirac.states import (
     SpectralState,
     TermContainer,
     _central_differences,
+    _overlap_pairs,
     _window_outer,
     bilinear_concatenated,
     concatenated_current,
     concatenated_pairs,
     current_divergence_fd,
     inner_product,
-    overlap_join,
     parity,
     single_mode_state,
 )
@@ -685,7 +685,7 @@ class TestNonTransitiveChains:
         for particle, field in zip((1, 2), two_currents(state, points)):
             pairs = marginal_pair_loop(state, particle)
             ids: dict = {}
-            group = [ids.setdefault(key, len(ids)) for key in state.overlap_keys(2 - particle)]
+            group = [ids.setdefault(key, len(ids)) for key in state._column_keys(2 - particle)]
             assert window_pairs(group, state.frequency.sum(axis=1)) == len(pairs)
             want = pair_loop_current(pairs, points)
             assert np.abs(field.values - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
@@ -694,10 +694,7 @@ class TestNonTransitiveChains:
 def numpy_scalar_inner(sa, sb):
     """inner_product's sum in numpy scalar arithmetic, np.conj(c_a) c_b ov,
     over the library's own joined pairs and overlap products."""
-    i, j = overlap_join(sa.overlap_keys(), sb.overlap_keys())
-    products = sa.overlaps(i, sb, j, 0).tolist()
-    for col in range(1, sa.width):
-        products = [x * y for x, y in zip(products, sa.overlaps(i, sb, j, col).tolist())]
+    i, j, products = _overlap_pairs(sa, sb, range(sa.width))
     total = 0j
     with np.errstate(all="ignore"):  # the 1e200 scales overflow to inf on purpose
         for ca, cb, ov in zip(sa.coeff[i].tolist(), sb.coeff[j].tolist(), products):
@@ -749,41 +746,46 @@ class TestInnerProductArithmetic:
 
 
 class TestScalingGuard:
-    """TermContainer.overlaps receives only the key-matched term pairs of
-    400-term states, s2_first_order sorts and sums only the joined pairs
+    """The overlap join of 400-term states returns only their key-matched
+    term pairs, s2_first_order sorts and sums only the joined pairs
     whose deltas hold, and two_currents builds their spinors once."""
 
     N_TERMS = 400
 
     @pytest.fixture
-    def overlap_rows(self, monkeypatch):
-        rows = []
-        overlaps = TermContainer.overlaps
-        monkeypatch.setattr(TermContainer, "overlaps",
-                            lambda self, i, *args: rows.append(len(i)) or overlaps(self, i, *args))
-        return rows
+    def joined_pairs(self, monkeypatch):
+        pairs, overlap_pairs = [], states._overlap_pairs
+
+        def counting(*args):
+            joined = overlap_pairs(*args)
+            pairs.append(len(joined[0]))
+            return joined
+
+        for module in (states, twobody):
+            monkeypatch.setattr(module, "_overlap_pairs", counting)
+        return pairs
 
     @staticmethod
     def relabel(rng, mode):
         """New spin coefficients on the (p, branch) of mode."""
         return Mode(mode.p, mode.branch, random_spin_coefficients(rng))
 
-    def test_two_inner_product(self, rng, overlap_rows):
+    def test_two_inner_product(self, rng, joined_pairs):
         terms_a = [(1.0, _mode(rng), _mode(rng)) for _ in range(self.N_TERMS)]
         shared = [(1.0, self.relabel(rng, x), self.relabel(rng, y)) for _, x, y in terms_a[:10]]
         terms_b = [(1.0, _mode(rng), _mode(rng)) for _ in range(self.N_TERMS - 10)] + shared
         two_inner_product(TwoParticleState(tuple(terms_a)), TwoParticleState(tuple(terms_b)))
-        assert sum(overlap_rows) == 2 * 10
+        assert sum(joined_pairs) == 10
 
-    def test_s2_first_order(self, rng, overlap_rows):
+    def test_s2_first_order(self, rng, joined_pairs):
         initial = [(1.0, _mode(rng), _mode(rng)) for _ in range(self.N_TERMS)]
         final = [(1.0, _mode(rng), self.relabel(rng, y)) for _, _, y in initial[:10]]
         final += [(1.0, self.relabel(rng, x), _mode(rng)) for _, x, _ in initial[10:15]]
         final += [(1.0, _mode(rng), _mode(rng)) for _ in range(self.N_TERMS - 15)]
         pots = (coulomb_potential(1.0), coulomb_potential(2.0))
         s2_first_order(TwoParticleState(tuple(initial)), TwoParticleState(tuple(final)), pots)
-        # each of the 15 joined term pairs takes only its partner's overlap
-        assert sum(overlap_rows) == 15
+        # 15 term pairs join on a partner; no pair joins on both columns
+        assert joined_pairs == [10, 5, 0]
 
     def test_s2_first_order_keeps_only_live_pairs(self, rng, monkeypatch):
         # 400 x rows of one mass over 8 shared partners: 396 final rows join
